@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim import Environment
 from repro.cluster import Cluster, TestbedConfig
 from repro.hw.myrinet.link import LinkParams
 from repro.faults import (CampaignSet, DAEMON_COLD_CRASH, DAEMON_CRASH,
@@ -144,26 +143,18 @@ def _attach_probe(tx, probe: dict) -> None:
     tx._set_inflight = set_inflight
 
 
-def run_reliable_point(error_rate: float, messages: int = 100,
-                       size: int = 1024,
-                       campaign: Optional[FaultCampaign] = None,
-                       adaptive: bool = True,
-                       pipelined: Optional[bool] = None,
-                       probe: Optional[dict] = None,
-                       stats_out: Optional[dict] = None
-                       ) -> tuple[ChaosPoint, Optional[FaultStats]]:
-    """Reliable-VMMC transfer over the same lossy fabric, optionally with
-    a fault campaign running concurrently.  Returns the measurement point
-    and the campaign's :class:`FaultStats` (None without a campaign).
+def _reliable_transfer(error_rate: float, messages: int, size: int,
+                       adaptive: bool, pipelined: bool, start_faults,
+                       probe: Optional[dict] = None):
+    """The one reliable-transfer experiment behind every driver below:
+    build the 2-node cluster, open the channel, start the faults, stream
+    ``messages`` patterned payloads, drain, audit.
 
-    ``adaptive`` selects the congestion-controlled sender (default) or
-    the static stop-and-wait baseline; ``pipelined`` issues every send up
-    front so the AIMD window can keep several slots in flight (defaults
-    to ``adaptive`` — the static sender serialises either way).  Pass a
-    dict as ``probe`` to collect invariant evidence (RTO min/max, cwnd
-    peak) and as ``stats_out`` to receive the raw tx/rx stat dicts."""
-    if pipelined is None:
-        pipelined = adaptive
+    ``start_faults(injector)`` is called once the channel is up (so a
+    schedule can be anchored at ``injector.env.now``) and before the
+    workload clock starts; if it returns an event, that event is awaited
+    after the last delivery and before the drain.  Returns ``(point, tx,
+    rx, injector, awaited)`` with ``awaited`` the event's value."""
     cluster = _two_node_cluster(error_rate)
     env = cluster.env
     _, ep_tx = cluster.nodes[0].attach_process("chaos_tx")
@@ -173,15 +164,8 @@ def run_reliable_point(error_rate: float, messages: int = 100,
         adaptive=adaptive))
     if probe is not None:
         _attach_probe(tx, probe)
-
-    fault_stats: Optional[FaultStats] = None
-    if campaign is not None:
-        injector = FaultInjector(cluster)
-        injector.run(campaign)
-        # Per-campaign map, not `injector.stats`: the latter is only the
-        # most recently *started* campaign and is clobbered when several
-        # campaigns share one injector.
-        fault_stats = injector.stats_by_campaign[campaign.name]
+    injector = FaultInjector(cluster)
+    faults_done = start_faults(injector)
 
     result: dict[str, object] = {}
 
@@ -209,26 +193,57 @@ def run_reliable_point(error_rate: float, messages: int = 100,
     rx_proc = env.process(receiver())
     env.process(sender())
     env.run(until=rx_proc)
+    awaited = None if faults_done is None else env.run(until=faults_done)
     env.run(until=env.now + DRAIN_NS)
 
     got = result["got"]
-    intact = sum(1 for i, g in enumerate(got) if g == _pattern(i, size))
-    elapsed = int(result["end"]) - start
-    if stats_out is not None:
-        stats_out["tx"] = tx.stats.as_dict()
-        stats_out["rx"] = rx.stats.as_dict()
-    return ChaosPoint(
+    point = ChaosPoint(
         error_rate=error_rate,
         mode="adaptive" if adaptive else "static",
-        messages=messages,
-        size=size, delivered_intact=intact,
+        messages=messages, size=size,
+        delivered_intact=sum(1 for i, g in enumerate(got)
+                             if g == _pattern(i, size)),
         crc_drops=(cluster.nodes[0].lcp.crc_drops
                    + cluster.nodes[1].lcp.crc_drops),
         retransmits=tx.stats.retransmits,
         acks_resent=rx.stats.acks_resent,
         duplicates_suppressed=rx.stats.duplicates_suppressed,
         send_failures=tx.stats.send_failures,
-        elapsed_ns=elapsed), fault_stats
+        elapsed_ns=int(result["end"]) - start)
+    return point, tx, rx, injector, awaited
+
+
+def run_reliable_point(error_rate: float, messages: int = 100,
+                       size: int = 1024,
+                       campaign: Optional[FaultCampaign] = None,
+                       adaptive: bool = True,
+                       pipelined: Optional[bool] = None,
+                       probe: Optional[dict] = None,
+                       stats_out: Optional[dict] = None
+                       ) -> tuple[ChaosPoint, Optional[FaultStats]]:
+    """Reliable-VMMC transfer over the same lossy fabric, optionally with
+    a fault campaign running concurrently.  Returns the measurement point
+    and the campaign's :class:`FaultStats` (None without a campaign).
+
+    ``adaptive`` selects the congestion-controlled sender (default) or
+    the static stop-and-wait baseline; ``pipelined`` issues every send up
+    front so the AIMD window can keep several slots in flight (defaults
+    to ``adaptive`` — the static sender serialises either way).  Pass a
+    dict as ``probe`` to collect invariant evidence (RTO min/max, cwnd
+    peak) and as ``stats_out`` to receive the raw tx/rx stat dicts."""
+    def start_faults(injector: FaultInjector) -> None:
+        # Started, not awaited: the measurement ends with the last
+        # delivery, wherever the campaign is by then.
+        if campaign is not None:
+            injector.run(campaign)
+
+    point, tx, rx, injector, _ = _reliable_transfer(
+        error_rate, messages, size, adaptive,
+        adaptive if pipelined is None else pipelined, start_faults, probe)
+    if stats_out is not None:
+        stats_out["tx"] = tx.stats.as_dict()
+        stats_out["rx"] = rx.stats.as_dict()
+    return point, injector.stats
 
 
 def burst_campaign(cluster_links: list[str], seed: int,
@@ -490,74 +505,37 @@ def run_multi_campaign_trial(seed: int, messages: int = 60,
     counted once per target), every per-campaign sub-stat, and any
     conflict-guard decisions.
     """
-    cluster = _two_node_cluster(0.0)
-    env = cluster.env
-    _, ep_tx = cluster.nodes[0].attach_process("chaos_tx")
-    _, ep_rx = cluster.nodes[1].attach_process("chaos_rx")
-    tx, rx = env.run(until=open_channel(
-        ep_tx, ep_rx, "chaos", slot_bytes=HEADER_BYTES + size,
-        adaptive=adaptive))
+    planned: dict = {}
 
-    # Campaigns are authored relative to t=0; shift them to the workload
-    # start so their relative timing (and the overlaps we are testing)
-    # survives the channel-setup time.
-    cset = CampaignSet.of(
-        [c.shifted(env.now)
-         for c in (campaigns or default_multi_campaigns(seed))],
-        policy=policy)
-    _, conflicts = cset.resolve()   # deterministic; re-done by run_all
-    injector = FaultInjector(cluster)
-    set_done = injector.run_all(cset)
+    def start_faults(injector: FaultInjector):
+        # Campaigns are authored relative to t=0; shift them to the
+        # workload start so their relative timing (and the overlaps we
+        # are testing) survives the channel-setup time.
+        cset = CampaignSet.of(
+            [c.shifted(injector.env.now)
+             for c in (campaigns or default_multi_campaigns(seed))],
+            policy=policy)
+        planned["names"] = [c.name for c in cset]
+        _, planned["conflicts"] = cset.resolve()   # re-done by run_all
+        return injector.run_all(cset)
 
-    result: dict[str, object] = {}
-
-    def receiver():
-        got = []
-        for _ in range(messages):
-            payload = yield rx.recv()
-            got.append(payload)
-        result["got"] = got
-        result["end"] = env.now
-        # Stay posted: if the final ACK is lost, only a live recv() can
-        # re-ACK the sender's retransmission of the last message.
-        rx.recv()
-
-    def sender():
-        if adaptive:
-            sends = [tx.send(_pattern(i, size)) for i in range(messages)]
-            for proc in sends:
-                yield proc
-        else:
-            for i in range(messages):
-                yield tx.send(_pattern(i, size))
-
-    start = env.now
-    rx_proc = env.process(receiver())
-    env.process(sender())
-    env.run(until=rx_proc)
-    merged = env.run(until=set_done)
-    env.run(until=env.now + DRAIN_NS)
-
-    got = result["got"]
-    intact = sum(1 for i, g in enumerate(got) if g == _pattern(i, size))
-    elapsed = int(result["end"]) - start
-    goodput = (intact * size) / (elapsed / 1e3) if elapsed > 0 else 0.0
+    point, _, _, injector, merged = _reliable_transfer(
+        0.0, messages, size, adaptive, adaptive, start_faults)
     return {
         "seed": seed,
         "policy": policy,
-        "mode": "adaptive" if adaptive else "static",
+        "mode": point.mode,
         "messages": messages,
         "size": size,
-        "campaigns": [c.name for c in cset],
-        "conflicts": [c.as_dict() for c in conflicts],
-        "delivered_intact": intact,
-        "crc_drops": (cluster.nodes[0].lcp.crc_drops
-                      + cluster.nodes[1].lcp.crc_drops),
-        "retransmits": tx.stats.retransmits,
-        "duplicates_suppressed": rx.stats.duplicates_suppressed,
-        "send_failures": tx.stats.send_failures,
-        "elapsed_ns": elapsed,
-        "goodput_mbps": round(goodput, 6),
+        "campaigns": planned["names"],
+        "conflicts": [c.as_dict() for c in planned["conflicts"]],
+        "delivered_intact": point.delivered_intact,
+        "crc_drops": point.crc_drops,
+        "retransmits": point.retransmits,
+        "duplicates_suppressed": point.duplicates_suppressed,
+        "send_failures": point.send_failures,
+        "elapsed_ns": point.elapsed_ns,
+        "goodput_mbps": round(point.goodput_mbps, 6),
         "merged_fault_stats": merged.as_dict(),
         "per_campaign": {
             name: stats.as_dict()
@@ -596,62 +574,11 @@ def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024,
     table's refusals).  Returns ``(point, fault_stats, recovery)`` where
     ``recovery`` aggregates the protocol's counters — identical across
     reruns of the same seed."""
-    cluster = _two_node_cluster(0.0)
-    env = cluster.env
-    _, ep_tx = cluster.nodes[0].attach_process("chaos_tx")
-    _, ep_rx = cluster.nodes[1].attach_process("chaos_rx")
-    tx, rx = env.run(until=open_channel(
-        ep_tx, ep_rx, "chaos", slot_bytes=HEADER_BYTES + size,
-        adaptive=adaptive))
-
-    campaign = cold_crash_campaign(seed, start_ns=env.now)
-    injector = FaultInjector(cluster)
-    campaign_done = injector.run(campaign)
-    fault_stats = injector.stats_by_campaign[campaign.name]
-
-    result: dict[str, object] = {}
-
-    def receiver():
-        got = []
-        for _ in range(messages):
-            payload = yield rx.recv()
-            got.append(payload)
-        result["got"] = got
-        result["end"] = env.now
-        # Stay posted: if the final ACK is lost, only a live recv() can
-        # re-ACK the sender's retransmission of the last message.
-        rx.recv()
-
-    def sender():
-        if adaptive:
-            sends = [tx.send(_pattern(i, size)) for i in range(messages)]
-            for proc in sends:
-                yield proc
-        else:
-            for i in range(messages):
-                yield tx.send(_pattern(i, size))
-
-    start = env.now
-    rx_proc = env.process(receiver())
-    env.process(sender())
-    env.run(until=rx_proc)
-    env.run(until=campaign_done)
-    env.run(until=env.now + DRAIN_NS)
-
-    got = result["got"]
-    intact = sum(1 for i, g in enumerate(got) if g == _pattern(i, size))
-    elapsed = int(result["end"]) - start
-    point = ChaosPoint(
-        error_rate=0.0, mode="adaptive" if adaptive else "static",
-        messages=messages, size=size,
-        delivered_intact=intact,
-        crc_drops=(cluster.nodes[0].lcp.crc_drops
-                   + cluster.nodes[1].lcp.crc_drops),
-        retransmits=tx.stats.retransmits,
-        acks_resent=rx.stats.acks_resent,
-        duplicates_suppressed=rx.stats.duplicates_suppressed,
-        send_failures=tx.stats.send_failures,
-        elapsed_ns=elapsed)
+    point, tx, rx, injector, fault_stats = _reliable_transfer(
+        0.0, messages, size, adaptive, adaptive,
+        lambda injector: injector.run(
+            cold_crash_campaign(seed, start_ns=injector.env.now)))
+    cluster = injector.cluster
     daemons = [node.daemon for node in cluster.nodes]
     recovery = {
         "cold_restarts": sum(d.cold_restarts for d in daemons),
@@ -663,7 +590,7 @@ def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024,
         "stale_transmits":
             tx.stats.stale_transmits + rx.stats.stale_transmits,
         "stale_sends_blocked":
-            ep_tx.stale_sends_blocked + ep_rx.stale_sends_blocked,
+            tx.ep.stale_sends_blocked + rx.ep.stale_sends_blocked,
         "stale_writes_blocked":
             sum(node.lcp.protection_violations for node in cluster.nodes),
     }

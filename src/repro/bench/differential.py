@@ -17,7 +17,13 @@ the issue's acceptance list:
 * ``dsm-smoke``   — DSM coherence workload, error-burst scenario;
 * ``fabric-smoke``— multi-switch fabric pair traffic on a fat-tree;
 * ``contract``    — the observability contract workload, fingerprinting
-  the full event trace and the metrics snapshot.
+  the full event trace and the metrics snapshot;
+* ``chaos-cold-crash`` / ``chaos-multi`` — the reliable channel across
+  cold daemon restarts and under concurrent fault campaigns.
+
+The scalar fingerprint of every workload is also pinned in
+``tests/golden_fingerprints.json``, which catches drift common to both
+engines.
 
 Engine selection happens via ``$REPRO_SIM_ENGINE`` (every runner builds
 its environments through the normal constructors), so a runner exercises
@@ -58,6 +64,23 @@ def _chaos_workload() -> dict[str, Any]:
     return {f"seed{seed}.{mode}": run_error_burst_trial(
                 seed, messages=30, size=1024, adaptive=(mode == "adaptive"))
             for seed in (0, 1) for mode in ("static", "adaptive")}
+
+
+def _cold_crash_workload() -> dict[str, Any]:
+    from dataclasses import asdict
+
+    from repro.bench.chaos import run_cold_crash_point
+
+    point, stats, recovery = run_cold_crash_point(seed=7, messages=60,
+                                                  size=1024)
+    return {"point": asdict(point), "faults": stats.as_dict(),
+            "recovery": recovery}
+
+
+def _multi_campaign_workload() -> dict[str, Any]:
+    from repro.bench.chaos import run_multi_campaign_trial
+
+    return run_multi_campaign_trial(7, messages=16, size=1024)
 
 
 def _fig3_workload() -> dict[str, Any]:
@@ -122,6 +145,8 @@ def _contract_workload() -> dict[str, Any]:
 #: name -> zero-argument runner returning a JSON-serializable report.
 WORKLOADS: dict[str, Callable[[], dict[str, Any]]] = {
     "chaos": _chaos_workload,
+    "chaos-cold-crash": _cold_crash_workload,
+    "chaos-multi": _multi_campaign_workload,
     "fig3": _fig3_workload,
     "dsm-smoke": _dsm_workload,
     "fabric-smoke": _fabric_workload,

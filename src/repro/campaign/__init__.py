@@ -17,9 +17,10 @@ from repro.campaign.aggregate import aggregate_cell, aggregate_values
 from repro.campaign.diffing import DiffResult, DiffRow, diff_artifacts
 from repro.campaign.registry import (all_campaigns, campaign_names,
                                      get_campaign, register, unregister)
-from repro.campaign.runner import (IncompleteRunError, build_artifact,
+from repro.campaign.runner import (IncompleteRunError,
+                                   artifact_from_reports, build_artifact,
                                    git_metadata, load_artifact,
-                                   run_campaign, state_dir_for,
+                                   run_campaign, run_trial, state_dir_for,
                                    write_artifact)
 from repro.campaign.spec import (SCHEMA_VERSION, CampaignSpec, Metric,
                                  SpecError, cell_key)
@@ -35,6 +36,7 @@ __all__ = [
     "aggregate_cell",
     "aggregate_values",
     "all_campaigns",
+    "artifact_from_reports",
     "build_artifact",
     "campaign_names",
     "cell_key",
@@ -44,6 +46,7 @@ __all__ = [
     "load_artifact",
     "register",
     "run_campaign",
+    "run_trial",
     "state_dir_for",
     "unregister",
     "write_artifact",

@@ -266,8 +266,16 @@ def git_metadata(repo_dir: Optional[pathlib.Path] = None) -> dict:
 def build_artifact(spec: CampaignSpec, *, smoke: bool = False,
                    state_root: Optional[pathlib.Path] = None,
                    git: Optional[dict] = None) -> dict:
-    """Aggregate a finished run into the ``BENCH_<AREA>.json`` payload."""
-    grouped = load_reports(spec, smoke, state_root)
+    """Aggregate a finished run's state dir into its artifact."""
+    return artifact_from_reports(
+        spec, load_reports(spec, smoke, state_root), smoke=smoke,
+        git=git if git is not None else git_metadata())
+
+
+def artifact_from_reports(spec: CampaignSpec, grouped: list[list[dict]],
+                          *, smoke: bool, git: Optional[dict]) -> dict:
+    """The ``BENCH_<AREA>.json`` payload from :func:`run_trial` reports
+    grouped per cell in ``spec.cells(smoke)`` order."""
     cells = []
     gates_failed_total = 0
     for params, reports in zip(spec.cells(smoke), grouped):
@@ -297,7 +305,7 @@ def build_artifact(spec: CampaignSpec, *, smoke: bool = False,
         },
         "cells": cells,
         "cells_with_failed_gates": gates_failed_total,
-        "git": git if git is not None else git_metadata(),
+        "git": git,
     }
 
 

@@ -3,11 +3,12 @@
 Each function is a **top-level, picklable** entry point with the
 campaign-trial signature ``trial(params, seed) -> {"metrics": ...,
 "gates": ...}``; the runner fans them out across a process pool.  They
-are thin adapters over the existing measurement drivers
+are thin adapters over the measurement drivers
 (:mod:`repro.bench.microbench`, :mod:`repro.bench.chaos`,
-:mod:`repro.dsm.bench`, :mod:`repro.obs.breakdown`), so a campaign
-measures exactly what the legacy bench scripts and CLI commands measure
-— the artifact is a reorganisation, not a re-implementation.
+:mod:`repro.dsm.bench`, :mod:`repro.kv.bench`,
+:mod:`repro.obs.breakdown`) and the **only** place an experiment is run
+from: ``campaign run`` and the legacy CLI names (``repro.cli.ALIASES``)
+both call these.
 
 The microbenchmark simulations are deterministic and seed-free; their
 campaigns run a single seed 0 and the trial ignores it.  The chaos and

@@ -5,32 +5,30 @@ Gives downstream users the paper's measurements without touching pytest:
 ===========  ===========================================================
 command      what it runs
 ===========  ===========================================================
-latency      Figure 2 — ping-pong one-way latency sweep
-bandwidth    Figure 3 — one-way + bidirectional bandwidth sweep
-overhead     Figure 4 — sync/async send overhead sweep
-dma          Figure 1 — host↔LANai DMA bandwidth curve
-shootout     sections 6–7 — every protocol on identical hardware
-vrpc         section 5.4 — vRPC vs SunRPC/UDP
-sram         NIC SRAM accounting of a booted node
-chaos        extension — lossy-link sweep + fault campaign: baseline
-             VMMC vs the reliable-delivery layer; with
-             ``--scenario daemon-cold-crash``, exactly-once delivery
-             across cold daemon restarts (``--report`` for JSON)
-dsm-bench    extension — seeded DSM coherence workload (page faults,
-             invalidations, fetch latency) under clean/chaos scenarios,
-             gated on the sequential-consistency checker and
-             byte-identical reruns (``--report`` for JSON)
-kv-bench     extension — sharded KV serving tier driven by an open-loop
-             Zipf get/put generator (tail latency p50/p99/p999, hot-key
-             imbalance) under clean/chaos scenarios, gated on delivery,
-             the read-your-writes oracle and byte-identical reruns
-             (``--report`` for JSON)
 campaign     experiment campaigns — ``list|run|resume|report|diff``:
              declarative grid x seed sweeps fanned out over a process
              pool, aggregated (min/median/mean/CI) into schema-versioned
              ``BENCH_<AREA>.json`` artifacts at the repo root, with
              ``diff`` as the CI regression gate against the committed
              baselines (handbook: docs/BENCHMARKS.md)
+latency      alias: the ``latency`` campaign (Figure 2)
+bandwidth    alias: the ``bandwidth`` campaign (Figure 3)
+overhead     alias: the ``overhead`` campaign (Figure 4)
+dma          alias: the ``dma`` campaign (Figure 1)
+vrpc         alias: the ``vrpc`` campaign (section 5.4)
+dsm-bench    alias: the ``dsm`` campaign (DSM coherence under chaos)
+kv-bench     alias: the ``kv`` campaign (sharded KV serving tier)
+breakdown    section 5.2 — per-stage latency of one short send
+             (``--json`` for the machine-readable form)
+shootout     sections 6–7 — every protocol on identical hardware
+sram         NIC SRAM accounting of a booted node
+chaos        extension — lossy-link sweep + fault campaign: baseline
+             VMMC vs the reliable-delivery layer; ``--scenario
+             daemon-cold-crash``: exactly-once delivery across cold
+             daemon restarts; ``--scenario multi-campaign``: concurrent
+             fault campaigns (``--report`` for JSON); ``--scenario
+             error-burst`` is the ``chaos`` campaign
+topology     generated fabrics: stats table + deadlock proof
 engine-diff  differential gate — run workloads on both simulation
              engines (scalar oracle vs vector fast path) and fail on
              any trace/metric/report divergence (``--report`` writes
@@ -41,6 +39,13 @@ trace        observability — Perfetto / Chrome trace-event export of the
              contract workload (``--check-docs`` diffs emitted trace
              categories against docs/TRACING.md)
 ===========  ===========================================================
+
+Every experiment is defined once, as a campaign trial.  An alias
+(``ALIASES``) runs its campaign's smoke shape in memory — no state dir,
+no artifact — prints the per-cell table ``campaign run`` prints and
+exits 1 on a failed trial gate; its flags replace a grid axis, a fixed
+parameter or the seed list (``latency --sizes 4,16 --iters 5``,
+``kv-bench --shards 4 --seeds 2``).
 """
 
 from __future__ import annotations
@@ -48,73 +53,84 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import VmmcPair
-from repro.bench.microbench import (
-    vmmc_bidirectional_bandwidth,
-    vmmc_oneway_bandwidth,
-    vmmc_pingpong_latency,
-    vmmc_send_overhead,
-)
-from repro.bench.report import Series, format_series, format_table
+from repro.bench.report import format_table
 from repro.cluster import Cluster, TestbedConfig
-from repro.sim.core import ENGINE_ENV_VAR, ENGINES
+from repro.sim.core import ENGINES
 
 
 def _sizes(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
-def cmd_latency(args) -> int:
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=16),
-                    buffer_bytes=max(args.sizes) * 4)
-    series = Series("VMMC one-way latency")
-    for size in args.sizes:
-        point = vmmc_pingpong_latency(pair, size, iterations=args.iters)
-        series.add(size, point.one_way_us)
-    print(format_series("Figure 2: VMMC latency for short messages",
-                        "bytes", "us", [series]))
-    return 0
+_SWEEP = {"--sizes": ("size", _sizes), "--iters": ("iters", int)}
+_SEEDS = {"--seeds": ("seeds", int), "--seed": ("seed", int)}
+
+#: Legacy experiment commands: name -> (campaign, {flag: (param, type)}).
+#: ``param`` is the campaign spec's grid/fixed parameter the flag
+#: overrides; ``seeds`` (0..N-1) and ``seed`` (just S) override the seed
+#: list instead.
+ALIASES = {
+    "latency": ("latency", _SWEEP),
+    "bandwidth": ("bandwidth", _SWEEP),
+    "overhead": ("overhead", _SWEEP),
+    "dma": ("dma", {"--sizes": ("size", _sizes)}),
+    "vrpc": ("vrpc", {"--iters": ("iters", int)}),
+    "dsm-bench": ("dsm", {"--nodes": ("nnodes", int),
+                          "--pages": ("npages", int),
+                          "--page-bytes": ("page_bytes", int),
+                          "--ops": ("ops_per_node", int),
+                          "--scenario": ("scenario", str), **_SEEDS}),
+    "kv-bench": ("kv", {"--shards": ("shards", int),
+                        "--requests": ("requests", int),
+                        "--skew": ("skew", float),
+                        "--load": ("load", str),
+                        "--scenario": ("scenario", str), **_SEEDS}),
+}
 
 
-def cmd_bandwidth(args) -> int:
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
-                    buffer_bytes=max(max(args.sizes), 65536))
-    oneway = Series("one-way")
-    bidir = Series("bidirectional total")
-    for size in args.sizes:
-        oneway.add(size, vmmc_oneway_bandwidth(pair, size, args.iters).mbps)
-        bidir.add(size, vmmc_bidirectional_bandwidth(
-            pair, size, max(3, args.iters // 2)).mbps)
-    print(format_series("Figure 3: VMMC bandwidth", "bytes", "MB/s",
-                        [oneway, bidir]))
-    return 0
+def _run_alias(campaign: str, overrides: dict) -> int:
+    """Run ``campaign``'s smoke shape in memory with ``overrides``
+    ({param: value}, ``None`` = not given) applied: a param on the grid
+    has its axis replaced, any other becomes a fixed param, ``seeds`` /
+    ``seed`` replace the seed list.  Same trials, aggregation and table
+    as ``campaign run``; nothing is written."""
+    import dataclasses
+
+    from repro.campaign import (SpecError, artifact_from_reports,
+                                get_campaign, run_trial)
+
+    spec = get_campaign(campaign)
+    grid = spec.resolved_grid(smoke=True)
+    fixed = dict(spec.fixed)
+    seeds = spec.resolved_seeds(smoke=True)
+    for param, value in overrides.items():
+        if value is None:
+            continue
+        if param == "seeds":
+            seeds = list(range(value))
+        elif param == "seed":
+            seeds = [value]
+        elif param in grid:
+            grid[param] = value if isinstance(value, list) else [value]
+        else:
+            fixed[param] = value
+    try:
+        spec = dataclasses.replace(spec, grid=grid, fixed=fixed, seeds=seeds,
+                                   smoke_grid=None, smoke_seeds=None)
+    except SpecError as exc:
+        print(f"ERROR: {exc}")
+        return 1
+    grouped = [[run_trial(spec, index, params, seed) for seed in seeds]
+               for index, params in enumerate(spec.cells(smoke=False))]
+    artifact = artifact_from_reports(spec, grouped, smoke=False, git=None)
+    print(_campaign_cell_table(spec, artifact))
+    return 1 if artifact["cells_with_failed_gates"] else 0
 
 
-def cmd_overhead(args) -> int:
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=16),
-                    buffer_bytes=max(max(args.sizes), 16384))
-    sync = Series("sync")
-    async_ = Series("async")
-    for size in args.sizes:
-        sync.add(size, vmmc_send_overhead(
-            pair, size, synchronous=True, iterations=args.iters).overhead_us)
-        async_.add(size, vmmc_send_overhead(
-            pair, size, synchronous=False,
-            iterations=args.iters).overhead_us)
-    print(format_series("Figure 4: send overhead", "bytes", "us",
-                        [sync, async_]))
-    return 0
-
-
-def cmd_dma(args) -> int:
-    from repro.hw.bus.pci import PCIParams
-
-    params = PCIParams()
-    rows = [[size, f"{params.dma_bandwidth_mbps(size):.2f}"]
-            for size in args.sizes]
-    print(format_table("Figure 1: host<->LANai DMA bandwidth",
-                       ["block bytes", "MB/s"], rows))
-    return 0
+def cmd_alias(args) -> int:
+    campaign, flags = ALIASES[args.command]
+    return _run_alias(campaign, {param: getattr(args, param)
+                                 for param, _ in flags.values()})
 
 
 def cmd_shootout(args) -> int:
@@ -124,45 +140,17 @@ def cmd_shootout(args) -> int:
     return 0
 
 
-def cmd_vrpc(args) -> int:
-    from repro.rpc import (RPCProgram, VRPCClient, VRPCServer, XdrEncoder)
-
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
-    env = cluster.env
-    _, client_ep = cluster.nodes[0].attach_process("client")
-    _, server_ep = cluster.nodes[1].attach_process("server")
-    prog = RPCProgram(0x20000001, 1)
-    prog.register(0, lambda dec: b"")
-    server = VRPCServer(server_ep, "node1", prog)
-    result = {}
-
-    def app():
-        chan = yield server.accept(client_ep, "node0", "cli")
-        client = VRPCClient(chan, prog.number, prog.version)
-        yield client.call(0)
-        t0 = env.now
-        for _ in range(args.iters):
-            yield client.call(0)
-        result["us"] = (env.now - t0) / args.iters / 1000
-
-    env.run(until=env.process(app()))
-    print(f"vRPC null round trip: {result['us']:.1f} us (paper: 66 us)")
-    return 0
-
-
 def cmd_breakdown(args) -> int:
+    from repro.obs.breakdown import measure_stage_breakdown
+
+    report = measure_stage_breakdown(args.size)
     if args.json:
-        from repro.obs.breakdown import measure_stage_breakdown
-
-        print(measure_stage_breakdown(args.size).to_json())
-        return 0
-    from repro.bench.breakdown import measure_breakdown
-
-    b = measure_breakdown(args.size)
-    rows = [[name, f"{us:.2f}"] for name, us in b.rows()]
-    print(format_table(
-        f"Latency breakdown of a {args.size}-byte send (section 5.2)",
-        ["stage", "us"], rows))
+        print(report.to_json())
+    else:
+        print(format_table(
+            f"Latency breakdown of a {args.size}-byte send (section 5.2)",
+            ["stage", "us"],
+            [[name, f"{us:.2f}"] for name, us in report.rows()]))
     return 0
 
 
@@ -190,7 +178,12 @@ def cmd_chaos(args) -> int:
     if args.scenario == "daemon-cold-crash":
         return _chaos_cold_crash(args, run_cold_crash_point)
     if args.scenario == "error-burst":
-        return _chaos_error_burst(args)
+        if args.report:
+            print("ERROR: the error-burst report is the campaign artifact: "
+                  "`campaign run chaos --out FILE`")
+            return 1
+        return _run_alias("chaos", {"messages": args.messages,
+                                    "size": args.size, "seeds": args.seeds})
     if args.scenario == "multi-campaign" or args.campaign:
         return _chaos_multi(args)
 
@@ -220,81 +213,6 @@ def cmd_chaos(args) -> int:
           f"{point.duplicates_suppressed} duplicates suppressed "
           "(rerun with the same seed for identical numbers)")
     return 0
-
-
-def _chaos_error_burst(args) -> int:
-    """``chaos --scenario error-burst``: sweep campaign seeds 0..N-1,
-    running the *adaptive* and *static* reliable senders under identical
-    seeded error bursts.  Gates (any failure exits 1):
-
-    * protocol invariants per run (exactly-once delivery, RTO within its
-      configured bounds, cwnd/in-flight never above the ring, Karn's
-      accounting) via :func:`repro.bench.chaos.check_trial_invariants`;
-    * determinism — every seed is run twice and the full reports must be
-      byte-identical.
-
-    ``--report FILE`` writes the static-vs-adaptive goodput table and
-    every per-seed report as JSON (the CI artifact)."""
-    import json
-
-    from repro.bench.chaos import check_trial_invariants, run_error_burst_trial
-
-    seeds = list(range(args.seeds))
-    rows = []
-    reports = []
-    violations: list[str] = []
-    nondeterministic: list[int] = []
-    for seed in seeds:
-        per_mode = {}
-        for adaptive in (False, True):
-            trial = run_error_burst_trial(
-                seed, messages=args.messages, size=args.size,
-                adaptive=adaptive)
-            rerun = run_error_burst_trial(
-                seed, messages=args.messages, size=args.size,
-                adaptive=adaptive)
-            if json.dumps(trial, sort_keys=True) != \
-                    json.dumps(rerun, sort_keys=True):
-                nondeterministic.append(seed)
-            for v in check_trial_invariants(trial):
-                violations.append(f"seed {seed} [{trial['mode']}]: {v}")
-            per_mode[trial["mode"]] = trial
-            reports.append(trial)
-        static, adaptive_ = per_mode["static"], per_mode["adaptive"]
-        rows.append([seed,
-                     f"{adaptive_['delivered_intact']}/{args.messages}",
-                     static["retransmits"], adaptive_["retransmits"],
-                     f"{static['goodput_mbps']:.1f}",
-                     f"{adaptive_['goodput_mbps']:.1f}",
-                     f"{adaptive_['goodput_mbps'] / static['goodput_mbps']:.2f}x"
-                     if static["goodput_mbps"] else "-"])
-    print(format_table(
-        f"Error-burst seed sweep: {args.messages} x {args.size}B messages, "
-        "static vs adaptive reliable sender under identical burst campaigns",
-        ["seed", "intact", "retx static", "retx adaptive",
-         "static MB/s", "adaptive MB/s", "speedup"], rows))
-    for line in violations:
-        print(f"INVARIANT VIOLATION: {line}")
-    for seed in nondeterministic:
-        print(f"NONDETERMINISM: seed {seed} produced different stats "
-              "on re-run")
-    ok = not violations and not nondeterministic
-    print(f"{len(seeds)} seeds x 2 modes x 2 runs: "
-          + ("PASS" if ok else "FAIL"))
-    if args.report:
-        report = {
-            "scenario": "error-burst",
-            "seeds": seeds,
-            "messages": args.messages,
-            "size": args.size,
-            "violations": violations,
-            "nondeterministic_seeds": nondeterministic,
-            "trials": reports,
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
 
 
 def _chaos_multi(args) -> int:
@@ -418,150 +336,6 @@ def _chaos_cold_crash(args, run_cold_crash_point) -> int:
     return 0 if ok else 1
 
 
-def cmd_dsm_bench(args) -> int:
-    """``dsm-bench``: seeded DSM trials, SC-checker and determinism
-    gated; ``--report`` writes the raw per-trial sweep.  The committed
-    ``BENCH_DSM.json`` baseline is produced by ``campaign run dsm``
-    (docs/BENCHMARKS.md), which aggregates the same trials per cell."""
-    import json
-
-    from repro.dsm.bench import SCENARIOS, run_dsm_sweep, run_dsm_trial
-
-    scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    seeds = (list(range(args.seeds)) if args.seed is None
-             else [args.seed])
-    if args.smoke:
-        seeds = seeds[:4]
-    if not seeds:
-        print("dsm-bench: nothing to run (--seeds must be >= 1)")
-        return 1
-    kwargs = dict(nnodes=args.nodes, npages=args.pages,
-                  page_bytes=args.page_bytes, ops_per_node=args.ops)
-    sweep = run_dsm_sweep(seeds, scenarios=scenarios, **kwargs)
-
-    rows = []
-    for trial in sweep["trials"]:
-        counters = trial["counters"]
-        rows.append([
-            trial["scenario"], trial["seed"], trial["ops_total"],
-            counters["read_faults"] + counters["write_faults"],
-            counters["invalidations_sent"],
-            trial["fetch_ns"]["p50"], trial["fetch_ns"]["p99"],
-            f"{trial['pages_per_sec']:g}",
-            len(trial["sc_violations"]),
-        ])
-    print(format_table(
-        f"DSM coherence bench: {args.nodes} nodes x {args.pages} pages "
-        f"x {args.page_bytes}B, {args.ops} ops/node "
-        "(SC checker runs on every trial)",
-        ["scenario", "seed", "ops", "faults", "invals", "fetch p50",
-         "fetch p99", "pages/s", "SC viol"], rows))
-
-    violations = sweep["summary"]["sc_violations_total"]
-    # Determinism gate: the first seed of every scenario, re-run and
-    # compared byte for byte.
-    deterministic = True
-    for scenario in scenarios:
-        first = json.dumps(
-            run_dsm_trial(seeds[0], scenario=scenario, **kwargs),
-            sort_keys=True)
-        again = json.dumps(
-            run_dsm_trial(seeds[0], scenario=scenario, **kwargs),
-            sort_keys=True)
-        if first != again:
-            deterministic = False
-            print(f"DETERMINISM VIOLATION: scenario {scenario!r} "
-                  f"seed {seeds[0]} differs across reruns")
-    ok = violations == 0 and deterministic
-    print(f"\n{len(sweep['trials'])} trials, "
-          f"{violations} SC violations, "
-          f"reruns {'byte-identical' if deterministic else 'DIVERGED'}"
-          + ("" if ok else " — FAILING"))
-
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(sweep, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
-
-
-def cmd_kv_bench(args) -> int:
-    """``kv-bench``: seeded sharded-KV serving trials; delivery,
-    read-your-writes and determinism gated; ``--report`` writes the raw
-    per-trial sweep.  The committed ``BENCH_KV.json`` baseline is
-    produced by ``campaign run kv`` (docs/BENCHMARKS.md)."""
-    import json
-
-    from repro.kv.bench import SCENARIOS, run_kv_sweep, run_kv_trial
-
-    scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    seeds = (list(range(args.seeds)) if args.seed is None
-             else [args.seed])
-    if args.smoke:
-        seeds = seeds[:1]
-    if not seeds:
-        print("kv-bench: nothing to run (--seeds must be >= 1)")
-        return 1
-    kwargs = dict(shards=args.shards, requests=args.requests,
-                  nkeys=args.nkeys, skew=args.skew,
-                  get_fraction=args.get_fraction, load=args.load,
-                  base_gap_ns=args.gap)
-    sweep = run_kv_sweep(seeds, scenarios=scenarios, **kwargs)
-
-    rows = []
-    for trial in sweep["trials"]:
-        tail = trial["latency_ns"]
-        rows.append([
-            trial["scenario"], trial["seed"], trial["completed"],
-            trial["failed"],
-            f"{tail['p50'] / 1000:.1f}", f"{tail['p99'] / 1000:.1f}",
-            f"{tail['p999'] / 1000:.1f}",
-            f"{trial['requests_per_sec']:g}", trial["imbalance"],
-            trial["transport"]["retransmits"],
-            trial["ryw_violations_total"],
-        ])
-    print(format_table(
-        f"KV serving bench: {args.shards} shards, {args.requests} "
-        f"requests/trial, zipf skew {args.skew}, {args.load} load "
-        "(read-your-writes checked on every trial)",
-        ["scenario", "seed", "done", "fail", "p50 us", "p99 us",
-         "p999 us", "req/s", "imbal", "retx", "RYW viol"], rows))
-
-    summary = sweep["summary"]
-    delivered = (summary["failed_total"] == 0
-                 and summary["completed_total"]
-                 == len(sweep["trials"]) * args.requests)
-    consistent = summary["ryw_violations_total"] == 0
-    # Determinism gate: the first seed of every scenario, re-run and
-    # compared byte for byte.
-    deterministic = True
-    for scenario in scenarios:
-        first = json.dumps(
-            run_kv_trial(seeds[0], scenario=scenario, **kwargs),
-            sort_keys=True)
-        again = json.dumps(
-            run_kv_trial(seeds[0], scenario=scenario, **kwargs),
-            sort_keys=True)
-        if first != again:
-            deterministic = False
-            print(f"DETERMINISM VIOLATION: scenario {scenario!r} "
-                  f"seed {seeds[0]} differs across reruns")
-    ok = delivered and consistent and deterministic
-    print(f"\n{len(sweep['trials'])} trials, "
-          f"{summary['failed_total']} failed, "
-          f"{summary['ryw_violations_total']} RYW violations, "
-          f"reruns {'byte-identical' if deterministic else 'DIVERGED'}"
-          + ("" if ok else " — FAILING"))
-
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(sweep, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
-
-
 # -- campaign orchestration (docs/BENCHMARKS.md) ---------------------------
 def _campaign_artifact_path(spec, args) -> str:
     """Where a campaign's artifact goes: --out beats --out-dir beats the
@@ -600,10 +374,14 @@ def _campaign_cell_table(spec, artifact) -> str:
 
 
 def _reject_single_out(args) -> bool:
-    if getattr(args, "out", None) and len(args.name) > 1:
-        print("ERROR: --out names one file; use --out-dir with several "
-              "campaigns")
-        return True
+    """--out / --baseline / --candidate each name one campaign's file."""
+    if len(args.name) > 1:
+        for flag in ("out", "baseline", "candidate"):
+            if getattr(args, flag, None):
+                print(f"ERROR: --{flag} names one file; use the "
+                      "directory form (--out-dir / --candidate-dir) or "
+                      "one campaign at a time")
+                return True
     return False
 
 
@@ -897,33 +675,22 @@ def build_parser() -> argparse.ArgumentParser:
              "path); default: $REPRO_SIM_ENGINE, else scalar")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lat = sub.add_parser("latency", help="Figure 2 latency sweep")
-    lat.add_argument("--sizes", type=_sizes, default=[4, 16, 64, 128, 256])
-    lat.add_argument("--iters", type=int, default=10)
-    lat.set_defaults(func=cmd_latency)
+    from repro.campaign import get_campaign
 
-    bw = sub.add_parser("bandwidth", help="Figure 3 bandwidth sweep")
-    bw.add_argument("--sizes", type=_sizes,
-                    default=[4096, 65536, 262144])
-    bw.add_argument("--iters", type=int, default=8)
-    bw.set_defaults(func=cmd_bandwidth)
-
-    ovh = sub.add_parser("overhead", help="Figure 4 overhead sweep")
-    ovh.add_argument("--sizes", type=_sizes, default=[4, 64, 128, 256, 1024])
-    ovh.add_argument("--iters", type=int, default=6)
-    ovh.set_defaults(func=cmd_overhead)
-
-    dma = sub.add_parser("dma", help="Figure 1 DMA curve")
-    dma.add_argument("--sizes", type=_sizes,
-                     default=[64, 256, 1024, 4096, 16384, 65536])
-    dma.set_defaults(func=cmd_dma)
+    for alias, (campaign, flags) in ALIASES.items():
+        spec = get_campaign(campaign)
+        ap = sub.add_parser(
+            alias, help=f"{spec.title} — the `{campaign}` campaign's "
+                        "smoke shape, in memory")
+        for flag, (param, kind) in flags.items():
+            ap.add_argument(
+                flag, dest=param, type=kind, default=None,
+                choices=spec.grid[param] if kind is str else None,
+                help=f"override {param!r} (default: the smoke shape)")
+        ap.set_defaults(func=cmd_alias)
 
     shoot = sub.add_parser("shootout", help="sections 6-7 comparison")
     shoot.set_defaults(func=cmd_shootout)
-
-    vrpc = sub.add_parser("vrpc", help="section 5.4 vRPC null call")
-    vrpc.add_argument("--iters", type=int, default=10)
-    vrpc.set_defaults(func=cmd_vrpc)
 
     brk = sub.add_parser("breakdown",
                          help="section 5.2 per-stage latency accounting")
@@ -954,9 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'sweep' = lossy-link comparison (default); "
                             "'daemon-cold-crash' = reliable traffic across "
                             "cold daemon restarts (recovery protocol); "
-                            "'error-burst' = static-vs-adaptive seed sweep "
-                            "under burst campaigns, with protocol-invariant "
-                            "and determinism gates; "
+                            "'error-burst' = the `chaos` campaign in memory: "
+                            "static-vs-adaptive seed sweep under burst "
+                            "campaigns, protocol-invariant gate; "
                             "'multi-campaign' = several seeded campaigns "
                             "driven concurrently on one cluster "
                             "(overlapping faults stack; merged FaultStats "
@@ -982,57 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--report", metavar="FILE",
                        help="write a JSON report of the scenario run")
     chaos.set_defaults(func=cmd_chaos)
-
-    dsm = sub.add_parser(
-        "dsm-bench",
-        help="DSM coherence workload under chaos, SC-checker gated")
-    dsm.add_argument("--nodes", type=int, default=4)
-    dsm.add_argument("--pages", type=int, default=64)
-    dsm.add_argument("--page-bytes", type=int, default=256)
-    dsm.add_argument("--ops", type=int, default=24,
-                     help="mixed-phase ops per node (default 24)")
-    dsm.add_argument("--seeds", type=int, default=16, metavar="N",
-                     help="sweep seeds 0..N-1 (default 16)")
-    dsm.add_argument("--seed", type=int, default=None,
-                     help="run a single seed instead of the sweep")
-    dsm.add_argument("--scenario",
-                     choices=["all", "clean", "error-burst",
-                              "daemon-cold-crash"],
-                     default="all")
-    dsm.add_argument("--smoke", action="store_true",
-                     help="CI shape: first 4 seeds only")
-    dsm.add_argument("--report", metavar="FILE",
-                     help="write the JSON sweep report")
-    dsm.set_defaults(func=cmd_dsm_bench)
-
-    kv = sub.add_parser(
-        "kv-bench",
-        help="sharded KV serving tier under chaos, RYW-oracle gated")
-    kv.add_argument("--shards", type=int, default=4)
-    kv.add_argument("--requests", type=int, default=400)
-    kv.add_argument("--nkeys", type=int, default=512)
-    kv.add_argument("--skew", type=float, default=0.9,
-                    help="zipf exponent over keys (0 = uniform)")
-    kv.add_argument("--get-fraction", type=float, default=0.8)
-    kv.add_argument("--load", choices=["steady", "diurnal"],
-                    default="steady")
-    kv.add_argument("--gap", type=int, default=20_000, metavar="NS",
-                    help="base inter-arrival gap in ns (default 20000)")
-    kv.add_argument("--seeds", type=int, default=2, metavar="N",
-                    help="sweep seeds 0..N-1 (default 2)")
-    kv.add_argument("--seed", type=int, default=None,
-                    help="run a single seed instead of the sweep")
-    kv.add_argument("--scenario",
-                    choices=["all", "clean", "error-burst",
-                             "daemon-cold-crash"],
-                    default="all")
-    kv.add_argument("--smoke", action="store_true",
-                    help="CI shape: first seed only")
-    kv.add_argument("--report", metavar="FILE", nargs="?",
-                    const="kv-bench-report.json",
-                    help="write the JSON sweep report "
-                         "(default FILE: kv-bench-report.json)")
-    kv.set_defaults(func=cmd_kv_bench)
 
     camp = sub.add_parser(
         "campaign",
@@ -1153,10 +869,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.engine:
         # One switch for every Environment the command constructs —
         # commands build clusters/pairs through the normal constructors,
-        # which consult $REPRO_SIM_ENGINE (see repro.sim.core).
-        import os
+        # which consult $REPRO_SIM_ENGINE (see repro.sim.core); restored
+        # on return so an in-process caller keeps its own engine.
+        from repro.bench.differential import engine_env
 
-        os.environ[ENGINE_ENV_VAR] = args.engine
+        with engine_env(args.engine):
+            return args.func(args)
     return args.func(args)
 
 

@@ -14,7 +14,7 @@ entirely with the library's own layers:
   (:mod:`repro.dsm.sync`);
 * every run is audited by a linearizability-witness checker
   (:mod:`repro.dsm.checker`) and can execute under seeded fault
-  campaigns (:mod:`repro.dsm.bench`, ``python -m repro dsm-bench``).
+  campaigns (:mod:`repro.dsm.bench`, ``python -m repro campaign run dsm``).
 """
 
 from repro.dsm.checker import DsmOp, check_sequential_consistency
@@ -23,7 +23,7 @@ from repro.dsm.directory import (DirEntry, DirectoryError, EXCLUSIVE,
 from repro.dsm.node import DsmError, DsmNode, build_dsm, wire_dsm
 from repro.dsm.sync import (DsmSegment, LockService, build_dsm_world,
                             wire_dsm_world)
-from repro.dsm.bench import run_dsm_sweep, run_dsm_trial
+from repro.dsm.bench import run_dsm_trial
 
 __all__ = [
     "DirEntry",
@@ -39,7 +39,6 @@ __all__ = [
     "build_dsm",
     "build_dsm_world",
     "check_sequential_consistency",
-    "run_dsm_sweep",
     "run_dsm_trial",
     "wire_dsm",
     "wire_dsm_world",

@@ -1,4 +1,4 @@
-"""Seeded multi-node DSM workload driver (``python -m repro dsm-bench``).
+"""Seeded multi-node DSM workload driver (the ``dsm`` campaign's trial).
 
 One trial = one cluster, one seed, one chaos scenario:
 
@@ -179,28 +179,3 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
     }
     return report
 
-
-def run_dsm_sweep(seeds, *, nnodes: int = 4, npages: int = 64,
-                  page_bytes: int = 256, ops_per_node: int = 24,
-                  scenarios=SCENARIOS) -> dict:
-    """Trials for every (seed, scenario) pair plus summary aggregates."""
-    trials = [
-        run_dsm_trial(seed, nnodes=nnodes, npages=npages,
-                      page_bytes=page_bytes, ops_per_node=ops_per_node,
-                      scenario=scenario)
-        for scenario in scenarios
-        for seed in seeds
-    ]
-    fetch_p50 = [t["fetch_ns"]["p50"] for t in trials
-                 if t["fetch_ns"]["n"]]
-    summary = {
-        "trials": len(trials),
-        "scenarios": list(scenarios),
-        "seeds": list(seeds),
-        "sc_violations_total": sum(
-            len(t["sc_violations"]) for t in trials),
-        "pages_per_sec_median": _pct(
-            [int(t["pages_per_sec"]) for t in trials], 0.50),
-        "fetch_p50_median_ns": _pct(fetch_p50, 0.50),
-    }
-    return {"bench": "dsm-sweep", "summary": summary, "trials": trials}

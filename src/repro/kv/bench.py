@@ -1,4 +1,4 @@
-"""One seeded KV serving-tier trial (``python -m repro kv-bench``).
+"""One seeded KV serving-tier trial (the ``kv`` campaign's trial).
 
 One trial = one cluster, one seed, one chaos scenario:
 
@@ -20,8 +20,7 @@ One trial = one cluster, one seed, one chaos scenario:
   read-your-writes oracle — the serving tier's consistency gate.
 
 Trials are deterministic (integer-ns simulation, all randomness from
-the seed), so a report is byte-identical across re-runs — the CLI's
-determinism gate re-runs and compares.
+the seed), so a report is byte-identical across re-runs.
 """
 
 from __future__ import annotations
@@ -266,29 +265,3 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
     }
     return report
 
-
-def run_kv_sweep(seeds, *, shards: int = 4, requests: int = 400,
-                 nkeys: int = 512, skew: float = 0.9,
-                 get_fraction: float = 0.8, load: str = "steady",
-                 base_gap_ns: int = 20_000,
-                 scenarios=SCENARIOS) -> dict:
-    """Trials for every (scenario, seed) pair plus summary aggregates."""
-    trials = [
-        run_kv_trial(seed, shards=shards, requests=requests, nkeys=nkeys,
-                     skew=skew, get_fraction=get_fraction, load=load,
-                     base_gap_ns=base_gap_ns, scenario=scenario)
-        for scenario in scenarios
-        for seed in seeds
-    ]
-    summary = {
-        "trials": len(trials),
-        "scenarios": list(scenarios),
-        "seeds": list(seeds),
-        "completed_total": sum(t["completed"] for t in trials),
-        "failed_total": sum(t["failed"] for t in trials),
-        "ryw_violations_total": sum(t["ryw_violations_total"]
-                                    for t in trials),
-        "retransmits_total": sum(t["transport"]["retransmits"]
-                                 for t in trials),
-    }
-    return {"bench": "kv-sweep", "summary": summary, "trials": trials}

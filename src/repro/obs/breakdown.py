@@ -11,9 +11,8 @@ they sum to the measured end-to-end latency **exactly** (the acceptance
 criterion allows 1 %; we deliver 0).
 
 :func:`measure_stage_breakdown` is the programmatic entry point; the
-``python -m repro breakdown`` CLI and ``benchmarks/bench_latency_breakdown``
-both render its output, and :mod:`repro.bench.breakdown` keeps its original
-µs-level dataclass as a thin view over this one.
+``python -m repro breakdown`` CLI, the ``breakdown`` campaign and
+``benchmarks/bench_latency_breakdown`` all render its output.
 """
 
 from __future__ import annotations

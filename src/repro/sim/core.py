@@ -574,6 +574,10 @@ class Environment:
             stop._defused = True
             raise stop._value
         deadline = None if until is None else int(until)
+        if deadline is not None and deadline < self._now:
+            raise SimulationError(
+                f"run(until={deadline}): the clock is already at "
+                f"now={self._now} ns and cannot run backwards")
         while self._queue:
             if deadline is not None and self._queue[0][0] > deadline:
                 self._now = deadline

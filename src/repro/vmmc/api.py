@@ -41,7 +41,6 @@ Typical user code (a simulation generator)::
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -131,9 +130,7 @@ class ImportedBuffer:
     """A successfully imported remote receive buffer.
 
     Typed destinations for sends are derived from it:
-    ``imported.at(offset)`` (a :class:`ProxyAddress`).  The raw-integer
-    form ``imported.address(offset)`` still exists but is deprecated —
-    raw addresses cannot be checked for staleness.
+    ``imported.at(offset)`` (a :class:`ProxyAddress`).
     """
 
     def __init__(self, endpoint: "VMMCEndpoint", remote_node: str,
@@ -211,8 +208,9 @@ class ImportedBuffer:
         return ProxyAddress(self, offset)
 
     def address(self, offset: int = 0) -> int:
-        """Raw destination proxy address (deprecated: prefer :meth:`at`;
-        integers cannot fail fast when the import goes stale)."""
+        """Raw proxy address of ``offset`` right now; raises
+        :class:`ImportStale` unless the import is usable.  Not a send
+        destination — use :meth:`at`."""
         if not self.usable:
             raise ImportStale(
                 f"import {self.remote_node}:{self.name} is "
@@ -230,8 +228,7 @@ class ImportedBuffer:
 @dataclass(frozen=True)
 class ProxyAddress:
     """A typed send destination: an :class:`ImportedBuffer` plus a byte
-    offset.  Replaces the untyped ``Union[int, ImportedBuffer, tuple]``
-    destination forms (which remain accepted behind a deprecation shim)."""
+    offset."""
 
     imported: ImportedBuffer
     offset: int = 0
@@ -262,8 +259,7 @@ class SendHandle:
         return self.is_short
 
 
-Destination = Union[ProxyAddress, ImportedBuffer, int,
-                    tuple[ImportedBuffer, int]]
+Destination = Union[ProxyAddress, ImportedBuffer]
 
 
 class VMMCEndpoint:
@@ -441,32 +437,20 @@ class VMMCEndpoint:
         return invalidated
 
     # -- SendMsg ------------------------------------------------------------------
-    def _resolve_destination(self, dest: Destination, dest_offset: int
-                             ) -> tuple[int, Optional[ImportedBuffer]]:
-        """Destination → (raw proxy address, originating import or None).
-
-        Typed forms (:class:`ProxyAddress`, :class:`ImportedBuffer`) are
-        staleness-checked; the legacy raw-integer and tuple forms are
-        accepted behind a deprecation shim but cannot fail fast."""
+    def _resolve_destination(self, dest: Destination,
+                             dest_offset: int) -> int:
+        """Destination → raw proxy address, staleness-checked."""
         if isinstance(dest, ProxyAddress):
             origin, offset = dest.imported, dest.offset + dest_offset
         elif isinstance(dest, ImportedBuffer):
             origin, offset = dest, dest_offset
-        elif isinstance(dest, tuple):
-            warnings.warn(
-                "(ImportedBuffer, offset) tuple destinations are "
-                "deprecated; use imported.at(offset)",
-                DeprecationWarning, stacklevel=4)
-            origin, offset = dest[0], dest[1] + dest_offset
         else:
-            warnings.warn(
-                "raw integer proxy addresses are deprecated (they cannot "
-                "be checked for staleness); use imported.at(offset)",
-                DeprecationWarning, stacklevel=4)
-            return int(dest) + dest_offset, None
+            raise InvalidSendError(
+                f"send destination must be an ImportedBuffer or "
+                f"imported.at(offset), not {type(dest).__name__}")
         # address() raises ImportStale on a non-usable import — the
         # fail-fast that keeps data out of dangling proxy mappings.
-        return origin.address(offset), origin
+        return origin.address(offset)
 
     def send(self, src: UserBuffer, dest: Destination,
              nbytes: int | None = None,
@@ -501,7 +485,7 @@ class VMMCEndpoint:
                 raise InvalidSendError(
                     "send runs past the end of the source buffer")
             try:
-                proxy_address, origin = self._resolve_destination(
+                proxy_address = self._resolve_destination(
                     dest, dest_offset)
             except ImportStale:
                 self.stale_sends_blocked += 1

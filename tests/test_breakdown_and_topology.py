@@ -4,35 +4,41 @@ import numpy as np
 import pytest
 
 from repro import Cluster, TestbedConfig
-from repro.bench.breakdown import measure_breakdown
 from repro.bench.microbench import VmmcPair, vmmc_pingpong_latency
+from repro.obs.breakdown import STAGE_KEYS, measure_stage_breakdown
 
 
 # ------------------------------------------------------------- breakdown
+def stages_us(size):
+    """``measure_stage_breakdown`` as {stage key: us} plus the report."""
+    report = measure_stage_breakdown(size)
+    return ({key: ns / 1000.0
+             for key, (_, ns) in zip(STAGE_KEYS, report.stages)}, report)
+
+
 def test_breakdown_stages_sum_to_total():
-    b = measure_breakdown(4)
-    stage_sum = (b.post_us + b.lanai_send_us + b.wire_us
-                 + b.lanai_recv_us + b.deliver_us)
-    assert stage_sum == pytest.approx(b.total_us, abs=0.01)
+    stages, report = stages_us(4)
+    assert sum(stages.values()) == pytest.approx(report.total_ns / 1000.0,
+                                                 abs=0.01)
 
 
 def test_breakdown_matches_section_52_budget():
-    b = measure_breakdown(4)
-    assert b.total_us == pytest.approx(9.8, rel=0.03)
+    stages, report = stages_us(4)
+    assert report.total_ns / 1000.0 == pytest.approx(9.8, rel=0.03)
     # Post >= the paper's 0.5 us writes-only floor.
-    assert b.post_us >= 0.5
+    assert stages["post"] >= 0.5
     # Receiving side includes the ~2 us host DMA.
-    assert b.lanai_recv_us >= 2.0
+    assert stages["lanai_recv"] >= 2.0
     # Spin observation is just a cache-line fill.
-    assert b.deliver_us < 0.5
-    assert b.rows()[-1][0] == "TOTAL"
+    assert stages["deliver"] < 0.5
+    assert report.rows()[-1][0] == "TOTAL"
 
 
 def test_breakdown_larger_short_message_grows_post_stage():
-    small = measure_breakdown(4)
-    big = measure_breakdown(128)
-    assert big.post_us > small.post_us + 2.0  # 31 extra PIO words
-    assert big.wire_us > small.wire_us        # more bytes on the wire
+    small, _ = stages_us(4)
+    big, _ = stages_us(128)
+    assert big["post"] > small["post"] + 2.0  # 31 extra PIO words
+    assert big["wire"] > small["wire"]        # more bytes on the wire
 
 
 # ------------------------------------------------------- multi-hop topology

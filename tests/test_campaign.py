@@ -448,6 +448,12 @@ def test_cli_campaign_out_requires_single_name(tmp_path, capsys):
     assert main(["campaign", "run", "dma", "latency",
                  "--out", str(tmp_path / "x.json")]) == 1
     assert "--out-dir" in capsys.readouterr().out
+    # Same for diff's one-file flags: the second campaign would be
+    # compared with the first one's file.
+    for flag in ("--baseline", "--candidate"):
+        assert main(["campaign", "diff", "dma", "latency",
+                     flag, "BENCH_DMA.json"]) == 1
+        assert f"{flag} names one file" in capsys.readouterr().out
 
 
 def test_state_dir_separates_smoke_from_full(tmp_path, tiny):

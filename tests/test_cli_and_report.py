@@ -53,9 +53,9 @@ def test_parser_knows_all_commands():
 def test_cli_dma_prints_curve(capsys):
     assert main(["dma", "--sizes", "4096,65536"]) == 0
     out = capsys.readouterr().out
-    assert "Figure 1" in out
+    assert "campaign dma" in out
     assert "99.9" in out or "100" in out
-    assert "127.99" in out or "128" in out
+    assert "127.986" in out            # BENCH_DMA.json, size=65536
 
 
 def test_cli_latency_runs_simulation(capsys):
@@ -76,6 +76,89 @@ def test_cli_overhead(capsys):
     assert main(["overhead", "--sizes", "4,256", "--iters", "3"]) == 0
     out = capsys.readouterr().out
     assert "sync" in out and "async" in out
+
+
+# ----------------------------------------------------------- campaign aliases
+def _baseline_median(area, cell, metric):
+    import json
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    artifact = json.loads((root / f"BENCH_{area}.json").read_text())
+    (entry,) = [c for c in artifact["cells"] if c["key"] == cell]
+    return entry["metrics"][metric]["median"]
+
+
+@pytest.mark.parametrize("argv, area, cell, metric", [
+    (["latency", "--sizes", "4"], "LATENCY", "size=4", "one_way_us"),
+    (["bandwidth"], "BANDWIDTH", "pattern=oneway,size=65536", "mbps"),
+    (["overhead", "--sizes", "4"], "OVERHEAD", "mode=sync,size=4",
+     "overhead_us"),
+    (["dma", "--sizes", "4096"], "DMA", "size=4096", "mbps"),
+    (["vrpc"], "VRPC", "iters=10", "null_rtt_us"),
+    (["dsm-bench", "--scenario", "clean", "--seed", "0"], None, None, None),
+    (["kv-bench", "--scenario", "clean", "--skew", "0.0", "--load",
+      "steady"], "KV",
+     "load=steady,requests=400,scenario=clean,shards=2,skew=0.0", "p50_us"),
+    (["chaos", "--scenario", "error-burst", "--seeds", "1"], None, None,
+     None),
+], ids=["latency", "bandwidth", "overhead", "dma", "vrpc", "dsm-bench",
+        "kv-bench", "chaos-error-burst"])
+def test_alias_prints_the_committed_number_and_writes_nothing(
+        argv, area, cell, metric, tmp_path, monkeypatch, capsys):
+    """Every legacy experiment command is its campaign's trial: exit 0,
+    the matching cell of the committed baseline to the digit, and no
+    state dir / artifact / report left behind.  (dsm and chaos baselines
+    are medians over 4 seeds, so a one-seed alias run has no cell to
+    match; their numbers are pinned by the campaign tests.)"""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"campaign {argv[0].split('-')[0]}" in out
+    if area is not None:
+        assert f"{_baseline_median(area, cell, metric):g}" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_alias_flags_reshape_grid_fixed_and_seeds(capsys):
+    assert main(["overhead", "--sizes", "4,64", "--iters", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "4 cells x 1 seeds" in out          # 2 sizes x {sync, async}
+    assert main(["dsm-bench", "--scenario", "clean", "--seeds", "2",
+                 "--ops", "4"]) == 0
+    assert "1 cells x 2 seeds" in capsys.readouterr().out
+    # The spec's own validation runs on the override.
+    assert main(["dsm-bench", "--seeds", "0"]) == 1
+    assert "seeds list is empty" in capsys.readouterr().out
+
+
+def test_alias_exits_1_on_a_failed_trial_gate(capsys):
+    from repro.campaign import (CampaignSpec, Metric, get_campaign,
+                                register)
+
+    real = get_campaign("dma")
+    register(CampaignSpec(
+        name="dma", area="DMA", title="throw-away", paper_ref="-",
+        trial=lambda params, seed: {"metrics": {"mbps": 1.0},
+                                    "gates": {"never": False}},
+        grid={"size": (64,)}, seeds=(0,),
+        metrics=(Metric("mbps", "MB/s"),)), replace=True)
+    try:
+        assert main(["dma"]) == 1
+        assert "FAIL never" in capsys.readouterr().out
+    finally:
+        register(real, replace=True)
+
+
+def test_engine_flag_does_not_leak_into_the_environment(monkeypatch):
+    import os
+
+    from repro.sim.core import ENGINE_ENV_VAR
+
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    before = dict(os.environ)
+    assert main(["--engine", "vector", "dma"]) == 0
+    assert dict(os.environ) == before
 
 
 # --------------------------------------------------------- observability CLI

@@ -203,15 +203,11 @@ def test_dual_switch_topology_routes():
     assert route[0] == 7  # sw0's uplink port
 
 
-def test_deprecated_classmethod_shims():
-    env = Environment()
-    with pytest.warns(DeprecationWarning):
-        net = MyrinetNetwork.single_switch(env, 4)
-    assert net.compute_route("node0", "node3") == [3]
-    env = Environment()
-    with pytest.warns(DeprecationWarning):
-        net = MyrinetNetwork.dual_switch(env, 4)
-    assert net.compute_route("node0", "node3")[0] == 7
+def test_canned_topology_classmethods_are_gone():
+    # The deprecated shims were removed; topology.build() is the only way.
+    for removed in ("single_switch", "dual_switch"):
+        with pytest.raises(AttributeError):
+            getattr(MyrinetNetwork, removed)
 
 
 def test_end_to_end_delivery_through_switch():

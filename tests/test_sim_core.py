@@ -548,6 +548,19 @@ def test_run_variants_agree_across_engines(engine):
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_run_until_past_time_is_refused(engine):
+    env = Environment(engine=engine)
+    env.timeout(100)
+    env.run()
+    assert env.now == 100
+    with pytest.raises(SimulationError, match=r"until=50.*now=100"):
+        env.run(until=50)
+    assert env.now == 100          # the clock did not rewind
+    env.run(until=100)             # "until now" stays a legal no-op
+    assert env.now == 100
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_timeout_batch_contract(engine):
     import numpy as np
 

@@ -8,9 +8,19 @@ protocol counters, bench artifacts.  The scalar engine is the
 correctness oracle; any divergence is a vector-engine bug by
 definition.
 
+Every scalar run is also checked against the recorded sha256 in
+``tests/golden_fingerprints.json``: engine-vs-engine cannot see drift
+common to both engines, a golden value can.  A change that moves a
+simulated number on purpose regenerates the file
+(``run_workload(name, "scalar")["fingerprint"]`` per workload) and says
+so.
+
 Also pins down the fingerprint helper itself (exact-float canonical
 form, divergence paths) so a future "identical" verdict can be trusted.
 """
+
+import json
+import pathlib
 
 import pytest
 
@@ -61,23 +71,40 @@ def test_trace_fingerprint_covers_order_and_payload():
 
 
 # -- engine differential on the standing workloads -------------------------
+GOLDEN = json.loads(pathlib.Path(__file__).with_name(
+    "golden_fingerprints.json").read_text())
+
+
 def _assert_identical(name):
     scalar = run_workload(name, "scalar")
     vector = run_workload(name, "vector")
+    assert scalar["fingerprint"] == GOLDEN[name], (
+        f"{name!r} no longer produces its recorded simulation "
+        "(tests/golden_fingerprints.json)")
     if scalar["fingerprint"] != vector["fingerprint"]:
         divergences = diff_values(scalar["report"], vector["report"], limit=8)
         pytest.fail(f"engines diverged on {name!r}: "
                     + "; ".join(f"{p}: scalar={a!r} vector={b!r}"
                                 for p, a, b in divergences))
+    return scalar["report"], vector["report"]
 
 
 def test_workload_registry_matches_the_issue_acceptance_list():
     assert {"chaos", "fig3", "dsm-smoke", "fabric-smoke",
             "kv-smoke", "contract"} <= set(WORKLOADS)
+    assert set(GOLDEN) == set(WORKLOADS)
 
 
 def test_chaos_workload_bit_identical_across_engines():
     _assert_identical("chaos")
+
+
+def test_chaos_cold_crash_workload_bit_identical_across_engines():
+    _assert_identical("chaos-cold-crash")
+
+
+def test_chaos_multi_workload_bit_identical_across_engines():
+    _assert_identical("chaos-multi")
 
 
 def test_fig3_workload_bit_identical_across_engines():
@@ -99,8 +126,7 @@ def test_kv_smoke_workload_bit_identical_across_engines():
 
 
 def test_contract_workload_traces_and_metrics_bit_identical():
-    scalar = run_workload("contract", "scalar")["report"]
-    vector = run_workload("contract", "vector")["report"]
+    scalar, vector = _assert_identical("contract")
     # Spelled out (not just the top-level hash) because these two are
     # the issue's named deliverables: the event trace and the metrics
     # snapshot.

@@ -211,7 +211,7 @@ def test_send_beyond_import_reports_error():
         src = sender.alloc_buffer(8192)
         with pytest.raises(SendError):
             # 8 KB into a 4 KB import: second proxy page is unmapped.
-            yield sender.send(src, imported.address(0), 8192)
+            yield sender.send(src, imported.at(0), 8192)
 
     env.run(until=env.process(app()))
     assert cluster.nodes[0].lcp.proxy_faults == 1
@@ -324,7 +324,7 @@ def test_third_process_cannot_use_others_imports():
         src = intruder.alloc_buffer(4096)
         with pytest.raises(SendError):
             # Same proxy address value, different process: no mapping.
-            yield intruder.send(src, imported.address(0), 256)
+            yield intruder.send(src, imported.at(0), 256)
 
     env.run(until=env.process(app()))
     assert cluster.nodes[0].lcp.proxy_faults == 1

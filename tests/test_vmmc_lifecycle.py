@@ -3,7 +3,6 @@ the daemon cold-restart recovery protocol (epoch bump, invalidation,
 re-registration, transparent re-import)."""
 
 import json
-import warnings
 
 import pytest
 
@@ -111,30 +110,25 @@ def test_proxy_address_bounds_checked():
         imported.at(-1)
 
 
-def test_legacy_destination_forms_warn_but_work():
-    """Raw-int and (imported, offset) tuple destinations stay functional
-    behind a DeprecationWarning (satellite: deprecation shim)."""
+def test_legacy_destination_forms_are_rejected():
+    """Raw-int and (imported, offset) tuple destinations were removed:
+    they fail as malformed sends, before any I/O."""
     cluster = small_cluster()
     env = cluster.env
     sender, _, state = wire_pair(cluster)
     imported, inbox = state["imported"], state["inbox"]
-    caught = []
 
     def app():
         src = sender.alloc_buffer(4096)
         src.write(b"legacy")
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            yield sender.send(src, imported.address(0), 6)
-            yield sender.send(src, (imported, 16), 6)
-            caught.extend(log)
+        for legacy in (imported.address(0), (imported, 16)):
+            with pytest.raises(InvalidSendError):
+                yield sender.send(src, legacy, 6)
 
     env.run(until=env.process(app()))
     drain(env, 500)
-    assert inbox.read(0, 6).tobytes() == b"legacy"
-    assert inbox.read(16, 6).tobytes() == b"legacy"
-    assert sum(1 for w in caught
-               if issubclass(w.category, DeprecationWarning)) == 2
+    assert sender.sends_posted == 0
+    assert inbox.read(0, 6).tobytes() != b"legacy"
 
 
 # ------------------------------------------------------------------ unimport
