@@ -1,94 +1,44 @@
 #!/usr/bin/env python
 """The section-7 shoot-out: VMMC vs SHRIMP vs the other Myrinet layers.
 
-Runs ping-pong latency and streaming bandwidth for every communication
-system in this repository on identical (simulated) hardware and prints the
-related-work comparison the paper makes in sections 6 and 7.
+Prints the related-work comparison the paper makes in sections 6 and 7:
+ping-pong latency and streaming bandwidth of every communication system
+in this repository on identical (simulated) hardware.  The numbers are
+the `shrimp` and `related-work` campaigns' trials — the same cells
+`python -m repro campaign run shrimp related-work` gates against the
+paper and `python -m repro shootout` prints.
 
 Run:  python examples/protocol_shootout.py
 """
 
-import numpy as np
-
-from repro.bench import VmmcPair, format_table
-from repro.bench.microbench import vmmc_oneway_bandwidth, vmmc_pingpong_latency
-from repro.baselines import (
-    ActiveMessagesPair,
-    FastMessagesPair,
-    MyrinetAPIPair,
-    PMPair,
-)
-from repro.cluster import TestbedConfig
-from repro.vmmc.shrimp_impl import ShrimpCluster
-
-
-def measure_vmmc():
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=16),
-                    buffer_bytes=256 * 1024)
-    lat = vmmc_pingpong_latency(pair, 8, iterations=10).one_way_us
-    bw = vmmc_oneway_bandwidth(pair, 256 * 1024, iterations=6).mbps
-    return lat, bw
-
-
-def measure_shrimp():
-    cluster = ShrimpCluster(nnodes=2, memory_mb=8)
-    env = cluster.env
-    a, b = cluster.endpoint(0), cluster.endpoint(1)
-    out = {}
-
-    def app():
-        inbox_b = b.alloc_buffer(128 * 1024)
-        inbox_a = a.alloc_buffer(128 * 1024)
-        yield b.export(inbox_b, "ib")
-        yield a.export(inbox_a, "ia")
-        to_b = yield a.import_buffer(cluster.nodes[1], "ib")
-        to_a = yield b.import_buffer(cluster.nodes[0], "ia")
-        src_a = a.alloc_buffer(128 * 1024)
-        src_b = b.alloc_buffer(128 * 1024)
-        t0 = env.now
-        for i in range(10):
-            wa = a.watch(inbox_a, 0, 4)
-            yield a.send(src_a, to_b, 8)
-            wb = b.watch(inbox_b, 0, 4)
-            if not wb.triggered:
-                yield wb
-            yield b.send(src_b, to_a, 8)
-            if not wa.triggered:
-                yield wa
-        out["lat"] = (env.now - t0) / 20 / 1000
-        t0 = env.now
-        for _ in range(5):
-            yield a.send(src_a, to_b, 128 * 1024)
-        out["bw"] = 5 * 128 * 1024 / (env.now - t0) * 1000
-
-    env.run(until=env.process(app()))
-    return out["lat"], out["bw"]
+from repro.bench import format_table
+from repro.campaign.trials import related_work_trial, shrimp_trial
 
 
 def main() -> None:
-    rows = []
-    lat, bw = measure_vmmc()
-    rows.append(("VMMC / Myrinet (this paper)", f"{lat:.1f}", f"{bw:.1f}",
-                 "zero-copy, protected, multi-process"))
-    lat, bw = measure_shrimp()
-    rows.append(("VMMC / SHRIMP", f"{lat:.1f}", f"{bw:.1f}",
-                 "hardware send initiation, EISA-limited"))
-    for cls, note in [
-        (PMPair, "8KB units from pinned bufs; gang scheduling"),
-        (FastMessagesPair, "PIO sends, recv copy, single process"),
-        (ActiveMessagesPair, "request/reply handlers (no paper numbers)"),
-        (MyrinetAPIPair, "stock library, copies, unreliable"),
-    ]:
-        pair = cls(memory_mb=8)
-        lat = pair.pingpong_latency_us(8, 8)
-        bw = pair.oneway_bandwidth_mbps(64 * 1024, 6)
-        rows.append((pair.protocol, f"{lat:.1f}", f"{bw:.1f}", note))
-
+    sec6 = shrimp_trial({}, 0)["metrics"]
+    sec7 = related_work_trial({}, 0)["metrics"]
+    rows = [
+        ("VMMC / Myrinet (this paper)", sec7["vmmc_lat_us"],
+         sec7["vmmc_bw_mbps"], "zero-copy, protected, multi-process"),
+        ("VMMC / SHRIMP", sec6["shrimp_latency_us"], sec6["shrimp_bw_mbps"],
+         "hardware send initiation, EISA-limited"),
+    ] + [
+        (name, sec7[f"{key}_lat_us"], sec7[f"{key}_bw_mbps"], note)
+        for key, name, note in [
+            ("pm", "PM", "8KB units from pinned bufs; gang scheduling"),
+            ("fm", "FM 2.0", "PIO sends, recv copy, single process"),
+            ("am", "Active Messages",
+             "request/reply handlers (no paper numbers)"),
+            ("api", "Myrinet API", "stock library, copies, unreliable"),
+        ]
+    ]
     print(format_table(
         "Myrinet messaging layers on identical simulated hardware "
         "(sections 6-7)",
-        ["system", "latency us (8B)", "stream MB/s", "notes"],
-        rows))
+        ["system", "latency us", "stream MB/s", "notes"],
+        [(name, f"{lat:.1f}", f"{bw:.1f}", note)
+         for name, lat, bw, note in rows]))
     print("\npaper's qualitative orderings reproduced:")
     print("  latency:   PM < SHRIMP-VMMC < Myrinet-VMMC < FM << API")
     print("  bandwidth: PM (8K transfer units) > VMMC ~= 4KB-DMA hw limit;")

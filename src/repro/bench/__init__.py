@@ -2,9 +2,9 @@
 
 :mod:`repro.bench.microbench` implements the paper's measurement
 methodology (ping-pong, one-way, bidirectional, send-overhead probes) over
-a simulated cluster; :mod:`repro.bench.report` renders the rows/series the
-paper's figures plot; the files in ``benchmarks/`` bind the two together,
-one per paper artifact.
+a simulated cluster; :mod:`repro.bench.report` renders text tables; the
+trial functions in :mod:`repro.campaign.trials` bind them to the paper's
+figures and hold the paper's numbers as gates.
 """
 
 from repro.bench.microbench import (
@@ -17,13 +17,12 @@ from repro.bench.microbench import (
     vmmc_pingpong_latency,
     vmmc_send_overhead,
 )
-from repro.bench.report import Series, format_table
+from repro.bench.report import format_table
 
 __all__ = [
     "BandwidthPoint",
     "LatencyPoint",
     "OverheadPoint",
-    "Series",
     "VmmcPair",
     "format_table",
     "vmmc_bidirectional_bandwidth",

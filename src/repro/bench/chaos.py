@@ -9,8 +9,7 @@ fault campaign* (bit-error bursts injected mid-run) to demonstrate that
 chaos here is deterministic: same seed, same drops, same retransmit
 counts, byte for byte.
 
-Used by ``python -m repro chaos`` and
-``benchmarks/bench_chaos_reliability.py``.
+Used by ``python -m repro chaos`` and the ``chaos`` campaign.
 """
 
 from __future__ import annotations

@@ -1,30 +1,8 @@
-"""Rendering of benchmark series as the rows/figures the paper reports."""
+"""Rendering of benchmark rows as fixed-width text tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-
-@dataclass
-class Series:
-    """One plotted line: a label plus (x, y) points."""
-
-    label: str
-    points: list[tuple[float, float]] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        self.points.append((x, y))
-
-    def y_at(self, x: float) -> float:
-        for px, py in self.points:
-            if px == x:
-                return py
-        raise KeyError(f"no point at x={x} in series {self.label!r}")
-
-    @property
-    def peak(self) -> float:
-        return max(y for _, y in self.points)
 
 
 def format_table(title: str, columns: Sequence[str],
@@ -42,23 +20,6 @@ def format_table(title: str, columns: Sequence[str],
     for row in rendered:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(title: str, xlabel: str, ylabel: str,
-                  series: Sequence[Series]) -> str:
-    """All series of one figure as a merged table keyed by x."""
-    xs = sorted({x for s in series for x, _ in s.points})
-    columns = [xlabel] + [f"{s.label} ({ylabel})" for s in series]
-    rows = []
-    for x in xs:
-        row: list[object] = [x]
-        for s in series:
-            try:
-                row.append(s.y_at(x))
-            except KeyError:
-                row.append("")
-        rows.append(row)
-    return format_table(title, columns, rows)
 
 
 def _fmt(cell: object) -> str:

@@ -6,6 +6,11 @@ list`` prints this table, CI runs every campaign's smoke shape, and the
 committed ``BENCH_<AREA>.json`` baselines at the repo root are the smoke
 artifacts.  docs/BENCHMARKS.md is the handbook entry per campaign.
 
+A campaign whose paper claim is a comparison (sections 5.2, 6, 7 and
+the ablations) has an empty grid: its single cell is the whole table,
+one metric per table entry, so the trial's ``paper_*`` gates can
+compare the rows.
+
 Third-party / test campaigns can be added at runtime with
 :func:`register`; the fork-based process pool sees them too.
 """
@@ -132,16 +137,135 @@ register(CampaignSpec(
 ))
 
 register(CampaignSpec(
+    name="hw-limits", area="HW_LIMITS",
+    title="hardware costs and the latency floor",
+    paper_ref="section 5.2",
+    trial=trials.hw_limits_trial,
+    grid={},
+    seeds=(0,),
+    metrics=(
+        Metric("mmio_read_us", "us", "lower", 5.0),
+        Metric("mmio_write_us", "us", "lower", 5.0),
+        Metric("post_us", "us", "lower", 5.0),
+        Metric("recv_dma_us", "us", "lower", 5.0),
+        Metric("min_latency_us", "us", "info"),
+        Metric("one_way_us", "us", "lower", 10.0),
+    ),
+    expected_runtime="~1 s",
+))
+
+register(CampaignSpec(
     name="vrpc", area="VRPC",
-    title="vRPC null round trip",
+    title="vRPC null round trip + bulk bandwidth vs SunRPC/UDP",
     paper_ref="section 5.4",
     trial=trials.vrpc_trial,
     grid={"iters": (10,)},
     seeds=(0,),
     metrics=(
         Metric("null_rtt_us", "us", "lower", 10.0),
+        Metric("bulk_mbps", "MB/s", "higher", 10.0),
+        Metric("bcopy_mbps", "MB/s", "info"),
+        Metric("udp_null_us", "us", "info"),
+        Metric("udp_mbps", "MB/s", "info"),
     ),
     expected_runtime="~5 s",
+))
+
+register(CampaignSpec(
+    name="shrimp", area="SHRIMP",
+    title="VMMC on SHRIMP vs VMMC on Myrinet",
+    paper_ref="section 6",
+    trial=trials.shrimp_trial,
+    grid={},
+    seeds=(0,),
+    metrics=tuple(
+        Metric(f"{platform}_{name}", unit, direction, pct)
+        for platform in ("shrimp", "myrinet")
+        for name, unit, direction, pct in (
+            ("latency_us", "us", "lower", 10.0),
+            ("bw_mbps", "MB/s", "higher", 10.0),
+            ("long_post_us", "us", "lower", 10.0),
+            ("init_us", "us", "info", None),
+            ("hw_limit_mbps", "MB/s", "info", None))
+    ) + (
+        Metric("myrinet_sram_kb", "KB", "info"),
+        Metric("myrinet_sram_per_process_kb", "KB", "info"),
+    ),
+    expected_runtime="~1 s",
+))
+
+register(CampaignSpec(
+    name="related-work", area="RELATED_WORK",
+    title="Myrinet API, FM, PM, AM and VMMC on identical hardware",
+    paper_ref="section 7",
+    trial=trials.related_work_trial,
+    grid={},
+    seeds=(0,),
+    metrics=tuple(
+        Metric(f"{system}_{name}", unit, direction, 10.0)
+        for system in ("vmmc", "api", "fm", "pm", "am")
+        for name, unit, direction in (("lat_us", "us", "lower"),
+                                      ("bw_mbps", "MB/s", "higher"))
+    ) + (
+        Metric("api_pingpong_bw_mbps", "MB/s", "higher", 10.0),
+        Metric("pm_4k_bw_mbps", "MB/s", "info"),
+        Metric("pm_copy_bw_mbps", "MB/s", "info"),
+    ),
+    expected_runtime="~2 s",
+))
+
+register(CampaignSpec(
+    name="threshold", area="THRESHOLD",
+    title="ablation: the 128-byte short/long protocol threshold",
+    paper_ref="section 5.3 (threshold argument)",
+    trial=trials.threshold_trial,
+    grid={},
+    seeds=(0,),
+    metrics=tuple(
+        Metric(f"{name}_t{threshold}", unit, direction, pct)
+        for threshold in trials.THRESHOLDS
+        for name, unit, direction, pct in (
+            ("overhead_us", "us", "lower", 10.0),
+            ("latency_us", "us", "lower", 10.0),
+            ("queue_sram_kb", "KB", "info", None))
+    ),
+    expected_runtime="~1 s",
+))
+
+register(CampaignSpec(
+    name="pipeline", area="PIPELINE",
+    title="ablation: long-send optimisations and cold TLB",
+    paper_ref="sections 4.5 / 5.3 (98 % of the limit)",
+    trial=trials.pipeline_trial,
+    grid={},
+    seeds=(0,),
+    metrics=(
+        Metric("full_mbps", "MB/s", "higher", 5.0),
+        Metric("no_precompute_mbps", "MB/s", "info"),
+        Metric("no_pipeline_mbps", "MB/s", "info"),
+        Metric("neither_mbps", "MB/s", "info"),
+        Metric("cold_first_us", "us", "lower", 10.0),
+        Metric("warm_first_us", "us", "lower", 10.0),
+    ),
+    expected_runtime="~2 s",
+))
+
+register(CampaignSpec(
+    name="multiprocess", area="MULTIPROCESS",
+    title="per-process send queues: scan tax and NIC SRAM bill",
+    paper_ref="sections 4.4 / 6 (supplementary)",
+    trial=trials.multiprocess_trial,
+    grid={},
+    seeds=(0,),
+    metrics=(Metric("max_processes", "count", "info"),) + tuple(
+        Metric(f"{name}_p{procs}", unit, direction, pct)
+        for procs in trials.PROCESS_COUNTS
+        for name, unit, direction, pct in (
+            ("latency_us", "us", "lower", 10.0),
+            ("sram_used_kb", "KB", "info", None),
+            ("sram_per_proc_kb", "KB", "info", None))
+    ),
+    expected_runtime="~1 s",
 ))
 
 register(CampaignSpec(

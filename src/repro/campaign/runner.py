@@ -4,7 +4,7 @@ The runner owns a *state directory* per ``(campaign, shape)``:
 
 .. code-block:: text
 
-    benchmarks/out/campaigns/<name>[-smoke]/
+    out/campaigns/<name>[-smoke]/
         state.json              # shape fingerprint (grid, seeds, schema)
         trials/<cell>_s<seed>.json   # one file per finished trial
 
@@ -38,7 +38,7 @@ from repro.campaign.spec import (SCHEMA_VERSION, CampaignSpec, SpecError,
 
 #: Default root for campaign state, relative to the invocation directory
 #: (the repo root in CI); see docs/BENCHMARKS.md.
-DEFAULT_STATE_ROOT = pathlib.Path("benchmarks") / "out" / "campaigns"
+DEFAULT_STATE_ROOT = pathlib.Path("out") / "campaigns"
 
 
 class IncompleteRunError(RuntimeError):

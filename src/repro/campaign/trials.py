@@ -10,6 +10,15 @@ are thin adapters over the measurement drivers
 from: ``campaign run`` and the legacy CLI names (``repro.cli.ALIASES``)
 both call these.
 
+It is also the only place a paper claim is checked.  Each anchor the
+paper states (9.8 us one-word latency, 98.4 MB/s, 66 us null vRPC, the
+section 5.2 rows, the section 6/7 orderings, the ablation factors) is a
+``paper_*`` entry in the trial's ``gates`` dict, so ``campaign run``,
+``campaign diff`` and every alias fail on drift from the paper, not only
+on drift from the committed baseline (docs/BENCHMARKS.md, "Paper
+gates").  When the claim is a comparison the trial measures the whole
+table, so one cell holds both sides.
+
 The microbenchmark simulations are deterministic and seed-free; their
 campaigns run a single seed 0 and the trial ignores it.  The chaos and
 DSM trials are seeded — the seed drives the fault schedule and the
@@ -28,34 +37,58 @@ def _fresh_pair(buffer_bytes: int, memory_mb: int = 32):
                     buffer_bytes=buffer_bytes)
 
 
+def _near(value: float, paper: float, *, rel: float = 0.0,
+          abs_: float = 0.0) -> bool:
+    """A paper-anchor gate: ``value == pytest.approx(paper, rel=, abs=)``."""
+    return abs(value - paper) <= max(rel * abs(paper), abs_)
+
+
 def latency_trial(params: dict, seed: int) -> dict:
-    """Figure 2: ping-pong one-way latency at one message size."""
+    """Figure 2: ping-pong one-way latency at one message size.
+
+    Gate: one word takes the paper's 9.8 us (within 3 %)."""
     from repro.bench.microbench import vmmc_pingpong_latency
 
     size, iters = params["size"], params["iters"]
     pair = _fresh_pair(max(size * 4, 4096), memory_mb=16)
     point = vmmc_pingpong_latency(pair, size, iterations=iters)
-    return {"metrics": {"one_way_us": point.one_way_us}}
+    gates = {}
+    if size == 4:
+        gates["paper_9.8us"] = _near(point.one_way_us, 9.8, rel=0.03)
+    return {"metrics": {"one_way_us": point.one_way_us}, "gates": gates}
 
 
 def bandwidth_trial(params: dict, seed: int) -> dict:
-    """Figure 3: streaming / bidirectional bandwidth at one size."""
+    """Figure 3: streaming / bidirectional bandwidth at one size.
+
+    Gates (from 64 KB up, where per-message costs have amortised):
+    one-way sits at the paper's 98.4 MB/s peak (within 1 %), i.e. at
+    least 97 % of the 100 MB/s 4 KB-DMA limit; the bidirectional total
+    is the paper's 91 MB/s (within 3 %)."""
     from repro.bench.microbench import (vmmc_bidirectional_bandwidth,
                                         vmmc_oneway_bandwidth)
 
     size, iters = params["size"], params["iters"]
     pair = _fresh_pair(max(size, 65536))
+    gates = {}
     if params["pattern"] == "oneway":
         point = vmmc_oneway_bandwidth(pair, size, iters)
+        if size >= 65536:
+            gates["paper_98.4mbps"] = _near(point.mbps, 98.4, rel=0.01)
+            gates["paper_97pct_of_limit"] = point.mbps / 100.0 >= 0.97
     elif params["pattern"] == "bidir":
         point = vmmc_bidirectional_bandwidth(pair, size, max(3, iters // 2))
+        if size >= 65536:
+            gates["paper_91mbps_total"] = _near(point.mbps, 91.0, rel=0.03)
     else:
         raise ValueError(f"unknown pattern {params['pattern']!r}")
-    return {"metrics": {"mbps": point.mbps}}
+    return {"metrics": {"mbps": point.mbps}, "gates": gates}
 
 
 def overhead_trial(params: dict, seed: int) -> dict:
-    """Figure 4: host CPU cost of the send call itself."""
+    """Figure 4: host CPU cost of the send call itself.
+
+    Gate: a one-word synchronous send costs "a few microseconds"."""
     from repro.bench.microbench import vmmc_send_overhead
 
     size, iters = params["size"], params["iters"]
@@ -63,62 +96,508 @@ def overhead_trial(params: dict, seed: int) -> dict:
     point = vmmc_send_overhead(pair, size,
                                synchronous=params["mode"] == "sync",
                                iterations=iters)
-    return {"metrics": {"overhead_us": point.overhead_us}}
+    gates = {}
+    if size == 4 and params["mode"] == "sync":
+        gates["paper_few_us"] = 2.0 <= point.overhead_us <= 4.0
+    return {"metrics": {"overhead_us": point.overhead_us}, "gates": gates}
 
 
 def dma_trial(params: dict, seed: int) -> dict:
-    """Figure 1: host<->LANai DMA bandwidth at one block size."""
+    """Figure 1: host<->LANai DMA bandwidth at one block size.
+
+    Gates: the paper's anchors — about 100 MB/s at the 4 KB page unit,
+    about 128 MB/s at 64 KB (both within 3 %), and 64-byte blocks far
+    below the peak (the reason short sends use PIO)."""
     from repro.hw.bus.pci import PCIParams
 
-    return {"metrics": {
-        "mbps": PCIParams().dma_bandwidth_mbps(params["size"])}}
+    size = params["size"]
+    mbps = PCIParams().dma_bandwidth_mbps(size)
+    gates = {}
+    if size == 4096:
+        gates["paper_100mbps_at_4k"] = _near(mbps, 100.0, rel=0.03)
+    elif size == 65536:
+        gates["paper_128mbps_at_64k"] = _near(mbps, 128.0, rel=0.03)
+    elif size == 64:
+        gates["paper_small_blocks_slow"] = mbps < 30
+    return {"metrics": {"mbps": mbps}, "gates": gates}
 
 
 def breakdown_trial(params: dict, seed: int) -> dict:
     """Section 5.2: trace-derived per-stage latency of one short send.
 
-    Gate: the stages must telescope to the end-to-end latency exactly
-    (``StageBreakdown.check`` with zero tolerance at the ns level is the
-    repo's standing invariant; 1 % is the declared bar)."""
+    Gates: the stages must telescope to the end-to-end latency exactly
+    (integer ns; 1 % is the declared bar, the decomposition gives 0);
+    for one word, the total is the paper's 9.8 us, software on the two
+    LANais is more than half of it and the wire is about 1 us."""
     from repro.obs.breakdown import STAGE_KEYS, measure_stage_breakdown
 
     report = measure_stage_breakdown(params["size"])
-    telescopes = True
-    try:
-        report.check(tolerance=0.01)
-    except ValueError:
-        telescopes = False
-    metrics = {f"{key}_us": ns / 1000.0
-               for key, (_, ns) in zip(STAGE_KEYS, report.stages)}
+    stages = {key: ns for key, (_, ns) in zip(STAGE_KEYS, report.stages)}
+    gates = {"stages_telescope":
+             report.total_ns > 0 and report.sum_ns == report.total_ns}
+    if params["size"] == 4:
+        gates["paper_9.8us"] = _near(report.total_ns / 1000, 9.8, abs_=0.3)
+        gates["paper_lanai_dominates"] = (
+            stages["lanai_send"] + stages["lanai_recv"]
+            > report.total_ns / 2)
+        gates["paper_wire_1us"] = stages["wire"] < 1_500
+    metrics = {f"{key}_us": ns / 1000.0 for key, ns in stages.items()}
     metrics["total_us"] = report.total_ns / 1000.0
-    return {"metrics": metrics, "gates": {"stages_telescope": telescopes}}
+    return {"metrics": metrics, "gates": gates}
+
+
+#: Section 5.4's bulk-transfer size (one 128 KB argument per call).
+VRPC_BULK = 128 * 1024
 
 
 def vrpc_trial(params: dict, seed: int) -> dict:
-    """Section 5.4: vRPC null round-trip time."""
-    from repro.rpc import RPCProgram, VRPCClient, VRPCServer
+    """Section 5.4: vRPC null round trip and bulk bandwidth, against the
+    same program over stock SunRPC/UDP.
+
+    Gates: the paper's 66 us round trip (within 8 %); bulk bandwidth
+    copy-limited in the ~33 MB/s band by a ~50 MB/s library bcopy; vRPC
+    beats the commodity stack on both axes."""
+    from repro.hostos.ethernet import EthernetNetwork
+    from repro.hw.bus.membus import MemoryBusParams
+    from repro.rpc import (RPCProgram, SunRPCServer, UDPRPCClient,
+                           VRPCClient, VRPCServer, XdrEncoder)
+    from repro.sim import Environment
+
+    def program() -> RPCProgram:
+        prog = RPCProgram(0x20000001, 1)
+        prog.register(0, lambda dec: b"")
+        prog.register(1, lambda dec: XdrEncoder().pack_uint(
+            dec.unpack_uint()).getvalue())
+        return prog
 
     iters = params["iters"]
+    out = {"bcopy_mbps": MemoryBusParams().bcopy_bandwidth_mbps(VRPC_BULK)}
     cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
     env = cluster.env
     _, client_ep = cluster.nodes[0].attach_process("client")
     _, server_ep = cluster.nodes[1].attach_process("server")
-    prog = RPCProgram(0x20000001, 1)
-    prog.register(0, lambda dec: b"")
-    server = VRPCServer(server_ep, "node1", prog)
-    result: dict[str, float] = {}
+    server = VRPCServer(server_ep, "node1", program())
 
     def app():
         chan = yield server.accept(client_ep, "node0", "cli")
-        client = VRPCClient(chan, prog.number, prog.version)
+        client = VRPCClient(chan, 0x20000001, 1)
         yield client.call(0)                    # warm the path
         t0 = env.now
         for _ in range(iters):
             yield client.call(0)
-        result["us"] = (env.now - t0) / iters / 1000
+        out["null_rtt_us"] = (env.now - t0) / iters / 1000
+        bulk = client_ep.alloc_buffer(VRPC_BULK)
+        args = XdrEncoder().pack_uint(VRPC_BULK).getvalue()
+        yield client.call(1, args=args, bulk=bulk, bulk_nbytes=VRPC_BULK)
+        t0 = env.now
+        for _ in range(5):
+            yield client.call(1, args=args, bulk=bulk,
+                              bulk_nbytes=VRPC_BULK)
+        out["bulk_mbps"] = 5 * VRPC_BULK / (env.now - t0) * 1000
 
     env.run(until=env.process(app()))
-    return {"metrics": {"null_rtt_us": result["us"]}}
+
+    # The commodity baseline: same program over UDP/Ethernet.
+    env2 = Environment()
+    ether = EthernetNetwork(env2)
+    SunRPCServer(env2, ether, "srv", program())
+    udp = UDPRPCClient(env2, ether, "cli", "srv", 0x20000001, 1)
+
+    def baseline():
+        yield udp.call(0)
+        t0 = env2.now
+        for _ in range(5):
+            yield udp.call(0)
+        out["udp_null_us"] = (env2.now - t0) / 5 / 1000
+        data = b"x" * 60_000
+        # proc 1 echoes a uint; carrying the opaque payload in the same
+        # record measures the transport cost of bulk arguments.
+        args = XdrEncoder().pack_uint(1).pack_opaque(data).getvalue()
+        t0 = env2.now
+        for _ in range(3):
+            yield udp.call(1, args=args)
+        out["udp_mbps"] = 3 * len(data) / (env2.now - t0) * 1000
+
+    env2.run(until=env2.process(baseline()))
+    return {"metrics": out, "gates": {
+        "paper_66us": _near(out["null_rtt_us"], 66, rel=0.08),
+        "paper_bulk_copy_limited": 25 <= out["bulk_mbps"] <= 40,
+        "paper_bcopy_50mbps": 40 <= out["bcopy_mbps"] <= 60,
+        "paper_beats_udp_latency":
+            out["udp_null_us"] > 5 * out["null_rtt_us"],
+        "paper_beats_udp_bandwidth": out["udp_mbps"] < out["bulk_mbps"],
+    }}
+
+
+def hw_limits_trial(params: dict, seed: int) -> dict:
+    """Section 5.2's hardware-limit table: MMIO read 0.422 us / write
+    0.121 us over PCI; posting a send request >= 0.5 us with writes
+    only; LANai pickup + packet prep + net DMA + receiving LANai about
+    2.5 us; receive-side arbitration + host DMA about 2 us; summing to a
+    ~5 us floor, against which the measured 9.8 us quantifies the
+    software overhead.  Every row is a gate."""
+    from repro.bench.microbench import vmmc_pingpong_latency
+    from repro.hw.bus.pci import PCIBus, PCIParams
+    from repro.sim import Environment
+
+    out = {}
+    env = Environment()
+    bus = PCIBus(env)
+
+    def probe():
+        t0 = env.now
+        yield bus.mmio_read(1)
+        out["mmio_read_us"] = (env.now - t0) / 1000
+        t0 = env.now
+        yield bus.mmio_write(1)
+        out["mmio_write_us"] = (env.now - t0) / 1000
+        # Posting a one-word send request: 4 control + 1 data word.
+        t0 = env.now
+        yield bus.mmio_write(5)
+        out["post_us"] = (env.now - t0) / 1000
+
+    env.process(probe())
+    env.run()
+    out["recv_dma_us"] = PCIParams().dma_time_ns(4) / 1000
+    pair = _fresh_pair(16 * 1024, memory_mb=8)
+    out["one_way_us"] = vmmc_pingpong_latency(pair, 4, 10).one_way_us
+    out["min_latency_us"] = out["post_us"] + 2.5 + out["recv_dma_us"]
+    return {"metrics": out, "gates": {
+        "paper_mmio_read_0.422us": _near(out["mmio_read_us"], 0.422,
+                                         abs_=0.001),
+        "paper_mmio_write_0.121us": _near(out["mmio_write_us"], 0.121,
+                                          abs_=0.001),
+        "paper_post_0.5us": out["post_us"] >= 0.5,
+        "paper_recv_dma_2us": _near(out["recv_dma_us"], 2.0, abs_=0.15),
+        "paper_floor_5us": _near(out["min_latency_us"], 5.0, abs_=0.3),
+        "paper_software_4.8us": _near(
+            out["one_way_us"] - out["min_latency_us"], 4.8, abs_=0.5),
+    }}
+
+
+#: Sections 6-7's long message: 32 pages.
+LONG_SEND = 128 * 1024
+
+
+def measure_shrimp() -> dict:
+    """VMMC on the SHRIMP platform: one-word latency, stream bandwidth,
+    host cost of posting one long send."""
+    from repro.hw.bus.eisa import EISAParams
+    from repro.hw.shrimp import ShrimpParams
+    from repro.vmmc.shrimp_impl import ShrimpCluster
+
+    out = {}
+    cluster = ShrimpCluster(nnodes=2, memory_mb=8)
+    env = cluster.env
+    a, b = cluster.endpoint(0), cluster.endpoint(1)
+
+    def app():
+        inbox_b = b.alloc_buffer(LONG_SEND)
+        inbox_a = a.alloc_buffer(LONG_SEND)
+        yield b.export(inbox_b, "ib")
+        yield a.export(inbox_a, "ia")
+        to_b = yield a.import_buffer(cluster.nodes[1], "ib")
+        to_a = yield b.import_buffer(cluster.nodes[0], "ia")
+        src_a = a.alloc_buffer(LONG_SEND)
+        src_b = b.alloc_buffer(LONG_SEND)
+        t0 = env.now
+        for i in range(10):
+            wa = a.watch(inbox_a, 0, 4)
+            yield a.send(src_a, to_b, 4)
+            wb = b.watch(inbox_b, 0, 4)
+            if not wb.triggered:
+                yield wb
+            yield b.send(src_b, to_a, 4)
+            if not wa.triggered:
+                yield wa
+        out["latency_us"] = (env.now - t0) / 20 / 1000
+        t0 = env.now
+        for _ in range(5):
+            yield a.send(src_a, to_b, LONG_SEND)
+        out["bw_mbps"] = 5 * LONG_SEND / (env.now - t0) * 1000
+        # Host-side cost of posting one long send (async).
+        t0 = env.now
+        yield a.send(src_a, to_b, LONG_SEND, synchronous=False)
+        out["long_post_us"] = (env.now - t0) / 1000
+
+    env.run(until=env.process(app()))
+    out["init_us"] = ShrimpParams().state_machine_ns / 1000
+    out["hw_limit_mbps"] = EISAParams().dma_bandwidth_mbps(LONG_SEND)
+    return out
+
+
+def measure_myrinet() -> dict:
+    """The same quantities on Myrinet, plus the NIC SRAM bill."""
+    from repro.bench.microbench import (vmmc_oneway_bandwidth,
+                                        vmmc_pingpong_latency,
+                                        vmmc_send_overhead)
+
+    out = {}
+    pair = _fresh_pair(LONG_SEND)
+    out["latency_us"] = vmmc_pingpong_latency(pair, 4, 10).one_way_us
+    out["bw_mbps"] = vmmc_oneway_bandwidth(pair, LONG_SEND, 6).mbps
+    out["long_post_us"] = vmmc_send_overhead(
+        pair, LONG_SEND, synchronous=False, iterations=4).overhead_us
+    # LCP request-processing time: scan/detect + pickup + translation +
+    # proxy lookup + header build + DMA start + completion writeback +
+    # main-loop return — everything the LANai spends on one request,
+    # in 30 ns cycles (vs SHRIMP's hardware state machine).
+    c = pair.cluster.config.lcp
+    out["init_us"] = (2 * c.main_loop + c.scan_per_queue + c.pickup
+                      + c.tlb_lookup + c.proxy_lookup + c.header_build
+                      + c.route_fetch + c.start_dma + c.send_epilogue
+                      + c.completion_write) * 30 / 1000
+    out["hw_limit_mbps"] = 100.0
+    # SRAM demands (the resource-cost side of the tradeoff).
+    usage = pair.cluster.nodes[0].nic.sram_usage()
+    out["sram_kb"] = sum(usage.values()) / 1024
+    out["sram_per_process_kb"] = sum(
+        v for k, v in usage.items() if ".pid" in k) / 1024
+    return out
+
+
+def shrimp_trial(params: dict, seed: int) -> dict:
+    """Section 6: network-interface design tradeoffs, VMMC on SHRIMP vs
+    VMMC on Myrinet — one cell is the whole comparison table.
+
+    Gates: one-word latency ~7 us (SHRIMP) vs 9.8 us (Myrinet) despite
+    the slower EISA bus; send initiation 2-3 us in SHRIMP hardware, at
+    least twice that in LANai software; SHRIMP posts two MMIO writes per
+    page where Myrinet posts one request; SHRIMP reaches its 23 MB/s
+    EISA limit, Myrinet 98 % of its 100 MB/s 4 KB-DMA limit; Myrinet
+    pays tens of KB of NIC SRAM per attached process."""
+    shrimp, myrinet = measure_shrimp(), measure_myrinet()
+    metrics = {f"shrimp_{k}": v for k, v in shrimp.items()}
+    metrics.update({f"myrinet_{k}": v for k, v in myrinet.items()})
+    return {"metrics": metrics, "gates": {
+        "paper_shrimp_7us": _near(shrimp["latency_us"], 7.0, rel=0.1),
+        "paper_myrinet_9.8us": _near(myrinet["latency_us"], 9.8, rel=0.03),
+        "paper_shrimp_latency_wins":
+            shrimp["latency_us"] < myrinet["latency_us"],
+        "paper_shrimp_init_2_3us": 2.0 <= shrimp["init_us"] <= 3.0,
+        "paper_myrinet_init_2x": myrinet["init_us"] >= 2 * 2.0,
+        "paper_shrimp_posts_per_page":
+            shrimp["long_post_us"] > 3 * myrinet["long_post_us"],
+        "paper_shrimp_at_limit":
+            shrimp["bw_mbps"] / shrimp["hw_limit_mbps"] > 0.95,
+        "paper_myrinet_98pct_of_limit": _near(
+            myrinet["bw_mbps"] / myrinet["hw_limit_mbps"], 0.98, abs_=0.01),
+        "paper_sram_per_process":
+            myrinet["sram_per_process_kb"] > 20,
+    }}
+
+
+def related_work_trial(params: dict, seed: int) -> dict:
+    """Section 7: the Myrinet API, FM, PM, AM and VMMC on identical
+    hardware — one cell is the whole comparison table.
+
+    Gates: the absolute anchors (API 63 us, FM ~11.7 us, PM 7.2 us, VMMC
+    9.8 us); latency ordering PM < VMMC < FM << API; PM's 8 KB units
+    beat the page-size limit, VMMC sits at 98 % of it, FM is PIO-bound
+    around 33 MB/s; PM capped at page-size units converges with VMMC
+    near 100 MB/s; the send copy PM excludes costs real bandwidth."""
+    import repro.baselines.pm as pm_mod
+    from repro.baselines import (ActiveMessagesPair, FastMessagesPair,
+                                 MyrinetAPIPair, PMPair)
+    from repro.bench.microbench import (vmmc_oneway_bandwidth,
+                                        vmmc_pingpong_latency)
+
+    m = {}
+    pair = _fresh_pair(256 * 1024, memory_mb=16)
+    m["vmmc_lat_us"] = vmmc_pingpong_latency(pair, 4, 10).one_way_us
+    m["vmmc_bw_mbps"] = vmmc_oneway_bandwidth(pair, 256 * 1024, 6).mbps
+    for key, cls in [("api", MyrinetAPIPair), ("fm", FastMessagesPair),
+                     ("pm", PMPair), ("am", ActiveMessagesPair)]:
+        proto = cls(memory_mb=8)
+        m[f"{key}_lat_us"] = proto.pingpong_latency_us(
+            8 if key != "api" else 4, 8)
+        m[f"{key}_bw_mbps"] = proto.oneway_bandwidth_mbps(64 * 1024, 6)
+    m["api_pingpong_bw_mbps"] = MyrinetAPIPair(memory_mb=8) \
+        .pingpong_bandwidth_mbps(8192, 6)
+    # PM with its transfer unit capped at page size (the paper's last
+    # comparison: both land near 100 MB/s).
+    saved = pm_mod.TRANSFER_UNIT
+    pm_mod.TRANSFER_UNIT = 4096
+    try:
+        m["pm_4k_bw_mbps"] = PMPair(memory_mb=8) \
+            .oneway_bandwidth_mbps(64 * 1024, 6)
+    finally:
+        pm_mod.TRANSFER_UNIT = saved
+    # PM with the sender-side copy it normally excludes.
+    m["pm_copy_bw_mbps"] = PMPair(memory_mb=8, include_copy=True) \
+        .oneway_bandwidth_mbps(64 * 1024, 6)
+    return {"metrics": m, "gates": {
+        "paper_api_63us": _near(m["api_lat_us"], 63, rel=0.05),
+        "paper_fm_11.7us": _near(m["fm_lat_us"], 11.7, rel=0.1),
+        "paper_pm_7.2us": _near(m["pm_lat_us"], 7.2, rel=0.1),
+        "paper_vmmc_9.8us": _near(m["vmmc_lat_us"], 9.8, rel=0.03),
+        "paper_latency_order": (
+            m["pm_lat_us"] < m["vmmc_lat_us"] < m["fm_lat_us"]
+            and m["api_lat_us"] > 4 * m["fm_lat_us"]),
+        "paper_bandwidth_order":
+            m["pm_bw_mbps"] > 105 > m["vmmc_bw_mbps"] > 95,
+        "paper_fm_pio_bound": 25 <= m["fm_bw_mbps"] <= 34,
+        "paper_pm_4k_100mbps": _near(m["pm_4k_bw_mbps"], 100, rel=0.06),
+        "paper_pm_copy_costs": m["pm_copy_bw_mbps"] < m["pm_bw_mbps"],
+    }}
+
+
+#: The swept short/long thresholds, and a probe size in the paper's
+#: contested region between 64 and 128 bytes.
+THRESHOLDS = (32, 64, 128, 256, 512)
+PROBE_BYTES = 96
+
+
+def threshold_trial(params: dict, seed: int) -> dict:
+    """Section 5.3's argument for the 128-byte short/long threshold,
+    regenerated: the sync overhead and latency of a probe message
+    between 64 and 128 bytes under every swept threshold, and the
+    send-queue SRAM each threshold costs — one cell is the whole table.
+
+    Gates: threshold 64 forces the probe onto the long path, so sync
+    overhead jumps while latency moves much less; raising the threshold
+    past 128 buys no overhead but multiplies the per-process SRAM."""
+    import repro.vmmc.api as api
+    import repro.vmmc.sendqueue as sq
+    from repro.bench.microbench import (vmmc_pingpong_latency,
+                                        vmmc_send_overhead)
+
+    m = {}
+    saved = sq.SHORT_SEND_LIMIT, sq.SLOT_BYTES, api.SHORT_SEND_LIMIT
+    try:
+        for threshold in THRESHOLDS:
+            sq.SHORT_SEND_LIMIT = api.SHORT_SEND_LIMIT = threshold
+            sq.SLOT_BYTES = 16 + threshold
+            pair = _fresh_pair(32 * 1024, memory_mb=16)
+            m[f"overhead_us_t{threshold}"] = vmmc_send_overhead(
+                pair, PROBE_BYTES, synchronous=True,
+                iterations=6).overhead_us
+            m[f"latency_us_t{threshold}"] = vmmc_pingpong_latency(
+                pair, PROBE_BYTES, iterations=8).one_way_us
+            m[f"queue_sram_kb_t{threshold}"] = (
+                sq.QUEUE_SLOTS * (16 + threshold) / 1024)
+    finally:
+        sq.SHORT_SEND_LIMIT, sq.SLOT_BYTES, api.SHORT_SEND_LIMIT = saved
+    lat_ratio = m["latency_us_t64"] / m["latency_us_t128"]
+    ovh_ratio = m["overhead_us_t64"] / m["overhead_us_t128"]
+    return {"metrics": m, "gates": {
+        "paper_overhead_jumps_below_128": ovh_ratio > 1.5,
+        "paper_latency_moves_less": lat_ratio < ovh_ratio
+                                    and lat_ratio < 1.25,
+        "paper_no_gain_above_128": _near(
+            m["overhead_us_t512"], m["overhead_us_t128"], rel=0.05),
+        "paper_sram_bill_above_128":
+            m["queue_sram_kb_t512"] > 3 * m["queue_sram_kb_t128"],
+    }}
+
+
+def pipeline_trial(params: dict, seed: int) -> dict:
+    """Section 4.5's long-send optimisations switched off one by one
+    (tight loop + host/net DMA pipelining + precomputed headers are what
+    section 5.3 credits for 98 % of the limit), plus the cost of cold
+    software-TLB state — one cell is the whole table.
+
+    Gates: the full design reaches 98.4 MB/s; header precompute is a
+    small real gain; without DMA pipelining bandwidth collapses; a cold
+    TLB costs an interrupt per 32-page refill batch."""
+    import dataclasses
+
+    from repro.bench.microbench import VmmcPair, vmmc_oneway_bandwidth
+    from repro.vmmc.lcp import LCPCosts
+
+    size = 256 * 1024
+
+    def bandwidth(**switches) -> float:
+        costs = dataclasses.replace(LCPCosts(), **switches)
+        pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32, lcp=costs),
+                        buffer_bytes=size)
+        return vmmc_oneway_bandwidth(pair, size, iterations=6).mbps
+
+    def first_send_us(warm_tlb: bool) -> float:
+        """Duration of the very first synchronous send (64 pages): cold
+        TLB pays one host interrupt per 32-page refill batch."""
+        pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                        buffer_bytes=size, warm_tlb=warm_tlb)
+        env = pair.env
+        out = {}
+
+        def app():
+            t0 = env.now
+            yield pair.ep_a.send(pair.src_a, pair.to_b, size)
+            out["us"] = (env.now - t0) / 1000
+
+        env.run(until=env.process(app()))
+        return out["us"]
+
+    m = {
+        "full_mbps": bandwidth(),
+        "no_precompute_mbps": bandwidth(precompute_headers=False),
+        "no_pipeline_mbps": bandwidth(pipeline_dma=False),
+        "neither_mbps": bandwidth(pipeline_dma=False,
+                                  precompute_headers=False),
+        "cold_first_us": first_send_us(warm_tlb=False),
+        "warm_first_us": first_send_us(warm_tlb=True),
+    }
+    return {"metrics": m, "gates": {
+        "paper_98.4mbps": _near(m["full_mbps"], 98.4, rel=0.01),
+        "paper_precompute_small_gain":
+            0.9 * m["full_mbps"] < m["no_precompute_mbps"] < m["full_mbps"],
+        "paper_pipelining_big_gain": (
+            m["no_pipeline_mbps"] < 0.75 * m["full_mbps"]
+            and m["neither_mbps"] <= m["no_pipeline_mbps"]),
+        "paper_cold_tlb_costs":
+            m["cold_first_us"] > m["warm_first_us"] + 20,
+    }}
+
+
+#: Attached-process counts of the scan-tax table.
+PROCESS_COUNTS = (1, 2, 4, 5)
+
+
+def multiprocess_trial(params: dict, seed: int) -> dict:
+    """Sections 4.4/6: the cost of per-process send queues — the scan
+    tax on one sender while idle processes are attached, the NIC SRAM
+    each attached process consumes, and how many processes a 256 KB
+    board holds before attach fails — one cell is the whole table.
+
+    Gates: the scan tax exists, grows with attached processes and stays
+    modest (~0.2 us per queue head check); SRAM per process is tens of
+    KB; the board caps simultaneous processes in the single digits."""
+    from repro.bench.microbench import vmmc_pingpong_latency
+    from repro.hw.lanai.sram import SRAMExhausted
+
+    # First: the hard limit.  "The outgoing page table is only limited by
+    # the amount of available SRAM on the LANai card and the number of
+    # processes simultaneously using a given interface" (section 4.4) —
+    # with the full 8 MB import reach per process, a 256 KB board fits
+    # only a handful of processes before attach fails.
+    probe = _fresh_pair(16 * 1024, memory_mb=16)
+    attached = 1  # the benchmark process itself
+    try:
+        for i in range(32):
+            probe.cluster.nodes[0].attach_process(f"filler{i}")
+            attached += 1
+    except SRAMExhausted:
+        pass
+    m = {"max_processes": attached}
+    for procs in PROCESS_COUNTS:
+        pair = _fresh_pair(32 * 1024, memory_mb=16)
+        # Attach idle extra processes to the *sender's* NIC: their queues
+        # must still be scanned every main-loop iteration.
+        for i in range(procs - 1):
+            pair.cluster.nodes[0].attach_process(f"idle{i}")
+        m[f"latency_us_p{procs}"] = vmmc_pingpong_latency(
+            pair, 4, iterations=10).one_way_us
+        usage = pair.cluster.nodes[0].nic.sram_usage()
+        per_process = sum(v for k, v in usage.items() if ".pid" in k)
+        m[f"sram_used_kb_p{procs}"] = sum(usage.values()) / 1024
+        m[f"sram_per_proc_kb_p{procs}"] = per_process / procs / 1024
+    tax = m["latency_us_p5"] - m["latency_us_p1"]
+    return {"metrics": m, "gates": {
+        "paper_scan_tax_modest": 0 < tax < 3.0,
+        "paper_sram_per_process": 25 <= m["sram_per_proc_kb_p4"] <= 35,
+        "paper_board_caps_processes": 3 <= m["max_processes"] <= 8,
+    }}
 
 
 def simcore_trial(params: dict, seed: int) -> dict:

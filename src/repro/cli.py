@@ -20,7 +20,8 @@ dsm-bench    alias: the ``dsm`` campaign (DSM coherence under chaos)
 kv-bench     alias: the ``kv`` campaign (sharded KV serving tier)
 breakdown    section 5.2 — per-stage latency of one short send
              (``--json`` for the machine-readable form)
-shootout     sections 6–7 — every protocol on identical hardware
+shootout     alias: the ``related-work`` campaign (section 7 — every
+             protocol on identical hardware)
 sram         NIC SRAM accounting of a booted node
 chaos        extension — lossy-link sweep + fault campaign: baseline
              VMMC vs the reliable-delivery layer; ``--scenario
@@ -75,6 +76,7 @@ ALIASES = {
     "overhead": ("overhead", _SWEEP),
     "dma": ("dma", {"--sizes": ("size", _sizes)}),
     "vrpc": ("vrpc", {"--iters": ("iters", int)}),
+    "shootout": ("related-work", {}),
     "dsm-bench": ("dsm", {"--nodes": ("nnodes", int),
                           "--pages": ("npages", int),
                           "--page-bytes": ("page_bytes", int),
@@ -131,13 +133,6 @@ def cmd_alias(args) -> int:
     campaign, flags = ALIASES[args.command]
     return _run_alias(campaign, {param: getattr(args, param)
                                  for param, _ in flags.values()})
-
-
-def cmd_shootout(args) -> int:
-    from examples import protocol_shootout  # pragma: no cover - thin
-
-    protocol_shootout.main()
-    return 0
 
 
 def cmd_breakdown(args) -> int:
@@ -350,27 +345,34 @@ def _campaign_artifact_path(spec, args) -> str:
 
 
 def _campaign_cell_table(spec, artifact) -> str:
-    """Per-cell medians (±95 % CI where seeds > 1) as a text table."""
-    metric_names = [m.name for m in spec.metrics]
-    columns = ["cell"] + [f"{name} ({spec.metric(name).unit})"
-                          for name in metric_names] + ["gates"]
-    rows = []
-    for cell in artifact["cells"]:
-        row: list[object] = [cell["key"]]
-        for name in metric_names:
-            agg = cell["metrics"][name]
-            value = f"{agg['median']:g}"
-            if agg["n"] > 1 and agg["ci95"]:
-                value += f" ±{agg['ci95']:g}"
-            row.append(value)
-        row.append("FAIL " + ",".join(cell["gates_failed"])
-                   if cell["gates_failed"] else "ok")
-        rows.append(row)
+    """Per-cell medians (±95 % CI where seeds > 1) as a text table: one
+    row per cell, or — for a one-table campaign (empty grid) — one row
+    per table entry."""
+    def median(cell, name) -> str:
+        agg = cell["metrics"][name]
+        value = f"{agg['median']:g}"
+        if agg["n"] > 1 and agg["ci95"]:
+            value += f" ±{agg['ci95']:g}"
+        return value
+
+    def gates(cell) -> str:
+        return ("FAIL " + ",".join(cell["gates_failed"])
+                if cell["gates_failed"] else "ok")
+
+    headers = [f"{m.name} ({m.unit})" for m in spec.metrics]
     shape = (f"{len(artifact['cells'])} cells x "
              f"{len(artifact['seeds'])} seeds"
              + (" [smoke]" if artifact["smoke"] else ""))
-    return format_table(f"campaign {spec.name}: {spec.title} ({shape})",
-                        columns, rows)
+    title = f"campaign {spec.name}: {spec.title} ({shape})"
+    if not artifact["grid"]:
+        (cell,) = artifact["cells"]
+        rows = [[header, median(cell, m.name)]
+                for header, m in zip(headers, spec.metrics)]
+        return format_table(title, ["entry", "median"],
+                            rows + [["gates", gates(cell)]])
+    rows = [[cell["key"]] + [median(cell, m.name) for m in spec.metrics]
+            + [gates(cell)] for cell in artifact["cells"]]
+    return format_table(title, ["cell"] + headers + ["gates"], rows)
 
 
 def _reject_single_out(args) -> bool:
@@ -689,9 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"override {param!r} (default: the smoke shape)")
         ap.set_defaults(func=cmd_alias)
 
-    shoot = sub.add_parser("shootout", help="sections 6-7 comparison")
-    shoot.set_defaults(func=cmd_shootout)
-
     brk = sub.add_parser("breakdown",
                          help="section 5.2 per-stage latency accounting")
     brk.add_argument("--size", type=int, default=4)
@@ -766,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "are smoke artifacts)")
         sp.add_argument("--state-root", metavar="DIR", default=None,
                         help="root for per-campaign trial state "
-                             "(default benchmarks/out/campaigns)")
+                             "(default out/campaigns)")
         sp.add_argument("--out", metavar="FILE", default=None,
                         help="artifact path (single campaign only; "
                              "default ./BENCH_<AREA>.json)")

@@ -11,8 +11,8 @@ they sum to the measured end-to-end latency **exactly** (the acceptance
 criterion allows 1 %; we deliver 0).
 
 :func:`measure_stage_breakdown` is the programmatic entry point; the
-``python -m repro breakdown`` CLI, the ``breakdown`` campaign and
-``benchmarks/bench_latency_breakdown`` all render its output.
+``python -m repro breakdown`` CLI and the ``breakdown`` campaign both
+render its output.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class StageBreakdown:
         return rows
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready form consumed by benchmarks/ and the CLI ``--json``."""
+        """JSON-ready form behind the CLI ``--json``."""
         return {
             "size_bytes": self.size,
             "stages_ns": {key: ns for key, (_, ns)

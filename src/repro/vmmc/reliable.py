@@ -36,7 +36,7 @@ using only VMMC-idiomatic machinery:
 
   the pre-adaptive **static** policy (stop-and-wait, fixed initial
   timeout, blind doubling) is kept behind ``adaptive=False`` as the
-  comparison baseline for ``benchmarks/bench_chaos_reliability.py``;
+  comparison baseline for the ``chaos`` campaign;
 * on expiry of a slot's deadline the sender retransmits that slot, up to
   a retry budget, after which
   :class:`~repro.vmmc.errors.RetriesExhausted` surfaces as an error

@@ -2,21 +2,11 @@
 
 import pytest
 
-from repro.bench.report import Series, format_series, format_table
-from repro.cli import build_parser, main
+from repro.bench.report import format_table
+from repro.cli import ALIASES, build_parser, main
 
 
 # ------------------------------------------------------------------- report
-def test_series_accumulates_and_queries():
-    s = Series("bw")
-    s.add(4, 10.0)
-    s.add(8, 20.0)
-    assert s.y_at(8) == 20.0
-    assert s.peak == 20.0
-    with pytest.raises(KeyError):
-        s.y_at(99)
-
-
 def test_format_table_alignment_and_floats():
     text = format_table("T", ["a", "bbb"], [[1, 2.345], ["xy", 7]])
     lines = text.splitlines()
@@ -26,19 +16,6 @@ def test_format_table_alignment_and_floats():
     # All data rows share the header's width.
     widths = {len(line) for line in lines[2:]}
     assert len(widths) == 1
-
-
-def test_format_series_merges_on_x():
-    s1 = Series("one")
-    s1.add(4, 1.0)
-    s1.add(8, 2.0)
-    s2 = Series("two")
-    s2.add(8, 3.0)
-    text = format_series("F", "x", "y", [s1, s2])
-    rows = text.splitlines()
-    assert any("4" in r and "1.00" in r for r in rows)
-    # Missing point renders as blank, not a crash.
-    assert any("8" in r and "3.00" in r for r in rows)
 
 
 # ----------------------------------------------------------------------- CLI
@@ -96,14 +73,15 @@ def _baseline_median(area, cell, metric):
      "overhead_us"),
     (["dma", "--sizes", "4096"], "DMA", "size=4096", "mbps"),
     (["vrpc"], "VRPC", "iters=10", "null_rtt_us"),
+    (["shootout"], "RELATED_WORK", "cell", "pm_lat_us"),
     (["dsm-bench", "--scenario", "clean", "--seed", "0"], None, None, None),
     (["kv-bench", "--scenario", "clean", "--skew", "0.0", "--load",
       "steady"], "KV",
      "load=steady,requests=400,scenario=clean,shards=2,skew=0.0", "p50_us"),
     (["chaos", "--scenario", "error-burst", "--seeds", "1"], None, None,
      None),
-], ids=["latency", "bandwidth", "overhead", "dma", "vrpc", "dsm-bench",
-        "kv-bench", "chaos-error-burst"])
+], ids=["latency", "bandwidth", "overhead", "dma", "vrpc", "shootout",
+        "dsm-bench", "kv-bench", "chaos-error-burst"])
 def test_alias_prints_the_committed_number_and_writes_nothing(
         argv, area, cell, metric, tmp_path, monkeypatch, capsys):
     """Every legacy experiment command is its campaign's trial: exit 0,
@@ -114,7 +92,7 @@ def test_alias_prints_the_committed_number_and_writes_nothing(
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert f"campaign {argv[0].split('-')[0]}" in out
+    assert f"campaign {ALIASES.get(argv[0], argv[:1])[0]}:" in out
     if area is not None:
         assert f"{_baseline_median(area, cell, metric):g}" in out
     assert list(tmp_path.iterdir()) == []

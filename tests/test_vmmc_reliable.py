@@ -422,3 +422,67 @@ def test_stats_as_dict_roundtrip():
     assert d["messages_sent"] == 1
     assert d["messages_delivered"] == 1
     assert rx.stats.as_dict()["acks_sent"] == 1
+
+
+# ------------------------------------------- the E-chaos acceptance sweep
+def test_chaos_experiment_contract():
+    """The experiment the paper never ran (section 4.2 just drops a
+    bad-CRC packet): over identical hardware and fault schedules the
+    baseline loses data silently, the reliable layer delivers every
+    payload, seeded chaos is deterministic, and the adaptive sender is
+    never slower than stop-and-wait — and invisible on a clean fabric."""
+    from repro.bench.chaos import (check_trial_invariants,
+                                   run_baseline_point, run_campaign_point,
+                                   run_cold_crash_point,
+                                   run_error_burst_trial, run_reliable_point)
+
+    messages, size, seed = 150, 1024, 7
+    sweep = [(rate, run_baseline_point(rate, messages=messages, size=size),
+              run_reliable_point(rate, messages=messages, size=size)[0])
+             for rate in (0.0, 1e-6, 1e-4, 1e-3)]
+    for rate, _, reliable in sweep:
+        assert reliable.delivered_intact == reliable.messages, rate
+        assert reliable.send_failures == 0
+    lossy = [(base, rel) for rate, base, rel in sweep if rate >= 1e-4]
+    assert sum(rel.retransmits for _, rel in lossy) > 0
+    assert sum(base.crc_drops for base, _ in lossy) > 0
+    assert any(base.delivered_intact < base.messages for base, _ in lossy)
+    _, clean_base, clean_rel = sweep[0]
+    assert clean_rel.retransmits == 0          # pure overhead when clean
+    assert clean_base.delivered_intact == clean_base.messages
+
+    # A seeded burst campaign, twice: same faults, same retransmits.
+    (point_a, stats_a), (point_b, stats_b) = (
+        run_campaign_point(seed=seed), run_campaign_point(seed=seed))
+    assert stats_a.as_dict() == stats_b.as_dict()
+    assert stats_a.faults_raised > 0 and point_a.crc_drops > 0
+    assert point_a.retransmits == point_b.retransmits
+    assert point_a.delivered_intact == point_a.messages
+    assert point_b.delivered_intact == point_b.messages
+
+    # Static vs adaptive: identical fault schedule per seed, adaptive
+    # goodput >= static, every protocol invariant on both.
+    for burst_seed in (3, 7, 11):
+        static, adaptive = (
+            run_error_burst_trial(burst_seed, messages=messages // 2,
+                                  size=size, adaptive=mode)
+            for mode in (False, True))
+        assert adaptive["fault_stats"] == static["fault_stats"]
+        assert adaptive["goodput_mbps"] >= static["goodput_mbps"], burst_seed
+        assert check_trial_invariants(adaptive) == []
+        assert check_trial_invariants(static) == []
+    cold_static = run_cold_crash_point(seed=seed, adaptive=False)[0]
+    cold_adaptive, cold_stats, _ = run_cold_crash_point(seed=seed)
+    assert cold_static.delivered_intact == cold_static.messages
+    assert cold_stats.by_kind.get("daemon_cold_crash") == 2
+    assert cold_adaptive.goodput_mbps >= cold_static.goodput_mbps
+    # Clean fabric, sequential issue: the two policies measure the same.
+    clean_static = run_reliable_point(0.0, messages=messages, size=size,
+                                      adaptive=False)[0]
+    clean_adaptive = run_reliable_point(0.0, messages=messages, size=size,
+                                        adaptive=True, pipelined=False)[0]
+    assert clean_adaptive.elapsed_ns == clean_static.elapsed_ns
+    assert clean_adaptive.delivered_intact == clean_static.delivered_intact \
+        == messages
+    assert clean_adaptive.retransmits == clean_static.retransmits == 0
+    assert clean_adaptive.goodput_mbps == clean_static.goodput_mbps
