@@ -286,19 +286,24 @@ class DsmNode:
         while pending is not None:
             yield pending
             pending = self._installing.get(page)
+        # Revoke the right before the page is read for the push, with no
+        # yield in between: the push parks on its reliable send, and a
+        # local write that still hit during it would commit after the
+        # snapshot and vanish with the copy.
+        had_copy = self.access[page] != INV
+        if action in (FLUSH, INVALIDATE):
+            self.access[page] = INV
+        elif action == DOWNGRADE and self.access[page] == WRITE:
+            self.access[page] = READ
         if action in (FLUSH, DOWNGRADE, PUSH):
             yield from self._push_page(page, to_rank, xfer)
         if action in (FLUSH, INVALIDATE):
-            if self.access[page] != INV:
-                self.access[page] = INV
+            if had_copy:
                 self.invalidations += 1
                 count(self.env, "dsm.invalidations", node=self.rank)
                 emit(self.env, "dsm.invalidate", node=self.rank,
                      page=page)
             self.owned[page] = False
-        elif action == DOWNGRADE:
-            if self.access[page] == WRITE:
-                self.access[page] = READ
         return [wire.STATUS_OK]
 
     # -- requester-side faults ---------------------------------------------

@@ -343,6 +343,17 @@ def test_dsm_sc_sweep(scenario):
         assert report["ops_total"] == 4 * 24 + 64
 
 
+@pytest.mark.parametrize("scenario, seed",
+                         [("clean", 3), ("daemon-cold-crash", 2)])
+def test_dsm_no_write_lost_during_flush(scenario, seed):
+    """Long runs where a local write used to hit while the page was
+    being pushed out for a FLUSH/DOWNGRADE and was dropped with the
+    copy: the right is revoked before the page is read for the push."""
+    report = run_dsm_trial(seed, nnodes=4, npages=64, page_bytes=256,
+                           ops_per_node=200, scenario=scenario)
+    assert report["sc_violations"] == []
+
+
 def test_dsm_trial_reports_are_byte_identical():
     for seed in (0, 11):
         first = json.dumps(run_dsm_trial(seed), sort_keys=True)
