@@ -9,7 +9,9 @@ fault campaign* (bit-error bursts injected mid-run) to demonstrate that
 chaos here is deterministic: same seed, same drops, same retransmit
 counts, byte for byte.
 
-Used by ``python -m repro chaos`` and the ``chaos`` campaign.
+Used by the ``chaos`` and ``lossy-link`` campaigns
+(:mod:`repro.campaign.trials`; ``python -m repro chaos`` is an alias of
+the former).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import numpy as np
 
 from repro.cluster import Cluster, TestbedConfig
 from repro.hw.myrinet.link import LinkParams
-from repro.faults import (CampaignSet, DAEMON_COLD_CRASH, DAEMON_CRASH,
-                          FaultCampaign, FaultEvent, FaultInjector,
-                          FaultStats, LANAI_STALL, LINK_DOWN,
+from repro.faults import (CampaignSet, DAEMON_COLD_CRASH, FaultCampaign,
+                          FaultEvent, FaultInjector, FaultStats, LANAI_STALL,
                           LINK_ERROR_BURST)
 from repro.vmmc.reliable import HEADER_BYTES, open_channel
 
@@ -262,26 +263,13 @@ def data_path_links() -> list[str]:
     return ["node0->sw0", "sw0->node1", "node1->sw0", "sw0->node0"]
 
 
-def run_campaign_point(seed: int, messages: int = 60, size: int = 1024,
-                       adaptive: bool = True
-                       ) -> tuple[ChaosPoint, FaultStats]:
-    """Reliable traffic on a *clean* fabric with seeded error bursts
-    injected mid-run — the determinism fixture: two calls with the same
-    seed must return identical FaultStats and retransmit counts."""
-    campaign = burst_campaign(data_path_links(), seed=seed)
-    point, stats = run_reliable_point(0.0, messages=messages, size=size,
-                                      campaign=campaign, adaptive=adaptive)
-    assert stats is not None
-    return point, stats
-
-
 def run_error_burst_trial(seed: int, messages: int = 60, size: int = 1024,
                           adaptive: bool = True) -> dict:
     """One fully-instrumented error-burst run: seeded bursts on the data
     path, a probe on the sender's adaptive state, and the raw stat dicts.
     Returns a deterministic, JSON-serialisable report — two calls with
-    the same arguments must produce *identical* reports (the CI
-    seed-sweep gate re-runs every seed and diffs)."""
+    the same arguments must produce *identical* reports (pinned by the
+    ``chaos`` golden fingerprint, ``tests/golden_fingerprints.json``)."""
     probe: dict = {}
     stats_out: dict = {}
     campaign = burst_campaign(data_path_links(), seed=seed)
@@ -311,7 +299,7 @@ def check_trial_invariants(report: dict) -> list[str]:
     """Protocol invariants a :func:`run_error_burst_trial` report must
     satisfy; returns human-readable violation strings (empty == pass).
     Mirrors the property harness in ``tests/test_reliable_properties.py``
-    so the CI seed sweep and the test suite enforce the same contract."""
+    so the ``chaos`` campaign and the test suite enforce the same contract."""
     violations: list[str] = []
     tx = report["tx_stats"]
     if report["delivered_intact"] != report["messages"]:
@@ -349,115 +337,6 @@ def check_trial_invariants(report: dict) -> list[str]:
 
 
 # -- multi-campaign orchestration ------------------------------------------
-def parse_campaign_spec(spec: str, *, default_seed: int = 0
-                        ) -> FaultCampaign:
-    """Build a :class:`FaultCampaign` from a CLI spec string.
-
-    Format: ``builder[:key=value[,key=value...]]``.  Builders (all
-    deterministic — every random choice comes from ``seed``):
-
-    =============  =========================================================
-    ``bursts``     clustered link error bursts on the node0↔node1 data path
-                   (``seed``, ``nbursts``, ``rate``, ``burst_ns``,
-                   ``start_ns``, ``window_ns``)
-    ``flap``       link down/up cycles (``target`` link name, ``seed``,
-                   ``count``, ``down_ns``, ``gap_ns``, ``start_ns``)
-    ``stall``      LANai clock stops (``node``, ``seed``, ``count``,
-                   ``stall_ns``, ``gap_ns``, ``start_ns``)
-    ``crash``      one daemon crash window (``node``, ``at_ns``,
-                   ``dur_ns``, ``cold`` ∈ 0/1)
-    ``cold-crash`` the recovery-protocol schedule of
-                   :func:`cold_crash_campaign` (``seed``)
-    =============  =========================================================
-
-    Every builder accepts ``name=`` to override the derived campaign name
-    (names must be unique within one ``--campaign`` set).
-    """
-    builder, _, rest = spec.partition(":")
-    builder = builder.strip()
-    kw: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            if not item:
-                continue
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ValueError(
-                    f"bad campaign spec item {item!r} in {spec!r} "
-                    "(want key=value)")
-            kw[key.strip()] = value.strip()
-    seed = int(kw.pop("seed", default_seed))
-    name = kw.pop("name", None)
-
-    def leftover():
-        if kw:
-            raise ValueError(
-                f"unknown key(s) {sorted(kw)} for campaign builder "
-                f"{builder!r}")
-
-    if builder == "bursts":
-        nbursts = int(kw.pop("nbursts", 3))
-        rate = float(kw.pop("rate", 0.4))
-        burst_ns = int(kw.pop("burst_ns", 300_000))
-        start_ns = int(kw.pop("start_ns", 20_000))
-        window_ns = int(kw.pop("window_ns", 3_000_000))
-        leftover()
-        return FaultCampaign.random_link_bursts(
-            data_path_links(), seed=seed, nbursts=nbursts, rate=rate,
-            start_ns=start_ns, window_ns=window_ns, burst_ns=burst_ns,
-            name=name or f"bursts.seed{seed}")
-    if builder == "flap":
-        target = kw.pop("target", "sw0->node1")
-        count = int(kw.pop("count", 2))
-        down_ns = int(kw.pop("down_ns", 150_000))
-        gap_ns = int(kw.pop("gap_ns", 1_200_000))
-        start_ns = int(kw.pop("start_ns", 200_000))
-        leftover()
-        rng = np.random.default_rng(seed)
-        events = [FaultEvent(
-            at_ns=start_ns + i * gap_ns + int(rng.integers(0, gap_ns // 4)),
-            kind=LINK_DOWN, target=target, duration_ns=down_ns)
-            for i in range(count)]
-        return FaultCampaign.of(name or f"flap.seed{seed}", events,
-                                seed=seed)
-    if builder == "stall":
-        node = kw.pop("node", "node1")
-        count = int(kw.pop("count", 2))
-        stall_ns = int(kw.pop("stall_ns", 120_000))
-        gap_ns = int(kw.pop("gap_ns", 1_000_000))
-        start_ns = int(kw.pop("start_ns", 400_000))
-        leftover()
-        rng = np.random.default_rng(seed)
-        events = [FaultEvent(
-            at_ns=start_ns + i * gap_ns + int(rng.integers(0, gap_ns // 4)),
-            kind=LANAI_STALL, target=node, duration_ns=stall_ns)
-            for i in range(count)]
-        return FaultCampaign.of(name or f"stall.seed{seed}", events,
-                                seed=seed)
-    if builder == "crash":
-        node = kw.pop("node", "node1")
-        at_ns = int(kw.pop("at_ns", 500_000))
-        dur_ns = int(kw.pop("dur_ns", 400_000))
-        cold = kw.pop("cold", "0") not in ("0", "false", "no")
-        leftover()
-        kind = DAEMON_COLD_CRASH if cold else DAEMON_CRASH
-        events = [FaultEvent(at_ns=at_ns, kind=kind, target=node,
-                             duration_ns=dur_ns)]
-        return FaultCampaign.of(
-            name or f"{'cold-' if cold else ''}crash.{node}.seed{seed}",
-            events, seed=seed)
-    if builder == "cold-crash":
-        leftover()
-        campaign = cold_crash_campaign(seed)
-        if name:
-            campaign = FaultCampaign(name=name, events=campaign.events,
-                                     seed=seed)
-        return campaign
-    raise ValueError(
-        f"unknown campaign builder {builder!r} "
-        "(want bursts, flap, stall, crash or cold-crash)")
-
-
 def default_multi_campaigns(seed: int) -> list[FaultCampaign]:
     """The canonical concurrent-chaos set: two burst campaigns whose
     schedules include *guaranteed-overlapping* bursts on one data-path
@@ -497,7 +376,8 @@ def run_multi_campaign_trial(seed: int, messages: int = 60,
     :class:`CampaignSet` runs **concurrently** — the multi-campaign
     acceptance fixture.  Returns a deterministic, JSON-serialisable
     report: two calls with the same arguments must be byte-identical
-    (the CI multi-campaign gate re-runs and diffs).
+    (pinned by the ``chaos-multi`` golden fingerprint and a tier-1 rerun
+    test).
 
     The report carries the merged cross-campaign
     :class:`~repro.faults.MergedFaultStats` (overlapped intervals

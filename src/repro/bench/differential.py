@@ -58,7 +58,7 @@ def engine_env(engine: str) -> Iterator[None]:
             os.environ[ENGINE_ENV_VAR] = saved
 
 
-def _chaos_workload() -> dict[str, Any]:
+def _error_burst_workload() -> dict[str, Any]:
     from repro.bench.chaos import run_error_burst_trial
 
     return {f"seed{seed}.{mode}": run_error_burst_trial(
@@ -144,7 +144,7 @@ def _contract_workload() -> dict[str, Any]:
 
 #: name -> zero-argument runner returning a JSON-serializable report.
 WORKLOADS: dict[str, Callable[[], dict[str, Any]]] = {
-    "chaos": _chaos_workload,
+    "chaos": _error_burst_workload,
     "chaos-cold-crash": _cold_crash_workload,
     "chaos-multi": _multi_campaign_workload,
     "fig3": _fig3_workload,

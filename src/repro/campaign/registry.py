@@ -290,10 +290,11 @@ register(CampaignSpec(
 
 register(CampaignSpec(
     name="chaos", area="CHAOS",
-    title="reliable sender under seeded error bursts, static vs adaptive",
-    paper_ref="extension of section 4.2 (E-chaos / E-congestion)",
+    title="reliable sender under seeded fault scenarios, static vs adaptive",
+    paper_ref="extension of sections 4.1 / 4.2 (E-chaos / E-congestion)",
     trial=trials.chaos_trial,
-    grid={"mode": ("static", "adaptive")},
+    grid={"scenario": ("error-burst", "daemon-cold-crash", "multi-campaign"),
+          "mode": ("static", "adaptive")},
     fixed={"messages": 60, "size": 1024},
     seeds=tuple(range(10)),
     metrics=(
@@ -305,6 +306,29 @@ register(CampaignSpec(
     ),
     smoke_seeds=tuple(range(4)),
     expected_runtime="~2 min",
+))
+
+register(CampaignSpec(
+    name="lossy-link", area="LOSSY_LINK",
+    title="baseline VMMC vs the reliable layer across link error rates",
+    paper_ref="extension of section 4.2 (E-chaos)",
+    trial=trials.lossy_link_trial,
+    grid={},
+    fixed={"messages": 150, "size": 1024},
+    seeds=(0,),
+    metrics=tuple(
+        Metric(f"{mode}_{name}_r{rate:g}", unit, direction, pct)
+        for rate in trials.LOSS_RATES
+        for mode, name, unit, direction, pct in (
+            ("baseline", "intact", "messages", "info", None),
+            ("baseline", "crc_drops", "count", "info", None),
+            ("baseline", "goodput_mbps", "MB/s", "info", None),
+            ("reliable", "intact", "messages", "info", None),
+            ("reliable", "crc_drops", "count", "info", None),
+            ("reliable", "goodput_mbps", "MB/s", "higher", 10.0),
+            ("reliable", "retransmits", "count", "info", None))
+    ),
+    expected_runtime="~2 s",
 ))
 
 register(CampaignSpec(

@@ -628,27 +628,86 @@ def simcore_trial(params: dict, seed: int) -> dict:
 
 
 def chaos_trial(params: dict, seed: int) -> dict:
-    """Seeded error-burst run of the reliable sender (static/adaptive).
+    """One seeded fault scenario against the reliable sender
+    (static/adaptive): ``error-burst`` (link error bursts on the data
+    path), ``daemon-cold-crash`` (both daemons cold-restart mid-stream)
+    or ``multi-campaign`` (overlapping burst + LANai-stall campaigns
+    driven concurrently).
 
-    Gates: every protocol invariant of
-    :func:`repro.bench.chaos.check_trial_invariants` (exactly-once
-    delivery, RTO/window bounds, Karn's rule)."""
-    from repro.bench.chaos import check_trial_invariants, run_error_burst_trial
+    Gates: ``exactly_once`` — every payload intact, no send failure —
+    on every scenario; on error-burst also every protocol invariant of
+    :func:`repro.bench.chaos.check_trial_invariants` (RTO/window bounds,
+    Karn's rule)."""
+    from dataclasses import asdict
 
-    trial = run_error_burst_trial(
-        seed, messages=params["messages"], size=params["size"],
-        adaptive=params["mode"] == "adaptive")
-    violations = check_trial_invariants(trial)
+    from repro.bench import chaos
+
+    kwargs = dict(messages=params["messages"], size=params["size"],
+                  adaptive=params["mode"] == "adaptive")
+    gates = {}
+    if params["scenario"] == "error-burst":
+        trial = chaos.run_error_burst_trial(seed, **kwargs)
+        gates["protocol_invariants"] = not chaos.check_trial_invariants(trial)
+    elif params["scenario"] == "daemon-cold-crash":
+        point = chaos.run_cold_crash_point(seed, **kwargs)[0]
+        trial = {**asdict(point),
+                 "goodput_mbps": round(point.goodput_mbps, 6)}
+    elif params["scenario"] == "multi-campaign":
+        trial = chaos.run_multi_campaign_trial(seed, **kwargs)
+    else:
+        raise ValueError(f"unknown scenario {params['scenario']!r}")
+    gates["exactly_once"] = (trial["delivered_intact"] == trial["messages"]
+                             and trial["send_failures"] == 0)
     return {
-        "metrics": {
-            "goodput_mbps": trial["goodput_mbps"],
-            "delivered_intact": trial["delivered_intact"],
-            "retransmits": trial["retransmits"],
-            "crc_drops": trial["crc_drops"],
-            "elapsed_ns": trial["elapsed_ns"],
-        },
-        "gates": {"protocol_invariants": not violations},
+        "metrics": {name: trial[name] for name in (
+            "goodput_mbps", "delivered_intact", "retransmits", "crc_drops",
+            "elapsed_ns")},
+        "gates": gates,
     }
+
+
+#: Per-packet link error rates of the lossy-link table.
+LOSS_RATES = (0.0, 1e-6, 1e-4, 1e-3)
+
+
+def lossy_link_trial(params: dict, seed: int) -> dict:
+    """The experiment section 4.2 never ran (a bad-CRC packet is
+    dropped, a counter incremented): baseline VMMC vs the reliable layer
+    over identical hardware at each link error rate — one cell is the
+    whole table.
+
+    Gates: the reliable layer delivers every payload at every rate; the
+    lossy rates really drop packets, cost retransmissions and lose
+    baseline data silently; on a clean link the reliable layer never
+    retransmits and the baseline loses nothing."""
+    from repro.bench.chaos import run_baseline_point, run_reliable_point
+
+    messages, size = params["messages"], params["size"]
+    m = {}
+    points = {}
+    for rate in LOSS_RATES:
+        base = run_baseline_point(rate, messages=messages, size=size)
+        rel = run_reliable_point(rate, messages=messages, size=size)[0]
+        points[rate] = base, rel
+        for mode, point in (("baseline", base), ("reliable", rel)):
+            m[f"{mode}_intact_r{rate:g}"] = point.delivered_intact
+            m[f"{mode}_crc_drops_r{rate:g}"] = point.crc_drops
+            m[f"{mode}_goodput_mbps_r{rate:g}"] = round(
+                point.goodput_mbps, 6)
+        m[f"reliable_retransmits_r{rate:g}"] = rel.retransmits
+    lossy = [pair for rate, pair in points.items() if rate >= 1e-4]
+    clean_base, clean_rel = points[0.0]
+    return {"metrics": m, "gates": {
+        "reliable_exactly_once": all(
+            rel.delivered_intact == messages and rel.send_failures == 0
+            for _, rel in points.values()),
+        "lossy_retransmits": sum(rel.retransmits for _, rel in lossy) > 0,
+        "lossy_crc_drops": sum(base.crc_drops for base, _ in lossy) > 0,
+        "baseline_loses_data": any(
+            base.delivered_intact < messages for base, _ in lossy),
+        "clean_no_retransmits": clean_rel.retransmits == 0,
+        "clean_baseline_intact": clean_base.delivered_intact == messages,
+    }}
 
 
 def fabric_trial(params: dict, seed: int) -> dict:

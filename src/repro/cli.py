@@ -23,12 +23,9 @@ breakdown    section 5.2 — per-stage latency of one short send
 shootout     alias: the ``related-work`` campaign (section 7 — every
              protocol on identical hardware)
 sram         NIC SRAM accounting of a booted node
-chaos        extension — lossy-link sweep + fault campaign: baseline
-             VMMC vs the reliable-delivery layer; ``--scenario
-             daemon-cold-crash``: exactly-once delivery across cold
-             daemon restarts; ``--scenario multi-campaign``: concurrent
-             fault campaigns (``--report`` for JSON); ``--scenario
-             error-burst`` is the ``chaos`` campaign
+chaos        alias: the ``chaos`` campaign (reliable sender under
+             error bursts, daemon cold crashes and concurrent fault
+             campaigns, static vs adaptive; exactly-once gate)
 topology     generated fabrics: stats table + deadlock proof
 engine-diff  differential gate — run workloads on both simulation
              engines (scalar oracle vs vector fast path) and fail on
@@ -87,6 +84,10 @@ ALIASES = {
                         "--skew": ("skew", float),
                         "--load": ("load", str),
                         "--scenario": ("scenario", str), **_SEEDS}),
+    "chaos": ("chaos", {"--scenario": ("scenario", str),
+                        "--mode": ("mode", str),
+                        "--messages": ("messages", int),
+                        "--size": ("size", int), **_SEEDS}),
 }
 
 
@@ -160,175 +161,6 @@ def cmd_sram(args) -> int:
         f"NIC SRAM usage, {args.processes} attached process(es) "
         f"(board: 256 KB)", ["region", "bytes"], rows))
     return 0
-
-
-def cmd_chaos(args) -> int:
-    from repro.bench.chaos import (
-        run_baseline_point,
-        run_campaign_point,
-        run_cold_crash_point,
-        run_reliable_point,
-    )
-
-    if args.scenario == "daemon-cold-crash":
-        return _chaos_cold_crash(args, run_cold_crash_point)
-    if args.scenario == "error-burst":
-        if args.report:
-            print("ERROR: the error-burst report is the campaign artifact: "
-                  "`campaign run chaos --out FILE`")
-            return 1
-        return _run_alias("chaos", {"messages": args.messages,
-                                    "size": args.size, "seeds": args.seeds})
-    if args.scenario == "multi-campaign" or args.campaign:
-        return _chaos_multi(args)
-
-    rows = []
-    for rate in args.rates:
-        base = run_baseline_point(rate, messages=args.messages,
-                                  size=args.size)
-        rel, _ = run_reliable_point(rate, messages=args.messages,
-                                    size=args.size)
-        for p in (base, rel):
-            rows.append([f"{rate:g}", p.mode,
-                         f"{p.delivered_intact}/{p.messages}",
-                         p.crc_drops, p.retransmits,
-                         f"{p.goodput_mbps:.1f}"])
-    print(format_table(
-        f"Chaos sweep: {args.messages} x {args.size}B messages per cell "
-        "(baseline VMMC drops silently; reliable-VMMC retransmits)",
-        ["error rate", "mode", "intact", "crc drops", "retransmits",
-         "goodput MB/s"], rows))
-    point, stats = run_campaign_point(seed=args.seed,
-                                      messages=max(20, args.messages // 2),
-                                      size=args.size)
-    print(f"\nFault campaign '{stats.campaign}' (seed {stats.seed}): "
-          f"{stats.faults_raised} faults raised, "
-          f"{point.delivered_intact}/{point.messages} intact, "
-          f"{point.retransmits} retransmits, "
-          f"{point.duplicates_suppressed} duplicates suppressed "
-          "(rerun with the same seed for identical numbers)")
-    return 0
-
-
-def _chaos_multi(args) -> int:
-    """``chaos --scenario multi-campaign`` (or any ``--campaign`` flag):
-    drive several seeded fault campaigns **concurrently** against one
-    cluster while reliable traffic runs.  Campaigns come from repeatable
-    ``--campaign builder[:key=val,...]`` specs
-    (:func:`repro.bench.chaos.parse_campaign_spec`) or default to the
-    canonical overlapping set.  Gates (any failure exits 1):
-
-    * exactly-once delivery of every payload despite the compound faults;
-    * determinism — the whole trial is re-run and the full reports
-      (merged + per-campaign FaultStats, conflict decisions, protocol
-      counters) must be byte-identical.
-
-    ``--report FILE`` writes the JSON report (the CI artifact)."""
-    import json
-
-    from repro.bench.chaos import (default_multi_campaigns,
-                                   parse_campaign_spec,
-                                   run_multi_campaign_trial)
-    from repro.faults import CampaignConflictError
-
-    try:
-        campaigns = ([parse_campaign_spec(spec, default_seed=args.seed + i)
-                      for i, spec in enumerate(args.campaign)]
-                     if args.campaign
-                     else default_multi_campaigns(args.seed))
-        trial = run_multi_campaign_trial(
-            args.seed, messages=args.messages, size=args.size,
-            campaigns=campaigns, policy=args.policy)
-        rerun = run_multi_campaign_trial(
-            args.seed, messages=args.messages, size=args.size,
-            campaigns=campaigns, policy=args.policy)
-    except CampaignConflictError as exc:
-        print(f"CONFLICT (policy={args.policy}): {exc}")
-        return 1
-    deterministic = (json.dumps(trial, sort_keys=True)
-                     == json.dumps(rerun, sort_keys=True))
-
-    merged = trial["merged_fault_stats"]
-    rows = []
-    for sub in merged["campaigns"]:
-        rows.append([sub["campaign"], sub["seed"], sub["faults_raised"],
-                     sub["faults_cleared"],
-                     sum(sub["fault_ns_by_target"].values())])
-    rows.append(["MERGED (overlaps once)", "-", merged["faults_raised"],
-                 merged["faults_cleared"],
-                 sum(merged["fault_ns_by_target"].values())])
-    print(format_table(
-        f"Concurrent campaigns ({len(trial['campaigns'])}), "
-        f"{args.messages} x {args.size}B reliable messages "
-        f"(policy={args.policy})",
-        ["campaign", "seed", "raised", "cleared", "fault ns"], rows))
-    overlap = sum(merged["overlap_ns_by_target"].values())
-    print(f"overlapped fault time deduplicated in merge: {overlap} ns")
-    for conflict in trial["conflicts"]:
-        print(f"conflict: {conflict['campaign']}/{conflict['kind']}"
-              f"@{conflict['at_ns']} on {conflict['target']} "
-              f"{conflict['action']}"
-              + (f" -> {conflict['resolved_at_ns']}"
-                 if conflict["resolved_at_ns"] is not None else ""))
-    delivered_ok = (trial["delivered_intact"] == trial["messages"]
-                    and trial["send_failures"] == 0)
-    print(f"delivered {trial['delivered_intact']}/{trial['messages']} "
-          f"intact, {trial['retransmits']} retransmits, "
-          f"{trial['goodput_mbps']:.1f} MB/s goodput")
-    if not deterministic:
-        print("NONDETERMINISM: re-run produced a different report")
-    ok = delivered_ok and deterministic
-    print("concurrent-campaign chaos (delivery + determinism): "
-          + ("PASS" if ok else "FAIL"))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump({"scenario": "multi-campaign",
-                       "deterministic": deterministic,
-                       "exactly_once": delivered_ok,
-                       "trial": trial}, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
-
-
-def _chaos_cold_crash(args, run_cold_crash_point) -> int:
-    """``chaos --scenario daemon-cold-crash``: reliable traffic while both
-    daemons cold-crash; prove exactly-once delivery across the recovery
-    protocol and (optionally) write a JSON report."""
-    import json
-
-    point, stats, recovery = run_cold_crash_point(
-        seed=args.seed, messages=args.messages, size=args.size)
-    rows = [["delivered intact", f"{point.delivered_intact}/{point.messages}"],
-            ["retransmits", point.retransmits],
-            ["duplicates suppressed", point.duplicates_suppressed],
-            ["send failures", point.send_failures]]
-    rows += [[key.replace("_", " "), value]
-             for key, value in recovery.items()]
-    print(format_table(
-        f"Daemon cold-crash recovery, campaign '{stats.campaign}' "
-        f"({stats.faults_raised} faults)", ["counter", "value"], rows))
-    ok = (point.delivered_intact == point.messages
-          and point.send_failures == 0)
-    print("exactly-once delivery across cold restarts: "
-          + ("PASS" if ok else "FAIL"))
-    if args.report:
-        report = {
-            "scenario": "daemon-cold-crash",
-            "seed": args.seed,
-            "messages": point.messages,
-            "size": point.size,
-            "delivered_intact": point.delivered_intact,
-            "retransmits": point.retransmits,
-            "duplicates_suppressed": point.duplicates_suppressed,
-            "send_failures": point.send_failures,
-            "exactly_once": ok,
-            "faults": stats.as_dict(),
-            "recovery": recovery,
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
 
 
 # -- campaign orchestration (docs/BENCHMARKS.md) ---------------------------
@@ -661,10 +493,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _rates(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -701,53 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     sram = sub.add_parser("sram", help="NIC SRAM accounting")
     sram.add_argument("--processes", type=int, default=2)
     sram.set_defaults(func=cmd_sram)
-
-    chaos = sub.add_parser(
-        "chaos", help="lossy-link sweep + fault campaign: baseline vs "
-                      "reliable VMMC")
-    chaos.add_argument("--rates", type=_rates,
-                       default=[0.0, 1e-6, 1e-4, 1e-3])
-    chaos.add_argument("--messages", type=int, default=60)
-    chaos.add_argument("--size", type=int, default=1024)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--seeds", type=int, default=10, metavar="N",
-                       help="error-burst scenario: sweep campaign seeds "
-                            "0..N-1 (default 10)")
-    chaos.add_argument("--scenario",
-                       choices=["sweep", "daemon-cold-crash", "error-burst",
-                                "multi-campaign"],
-                       default="sweep",
-                       help="'sweep' = lossy-link comparison (default); "
-                            "'daemon-cold-crash' = reliable traffic across "
-                            "cold daemon restarts (recovery protocol); "
-                            "'error-burst' = the `chaos` campaign in memory: "
-                            "static-vs-adaptive seed sweep under burst "
-                            "campaigns, protocol-invariant gate; "
-                            "'multi-campaign' = several seeded campaigns "
-                            "driven concurrently on one cluster "
-                            "(overlapping faults stack; merged FaultStats "
-                            "count overlaps once; delivery + determinism "
-                            "gates)")
-    chaos.add_argument("--campaign", metavar="SPEC", action="append",
-                       default=[],
-                       help="repeatable: add a campaign to the "
-                            "multi-campaign scenario, as "
-                            "builder[:key=val,...] with builder in "
-                            "{bursts, flap, stall, crash, cold-crash} "
-                            "(e.g. --campaign bursts:seed=3 "
-                            "--campaign flap:target=sw0->node1); "
-                            "implies --scenario multi-campaign; "
-                            "default: the canonical overlapping set")
-    chaos.add_argument("--policy", choices=["serialize", "reject"],
-                       default="serialize",
-                       help="multi-campaign conflict-guard policy for "
-                            "semantically incompatible overlapping raises "
-                            "(warm vs cold crash on one node): shift the "
-                            "loser after the winner's clear, or refuse "
-                            "the schedule (default: serialize)")
-    chaos.add_argument("--report", metavar="FILE",
-                       help="write a JSON report of the scenario run")
-    chaos.set_defaults(func=cmd_chaos)
 
     camp = sub.add_parser(
         "campaign",

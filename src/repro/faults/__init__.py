@@ -21,7 +21,7 @@ deterministic chaos harness over the simulated cluster:
   several campaigns' stats into one :class:`MergedFaultStats` whose
   per-target fault time counts overlapped intervals once.
 
-Used by ``python -m repro chaos`` and the ``chaos`` campaign to prove that
+Used by the ``chaos`` and ``lossy-link`` campaigns to prove that
 :mod:`repro.vmmc.reliable` delivers byte-exact payloads where base VMMC
 silently drops.
 """

@@ -135,14 +135,12 @@ class VMMCDaemon:
         self.invalidations_rx = 0
         self.imports_invalidated = 0
         self.exports_reestablished = 0
-        #: Re-register lost exports lazily, on the first import RPC that
-        #: names them, instead of eagerly during cold boot.  Lazy is the
-        #: default: a cold boot then costs O(1) regardless of how many
-        #: exports the node carries (a large DSM frame table restarts
-        #: cheap), and exports nobody re-imports are never re-installed.
-        self.lazy_reexport = True
         #: name → (endpoint, handle) of exports lost in a cold restart,
-        #: awaiting their first import request.
+        #: awaiting their first import request: lost exports are
+        #: re-registered lazily, by the first import RPC that names them,
+        #: so a cold boot costs O(1) regardless of how many exports the
+        #: node carries (a large DSM frame table restarts cheap), and
+        #: exports nobody re-imports are never re-installed.
         self._lazy_pending: dict[str, tuple] = {}
         self.lazy_reexports = 0
 
@@ -230,7 +228,8 @@ class VMMCDaemon:
                          name=f"{self.address}.cold_boot")
 
     def _cold_boot(self, lost: dict[str, ExportRecord]):
-        """Process: teardown + re-registration + invalidate broadcast."""
+        """Process: teardown + deferred re-registration + invalidate
+        broadcast."""
         # 1. Tear down the lost exports' incoming entries and unlock their
         #    pages; drop notification registrations (new buffer ids will
         #    not match, and arming does not survive a cold boot).
@@ -248,31 +247,14 @@ class VMMCDaemon:
         for endpoint in self.endpoints:
             n = endpoint.invalidate_imports(reason="local_cold_restart")
             self.imports_invalidated += n
-        # 3. Re-register surviving exports from the attached libraries.
-        #    Lazy (default): only *note* the lost exports; each is
+        # 3. *Note* the lost exports of the attached libraries; each is
         #    re-installed by the first import RPC that names it
         #    (`_serve_import`), so cold boot is O(1) in the export count.
-        #    Eager (``lazy_reexport=False``): re-install everything now,
-        #    before the broadcast, so peers that re-import immediately
-        #    find the export back in place.
         for endpoint in self.endpoints:
             for handle in endpoint.export_handles():
-                if handle.name not in lost:
-                    continue
-                if self.lazy_reexport:
+                if handle.name in lost:
                     handle.mark_lost()
                     self._lazy_pending[handle.name] = (endpoint, handle)
-                    continue
-                record = yield self._install_export(
-                    endpoint.process, handle.buffer, handle.name,
-                    allowed_importers=handle.record.allowed_importers,
-                    notify=False)
-                handle.reestablish(record)
-                self.exports_reestablished += 1
-                count(self.env, "daemon.exports_reestablished",
-                      node=self.node_name)
-                emit(self.env, f"{self.address}.reexport",
-                     name=handle.name, buffer_id=record.buffer_id)
         if self._lazy_pending:
             emit(self.env, f"{self.address}.reexport_deferred",
                  pending=len(self._lazy_pending))

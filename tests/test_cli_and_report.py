@@ -78,10 +78,15 @@ def _baseline_median(area, cell, metric):
     (["kv-bench", "--scenario", "clean", "--skew", "0.0", "--load",
       "steady"], "KV",
      "load=steady,requests=400,scenario=clean,shards=2,skew=0.0", "p50_us"),
-    (["chaos", "--scenario", "error-burst", "--seeds", "1"], None, None,
+    (["chaos", "--scenario", "error-burst", "--seed", "0"], None, None,
+     None),
+    (["chaos", "--scenario", "daemon-cold-crash", "--seed", "0"], None, None,
+     None),
+    (["chaos", "--scenario", "multi-campaign", "--seed", "0"], None, None,
      None),
 ], ids=["latency", "bandwidth", "overhead", "dma", "vrpc", "shootout",
-        "dsm-bench", "kv-bench", "chaos-error-burst"])
+        "dsm-bench", "kv-bench", "chaos-error-burst",
+        "chaos-daemon-cold-crash", "chaos-multi-campaign"])
 def test_alias_prints_the_committed_number_and_writes_nothing(
         argv, area, cell, metric, tmp_path, monkeypatch, capsys):
     """Every legacy experiment command is its campaign's trial: exit 0,
@@ -126,6 +131,25 @@ def test_alias_exits_1_on_a_failed_trial_gate(capsys):
         assert "FAIL never" in capsys.readouterr().out
     finally:
         register(real, replace=True)
+
+
+def test_chaos_alias_exits_1_when_a_message_is_lost(monkeypatch, capsys):
+    import dataclasses
+
+    from repro.bench import chaos
+
+    real = chaos.run_cold_crash_point
+
+    def lossy(*args, **kwargs):
+        point, stats, recovery = real(*args, **kwargs)
+        return (dataclasses.replace(
+            point, delivered_intact=point.delivered_intact - 1),
+            stats, recovery)
+
+    monkeypatch.setattr(chaos, "run_cold_crash_point", lossy)
+    assert main(["chaos", "--scenario", "daemon-cold-crash", "--mode",
+                 "adaptive", "--seed", "0"]) == 1
+    assert "FAIL exactly_once" in capsys.readouterr().out
 
 
 def test_engine_flag_does_not_leak_into_the_environment(monkeypatch):

@@ -22,7 +22,6 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultStats,
-    LANAI_STALL,
     LINK_DOWN,
     LINK_ERROR_BURST,
     union_ns,
@@ -290,66 +289,3 @@ def test_multi_campaign_trial_bit_identical_across_reruns():
     # The canonical set really overlaps: dedup removed >0 ns somewhere.
     assert sum(first["merged_fault_stats"]
                ["overlap_ns_by_target"].values()) > 0
-
-
-# --------------------------------------------------- CLI spec + scenario
-def test_parse_campaign_spec_builders_and_errors():
-    from repro.bench.chaos import parse_campaign_spec
-
-    bursts = parse_campaign_spec("bursts:seed=3,nbursts=2,rate=0.9")
-    assert bursts.name == "bursts.seed3"
-    assert bursts.seed == 3
-    assert len(bursts.events) == 2
-    assert all(e.params["rate"] == 0.9 for e in bursts)
-
-    flap = parse_campaign_spec("flap:target=sw0->node1,count=1,name=f1")
-    assert flap.name == "f1"
-    assert flap.events[0].kind == LINK_DOWN
-    assert flap.events[0].target == "sw0->node1"
-
-    stall = parse_campaign_spec("stall:node=node0,count=1,seed=5")
-    assert stall.events[0].kind == LANAI_STALL
-    assert stall.events[0].target == "node0"
-
-    crash = parse_campaign_spec("crash:node=node1,cold=1,at_ns=10")
-    assert crash.events[0].kind == DAEMON_COLD_CRASH
-    assert crash.events[0].at_ns == 10
-
-    # Same spec, same campaign — byte for byte.
-    assert parse_campaign_spec("bursts:seed=3") == \
-        parse_campaign_spec("bursts:seed=3")
-
-    with pytest.raises(ValueError, match="unknown campaign builder"):
-        parse_campaign_spec("meteor")
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_campaign_spec("bursts:rate=0.5,frequency=2")
-    with pytest.raises(ValueError, match="want key=value"):
-        parse_campaign_spec("flap:count")
-
-
-def test_cli_multi_campaign_scenario(tmp_path, capsys):
-    from repro.cli import main
-
-    report = tmp_path / "multi.json"
-    rc = main(["chaos", "--scenario", "multi-campaign",
-               "--messages", "16", "--report", str(report)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "PASS" in out
-    payload = json.loads(report.read_text())
-    assert payload["scenario"] == "multi-campaign"
-    assert payload["deterministic"] is True
-    assert payload["exactly_once"] is True
-    assert len(payload["trial"]["campaigns"]) == 3
-
-
-def test_cli_campaign_specs_imply_multi_scenario(capsys):
-    from repro.cli import main
-
-    rc = main(["chaos", "--messages", "12",
-               "--campaign", "bursts:seed=3,nbursts=2",
-               "--campaign", "stall:count=1"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "bursts.seed3" in out
-    assert "PASS" in out

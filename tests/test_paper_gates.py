@@ -15,7 +15,7 @@ import re
 import pytest
 
 from repro.campaign import (all_campaigns, artifact_from_reports,
-                            diff_artifacts, get_campaign, run_campaign)
+                            get_campaign, run_campaign)
 from repro.campaign.runner import load_reports
 from repro.campaign.trials import (bandwidth_trial, dma_trial, latency_trial,
                                    overhead_trial)
@@ -28,7 +28,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: ``dsm``/``kv``/``fabric`` smoke shapes are pinned by their own tests.
 PAPER_CAMPAIGNS = ("dma", "latency", "bandwidth", "overhead", "breakdown",
                    "hw-limits", "vrpc", "shrimp", "related-work",
-                   "threshold", "pipeline", "multiprocess", "chaos")
+                   "threshold", "pipeline", "multiprocess", "chaos",
+                   "lossy-link")
 
 
 def _baseline(spec) -> dict:
@@ -43,19 +44,16 @@ def test_smoke_run_passes_every_gate_and_equals_the_baseline(name, tmp_path):
     artifact = artifact_from_reports(spec, reports, smoke=True, git=None)
     assert [c["gates_failed"] for c in artifact["cells"]
             if c["gates_failed"]] == []
-    if name != "chaos":
-        # Medians, extremes, CI, seeds and params of every cell, to the
-        # digit.
-        assert artifact["cells"] == _baseline(spec)["cells"]
-    else:
-        # BENCH_CHAOS.json was recorded before a sender change (adaptive
-        # median 26.7 MB/s, 25.4 today — inside its 10 % threshold), so
-        # it is held to the regression gate CI applies, not to equality.
-        assert diff_artifacts(_baseline(spec), artifact).ok
-        # Spans two cells: under the identical seeded fault schedule the
+    # Medians, extremes, CI, seeds and params of every cell, to the digit.
+    assert artifact["cells"] == _baseline(spec)["cells"]
+    if name == "chaos":
+        # Spans two cells: under the identical seeded burst schedule the
         # adaptive sender is never slower than stop-and-wait
-        # (exactly-once delivery is each trial's protocol_invariants gate).
-        static, adaptive = reports
+        # (exactly-once delivery is each trial's own gate).
+        static, adaptive = (
+            cell_reports
+            for params, cell_reports in zip(spec.cells(smoke=True), reports)
+            if params["scenario"] == "error-burst")
         for fixed_rto, adapted in zip(static, adaptive):
             assert fixed_rto["seed"] == adapted["seed"]
             assert (adapted["metrics"]["goodput_mbps"]

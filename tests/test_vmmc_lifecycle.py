@@ -2,8 +2,6 @@
 the daemon cold-restart recovery protocol (epoch bump, invalidation,
 re-registration, transparent re-import)."""
 
-import json
-
 import pytest
 
 from repro import Cluster, TestbedConfig
@@ -197,7 +195,7 @@ def test_peer_cold_restart_invalidates_imports_and_reimport_recovers():
     assert imported.state is LifecycleState.STALE
     assert imported.stale_reason == "peer_cold_restart"
     assert fired and fired[0]["reason"] == "peer_cold_restart"
-    # Lazy re-registration (the default): the lost export is only *noted*
+    # Lazy re-registration: the lost export is only *noted*
     # at cold boot — the handle sits STALE and nothing is re-installed
     # until the first import RPC names it.
     assert handle.state is LifecycleState.STALE
@@ -225,28 +223,6 @@ def test_peer_cold_restart_invalidates_imports_and_reimport_recovers():
     assert handle.state is LifecycleState.REESTABLISHED
     assert cluster.nodes[1].daemon.exports_reestablished == 1
     assert cluster.nodes[1].daemon.lazy_reexports == 1
-
-
-def test_eager_cold_restart_reexports_at_boot():
-    """``lazy_reexport=False`` keeps the original protocol: every lost
-    export is re-installed during cold boot, before the broadcast."""
-    cluster = small_cluster()
-    env = cluster.env
-    cluster.nodes[1].daemon.lazy_reexport = False
-    sender, _, state = wire_pair(cluster)
-    imported, handle = state["imported"], state["handle"]
-
-    cluster.nodes[1].daemon.restart(cold=True)
-    drain(env, 2000)
-    assert handle.state is LifecycleState.REESTABLISHED
-    assert cluster.nodes[1].daemon.exports_reestablished == 1
-    assert cluster.nodes[1].daemon.lazy_reexports == 0
-
-    def app():
-        yield sender.reimport(imported)
-        assert imported.usable
-
-    env.run(until=env.process(app()))
 
 
 def test_local_cold_restart_marks_own_imports_stale():
@@ -403,18 +379,3 @@ def test_cold_crash_chaos_exactly_once_and_deterministic():
     assert point_a == point_b
     assert stats_a.as_dict() == stats_b.as_dict()
     assert rec_a == rec_b
-
-
-def test_cli_chaos_cold_crash_scenario(tmp_path, capsys):
-    from repro.cli import main
-
-    report = tmp_path / "report.json"
-    code = main(["chaos", "--scenario", "daemon-cold-crash",
-                 "--messages", "60", "--report", str(report)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "PASS" in out
-    data = json.loads(report.read_text())
-    assert data["exactly_once"] is True
-    assert data["delivered_intact"] == 60
-    assert data["faults"]["by_kind"] == {"daemon_cold_crash": 2}

@@ -426,39 +426,23 @@ def test_stats_as_dict_roundtrip():
 
 # ------------------------------------------- the E-chaos acceptance sweep
 def test_chaos_experiment_contract():
-    """The experiment the paper never ran (section 4.2 just drops a
-    bad-CRC packet): over identical hardware and fault schedules the
-    baseline loses data silently, the reliable layer delivers every
-    payload, seeded chaos is deterministic, and the adaptive sender is
-    never slower than stop-and-wait — and invisible on a clean fabric."""
+    """What the ``chaos`` / ``lossy-link`` campaign gates cannot see from
+    inside one cell: seeded chaos is deterministic, and over identical
+    fault schedules the adaptive sender is never slower than
+    stop-and-wait — and invisible on a clean fabric.  (The rate sweep —
+    the baseline loses data silently, the reliable layer delivers every
+    payload — is the ``lossy-link`` campaign's gates.)"""
     from repro.bench.chaos import (check_trial_invariants,
-                                   run_baseline_point, run_campaign_point,
                                    run_cold_crash_point,
                                    run_error_burst_trial, run_reliable_point)
 
     messages, size, seed = 150, 1024, 7
-    sweep = [(rate, run_baseline_point(rate, messages=messages, size=size),
-              run_reliable_point(rate, messages=messages, size=size)[0])
-             for rate in (0.0, 1e-6, 1e-4, 1e-3)]
-    for rate, _, reliable in sweep:
-        assert reliable.delivered_intact == reliable.messages, rate
-        assert reliable.send_failures == 0
-    lossy = [(base, rel) for rate, base, rel in sweep if rate >= 1e-4]
-    assert sum(rel.retransmits for _, rel in lossy) > 0
-    assert sum(base.crc_drops for base, _ in lossy) > 0
-    assert any(base.delivered_intact < base.messages for base, _ in lossy)
-    _, clean_base, clean_rel = sweep[0]
-    assert clean_rel.retransmits == 0          # pure overhead when clean
-    assert clean_base.delivered_intact == clean_base.messages
-
-    # A seeded burst campaign, twice: same faults, same retransmits.
-    (point_a, stats_a), (point_b, stats_b) = (
-        run_campaign_point(seed=seed), run_campaign_point(seed=seed))
-    assert stats_a.as_dict() == stats_b.as_dict()
-    assert stats_a.faults_raised > 0 and point_a.crc_drops > 0
-    assert point_a.retransmits == point_b.retransmits
-    assert point_a.delivered_intact == point_a.messages
-    assert point_b.delivered_intact == point_b.messages
+    # A seeded burst campaign, twice: same faults, same report.
+    first, again = run_error_burst_trial(seed), run_error_burst_trial(seed)
+    assert first == again
+    assert first["fault_stats"]["faults_raised"] > 0
+    assert first["crc_drops"] > 0
+    assert first["delivered_intact"] == first["messages"]
 
     # Static vs adaptive: identical fault schedule per seed, adaptive
     # goodput >= static, every protocol invariant on both.
