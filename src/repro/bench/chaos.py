@@ -56,10 +56,6 @@ class ChaosPoint:
     elapsed_ns: int
 
     @property
-    def delivery_ratio(self) -> float:
-        return self.delivered_intact / self.messages if self.messages else 0.0
-
-    @property
     def goodput_mbps(self) -> float:
         """Intact payload bytes per second of simulated time, in MB/s."""
         if self.elapsed_ns <= 0:
@@ -113,93 +109,82 @@ def run_baseline_point(error_rate: float, messages: int = 100,
         send_failures=0, elapsed_ns=result["elapsed"])
 
 
-def _attach_probe(tx, probe: dict) -> None:
+def _attach_probe(tx) -> dict:
     """Wrap the sender's state mutators to record invariant evidence:
     the RTO's observed min/max, the congestion-window peak, and the
     in-flight peak.  Purely observational — the wrapped calls delegate to
     the originals, so the run's behaviour is unchanged."""
-    probe.update(rto_min=tx.rto_ns, rto_max=tx.rto_ns,
+    probe = dict(rto_min=tx.rto_ns, rto_max=tx.rto_ns,
                  cwnd_peak=tx.cwnd, inflight_peak=tx.inflight,
-                 min_rto_ns=tx.min_rto_ns, max_timeout_ns=tx.max_timeout_ns,
-                 nslots=tx.nslots, max_window=tx.max_window)
-    orig_rto, orig_cwnd = tx._set_rto, tx._set_cwnd
-    orig_inflight = tx._set_inflight
+                 min_rto_ns=tx.timeout_ns, max_timeout_ns=tx.max_timeout_ns,
+                 nslots=tx.nslots)
 
-    def set_rto(value: int) -> None:
-        orig_rto(value)
+    def record() -> None:
         probe["rto_min"] = min(probe["rto_min"], tx.rto_ns)
         probe["rto_max"] = max(probe["rto_max"], tx.rto_ns)
-
-    def set_cwnd(value: int, reason: str) -> None:
-        orig_cwnd(value, reason=reason)
         probe["cwnd_peak"] = max(probe["cwnd_peak"], tx.cwnd)
-
-    def set_inflight(value: int) -> None:
-        orig_inflight(value)
         probe["inflight_peak"] = max(probe["inflight_peak"], tx.inflight)
 
-    tx._set_rto = set_rto
-    tx._set_cwnd = set_cwnd
-    tx._set_inflight = set_inflight
+    def wrap(mutator):
+        def wrapped(*args, **kwargs) -> None:
+            mutator(*args, **kwargs)
+            record()
+        return wrapped
+
+    for name in ("_set_rto", "_set_cwnd", "_set_inflight"):
+        setattr(tx, name, wrap(getattr(tx, name)))
+    return probe
 
 
 def _reliable_transfer(error_rate: float, messages: int, size: int,
-                       adaptive: bool, pipelined: bool, start_faults,
-                       probe: Optional[dict] = None):
+                       start_faults):
     """The one reliable-transfer experiment behind every driver below:
-    build the 2-node cluster, open the channel, start the faults, stream
-    ``messages`` patterned payloads, drain, audit.
+    build the 2-node cluster, open the channel, start the faults, issue
+    ``messages`` patterned payloads up front (the AIMD window pipelines
+    them), drain, audit.
 
     ``start_faults(injector)`` is called once the channel is up (so a
     schedule can be anchored at ``injector.env.now``) and before the
     workload clock starts; if it returns an event, that event is awaited
-    after the last delivery and before the drain.  Returns ``(point, tx,
-    rx, injector, awaited)`` with ``awaited`` the event's value."""
+    after the last delivery and before the drain.  Returns ``(point,
+    evidence, tx, rx, injector, awaited)``: ``evidence`` is the invariant
+    probe plus both ends' raw stat dicts (what
+    :func:`check_trial_invariants` reads), ``awaited`` the event's
+    value."""
     cluster = _two_node_cluster(error_rate)
     env = cluster.env
     _, ep_tx = cluster.nodes[0].attach_process("chaos_tx")
     _, ep_rx = cluster.nodes[1].attach_process("chaos_rx")
     tx, rx = env.run(until=open_channel(
-        ep_tx, ep_rx, "chaos", slot_bytes=HEADER_BYTES + size,
-        adaptive=adaptive))
-    if probe is not None:
-        _attach_probe(tx, probe)
+        ep_tx, ep_rx, "chaos", slot_bytes=HEADER_BYTES + size))
+    probe = _attach_probe(tx)
     injector = FaultInjector(cluster)
     faults_done = start_faults(injector)
-
-    result: dict[str, object] = {}
 
     def receiver():
         got = []
         for _ in range(messages):
-            payload = yield rx.recv()
-            got.append(payload)
-        result["got"] = got
-        result["end"] = env.now
+            got.append((yield rx.recv()))
+        end = env.now
         # Stay posted: if the final ACK is lost, only a live recv() can
         # re-ACK the sender's retransmission of the last message.
         rx.recv()
+        return got, end
 
     def sender():
-        if pipelined:
-            sends = [tx.send(_pattern(i, size)) for i in range(messages)]
-            for proc in sends:
-                yield proc
-        else:
-            for i in range(messages):
-                yield tx.send(_pattern(i, size))
+        sends = [tx.send(_pattern(i, size)) for i in range(messages)]
+        for proc in sends:
+            yield proc
 
     start = env.now
     rx_proc = env.process(receiver())
     env.process(sender())
-    env.run(until=rx_proc)
+    got, end = env.run(until=rx_proc)
     awaited = None if faults_done is None else env.run(until=faults_done)
     env.run(until=env.now + DRAIN_NS)
 
-    got = result["got"]
     point = ChaosPoint(
-        error_rate=error_rate,
-        mode="adaptive" if adaptive else "static",
+        error_rate=error_rate, mode="reliable",
         messages=messages, size=size,
         delivered_intact=sum(1 for i, g in enumerate(got)
                              if g == _pattern(i, size)),
@@ -209,41 +194,29 @@ def _reliable_transfer(error_rate: float, messages: int, size: int,
         acks_resent=rx.stats.acks_resent,
         duplicates_suppressed=rx.stats.duplicates_suppressed,
         send_failures=tx.stats.send_failures,
-        elapsed_ns=int(result["end"]) - start)
-    return point, tx, rx, injector, awaited
+        elapsed_ns=end - start)
+    evidence = {"probe": probe, "tx_stats": tx.stats.as_dict(),
+                "rx_stats": rx.stats.as_dict()}
+    return point, evidence, tx, rx, injector, awaited
 
 
 def run_reliable_point(error_rate: float, messages: int = 100,
                        size: int = 1024,
-                       campaign: Optional[FaultCampaign] = None,
-                       adaptive: bool = True,
-                       pipelined: Optional[bool] = None,
-                       probe: Optional[dict] = None,
-                       stats_out: Optional[dict] = None
-                       ) -> tuple[ChaosPoint, Optional[FaultStats]]:
+                       campaign: Optional[FaultCampaign] = None
+                       ) -> tuple[ChaosPoint, Optional[FaultStats], dict]:
     """Reliable-VMMC transfer over the same lossy fabric, optionally with
-    a fault campaign running concurrently.  Returns the measurement point
-    and the campaign's :class:`FaultStats` (None without a campaign).
-
-    ``adaptive`` selects the congestion-controlled sender (default) or
-    the static stop-and-wait baseline; ``pipelined`` issues every send up
-    front so the AIMD window can keep several slots in flight (defaults
-    to ``adaptive`` — the static sender serialises either way).  Pass a
-    dict as ``probe`` to collect invariant evidence (RTO min/max, cwnd
-    peak) and as ``stats_out`` to receive the raw tx/rx stat dicts."""
+    a fault campaign running concurrently.  Returns the measurement
+    point, the campaign's :class:`FaultStats` (None without a campaign)
+    and the protocol evidence (invariant probe, raw tx/rx stat dicts)."""
     def start_faults(injector: FaultInjector) -> None:
         # Started, not awaited: the measurement ends with the last
         # delivery, wherever the campaign is by then.
         if campaign is not None:
             injector.run(campaign)
 
-    point, tx, rx, injector, _ = _reliable_transfer(
-        error_rate, messages, size, adaptive,
-        adaptive if pipelined is None else pipelined, start_faults, probe)
-    if stats_out is not None:
-        stats_out["tx"] = tx.stats.as_dict()
-        stats_out["rx"] = rx.stats.as_dict()
-    return point, injector.stats
+    point, evidence, _, _, injector, _ = _reliable_transfer(
+        error_rate, messages, size, start_faults)
+    return point, injector.stats, evidence
 
 
 def burst_campaign(cluster_links: list[str], seed: int,
@@ -263,23 +236,18 @@ def data_path_links() -> list[str]:
     return ["node0->sw0", "sw0->node1", "node1->sw0", "sw0->node0"]
 
 
-def run_error_burst_trial(seed: int, messages: int = 60, size: int = 1024,
-                          adaptive: bool = True) -> dict:
-    """One fully-instrumented error-burst run: seeded bursts on the data
-    path, a probe on the sender's adaptive state, and the raw stat dicts.
-    Returns a deterministic, JSON-serialisable report — two calls with
-    the same arguments must produce *identical* reports (pinned by the
-    ``chaos`` golden fingerprint, ``tests/golden_fingerprints.json``)."""
-    probe: dict = {}
-    stats_out: dict = {}
+def run_error_burst_trial(seed: int, messages: int = 60,
+                          size: int = 1024) -> dict:
+    """One error-burst run: seeded bursts on the data path.  Returns a
+    deterministic, JSON-serialisable report — two calls with the same
+    arguments must produce *identical* reports (pinned by the ``chaos``
+    golden fingerprint, ``tests/golden_fingerprints.json``)."""
     campaign = burst_campaign(data_path_links(), seed=seed)
-    point, fault_stats = run_reliable_point(
-        0.0, messages=messages, size=size, campaign=campaign,
-        adaptive=adaptive, probe=probe, stats_out=stats_out)
+    point, fault_stats, evidence = run_reliable_point(
+        0.0, messages=messages, size=size, campaign=campaign)
     assert fault_stats is not None
     return {
         "seed": seed,
-        "mode": point.mode,
         "messages": messages,
         "size": size,
         "delivered_intact": point.delivered_intact,
@@ -288,52 +256,43 @@ def run_error_burst_trial(seed: int, messages: int = 60, size: int = 1024,
         "send_failures": point.send_failures,
         "elapsed_ns": point.elapsed_ns,
         "goodput_mbps": round(point.goodput_mbps, 6),
-        "probe": dict(sorted(probe.items())),
-        "tx_stats": stats_out["tx"],
-        "rx_stats": stats_out["rx"],
+        **evidence,
         "fault_stats": fault_stats.as_dict(),
     }
 
 
 def check_trial_invariants(report: dict) -> list[str]:
-    """Protocol invariants a :func:`run_error_burst_trial` report must
-    satisfy; returns human-readable violation strings (empty == pass).
-    Mirrors the property harness in ``tests/test_reliable_properties.py``
-    so the ``chaos`` campaign and the test suite enforce the same contract."""
-    violations: list[str] = []
-    tx = report["tx_stats"]
-    if report["delivered_intact"] != report["messages"]:
-        violations.append(
-            f"delivery: {report['delivered_intact']}/{report['messages']} "
-            f"payloads intact")
-    if report["send_failures"]:
-        violations.append(
-            f"delivery: {report['send_failures']} send failures")
-    if report["mode"] == "adaptive":
-        probe = report["probe"]
-        if probe["rto_min"] < probe["min_rto_ns"]:
-            violations.append(
-                f"rto: observed min {probe['rto_min']} below floor "
-                f"{probe['min_rto_ns']}")
-        if probe["rto_max"] > probe["max_timeout_ns"]:
-            violations.append(
-                f"rto: observed max {probe['rto_max']} above ceiling "
-                f"{probe['max_timeout_ns']}")
-        if probe["cwnd_peak"] > probe["nslots"]:
-            violations.append(
-                f"cwnd: peak {probe['cwnd_peak']} exceeds ring of "
-                f"{probe['nslots']} slots")
-        if probe["inflight_peak"] > probe["nslots"]:
-            violations.append(
-                f"inflight: peak {probe['inflight_peak']} exceeds ring "
-                f"of {probe['nslots']} slots")
-        karn = tx["rtt_samples"] + tx["retransmitted_deliveries"]
-        if karn != tx["messages_delivered"]:
-            violations.append(
-                f"karn: rtt_samples {tx['rtt_samples']} + retransmitted "
-                f"deliveries {tx['retransmitted_deliveries']} != "
-                f"{tx['messages_delivered']} delivered")
-    return violations
+    """Protocol invariants a trial report (its delivery counts plus the
+    ``evidence`` of :func:`_reliable_transfer`) must satisfy; returns
+    human-readable violation strings (empty == pass).  Mirrors the
+    property harness in ``tests/test_reliable_properties.py`` so the
+    ``chaos`` campaign and the test suite enforce the same contract."""
+    tx, probe = report["tx_stats"], report["probe"]
+    karn = tx["rtt_samples"] + tx["retransmitted_deliveries"]
+    checks = (
+        (report["delivered_intact"] == report["messages"],
+         f"delivery: {report['delivered_intact']}/{report['messages']} "
+         f"payloads intact"),
+        (not report["send_failures"],
+         f"delivery: {report['send_failures']} send failures"),
+        (probe["rto_min"] >= probe["min_rto_ns"],
+         f"rto: observed min {probe['rto_min']} below floor "
+         f"{probe['min_rto_ns']}"),
+        (probe["rto_max"] <= probe["max_timeout_ns"],
+         f"rto: observed max {probe['rto_max']} above ceiling "
+         f"{probe['max_timeout_ns']}"),
+        (probe["cwnd_peak"] <= probe["nslots"],
+         f"cwnd: peak {probe['cwnd_peak']} exceeds ring of "
+         f"{probe['nslots']} slots"),
+        (probe["inflight_peak"] <= probe["nslots"],
+         f"inflight: peak {probe['inflight_peak']} exceeds ring of "
+         f"{probe['nslots']} slots"),
+        (karn == tx["messages_delivered"],
+         f"karn: rtt_samples {tx['rtt_samples']} + retransmitted "
+         f"deliveries {tx['retransmitted_deliveries']} != "
+         f"{tx['messages_delivered']} delivered"),
+    )
+    return [violation for holds, violation in checks if not holds]
 
 
 # -- multi-campaign orchestration ------------------------------------------
@@ -370,8 +329,7 @@ def default_multi_campaigns(seed: int) -> list[FaultCampaign]:
 def run_multi_campaign_trial(seed: int, messages: int = 60,
                              size: int = 1024,
                              campaigns: Optional[list[FaultCampaign]] = None,
-                             policy: str = "serialize",
-                             adaptive: bool = True) -> dict:
+                             policy: str = "serialize") -> dict:
     """Reliable traffic on a clean fabric while a whole
     :class:`CampaignSet` runs **concurrently** — the multi-campaign
     acceptance fixture.  Returns a deterministic, JSON-serialisable
@@ -398,12 +356,11 @@ def run_multi_campaign_trial(seed: int, messages: int = 60,
         _, planned["conflicts"] = cset.resolve()   # re-done by run_all
         return injector.run_all(cset)
 
-    point, _, _, injector, merged = _reliable_transfer(
-        0.0, messages, size, adaptive, adaptive, start_faults)
+    point, evidence, _, _, injector, merged = _reliable_transfer(
+        0.0, messages, size, start_faults)
     return {
         "seed": seed,
         "policy": policy,
-        "mode": point.mode,
         "messages": messages,
         "size": size,
         "campaigns": planned["names"],
@@ -415,6 +372,7 @@ def run_multi_campaign_trial(seed: int, messages: int = 60,
         "send_failures": point.send_failures,
         "elapsed_ns": point.elapsed_ns,
         "goodput_mbps": round(point.goodput_mbps, 6),
+        **evidence,
         "merged_fault_stats": merged.as_dict(),
         "per_campaign": {
             name: stats.as_dict()
@@ -441,8 +399,7 @@ def cold_crash_campaign(seed: int, start_ns: int = 0,
     return FaultCampaign.of(f"cold_crash.seed{seed}", events, seed=seed)
 
 
-def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024,
-                         adaptive: bool = True
+def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024
                          ) -> tuple[ChaosPoint, FaultStats, dict]:
     """Reliable transfer while both daemons cold-crash mid-stream.
 
@@ -451,11 +408,10 @@ def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024,
     stale destinations transparently), and no write may land through a
     dead mapping (``stale_writes_blocked`` counts the incoming page
     table's refusals).  Returns ``(point, fault_stats, recovery)`` where
-    ``recovery`` aggregates the protocol's counters — identical across
-    reruns of the same seed."""
-    point, tx, rx, injector, fault_stats = _reliable_transfer(
-        0.0, messages, size, adaptive, adaptive,
-        lambda injector: injector.run(
+    ``recovery`` aggregates the protocol's counters plus the transfer's
+    invariant evidence — identical across reruns of the same seed."""
+    point, evidence, tx, rx, injector, fault_stats = _reliable_transfer(
+        0.0, messages, size, lambda injector: injector.run(
             cold_crash_campaign(seed, start_ns=injector.env.now)))
     cluster = injector.cluster
     daemons = [node.daemon for node in cluster.nodes]
@@ -472,5 +428,6 @@ def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024,
             tx.ep.stale_sends_blocked + rx.ep.stale_sends_blocked,
         "stale_writes_blocked":
             sum(node.lcp.protection_violations for node in cluster.nodes),
+        **evidence,
     }
     return point, fault_stats, recovery

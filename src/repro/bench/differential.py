@@ -61,9 +61,9 @@ def engine_env(engine: str) -> Iterator[None]:
 def _error_burst_workload() -> dict[str, Any]:
     from repro.bench.chaos import run_error_burst_trial
 
-    return {f"seed{seed}.{mode}": run_error_burst_trial(
-                seed, messages=30, size=1024, adaptive=(mode == "adaptive"))
-            for seed in (0, 1) for mode in ("static", "adaptive")}
+    return {f"seed{seed}": run_error_burst_trial(seed, messages=30,
+                                                 size=1024)
+            for seed in (0, 1)}
 
 
 def _cold_crash_workload() -> dict[str, Any]:

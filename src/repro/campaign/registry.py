@@ -290,11 +290,10 @@ register(CampaignSpec(
 
 register(CampaignSpec(
     name="chaos", area="CHAOS",
-    title="reliable sender under seeded fault scenarios, static vs adaptive",
+    title="reliable sender under seeded fault scenarios",
     paper_ref="extension of sections 4.1 / 4.2 (E-chaos / E-congestion)",
     trial=trials.chaos_trial,
-    grid={"scenario": ("error-burst", "daemon-cold-crash", "multi-campaign"),
-          "mode": ("static", "adaptive")},
+    grid={"scenario": ("error-burst", "daemon-cold-crash", "multi-campaign")},
     fixed={"messages": 60, "size": 1024},
     seeds=tuple(range(10)),
     metrics=(
@@ -305,7 +304,7 @@ register(CampaignSpec(
         Metric("elapsed_ns", "ns", "info"),
     ),
     smoke_seeds=tuple(range(4)),
-    expected_runtime="~2 min",
+    expected_runtime="~1 min",
 ))
 
 register(CampaignSpec(

@@ -628,41 +628,40 @@ def simcore_trial(params: dict, seed: int) -> dict:
 
 
 def chaos_trial(params: dict, seed: int) -> dict:
-    """One seeded fault scenario against the reliable sender
-    (static/adaptive): ``error-burst`` (link error bursts on the data
-    path), ``daemon-cold-crash`` (both daemons cold-restart mid-stream)
-    or ``multi-campaign`` (overlapping burst + LANai-stall campaigns
-    driven concurrently).
+    """One seeded fault scenario against the reliable sender:
+    ``error-burst`` (link error bursts on the data path),
+    ``daemon-cold-crash`` (both daemons cold-restart mid-stream) or
+    ``multi-campaign`` (overlapping burst + LANai-stall campaigns driven
+    concurrently).
 
-    Gates: ``exactly_once`` — every payload intact, no send failure —
-    on every scenario; on error-burst also every protocol invariant of
+    Gates, on every scenario: ``exactly_once`` — every payload intact,
+    no send failure — and ``protocol_invariants``, every invariant of
     :func:`repro.bench.chaos.check_trial_invariants` (RTO/window bounds,
     Karn's rule)."""
     from dataclasses import asdict
 
     from repro.bench import chaos
 
-    kwargs = dict(messages=params["messages"], size=params["size"],
-                  adaptive=params["mode"] == "adaptive")
-    gates = {}
+    kwargs = dict(messages=params["messages"], size=params["size"])
     if params["scenario"] == "error-burst":
         trial = chaos.run_error_burst_trial(seed, **kwargs)
-        gates["protocol_invariants"] = not chaos.check_trial_invariants(trial)
     elif params["scenario"] == "daemon-cold-crash":
-        point = chaos.run_cold_crash_point(seed, **kwargs)[0]
-        trial = {**asdict(point),
+        point, _, recovery = chaos.run_cold_crash_point(seed, **kwargs)
+        trial = {**asdict(point), **recovery,
                  "goodput_mbps": round(point.goodput_mbps, 6)}
     elif params["scenario"] == "multi-campaign":
         trial = chaos.run_multi_campaign_trial(seed, **kwargs)
     else:
         raise ValueError(f"unknown scenario {params['scenario']!r}")
-    gates["exactly_once"] = (trial["delivered_intact"] == trial["messages"]
-                             and trial["send_failures"] == 0)
     return {
         "metrics": {name: trial[name] for name in (
             "goodput_mbps", "delivered_intact", "retransmits", "crc_drops",
             "elapsed_ns")},
-        "gates": gates,
+        "gates": {
+            "protocol_invariants": not chaos.check_trial_invariants(trial),
+            "exactly_once": (trial["delivered_intact"] == trial["messages"]
+                             and trial["send_failures"] == 0),
+        },
     }
 
 

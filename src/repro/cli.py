@@ -25,7 +25,7 @@ shootout     alias: the ``related-work`` campaign (section 7 — every
 sram         NIC SRAM accounting of a booted node
 chaos        alias: the ``chaos`` campaign (reliable sender under
              error bursts, daemon cold crashes and concurrent fault
-             campaigns, static vs adaptive; exactly-once gate)
+             campaigns; exactly-once + protocol-invariant gates)
 topology     generated fabrics: stats table + deadlock proof
 engine-diff  differential gate — run workloads on both simulation
              engines (scalar oracle vs vector fast path) and fail on
@@ -85,7 +85,6 @@ ALIASES = {
                         "--load": ("load", str),
                         "--scenario": ("scenario", str), **_SEEDS}),
     "chaos": ("chaos", {"--scenario": ("scenario", str),
-                        "--mode": ("mode", str),
                         "--messages": ("messages", int),
                         "--size": ("size", int), **_SEEDS}),
 }

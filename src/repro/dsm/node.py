@@ -492,7 +492,7 @@ class DsmNode:
 
 
 def wire_dsm(cluster, npages: int = 64, page_bytes: int = 256,
-             nslots: int = 4, **channel_knobs):
+             nslots: int = 4):
     """Process: build one :class:`DsmNode` per cluster node and a full
     mesh of reliable channels; the process's value is the node list."""
     env = cluster.env
@@ -512,8 +512,7 @@ def wire_dsm(cluster, npages: int = 64, page_bytes: int = 256,
                     continue
                 sender, receiver = yield open_channel(
                     nodes[src].ep, nodes[dst].ep, f"dsm.{src}->{dst}",
-                    nslots=nslots, slot_bytes=slot_bytes,
-                    **channel_knobs)
+                    nslots=nslots, slot_bytes=slot_bytes)
                 nodes[src]._tx[dst] = sender
                 nodes[dst]._rx[src] = receiver
                 nodes[src].watch_import(sender._ring)
@@ -526,8 +525,7 @@ def wire_dsm(cluster, npages: int = 64, page_bytes: int = 256,
 
 
 def build_dsm(cluster, npages: int = 64, page_bytes: int = 256,
-              nslots: int = 4, **channel_knobs) -> list[DsmNode]:
+              nslots: int = 4) -> list[DsmNode]:
     """Blocking variant of :func:`wire_dsm` (drives the environment)."""
     return cluster.env.run(until=wire_dsm(
-        cluster, npages=npages, page_bytes=page_bytes, nslots=nslots,
-        **channel_knobs))
+        cluster, npages=npages, page_bytes=page_bytes, nslots=nslots))

@@ -191,7 +191,7 @@ class DsmSegment:
 
 
 def wire_dsm_world(cluster, npages: int = 64, page_bytes: int = 256,
-                   nslots: int = 4, **channel_knobs):
+                   nslots: int = 4):
     """Process: wire the DSM mesh **and** the sync substrate; the
     process's value is the list of :class:`DsmSegment` s (one per
     rank)."""
@@ -199,8 +199,7 @@ def wire_dsm_world(cluster, npages: int = 64, page_bytes: int = 256,
 
     def build():
         nodes = yield wire_dsm(cluster, npages=npages,
-                               page_bytes=page_bytes, nslots=nslots,
-                               **channel_knobs)
+                               page_bytes=page_bytes, nslots=nslots)
         comms = yield wire_world(cluster, nslots=4, slot_bytes=128,
                                  resilient=True, prefix="dsm.mp")
         locks = LockService(comms)
@@ -212,8 +211,7 @@ def wire_dsm_world(cluster, npages: int = 64, page_bytes: int = 256,
 
 
 def build_dsm_world(cluster, npages: int = 64, page_bytes: int = 256,
-                    nslots: int = 4, **channel_knobs):
+                    nslots: int = 4):
     """Blocking variant of :func:`wire_dsm_world`."""
     return cluster.env.run(until=wire_dsm_world(
-        cluster, npages=npages, page_bytes=page_bytes, nslots=nslots,
-        **channel_knobs))
+        cluster, npages=npages, page_bytes=page_bytes, nslots=nslots))

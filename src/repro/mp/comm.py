@@ -46,12 +46,17 @@ import numpy as np
 from repro.sim import AnyOf, Environment, Resource
 from repro.mem.buffers import UserBuffer
 from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
-from repro.vmmc.errors import CompletionError, ImportDenied, ImportStale
+from repro.vmmc.errors import CompletionError, ImportStale
 
 #: Fragment slots per channel and payload bytes per slot.
 DEFAULT_SLOTS = 8
 DEFAULT_SLOT_BYTES = 16 * 1024
 _HEADER_BYTES = 16
+#: Resilient-mode recovery schedule: first retry/credit timeout, backoff
+#: cap, and the retry budget before the typed error surfaces.
+RETRY_TIMEOUT_NS = 200_000
+MAX_RETRY_TIMEOUT_NS = 2_000_000
+MAX_RETRIES = 10
 
 
 class MPError(RuntimeError):
@@ -114,10 +119,9 @@ class Communicator:
                  nslots: int = DEFAULT_SLOTS,
                  slot_bytes: int = DEFAULT_SLOT_BYTES,
                  resilient: bool = False,
-                 prefix: str = "mp",
-                 retry_timeout_ns: int = 200_000,
-                 max_retry_timeout_ns: int = 2_000_000,
-                 max_retries: int = 10):
+                 prefix: str = "mp"):
+        if nslots < 1:
+            raise MPError(f"ring needs at least one slot, not {nslots}")
         if slot_bytes <= _HEADER_BYTES:
             raise MPError("slot too small for the fragment header")
         self.rank = rank
@@ -132,9 +136,6 @@ class Communicator:
         #: Namespace for export names, so several worlds coexist on one
         #: cluster (e.g. the app's ``mp`` world and the DSM sync world).
         self.prefix = prefix
-        self.retry_timeout_ns = retry_timeout_ns
-        self.max_retry_timeout_ns = max_retry_timeout_ns
-        self.max_retries = max_retries
         self._rx: dict[int, _RxChannel] = {}
         self._tx: dict[int, _TxChannel] = {}
         self.messages_sent = 0
@@ -193,22 +194,6 @@ class Communicator:
         return self.env.process(run(), name=f"mp.connect.{self.rank}")
 
     # -- resilient-mode plumbing -------------------------------------------
-    def _reimport(self, imported: ImportedBuffer):
-        """Generator: re-establish a stale import, backing off while the
-        peer daemon reboots (denials/timeouts retried until the budget is
-        spent — mirrors the reliable channel's recovery loop)."""
-        backoff = self.retry_timeout_ns
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                yield imported.reimport(timeout_ns=backoff)
-                return
-            except ImportDenied:
-                if attempts > self.max_retries:
-                    raise
-                backoff = min(backoff * 2, self.max_retry_timeout_ns)
-
     def _robust_send(self, src: UserBuffer, imported: ImportedBuffer,
                      offset: int, nbytes: int, src_offset: int = 0):
         """Generator: one remote write.  Plain ``ep.send`` unless the
@@ -220,7 +205,7 @@ class Communicator:
             yield self.ep.send(src, imported.at(offset), nbytes,
                                src_offset=src_offset)
             return
-        backoff = self.retry_timeout_ns
+        backoff = RETRY_TIMEOUT_NS
         attempts = 0
         while True:
             attempts += 1
@@ -230,12 +215,13 @@ class Communicator:
                 return
             except ImportStale:
                 self.stale_recoveries += 1
-                yield from self._reimport(imported)
+                yield from imported.reimport_with_backoff(
+                    RETRY_TIMEOUT_NS, MAX_RETRY_TIMEOUT_NS, MAX_RETRIES)
             except CompletionError:
-                if attempts > self.max_retries:
+                if attempts > MAX_RETRIES:
                     raise
                 yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, self.max_retry_timeout_ns)
+                backoff = min(backoff * 2, MAX_RETRY_TIMEOUT_NS)
 
     def _await_credit(self, dst: int, tx: _TxChannel, seq: int):
         """Generator: stop-and-wait acknowledgement — park until the
@@ -246,7 +232,7 @@ class Communicator:
         casualty."""
         frag_len = _read_u32(tx.scratch, self.slot_bytes + 12)
         base = ((seq - 1) % self.nslots) * self.slot_bytes
-        deadline = self.retry_timeout_ns
+        deadline = RETRY_TIMEOUT_NS
         attempts = 0
         while _read_u32(tx.credit, 0) < seq:
             watch = self.ep.watch(tx.credit, 0, 4)
@@ -258,11 +244,11 @@ class Communicator:
             if watch in fired:
                 continue
             attempts += 1
-            if attempts > self.max_retries:
+            if attempts > MAX_RETRIES:
                 raise MPError(
                     f"rank {self.rank}: fragment {seq} to rank {dst} "
                     f"unacknowledged after {attempts} retransmissions")
-            deadline = min(deadline * 2, self.max_retry_timeout_ns)
+            deadline = min(deadline * 2, MAX_RETRY_TIMEOUT_NS)
             self.redeliveries += 1
             if frag_len:
                 yield from self._robust_send(
@@ -286,43 +272,45 @@ class Communicator:
                 tx.lock = Resource(self.env, capacity=1)
             grant = tx.lock.request()
             yield grant
-            total = len(data)
-            offset = 0
-            first = True
-            while first or offset < total:
-                first = False
-                frag = data[offset:offset + self.payload_per_slot]
-                seq = tx.next_seq
-                # Flow control: wait until the ring has a free slot.
-                while seq - _read_u32(tx.credit, 0) > self.nslots:
-                    self.flow_control_stalls += 1
-                    watch = self.ep.watch(tx.credit, 0, 4)
-                    yield self.ep.membus.cacheline_fill()
-                    if seq - _read_u32(tx.credit, 0) <= self.nslots:
-                        break
-                    yield watch
-                slot = (seq - 1) % self.nslots
-                base = slot * self.slot_bytes
-                # Payload first, header last (seq publishes the fragment).
-                if frag:
-                    tx.scratch.write(frag)
+            try:
+                total = len(data)
+                offset = 0
+                first = True
+                while first or offset < total:
+                    first = False
+                    frag = data[offset:offset + self.payload_per_slot]
+                    seq = tx.next_seq
+                    # Flow control: wait until the ring has a free slot.
+                    while seq - _read_u32(tx.credit, 0) > self.nslots:
+                        self.flow_control_stalls += 1
+                        watch = self.ep.watch(tx.credit, 0, 4)
+                        yield self.ep.membus.cacheline_fill()
+                        if seq - _read_u32(tx.credit, 0) <= self.nslots:
+                            break
+                        yield watch
+                    slot = (seq - 1) % self.nslots
+                    base = slot * self.slot_bytes
+                    # Payload first, header last (seq publishes the fragment).
+                    if frag:
+                        tx.scratch.write(frag)
+                        yield from self._robust_send(
+                            tx.scratch, tx.remote_ring, base + _HEADER_BYTES,
+                            len(frag))
+                    header = (_u32(seq) + _u32(tag) + _u32(total)
+                              + _u32(len(frag)))
+                    tx.scratch.write(header, offset=self.slot_bytes)
                     yield from self._robust_send(
-                        tx.scratch, tx.remote_ring, base + _HEADER_BYTES,
-                        len(frag))
-                header = (_u32(seq) + _u32(tag) + _u32(total)
-                          + _u32(len(frag)))
-                tx.scratch.write(header, offset=self.slot_bytes)
-                yield from self._robust_send(
-                    tx.scratch, tx.remote_ring, base, _HEADER_BYTES,
-                    src_offset=self.slot_bytes)
-                tx.next_seq += 1
-                self.fragments_sent += 1
-                offset += len(frag)
-                if self.resilient:
-                    # Stop-and-wait: hold the fragment until acked so a
-                    # cold-crash window can't swallow it silently.
-                    yield from self._await_credit(dst, tx, seq)
-            tx.lock.release(grant)
+                        tx.scratch, tx.remote_ring, base, _HEADER_BYTES,
+                        src_offset=self.slot_bytes)
+                    tx.next_seq += 1
+                    self.fragments_sent += 1
+                    offset += len(frag)
+                    if self.resilient:
+                        # Stop-and-wait: hold the fragment until acked so a
+                        # cold-crash window can't swallow it silently.
+                        yield from self._await_credit(dst, tx, seq)
+            finally:
+                tx.lock.release(grant)
             self.messages_sent += 1
 
         return self.env.process(run(), name=f"mp.send.{self.rank}->{dst}")

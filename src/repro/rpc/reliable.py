@@ -169,22 +169,18 @@ class ReliableRPCClient:
 
 
 def connect_reliable_rpc(client_ep: VMMCEndpoint, server_ep: VMMCEndpoint,
-                         tag: str, program: RPCProgram, **channel_knobs):
-    """Process: wire one reliable RPC connection and start its serve
-    loop; value is the ``(ReliableRPCClient, ReliableRPCServer)`` pair.
-
-    ``channel_knobs`` pass through to both
-    :func:`~repro.vmmc.reliable.open_channel` calls (``nslots``,
-    ``timeout_ns``, ``max_retries``, the adaptive knobs, ...), shaping
-    both directions identically.
-    """
+                         tag: str, program: RPCProgram):
+    """Process: wire one reliable RPC connection (one default-geometry
+    :func:`~repro.vmmc.reliable.open_channel` per direction) and start
+    its serve loop; value is the ``(ReliableRPCClient,
+    ReliableRPCServer)`` pair."""
     env = client_ep.env
 
     def run():
         req_tx, req_rx = yield open_channel(
-            client_ep, server_ep, f"rrpc.{tag}.req", **channel_knobs)
+            client_ep, server_ep, f"rrpc.{tag}.req")
         rep_tx, rep_rx = yield open_channel(
-            server_ep, client_ep, f"rrpc.{tag}.rep", **channel_knobs)
+            server_ep, client_ep, f"rrpc.{tag}.rep")
         server = ReliableRPCServer(program, req_rx, rep_tx, tag)
         client = ReliableRPCClient(program.number, program.version,
                                    req_tx, rep_rx, tag)

@@ -17,7 +17,8 @@ using only VMMC-idiomatic machinery:
   credits) — there are no receiver-side protocol messages, just one
   ``SendMsg`` of 4 bytes.  ACKs are **cumulative**: the word always holds
   the highest in-order sequence applied;
-* the sender runs **adaptive congestion control** (the default policy):
+* the sender runs **adaptive congestion control** — the one policy;
+  its gains, pacing quantum and window ceiling are module constants:
 
   - a Jacobson/Karels retransmission-timeout estimator — ``SRTT`` and
     ``RTTVAR`` maintained with integer shift gains, seeded from the first
@@ -34,9 +35,11 @@ using only VMMC-idiomatic machinery:
     sustained loss backs the sender off the link instead of hammering
     it; clean ACKs bleed the pressure away;
 
-  the pre-adaptive **static** policy (stop-and-wait, fixed initial
-  timeout, blind doubling) is kept behind ``adaptive=False`` as the
-  comparison baseline for the ``chaos`` campaign;
+  a caller that issues one ``send()`` at a time gets stop-and-wait out
+  of the same code (one slot in flight, no pacing, no window cut on a
+  clean link) — the separate static stop-and-wait policy lost to this
+  one in every ``chaos`` cell and was deleted (EXPERIMENTS.md
+  "E-congestion" keeps the measurement);
 * on expiry of a slot's deadline the sender retransmits that slot, up to
   a retry budget, after which
   :class:`~repro.vmmc.errors.RetriesExhausted` surfaces as an error
@@ -70,12 +73,12 @@ CRC over ``length`` payload bytes verifies.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.sim import AnyOf, Environment, Event, Resource
+from repro.sim import AnyOf, Environment, Event
 from repro.sim.trace import emit
 from repro.obs.metrics import count, observe, set_gauge
 from repro.mem.buffers import UserBuffer
@@ -90,8 +93,8 @@ DEFAULT_SLOTS = 8
 DEFAULT_SLOT_BYTES = HEADER_BYTES + 4096
 #: Initial retransmission timeout.  A stop-and-wait round trip (data +
 #: remote-write ACK) is ~25–60 µs on the paper testbed; 150 µs gives lossy
-#: runs headroom without making recovery glacial.  In adaptive mode this
-#: doubles as the default RTO floor (``min_rto_ns``).
+#: runs headroom without making recovery glacial.  Doubles as the RTO
+#: floor: ``rto_ns`` always stays within ``[timeout_ns, max_timeout_ns]``.
 DEFAULT_TIMEOUT_NS = 150_000
 #: Exponential backoff / RTO cap.
 DEFAULT_MAX_TIMEOUT_NS = 2_000_000
@@ -100,16 +103,16 @@ DEFAULT_MAX_RETRIES = 10
 
 # -- adaptive congestion-control constants ------------------------------------
 #: Jacobson/Karels estimator gains as right-shifts: SRTT gain 1/8,
-#: RTTVAR gain 1/4 (the classic values; overridable per channel).
-DEFAULT_RTT_ALPHA_SHIFT = 3
-DEFAULT_RTT_BETA_SHIFT = 2
+#: RTTVAR gain 1/4 (the classic values).
+RTT_ALPHA_SHIFT = 3
+RTT_BETA_SHIFT = 2
 #: RTO = SRTT + max(RTO_GRANULARITY_NS, RTO_K * RTTVAR).
 RTO_K = 4
 RTO_GRANULARITY_NS = 1_000
 #: Pacing: extra inter-transmission gap per unit of retransmit pressure.
-DEFAULT_PACE_QUANTUM_NS = 25_000
+PACE_QUANTUM_NS = 25_000
 #: Pressure saturates here, bounding the pacing gap at
-#: ``PRESSURE_CAP * pace_quantum_ns``.
+#: ``PRESSURE_CAP * PACE_QUANTUM_NS``.
 PRESSURE_CAP = 8
 
 
@@ -147,8 +150,7 @@ class ReliableStats:
     #: RTT samples fed to the Jacobson/Karels estimator.  Karn's rule:
     #: a delivery whose slot was ever retransmitted contributes to
     #: :attr:`retransmitted_deliveries` instead, never here, so
-    #: ``rtt_samples + retransmitted_deliveries == messages_delivered``
-    #: on an adaptive sender.
+    #: ``rtt_samples + retransmitted_deliveries == messages_delivered``.
     rtt_samples: int = 0
     #: Deliveries that needed at least one retransmission (no RTT sample).
     retransmitted_deliveries: int = 0
@@ -160,12 +162,14 @@ class ReliableStats:
     paced_ns: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {k: getattr(self, k) for k in (
-            "messages_sent", "messages_delivered", "retransmits",
-            "timeouts", "send_failures", "acks_sent", "acks_resent",
-            "duplicates_suppressed", "stale_transmits", "reimports",
-            "completion_errors", "rtt_samples", "retransmitted_deliveries",
-            "cwnd_cuts", "cwnd_max", "paced_ns")}
+        return asdict(self)
+
+
+def _check_geometry(nslots: int, slot_bytes: int) -> None:
+    if nslots < 1:
+        raise ReliableError(f"ring needs at least one slot, not {nslots}")
+    if slot_bytes <= HEADER_BYTES:
+        raise ReliableError("slot too small for the header")
 
 
 def _u32(value: int) -> bytes:
@@ -177,37 +181,24 @@ def _read_u32(buffer: UserBuffer, offset: int) -> int:
                              dtype=np.uint32)[0])
 
 
-def _reimport_with_backoff(env: Environment, imported: ImportedBuffer,
-                           channel: str, stats: ReliableStats, *,
-                           timeout_ns: int, max_timeout_ns: int,
-                           max_retries: int):
-    """Generator: re-establish a stale import, retrying with exponential
-    backoff while the peer daemon reboots.
-
-    A cold-restarting daemon re-registers its endpoints' exports *during*
-    boot, so the first re-import attempts may be denied (export not yet
-    back) or time out (daemon still dead); both subclass
-    :class:`ImportDenied` and are retried until the budget is spent.
-    """
-    backoff = timeout_ns
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            yield imported.reimport(timeout_ns=backoff)
-        except ImportDenied:
-            if attempts > max_retries:
-                raise RetriesExhausted(
-                    f"{channel}: import of {imported.name!r} not "
-                    f"re-established after {attempts} attempts",
-                    retries=attempts)
-            backoff = min(backoff * 2, max_timeout_ns)
-            continue
-        stats.reimports += 1
-        count(env, "rel.reimports", channel=channel)
-        emit(env, "rel.reimport", channel=channel, name=imported.name,
-             attempts=attempts)
-        return
+def _reimport_with_backoff(end, imported: ImportedBuffer):
+    """Generator: re-establish a stale import of channel end ``end``
+    (sender or receiver) on its timeout schedule
+    (:meth:`ImportedBuffer.reimport_with_backoff`), with the channel's
+    accounting around it and the spent budget surfaced as
+    :class:`RetriesExhausted`."""
+    try:
+        attempts = yield from imported.reimport_with_backoff(
+            end.timeout_ns, end.max_timeout_ns, end.max_retries)
+    except ImportDenied:
+        raise RetriesExhausted(
+            f"{end.name}: import of {imported.name!r} not "
+            f"re-established after {end.max_retries + 1} attempts",
+            retries=end.max_retries + 1)
+    end.stats.reimports += 1
+    count(end.env, "rel.reimports", channel=end.name)
+    emit(end.env, "rel.reimport", channel=end.name, name=imported.name,
+         attempts=attempts)
 
 
 class _DeadlineBatcher:
@@ -265,22 +256,8 @@ class _DeadlineBatcher:
 class ReliableSender:
     """Sending end of one reliable channel ``me → remote``.
 
-    ``adaptive=True`` (the default) runs the congestion-controlled
-    pipelined policy; ``adaptive=False`` keeps the original stop-and-wait
-    policy with the static timeout schedule (the bench baseline).
-
-    Adaptive knobs (all integer, all deterministic):
-
-    ``rtt_alpha_shift`` / ``rtt_beta_shift``
-        Jacobson/Karels gains as right-shifts (defaults 3 → 1/8 and
-        2 → 1/4).
-    ``min_rto_ns``
-        RTO floor; defaults to ``timeout_ns``, so out of the box
-        ``rto_ns`` always stays within ``[timeout_ns, max_timeout_ns]``.
-    ``max_window``
-        AIMD window ceiling in slots; clamped to the ring size.
-    ``pace_quantum_ns``
-        Inter-transmission gap added per unit of retransmit pressure.
+    ``timeout_ns`` is the initial RTO and its floor, ``max_timeout_ns``
+    its ceiling; the AIMD window's ceiling is the ring (``nslots``).
     """
 
     def __init__(self, ep: VMMCEndpoint, name: str,
@@ -288,15 +265,8 @@ class ReliableSender:
                  slot_bytes: int = DEFAULT_SLOT_BYTES,
                  timeout_ns: int = DEFAULT_TIMEOUT_NS,
                  max_timeout_ns: int = DEFAULT_MAX_TIMEOUT_NS,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 adaptive: bool = True,
-                 rtt_alpha_shift: int = DEFAULT_RTT_ALPHA_SHIFT,
-                 rtt_beta_shift: int = DEFAULT_RTT_BETA_SHIFT,
-                 min_rto_ns: Optional[int] = None,
-                 max_window: Optional[int] = None,
-                 pace_quantum_ns: int = DEFAULT_PACE_QUANTUM_NS):
-        if slot_bytes <= HEADER_BYTES:
-            raise ReliableError("slot too small for the header")
+                 max_retries: int = DEFAULT_MAX_RETRIES):
+        _check_geometry(nslots, slot_bytes)
         if timeout_ns <= 0 or max_timeout_ns < timeout_ns:
             raise ReliableError(
                 f"invalid timeout range [{timeout_ns}, {max_timeout_ns}]")
@@ -309,17 +279,6 @@ class ReliableSender:
         self.timeout_ns = timeout_ns
         self.max_timeout_ns = max_timeout_ns
         self.max_retries = max_retries
-        self.adaptive = adaptive
-        self.rtt_alpha_shift = rtt_alpha_shift
-        self.rtt_beta_shift = rtt_beta_shift
-        self.min_rto_ns = timeout_ns if min_rto_ns is None else min_rto_ns
-        if not 0 < self.min_rto_ns <= max_timeout_ns:
-            raise ReliableError(
-                f"min_rto_ns {self.min_rto_ns} outside "
-                f"(0, {max_timeout_ns}]")
-        self.max_window = nslots if max_window is None \
-            else max(1, min(max_window, nslots))
-        self.pace_quantum_ns = pace_quantum_ns
         self.stats = ReliableStats()
         #: Local, exported; the receiver remote-writes the cumulative ACK.
         self.ack_buf: UserBuffer = ep.alloc_buffer(4096)
@@ -331,15 +290,14 @@ class ReliableSender:
         self._scratch: UserBuffer = ep.alloc_buffer(nslots * slot_bytes)
         self._ring: Optional[ImportedBuffer] = None
         self._next_seq = 1
-        self._lock = Resource(self.env, capacity=1)
         # -- adaptive congestion state (all integer-ns, RNG-free) ----------
         #: Smoothed RTT / RTT variance; ``None`` until the first clean
         #: round trip seeds the estimator.
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: Optional[int] = None
         #: Current retransmission timeout, always within
-        #: ``[min_rto_ns, max_timeout_ns]`` (sole mutator: `_set_rto`).
-        self.rto_ns = self._clamp_rto(timeout_ns)
+        #: ``[timeout_ns, max_timeout_ns]`` (sole mutator: `_set_rto`).
+        self.rto_ns = timeout_ns
         #: AIMD congestion window, in ring slots (sole mutator:
         #: `_set_cwnd`); never exceeds the ring.
         self.cwnd = 1
@@ -383,19 +341,17 @@ class ReliableSender:
         return self.env.process(run(), name=f"rel.import_ring.{self.name}")
 
     # -- congestion-control state transitions ---------------------------------
-    def _clamp_rto(self, value: int) -> int:
-        return max(self.min_rto_ns, min(int(value), self.max_timeout_ns))
-
     def _set_rto(self, value: int) -> None:
         """Sole mutator of :attr:`rto_ns` (tests wrap it to assert the
-        ``[min_rto_ns, max_timeout_ns]`` invariant holds *always*)."""
-        self.rto_ns = self._clamp_rto(value)
+        ``[timeout_ns, max_timeout_ns]`` invariant holds *always*)."""
+        self.rto_ns = max(self.timeout_ns,
+                          min(int(value), self.max_timeout_ns))
         set_gauge(self.env, "rel.rto_ns", self.rto_ns, channel=self.name)
 
     def _set_cwnd(self, value: int, reason: str) -> None:
-        """Sole mutator of :attr:`cwnd`; clamped to ``[1, max_window]``
-        (and the ring), traced, and gauge-published."""
-        value = max(1, min(value, self.max_window, self.nslots))
+        """Sole mutator of :attr:`cwnd`; clamped to ``[1, nslots]`` (the
+        ring), traced, and gauge-published."""
+        value = max(1, min(value, self.nslots))
         if value == self.cwnd:
             return
         self.cwnd = value
@@ -410,11 +366,6 @@ class ReliableSender:
     def _set_inflight(self, value: int) -> None:
         self.inflight = value
         set_gauge(self.env, "rel.inflight", value, channel=self.name)
-
-    def _window_limit(self) -> int:
-        if not self.adaptive:
-            return 1
-        return max(1, min(self.cwnd, self.max_window, self.nslots))
 
     def _on_timeout(self, seq: int) -> None:
         """Loss signal: raise pacing pressure, back the RTO off (Karn:
@@ -438,9 +389,8 @@ class ReliableSender:
             self.rttvar_ns = int(rtt_ns) // 2
         else:
             err = int(rtt_ns) - self.srtt_ns
-            self.rttvar_ns += (abs(err) - self.rttvar_ns) \
-                >> self.rtt_beta_shift
-            self.srtt_ns += err >> self.rtt_alpha_shift
+            self.rttvar_ns += (abs(err) - self.rttvar_ns) >> RTT_BETA_SHIFT
+            self.srtt_ns += err >> RTT_ALPHA_SHIFT
         set_gauge(self.env, "rel.srtt_ns", self.srtt_ns, channel=self.name)
         set_gauge(self.env, "rel.rttvar_ns", self.rttvar_ns,
                   channel=self.name)
@@ -530,11 +480,7 @@ class ReliableSender:
                     continue
                 self._recovering = self.env.event()
                 try:
-                    yield from _reimport_with_backoff(
-                        self.env, self._ring, self.name, self.stats,
-                        timeout_ns=self.timeout_ns,
-                        max_timeout_ns=self.max_timeout_ns,
-                        max_retries=self.max_retries)
+                    yield from _reimport_with_backoff(self, self._ring)
                 finally:
                     event = self._recovering
                     self._recovering = None
@@ -550,8 +496,7 @@ class ReliableSender:
             emit(self.env, "rel.pace", channel=self.name, seq=seq,
                  wait_ns=wait, pressure=self.pressure)
             yield self.env.timeout(wait)
-        self._next_tx_at = self.env.now \
-            + self.pressure * self.pace_quantum_ns
+        self._next_tx_at = self.env.now + self.pressure * PACE_QUANTUM_NS
 
     def send(self, payload: bytes | np.ndarray):
         """Process: deliver ``payload`` reliably; value is its sequence
@@ -559,38 +504,30 @@ class ReliableSender:
         spent without an acknowledgement.
 
         Concurrent ``send()`` calls pipeline through the AIMD window in
-        FIFO order (adaptive mode) or serialise stop-and-wait (static
-        mode); either way payloads are delivered exactly once, in call
-        order.
+        FIFO order; payloads are delivered exactly once, in call order.
         """
         data = bytes(payload) if isinstance(payload, (bytes, bytearray)) \
             else np.asarray(payload).tobytes()
-
-        def run():
-            if self._ring is None:
-                raise ReliableError(f"channel {self.name} not opened")
-            if len(data) > self.payload_per_slot:
-                raise ReliableError(
-                    f"payload of {len(data)}B exceeds the "
-                    f"{self.payload_per_slot}B slot capacity")
-            if self.adaptive:
-                return (yield from self._send_windowed(data))
-            return (yield from self._send_stop_and_wait(data))
-
-        return self.env.process(run(), name=f"rel.send.{self.name}")
+        return self.env.process(self._send_windowed(data),
+                                name=f"rel.send.{self.name}")
 
     def _send_windowed(self, data: bytes):
-        """Generator: the adaptive policy — admission through the AIMD
+        """Generator: the send policy — admission through the AIMD
         window, per-slot deadline from the RTO estimator, cumulative-ACK
         completion, pacing on every (re)transmission."""
+        if self._ring is None:
+            raise ReliableError(f"channel {self.name} not opened")
+        if len(data) > self.payload_per_slot:
+            raise ReliableError(
+                f"payload of {len(data)}B exceeds the "
+                f"{self.payload_per_slot}B slot capacity")
         seq = self._next_seq
         self._next_seq += 1
         base = ((seq - 1) % self.nslots) * self.slot_bytes
         # FIFO admission: wait for both the window and our turn, so slots
         # enter the ring in sequence order and never overwrite a live
         # predecessor (window <= ring slots).
-        while seq != self._admit_next or self.inflight >= \
-                self._window_limit():
+        while seq != self._admit_next or self.inflight >= self.cwnd:
             yield self._kick_wait()
         self._admit_next = seq + 1
         self._set_inflight(self.inflight + 1)
@@ -663,63 +600,6 @@ class ReliableSender:
             self._set_inflight(self.inflight - 1)
             self._kick()
 
-    def _send_stop_and_wait(self, data: bytes):
-        """Generator: the pre-adaptive static policy — one slot in flight,
-        fixed initial timeout, blind doubling (kept as the comparison
-        baseline; ``adaptive=False``)."""
-        grant = self._lock.request()
-        yield grant
-        try:
-            seq = self._next_seq
-            self._next_seq += 1
-            base = ((seq - 1) % self.nslots) * self.slot_bytes
-            self.stats.messages_sent += 1
-            emit(self.env, "rel.send", channel=self.name, seq=seq,
-                 nbytes=len(data))
-            t0 = self.env.now
-            yield from self._transmit_recovering(seq, base, data)
-            timeout = self.timeout_ns
-            deadline = self.env.now + timeout
-            retries = 0
-            while True:
-                # Arm the watch *before* checking (race-free idiom).
-                watch = self.ep.watch(self.ack_buf, 0, 4)
-                yield self.ep.membus.cacheline_fill()
-                if self.acked >= seq:
-                    break
-                remaining = deadline - self.env.now
-                if remaining <= 0:
-                    self.stats.timeouts += 1
-                    count(self.env, "rel.timeouts", channel=self.name)
-                    if retries >= self.max_retries:
-                        self.stats.send_failures += 1
-                        emit(self.env, "rel.send.failed",
-                             channel=self.name, seq=seq,
-                             retries=retries)
-                        raise RetriesExhausted(
-                            f"{self.name}: seq {seq} unacknowledged "
-                            f"after {retries} retransmissions",
-                            seq=seq, retries=retries)
-                    retries += 1
-                    self.stats.retransmits += 1
-                    count(self.env, "rel.retransmits", channel=self.name)
-                    emit(self.env, "rel.retransmit", channel=self.name,
-                         seq=seq, attempt=retries)
-                    yield from self._transmit_recovering(seq, base, data)
-                    timeout = min(timeout * 2, self.max_timeout_ns)
-                    deadline = self.env.now + timeout
-                    continue
-                yield AnyOf(self.env,
-                            [watch, self.env.timeout(remaining)])
-            self.stats.messages_delivered += 1
-            observe(self.env, "rel.rtt_ns", self.env.now - t0,
-                    channel=self.name)
-            emit(self.env, "rel.delivered", channel=self.name, seq=seq,
-                 retransmits=retries)
-            return seq
-        finally:
-            self._lock.release(grant)
-
 
 class ReliableReceiver:
     """Receiving end of one reliable channel ``remote → me``.
@@ -737,8 +617,7 @@ class ReliableReceiver:
                  timeout_ns: int = DEFAULT_TIMEOUT_NS,
                  max_timeout_ns: int = DEFAULT_MAX_TIMEOUT_NS,
                  max_retries: int = DEFAULT_MAX_RETRIES):
-        if slot_bytes <= HEADER_BYTES:
-            raise ReliableError("slot too small for the header")
+        _check_geometry(nslots, slot_bytes)
         self.ep = ep
         self.env: Environment = ep.env
         self.name = name
@@ -824,11 +703,7 @@ class ReliableReceiver:
                     raise RetriesExhausted(
                         f"{self.name}: ACK import kept going stale after "
                         f"{attempts} recoveries", seq=seq, retries=attempts)
-                yield from _reimport_with_backoff(
-                    self.env, self._ack_at_sender, self.name, self.stats,
-                    timeout_ns=self.timeout_ns,
-                    max_timeout_ns=self.max_timeout_ns,
-                    max_retries=self.max_retries)
+                yield from _reimport_with_backoff(self, self._ack_at_sender)
 
     def _complete_at(self, base: int, expected: int) -> Optional[bytes]:
         """The slot at ``base`` holds a complete image of message
@@ -875,8 +750,8 @@ class ReliableReceiver:
         """Process: value is the next message's payload bytes, applied
         exactly once and acknowledged.
 
-        Future window slots arriving ahead of ``expected`` (the adaptive
-        sender pipelines up to ``cwnd`` slots) simply park in the ring;
+        Future window slots arriving ahead of ``expected`` (the sender
+        pipelines up to ``cwnd`` slots) simply park in the ring;
         only genuine duplicates — retransmissions of already-applied
         messages, provoked by a lost ACK — are suppressed and re-ACKed.
         """
@@ -923,32 +798,22 @@ def open_channel(tx_ep: VMMCEndpoint, rx_ep: VMMCEndpoint, name: str,
                  slot_bytes: int = DEFAULT_SLOT_BYTES,
                  timeout_ns: int = DEFAULT_TIMEOUT_NS,
                  max_timeout_ns: int = DEFAULT_MAX_TIMEOUT_NS,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 adaptive: bool = True,
-                 **adaptive_knobs):
+                 max_retries: int = DEFAULT_MAX_RETRIES):
     """Process: wire one reliable channel ``tx_ep → rx_ep``; value is the
     ``(ReliableSender, ReliableReceiver)`` pair.
 
-    ``adaptive`` selects the congestion-controlled policy (default) or
-    the static stop-and-wait baseline; ``adaptive_knobs`` pass through to
-    :class:`ReliableSender` (``rtt_alpha_shift``, ``rtt_beta_shift``,
-    ``min_rto_ns``, ``max_window``, ``pace_quantum_ns``).  The configured
-    ``timeout_ns``/``max_timeout_ns``/``max_retries`` shape *both* ends —
-    the receiver uses them for its own stale-ACK recovery backoff.
+    The configured ``timeout_ns``/``max_timeout_ns``/``max_retries``
+    shape *both* ends — the receiver uses them for its own stale-ACK
+    recovery backoff.
 
     Export order matters only in that each side's import must follow the
     peer's export; the daemons' Ethernet matchmaking handles the rest.
     """
-    sender = ReliableSender(tx_ep, name, nslots=nslots,
-                            slot_bytes=slot_bytes, timeout_ns=timeout_ns,
-                            max_timeout_ns=max_timeout_ns,
-                            max_retries=max_retries, adaptive=adaptive,
-                            **adaptive_knobs)
-    receiver = ReliableReceiver(rx_ep, name, nslots=nslots,
-                                slot_bytes=slot_bytes,
-                                timeout_ns=timeout_ns,
-                                max_timeout_ns=max_timeout_ns,
-                                max_retries=max_retries)
+    geometry = dict(nslots=nslots, slot_bytes=slot_bytes,
+                    timeout_ns=timeout_ns, max_timeout_ns=max_timeout_ns,
+                    max_retries=max_retries)
+    sender = ReliableSender(tx_ep, name, **geometry)
+    receiver = ReliableReceiver(rx_ep, name, **geometry)
     env = tx_ep.env
 
     def run():

@@ -147,8 +147,8 @@ def test_chaos_alias_exits_1_when_a_message_is_lost(monkeypatch, capsys):
             stats, recovery)
 
     monkeypatch.setattr(chaos, "run_cold_crash_point", lossy)
-    assert main(["chaos", "--scenario", "daemon-cold-crash", "--mode",
-                 "adaptive", "--seed", "0"]) == 1
+    assert main(["chaos", "--scenario", "daemon-cold-crash",
+                 "--seed", "0"]) == 1
     assert "FAIL exactly_once" in capsys.readouterr().out
 
 

@@ -161,6 +161,36 @@ def test_bad_ranks_rejected():
         c0.send(5, b"ghost")
     with pytest.raises(MPError):
         c0.recv(0)
+    with pytest.raises(MPError, match="at least one slot"):
+        Communicator(0, 2, c0.ep, nslots=0)
+
+
+def test_failed_send_releases_the_destination_lock():
+    """Regression: a remote write that raised inside ``send`` used to
+    leak the per-destination lock, so the *next* send to that rank hung
+    ("queue drained ... deadlock?") instead of running."""
+    from repro.vmmc.errors import CompletionError
+
+    cluster, (c0, c1) = make_world()
+    real, failures = c0._robust_send, [CompletionError("injected")]
+
+    def flaky(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        yield from real(*args, **kwargs)
+
+    c0._robust_send = flaky
+
+    def rank0():
+        with pytest.raises(CompletionError, match="injected"):
+            yield c0.send(1, b"lost")
+        yield c0.send(1, b"the second send still fires")
+
+    def rank1():
+        return (yield c1.recv(0))
+
+    results = run_ranks(cluster, [rank0(), rank1()])
+    assert results[1] == b"the second send still fires"
 
 
 # --------------------------------------------------------------- collectives

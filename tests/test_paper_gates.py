@@ -46,18 +46,6 @@ def test_smoke_run_passes_every_gate_and_equals_the_baseline(name, tmp_path):
             if c["gates_failed"]] == []
     # Medians, extremes, CI, seeds and params of every cell, to the digit.
     assert artifact["cells"] == _baseline(spec)["cells"]
-    if name == "chaos":
-        # Spans two cells: under the identical seeded burst schedule the
-        # adaptive sender is never slower than stop-and-wait
-        # (exactly-once delivery is each trial's own gate).
-        static, adaptive = (
-            cell_reports
-            for params, cell_reports in zip(spec.cells(smoke=True), reports)
-            if params["scenario"] == "error-burst")
-        for fixed_rto, adapted in zip(static, adaptive):
-            assert fixed_rto["seed"] == adapted["seed"]
-            assert (adapted["metrics"]["goodput_mbps"]
-                    >= fixed_rto["metrics"]["goodput_mbps"]), adapted["seed"]
 
 
 def _curve(trial, metric, sizes, **fixed) -> dict:

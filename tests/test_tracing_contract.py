@@ -177,6 +177,24 @@ def test_trace_check_docs_cli_passes(capsys):
     assert "all emitted trace categories are documented" in out
 
 
+def test_api_knob_table_is_the_open_channel_signature():
+    """docs/API.md's reliable-channel knob table lists exactly the
+    keyword parameters of ``open_channel``, in order — a knob added,
+    renamed or deleted in only one of the two fails here."""
+    import inspect
+    import re
+
+    from repro.obs.contract import tracing_doc_path
+    from repro.vmmc.reliable import open_channel
+
+    api = tracing_doc_path().with_name("API.md").read_text()
+    table = api.split("| knob | default | meaning |")[1].split("\n\n")[0]
+    assert re.findall(r"^\| `(\w+)` \|", table, flags=re.M) == [
+        name for name, param
+        in inspect.signature(open_channel).parameters.items()
+        if param.default is not param.empty]
+
+
 def test_contract_workload_is_deterministic(workload):
     from repro.obs.workload import run_contract_workload
 

@@ -184,6 +184,10 @@ def test_slot_bytes_must_exceed_header():
         ReliableSender(ep, "bad", slot_bytes=HEADER_BYTES)
     with pytest.raises(ReliableError, match="slot too small"):
         ReliableReceiver(ep, "bad", slot_bytes=HEADER_BYTES)
+    with pytest.raises(ReliableError, match="at least one slot"):
+        ReliableSender(ep, "bad", nslots=0)
+    with pytest.raises(ReliableError, match="at least one slot"):
+        ReliableReceiver(ep, "bad", nslots=0)
 
 
 # ------------------------------------------------- adaptive machinery
@@ -191,7 +195,7 @@ def test_rto_estimator_seeds_from_first_clean_rtt():
     """Jacobson/Karels bootstrap: the first measured round trip seeds
     SRTT directly and RTTVAR at half of it (RFC 6298 style), and every
     subsequent clean ACK feeds the filter; the RTO never leaves the
-    configured ``[min_rto_ns, max_timeout_ns]`` band."""
+    configured ``[timeout_ns, max_timeout_ns]`` band."""
     cluster, tx, rx = channel_pair()
     env = cluster.env
     sent = payloads(8, size=256)
@@ -217,7 +221,7 @@ def test_rto_estimator_seeds_from_first_clean_rtt():
     env.run(until=env.now + 1_000_000)
     assert got == sent
     assert tx.stats.rtt_samples == len(sent)   # every ACK was clean
-    assert tx.min_rto_ns <= tx.rto_ns <= tx.max_timeout_ns
+    assert tx.timeout_ns <= tx.rto_ns <= tx.max_timeout_ns
     assert tx.stats.cwnd_max > 1               # the window actually grew
     assert tx.stats.cwnd_max <= tx.nslots
 
@@ -309,66 +313,58 @@ def test_timeout_cuts_window_and_doubles_rto_within_bounds():
     assert tx.stats.send_failures == 0
 
 
-# ------------------------------------------------------------ static mode
-def test_static_mode_is_stop_and_wait():
-    """``adaptive=False`` keeps the original policy: never more than one
-    message in flight, no RTT samples, no window dynamics, no pacing —
-    yet still byte-exact under loss."""
-    cluster, tx, rx = channel_pair(error_rate=0.1, adaptive=False)
+# ----------------------------------------------------------- serial issue
+def test_serial_issue_is_stop_and_wait():
+    """One ``send()`` at a time *is* stop-and-wait: never more than one
+    slot in flight, no pacing, no window cut — and, to the nanosecond,
+    the 7,992,113 ns the deleted static stop-and-wait sender measured at
+    bc4180f (``run_reliable_point(0.0, 150, 1024, adaptive=False)``)."""
+    cluster, tx, rx = channel_pair(slot_bytes=HEADER_BYTES + 1024)
     env = cluster.env
-    sent = payloads(20, size=256)
-    got = []
-    peak = {"inflight": 0}
-    orig_set_inflight = tx._set_inflight
-
-    def probe(value):
-        orig_set_inflight(value)
-        peak["inflight"] = max(peak["inflight"], tx.inflight)
-
-    tx._set_inflight = probe
+    sent = payloads(150, size=1024)
+    got, inflight = [], []
+    set_inflight = tx._set_inflight
+    tx._set_inflight = lambda n: (set_inflight(n), inflight.append(n))
 
     def receiver():
         for _ in sent:
             got.append((yield rx.recv()))
-        rx.recv()
-
-    rx_proc = env.process(receiver())
+        return env.now
 
     def sender():
         for p in sent:
             yield tx.send(p)
 
+    start = env.now
+    rx_proc = env.process(receiver())
     env.process(sender())
-    env.run(until=rx_proc)
-    env.run(until=env.now + 1_000_000)
+    assert env.run(until=rx_proc) - start == 7_992_113
     assert got == sent
-    assert tx.stats.retransmits > 0          # the loss was real
-    assert peak["inflight"] <= 1             # stop-and-wait, literally
-    assert tx.stats.rtt_samples == 0         # estimator never engaged
-    assert tx.stats.cwnd_cuts == 0
-    assert tx.stats.paced_ns == 0
-    assert tx.stats.retransmitted_deliveries == 0
+    assert max(inflight) == 1                # stop-and-wait, literally
+    assert tx.stats.retransmits == tx.stats.paced_ns \
+        == tx.stats.cwnd_cuts == 0
 
 
 # --------------------------------------------- cold-restart timeout plumb
 def test_receiver_reimport_uses_configured_timeout(monkeypatch):
     """Regression: the receiver's ACK-path recovery used to hardcode
     ``DEFAULT_TIMEOUT_NS``; the channel's configured ``timeout_ns`` /
-    ``max_timeout_ns`` must reach ``_reimport_with_backoff`` on *both*
+    ``max_timeout_ns`` must reach the reimport backoff loop on *both*
     ends."""
     from repro.vmmc import reliable as rel_mod
+    from repro.vmmc.api import ImportedBuffer
 
     cluster, tx, rx = channel_pair(timeout_ns=40_000,
                                    max_timeout_ns=800_000)
     env = cluster.env
     calls = []
-    real = rel_mod._reimport_with_backoff
+    real = ImportedBuffer.reimport_with_backoff
 
-    def recording(env_, imported, name, stats, **kwargs):
-        calls.append({"receiver_side": stats is rx.stats, **kwargs})
-        return (yield from real(env_, imported, name, stats, **kwargs))
+    def recording(imported, *schedule):
+        calls.append((imported is rx._ack_at_sender, schedule[:2]))
+        return (yield from real(imported, *schedule))
 
-    monkeypatch.setattr(rel_mod, "_reimport_with_backoff", recording)
+    monkeypatch.setattr(ImportedBuffer, "reimport_with_backoff", recording)
 
     sent = payloads(6, size=128)
     got = []
@@ -394,12 +390,10 @@ def test_receiver_reimport_uses_configured_timeout(monkeypatch):
     env.run(until=env.now + 5_000_000)
 
     assert got == sent
-    receiver_calls = [c for c in calls if c["receiver_side"]]
-    assert receiver_calls, "cold crash never drove the receiver reimport"
-    for call in calls:
-        assert call["timeout_ns"] == 40_000
-        assert call["timeout_ns"] != rel_mod.DEFAULT_TIMEOUT_NS
-        assert call["max_timeout_ns"] == 800_000
+    assert any(receiver_side for receiver_side, _ in calls), \
+        "cold crash never drove the receiver reimport"
+    assert rel_mod.DEFAULT_TIMEOUT_NS != 40_000
+    assert {schedule for _, schedule in calls} == {(40_000, 800_000)}
     assert rx.stats.reimports > 0
 
 
@@ -426,47 +420,16 @@ def test_stats_as_dict_roundtrip():
 
 # ------------------------------------------- the E-chaos acceptance sweep
 def test_chaos_experiment_contract():
-    """What the ``chaos`` / ``lossy-link`` campaign gates cannot see from
-    inside one cell: seeded chaos is deterministic, and over identical
-    fault schedules the adaptive sender is never slower than
-    stop-and-wait — and invisible on a clean fabric.  (The rate sweep —
-    the baseline loses data silently, the reliable layer delivers every
-    payload — is the ``lossy-link`` campaign's gates.)"""
-    from repro.bench.chaos import (check_trial_invariants,
-                                   run_cold_crash_point,
-                                   run_error_burst_trial, run_reliable_point)
+    """What the ``chaos`` gates (exactly-once, protocol invariants) and
+    the ``lossy-link`` gates (the rate sweep) cannot see from inside one
+    cell: seeded chaos is deterministic."""
+    from repro.bench.chaos import run_cold_crash_point, run_error_burst_trial
 
-    messages, size, seed = 150, 1024, 7
     # A seeded burst campaign, twice: same faults, same report.
-    first, again = run_error_burst_trial(seed), run_error_burst_trial(seed)
+    first, again = run_error_burst_trial(7), run_error_burst_trial(7)
     assert first == again
     assert first["fault_stats"]["faults_raised"] > 0
     assert first["crc_drops"] > 0
     assert first["delivered_intact"] == first["messages"]
-
-    # Static vs adaptive: identical fault schedule per seed, adaptive
-    # goodput >= static, every protocol invariant on both.
-    for burst_seed in (3, 7, 11):
-        static, adaptive = (
-            run_error_burst_trial(burst_seed, messages=messages // 2,
-                                  size=size, adaptive=mode)
-            for mode in (False, True))
-        assert adaptive["fault_stats"] == static["fault_stats"]
-        assert adaptive["goodput_mbps"] >= static["goodput_mbps"], burst_seed
-        assert check_trial_invariants(adaptive) == []
-        assert check_trial_invariants(static) == []
-    cold_static = run_cold_crash_point(seed=seed, adaptive=False)[0]
-    cold_adaptive, cold_stats, _ = run_cold_crash_point(seed=seed)
-    assert cold_static.delivered_intact == cold_static.messages
-    assert cold_stats.by_kind.get("daemon_cold_crash") == 2
-    assert cold_adaptive.goodput_mbps >= cold_static.goodput_mbps
-    # Clean fabric, sequential issue: the two policies measure the same.
-    clean_static = run_reliable_point(0.0, messages=messages, size=size,
-                                      adaptive=False)[0]
-    clean_adaptive = run_reliable_point(0.0, messages=messages, size=size,
-                                        adaptive=True, pipelined=False)[0]
-    assert clean_adaptive.elapsed_ns == clean_static.elapsed_ns
-    assert clean_adaptive.delivered_intact == clean_static.delivered_intact \
-        == messages
-    assert clean_adaptive.retransmits == clean_static.retransmits == 0
-    assert clean_adaptive.goodput_mbps == clean_static.goodput_mbps
+    assert run_cold_crash_point(seed=7)[1].by_kind.get(
+        "daemon_cold_crash") == 2
