@@ -10,8 +10,9 @@ entirely with the library's own layers:
   :mod:`repro.vmmc.reliable` channels (crash-hardened, exactly-once);
 * coherence is home-based MRSW write-invalidate realising sequential
   consistency (:mod:`repro.dsm.directory`, :mod:`repro.dsm.node`);
-* barriers and locks ride on :mod:`repro.mp` in resilient mode
-  (:mod:`repro.dsm.sync`);
+* barriers and locks are requests to rank 0 on the same channels
+  (``wire.OP_BARRIER`` / ``OP_LOCK`` / ``OP_UNLOCK``), behind the
+  application facade in :mod:`repro.dsm.sync`;
 * every run is audited by a linearizability-witness checker
   (:mod:`repro.dsm.checker`) and can execute under seeded fault
   campaigns (:mod:`repro.dsm.bench`, ``python -m repro campaign run dsm``).
@@ -20,9 +21,8 @@ entirely with the library's own layers:
 from repro.dsm.checker import DsmOp, check_sequential_consistency
 from repro.dsm.directory import (DirEntry, DirectoryError, EXCLUSIVE,
                                  PageDirectory, SHARED)
-from repro.dsm.node import DsmError, DsmNode, build_dsm, wire_dsm
-from repro.dsm.sync import (DsmSegment, LockService, build_dsm_world,
-                            wire_dsm_world)
+from repro.dsm.node import DsmError, DsmNode, wire_dsm
+from repro.dsm.sync import DsmSegment, build_dsm_world, wire_dsm_world
 from repro.dsm.bench import run_dsm_trial
 
 __all__ = [
@@ -33,10 +33,8 @@ __all__ = [
     "DsmOp",
     "DsmSegment",
     "EXCLUSIVE",
-    "LockService",
     "PageDirectory",
     "SHARED",
-    "build_dsm",
     "build_dsm_world",
     "check_sequential_consistency",
     "run_dsm_trial",

@@ -11,7 +11,10 @@ Each rank holds one :class:`DsmNode` with:
 * one reliable VMMC channel to every peer (the paper's remote-write
   primitive, hardened by :mod:`repro.vmmc.reliable` so the protocol
   survives daemon cold restarts — invalidations and page pushes replay
-  through the reimport path instead of vanishing in a crash window).
+  through the reimport path instead of vanishing in a crash window);
+* at rank 0 only, the segment-wide services every other rank reaches
+  with one request/reply over that mesh: the bump allocator, the
+  barrier's arrival counter and the lock table.
 
 Protocol shape: loads and stores hit the local store when access rights
 allow (a *local hit*, no messages); otherwise the rank faults to the
@@ -107,6 +110,14 @@ class DsmNode:
         #: directory's view and local state legitimately disagree).
         self._installing: dict[int, object] = {}
         self._alloc_next = 0
+        #: Rank 0's barrier epoch: arrivals so far and the event their
+        #: replies park on until the last rank arrives.
+        self._barrier_arrived = 0
+        self._barrier_release = self.env.event()
+        #: Rank 0's lock table: one FIFO resource per lock id, and the
+        #: grant each holder must present to release.
+        self._sync_locks: dict[int, Resource] = {}
+        self._sync_grants: dict[tuple[int, int], object] = {}
         self.history: list[DsmOp] = []
         self.fetch_ns: list[int] = []
         self.read_faults = 0
@@ -129,10 +140,10 @@ class DsmNode:
                 f"access [{offset}, {offset + nbytes}) beyond page size "
                 f"{self.page_bytes}")
 
-    def _lock(self, table: dict, page: int) -> Resource:
-        lock = table.get(page)
+    def _lock(self, table: dict, key: int) -> Resource:
+        lock = table.get(key)
         if lock is None:
-            lock = table[page] = Resource(self.env, capacity=1)
+            lock = table[key] = Resource(self.env, capacity=1)
         return lock
 
     # -- messaging ---------------------------------------------------------
@@ -177,6 +188,12 @@ class DsmNode:
             result = yield from self._serve_write_fault(src, ints[0])
         elif op == wire.OP_ALLOC:
             result = self._serve_alloc(src, ints[0])
+        elif op == wire.OP_BARRIER:
+            result = yield from self._serve_barrier()
+        elif op == wire.OP_LOCK:
+            result = yield from self._serve_lock(src, ints[0])
+        elif op == wire.OP_UNLOCK:
+            result = self._serve_unlock(src, ints[0])
         elif op in (wire.OP_INVALIDATE, wire.OP_FLUSH,
                     wire.OP_DOWNGRADE, wire.OP_PUSH):
             action = {v: k for k, v in _ACTION_OPS.items()}[op]
@@ -267,6 +284,30 @@ class DsmNode:
         emit(self.env, "dsm.alloc", node=self.rank, to=src,
              first_page=first, npages=want)
         return [wire.STATUS_OK, first]
+
+    def _serve_barrier(self):
+        self._barrier_arrived += 1
+        if self._barrier_arrived < self.nranks:
+            yield self._barrier_release
+        else:
+            release = self._barrier_release
+            self._barrier_arrived = 0
+            self._barrier_release = self.env.event()
+            release.succeed()
+        return [wire.STATUS_OK]
+
+    def _serve_lock(self, src: int, lock_id: int):
+        grant = self._lock(self._sync_locks, lock_id).request()
+        yield grant
+        self._sync_grants[(src, lock_id)] = grant
+        return [wire.STATUS_OK]
+
+    def _serve_unlock(self, src: int, lock_id: int) -> list:
+        grant = self._sync_grants.pop((src, lock_id), None)
+        if grant is None:
+            return [wire.STATUS_NOT_HELD]
+        self._sync_locks[lock_id].release(grant)
+        return [wire.STATUS_OK]
 
     def _member(self, member: int, action: str, page: int, to_rank: int,
                 xfer: int):
@@ -457,6 +498,37 @@ class DsmNode:
                 f"rank {self.rank}: alloc of {npages} pages denied")
         return result[1]
 
+    # -- synchronisation (served at rank 0) ---------------------------------
+    def barrier(self):
+        """Generator: block until every rank has arrived."""
+        if self.rank == 0:
+            yield from self._serve_barrier()
+        else:
+            yield from self._call(0, wire.OP_BARRIER, [])
+        count(self.env, "dsm.barriers", node=self.rank)
+        emit(self.env, "dsm.barrier", node=self.rank)
+
+    def lock(self, lock_id: int):
+        """Generator: block until this rank holds ``lock_id``."""
+        if self.rank == 0:
+            yield from self._serve_lock(self.rank, lock_id)
+        else:
+            yield from self._call(0, wire.OP_LOCK, [lock_id])
+        count(self.env, "dsm.lock_acquires", node=self.rank)
+        emit(self.env, "dsm.lock.acquire", node=self.rank, lock=lock_id)
+
+    def unlock(self, lock_id: int):
+        """Generator: release ``lock_id`` (must be held by this rank)."""
+        if self.rank == 0:
+            result = self._serve_unlock(self.rank, lock_id)
+        else:
+            result = yield from self._call(0, wire.OP_UNLOCK, [lock_id])
+        if result[0] != wire.STATUS_OK:
+            raise DsmError(
+                f"rank {self.rank} released lock {lock_id} without "
+                f"holding it")
+        emit(self.env, "dsm.lock.release", node=self.rank, lock=lock_id)
+
     # -- lifecycle ----------------------------------------------------------
     def watch_import(self, imported: ImportedBuffer) -> None:
         imported.on_invalidate(self._imports_invalidated)
@@ -478,6 +550,12 @@ class DsmNode:
             emit(self.env, "dsm.downgrade", node=self.rank,
                  pages=dropped, peer=info.get("remote_node", ""),
                  reason=info.get("reason", ""))
+
+    def channel_stats(self) -> tuple[list, list]:
+        """The :class:`~repro.vmmc.reliable.ReliableStats` of this rank's
+        channel ends: ``(senders, receivers)``."""
+        return ([tx.stats for tx in self._tx.values()],
+                [rx.stats for rx in self._rx.values()])
 
     def counters(self) -> dict:
         return {
@@ -522,10 +600,3 @@ def wire_dsm(cluster, npages: int = 64, page_bytes: int = 256,
         return nodes
 
     return env.process(build(), name="dsm.wire")
-
-
-def build_dsm(cluster, npages: int = 64, page_bytes: int = 256,
-              nslots: int = 4) -> list[DsmNode]:
-    """Blocking variant of :func:`wire_dsm` (drives the environment)."""
-    return cluster.env.run(until=wire_dsm(
-        cluster, npages=npages, page_bytes=page_bytes, nslots=nslots))

@@ -43,16 +43,27 @@ OP_ALLOC = 8
 #: Reply to a request; req_id echoes the request's.  ints = [status,
 #: *extras].
 OP_REPLY = 9
+#: Barrier arrival → rank 0's arrival counter.  ints = [].  The reply
+#: is the release: it is sent when the last rank of the epoch arrives.
+OP_BARRIER = 10
+#: Lock acquire → rank 0's lock table.  ints = [lock_id].  The reply is
+#: the grant (FIFO per lock id).
+OP_LOCK = 11
+#: Lock release → rank 0's lock table.  ints = [lock_id].  Reply status
+#: is ``STATUS_NOT_HELD`` when ``src`` does not hold the lock.
+OP_UNLOCK = 12
 
 #: OP_REPLY status codes.
 STATUS_OK = 0
 STATUS_ERANGE = 1
+STATUS_NOT_HELD = 2
 
 _OP_NAMES = {
     OP_READ_FAULT: "read_fault", OP_WRITE_FAULT: "write_fault",
     OP_INVALIDATE: "invalidate", OP_FLUSH: "flush",
     OP_DOWNGRADE: "downgrade", OP_PUSH: "push", OP_PAGE: "page",
-    OP_ALLOC: "alloc", OP_REPLY: "reply",
+    OP_ALLOC: "alloc", OP_REPLY: "reply", OP_BARRIER: "barrier",
+    OP_LOCK: "lock", OP_UNLOCK: "unlock",
 }
 
 

@@ -19,44 +19,24 @@ it spins on its own credit word (a local cached read — the receiver's
 remote write invalidates it) when the ring is full.  All data movement is
 ``SendMsg``; all synchronisation is spinning on exported memory.
 
-Resilient mode (``resilient=True``) hardens the channel against daemon
-cold restarts for control-plane users (barriers, lock managers, the DSM
-sync layer).  Raw mode stays zero-overhead but a cold crash can silently
-swallow an in-flight fragment or credit write, wedging both ends.
-Resilient channels instead:
-
-* route every remote write through :meth:`Communicator._robust_send`,
-  which re-imports stale mappings (with backoff while the peer daemon
-  reboots) and retries error completions;
-* run **stop-and-wait** on the send side — each fragment is held until
-  the receiver's credit write acknowledges it, and retransmitted
-  (idempotent slot rewrite) on timeout;
-* re-ack on the receive side when a duplicate retransmission shows a
-  credit write was lost.
-
-Fragments publish by rewriting the same slot bytes, so retransmission is
-idempotent and the receiver's consume-once cursor (``next_seq``) already
-deduplicates.
+There is no recovery here, as in VMMC itself (§4.2): a daemon cold
+restart can silently swallow an in-flight fragment or credit write and
+wedge both ends.  Traffic that must survive one rides
+:mod:`repro.vmmc.reliable` channels instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import AnyOf, Environment, Resource
+from repro.sim import Environment, Resource
 from repro.mem.buffers import UserBuffer
 from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
-from repro.vmmc.errors import CompletionError, ImportStale
 
 #: Fragment slots per channel and payload bytes per slot.
 DEFAULT_SLOTS = 8
 DEFAULT_SLOT_BYTES = 16 * 1024
 _HEADER_BYTES = 16
-#: Resilient-mode recovery schedule: first retry/credit timeout, backoff
-#: cap, and the retry budget before the typed error surfaces.
-RETRY_TIMEOUT_NS = 200_000
-MAX_RETRY_TIMEOUT_NS = 2_000_000
-MAX_RETRIES = 10
 
 
 class MPError(RuntimeError):
@@ -118,7 +98,6 @@ class Communicator:
     def __init__(self, rank: int, size: int, ep: VMMCEndpoint,
                  nslots: int = DEFAULT_SLOTS,
                  slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 resilient: bool = False,
                  prefix: str = "mp"):
         if nslots < 1:
             raise MPError(f"ring needs at least one slot, not {nslots}")
@@ -131,10 +110,8 @@ class Communicator:
         self.nslots = nslots
         self.slot_bytes = slot_bytes
         self.payload_per_slot = slot_bytes - _HEADER_BYTES
-        #: Survive peer daemon cold restarts (stop-and-wait + recovery).
-        self.resilient = resilient
         #: Namespace for export names, so several worlds coexist on one
-        #: cluster (e.g. the app's ``mp`` world and the DSM sync world).
+        #: cluster.
         self.prefix = prefix
         self._rx: dict[int, _RxChannel] = {}
         self._tx: dict[int, _TxChannel] = {}
@@ -142,11 +119,6 @@ class Communicator:
         self.messages_received = 0
         self.fragments_sent = 0
         self.flow_control_stalls = 0
-        #: Resilient-mode recovery counters (plain ints — queryable by
-        #: tests and the DSM bench without an obs registry attached).
-        self.redeliveries = 0
-        self.stale_recoveries = 0
-        self.credit_reacks = 0
 
     # -- wiring -----------------------------------------------------------
     def setup_exports(self):
@@ -193,71 +165,6 @@ class Communicator:
 
         return self.env.process(run(), name=f"mp.connect.{self.rank}")
 
-    # -- resilient-mode plumbing -------------------------------------------
-    def _robust_send(self, src: UserBuffer, imported: ImportedBuffer,
-                     offset: int, nbytes: int, src_offset: int = 0):
-        """Generator: one remote write.  Plain ``ep.send`` unless the
-        communicator is resilient, in which case stale imports are
-        re-established (peer cold restart) and error completions retried
-        with backoff.  The proxy address is re-resolved from ``imported``
-        on every attempt, so it stays valid across a re-import."""
-        if not self.resilient:
-            yield self.ep.send(src, imported.at(offset), nbytes,
-                               src_offset=src_offset)
-            return
-        backoff = RETRY_TIMEOUT_NS
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                yield self.ep.send(src, imported.at(offset), nbytes,
-                                   src_offset=src_offset)
-                return
-            except ImportStale:
-                self.stale_recoveries += 1
-                yield from imported.reimport_with_backoff(
-                    RETRY_TIMEOUT_NS, MAX_RETRY_TIMEOUT_NS, MAX_RETRIES)
-            except CompletionError:
-                if attempts > MAX_RETRIES:
-                    raise
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, MAX_RETRY_TIMEOUT_NS)
-
-    def _await_credit(self, dst: int, tx: _TxChannel, seq: int):
-        """Generator: stop-and-wait acknowledgement — park until the
-        receiver's credit write covers ``seq``, retransmitting the slot
-        (payload + header still staged in ``tx.scratch``) on timeout.
-        Retransmission rewrites the same bytes, so a duplicate delivery
-        is harmless; the receiver re-acks if its credit write was the
-        casualty."""
-        frag_len = _read_u32(tx.scratch, self.slot_bytes + 12)
-        base = ((seq - 1) % self.nslots) * self.slot_bytes
-        deadline = RETRY_TIMEOUT_NS
-        attempts = 0
-        while _read_u32(tx.credit, 0) < seq:
-            watch = self.ep.watch(tx.credit, 0, 4)
-            yield self.ep.membus.cacheline_fill()
-            if _read_u32(tx.credit, 0) >= seq:
-                break
-            fired = yield AnyOf(self.env, [watch,
-                                           self.env.timeout(deadline)])
-            if watch in fired:
-                continue
-            attempts += 1
-            if attempts > MAX_RETRIES:
-                raise MPError(
-                    f"rank {self.rank}: fragment {seq} to rank {dst} "
-                    f"unacknowledged after {attempts} retransmissions")
-            deadline = min(deadline * 2, MAX_RETRY_TIMEOUT_NS)
-            self.redeliveries += 1
-            if frag_len:
-                yield from self._robust_send(
-                    tx.scratch, tx.remote_ring, base + _HEADER_BYTES,
-                    frag_len)
-            yield from self._robust_send(
-                tx.scratch, tx.remote_ring, base, _HEADER_BYTES,
-                src_offset=self.slot_bytes)
-
     # -- point-to-point ------------------------------------------------------
     def send(self, dst: int, payload: bytes | np.ndarray, tag: int = 0):
         """Process: send one tagged message to rank ``dst``."""
@@ -293,22 +200,19 @@ class Communicator:
                     # Payload first, header last (seq publishes the fragment).
                     if frag:
                         tx.scratch.write(frag)
-                        yield from self._robust_send(
-                            tx.scratch, tx.remote_ring, base + _HEADER_BYTES,
+                        yield self.ep.send(
+                            tx.scratch,
+                            tx.remote_ring.at(base + _HEADER_BYTES),
                             len(frag))
                     header = (_u32(seq) + _u32(tag) + _u32(total)
                               + _u32(len(frag)))
                     tx.scratch.write(header, offset=self.slot_bytes)
-                    yield from self._robust_send(
-                        tx.scratch, tx.remote_ring, base, _HEADER_BYTES,
+                    yield self.ep.send(
+                        tx.scratch, tx.remote_ring.at(base), _HEADER_BYTES,
                         src_offset=self.slot_bytes)
                     tx.next_seq += 1
                     self.fragments_sent += 1
                     offset += len(frag)
-                    if self.resilient:
-                        # Stop-and-wait: hold the fragment until acked so a
-                        # cold-crash window can't swallow it silently.
-                        yield from self._await_credit(dst, tx, seq)
             finally:
                 tx.lock.release(grant)
             self.messages_sent += 1
@@ -363,30 +267,11 @@ class Communicator:
             seq = rx.next_seq
             base = ((seq - 1) % rx.nslots) * rx.slot_bytes
             while True:
-                watches = [self.ep.watch(rx.ring, base, 4)]
-                if self.resilient and seq > 1 and rx.nslots > 1:
-                    # Also watch the previous fragment's slot: a rewrite
-                    # there is the sender retransmitting seq-1, i.e. our
-                    # credit write for it was lost in a crash window.
-                    prev = ((seq - 2) % rx.nslots) * rx.slot_bytes
-                    watches.append(self.ep.watch(rx.ring, prev, 4))
+                watch = self.ep.watch(rx.ring, base, 4)
                 yield self.ep.membus.cacheline_fill()
                 if _read_u32(rx.ring, base) == seq:
                     break
-                if len(watches) > 1:
-                    yield AnyOf(self.env, watches)
-                else:
-                    yield watches[0]
-                if (self.resilient and seq > 1
-                        and _read_u32(rx.ring, base) != seq):
-                    # Woken by a duplicate retransmission (prev slot, or
-                    # the same slot when nslots == 1): re-ack the last
-                    # fragment we consumed so the sender unblocks.
-                    self.credit_reacks += 1
-                    rx.credit_scratch.write(_u32(seq - 1))
-                    yield from self._robust_send(
-                        rx.credit_scratch, self._tx[src].credit_at_peer,
-                        0, 4)
+                yield watch
             msg_tag = _read_u32(rx.ring, base + 4)
             total = _read_u32(rx.ring, base + 8)
             frag_len = _read_u32(rx.ring, base + 12)
@@ -398,8 +283,8 @@ class Communicator:
             # Return credit: write the consumed sequence number straight
             # into the sender's exported credit word.
             rx.credit_scratch.write(_u32(seq))
-            yield from self._robust_send(
-                rx.credit_scratch, self._tx[src].credit_at_peer, 0, 4)
+            yield self.ep.send(
+                rx.credit_scratch, self._tx[src].credit_at_peer.at(0), 4)
         return msg_tag, b"".join(chunks)
 
     # -- numpy conveniences --------------------------------------------------------
@@ -415,8 +300,7 @@ class Communicator:
 
 
 def wire_world(cluster, nslots: int = DEFAULT_SLOTS,
-               slot_bytes: int = DEFAULT_SLOT_BYTES,
-               resilient: bool = False, prefix: str = "mp"):
+               slot_bytes: int = DEFAULT_SLOT_BYTES, prefix: str = "mp"):
     """Process: create one rank per cluster node and wire every channel;
     the process's value is the list of :class:`Communicator` s.  Usable
     from *inside* a running simulation (unlike :func:`build_world`, which
@@ -427,7 +311,7 @@ def wire_world(cluster, nslots: int = DEFAULT_SLOTS,
         _, ep = node.attach_process(f"{prefix}.rank{index}")
         comms.append(Communicator(index, len(cluster.nodes), ep,
                                   nslots=nslots, slot_bytes=slot_bytes,
-                                  resilient=resilient, prefix=prefix))
+                                  prefix=prefix))
 
     def wire():
         for comm in comms:
@@ -441,10 +325,8 @@ def wire_world(cluster, nslots: int = DEFAULT_SLOTS,
 
 def build_world(cluster, nslots: int = DEFAULT_SLOTS,
                 slot_bytes: int = DEFAULT_SLOT_BYTES,
-                resilient: bool = False,
                 prefix: str = "mp") -> list[Communicator]:
     """Create one rank per cluster node, fully wired; runs the cluster's
     environment until setup completes."""
     return cluster.env.run(until=wire_world(
-        cluster, nslots=nslots, slot_bytes=slot_bytes,
-        resilient=resilient, prefix=prefix))
+        cluster, nslots=nslots, slot_bytes=slot_bytes, prefix=prefix))

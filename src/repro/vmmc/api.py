@@ -56,7 +56,6 @@ from repro.vmmc.daemon import ExportRecord, ImportGrant, VMMCDaemon
 from repro.vmmc.driver import VMMCDriver
 from repro.vmmc.errors import (
     CompletionError,
-    ImportDenied,
     ImportStale,
     InvalidSendError,
     SendError,
@@ -190,26 +189,6 @@ class ImportedBuffer:
         outgoing entries at the exporter's current epoch).  Convenience
         for :meth:`VMMCEndpoint.reimport`."""
         return self._ep.reimport(self, timeout_ns=timeout_ns)
-
-    def reimport_with_backoff(self, timeout_ns: int, max_timeout_ns: int,
-                              max_retries: int):
-        """Generator: :meth:`reimport`, retried with exponential backoff
-        while the exporter's daemon reboots — it re-registers exports
-        *during* boot, so early attempts are denied (export not yet back)
-        or time out (daemon still dead), both :class:`ImportDenied`.
-        Value: the attempts taken; past ``max_retries`` the last denial
-        propagates."""
-        backoff = timeout_ns
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                yield self.reimport(timeout_ns=backoff)
-                return attempts
-            except ImportDenied:
-                if attempts > max_retries:
-                    raise
-                backoff = min(backoff * 2, max_timeout_ns)
 
     # -- addressing --------------------------------------------------------
     @property

@@ -183,18 +183,26 @@ def _read_u32(buffer: UserBuffer, offset: int) -> int:
 
 def _reimport_with_backoff(end, imported: ImportedBuffer):
     """Generator: re-establish a stale import of channel end ``end``
-    (sender or receiver) on its timeout schedule
-    (:meth:`ImportedBuffer.reimport_with_backoff`), with the channel's
-    accounting around it and the spent budget surfaced as
+    (sender or receiver), retried with exponential backoff on the end's
+    timeout schedule while the exporter's daemon reboots — it
+    re-registers exports *during* boot, so early attempts are denied
+    (export not yet back) or time out (daemon still dead), both
+    :class:`ImportDenied`.  The spent budget surfaces as
     :class:`RetriesExhausted`."""
-    try:
-        attempts = yield from imported.reimport_with_backoff(
-            end.timeout_ns, end.max_timeout_ns, end.max_retries)
-    except ImportDenied:
-        raise RetriesExhausted(
-            f"{end.name}: import of {imported.name!r} not "
-            f"re-established after {end.max_retries + 1} attempts",
-            retries=end.max_retries + 1)
+    backoff = end.timeout_ns
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            yield imported.reimport(timeout_ns=backoff)
+            break
+        except ImportDenied:
+            if attempts > end.max_retries:
+                raise RetriesExhausted(
+                    f"{end.name}: import of {imported.name!r} not "
+                    f"re-established after {attempts} attempts",
+                    retries=attempts)
+            backoff = min(backoff * 2, end.max_timeout_ns)
     end.stats.reimports += 1
     count(end.env, "rel.reimports", channel=end.name)
     emit(end.env, "rel.reimport", channel=end.name, name=imported.name,

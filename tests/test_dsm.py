@@ -1,7 +1,8 @@
 """Tests for the DSM subsystem (repro.dsm) and its supporting pieces:
 the directory state machine, the wire codec, the SC checker itself,
-phase-anchored fault scheduling, resilient mp, and the seeded
-multi-node coherence sweep (clean and under chaos campaigns)."""
+phase-anchored fault scheduling, barriers and locks on the coherence
+mesh, and the seeded multi-node coherence sweep (clean and under chaos
+campaigns)."""
 
 import json
 
@@ -10,6 +11,7 @@ import pytest
 from repro import Cluster, TestbedConfig
 from repro.dsm import (
     DirectoryError,
+    DsmError,
     DsmOp,
     PageDirectory,
     build_dsm_world,
@@ -28,7 +30,7 @@ from repro.faults import (
     PhaseSchedule,
     phase,
 )
-from repro.mp import build_world
+from repro.obs.metrics import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -233,44 +235,90 @@ def test_phase_schedule_rejects_double_entry():
 
 
 # ---------------------------------------------------------------------------
-# resilient mp (the DSM sync substrate)
+# barriers and locks on the coherence mesh
 # ---------------------------------------------------------------------------
 
-def test_resilient_mp_survives_double_cold_crash():
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=16))
-    comms = build_world(cluster, resilient=True, nslots=4)
+def test_dsm_world_is_one_mesh():
+    """Sync rides the coherence channels: a 4-rank world is the 12
+    reliable channels (ring + ACK word each) and nothing else."""
+    cluster = Cluster.build(TestbedConfig(nnodes=4, memory_mb=32))
     env = cluster.env
-    got = {}
+    registry = MetricsRegistry().install(env)
+    booted_ns, booted_events = env.now, env.events_processed
+    build_dsm_world(cluster)
 
-    def sender():
-        for i in range(30):
-            yield comms[0].send(1, bytes([i]) * 100, tag=7)
+    def total(metric):
+        return sum(value for key, value in registry.snapshot().items()
+                   if key.startswith(metric + "{"))
 
-    def receiver():
-        messages = []
-        for _ in range(30):
-            messages.append((yield comms[1].recv(0, tag=7)))
-        got["messages"] = messages
+    assert total("daemon.exports") == total("daemon.imports") == 24
+    assert not [name for node in cluster.nodes
+                for name in node.daemon.exports
+                if name.startswith("dsm.mp")]
+    assert env.now - booted_ns <= 17_000_000
+    assert env.events_processed - booted_events <= 1_700
+
+
+def test_dsm_locked_counter_survives_cold_crashes():
+    """Mutual exclusion and barriers under faults: 4 ranks increment one
+    shared word under a lock, a barrier per round, while rank 0's
+    daemon (the sync server) and then a client's daemon cold-restart."""
+    rounds = 8
+    cluster = Cluster.build(TestbedConfig(nnodes=4, memory_mb=32))
+    env = cluster.env
+    segments = build_dsm_world(cluster, npages=8, page_bytes=128)
+
+    def app(seg):
+        for _ in range(rounds):
+            yield from seg.barrier()
+            yield from seg.lock(1)
+            value = yield from seg.read_u32(0)
+            yield from seg.write_u32(0, value + 1)
+            yield from seg.unlock(1)
+        yield from seg.barrier()
+        return (yield from seg.read_u32(0))
 
     def chaos():
-        yield env.timeout(50_000)
-        cluster.nodes[1].daemon.crash()
-        yield env.timeout(300_000)
-        cluster.nodes[1].daemon.restart(cold=True)
-        yield env.timeout(100_000)
+        yield env.timeout(150_000)
         cluster.nodes[0].daemon.crash()
-        yield env.timeout(250_000)
+        yield env.timeout(300_000)
         cluster.nodes[0].daemon.restart(cold=True)
+        yield env.timeout(400_000)
+        cluster.nodes[2].daemon.crash()
+        yield env.timeout(250_000)
+        cluster.nodes[2].daemon.restart(cold=True)
 
-    tx = env.process(sender())
-    rx = env.process(receiver())
-    env.process(chaos())
-    env.run(until=tx)
-    env.run(until=rx)
-    assert [got["messages"][i] == bytes([i]) * 100
-            for i in range(30)] == [True] * 30
+    apps = [env.process(app(seg)) for seg in segments]
+    crashes = env.process(chaos())
+    finals = [env.run(until=proc) for proc in apps]
+    assert crashes.triggered                 # both windows hit the loop
+    assert finals == [4 * rounds] * 4
+    history = [op for seg in segments for op in seg.node.history]
+    assert check_sequential_consistency(history) == []
     # The crash windows actually exercised the recovery paths.
-    assert sum(c.stale_recoveries for c in comms) > 0
+    ends = [seg.node.channel_stats() for seg in segments]
+    assert sum(stats.reimports
+               for tx, rx in ends for stats in tx + rx) > 0
+
+
+def test_dsm_unlock_without_holding_raises_at_the_caller():
+    """Regression: a remote ``unlock`` of a lock the rank did not hold
+    returned silently and then raised out of rank 0's server process,
+    killing the simulation where the caller could not catch it."""
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    segments = build_dsm_world(cluster, npages=8, page_bytes=128)
+
+    def offender():
+        seg = segments[1]
+        with pytest.raises(DsmError, match="rank 1 released lock 5 "
+                                           "without holding it"):
+            yield from seg.unlock(5)
+        yield from seg.lock(5)               # rank 0 is still serving
+        yield from seg.unlock(5)
+        return "ok"
+
+    assert env.run(until=env.process(offender())) == "ok"
 
 
 # ---------------------------------------------------------------------------

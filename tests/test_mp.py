@@ -172,14 +172,14 @@ def test_failed_send_releases_the_destination_lock():
     from repro.vmmc.errors import CompletionError
 
     cluster, (c0, c1) = make_world()
-    real, failures = c0._robust_send, [CompletionError("injected")]
+    real, failures = c0.ep.send, [CompletionError("injected")]
 
     def flaky(*args, **kwargs):
         if failures:
             raise failures.pop()
-        yield from real(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    c0._robust_send = flaky
+    c0.ep.send = flaky
 
     def rank0():
         with pytest.raises(CompletionError, match="injected"):

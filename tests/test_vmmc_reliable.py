@@ -358,13 +358,13 @@ def test_receiver_reimport_uses_configured_timeout(monkeypatch):
                                    max_timeout_ns=800_000)
     env = cluster.env
     calls = []
-    real = ImportedBuffer.reimport_with_backoff
+    real = ImportedBuffer.reimport
 
-    def recording(imported, *schedule):
-        calls.append((imported is rx._ack_at_sender, schedule[:2]))
-        return (yield from real(imported, *schedule))
+    def recording(imported, timeout_ns=None):
+        calls.append((imported is rx._ack_at_sender, timeout_ns))
+        return real(imported, timeout_ns=timeout_ns)
 
-    monkeypatch.setattr(ImportedBuffer, "reimport_with_backoff", recording)
+    monkeypatch.setattr(ImportedBuffer, "reimport", recording)
 
     sent = payloads(6, size=128)
     got = []
@@ -393,7 +393,11 @@ def test_receiver_reimport_uses_configured_timeout(monkeypatch):
     assert any(receiver_side for receiver_side, _ in calls), \
         "cold crash never drove the receiver reimport"
     assert rel_mod.DEFAULT_TIMEOUT_NS != 40_000
-    assert {schedule for _, schedule in calls} == {(40_000, 800_000)}
+    # Every attempt is a step of the configured schedule: 40 µs doubling
+    # to the 800 µs cap.
+    timeouts = {timeout_ns for _, timeout_ns in calls}
+    assert 40_000 in timeouts
+    assert timeouts <= {min(40_000 << k, 800_000) for k in range(6)}
     assert rx.stats.reimports > 0
 
 
