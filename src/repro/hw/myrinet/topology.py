@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Iterator, Optional, Union
 
 import networkx as nx
 
@@ -666,6 +666,21 @@ class DeadlockReport:
     dependencies: int
 
 
+def _walked_routes(net: MyrinetNetwork,
+                   routes: RouteTable) -> Iterator[list[str]]:
+    """The channels each route holds, in route-table order.  Every route
+    is walked through the real cabling and must terminate at its claimed
+    destination host."""
+    for (src, dst), route in sorted(routes.items()):
+        if src == dst:
+            continue
+        terminal, channels = walk_route(net, src, route)
+        if terminal != dst:
+            raise TopologyError(
+                f"route {src}->{dst} {route} terminates at {terminal!r}")
+        yield channels
+
+
 def channel_dependency_graph(net: MyrinetNetwork,
                              routes: RouteTable) -> nx.DiGraph:
     """The wormhole channel dependency graph of a routing function.
@@ -676,13 +691,7 @@ def channel_dependency_graph(net: MyrinetNetwork,
     terminate at its claimed destination host.
     """
     cdg = nx.DiGraph()
-    for (src, dst), route in sorted(routes.items()):
-        if src == dst:
-            continue
-        terminal, channels = walk_route(net, src, route)
-        if terminal != dst:
-            raise TopologyError(
-                f"route {src}->{dst} {route} terminates at {terminal!r}")
+    for channels in _walked_routes(net, routes):
         cdg.add_nodes_from(channels)
         for c1, c2 in zip(channels, channels[1:]):
             cdg.add_edge(c1, c2)
@@ -705,13 +714,32 @@ def check_deadlock_free(net: MyrinetNetwork,
         if routes is None:
             raise TopologyError(
                 "no route table installed and none given to check")
-    cdg = channel_dependency_graph(net, routes)
-    try:
-        cycle_edges = nx.find_cycle(cdg)
-    except nx.NetworkXNoCycle:
-        return DeadlockReport(routes=len(routes),
-                              channels=cdg.number_of_nodes(),
-                              dependencies=cdg.number_of_edges())
+    channels: set[str] = set()
+    dependencies: set[tuple[str, str]] = set()
+    for held in _walked_routes(net, routes):
+        channels.update(held)
+        dependencies.update(zip(held, held[1:]))
+    # Kahn's algorithm: peel off the channels no worm requests while it
+    # holds one not yet peeled; the relation is acyclic iff they all go.
+    requested_after: dict[str, list[str]] = {c: [] for c in channels}
+    holders = dict.fromkeys(channels, 0)
+    for c1, c2 in dependencies:
+        requested_after[c1].append(c2)
+        holders[c2] += 1
+    ready = [channel for channel, n in holders.items() if n == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for channel in requested_after[ready.pop()]:
+            holders[channel] -= 1
+            if holders[channel] == 0:
+                ready.append(channel)
+    if peeled == len(channels):
+        return DeadlockReport(routes=len(routes), channels=len(channels),
+                              dependencies=len(dependencies))
+    # Cyclic.  Only now is the networkx graph worth building: to name
+    # the cycle.
+    cycle_edges = nx.find_cycle(channel_dependency_graph(net, routes))
     chain = [edge[0] for edge in cycle_edges] + [cycle_edges[-1][1]]
     raise RoutingDeadlockError(
         f"routing function has a channel dependency cycle of length "

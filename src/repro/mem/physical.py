@@ -9,11 +9,18 @@ fragmentation of a long-running system and makes the paper's central
 hardware limitation structural — DMA transfer units cannot exceed one page
 because "consecutive pages in virtual memory are usually not consecutive in
 the physical address space" (section 5.2).
+
+Only the byte array is sized by the memory modelled.  The free list is the
+scatter walk itself, computed on the fly, and a :class:`Frame` object
+exists only once its frame has been allocated or pinned — so a node costs
+what it touches, not what it models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -36,17 +43,27 @@ class Frame:
         return self.pin_count > 0
 
 
+def _scatter_stride(nframes: int, stride: int = 41) -> int:
+    """The smallest stride >= ``stride`` co-prime with ``nframes``."""
+    while _gcd(stride, nframes) != 1:
+        stride += 1
+    return stride
+
+
 def _scatter_order(nframes: int, stride: int = 41) -> list[int]:
     """A permutation of frame numbers that scatters consecutive picks.
 
     Uses a stride co-prime with ``nframes`` so that the sequence visits
     every frame exactly once while neighbouring picks land ``stride`` frames
     apart — mimicking the free-list of a fragmented system.
+
+    :class:`PhysicalMemory` walks this sequence one pick at a time and
+    never builds the list; it is kept as the oracle the allocator's
+    tests compare against.
     """
     if nframes <= 0:
         return []
-    while _gcd(stride, nframes) != 1:
-        stride += 1
+    stride = _scatter_stride(nframes, stride)
     return [(i * stride) % nframes for i in range(nframes)]
 
 
@@ -57,7 +74,14 @@ def _gcd(a: int, b: int) -> int:
 
 
 class PhysicalMemory:
-    """Physical memory: data array + frame allocation + pinning."""
+    """Physical memory: data array + frame allocation + pinning.
+
+    The free list is never materialized.  It is, in order: the part of
+    the scatter walk the cursor has not reached (pick *i* is
+    ``i * stride % nframes``; reserved frames and frames
+    :meth:`alloc_contiguous` took ahead of the cursor are stepped over),
+    then the frames freed so far, oldest first.
+    """
 
     def __init__(self, size_bytes: int, page_size: int = 4096,
                  scatter: bool = True, reserved_frames: int = 0):
@@ -67,35 +91,66 @@ class PhysicalMemory:
         self.page_size = page_size
         self.nframes = size_bytes // page_size
         self.data = np.zeros(size_bytes, dtype=np.uint8)
-        self.frames = [Frame(i) for i in range(self.nframes)]
         # reserved_frames models kernel-owned low memory never given to users.
-        order = (_scatter_order(self.nframes) if scatter
-                 else list(range(self.nframes)))
-        self._free = [f for f in order if f >= reserved_frames]
+        self._reserved = min(max(reserved_frames, 0), self.nframes)
+        self._stride = (_scatter_stride(self.nframes)
+                        if scatter and self.nframes else 1)
+        self._cursor = 0
+        #: Free frames the cursor has yet to reach, and the ones it must
+        #: step over because alloc_contiguous got there first.
+        self._walk_free = self.nframes - self._reserved
+        self._taken_ahead: set[int] = set()
+        self._freed: deque[int] = deque()
         self._allocated: set[int] = set()
-        self._watches: list[tuple[int, int, object]] = []
+        #: Frames ever allocated or pinned; the rest have no object.
+        self._frames: dict[int, Frame] = {}
+        #: frame number -> [(registration seq, paddr, nbytes, event)]
+        self._watches: dict[int, list[tuple[int, int, int, object]]] = {}
+        self._watch_seq = 0
+
+    def _frame(self, number: int) -> Frame:
+        frame = self._frames.get(number)
+        if frame is None:
+            if not 0 <= number < self.nframes:
+                raise IndexError(f"no frame {number} in a memory of "
+                                 f"{self.nframes} frames")
+            frame = self._frames[number] = Frame(number)
+        return frame
+
+    def _hand_out(self, number: int, owner: Optional[str]) -> Frame:
+        self._allocated.add(number)
+        frame = self._frame(number)
+        frame.owner = owner
+        return frame
 
     # -- allocation ---------------------------------------------------------
     @property
     def free_frames(self) -> int:
-        return len(self._free)
+        return self._walk_free + len(self._freed)
 
     def alloc_frame(self, owner: Optional[str] = None) -> Frame:
         """Allocate one frame (scattered order)."""
-        if not self._free:
+        if self._walk_free:
+            while True:
+                number = self._cursor * self._stride % self.nframes
+                self._cursor += 1
+                if number in self._taken_ahead:
+                    self._taken_ahead.remove(number)
+                elif number >= self._reserved:
+                    break
+            self._walk_free -= 1
+        elif self._freed:
+            number = self._freed.popleft()
+        else:
             raise OutOfMemoryError(
                 f"out of physical memory ({self.nframes} frames)")
-        number = self._free.pop(0)
-        self._allocated.add(number)
-        frame = self.frames[number]
-        frame.owner = owner
-        return frame
+        return self._hand_out(number, owner)
 
     def alloc_frames(self, count: int, owner: Optional[str] = None
                      ) -> list[Frame]:
-        if count > len(self._free):
+        if count > self.free_frames:
             raise OutOfMemoryError(
-                f"requested {count} frames, only {len(self._free)} free")
+                f"requested {count} frames, only {self.free_frames} free")
         return [self.alloc_frame(owner) for _ in range(count)]
 
     def alloc_contiguous(self, count: int, owner: Optional[str] = None
@@ -105,21 +160,26 @@ class PhysicalMemory:
         This is what a driver-preallocated buffer pool would use — the
         alternative design the paper rejects in section 5.1 because it
         cannot support sends from static user data structures.
+
+        Takes the lowest-numbered free run that is long enough.
         """
-        free = sorted(self._free)
-        run_start = 0
-        for i in range(1, len(free) + 1):
-            if i == len(free) or free[i] != free[i - 1] + 1:
-                if i - run_start >= count:
-                    chosen = free[run_start:run_start + count]
-                    for n in chosen:
-                        self._free.remove(n)
-                        self._allocated.add(n)
-                        self.frames[n].owner = owner
-                    return [self.frames[n] for n in chosen]
-                run_start = i
-        raise OutOfMemoryError(
-            f"no contiguous run of {count} frames available")
+        run = 0
+        # A frame is free iff it is neither reserved nor allocated.
+        for number in range(self._reserved, self.nframes):
+            run = 0 if number in self._allocated else run + 1
+            if run and run >= count:
+                chosen = range(number - run + 1, number - run + 1 + count)
+                break
+        else:
+            raise OutOfMemoryError(
+                f"no contiguous run of {count} frames available")
+        for number in chosen:
+            try:
+                self._freed.remove(number)
+            except ValueError:      # still ahead of the cursor on the walk
+                self._taken_ahead.add(number)
+                self._walk_free -= 1
+        return [self._hand_out(number, owner) for number in chosen]
 
     def free_frame(self, frame: Frame) -> None:
         if frame.number not in self._allocated:
@@ -128,22 +188,22 @@ class PhysicalMemory:
             raise ValueError(f"cannot free pinned frame {frame.number}")
         self._allocated.discard(frame.number)
         frame.owner = None
-        self._free.append(frame.number)
+        self._freed.append(frame.number)
 
     # -- pinning --------------------------------------------------------------
     def pin(self, frame_number: int) -> None:
         """Pin a frame (lock it in memory); pins nest."""
-        self.frames[frame_number].pin_count += 1
+        self._frame(frame_number).pin_count += 1
 
     def unpin(self, frame_number: int) -> None:
-        frame = self.frames[frame_number]
-        if frame.pin_count == 0:
+        frame = self._frames.get(frame_number)
+        if frame is None or frame.pin_count == 0:
             raise ValueError(f"frame {frame_number} is not pinned")
         frame.pin_count -= 1
 
     @property
     def pinned_frames(self) -> int:
-        return sum(1 for f in self.frames if f.pinned)
+        return sum(1 for f in self._frames.values() if f.pinned)
 
     # -- data access (by physical address) -----------------------------------
     def read(self, paddr: int, nbytes: int) -> np.ndarray:
@@ -176,25 +236,62 @@ class PhysicalMemory:
                 f"memory of {self.size} bytes")
 
     # -- write watches (device-write visibility for spinning CPUs) --------------
+    def _frames_spanned(self, paddr: int, nbytes: int) -> range:
+        return range(paddr // self.page_size,
+                     (paddr + max(nbytes, 1) - 1) // self.page_size + 1)
+
     def add_watch(self, paddr: int, nbytes: int, event) -> None:
         """Register a one-shot event fired when a device write touches
         [paddr, paddr+nbytes).  Models a CPU spinning on a cache location:
         the DMA that deposits data invalidates the line and the spinner
-        observes it.  Only *device* writers call :meth:`notify_write`."""
-        self._watches.append((paddr, nbytes, event))
+        observes it.  Only *device* writers call :meth:`notify_write`.
+
+        A watcher of a scattered buffer registers the same event once per
+        extent; the first extent written fires it.  Its records on other
+        frames are swept the next time anything visits their bucket — this
+        method included, so re-arming a buffer of which only one page is
+        ever written does not pile records up on the others."""
+        record = (self._watch_seq, paddr, nbytes, event)
+        self._watch_seq += 1
+        for frame in self._frames_spanned(paddr, nbytes):
+            bucket = [r for r in self._watches.get(frame, ())
+                      if not r[3].triggered]
+            bucket.append(record)
+            self._watches[frame] = bucket
 
     def notify_write(self, paddr: int, nbytes: int) -> None:
-        """Called by DMA engines after mutating [paddr, paddr+nbytes)."""
-        if not self._watches:
+        """Called by DMA engines after mutating [paddr, paddr+nbytes).
+
+        Visits only the buckets of the frames written; watches fire in
+        registration order."""
+        watches = self._watches
+        if not watches:
             return
-        remaining = []
-        for start, length, event in self._watches:
-            overlaps = start < paddr + nbytes and paddr < start + length
-            if overlaps and not getattr(event, "triggered", True):
+        end = paddr + nbytes
+        hits = []
+        for frame in self._frames_spanned(paddr, nbytes):
+            bucket = watches.get(frame)
+            if bucket is None:
+                continue
+            armed = []
+            for record in bucket:
+                _seq, start, length, event = record
+                if event.triggered:
+                    continue
+                if start < end and paddr < start + length:
+                    hits.append(record)
+                else:
+                    armed.append(record)
+            if armed:
+                watches[frame] = armed
+            else:
+                del watches[frame]
+        # Each bucket is in registration order; a write over several
+        # frames has to merge them.
+        hits.sort(key=itemgetter(0))
+        for _seq, _start, _length, event in hits:
+            if not event.triggered:     # one record per frame it spans
                 event.succeed((paddr, nbytes))
-            elif not getattr(event, "triggered", True):
-                remaining.append((start, length, event))
-        self._watches = remaining
 
     # -- introspection ----------------------------------------------------------
     def frames_are_contiguous(self, frames: Iterable[Frame]) -> bool:

@@ -88,13 +88,21 @@ class AddressSpace:
         return vaddr
 
     def munmap(self, vaddr: int, nbytes: int) -> None:
-        """Unmap and free a previously mapped region."""
+        """Unmap and free a previously mapped region.
+
+        All or nothing: if any page of the range is unmapped or pinned
+        the call raises before anything is unmapped or freed.
+        """
         first = vpage_of(vaddr)
-        for vpage in range(first, first + pages_spanned(vaddr, nbytes)):
-            frame = self._table.pop(vpage, None)
+        vpages = range(first, first + pages_spanned(vaddr, nbytes))
+        for vpage in vpages:
+            frame = self._table.get(vpage)
             if frame is None:
                 raise PageFault(f"munmap of unmapped page {vpage:#x}")
-            self.memory.free_frame(frame)
+            if frame.pinned:
+                raise ValueError(f"cannot free pinned frame {frame.number}")
+        for vpage in vpages:
+            self.memory.free_frame(self._table.pop(vpage))
 
     def mapped(self, vaddr: int) -> bool:
         return vpage_of(vaddr) in self._table
@@ -169,6 +177,10 @@ class AddressSpace:
     # -- virtual data access -----------------------------------------------------------
     def read(self, vaddr: int, nbytes: int) -> np.ndarray:
         """Copy bytes out of virtual memory (may cross page boundaries)."""
+        if 0 < nbytes <= PAGE_SIZE - page_offset(vaddr):
+            # Inside one page: one lookup, no extents list.
+            paddr = self.translate(vaddr)
+            return self.memory.data[paddr:paddr + nbytes].copy()
         out = np.empty(nbytes, dtype=np.uint8)
         done = 0
         for paddr, length in self.physical_extents(vaddr, nbytes):
@@ -180,6 +192,10 @@ class AddressSpace:
         buf = np.frombuffer(bytes(payload), dtype=np.uint8) \
             if isinstance(payload, (bytes, bytearray)) \
             else np.asarray(payload, dtype=np.uint8)
+        if 0 < len(buf) <= PAGE_SIZE - page_offset(vaddr):
+            paddr = self.translate(vaddr)
+            self.memory.data[paddr:paddr + len(buf)] = buf
+            return
         done = 0
         for paddr, length in self.physical_extents(vaddr, len(buf)):
             self.memory.view(paddr, length)[:] = buf[done:done + length]

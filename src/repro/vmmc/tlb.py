@@ -42,7 +42,8 @@ class SoftwareTLB:
         self.pid = pid
         self.nentries = nentries
         self.nsets = nentries // WAYS
-        self._sets = [[_Way(), _Way()] for _ in range(self.nsets)]
+        #: set index -> its ways, created when the set is first touched.
+        self._sets: dict[int, list[_Way]] = {}
         self._clock = 0
         self.hits = 0
         self.misses = 0
@@ -51,7 +52,11 @@ class SoftwareTLB:
             sram.alloc(f"tlb.pid{pid}", nentries * _ENTRY_BYTES)
 
     def _set_of(self, vpage: int) -> list[_Way]:
-        return self._sets[vpage % self.nsets]
+        index = vpage % self.nsets
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [_Way() for _ in range(WAYS)]
+        return ways
 
     def lookup(self, vpage: int) -> Optional[int]:
         """Frame number for ``vpage``, or None on miss."""
@@ -90,14 +95,15 @@ class SoftwareTLB:
         return False
 
     def flush(self) -> None:
-        for ways in self._sets:
+        for ways in self._sets.values():
             for way in ways:
                 way.vpage = -1
                 way.frame = -1
 
     @property
     def occupancy(self) -> int:
-        return sum(1 for ways in self._sets for w in ways if w.vpage != -1)
+        return sum(1 for ways in self._sets.values()
+                   for w in ways if w.vpage != -1)
 
     @property
     def reach_bytes(self) -> int:

@@ -1,8 +1,11 @@
 """Unit tests for the memory substrate (physical frames, VM, buffers)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.sim import Environment
 from repro.mem import (
     AddressSpace,
     OutOfMemoryError,
@@ -144,6 +147,98 @@ def test_view_is_mutable_alias():
     assert mem.read(0, 4).tolist() == [1, 2, 3, 4]
 
 
+def test_physical_memory_costs_nothing_per_frame():
+    # 64 MB is 16 384 frames; none of them may cost an object until it is
+    # allocated or pinned (a 64-node boot would build a million).
+    before = sys.getallocatedblocks()
+    mem = PhysicalMemory(64 * 1024 * 1024, reserved_frames=64)
+    assert sys.getallocatedblocks() - before < 100
+    assert mem.free_frames == 16384 - 64
+    assert mem.pinned_frames == 0
+
+
+def test_pin_outside_memory_rejected():
+    mem = PhysicalMemory(4 * PAGE_SIZE)
+    for number in (-1, 4):
+        with pytest.raises(IndexError):
+            mem.pin(number)
+    assert mem.pinned_frames == 0
+
+
+# ------------------------------------------------------------ write watches
+def watch(env, mem, paddr, nbytes, fired, name):
+    event = env.event()
+    event.callbacks.append(lambda _e: fired.append(name))
+    mem.add_watch(paddr, nbytes, event)
+    return event
+
+
+def test_watches_fire_in_registration_order_across_frames():
+    env = Environment()
+    mem = make_memory(1)
+    fired = []
+    # Registered high frame first: bucket order alone would fire b, a.
+    a = watch(env, mem, 2 * PAGE_SIZE, 8, fired, "a")
+    b = watch(env, mem, 2 * PAGE_SIZE - 8, 8, fired, "b")
+    c = watch(env, mem, 2 * PAGE_SIZE + 4, 8, fired, "c")
+    elsewhere = watch(env, mem, 5 * PAGE_SIZE, 8, fired, "elsewhere")
+    mem.notify_write(2 * PAGE_SIZE - 4, 12)      # frames 1 and 2
+    env.run()
+    assert fired == ["a", "b", "c"]
+    assert a.value == b.value == c.value == (2 * PAGE_SIZE - 4, 12)
+    assert not elsewhere.triggered
+
+
+def test_watch_spanning_frames_fires_once():
+    env = Environment()
+    mem = make_memory(1)
+    fired = []
+    # One record over two frames, and one event on two extents: a write
+    # that reaches both halves of either must trigger it exactly once.
+    watch(env, mem, PAGE_SIZE - 16, 32, fired, "straddler")
+    twice = watch(env, mem, PAGE_SIZE - 64, 8, fired, "two-extents")
+    mem.add_watch(PAGE_SIZE + 64, 8, twice)
+    mem.notify_write(PAGE_SIZE - 128, 256)
+    env.run()
+    assert fired == ["straddler", "two-extents"]
+    assert not mem._watches
+
+
+def test_watch_near_miss_stays_armed():
+    env = Environment()
+    mem = make_memory(1)
+    fired = []
+    event = watch(env, mem, 1000, 16, fired, "w")
+    mem.notify_write(996, 4)            # ends where the watch begins
+    mem.notify_write(1016, 4)           # begins where it ends
+    mem.notify_write(1000 + PAGE_SIZE, 16)
+    assert not event.triggered
+    mem.notify_write(1015, 1)
+    assert event.value == (1015, 1)
+    mem.notify_write(1000, 16)          # one-shot: already fired
+    env.run()
+    assert fired == ["w"]
+
+
+def test_rearmed_watch_leaves_no_records_on_unwritten_pages():
+    # A receiver re-arms a watch over its whole buffer for every message,
+    # but the sender only ever writes page 0: the records on the other
+    # pages must not pile up.
+    env = Environment()
+    mem = make_memory(1)
+    space = AddressSpace(mem)
+    vaddr = space.mmap(4 * PAGE_SIZE)
+    extents = space.physical_extents(vaddr, 4 * PAGE_SIZE)
+    assert len(extents) == 4
+    for _ in range(10_000):
+        event = env.event()
+        for paddr, length in extents:
+            mem.add_watch(paddr, length, event)
+        mem.notify_write(extents[0][0], 64)
+        assert event.triggered
+    assert sum(len(bucket) for bucket in mem._watches.values()) <= 3
+
+
 # ------------------------------------------------------------- address space
 def test_mmap_translate_roundtrip():
     mem = make_memory(4)
@@ -217,6 +312,56 @@ def test_munmap_unmapped_faults():
     space = AddressSpace(mem)
     with pytest.raises(PageFault):
         space.munmap(AddressSpace.USER_BASE, PAGE_SIZE)
+
+
+def test_munmap_of_a_pinned_page_changes_nothing():
+    mem = PhysicalMemory(8 * PAGE_SIZE)
+    space = AddressSpace(mem)
+    vaddr = space.mmap(4 * PAGE_SIZE)
+    space.write(vaddr, bytes(range(200)))
+    space.pin_range(vaddr + 2 * PAGE_SIZE, PAGE_SIZE)
+    frames = [space.frame_of(vaddr + i * PAGE_SIZE) for i in range(4)]
+    with pytest.raises(ValueError, match="pinned"):
+        space.munmap(vaddr, 4 * PAGE_SIZE)
+    # All or nothing: every page still mapped to its frame, none freed.
+    assert space.mapped_pages == 4
+    assert [space.frame_of(vaddr + i * PAGE_SIZE) for i in range(4)] == frames
+    assert mem.free_frames == 4 and mem.pinned_frames == 1
+    assert space.read(vaddr, 200).tobytes() == bytes(range(200))
+    space.unpin_range(vaddr + 2 * PAGE_SIZE, PAGE_SIZE)
+    space.munmap(vaddr, 4 * PAGE_SIZE)
+    assert space.mapped_pages == 0
+    assert mem.free_frames == 8 and mem.pinned_frames == 0
+
+
+def test_munmap_past_the_mapping_changes_nothing():
+    mem = PhysicalMemory(8 * PAGE_SIZE)
+    space = AddressSpace(mem)
+    vaddr = space.mmap(2 * PAGE_SIZE)
+    with pytest.raises(PageFault):
+        space.munmap(vaddr, 3 * PAGE_SIZE)
+    assert space.mapped_pages == 2 and mem.free_frames == 6
+
+
+def test_single_page_access_faults_like_the_general_path():
+    mem = make_memory(1)
+    space = AddressSpace(mem, "p0")
+    vaddr = space.mmap(PAGE_SIZE)
+    beyond = vaddr + PAGE_SIZE
+    message = f"p0: unmapped virtual address {beyond:#x}"
+    for nbytes in (8, PAGE_SIZE + 8):       # one page; two pages
+        with pytest.raises(PageFault) as err:
+            space.read(beyond, nbytes)
+        assert str(err.value) == message
+        with pytest.raises(PageFault) as err:
+            space.write(beyond, bytes(nbytes))
+        assert str(err.value) == message
+    assert space.read(beyond, 0).size == 0  # touches no page, as before
+    space.write(vaddr + PAGE_SIZE - 4, b"tail")     # ends on the boundary
+    assert space.read(vaddr + PAGE_SIZE - 4, 4).tobytes() == b"tail"
+    copy = space.read(vaddr + PAGE_SIZE - 4, 4)
+    copy[:] = 0                                     # a copy, not a view
+    assert space.read(vaddr + PAGE_SIZE - 4, 4).tobytes() == b"tail"
 
 
 def test_pin_range_and_unpin():

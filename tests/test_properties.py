@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.myrinet.crc import crc8
-from repro.mem import AddressSpace, PAGE_SIZE, PhysicalMemory
+from repro.mem import (AddressSpace, OutOfMemoryError, PAGE_SIZE,
+                       PhysicalMemory)
+from repro.mem.physical import _scatter_order
 from repro.mem.virtual import pages_spanned
 from repro.rpc.xdr import XdrDecoder, XdrEncoder
 from repro.vmmc.pagetables import OutgoingPageTable
@@ -94,6 +96,73 @@ def test_tlb_occupancy_bounded_by_capacity(vpages):
         tlb.insert(vpage, vpage + 7)
     assert tlb.occupancy <= 16
     assert tlb.hits + tlb.misses == 0  # inserts alone never count lookups
+
+
+# ------------------------------------------------------------ frame allocator
+def _lowest_run(free, count):
+    """The first ``count`` frames of the lowest-numbered run of at least
+    ``count`` consecutive free frames, or None."""
+    ordered = sorted(free)
+    start = 0
+    for i in range(1, len(ordered) + 1):
+        if i == len(ordered) or ordered[i] != ordered[i - 1] + 1:
+            if i - start >= count:
+                return ordered[start:start + count]
+            start = i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(nframes=st.sampled_from([41, 82, 123, 256, 2048]),
+       scatter=st.booleans(),
+       reserved=st.integers(min_value=0, max_value=2048),
+       ops=st.lists(st.tuples(st.sampled_from(["one", "many", "run", "free"]),
+                              st.integers(min_value=0, max_value=4095)),
+                    max_size=80))
+def test_frame_allocator_matches_the_free_list_it_replaced(
+        nframes, scatter, reserved, ops):
+    """The allocator walks the scatter sequence instead of holding it; it
+    must hand out the frames the materialized free list would — the
+    scatter permutation minus the reserved frames, popped from the
+    front, freed frames appended, contiguous runs removed in place.
+    Placement is what every physical address, trace and golden
+    fingerprint in the repo hangs off.  (41, 82 and 123 frames push the
+    stride past its default to stay co-prime.)"""
+    reserved %= nframes + 1
+    mem = PhysicalMemory(nframes * PAGE_SIZE, scatter=scatter,
+                         reserved_frames=reserved)
+    order = _scatter_order(nframes) if scatter else list(range(nframes))
+    free = [f for f in order if f >= reserved]
+    held = []
+    for kind, x in ops:
+        if kind == "free":
+            if held:
+                frame = held.pop(x % len(held))
+                mem.free_frame(frame)
+                free.append(frame.number)
+        else:
+            if kind == "one":
+                take = lambda: [mem.alloc_frame()]
+                expected = free[:1] or None
+            elif kind == "many":
+                count = x % (nframes + 2)
+                take = lambda: mem.alloc_frames(count)
+                expected = free[:count] if count <= len(free) else None
+            else:
+                count = 1 + x % 12
+                take = lambda: mem.alloc_contiguous(count)
+                expected = _lowest_run(free, count)
+            if expected is None:
+                with pytest.raises(OutOfMemoryError):
+                    take()
+            else:
+                frames = take()
+                assert [f.number for f in frames] == expected
+                held += frames
+                for number in expected:
+                    free.remove(number)
+        assert mem.free_frames == len(free)
+    assert {f.number for f in held} == mem._allocated
 
 
 # --------------------------------------------------------------- address space

@@ -19,11 +19,13 @@ hand-built three-switch ring — with a typed
 cycle.
 """
 
+import networkx as nx
 import pytest
 
 from repro.sim import Environment
 from repro.hw.myrinet import MyrinetNetwork, PortRef, natural_key, topology
 from repro.hw.myrinet.topology import (
+    DeadlockReport,
     DualSwitchSpec,
     FatTreeSpec,
     MeshSpec,
@@ -155,11 +157,15 @@ def test_fattree_deterministic_up_path_is_destination_moded():
 
 
 # ------------------------------------------------ rejection: cyclic tables
-def test_minimal_torus_routing_is_rejected_as_deadlock():
+def minimal_torus():
     spec = topology.parse("torus:4x4")
     net = MyrinetNetwork(Environment())
     spec.materialize(net)
-    cyclic = minimal_torus_routes(spec)
+    return net, minimal_torus_routes(spec)
+
+
+def test_minimal_torus_routing_is_rejected_as_deadlock():
+    net, cyclic = minimal_torus()
     with pytest.raises(RoutingDeadlockError) as err:
         check_deadlock_free(net, cyclic)
     cycle = err.value.cycle
@@ -174,7 +180,7 @@ def test_minimal_torus_routes_requires_torus():
         minimal_torus_routes(topology.parse("mesh:4x4"))
 
 
-def test_hand_built_ring_routing_is_rejected():
+def hand_built_ring():
     # Three switches cabled in a unidirectional ring (port 0 -> next,
     # port 1 <- previous, port 2 -> host).  One-hop routes are fine;
     # adding the two-hop (+2) routes closes the channel cycle.
@@ -187,16 +193,52 @@ def test_hand_built_ring_routing_is_rejected():
     for i in range(3):
         net.connect(PortRef(f"ring{i}", 0), PortRef(f"ring{(i + 1) % 3}", 1))
     one_hop = {(f"node{s}", f"node{(s + 1) % 3}"): [0, 2] for s in range(3)}
-    report = check_deadlock_free(net, one_hop)
-    assert report.routes == 3
     full = dict(one_hop)
     full.update({(f"node{s}", f"node{(s + 2) % 3}"): [0, 0, 2]
                  for s in range(3)})
+    return net, one_hop, full
+
+
+def test_hand_built_ring_routing_is_rejected():
+    net, one_hop, full = hand_built_ring()
+    report = check_deadlock_free(net, one_hop)
+    assert report.routes == 3
     with pytest.raises(RoutingDeadlockError) as err:
         check_deadlock_free(net, full)
     assert "cycle" in str(err.value)
     ring_channels = {f"ring{i}->ring{(i + 1) % 3}" for i in range(3)}
     assert ring_channels.issubset(set(err.value.cycle))
+
+
+def _table_of(case):
+    """(net, route table) of a built spec or of a hand-made cyclic case."""
+    if case == "minimal-torus":
+        return minimal_torus()
+    if case.startswith("ring"):
+        net, one_hop, full = hand_built_ring()
+        return net, one_hop if case == "ring-one-hop" else full
+    net = topology.build(case, Environment())
+    return net, net.route_table
+
+
+@pytest.mark.parametrize(
+    "case", ALL_SPECS + ["minimal-torus", "ring-one-hop", "ring-full"])
+def test_checker_agrees_with_networkx(case):
+    # The checker proves acyclicity without networkx; the verdict, the
+    # counts and the cycle it names must be what find_cycle gives on the
+    # channel dependency graph.
+    net, table = _table_of(case)
+    cdg = channel_dependency_graph(net, table)
+    try:
+        edges = nx.find_cycle(cdg)
+    except nx.NetworkXNoCycle:
+        assert check_deadlock_free(net, table) == DeadlockReport(
+            len(table), cdg.number_of_nodes(), cdg.number_of_edges())
+    else:
+        with pytest.raises(RoutingDeadlockError) as err:
+            check_deadlock_free(net, table)
+        assert err.value.cycle == [a for a, _ in edges] + [edges[-1][1]]
+        assert f"cycle of length {len(edges)}" in str(err.value)
 
 
 def test_check_requires_some_table():

@@ -1,6 +1,8 @@
 """Unit tests for VMMC data structures: page tables, proxy space, TLB,
 send queues."""
 
+import sys
+
 import pytest
 
 from repro.hw.lanai import SRAM
@@ -189,6 +191,20 @@ def test_tlb_sram_footprint():
     sram = SRAM()
     SoftwareTLB(pid=5, sram=sram)
     assert sram.usage_report()["tlb.pid5"] == 2048 * 8  # 16 KB per process
+
+
+def test_tlb_builds_ways_on_first_touch():
+    # The SRAM footprint is charged in full; the host-side objects of a
+    # set exist only once the set is touched (2 048 ways per attached
+    # process otherwise, most of them never used).
+    before = sys.getallocatedblocks()
+    tlb = SoftwareTLB(pid=1)
+    assert sys.getallocatedblocks() - before < 100
+    assert tlb.occupancy == 0 and not tlb.invalidate(7)
+    tlb.insert(7, 70)
+    tlb.insert(7 + tlb.nsets, 71)
+    assert (tlb.lookup(7), tlb.lookup(7 + tlb.nsets)) == (70, 71)
+    assert tlb.occupancy == 2
 
 
 # ------------------------------------------------------------- send queue
