@@ -64,7 +64,7 @@ class ActiveMessagesPair(ProtocolPair):
             if not packet.meta.get("crc_ok", True):
                 continue
             yield node.nic.processor.work_ns(FIRMWARE_NS)
-            yield node.nic.host_dma.write_host(packet.payload, 12288)
+            yield from node.nic.host_dma.write_host(packet.payload, 12288)
             seq = packet.header["seq"]
             got = partial.get(seq, 0) + packet.payload_bytes
             if got < packet.header["msg_length"]:
@@ -77,7 +77,7 @@ class ActiveMessagesPair(ProtocolPair):
             if handler is not None:
                 result = handler(packet.header.get("args", ()))
                 if hasattr(result, "__next__"):
-                    yield self.env.process(result)
+                    yield from result
             self._inboxes[index].put((seq, packet.header["msg_length"]))
 
     def deliveries(self, dst_index: int) -> Store:
@@ -94,18 +94,19 @@ class ActiveMessagesPair(ProtocolPair):
             sent = 0
             while sent < nbytes:
                 frag = min(STORE_FRAGMENT, nbytes - sent)
-                yield node.bus.mmio_write(4)
+                yield from node.bus.mmio_write(4)
                 yield node.nic.processor.work_ns(FIRMWARE_NS)
                 paddr = node.space.translate(
                     payload_buffer.vaddr
                     + (sent % max(1, payload_buffer.nbytes - frag + 1)))
-                yield node.nic.host_dma.to_sram(paddr, 0, frag)
+                yield from node.nic.host_dma.to_sram(paddr, 0, frag)
                 packet = self.make_packet(
                     src_index, "am_request",
                     {"seq": seq, "msg_length": nbytes, "offset": sent,
                      "handler": "store"},
                     payload_buffer.read(0, frag))
-                node.nic.net_send.send(packet)
+                self.env.process(node.nic.net_send.send(packet),
+                                 name="netsend")
                 sent += frag
 
         return self.env.process(run(), name="am.send")
@@ -117,13 +118,13 @@ class ActiveMessagesPair(ProtocolPair):
 
         def run():
             yield self.env.timeout(TX_OVERHEAD_NS)
-            yield node.bus.mmio_write(6)
+            yield from node.bus.mmio_write(6)
             yield node.nic.processor.work_ns(FIRMWARE_NS)
             packet = self.make_packet(
                 src_index, "am_request",
                 {"seq": seq, "msg_length": 16, "offset": 0,
                  "handler": handler, "args": args},
                 b"\0" * 16)
-            yield node.nic.net_send.send(packet)
+            yield from node.nic.net_send.send(packet)
 
         return self.env.process(run(), name="am.request")

@@ -71,7 +71,7 @@ class FastMessagesPair(ProtocolPair):
             if not packet.meta.get("crc_ok", True):
                 continue
             # DMA fragment into the pinned receive region.
-            yield node.nic.host_dma.write_host(packet.payload, 8192)
+            yield from node.nic.host_dma.write_host(packet.payload, 8192)
             seq = packet.header["seq"]
             got = partial.get(seq, 0) + packet.payload_bytes
             if got >= packet.header["msg_length"]:
@@ -106,7 +106,7 @@ class FastMessagesPair(ProtocolPair):
                 words = HEADER_WORDS + (frag + 3) // 4
                 # The defining cost: every payload word crosses the PCI
                 # bus as a programmed-I/O write.  No pinning needed.
-                yield node.bus.mmio_write(words)
+                yield from node.bus.mmio_write(words)
                 payload = payload_buffer.read(
                     sent % max(1, payload_buffer.nbytes - frag + 1), frag)
                 packet = self.make_packet(
@@ -123,4 +123,4 @@ class FastMessagesPair(ProtocolPair):
 
     def _forward(self, node, packet):
         yield node.nic.processor.work_ns(FIRMWARE_NS)
-        yield node.nic.net_send.send(packet)
+        yield from node.nic.net_send.send(packet)

@@ -84,7 +84,7 @@ class PMPair(ProtocolPair):
             yield node.nic.processor.work_ns(RX_FIRMWARE_NS)
             # DMA into the preallocated pinned receive buffer (contiguous:
             # full transfer-unit DMAs).
-            yield node.nic.host_dma.write_host(packet.payload, 16384)
+            yield from node.nic.host_dma.write_host(packet.payload, 16384)
             seq = packet.header["seq"]
             got = partial.get(seq, 0) + packet.payload_bytes
             if got >= packet.header["msg_length"]:
@@ -92,13 +92,9 @@ class PMPair(ProtocolPair):
                 self._inboxes[index].put((seq, packet.header["msg_length"]))
                 # Modified ACK/NACK: acknowledge received messages in bulk.
                 ack = self.make_packet(index, "pm_ack", {"count": 1}, b"")
-                self.env.process(self._send_ack(node, ack),
-                                 name="pm.ack")
+                self.env.process(node.nic.net_send.send(ack), name="pm.ack")
             else:
                 partial[seq] = got
-
-    def _send_ack(self, node, ack):
-        yield node.nic.net_send.send(ack)
 
     def _grant_credit(self, index: int, count: int) -> None:
         self._credits[index] += count
@@ -131,7 +127,8 @@ class PMPair(ProtocolPair):
                 # cost PM's peak number excludes (section 7).
                 yield node.membus.bcopy(nbytes)
             yield self._take_credit(src_index)
-            yield node.bus.mmio_write(3)  # descriptor: addr, len, doorbell
+            # Descriptor: addr, len, doorbell.
+            yield from node.bus.mmio_write(3)
             sent = 0
             send_vaddr = self._send_bufs[src_index]
             while sent < nbytes:
@@ -140,7 +137,7 @@ class PMPair(ProtocolPair):
                 # Contiguous pinned buffer: one DMA per 8 KB unit.
                 paddr = node.space.translate(
                     send_vaddr + (sent % (256 * 1024 - unit + 1)))
-                yield node.nic.host_dma.to_sram(paddr, 0, unit)
+                yield from node.nic.host_dma.to_sram(paddr, 0, unit)
                 payload = payload_buffer.read(
                     sent % max(1, payload_buffer.nbytes - unit + 1), unit)
                 packet = self.make_packet(
@@ -149,7 +146,8 @@ class PMPair(ProtocolPair):
                     payload)
                 # Network injection overlaps the next unit's host DMA (the
                 # net-send engine serialises packets in FIFO order).
-                node.nic.net_send.send(packet)
+                self.env.process(node.nic.net_send.send(packet),
+                                 name="netsend")
                 sent += unit
 
         return self.env.process(run(), name="pm.send")

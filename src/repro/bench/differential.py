@@ -38,7 +38,8 @@ from typing import Any, Callable, Iterator
 
 from repro.sim.core import ENGINE_ENV_VAR, resolve_engine
 from repro.sim.fingerprint import (diff_values, trace_fingerprint,
-                                   trace_payload, value_fingerprint)
+                                   trace_multiset_fingerprint, trace_payload,
+                                   value_fingerprint)
 
 __all__ = ["WORKLOADS", "engine_env", "run_workload", "diff_engines"]
 
@@ -132,6 +133,8 @@ def _contract_workload() -> dict[str, Any]:
     tracer, metrics = run_contract_workload()
     return {
         "trace_fingerprint": trace_fingerprint(tracer),
+        # Order-insensitive: moves only if a record's time or payload does.
+        "trace_multiset_fingerprint": trace_multiset_fingerprint(tracer),
         "trace_records": len(tracer.records),
         "trace_dropped": tracer.dropped,
         "metrics_fingerprint": value_fingerprint(metrics.snapshot()),

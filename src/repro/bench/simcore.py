@@ -5,8 +5,8 @@ shapes that bracket the repo's real simulations:
 
 * ``chain`` — one process, N sequential timeouts.  The
   Timeout→resume→Timeout pattern of the LANai/DMA/link pipelines;
-  generator resumption dominates, so the vector engine's win here is
-  only its inlined drain loop.
+  generator resumption dominates and both engines drain with the same
+  loop, so the speedup here reads ≈1×.
 * ``storm`` — N independent timeouts pre-scheduled at scattered
   deadlines.  Pure heap churn with trivial callbacks.
 * ``ring`` — N slot-ring deadlines armed in batches through

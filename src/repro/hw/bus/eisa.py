@@ -42,7 +42,8 @@ class EISAParams:
 
 
 class EISABus:
-    """Shared EISA bus: same interface as :class:`~repro.hw.bus.pci.PCIBus`."""
+    """Shared EISA bus: same interface as :class:`~repro.hw.bus.pci.PCIBus`
+    (every operation is a generator the caller runs with ``yield from``)."""
 
     def __init__(self, env: Environment, params: EISAParams | None = None,
                  name: str = "eisa"):
@@ -58,30 +59,23 @@ class EISABus:
         return self._pio(self.params.mmio_write_ns, words, "write")
 
     def _pio(self, cost_ns: int, words: int, kind: str):
-        def run():
-            with self._arbiter.request() as req:
-                yield req
-                emit(self.env, f"{self.name}.pio.{kind}", words=words)
-                count(self.env, "bus.pio.words", words,
-                      bus=self.name, kind=kind)
-                yield self.env.timeout(cost_ns * words)
-
-        return self.env.process(run(), name=f"{self.name}.pio.{kind}")
+        with self._arbiter.request() as req:
+            yield req
+            emit(self.env, f"{self.name}.pio.{kind}", words=words)
+            count(self.env, "bus.pio.words", words,
+                  bus=self.name, kind=kind)
+            yield self.env.timeout(cost_ns * words)
 
     def dma(self, nbytes: int, priority: int = 0):
         duration = self.params.dma_time_ns(nbytes)
-
-        def run():
-            set_gauge(self.env, "bus.dma.queue_depth",
-                      self._arbiter.queue_length, bus=self.name)
-            with self._arbiter.request(priority=priority) as req:
-                yield req
-                emit(self.env, f"{self.name}.dma", nbytes=nbytes,
-                     duration=duration)
-                count(self.env, "bus.dma.transactions", bus=self.name)
-                count(self.env, "bus.dma.bytes", nbytes, bus=self.name)
-                observe(self.env, "bus.dma.duration_ns", duration,
-                        bus=self.name)
-                yield self.env.timeout(duration)
-
-        return self.env.process(run(), name=f"{self.name}.dma")
+        set_gauge(self.env, "bus.dma.queue_depth",
+                  self._arbiter.queue_length, bus=self.name)
+        with self._arbiter.request(priority=priority) as req:
+            yield req
+            emit(self.env, f"{self.name}.dma", nbytes=nbytes,
+                 duration=duration)
+            count(self.env, "bus.dma.transactions", bus=self.name)
+            count(self.env, "bus.dma.bytes", nbytes, bus=self.name)
+            observe(self.env, "bus.dma.duration_ns", duration,
+                    bus=self.name)
+            yield self.env.timeout(duration)

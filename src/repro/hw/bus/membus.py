@@ -56,17 +56,9 @@ class MemoryBus:
         self.params = params or MemoryBusParams()
 
     def bcopy(self, nbytes: int):
-        """Process: charge the time of one host-side memory copy."""
-        duration = self.params.bcopy_ns(nbytes)
-
-        def run():
-            yield self.env.timeout(duration)
-
-        return self.env.process(run(), name="membus.bcopy")
+        """Timeout event: the time of one host-side memory copy."""
+        return self.env.timeout(self.params.bcopy_ns(nbytes))
 
     def cacheline_fill(self):
-        """Process: charge one cache-line fill."""
-        def run():
-            yield self.env.timeout(self.params.cacheline_fill_ns)
-
-        return self.env.process(run(), name="membus.fill")
+        """Timeout event: one cache-line fill."""
+        return self.env.timeout(self.params.cacheline_fill_ns)

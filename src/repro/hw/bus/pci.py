@@ -70,6 +70,10 @@ class PCIBus:
     transactions (the 430FX gives the busmaster long bursts); PIO accesses
     queue behind them, which is how send-posting cost can grow under heavy
     DMA traffic — visible in the bidirectional benchmark.
+
+    Every operation is a **generator** the caller runs:
+    ``yield from bus.dma(n)`` inline, or ``env.process(bus.dma(n))`` to
+    overlap it with the caller's own work.
     """
 
     def __init__(self, env: Environment, params: PCIParams | None = None,
@@ -81,47 +85,40 @@ class PCIBus:
 
     # -- programmed I/O ------------------------------------------------------
     def mmio_read(self, words: int = 1):
-        """Process: perform ``words`` uncached I/O reads. Yields; returns None."""
+        """Generator: perform ``words`` uncached I/O reads."""
         return self._pio(self.params.mmio_read_ns, words, "read")
 
     def mmio_write(self, words: int = 1):
-        """Process: perform ``words`` posted I/O writes."""
+        """Generator: perform ``words`` posted I/O writes."""
         return self._pio(self.params.mmio_write_ns, words, "write")
 
     def _pio(self, cost_ns: int, words: int, kind: str):
-        def run():
-            with self._arbiter.request() as req:
-                yield req
-                emit(self.env, f"{self.name}.pio.{kind}", words=words)
-                count(self.env, "bus.pio.words", words,
-                      bus=self.name, kind=kind)
-                yield self.env.timeout(cost_ns * words)
-
-        return self.env.process(run(), name=f"{self.name}.pio.{kind}")
+        with self._arbiter.request() as req:
+            yield req
+            emit(self.env, f"{self.name}.pio.{kind}", words=words)
+            count(self.env, "bus.pio.words", words,
+                  bus=self.name, kind=kind)
+            yield self.env.timeout(cost_ns * words)
 
     # -- DMA ---------------------------------------------------------------------
     def dma(self, nbytes: int, priority: int = 0):
-        """Process: one DMA transaction of ``nbytes`` across the bus.
+        """Generator: one DMA transaction of ``nbytes`` across the bus.
 
         The caller (a DMA engine) is responsible for actually moving the
         bytes between memories; this models only the bus time.
         """
         duration = self.params.dma_time_ns(nbytes)
-
-        def run():
-            set_gauge(self.env, "bus.dma.queue_depth",
-                      self._arbiter.queue_length, bus=self.name)
-            with self._arbiter.request(priority=priority) as req:
-                yield req
-                emit(self.env, f"{self.name}.dma", nbytes=nbytes,
-                     duration=duration)
-                count(self.env, "bus.dma.transactions", bus=self.name)
-                count(self.env, "bus.dma.bytes", nbytes, bus=self.name)
-                observe(self.env, "bus.dma.duration_ns", duration,
-                        bus=self.name)
-                yield self.env.timeout(duration)
-
-        return self.env.process(run(), name=f"{self.name}.dma")
+        set_gauge(self.env, "bus.dma.queue_depth",
+                  self._arbiter.queue_length, bus=self.name)
+        with self._arbiter.request(priority=priority) as req:
+            yield req
+            emit(self.env, f"{self.name}.dma", nbytes=nbytes,
+                 duration=duration)
+            count(self.env, "bus.dma.transactions", bus=self.name)
+            count(self.env, "bus.dma.bytes", nbytes, bus=self.name)
+            observe(self.env, "bus.dma.duration_ns", duration,
+                    bus=self.name)
+            yield self.env.timeout(duration)
 
     @property
     def busy(self) -> bool:

@@ -12,6 +12,10 @@
 Each engine serialises its own transfers (capacity-1 resource) but the
 three engines run concurrently — the internal bus is clocked at twice the
 processor, "letting the two DMA engines operate concurrently".
+
+An engine operation is a **generator**: ``yield from`` it to wait for the
+transfer, or hand it to ``env.process(...)`` — once, at the call site —
+when the caller carries on while the engine works.
 """
 
 from __future__ import annotations
@@ -50,94 +54,80 @@ class HostDMAEngine:
         self.bytes_to_host = 0
 
     def to_sram(self, paddr: int, sram_addr: int, nbytes: int):
-        """Process: DMA ``nbytes`` host→SRAM; fires when data is in SRAM."""
-        def run():
-            set_gauge(self.env, "hostdma.queue_depth",
-                      self._engine.queue_length, nic=self.name)
-            with self._engine.request() as req:
-                yield req
-                yield self.bus.dma(nbytes)
-                self.sram.view(sram_addr, nbytes)[:] = \
-                    self.host_memory.view(paddr, nbytes)
-                self.bytes_to_sram += nbytes
-                count(self.env, "hostdma.bytes", nbytes,
-                      nic=self.name, dir="to_sram")
-                emit(self.env, f"{self.name}.hostdma.to_sram",
-                     paddr=paddr, nbytes=nbytes)
-
-        return self.env.process(run(), name="hostdma.to_sram")
+        """Generator: DMA ``nbytes`` host→SRAM; returns when data is in
+        SRAM."""
+        set_gauge(self.env, "hostdma.queue_depth",
+                  self._engine.queue_length, nic=self.name)
+        with self._engine.request() as req:
+            yield req
+            yield from self.bus.dma(nbytes)
+            self.sram.view(sram_addr, nbytes)[:] = \
+                self.host_memory.view(paddr, nbytes)
+            self.bytes_to_sram += nbytes
+            count(self.env, "hostdma.bytes", nbytes,
+                  nic=self.name, dir="to_sram")
+            emit(self.env, f"{self.name}.hostdma.to_sram",
+                 paddr=paddr, nbytes=nbytes)
 
     def to_host(self, sram_addr: int, paddr: int, nbytes: int):
-        """Process: DMA ``nbytes`` SRAM→host memory."""
-        def run():
-            with self._engine.request() as req:
-                yield req
-                yield self.bus.dma(nbytes)
-                self.host_memory.view(paddr, nbytes)[:] = \
-                    self.sram.view(sram_addr, nbytes)
-                self.host_memory.notify_write(paddr, nbytes)
-                self.bytes_to_host += nbytes
-                count(self.env, "hostdma.bytes", nbytes,
-                      nic=self.name, dir="to_host")
-                emit(self.env, f"{self.name}.hostdma.to_host",
-                     paddr=paddr, nbytes=nbytes)
-
-        return self.env.process(run(), name="hostdma.to_host")
+        """Generator: DMA ``nbytes`` SRAM→host memory."""
+        with self._engine.request() as req:
+            yield req
+            yield from self.bus.dma(nbytes)
+            self.host_memory.view(paddr, nbytes)[:] = \
+                self.sram.view(sram_addr, nbytes)
+            self.host_memory.notify_write(paddr, nbytes)
+            self.bytes_to_host += nbytes
+            count(self.env, "hostdma.bytes", nbytes,
+                  nic=self.name, dir="to_host")
+            emit(self.env, f"{self.name}.hostdma.to_host",
+                 paddr=paddr, nbytes=nbytes)
 
     def write_host(self, data: np.ndarray, paddr: int):
-        """Process: DMA the given bytes (already staged in SRAM by the
+        """Generator: DMA the given bytes (already staged in SRAM by the
         receive engine) to host memory at ``paddr``."""
         payload = np.asarray(data, dtype=np.uint8)
-
-        def run():
-            set_gauge(self.env, "hostdma.queue_depth",
-                      self._engine.queue_length, nic=self.name)
-            with self._engine.request() as req:
-                yield req
-                yield self.bus.dma(int(payload.size))
-                self.host_memory.view(paddr, int(payload.size))[:] = payload
-                self.host_memory.notify_write(paddr, int(payload.size))
-                self.bytes_to_host += int(payload.size)
-                count(self.env, "hostdma.bytes", int(payload.size),
-                      nic=self.name, dir="to_host")
-                emit(self.env, f"{self.name}.hostdma.write_host",
-                     paddr=paddr, nbytes=int(payload.size))
-
-        return self.env.process(run(), name="hostdma.write_host")
+        nbytes = int(payload.size)
+        set_gauge(self.env, "hostdma.queue_depth",
+                  self._engine.queue_length, nic=self.name)
+        with self._engine.request() as req:
+            yield req
+            yield from self.bus.dma(nbytes)
+            self.host_memory.view(paddr, nbytes)[:] = payload
+            self.host_memory.notify_write(paddr, nbytes)
+            self.bytes_to_host += nbytes
+            count(self.env, "hostdma.bytes", nbytes,
+                  nic=self.name, dir="to_host")
+            emit(self.env, f"{self.name}.hostdma.write_host",
+                 paddr=paddr, nbytes=nbytes)
 
     def write_host_scatter(self, data: np.ndarray,
                            extents: list[tuple[int, int]]):
-        """Process: deliver staged receive data to up to two physical
+        """Generator: deliver staged receive data to up to two physical
         extents — the section-4.5 two-piece scatter."""
         payload = np.asarray(data, dtype=np.uint8)
-
-        def run():
-            offset = 0
-            for paddr, length in extents:
-                if length == 0:
-                    continue
-                yield self.write_host(payload[offset:offset + length], paddr)
-                offset += length
-
-        return self.env.process(run(), name="hostdma.write_scatter")
+        offset = 0
+        for paddr, length in extents:
+            if length == 0:
+                continue
+            yield from self.write_host(payload[offset:offset + length],
+                                       paddr)
+            offset += length
 
     def scatter_to_host(self, sram_addr: int,
                         extents: list[tuple[int, int]]):
-        """Process: write SRAM bytes to up to two physical extents.
+        """Generator: write SRAM bytes to up to two physical extents.
 
         This is the receive-side "two piece scatter" of section 4.5 — a
         message landing across a page boundary is written with two DMA
         transactions, addresses taken from the packet header.
         """
-        def run():
-            offset = 0
-            for paddr, length in extents:
-                if length == 0:
-                    continue
-                yield self.to_host(sram_addr + offset, paddr, length)
-                offset += length
-
-        return self.env.process(run(), name="hostdma.scatter")
+        offset = 0
+        for paddr, length in extents:
+            if length == 0:
+                continue
+            yield from self.to_host(sram_addr + offset, paddr, length)
+            offset += length
 
     @property
     def queue_length(self) -> int:
@@ -156,22 +146,21 @@ class NetSendEngine:
         self.packets_sent = 0
 
     def send(self, packet: MyrinetPacket):
-        """Process: seal (hardware CRC) and transmit one packet.
+        """Generator: seal (hardware CRC) and transmit one packet.
 
-        Completes when the packet's tail has left the NIC — the point at
-        which the SRAM staging buffer is reusable.
+        Returns when the packet's tail has left the NIC — the point at
+        which the SRAM staging buffer is reusable.  The engine streams
+        autonomously of the LANai, so the LCP runs this as its own
+        process (``env.process(net_send.send(packet))``).
         """
-        def run():
-            with self._engine.request() as req:
-                yield req
-                packet.seal()
-                yield self.network.inject(self.host_name, packet)
-                self.packets_sent += 1
-                count(self.env, "net.packets", nic=self.host_name, dir="tx")
-                emit(self.env, "lanai.netsend", nic=self.host_name,
-                     nbytes=packet.payload_bytes)
-
-        return self.env.process(run(), name="netsend")
+        with self._engine.request() as req:
+            yield req
+            packet.seal()
+            yield from self.network.inject(self.host_name, packet)
+            self.packets_sent += 1
+            count(self.env, "net.packets", nic=self.host_name, dir="tx")
+            emit(self.env, "lanai.netsend", nic=self.host_name,
+                 nbytes=packet.payload_bytes)
 
 
 class NetRecvEngine:

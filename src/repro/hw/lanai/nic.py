@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim import Environment
+from repro.sim import Environment, Event
 from repro.sim.trace import emit
 from repro.mem.physical import PhysicalMemory
 from repro.hw.bus.pci import PCIBus
@@ -43,7 +43,7 @@ class LanaiNIC:
 
     # -- host-side MMIO access to SRAM ---------------------------------------
     def host_write_sram(self, addr: int, payload, words: int | None = None):
-        """Process: host writes ``payload`` into SRAM via programmed I/O.
+        """Generator: host writes ``payload`` into SRAM via programmed I/O.
 
         Cost: one posted PCI write per 32-bit word (section 5.2's
         0.121 µs each).  The byte payload lands in SRAM when the last
@@ -51,25 +51,15 @@ class LanaiNIC:
         """
         data = bytes(payload)
         nwords = words if words is not None else max(1, (len(data) + 3) // 4)
-
-        def run():
-            yield self.bus.mmio_write(nwords)
-            self.sram.write(addr, data)
-            emit(self.env, "nic.host_write_sram", addr=addr,
-                 nbytes=len(data))
-
-        return self.env.process(run(), name="nic.host_write_sram")
+        yield from self.bus.mmio_write(nwords)
+        self.sram.write(addr, data)
+        emit(self.env, "nic.host_write_sram", addr=addr, nbytes=len(data))
 
     def host_read_sram(self, addr: int, nbytes: int):
-        """Process: host reads SRAM via programmed I/O (0.422 µs/word);
-        the process's value is the bytes read."""
-        nwords = max(1, (nbytes + 3) // 4)
-
-        def run():
-            yield self.bus.mmio_read(nwords)
-            return self.sram.read(addr, nbytes)
-
-        return self.env.process(run(), name="nic.host_read_sram")
+        """Generator: host reads SRAM via programmed I/O (0.422 µs/word);
+        returns the bytes read."""
+        yield from self.bus.mmio_read(max(1, (nbytes + 3) // 4))
+        return self.sram.read(addr, nbytes)
 
     # -- interrupt line ----------------------------------------------------------
     def set_interrupt_handler(self,
@@ -78,25 +68,22 @@ class LanaiNIC:
         self._interrupt_handler = handler
 
     def raise_interrupt(self, reason: str, payload: Any = None):
-        """Process: assert the PCI interrupt line; completes when the host
-        driver has serviced it (the LCP blocks on TLB-miss service)."""
+        """Assert the PCI interrupt line; returns a generator that ends
+        when the host driver has serviced it (the LCP blocks on TLB-miss
+        service) and returns the handler's result."""
         if self._interrupt_handler is None:
             raise RuntimeError(
                 f"{self.host_name}: interrupt with no driver attached")
         self.interrupts_raised += 1
         emit(self.env, "nic.interrupt", reason=reason)
+        return self._serviced(self._interrupt_handler(reason, payload))
 
-        def run():
-            from repro.sim import Event
-
-            result = self._interrupt_handler(reason, payload)
-            if hasattr(result, "__next__"):
-                result = yield self.env.process(result)
-            elif isinstance(result, Event):
-                result = yield result
-            return result
-
-        return self.env.process(run(), name=f"nic.irq.{reason}")
+    def _serviced(self, result: Any):
+        if hasattr(result, "__next__"):
+            result = yield from result
+        elif isinstance(result, Event):
+            result = yield result
+        return result
 
     # -- resource accounting (section 6 tradeoffs) ------------------------------
     def sram_usage(self) -> dict[str, int]:

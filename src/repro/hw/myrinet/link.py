@@ -79,8 +79,9 @@ class Link:
     """Unidirectional link from a source port to a sink callable.
 
     The sink is ``receive(packet)`` on a switch input port or a NIC; it is
-    invoked (as a new process) when the packet **tail** arrives, i.e. when
-    the packet is fully deliverable to the next stage's buffer.
+    invoked when the packet **tail** arrives, i.e. when the packet is
+    fully deliverable to the next stage's buffer; a generator sink (a
+    switch forwarding the worm) runs as a new process.
     """
 
     def __init__(self, env: Environment, params: LinkParams | None = None,
@@ -169,38 +170,38 @@ class Link:
         self.sink = sink
 
     def transmit(self, packet: MyrinetPacket):
-        """Process: put ``packet`` on the wire; completes when the **tail**
-        has left this end (so the sender's DMA engine frees up), while
-        delivery to the sink happens ``latency`` later."""
+        """Put ``packet`` on the wire.  Returns a generator that ends when
+        the **tail** has left this end (so the sender's DMA engine frees
+        up), while delivery to the sink happens ``latency`` later; an
+        unconnected link raises here, at the call."""
         if self.sink is None:
             raise RuntimeError(f"{self.name}: link not connected")
+        return self._transmit(packet)
 
-        def run():
-            with self._wire.request() as req:
-                yield req
-                wire_time = self.params.wire_time_ns(packet.wire_bytes)
-                emit(self.env, f"{self.name}.tx",
-                     bytes=packet.wire_bytes, wire_time=wire_time)
-                error_rate = self.effective_error_rate
-                if error_rate > 0 and self._rng.random() < error_rate:
-                    packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
-                    self.errors_injected += 1
-                    count(self.env, "link.errors_injected", link=self.name)
-                self.packets_carried += 1
-                self.bytes_carried += packet.wire_bytes
-                count(self.env, "link.packets", link=self.name)
-                count(self.env, "link.bytes", packet.wire_bytes,
-                      link=self.name)
-                count(self.env, "link.busy_ns", wire_time, link=self.name)
-                yield self.env.timeout(wire_time)
-            # Tail has left this end; head+latency delivery downstream.
-            self.env.process(self._deliver(packet),
-                             name=f"{self.name}.deliver")
+    def _transmit(self, packet: MyrinetPacket):
+        with self._wire.request() as req:
+            yield req
+            wire_time = self.params.wire_time_ns(packet.wire_bytes)
+            emit(self.env, f"{self.name}.tx",
+                 bytes=packet.wire_bytes, wire_time=wire_time)
+            error_rate = self.effective_error_rate
+            if error_rate > 0 and self._rng.random() < error_rate:
+                packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
+                self.errors_injected += 1
+                count(self.env, "link.errors_injected", link=self.name)
+            self.packets_carried += 1
+            self.bytes_carried += packet.wire_bytes
+            count(self.env, "link.packets", link=self.name)
+            count(self.env, "link.bytes", packet.wire_bytes,
+                  link=self.name)
+            count(self.env, "link.busy_ns", wire_time, link=self.name)
+            yield self.env.timeout(wire_time)
+        # Tail has left this end; the head surfaces at the far end one
+        # cable latency later, whatever the sender does meanwhile.
+        self.env.timeout(self.params.latency_ns).callbacks.append(
+            lambda _arrival: self._deliver(packet))
 
-        return self.env.process(run(), name=f"{self.name}.tx")
-
-    def _deliver(self, packet: MyrinetPacket):
-        yield self.env.timeout(self.params.latency_ns)
+    def _deliver(self, packet: MyrinetPacket) -> None:
         if not self.is_up:
             # Dead cable: the worm never reaches the far end.  Nobody is
             # notified — Myrinet hardware gives the sender no feedback.
@@ -211,5 +212,5 @@ class Link:
             return
         result = self.sink(packet)
         if hasattr(result, "__next__"):
-            # Sink is a generator — run it as a process.
-            yield self.env.process(result)
+            # The sink is a switch: the worm crossing it is a process.
+            self.env.process(result, name=f"{self.name}.deliver")

@@ -145,7 +145,9 @@ class MyrinetNetwork:
 
     # -- use ------------------------------------------------------------------------
     def inject(self, host: str, packet: MyrinetPacket):
-        """Process: host NIC puts a packet on its outgoing cable."""
+        """Host NIC puts a packet on its outgoing cable: stamps
+        ``packet.injected_at`` and returns :meth:`Link.transmit`'s
+        generator; an uncabled host raises here, at the call."""
         out = self.hosts[host].out_link
         if out is None:
             raise RuntimeError(f"host {host} is not cabled to the fabric")

@@ -121,7 +121,7 @@ class Switch:
             count(self.env, "switch.forwarded", switch=self.name)
             emit(self.env, f"{self.name}.forward", port=port,
                  bytes=packet.wire_bytes)
-            yield link.transmit(packet)
+            yield from link.transmit(packet)
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.nports:

@@ -73,36 +73,32 @@ class ShrimpStateMachine:
 
     def deliberate_update(self, src_paddr: int, extents, node_index: int,
                           nbytes: int, last: bool, notify: bool = False):
-        """Process: one ≤page transfer; completes when the data has left
+        """Generator: one ≤page transfer; returns when the data has left
         host memory (the EISA DMA finished) — the sender-visible point."""
-        def run():
-            with self._engine.request() as req:
-                yield req
-                yield self.env.timeout(self.params.state_machine_ns)
-                # Fetch the data from host memory over EISA.
-                yield self.nic.bus.dma(nbytes)
-                payload = self.nic.host_memory.read(src_paddr, nbytes)
-                packet = MyrinetPacket(
-                    list(self.nic.routes[node_index]),
-                    PacketHeader("shrimp_du", {
-                        "extents": tuple(extents),
-                        "length": nbytes,
-                        "last": last,
-                        "notify": notify,
-                        "src_node": self.nic.node_index,
-                    }),
-                    payload)
-                packet.seal()
-                self.requests_processed += 1
-                emit(self.env, "shrimp.sm.send", nbytes=nbytes)
-                # The backplane injection proceeds in hardware; don't hold
-                # the state machine for the wire time.
-                self.env.process(self._inject(packet), name="shrimp.inject")
-
-        return self.env.process(run(), name="shrimp.sm")
-
-    def _inject(self, packet: MyrinetPacket):
-        yield self.nic.network.inject(self.nic.host_name, packet)
+        with self._engine.request() as req:
+            yield req
+            yield self.env.timeout(self.params.state_machine_ns)
+            # Fetch the data from host memory over EISA.
+            yield from self.nic.bus.dma(nbytes)
+            payload = self.nic.host_memory.read(src_paddr, nbytes)
+            packet = MyrinetPacket(
+                list(self.nic.routes[node_index]),
+                PacketHeader("shrimp_du", {
+                    "extents": tuple(extents),
+                    "length": nbytes,
+                    "last": last,
+                    "notify": notify,
+                    "src_node": self.nic.node_index,
+                }),
+                payload)
+            packet.seal()
+            self.requests_processed += 1
+            emit(self.env, "shrimp.sm.send", nbytes=nbytes)
+            # The backplane injection proceeds in hardware; don't hold
+            # the state machine for the wire time.
+            self.env.process(
+                self.nic.network.inject(self.nic.host_name, packet),
+                name="shrimp.inject")
 
 
 class ShrimpNIC:
@@ -155,7 +151,7 @@ class ShrimpNIC:
         for paddr, length in extents:
             if length == 0:
                 continue
-            yield self.bus.dma(length)
+            yield from self.bus.dma(length)
             self.host_memory.view(paddr, length)[:] = \
                 packet.payload[offset:offset + length]
             self.host_memory.notify_write(paddr, length)

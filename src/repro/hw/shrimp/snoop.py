@@ -80,31 +80,28 @@ class AutomaticUpdateUnit:
 
     # -- the snoop itself -----------------------------------------------------------
     def snoop(self, paddr: int, data: np.ndarray):
-        """Process: a write of ``data`` at ``paddr`` appeared on the memory
-        bus.  If the page is mapped, capture it (may stall on FIFO-full,
-        back-pressuring the writing CPU)."""
-        def run():
-            offset = 0
-            size = int(np.asarray(data).size)
-            while offset < size:
-                page = (paddr + offset) // PAGE_SIZE
-                mapping = self._table.get(page)
-                chunk = min(size - offset,
-                            PAGE_SIZE - (paddr + offset) % PAGE_SIZE)
-                if mapping is not None:
-                    dest_node, dest_page = mapping
-                    dest_paddr = dest_page * PAGE_SIZE \
-                        + (paddr + offset) % PAGE_SIZE
-                    yield self.env.timeout(self.params.capture_ns)
-                    yield self._fifo.put(_CapturedWrite(
-                        dest_node=dest_node, dest_paddr=dest_paddr,
-                        data=np.asarray(data[offset:offset + chunk],
-                                        dtype=np.uint8).copy(),
-                        captured_at=self.env.now))
-                    self.writes_captured += 1
-                offset += chunk
-
-        return self.env.process(run(), name="au.snoop")
+        """Generator: a write of ``data`` at ``paddr`` appeared on the
+        memory bus.  If the page is mapped, capture it (may stall on
+        FIFO-full, back-pressuring the writing CPU)."""
+        offset = 0
+        size = int(np.asarray(data).size)
+        while offset < size:
+            page = (paddr + offset) // PAGE_SIZE
+            mapping = self._table.get(page)
+            chunk = min(size - offset,
+                        PAGE_SIZE - (paddr + offset) % PAGE_SIZE)
+            if mapping is not None:
+                dest_node, dest_page = mapping
+                dest_paddr = dest_page * PAGE_SIZE \
+                    + (paddr + offset) % PAGE_SIZE
+                yield self.env.timeout(self.params.capture_ns)
+                yield self._fifo.put(_CapturedWrite(
+                    dest_node=dest_node, dest_paddr=dest_paddr,
+                    data=np.asarray(data[offset:offset + chunk],
+                                    dtype=np.uint8).copy(),
+                    captured_at=self.env.now))
+                self.writes_captured += 1
+            offset += chunk
 
     def _pipeline(self):
         """Drain the FIFO: coalesce adjacent captures, inject packets."""
@@ -140,4 +137,5 @@ class AutomaticUpdateUnit:
             self.packets_injected += 1
             emit(self.env, "shrimp.au.inject", nbytes=int(payload.size),
                  coalesced=len(batch))
-            yield self.nic.network.inject(self.nic.host_name, packet)
+            yield from self.nic.network.inject(self.nic.host_name,
+                                               packet)

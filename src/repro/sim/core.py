@@ -13,13 +13,15 @@ contract"):
 
 * the **scalar** engine — this module's :class:`Environment`, one heap
   pop and one callback dispatch per event.  It is the *correctness
-  oracle*: deliberately simple, every event individually materialised.
+  oracle*: every event individually materialised.
 * the **vector** engine — :class:`repro.sim.fastcore.VectorEnvironment`,
   a drop-in subclass that keeps the identical ``(time, priority, seq)``
-  total order but drains the queue in an inlined loop and processes
-  homogeneous deadline populations (:meth:`Environment.timeout_batch`)
-  as numpy array rings, one pop per *distinct timestamp* instead of one
-  per member.
+  total order but processes homogeneous deadline populations
+  (:meth:`Environment.timeout_batch`) as numpy array rings, one pop per
+  *distinct timestamp* instead of one per member.
+
+Both drain the queue with the same one-frame loop in
+:meth:`Environment.run`.
 
 ``Environment(engine="vector")`` — or ``REPRO_SIM_ENGINE=vector`` in the
 environment — selects the engine at construction; everything downstream
@@ -93,6 +95,8 @@ class Interrupt(Exception):
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
+# Scheduling priorities (public as ``Environment.PRIORITY_*``).
+_URGENT, _NORMAL = 0, 1
 
 
 class Event:
@@ -142,7 +146,7 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -208,11 +212,17 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(env)
-        self.delay = int(delay)
-        self._ok = True
+        # Born triggered and scheduled: fill the slots and push, without
+        # the Event.__init__ / _schedule calls (the commonest event).
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=self.delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self.delay = delay = int(delay)
+        heapq.heappush(env._queue,
+                       (env._now + delay, _NORMAL, next(env._seq), self))
 
 
 class BatchTimeout(Event):
@@ -274,17 +284,34 @@ def _batch_groups(now: int, delays) -> list[tuple[int, Any]]:
             for g in range(len(starts))]
 
 
+def _not_an_event(what: str, target: Any) -> SimulationError:
+    """The error for a non-event where an event was required.  A bare
+    generator — ``yield bus.dma(n)`` with the ``from`` forgotten — is
+    the mistake the hardware API invites, so it is named and the two
+    fixes spelled out; it is never wrapped into a process silently."""
+    if hasattr(target, "throw"):
+        name = getattr(target, "__qualname__", type(target).__name__)
+        return SimulationError(
+            f"{what} the generator {name}() where an event is required: "
+            f"use `yield from {name}(...)` to run it inline or "
+            f"`env.process({name}(...))` to run it concurrently")
+    return SimulationError(f"{what} non-event {target!r}")
+
+
 class Initialize(Event):
     """Internal event that starts a freshly created process."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        env._schedule(self)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        heapq.heappush(env._queue,
+                       (env._now, _NORMAL, next(env._seq), self))
 
 
 class Process(Event):
@@ -354,8 +381,7 @@ class Process(Event):
                     self._finish_fail(exc)
                     break
             if not isinstance(target, Event):
-                exc = SimulationError(
-                    f"process {self.name!r} yielded non-event {target!r}")
+                exc = _not_an_event(f"process {self.name!r} yielded", target)
                 try:
                     self._generator.throw(exc)
                 except StopIteration as stop:
@@ -363,8 +389,9 @@ class Process(Event):
                 except BaseException as raised:
                     self._finish_fail(raised)
                 break
-            if target.processed:
-                # Already fired: loop immediately with its value.
+            if target.callbacks is None:
+                # Already processed (fired earlier, or a resource granted
+                # in place): loop immediately with its value.
                 event = target
                 continue
             target.callbacks.append(self._resume)
@@ -374,12 +401,13 @@ class Process(Event):
 
     def _finish_ok(self, value: Any) -> None:
         self._target = None
-        if not self.triggered:
-            self.succeed(value)
+        if self._value is _PENDING:
+            self._value = value
+            self.env._schedule(self)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._target = None
-        if not self.triggered:
+        if self._value is _PENDING:
             self._ok = False
             self._value = exc
             self.env._schedule(self)
@@ -402,9 +430,9 @@ class Environment:
     """
 
     #: Priority used for interrupts so they beat same-time normal events.
-    PRIORITY_URGENT = 0
+    PRIORITY_URGENT = _URGENT
     #: Default scheduling priority.
-    PRIORITY_NORMAL = 1
+    PRIORITY_NORMAL = _NORMAL
 
     #: Which engine this class implements (subclasses override).
     engine = "scalar"
@@ -526,7 +554,7 @@ class Environment:
 
     # -- scheduling / execution ---------------------------------------------
     def _schedule(self, event: Event, delay: int = 0,
-                  priority: int = PRIORITY_NORMAL) -> None:
+                  priority: int = _NORMAL) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
@@ -558,31 +586,49 @@ class Environment:
         ``until`` may be ``None`` (drain the queue), an integer time in
         nanoseconds, or an :class:`Event` — in which case its value is
         returned (or its exception raised).
+
+        The body of :meth:`step` is repeated inside the loop so draining
+        costs one frame, not a method call per event; ``events_processed``
+        is bumped per pop so callbacks observe exact counts.
         """
+        queue = self._queue
+        pop = heapq.heappop
         if isinstance(until, Event):
-            stop = until
-            while self._queue:
-                if stop.processed:
-                    break
-                self.step()
-            if not stop.triggered:
+            stop, deadline = until, None
+        elif hasattr(until, "throw"):
+            raise _not_an_event("run(until=...) was given", until)
+        else:
+            stop = None
+            deadline = None if until is None else int(until)
+            if deadline is not None and deadline < self._now:
                 raise SimulationError(
-                    f"run(until={stop!r}): queue drained before it fired "
-                    f"(deadlock at t={self._now} ns?)")
-            if stop._ok:
-                return stop._value
-            stop._defused = True
-            raise stop._value
-        deadline = None if until is None else int(until)
-        if deadline is not None and deadline < self._now:
-            raise SimulationError(
-                f"run(until={deadline}): the clock is already at "
-                f"now={self._now} ns and cannot run backwards")
-        while self._queue:
-            if deadline is not None and self._queue[0][0] > deadline:
+                    f"run(until={deadline}): the clock is already at "
+                    f"now={self._now} ns and cannot run backwards")
+        while queue:
+            if stop is not None:
+                if stop.callbacks is None:
+                    break
+            elif deadline is not None and queue[0][0] > deadline:
+                break
+            when, _prio, _seq, event = pop(queue)
+            self._now = when
+            self.events_processed += 1
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused and not callbacks:
+                # A failure nobody observed: escalate so bugs surface.
+                raise event._value
+        if stop is None:
+            if deadline is not None:
                 self._now = deadline
-                return None
-            self.step()
-        if deadline is not None:
-            self._now = deadline
-        return None
+            return None
+        if stop._value is _PENDING:
+            raise SimulationError(
+                f"run(until={stop!r}): queue drained before it fired "
+                f"(deadlock at t={self._now} ns?)")
+        if stop._ok:
+            return stop._value
+        stop._defused = True
+        raise stop._value

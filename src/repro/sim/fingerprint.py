@@ -29,7 +29,7 @@ from typing import Any, Iterator
 from repro.sim.trace import Tracer
 
 __all__ = ["canonical_json", "value_fingerprint", "trace_fingerprint",
-           "trace_payload", "diff_values"]
+           "trace_multiset_fingerprint", "trace_payload", "diff_values"]
 
 
 def _canon(value: Any) -> Any:
@@ -81,6 +81,19 @@ def trace_payload(tracer: Tracer) -> dict[str, Any]:
 def trace_fingerprint(tracer: Tracer) -> str:
     """sha256 hex digest of the full ordered trace."""
     return value_fingerprint(trace_payload(tracer))
+
+
+def trace_multiset_fingerprint(tracer: Tracer) -> str:
+    """sha256 hex digest of the trace as a multiset of records.
+
+    Equal for two traces that hold the same records — same timestamps,
+    categories and payloads — in any order, so "only the order of
+    same-nanosecond records moved" is a checkable statement: this
+    digest stays while :func:`trace_fingerprint` changes.
+    """
+    return value_fingerprint(sorted(
+        canonical_json(record)
+        for record in trace_payload(tracer)["records"]))
 
 
 def _walk_diffs(a: Any, b: Any, path: str) -> Iterator[tuple[str, Any, Any]]:

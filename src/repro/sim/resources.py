@@ -9,6 +9,7 @@ at a switch port, requests in a send queue, messages in a daemon mailbox.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Any, Optional
 
@@ -24,6 +25,12 @@ class Request(Event):
             yield req
             ... hold the resource ...
         # released on exit
+
+    A request that finds nobody queued and spare capacity is granted
+    **in place**: it is born already processed, so ``yield req`` falls
+    straight through and no grant event is scheduled.  A contended
+    request queues in ``(priority, ticket)`` order and is granted by a
+    later :meth:`Resource.release`.
     """
 
     __slots__ = ("resource", "priority", "_order")
@@ -33,9 +40,13 @@ class Request(Event):
         self.resource = resource
         self.priority = priority
         self._order = next(resource._ticket)
-        resource._queue.append(self)
-        resource._queue.sort(key=lambda r: (r.priority, r._order))
-        resource._grant()
+        if not resource._queue and len(resource._users) < resource.capacity:
+            resource._users.append(self)
+            self._value = resource
+            self._scheduled = True
+            self.callbacks = None
+        else:
+            insort(resource._queue, self, key=_grant_order)
 
     def __enter__(self) -> "Request":
         return self
@@ -47,6 +58,10 @@ class Request(Event):
         """Withdraw an ungranted request."""
         if self in self.resource._queue:
             self.resource._queue.remove(self)
+
+
+def _grant_order(request: Request) -> tuple[int, int]:
+    return request.priority, request._order
 
 
 class Resource:

@@ -360,7 +360,7 @@ class VmmcLCP:
         self.chunks_sent += 1
         count(self.env, "lcp.chunks", lcp=self.name)
         # The net-send engine streams autonomously; the LCP moves on.
-        self.nic.net_send.send(packet)
+        self.env.process(self.nic.net_send.send(packet), name="netsend")
         yield cpu.cycles(costs.send_epilogue)
         # Slot is consumed (data copied out) — report completion.
         yield from self._write_completion(ctx, request.slot, COMPLETION_DONE)
@@ -394,7 +394,7 @@ class VmmcLCP:
             self.tlb_miss_interrupts += 1
             count(self.env, "lcp.tlb_miss_interrupts", lcp=self.name)
             yield cpu.cycles(self.costs.raise_interrupt)
-            ok = yield self.nic.raise_interrupt(
+            ok = yield from self.nic.raise_interrupt(
                 "tlb_miss",
                 {"pid": ctx.pid, "vaddr": vaddr, "count": REFILL_BATCH})
             yield cpu.cycles(self.costs.tlb_lookup)
@@ -440,17 +440,19 @@ class VmmcLCP:
             prep_cycles = (costs.header_build + costs.route_fetch
                            + costs.start_dma + costs.tight_loop_per_chunk)
             if costs.precompute_headers:
-                yield AllOf(self.env, [host_dma, cpu.cycles(prep_cycles)])
+                yield AllOf(self.env, [self.env.process(host_dma),
+                                       cpu.cycles(prep_cycles)])
             else:
                 # Ablation: prepare the header only after the data is in
                 # SRAM — the prep cost lands on the critical path.
-                yield host_dma
+                yield from host_dma
                 yield cpu.cycles(prep_cycles)
             payload = self.nic.sram.read(self._staging[buf].base, clen)
             packet = self._make_packet(
                 ctx, node, extents, payload, request.notify,
                 last=(index == len(chunks) - 1), msg_len=request.length)
-            net_busy[buf] = self.nic.net_send.send(packet)
+            net_busy[buf] = self.env.process(
+                self.nic.net_send.send(packet), name="netsend")
             if not costs.pipeline_dma:
                 # Ablation: no host/net overlap — wait for the wire before
                 # fetching the next chunk.
@@ -480,14 +482,13 @@ class VmmcLCP:
         word = np.frombuffer(
             np.uint32(status).tobytes(), dtype=np.uint8)
         paddr = ctx.completion_paddr + 4 * slot
-        dma = self.nic.host_dma.write_host(word, paddr)
         ctx.last_status[slot] = status
         # Capture the waiter now (synchronously with this slot's request) so
         # a later re-post of the same slot cannot alias into this writeback.
         event = ctx.completion_events.pop(slot, None)
 
         def finish():
-            yield dma
+            yield from self.nic.host_dma.write_host(word, paddr)
             if event is not None and not event.triggered:
                 event.succeed(status)
 
@@ -524,8 +525,8 @@ class VmmcLCP:
         yield cpu.cycles(costs.start_dma)
         self.packets_delivered += 1
         count(self.env, "lcp.packets_delivered", lcp=self.name)
-        delivery = self.nic.host_dma.write_host_scatter(
-            packet.payload, extents)
+        delivery = self.env.process(
+            self.nic.host_dma.write_host_scatter(packet.payload, extents))
         notify = bool(header.get("notify")) or any(
             self.incoming.lookup(paddr // PAGE_SIZE).notify
             for paddr, length in extents if length)
@@ -543,7 +544,7 @@ class VmmcLCP:
             def deliver_then_notify():
                 yield delivery
                 yield self.nic.processor.cycles(self.costs.raise_interrupt)
-                yield self.nic.raise_interrupt("notification", info)
+                yield from self.nic.raise_interrupt("notification", info)
 
             self.env.process(deliver_then_notify(),
                              name=f"{self.name}.notify")

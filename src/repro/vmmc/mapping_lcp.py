@@ -125,7 +125,7 @@ class MappingPhase:
                          wire_bytes=8),
             b"")
         probe.seal()
-        yield self.nics[src].net_send.send(probe)
+        yield from self.nics[src].net_send.send(probe)
         # Wait for the probe to surface in the claimed destination's inbox.
         arrived = yield self.nics[dst].net_recv.inbox.get()
         if arrived.header.kind != "map_probe" \

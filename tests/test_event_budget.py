@@ -1,0 +1,100 @@
+"""Exact event budgets of the data path.
+
+The simulator is deterministic, so what one operation costs in
+``Environment.events_processed`` is a number, not a distribution.  Each
+budget here is an equality: a ``Process`` spawned per transaction, or a
+grant event for an idle resource, creeping back into the data path fails
+a named test with the new count.  (Lowering a budget on purpose: update
+the number and say so in CHANGES.md.  Simulated *times* are pinned
+elsewhere — tests/golden_fingerprints.json and the ``paper_*`` gates.)
+"""
+
+import pytest
+
+from repro.bench.microbench import VmmcPair, vmmc_pingpong_latency
+from repro.cluster import Cluster, TestbedConfig
+from repro.hw.myrinet import MyrinetPacket, PacketHeader, topology
+from repro.kv import KVStore
+from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
+from repro.rpc.reliable import connect_reliable_rpc
+from repro.sim import Environment
+
+
+def events_of(env, work) -> int:
+    """Events ``work()`` costs, including everything it leaves in
+    flight; the queue is drained before and after."""
+    env.run()
+    before = env.events_processed
+    work()
+    env.run()
+    return env.events_processed - before
+
+
+@pytest.fixture
+def pair():
+    return VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                    buffer_bytes=16 * 1024)
+
+
+def test_one_4_byte_pingpong_round_trip(pair):
+    one = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 1))
+    two = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 2))
+    assert (one, two - one) == (82, 81)
+
+
+def test_one_4kb_long_send_chunk_end_to_end(pair):
+    def send(nbytes):
+        return events_of(pair.env, lambda: pair.env.run(
+            until=pair.ep_a.send(pair.src_a, pair.to_b, nbytes)))
+
+    # One page: post, pickup, translate, host DMA overlapped with header
+    # preparation, net DMA, two cables and a switch, receive-side checks,
+    # the delivery DMA and the completion word.  A second page repeats
+    # everything from the translate to the delivery DMA.
+    assert send(4096) == 39
+    assert send(8192) == 39 + 26
+
+
+def test_one_switch_hop_of_a_probe_on_fattree_4():
+    env = Environment()
+    net = topology.build("fattree:4", env)
+    arrived = []
+    for name in net.host_names:
+        net.attach_host_sink(name, arrived.append)
+
+    def probe(dst):
+        route = net.compute_route("node0", dst)
+        packet = MyrinetPacket(list(route), PacketHeader(
+            "map_probe", {"src": "node0", "claimed_dst": dst},
+            wire_bytes=8), b"")
+        cost = events_of(env, lambda: env.run(until=env.process(
+            net.inject("node0", packet))))
+        assert arrived.pop() is packet and packet.route_exhausted
+        return len(route), cost
+
+    same_edge, same_pod, cross_pod = (probe(d) for d in
+                                      ("node1", "node2", "node15"))
+    assert [hops for hops, _ in (same_edge, same_pod, cross_pod)] == [1, 3, 5]
+    # The injecting process and the first cable cost 4; every switch
+    # crossed adds one worm process (start, crossbar latency, wire time,
+    # end) and the next cable's latency.
+    assert same_edge[1] == 4 + 5
+    assert same_pod[1] == 4 + 3 * 5
+    assert cross_pod[1] == 4 + 5 * 5
+
+
+def test_one_clean_kv_get():
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    _, cli_ep = cluster.nodes[0].attach_process("cli")
+    _, srv_ep = cluster.nodes[1].attach_process("srv")
+    store = KVStore("shard0")
+    client, _server = env.run(until=connect_reliable_rpc(
+        cli_ep, srv_ep, "kv", store.program()))
+    env.run(until=client.call(PROC_PUT, encode_put_args(7, b"v" * 64)))
+    env.run(until=client.call(PROC_GET, encode_get_args(7)))    # warm
+
+    cost = events_of(env, lambda: env.run(
+        until=client.call(PROC_GET, encode_get_args(7))))
+    assert store.gets == 2
+    assert cost == 179

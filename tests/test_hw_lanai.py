@@ -108,7 +108,7 @@ def test_host_dma_to_sram_moves_real_bytes():
     done = {}
 
     def proc():
-        yield nic.host_dma.to_sram(8192, 1000, 4096)
+        yield from nic.host_dma.to_sram(8192, 1000, 4096)
         done["t"] = env.now
 
     env.process(proc())
@@ -123,7 +123,7 @@ def test_host_dma_to_host_roundtrip():
     nic.sram.write(500, b"from sram")
 
     def proc():
-        yield nic.host_dma.to_host(500, 4096, 9)
+        yield from nic.host_dma.to_host(500, 4096, 9)
 
     env.process(proc())
     env.run()
@@ -135,7 +135,7 @@ def test_host_dma_scatter_two_extents():
     nic.sram.write(0, bytes(range(100)))
 
     def proc():
-        yield nic.host_dma.scatter_to_host(0, [(1000, 60), (5000, 40)])
+        yield from nic.host_dma.scatter_to_host(0, [(1000, 60), (5000, 40)])
 
     env.process(proc())
     env.run()
@@ -148,8 +148,8 @@ def test_host_dma_serializes_transfers():
     times = []
 
     def proc():
-        a = nic.host_dma.to_sram(0, 0, 1024)
-        b = nic.host_dma.to_sram(4096, 2048, 1024)
+        a = env.process(nic.host_dma.to_sram(0, 0, 1024))
+        b = env.process(nic.host_dma.to_sram(4096, 2048, 1024))
         yield a
         times.append(env.now)
         yield b
@@ -169,7 +169,7 @@ def test_net_send_to_recv_through_fabric():
         pkt = MyrinetPacket(net.compute_route("node0", "node1"),
                             PacketHeader("test", {}),
                             nic0.sram.read(0, 13))
-        yield nic0.net_send.send(pkt)
+        yield from nic0.net_send.send(pkt)
 
     env.process(sender())
     env.run()
@@ -195,9 +195,9 @@ def test_host_mmio_sram_write_and_read():
     got = {}
 
     def proc():
-        yield nic.host_write_sram(64, b"posted!!")  # 2 words
+        yield from nic.host_write_sram(64, b"posted!!")  # 2 words
         got["t_write"] = env.now
-        data = yield nic.host_read_sram(64, 8)
+        data = yield from nic.host_read_sram(64, 8)
         got["t_read"] = env.now
         got["data"] = bytes(data)
 
@@ -226,7 +226,7 @@ def test_interrupt_dispatch_to_handler():
     nic.set_interrupt_handler(lambda r, p: seen.append((r, p, env.now)))
 
     def proc():
-        yield nic.raise_interrupt("tlb_miss", {"vpage": 3})
+        yield from nic.raise_interrupt("tlb_miss", {"vpage": 3})
 
     env.process(proc())
     env.run()

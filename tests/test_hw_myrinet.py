@@ -98,7 +98,8 @@ def test_link_delivers_in_order_with_timing():
 
     def sender():
         for seq in range(3):
-            yield link.transmit(make_packet(payload=b"z" * 1006, seq=seq))
+            yield from link.transmit(
+                make_packet(payload=b"z" * 1006, seq=seq))
 
     env.process(sender())
     env.run()
@@ -124,7 +125,7 @@ def test_link_error_injection_detected():
     def sender():
         pkt = make_packet(payload=b"data to protect")
         pkt.seal()
-        yield link.transmit(pkt)
+        yield from link.transmit(pkt)
 
     env.process(sender())
     env.run()
@@ -138,6 +139,18 @@ def test_link_unconnected_raises():
     link = Link(env)
     with pytest.raises(RuntimeError):
         link.transmit(make_packet())
+
+
+def test_inject_on_uncabled_host_raises_at_the_call():
+    # Misuse fails where it is written, not when the returned generator
+    # is first advanced — and the packet is not stamped as injected.
+    env = Environment()
+    net = MyrinetNetwork(env)
+    net.add_host("node0")
+    packet = make_packet()
+    with pytest.raises(RuntimeError, match="not cabled"):
+        net.inject("node0", packet)
+    assert packet.injected_at is None
 
 
 # ------------------------------------------------------------------ switches
@@ -220,7 +233,7 @@ def test_end_to_end_delivery_through_switch():
         pkt = make_packet(route=net.compute_route("node0", "node1"),
                           payload=b"through the fabric")
         pkt.seal()
-        yield net.inject("node0", pkt)
+        yield from net.inject("node0", pkt)
 
     env.process(sender())
     env.run()
@@ -236,7 +249,7 @@ def test_packets_before_sink_attachment_are_queued():
 
     def sender():
         pkt = make_packet(route=[1], payload=b"early")
-        yield net.inject("node0", pkt)
+        yield from net.inject("node0", pkt)
 
     env.process(sender())
     env.run()

@@ -1,6 +1,7 @@
 """Tests for condition events, resources, stores and tracing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
@@ -196,6 +197,107 @@ def test_resource_counts():
     env.run()
     assert snap == {"queued": 1, "count": 1}
     assert res.count == 0
+
+
+def test_free_resource_is_granted_in_place():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def user():
+        with res.request() as req:
+            assert req.processed and req.value is res    # no grant event
+            yield req                                    # falls through
+            log.append(("in", env.now, env.events_processed))
+            both = yield AllOf(env, [req, env.timeout(3)])
+            assert both[req] is res
+            first = yield AnyOf(env, [req, env.timeout(9)])
+            assert list(first) == [req]
+            req.cancel()                                 # late: a no-op
+            assert res.count == 1
+        assert res.count == 0
+        again = res.request()
+        assert again.processed and res.count == 1 and res.queue_length == 0
+        res.release(again)
+        res.release(again)                               # idempotent
+        assert res.count == 0
+
+    env.run(until=env.process(user()))
+    # Entered at t=0 on the process's own start event: nothing scheduled
+    # for the grant.
+    assert log == [("in", 0, 1)]
+
+
+_RESOURCE_OPS = st.one_of(
+    st.tuples(st.just("request"), st.integers(0, 2)),
+    st.tuples(st.just("release"), st.integers(0, 30)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("timeout"), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 3), script=st.lists(_RESOURCE_OPS, max_size=40))
+def test_resource_matches_the_sort_and_grant_model(capacity, script):
+    """Same holders, grant order, grant times, count and queue_length as
+    the reference: append, stable-sort by (priority, ticket), grant while
+    capacity — whether a grant is made in place or by a release."""
+    env = Environment()
+    res = Resource(env, capacity=capacity)
+    reqs, fired = [], {}                     # real side
+    queue, users, model_time = [], [], {}    # model side: ids
+    priority, grant_order, model_order = [], [], []
+
+    def model_grant():
+        queue.sort(key=lambda i: (priority[i], i))
+        while queue and len(users) < capacity:
+            users.append(queue.pop(0))
+            model_time[users[-1]] = env.now
+            model_order.append(users[-1])
+
+    def driver():
+        for op, arg in script:
+            if op == "timeout":
+                yield env.timeout(arg)
+                continue
+            if op == "request":
+                ident = len(reqs)
+                req = res.request(priority=arg)
+                reqs.append(req)
+                priority.append(arg)
+                if req.processed:
+                    fired[ident] = env.now
+                else:
+                    req.callbacks.append(
+                        lambda _e, i=ident: fired.__setitem__(i, env.now))
+                queue.append(ident)
+            elif reqs:
+                ident = arg % len(reqs)
+                if op == "release":
+                    res.release(reqs[ident])
+                    if ident in users:
+                        users.remove(ident)
+                    elif ident in queue:
+                        queue.remove(ident)
+                else:
+                    reqs[ident].cancel()
+                    if ident in queue:
+                        queue.remove(ident)
+            model_grant()
+            # A grant decision is visible at once, in place or not.
+            granted = [i for i, r in enumerate(reqs)
+                       if r.triggered and i not in grant_order]
+            assert len(granted) <= 1
+            grant_order.extend(granted)
+            assert grant_order == model_order
+            assert res.count == len(users)
+            assert res.queue_length == len(queue)
+            holders = {i for i in grant_order if reqs[i] in res._users}
+            assert holders == set(users)
+
+    env.run(until=env.process(driver()))
+    env.run()
+    assert fired == model_time
 
 
 def test_resource_bad_capacity():

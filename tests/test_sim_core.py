@@ -480,6 +480,40 @@ def test_simulation_error_propagates_through_nested_processes():
         env.run(until=top)
 
 
+def test_yielding_a_bare_generator_names_it_and_both_fixes():
+    # The mistake the hardware API invites: `yield bus.dma(n)` with the
+    # `from` forgotten.  Never auto-wrapped into a process.
+    from repro.hw.bus.pci import PCIBus
+
+    env = Environment()
+    bus = PCIBus(env)
+
+    def app():
+        yield bus.dma(64)
+
+    with pytest.raises(SimulationError) as raised:
+        env.run(until=env.process(app()))
+    message = str(raised.value)
+    assert "process 'app' yielded the generator PCIBus.dma()" in message
+    assert "`yield from PCIBus.dma(...)`" in message
+    assert "`env.process(PCIBus.dma(...))`" in message
+    assert env.events_processed == 2      # app's start and its failure
+    assert not bus.busy                   # the DMA never began
+
+
+def test_run_until_a_bare_generator_is_a_typed_error():
+    env = Environment()
+
+    def app():
+        yield env.timeout(5)
+
+    with pytest.raises(SimulationError,
+                       match=r"run\(until=\.\.\.\) was given the generator "
+                             r".*app\(\).*env\.process"):
+        env.run(until=app())
+    assert env.now == 0 and env.events_processed == 0
+
+
 def test_nested_process_exception_can_be_caught_by_parent():
     env = Environment()
     got = {}

@@ -27,7 +27,9 @@ import pytest
 from repro.bench.differential import WORKLOADS, diff_engines, run_workload
 from repro.sim import Environment, Tracer
 from repro.sim.fingerprint import (canonical_json, diff_values,
-                                   trace_fingerprint, value_fingerprint)
+                                   trace_fingerprint,
+                                   trace_multiset_fingerprint,
+                                   value_fingerprint)
 
 
 # -- the fingerprint helper ------------------------------------------------
@@ -68,6 +70,20 @@ def test_trace_fingerprint_covers_order_and_payload():
     assert traced(base) == traced(list(base))
     assert traced(base) != traced(list(reversed(base)))
     assert traced(base) != traced([(0, "a", {"x": 1}), (5, "b", {"x": 3})])
+
+
+def test_trace_multiset_fingerprint_ignores_order_only():
+    def traced(records):
+        tracer = Tracer()
+        for t, cat, payload in records:
+            tracer.record(t, cat, **payload)
+        return trace_multiset_fingerprint(tracer)
+
+    base = [(5, "a", {"x": 1}), (5, "b", {"x": 2}), (5, "b", {"x": 2})]
+    assert traced(base) == traced(list(reversed(base)))
+    assert traced(base) != traced(base[:2])             # multiplicity
+    assert traced(base) != traced([(6, "a", {"x": 1})] + base[1:])
+    assert traced(base) != traced([(5, "a", {"x": 9})] + base[1:])
 
 
 # -- engine differential on the standing workloads -------------------------
@@ -134,6 +150,11 @@ def test_contract_workload_traces_and_metrics_bit_identical():
     assert scalar["metrics_fingerprint"] == vector["metrics_fingerprint"]
     assert scalar["trace_records"] == vector["trace_records"]
     assert scalar["metrics"] == vector["metrics"]
+    # Recorded at the commit before hardware operations became inline
+    # generators (which swapped two same-nanosecond records): a change
+    # that only reorders within a nanosecond keeps this digest.
+    assert scalar["trace_multiset_fingerprint"] == (
+        "4eb7d9e8daba09bf12d8b1c322f78c1bdb9214bac6d122cd3de04448ef2971c4")
 
 
 def test_diff_engines_reports_per_workload_verdicts():

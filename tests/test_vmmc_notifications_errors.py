@@ -234,7 +234,7 @@ def test_forged_destination_dropped_by_incoming_table():
         b"A" * 16)
 
     def inject():
-        yield cluster.nodes[0].nic.net_send.send(evil)
+        yield from cluster.nodes[0].nic.net_send.send(evil)
 
     env.run(until=env.process(inject()))
     drain(env, 500)
