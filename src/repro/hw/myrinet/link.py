@@ -181,19 +181,19 @@ class Link:
     def _transmit(self, packet: MyrinetPacket):
         with self._wire.request() as req:
             yield req
-            wire_time = self.params.wire_time_ns(packet.wire_bytes)
+            wire_bytes = packet.wire_bytes
+            wire_time = self.params.wire_time_ns(wire_bytes)
             emit(self.env, f"{self.name}.tx",
-                 bytes=packet.wire_bytes, wire_time=wire_time)
+                 bytes=wire_bytes, wire_time=wire_time)
             error_rate = self.effective_error_rate
             if error_rate > 0 and self._rng.random() < error_rate:
                 packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
                 self.errors_injected += 1
                 count(self.env, "link.errors_injected", link=self.name)
             self.packets_carried += 1
-            self.bytes_carried += packet.wire_bytes
+            self.bytes_carried += wire_bytes
             count(self.env, "link.packets", link=self.name)
-            count(self.env, "link.bytes", packet.wire_bytes,
-                  link=self.name)
+            count(self.env, "link.bytes", wire_bytes, link=self.name)
             count(self.env, "link.busy_ns", wire_time, link=self.name)
             yield self.env.timeout(wire_time)
         # Tail has left this end; the head surfaces at the far end one

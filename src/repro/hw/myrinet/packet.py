@@ -51,7 +51,7 @@ class MyrinetPacket:
     """One packet travelling the fabric."""
 
     __slots__ = ("route", "_hop", "header", "payload", "crc",
-                 "injected_at", "meta")
+                 "injected_at", "meta", "_fixed_bytes")
 
     def __init__(self, route: list[int], header: PacketHeader,
                  payload: np.ndarray | bytes):
@@ -61,6 +61,8 @@ class MyrinetPacket:
         self.payload = (np.frombuffer(bytes(payload), dtype=np.uint8)
                         if isinstance(payload, (bytes, bytearray))
                         else np.asarray(payload, dtype=np.uint8))
+        #: Type byte + header + payload + CRC: what no switch consumes.
+        self._fixed_bytes = 1 + header.wire_bytes + self.payload.size + 1
         self.crc: Optional[int] = None
         self.injected_at: Optional[int] = None
         self.meta: dict[str, Any] = {}
@@ -91,21 +93,21 @@ class MyrinetPacket:
     def wire_bytes(self) -> int:
         """Bytes occupying the wire at this hop: remaining route + type byte
         + header + payload + CRC."""
-        return self.hops_remaining + 1 + self.header.wire_bytes \
-            + self.payload_bytes + 1
+        return len(self.route) - self._hop + self._fixed_bytes
 
     # -- CRC -----------------------------------------------------------------------
-    def _crc_input(self) -> bytes:
+    def _compute_crc(self) -> int:
+        """CRC-8 over the encoded header fields, chained into the payload."""
         head = repr(sorted(self.header.fields.items())).encode()
-        return head + self.payload.tobytes()
+        return crc8(self.payload, initial=crc8(head))
 
     def seal(self) -> None:
         """Compute and append the hardware CRC (done by the sending NIC)."""
-        self.crc = crc8(self._crc_input())
+        self.crc = self._compute_crc()
 
     def crc_ok(self) -> bool:
         """Verify the CRC (done by the receiving NIC)."""
-        return self.crc is not None and self.crc == crc8(self._crc_input())
+        return self.crc is not None and self.crc == self._compute_crc()
 
     def corrupt(self, bit: int = 0) -> None:
         """Flip one payload bit — wire error injection (section 4.2)."""

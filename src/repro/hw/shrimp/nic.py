@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.sim import Environment, Resource, Store
 from repro.sim.trace import emit
+from repro.obs.metrics import count
 from repro.mem.physical import PhysicalMemory
 from repro.mem.virtual import PAGE_SIZE
 from repro.hw.bus.eisa import EISABus
@@ -125,6 +126,7 @@ class ShrimpNIC:
         self.au = AutomaticUpdateUnit(env, self)
         self.packets_delivered = 0
         self.protection_violations = 0
+        self.crc_drops = 0
         network.attach_host_sink(host_name, self._receive)
 
     def install_routes(self, routes: dict[int, list[int]]) -> None:
@@ -134,6 +136,8 @@ class ShrimpNIC:
     def _receive(self, packet: MyrinetPacket):
         yield self.env.timeout(self.params.recv_setup_ns)
         if not packet.crc_ok():
+            self.crc_drops += 1
+            count(self.env, "shrimp.crc_drops", nic=self.host_name)
             emit(self.env, "shrimp.recv.crc_drop")
             return
         extents = list(packet.header["extents"])

@@ -18,6 +18,7 @@ what it touches, not what it models.
 
 from __future__ import annotations
 
+import mmap
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -90,7 +91,14 @@ class PhysicalMemory:
         self.size = size_bytes
         self.page_size = page_size
         self.nframes = size_bytes // page_size
-        self.data = np.zeros(size_bytes, dtype=np.uint8)
+        # A private anonymous mapping: zero pages committed on first
+        # touch.  Not np.zeros, which madvises MADV_HUGEPAGE on a big
+        # array — a node that touches a few scattered frames then pays
+        # 2 MB per touch or not by the luck of the mapping's alignment
+        # (EXPERIMENTS.md "E-hostperf", PR 23).
+        self.data = np.frombuffer(
+            mmap.mmap(-1, size_bytes, access=mmap.ACCESS_COPY),
+            dtype=np.uint8)
         # reserved_frames models kernel-owned low memory never given to users.
         self._reserved = min(max(reserved_frames, 0), self.nframes)
         self._stride = (_scatter_stride(self.nframes)

@@ -124,7 +124,6 @@ class MappingPhase:
             PacketHeader("map_probe", {"src": src, "claimed_dst": dst},
                          wire_bytes=8),
             b"")
-        probe.seal()
         yield from self.nics[src].net_send.send(probe)
         # Wait for the probe to surface in the claimed destination's inbox.
         arrived = yield self.nics[dst].net_recv.inbox.get()

@@ -7,7 +7,13 @@ grant event for an idle resource, creeping back into the data path fails
 a named test with the new count.  (Lowering a budget on purpose: update
 the number and say so in CHANGES.md.  Simulated *times* are pinned
 elsewhere — tests/golden_fingerprints.json and the ``paper_*`` gates.)
+
+The CRC is the other per-packet cost that is a number: the link hardware
+seals a packet once and checks it once, so ``seal``/``crc_ok`` calls are
+budgeted against the packets that reached a NIC.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -16,8 +22,10 @@ from repro.cluster import Cluster, TestbedConfig
 from repro.hw.myrinet import MyrinetPacket, PacketHeader, topology
 from repro.kv import KVStore
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
+from repro.obs.metrics import MetricsRegistry
 from repro.rpc.reliable import connect_reliable_rpc
 from repro.sim import Environment
+from repro.sim.trace import Tracer
 
 
 def events_of(env, work) -> int:
@@ -98,3 +106,55 @@ def test_one_clean_kv_get():
         until=client.call(PROC_GET, encode_get_args(7))))
     assert store.gets == 2
     assert cost == 179
+
+
+# -------------------------------------------------------------------- CRC work
+@pytest.fixture
+def crc_calls(monkeypatch):
+    """Running ``seal``/``crc_ok`` call counts; ``clear()`` restarts them."""
+    calls = Counter()
+    for name in ("seal", "crc_ok"):
+        def counted(packet, _real=getattr(MyrinetPacket, name), _name=name):
+            calls[_name] += 1
+            return _real(packet)
+        monkeypatch.setattr(MyrinetPacket, name, counted)
+    return calls
+
+
+def received(cluster) -> int:
+    return sum(n.nic.net_recv.packets_received for n in cluster.nodes)
+
+
+def test_a_4kb_chunk_is_sealed_once_and_checked_once(crc_calls, pair):
+    pair.env.run()
+    before = received(pair.cluster)
+    crc_calls.clear()
+    pair.env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 4096))
+    pair.env.run()
+    assert received(pair.cluster) - before == 1
+    assert crc_calls == {"seal": 1, "crc_ok": 1}
+
+
+def test_a_fattree_boot_seals_and_checks_each_probe_once(crc_calls):
+    cluster = Cluster.build(TestbedConfig(memory_mb=8),
+                            topology="fattree:4,h=2")
+    probes = cluster.mapping.probes_sent
+    assert probes == received(cluster) == 16 * 15
+    assert crc_calls == {"seal": probes, "crc_ok": probes}
+
+
+def test_crc_verdicts_are_the_corruptions_the_link_injected(crc_calls, pair):
+    env = pair.env
+    env.run()
+    env.tracer = Tracer(keep=lambda category: category == "lanai.netrecv")
+    registry = MetricsRegistry().install(env)
+    link = pair.cluster.fabric.find_link("node0->sw0")
+    link.set_error_rate(1.0)
+    crc_calls.clear()
+    env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 3 * 4096))
+    env.run()
+    assert link.errors_injected == 3
+    assert [r.payload["ok"] for r in env.tracer.records] == [False] * 3
+    assert registry.snapshot()["net.crc_errors{nic=node1}"] == 3
+    assert pair.cluster.nodes[1].nic.net_recv.crc_errors == 3
+    assert crc_calls == {"seal": 3, "crc_ok": 3}

@@ -65,6 +65,31 @@ def test_empty_payload_corruption_detected():
     assert not pkt.crc_ok()
 
 
+def test_unsealed_packet_fails_the_check():
+    assert not make_packet(payload=b"payload").crc_ok()
+
+
+def test_every_single_bit_error_in_a_4kb_data_packet_is_caught():
+    """The chained header-then-payload CRC, through the packet API, at
+    the size and header shape the long-send path puts on the wire."""
+    payload = np.random.default_rng(7).integers(0, 256, 4096, dtype=np.uint8)
+    pkt = make_packet(route=[1], payload=payload, kind="vmmc_data",
+                      length=4096, msg_length=65536,
+                      extents=((0x1F3000, 4096), (0, 0)), notify=False,
+                      last=False, src_node=0, src_pid=1)
+    pkt.seal()
+    assert pkt.crc_ok()
+    head = repr(sorted(pkt.header.fields.items())).encode()
+    assert pkt.crc == crc8(head + payload.tobytes())
+    missed = []
+    for bit in range(8 * 4096):
+        pkt.corrupt(bit)
+        if pkt.crc_ok():
+            missed.append(bit)
+        pkt.payload = payload
+    assert missed == [] and pkt.crc_ok()
+
+
 def test_packet_route_consumption():
     pkt = make_packet(route=[3, 1])
     assert pkt.hops_remaining == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.myrinet.crc import crc8
+from repro.hw.myrinet.crc import _PERIOD, _POLY, _SMALL, crc8
 from repro.mem import (AddressSpace, OutOfMemoryError, PAGE_SIZE,
                        PhysicalMemory)
 from repro.mem.physical import _scatter_order
@@ -16,6 +16,78 @@ from repro.vmmc.tlb import SoftwareTLB
 
 
 # --------------------------------------------------------------------- CRC-8
+def crc8_oracle(data: bytes, initial: int = 0) -> int:
+    """The shift register, one bit at a time: what ``crc8`` must equal."""
+    crc = initial
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ _POLY) & 0xFF if crc & 0x80 else crc << 1
+    return crc
+
+
+#: Lengths on both sides of every branch in ``crc8``: empty, one byte,
+#: one mask period, the int/fold switch-over, folds with and without a
+#: ragged tail, a page and a long buffer.
+_EDGE_LENGTHS = [0, 1, _PERIOD - 1, _PERIOD, _PERIOD + 1,
+                 _SMALL - 1, _SMALL, _SMALL + 1,
+                 5 * _PERIOD - 1, 5 * _PERIOD, 5 * _PERIOD + 1,
+                 4096, 3 * 8192]
+
+
+def _random_bytes(seed: int, length: int) -> bytes:
+    return np.random.default_rng(seed).integers(
+        0, 256, length, dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("length", _EDGE_LENGTHS)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=255),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_crc8_equals_the_byte_loop_at_every_branch_edge(length, initial, seed):
+    data = _random_bytes(seed, length)
+    assert crc8(data, initial) == crc8_oracle(data, initial)
+
+
+@given(st.binary(max_size=2 * _SMALL), st.integers(min_value=0, max_value=255))
+def test_crc8_equals_the_byte_loop(data, initial):
+    assert crc8(data, initial) == crc8_oracle(data, initial)
+
+
+@pytest.mark.parametrize("length", [40, _SMALL + 1])
+def test_crc8_equals_the_byte_loop_for_every_initial(length):
+    data = _random_bytes(length, length)
+    assert [crc8(data, i) for i in range(256)] \
+        == [crc8_oracle(data, i) for i in range(256)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, _SMALL, _SMALL + 9, 4096]), st.data(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_crc8_chains_across_any_split(length, data, seed):
+    """``seal()`` feeds the header's CRC in as the payload's ``initial``."""
+    whole = _random_bytes(seed, length)
+    cut = data.draw(st.integers(min_value=0, max_value=length))
+    assert crc8(whole) == crc8(whole[cut:], initial=crc8(whole[:cut]))
+
+
+@pytest.mark.parametrize("length", [0, 5, _SMALL, _SMALL + 1, 4096])
+def test_crc8_accepts_every_buffer_kind_and_writes_to_none(length):
+    array = np.random.default_rng(length).integers(
+        0, 256, 2 * length, dtype=np.uint8)
+    strided = array[::2]
+    raw = strided.tobytes()
+    readonly = strided.copy()
+    readonly.setflags(write=False)
+    before = array.copy()
+    mutable = bytearray(raw)
+    expected = crc8_oracle(raw, 0x3C)
+    for buffer in (raw, mutable, memoryview(raw), strided.copy(),
+                   strided, readonly):
+        assert crc8(buffer, 0x3C) == expected, type(buffer)
+    assert np.array_equal(array, before) and mutable == raw
+
+
 @given(st.binary(min_size=0, max_size=512))
 def test_crc8_in_byte_range(data):
     assert 0 <= crc8(data) <= 255

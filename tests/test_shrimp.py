@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.hw.bus.eisa import EISAParams
+from repro.hw.myrinet import LinkParams
 from repro.hw.shrimp import ShrimpParams
+from repro.obs.metrics import MetricsRegistry
 from repro.vmmc.errors import ImportDenied, SendError
 from repro.vmmc.shrimp_impl import ShrimpCluster
 
@@ -175,6 +177,30 @@ def test_shrimp_incoming_protection():
     env.run(until=env.now + 1_000_000)
     assert cluster.nodes[1].nic.protection_violations == 1
     assert cluster.nodes[1].nic.packets_delivered == 0
+
+
+def test_shrimp_crc_drop_is_counted():
+    """Every cable corrupts every packet: nothing is delivered, and the
+    receiving board counts each drop on the NIC and in the registry."""
+    cluster = ShrimpCluster(
+        nnodes=2, memory_mb=8,
+        params=ShrimpParams(link=LinkParams(error_rate=1.0)))
+    env = cluster.env
+    registry = MetricsRegistry().install(env)
+    a, b = cluster.endpoint(0, "a"), cluster.endpoint(1, "b")
+    inbox, region = wire(cluster, a, b)
+
+    def app():
+        src = a.alloc_buffer(8192)
+        src.write(np.full(8192, 0x5A, dtype=np.uint8))
+        yield a.send(src, region, 8192)          # two pages, two packets
+
+    env.run(until=env.process(app()))
+    env.run(until=env.now + 3_000_000)
+    nic = cluster.nodes[1].nic
+    assert nic.crc_drops == 2 and nic.packets_delivered == 0
+    assert registry.snapshot()["shrimp.crc_drops{nic=node1}"] == 2
+    assert not inbox.read(0, 8192).any()
 
 
 def test_shrimp_state_machine_invalidation_counter():
