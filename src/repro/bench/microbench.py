@@ -89,9 +89,8 @@ class VmmcPair:
 
     def __init__(self, config: TestbedConfig | None = None,
                  buffer_bytes: int = 1024 * 1024,
-                 warm_tlb: bool = True,
-                 engine: str | None = None):
-        self.cluster = Cluster.build(config or TestbedConfig(), engine=engine)
+                 warm_tlb: bool = True):
+        self.cluster = Cluster.build(config or TestbedConfig())
         self.env: Environment = self.cluster.env
         self.buffer_bytes = buffer_bytes
         _, self.ep_a = self.cluster.nodes[0].attach_process("bench_a")

@@ -269,26 +269,6 @@ register(CampaignSpec(
 ))
 
 register(CampaignSpec(
-    name="simcore", area="SIMCORE",
-    title="event-core throughput: scalar oracle vs vector engine",
-    paper_ref="infrastructure (DESIGN.md 'Two engines, one contract')",
-    trial=trials.simcore_trial,
-    grid={"workload": ("chain", "storm", "ring")},
-    fixed={"events": 100_000},
-    seeds=(0,),
-    metrics=(
-        # Wall-clock throughput is machine-dependent: all info, never
-        # diff-gated.  Enforcement is the trial gates (identical
-        # simulations everywhere; >=10x intra-trial speedup on ring).
-        Metric("scalar_events_per_sec", "events/s", "info"),
-        Metric("vector_events_per_sec", "events/s", "info"),
-        Metric("speedup", "x", "info"),
-        Metric("events", "count", "info"),
-    ),
-    expected_runtime="~30 s",
-))
-
-register(CampaignSpec(
     name="chaos", area="CHAOS",
     title="reliable sender under seeded fault scenarios",
     paper_ref="extension of sections 4.1 / 4.2 (E-chaos / E-congestion)",

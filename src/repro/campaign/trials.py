@@ -600,33 +600,6 @@ def multiprocess_trial(params: dict, seed: int) -> dict:
     }}
 
 
-def simcore_trial(params: dict, seed: int) -> dict:
-    """Event-core throughput: scalar oracle vs vector engine, one shape.
-
-    Wall-clock events/sec is machine-dependent, so every metric is
-    ``info`` (never diff-gated); the machine-independent claims ride on
-    gates: ``identical`` (both engines produced the same simulation —
-    final time, event count, ring group digest) on every cell, plus
-    ``speedup_10x`` on the batch-friendly ``ring`` cell, the issue's
-    acceptance bar for the vectorized fast path."""
-    from repro.bench.simcore import run_simcore_point
-
-    point = run_simcore_point(params["workload"], events=params["events"],
-                              seed=seed)
-    gates = {"identical": point["identical"]}
-    if params["workload"] == "ring":
-        gates["speedup_10x"] = point["speedup"] >= 10.0
-    return {
-        "metrics": {
-            "scalar_events_per_sec": point["scalar_events_per_sec"],
-            "vector_events_per_sec": point["vector_events_per_sec"],
-            "speedup": point["speedup"],
-            "events": point["events"],
-        },
-        "gates": gates,
-    }
-
-
 def chaos_trial(params: dict, seed: int) -> dict:
     """One seeded fault scenario against the reliable sender:
     ``error-burst`` (link error bursts on the data path),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.sim import Environment
+from repro.sim import Environment, resolve_engine
 from repro.hw.myrinet import topology as fabric_topology
 from repro.hw.myrinet.topology import TopologySpec
 from repro.hostos.ethernet import EthernetNetwork
@@ -74,16 +74,16 @@ class Cluster:
         string like ``"fattree:8,h=2"`` / ``"mesh:8x8"``; ``nnodes``
         follows the spec.
 
-        ``engine`` selects the simulation engine (``"scalar"`` /
-        ``"vector"``) when no ``env`` is supplied; default is
-        :func:`repro.sim.resolve_engine`'s resolution (``$REPRO_SIM_ENGINE``,
-        else scalar).
+        ``engine`` must be ``None`` or ``"scalar"`` (else
+        :class:`~repro.sim.SimulationError`); kept because
+        ``perfbench/tracing.py:207`` passes it by position.
         """
+        resolve_engine(engine)
         config = config or TestbedConfig()
         if topology is not None:
             spec = fabric_topology.resolve(topology, nhosts=config.nnodes)
             config = config.with_(topology=spec, nnodes=spec.nhosts)
-        cluster = cls(env or Environment(engine=engine), config)
+        cluster = cls(env or Environment(), config)
         cluster.boot()
         return cluster
 

@@ -22,47 +22,35 @@ Public surface
   packet queues, daemon mailboxes...).
 * Time helpers: :data:`NS`, :data:`US`, :data:`MS`, :data:`SEC`,
   :func:`us`, :func:`ns_to_us`.
-
-Two engines implement this surface (see DESIGN.md): the scalar oracle in
-:mod:`repro.sim.core` and the vectorized fast path in
-:mod:`repro.sim.fastcore`.  ``Environment(engine="scalar"|"vector")`` —
-or the ``REPRO_SIM_ENGINE`` environment variable — picks one;
-:func:`resolve_engine` is the resolution rule.
 """
 
 from repro.sim.core import (
-    ENGINE_ENV_VAR,
-    ENGINES,
     NS,
     US,
     MS,
     SEC,
-    BatchTimeout,
     Environment,
     Event,
     Interrupt,
     Process,
     SimulationError,
     Timeout,
+    VectorEnvironment,
     ns_to_us,
     resolve_engine,
     us,
 )
-from repro.sim.fastcore import VectorEnvironment
 from repro.sim.conditions import AllOf, AnyOf
 from repro.sim.resources import PriorityResource, Resource, Store
 from repro.sim.trace import TraceRecord, Tracer, TracerOverflowWarning
 
 __all__ = [
-    "ENGINE_ENV_VAR",
-    "ENGINES",
     "NS",
     "US",
     "MS",
     "SEC",
     "AllOf",
     "AnyOf",
-    "BatchTimeout",
     "Environment",
     "Event",
     "Interrupt",

@@ -6,55 +6,28 @@ exactly reproducible and there is no floating-point event-ordering jitter.
 
 Events at the same timestamp are processed in FIFO scheduling order (a
 monotonically increasing sequence number breaks ties), which matches the
-intuition that a cause scheduled earlier fires earlier.
-
-Two engines share this event model (see DESIGN.md, "Two engines, one
-contract"):
-
-* the **scalar** engine — this module's :class:`Environment`, one heap
-  pop and one callback dispatch per event.  It is the *correctness
-  oracle*: every event individually materialised.
-* the **vector** engine — :class:`repro.sim.fastcore.VectorEnvironment`,
-  a drop-in subclass that keeps the identical ``(time, priority, seq)``
-  total order but processes homogeneous deadline populations
-  (:meth:`Environment.timeout_batch`) as numpy array rings, one pop per
-  *distinct timestamp* instead of one per member.
-
-Both drain the queue with the same one-frame loop in
+intuition that a cause scheduled earlier fires earlier.  There is one
+engine (DESIGN.md §9, "One engine"): one heap pop and one callback
+dispatch per event, drained by the one-frame loop in
 :meth:`Environment.run`.
-
-``Environment(engine="vector")`` — or ``REPRO_SIM_ENGINE=vector`` in the
-environment — selects the engine at construction; everything downstream
-(cluster boot, benches, campaigns, the CLI) goes through this switch.
-The differential harness (``tests/test_sim_differential.py``) holds the
-two engines to bit-identical traces, metrics and artifacts.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
-
-#: Environment variable consulted when no explicit ``engine=`` is given.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-#: The engines ``Environment(engine=...)`` accepts.
-ENGINES = ("scalar", "vector")
+from typing import Any, Callable, Generator, Iterable, Optional
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """The engine to use: explicit argument, else $REPRO_SIM_ENGINE,
-    else ``"scalar"``.  Raises :class:`SimulationError` on unknown names
-    (including a bad environment variable, so typos fail loudly)."""
-    value = engine or os.environ.get(ENGINE_ENV_VAR) or "scalar"
-    if value not in ENGINES:
-        source = ("engine argument" if engine
-                  else f"${ENGINE_ENV_VAR}")
+    """``"scalar"``, the only engine; any other name is a
+    :class:`SimulationError`.  Kept because ``perfbench/worker.py:177``
+    prints it."""
+    if engine not in (None, "scalar"):
         raise SimulationError(
-            f"unknown simulation engine {value!r} (from {source}); "
-            f"expected one of {ENGINES}")
-    return value
+            f"unknown simulation engine {engine!r}; there is only 'scalar'")
+    return "scalar"
+
 
 #: One nanosecond (the base unit of simulated time).
 NS = 1
@@ -225,65 +198,6 @@ class Timeout(Event):
                        (env._now + delay, _NORMAL, next(env._seq), self))
 
 
-class BatchTimeout(Event):
-    """A homogeneous population of member deadlines, waited on as one.
-
-    Created by :meth:`Environment.timeout_batch`.  Semantically the batch
-    is ``len(delays)`` anonymous member timeouts (the pre-vectorization
-    shape of slot-ring deadlines, DMA-completion timers and link-hop
-    arrivals): each member expires ``delays[i]`` ns from creation, and
-    the members have **no individually observable effect**.  The
-    observable contract, identical on both engines:
-
-    * ``on_fire(when, indices)`` runs once per *distinct* expiry
-      timestamp, at the queue position of that group's **last** member
-      (``indices`` is the member-index array for the group, in creation
-      order, as an ``int64`` ndarray);
-    * the batch event itself succeeds with the member count once every
-      member has expired;
-    * every member counts toward :attr:`Environment.events_processed`.
-
-    The scalar engine materialises one real :class:`Timeout` per member
-    (the oracle path); the vector engine keeps the population in numpy
-    arrays and pops one group per distinct timestamp.  The differential
-    harness holds the two to identical observable behaviour.
-    """
-
-    __slots__ = ("total", "fired")
-
-    def __init__(self, env: "Environment"):
-        super().__init__(env)
-        self.total = 0
-        self.fired = 0
-
-    def _group_fired(self, when: int, indices, on_fire) -> None:
-        if on_fire is not None:
-            on_fire(when, indices)
-        self.fired += len(indices)
-        if self.fired == self.total:
-            self.succeed(self.total)
-
-
-def _batch_groups(now: int, delays) -> list[tuple[int, Any]]:
-    """Group member deadlines by absolute expiry time.
-
-    Returns ``[(when, indices), ...]`` in ascending ``when`` order, with
-    ``indices`` the member indices expiring then, in creation order
-    (guaranteed by the stable sort).  Shared by both engines so the
-    grouping — and therefore ``on_fire``'s arguments — is identical.
-    """
-    import numpy as np
-
-    times = now + delays
-    order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_times[1:] != sorted_times[:-1])))
-    bounds = list(starts) + [len(sorted_times)]
-    return [(int(sorted_times[bounds[g]]), order[bounds[g]:bounds[g + 1]])
-            for g in range(len(starts))]
-
-
 def _not_an_event(what: str, target: Any) -> SimulationError:
     """The error for a non-event where an event was required.  A bare
     generator — ``yield bus.dma(n)`` with the ``from`` forgotten — is
@@ -373,11 +287,9 @@ class Process(Event):
                     self._finish_ok(exc.value)
                     break
                 except BaseException as exc:
-                    if exc is event._value:
-                        # The generator did not handle it; propagate as our
-                        # own failure rather than crashing the engine.
-                        self._finish_fail(exc)
-                        break
+                    # Unhandled (the delivered failure itself) or raised
+                    # anew: either way it is this process's failure, not
+                    # the engine's.
                     self._finish_fail(exc)
                     break
             if not isinstance(target, Event):
@@ -434,35 +346,18 @@ class Environment:
     #: Default scheduling priority.
     PRIORITY_NORMAL = _NORMAL
 
-    #: Which engine this class implements (subclasses override).
-    engine = "scalar"
-
-    def __new__(cls, initial_time: int = 0, tracer: Optional[Any] = None,
-                engine: Optional[str] = None) -> "Environment":
-        # ``Environment(...)`` is the single engine switch: it hands back
-        # a VectorEnvironment when asked (explicitly or via
-        # $REPRO_SIM_ENGINE), so every existing construction site gets
-        # engine selection for free.  Direct subclass construction
-        # (VectorEnvironment(), test doubles) bypasses the dispatch.
-        if cls is Environment and resolve_engine(engine) == "vector":
-            from repro.sim.fastcore import VectorEnvironment
-
-            return super().__new__(VectorEnvironment)
-        return super().__new__(cls)
-
+    # ``engine`` is accepted only as ``None``/``"scalar"``: kept because
+    # ``perfbench/tracing.py:204`` passes it.
     def __init__(self, initial_time: int = 0, tracer: Optional[Any] = None,
                  engine: Optional[str] = None):
-        if engine is not None and resolve_engine(engine) != self.engine:
-            raise SimulationError(
-                f"{type(self).__name__} is the {self.engine!r} engine; "
-                f"cannot construct it with engine={engine!r}")
+        resolve_engine(engine)
         self._now = int(initial_time)
         self._queue: list[tuple[int, int, int, Event]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         self.tracer = tracer
-        #: Events popped so far (batch members count individually), the
-        #: numerator of the simcore campaign's events/sec metric.
+        #: Events popped off the queue so far, one per heap entry — the
+        #: per-operation budgets in ``tests/test_event_budget.py``.
         self.events_processed = 0
 
     # -- clock -------------------------------------------------------------
@@ -493,54 +388,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    def timeout_batch(self, delays: Sequence[int],
-                      on_fire: Optional[Callable[[int, Any], None]] = None,
-                      ) -> BatchTimeout:
-        """Arm a population of anonymous deadlines as one batch.
-
-        ``delays`` is a 1-D sequence (or ndarray) of non-negative integer
-        nanosecond delays, one per member.  See :class:`BatchTimeout` for
-        the observable contract.  An empty batch succeeds immediately
-        with value 0.
-        """
-        import numpy as np
-
-        members = np.asarray(delays, dtype=np.int64)
-        if members.ndim != 1:
-            raise SimulationError(
-                f"timeout_batch delays must be 1-D, got shape {members.shape}")
-        if members.size and int(members.min()) < 0:
-            raise SimulationError(
-                f"negative delay {int(members.min())} in timeout_batch")
-        batch = BatchTimeout(self)
-        batch.total = int(members.size)
-        if not members.size:
-            batch.succeed(0)
-            return batch
-        self._arm_batch(batch, members, on_fire)
-        return batch
-
-    def _arm_batch(self, batch: BatchTimeout, members: Any,
-                   on_fire: Optional[Callable[[int, Any], None]]) -> None:
-        """Scalar (oracle) batch arming: one real Timeout per member.
-
-        Timeouts are created in member-index order so they consume
-        sequence numbers 0..n-1 of the block — the property the vector
-        engine reproduces arithmetically.  The group action rides on the
-        group's last member; earlier members are plain no-op pops.
-        """
-        fire_at = {}
-        for when, indices in _batch_groups(self._now, members):
-            fire_at[int(indices[-1])] = (when, indices)
-        for i in range(batch.total):
-            member = Timeout(self, int(members[i]))
-            group = fire_at.get(i)
-            if group is not None:
-                when, indices = group
-                member.callbacks.append(
-                    lambda _ev, w=when, ix=indices:
-                        batch._group_fired(w, ix, on_fire))
 
     def all_of(self, events: Iterable[Event]) -> Event:
         from repro.sim.conditions import AllOf
@@ -632,3 +479,8 @@ class Environment:
             return stop._value
         stop._defused = True
         raise stop._value
+
+
+class VectorEnvironment(Environment):
+    """Constructed nowhere; kept because ``perfbench/tracing.py:192,228``
+    imports it and patches ``run`` on each class that defines one."""

@@ -152,17 +152,6 @@ def test_chaos_alias_exits_1_when_a_message_is_lost(monkeypatch, capsys):
     assert "FAIL exactly_once" in capsys.readouterr().out
 
 
-def test_engine_flag_does_not_leak_into_the_environment(monkeypatch):
-    import os
-
-    from repro.sim.core import ENGINE_ENV_VAR
-
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    before = dict(os.environ)
-    assert main(["--engine", "vector", "dma"]) == 0
-    assert dict(os.environ) == before
-
-
 # --------------------------------------------------------- observability CLI
 def test_cli_metrics_json_is_machine_readable(capsys):
     import json

@@ -24,7 +24,9 @@ from repro.kv import KVStore
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
 from repro.obs.metrics import MetricsRegistry
 from repro.rpc.reliable import connect_reliable_rpc
-from repro.sim import Environment
+from repro.vmmc import reliable
+from repro.vmmc.reliable import open_channel
+from repro.sim import AnyOf, Environment, Timeout
 from repro.sim.trace import Tracer
 
 
@@ -105,7 +107,47 @@ def test_one_clean_kv_get():
     cost = events_of(env, lambda: env.run(
         until=client.call(PROC_GET, encode_get_args(7))))
     assert store.gets == 2
-    assert cost == 179
+    # 179 while each retransmit deadline was a proxy event, a flush event
+    # and a one-member deadline batch; a plain Timeout saves 3 events per
+    # ACK wait, two waits per call.
+    assert cost == 173
+
+
+def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    _, ep_tx = cluster.nodes[0].attach_process("tx")
+    _, ep_rx = cluster.nodes[1].attach_process("rx")
+    tx, rx = env.run(until=open_channel(ep_tx, ep_rx, "budget"))
+
+    def receiver():
+        for _ in range(2):
+            yield rx.recv()
+
+    env.process(receiver())
+    env.run(until=tx.send(b"w" * 1024))                         # warm
+    timeouts, deadlines = [0], []
+    real_init = Timeout.__init__
+
+    def counted_init(self, *args, **kwargs):
+        timeouts[0] += 1
+        real_init(self, *args, **kwargs)
+
+    class Watched(AnyOf):
+        def __init__(self, env, events):
+            deadlines.append(type(events[1]))
+            super().__init__(env, events)
+
+    monkeypatch.setattr(Timeout, "__init__", counted_init)
+    monkeypatch.setattr(reliable, "AnyOf", Watched)
+    cost = events_of(env, lambda: env.run(until=tx.send(b"x" * 1024)))
+    assert tx.stats.retransmits == 0
+    # One ACK wait, its deadline a plain Timeout.  With the deadline
+    # batched the send also constructed 44 Timeouts (the batch armed one
+    # per member) but cost 89 events: the proxy, the flush and the
+    # batch's own completion on top of the Timeout.
+    assert deadlines == [Timeout]
+    assert (timeouts[0], cost) == (44, 86)
 
 
 # -------------------------------------------------------------------- CRC work

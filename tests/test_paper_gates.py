@@ -24,8 +24,8 @@ from repro.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Campaigns that reproduce a paper table/figure or extend one with a
-#: deterministic simulated result; ``simcore`` is wall-clock, and the
-#: ``dsm``/``kv``/``fabric`` smoke shapes are pinned by their own tests.
+#: deterministic simulated result; the ``dsm``/``kv``/``fabric`` smoke
+#: shapes are pinned by their own tests.
 PAPER_CAMPAIGNS = ("dma", "latency", "bandwidth", "overhead", "breakdown",
                    "hw-limits", "vrpc", "shrimp", "related-work",
                    "threshold", "pipeline", "multiprocess", "chaos",

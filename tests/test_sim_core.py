@@ -533,36 +533,20 @@ def test_nested_process_exception_can_be_caught_by_parent():
     assert got["caught"] == "inner exploded"
 
 
-# -- the engine switch ------------------------------------------------------
-def test_engine_dispatch_and_env_var(monkeypatch):
-    from repro.sim import ENGINE_ENV_VAR, VectorEnvironment, resolve_engine
+# -- one engine ------------------------------------------------------------
+def test_only_the_scalar_engine_exists():
+    from repro.cluster import Cluster
+    from repro.sim import resolve_engine
 
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    assert type(Environment()) is Environment
-    assert type(Environment(engine="vector")) is VectorEnvironment
-    assert Environment(engine="vector").engine == "vector"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
-    assert type(Environment()) is VectorEnvironment
-    assert resolve_engine() == "vector"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
-    assert type(Environment()) is Environment
-    monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-    with pytest.raises(SimulationError, match="warp"):
-        Environment()
-
-
-def test_engine_mismatch_rejected():
-    from repro.sim import VectorEnvironment
-
+    assert resolve_engine() == resolve_engine("scalar") == "scalar"
     with pytest.raises(SimulationError, match="vector"):
-        VectorEnvironment(engine="scalar")
-    with pytest.raises(SimulationError, match="bogus"):
-        Environment(engine="bogus")
+        Environment(engine="vector")
+    with pytest.raises(SimulationError, match="vector"):
+        Cluster.build(engine="vector")
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_run_variants_agree_across_engines(engine):
-    env = Environment(engine=engine)
+def test_run_variants():
+    env = Environment()
 
     def work():
         yield env.timeout(7)
@@ -570,20 +554,19 @@ def test_run_variants_agree_across_engines(engine):
 
     assert env.run(until=env.process(work())) == "ret"
 
-    env2 = Environment(engine=engine)
+    env2 = Environment()
     env2.timeout(100)
     env2.run(until=50)
     assert env2.now == 50
     assert env2.events_processed == 0
 
-    env3 = Environment(engine=engine)
+    env3 = Environment()
     with pytest.raises(SimulationError, match="deadlock"):
         env3.run(until=env3.event())
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_run_until_past_time_is_refused(engine):
-    env = Environment(engine=engine)
+def test_run_until_past_time_is_refused():
+    env = Environment()
     env.timeout(100)
     env.run()
     assert env.now == 100
@@ -592,46 +575,3 @@ def test_run_until_past_time_is_refused(engine):
     assert env.now == 100          # the clock did not rewind
     env.run(until=100)             # "until now" stays a legal no-op
     assert env.now == 100
-
-
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_timeout_batch_contract(engine):
-    import numpy as np
-
-    env = Environment(engine=engine)
-    fired = []
-    batch = env.timeout_batch(
-        np.array([10, 5, 10, 3, 5, 10, 0]),
-        on_fire=lambda t, ix: fired.append((t, [int(i) for i in ix])))
-    done = {}
-
-    def waiter():
-        done["n"] = yield batch
-        done["t"] = env.now
-
-    env.process(waiter())
-    env.run()
-    assert fired == [(0, [6]), (3, [3]), (5, [1, 4]), (10, [0, 2, 5])]
-    assert done == {"n": 7, "t": 10}
-
-
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_timeout_batch_edge_cases(engine):
-    env = Environment(engine=engine)
-    empty = env.timeout_batch([])
-    assert empty.triggered and empty.value == 0
-    with pytest.raises(SimulationError, match="negative"):
-        env.timeout_batch([3, -1])
-    with pytest.raises(SimulationError, match="1-D"):
-        env.timeout_batch([[1, 2], [3, 4]])
-
-
-def test_events_processed_counts_batch_members_identically():
-    def run(engine):
-        env = Environment(engine=engine)
-        env.timeout_batch([4, 4, 4, 9, 9])
-        env.timeout(4)
-        env.run()
-        return env.events_processed, env.now
-
-    assert run("scalar") == run("vector")

@@ -1,20 +1,26 @@
-"""Seeded fuzz: random process/timeout/interrupt programs on both engines.
+"""Seeded fuzz: random process/timeout/interrupt programs against
+recorded logs.
 
 Each seed generates a random program *spec* (numpy RNG, fixed by the
 seed): a handful of processes whose op lists mix sleeps, shared-event
-waits and fires, AND/OR combinators, ``timeout_batch`` populations,
-process joins, and interrupts of other live processes.  The same spec
-is then executed on the scalar and the vector engine, logging every
-observable step — start/end of each process, values received, on_fire
-group shapes, interrupt catches, timestamps and the events-processed
-counter — and the two logs must be equal.
+waits and fires, AND/OR combinators, same-tick deadline populations
+(``all_of`` over a list of timeouts), process joins, and interrupts of
+other live processes.  Executing a spec logs every observable step —
+start/end of each process, values received, interrupt catches,
+timestamps and the events-processed counter — and the log's sha256 must
+equal the one in ``RECORDED``.
 
-This is what locks in the same-timestamp FIFO tie-break: the programs
-deliberately pile many events onto shared timestamps (delays are drawn
-from a tiny quantized range), so any divergence in the ``(time,
-priority, seq)`` total order between the engines shows up as a
-reordered log line.
+``RECORDED`` was taken by running this generator on the engine as it
+stood when a second, vectorized engine was still held bit-identical to
+it (hence "both engines" in the test name: the recording one and the
+one under test).  This is what locks in the same-timestamp FIFO
+tie-break: the programs deliberately pile many events onto shared
+timestamps (delays are drawn from a tiny quantized range), so any change
+to the ``(time, priority, seq)`` total order shows up as a different
+digest.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ import pytest
 from repro.sim import Environment, Interrupt
 
 N_SEEDS = 40
-OPS = ("sleep", "wait_shared", "fire_shared", "batch", "join",
+OPS = ("sleep", "wait_shared", "fire_shared", "population", "join",
        "interrupt", "all_of", "any_of")
 
 
@@ -44,8 +50,8 @@ def _generate_spec(seed):
             elif kind == "fire_shared":
                 ops.append(("fire_shared", int(rng.integers(0, nshared)),
                             int(rng.integers(0, 100))))
-            elif kind == "batch":
-                ops.append(("batch",
+            elif kind == "population":
+                ops.append(("population",
                             [int(d) for d in
                              rng.integers(0, 8, size=int(rng.integers(1, 24)))]))
             elif kind == "join":
@@ -60,9 +66,9 @@ def _generate_spec(seed):
     return spec
 
 
-def _execute(spec, engine):
-    """Run the spec on one engine; return the observable log."""
-    env = Environment(engine=engine)
+def _execute(spec):
+    """Run the spec; return the observable log."""
+    env = Environment()
     log = []
     shared = {}
     procs = {}
@@ -89,12 +95,9 @@ def _execute(spec, engine):
                     if not ev.triggered:
                         ev.succeed(op[2])
                         log.append(("fired", name, env.now, op[1]))
-                elif kind == "batch":
-                    n = yield env.timeout_batch(
-                        op[1],
-                        lambda t, ix: log.append(
-                            ("wave", name, t, [int(i) for i in ix])))
-                    log.append(("batch", name, env.now, n))
+                elif kind == "population":
+                    done = yield env.all_of([env.timeout(d) for d in op[1]])
+                    log.append(("population", name, env.now, len(done)))
                 elif kind == "join":
                     target = f"p{op[1]}"
                     if target in procs and target != name:
@@ -131,28 +134,72 @@ def _execute(spec, engine):
     return log
 
 
+def _digest(log):
+    return hashlib.sha256(repr(log).encode()).hexdigest()
+
+
+#: sha256 of ``repr(_execute(_generate_spec(seed)))``, seed 0..N_SEEDS-1.
+RECORDED = [
+    "e80735d0b7dc13d4c17aac898472b28349ebfde01a10332b089b6362c8fb41b0",
+    "da757fc3609b33c1c7101db1b250d7a33a972cc9974e884e77ae57ee48ad6e4b",
+    "d66f752a6c4514316424296ec4bdab9bdd5d85c35c77459283cb293e0d7e96d9",
+    "ee814b9d1100e31392f023fe6f1aceeee7950e41ec265254584e8567c9dde90f",
+    "3ed36b8fdccd1a73336a824088724b981c8fdd0b1cb06b471efacd1cc7d9a1d3",
+    "9342db8617f27bd878c49eba4959947ad67176741df8b83e729d2e16d81d677f",
+    "14b8fa73c8083fb84813dc6e1dd43001709911eea77f18e50a79fe243ed5084c",
+    "2d50fbf60eeec0bae8196a50b2aafd707d56b974c46c1e861dc484e6cf2bcb59",
+    "4ed63ae521cb0a31e1d50a3e264ce6ddc9dc3f2100fcd11a045af9a26c249c26",
+    "bd65e707ce1af07cf64b5055406512ea5a638b5d8810989ce1c03fec75ed074d",
+    "97ff5ac5e2e77bc542788b17ee3e1473a1a78db9fba12787820012d17280b1d0",
+    "4d9142493f1bbb69e7363aac9ca4b22bc702e5aed037d96454d93005234844d6",
+    "c94af0aeeb9f6596228c2225b1864179709c3568c6fe6480b0d464043cb17de7",
+    "e1eec92934cef621b9faf6364a42bb0ab9c5a2aa9422f53e84dbe8663d091f95",
+    "54b32717e4a015a05a3a0f5c056813f9fd43bd5b8efa33380f22215d94b4d408",
+    "756d84e70c39bc6a4189bb74577741439b908daedd76e7e177c470bfb3e49681",
+    "1d83d8d481c2975569b89a13617d821f1bc461b478183b81c98140d84f1b85b8",
+    "c7d1d8ef3a40190278fda360b71e119428b355ee609623d5baa60c026a1f634c",
+    "f347a9c93bb521825a06f2a8edd6e2209ffe43c5b9f9c598f93f67f0fb3741db",
+    "7cb39f5370c791966af454b0332fd2517f8bfca792b87defaa55421ff0455937",
+    "16ec9ad404e696411290d4f56c948450a4b559b43161b6e27e10f2cb84037bf5",
+    "2b1c9b4062f0dc5102b8b5a3896a359975a77be0c1b8946566d08bc4272800c6",
+    "c8b65f4d52b22dbbac4c06a2c0a19c3ee4af72a57b42810be5e0dbfec657e604",
+    "34b8940ba654fcfc184f3664ebd9914f3402275b97e380dc984e7945e6c8b528",
+    "75a1e70db1ed301655f5dfece67f4e0c26fc233bc1ec012d2a154add6e7d1c73",
+    "76a7c35a40d9009dfc1827dee7055c06026d01504fd85632b08df57a257def6b",
+    "5938cf34717c9892b43ef8a41f55169ce275615ce18fa4a64811347a121cca89",
+    "238ad4c32ecef5fba8e1a7db6ed51dd38b2a2f6f93973da0eb34914ca651886d",
+    "c306e1ccd3630f0c3dbf5a3487a1509cc7b6a2f43a301daee4077ea6f4e109bc",
+    "8eb98b548dcada1ae093a6556c13e2084937abf3917481ccc21f257ed928f56b",
+    "6d2901d518ba65e1adbc0eb254f6c961702baea5c791919220720a58d45302f3",
+    "b556f7f1161ecb35020a13966dbb0785a802340773e4237c39ec15e60f758d6e",
+    "fada4e2d5a26abbfe5d1f6cc52a2dabc08e285947bb8ff24e73aef4bb1fbd989",
+    "a27e3e5bccf4317f0272bd1f5fd8bd18fd3adff2142e4c41ab953735c63b1d37",
+    "6e5a8d7222bbffa9f18f21e3731e6d01b47ccefbde1af2bf370855a8ef65cba7",
+    "fef1b378eb5a2483eb7f1a860e4d29d6815de7bc084f2f8140b93b1d021ec367",
+    "eaf6777d927e5a6bcec32baf69e20a35a17342cc30669129f2942b1cec846b9d",
+    "9d872952f768a2ebc76460cf2af8c11b1bd8c070534e6876b567197b1f268f03",
+    "6fcdec2f1e087bb40ccf1f711d78f45a3ba3010abd80512b6ac1968fcbc6ba26",
+    "bef818e2f76981ba26f5b23f8fa1156ae97450594fc1ef95df6ca08e11758b51",
+]
+
+
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_random_program_identical_on_both_engines(seed):
-    spec = _generate_spec(seed)
-    scalar = _execute(spec, "scalar")
-    vector = _execute(spec, "vector")
-    assert scalar == vector, (
-        f"seed {seed}: first divergence at index "
-        f"{next(i for i, (a, b) in enumerate(zip(scalar, vector)) if a != b) if scalar != vector and any(a != b for a, b in zip(scalar, vector)) else min(len(scalar), len(vector))}")
+    assert _digest(_execute(_generate_spec(seed))) == RECORDED[seed], (
+        f"seed {seed}: the event order of this program moved")
 
 
 def test_fuzz_covers_the_interesting_ops():
-    # The generator must actually exercise interrupts, batches and
+    # The generator must actually exercise interrupts, populations and
     # combinators across the seed range, or the suite proves nothing.
     kinds = set()
     for seed in range(N_SEEDS):
-        log = _execute(_generate_spec(seed), "scalar")
+        log = _execute(_generate_spec(seed))
         kinds.update(entry[0] for entry in log)
-    assert {"interrupted", "wave", "batch", "all", "any", "got",
+    assert {"interrupted", "population", "all", "any", "got",
             "fired", "joined"} <= kinds
 
 
 def test_scalar_rerun_is_deterministic():
     spec = _generate_spec(123)
-    assert _execute(spec, "scalar") == _execute(spec, "scalar")
-    assert _execute(spec, "vector") == _execute(spec, "vector")
+    assert _execute(spec) == _execute(spec)
