@@ -49,9 +49,6 @@ class TestbedConfig:
     ethernet: EthernetParams = field(default_factory=EthernetParams)
     kernel: KernelParams = field(default_factory=KernelParams)
     lcp: LCPCosts = field(default_factory=LCPCosts)
-    #: Scatter physical frames (realistic fragmented memory).  Turning this
-    #: off is the ablation for the 4 KB-transfer-unit argument of §5.2.
-    scatter_frames: bool = True
 
     def with_(self, **overrides) -> "TestbedConfig":
         """A modified copy (ablation helper)."""

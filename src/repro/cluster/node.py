@@ -33,9 +33,7 @@ class Node:
         self.index = index
         self.config = config
         # Hardware.
-        self.memory = PhysicalMemory(config.memory_bytes,
-                                     scatter=config.scatter_frames,
-                                     reserved_frames=64)
+        self.memory = PhysicalMemory(config.memory_bytes, reserved_frames=64)
         self.pci = PCIBus(env, config.pci, name=f"{name}.pci")
         self.membus = MemoryBus(env, config.membus)
         self.nic = LanaiNIC(env, fabric, name, self.pci, self.memory)

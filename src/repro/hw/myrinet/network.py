@@ -2,17 +2,17 @@
 
 The network-mapping LCP of section 4.3 discovers the topology at boot and
 builds static routing tables.  Our fabric object *is* the ground truth the
-mapping LCP discovers: it holds the device graph (networkx) and can compute
-the source-route byte string between any two hosts — but protocol code
-never calls :meth:`compute_route` directly; it goes through the mapping LCP
+mapping LCP discovers: it holds the cabling (one port map: device → port →
+neighbour) and the installed source-route table — but protocol code never
+calls :meth:`compute_route` directly; it goes through the mapping LCP
 (:mod:`repro.vmmc.mapping_lcp`) exactly as the paper's daemons do.
 
-Fabrics are normally built declaratively: :func:`repro.hw.myrinet.topology
-.build` materializes a :class:`~repro.hw.myrinet.topology.TopologySpec`
-(single/dual switch, fat-tree, mesh/torus) and installs the topology's
-deadlock-free route table via :meth:`MyrinetNetwork.install_topology`;
-:meth:`compute_route` then serves that table (up*/down* on fat-trees,
-dimension-order on meshes) instead of generic shortest path.
+Fabrics are built declaratively: :func:`repro.hw.myrinet.topology.build`
+materializes a :class:`~repro.hw.myrinet.topology.TopologySpec`
+(single/dual switch, fat-tree, mesh/torus), proves the topology's route
+table deadlock-free and installs it via
+:meth:`MyrinetNetwork.install_topology`; :meth:`compute_route` serves that
+table (up*/down* on fat-trees, dimension-order on meshes) and nothing else.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import networkx as nx
 
 from repro.sim import Environment
 from repro.hw.myrinet.link import Link, LinkParams
@@ -63,12 +61,11 @@ class _HostPort:
 
 
 class MyrinetNetwork:
-    """The switched fabric: devices, cables, and route computation."""
+    """The switched fabric: devices, cables, and the installed routes."""
 
     def __init__(self, env: Environment, link_params: LinkParams | None = None):
         self.env = env
         self.link_params = link_params or LinkParams()
-        self.graph = nx.Graph()
         self.switches: dict[str, Switch] = {}
         self.hosts: dict[str, _HostPort] = {}
         self._links: list[Link] = []
@@ -84,14 +81,12 @@ class MyrinetNetwork:
             raise ValueError(f"duplicate device name {name!r}")
         switch = Switch(self.env, nports=nports, name=name)
         self.switches[name] = switch
-        self.graph.add_node(name, kind="switch")
         return switch
 
     def add_host(self, name: str) -> str:
         if name in self.switches or name in self.hosts:
             raise ValueError(f"duplicate device name {name!r}")
         self.hosts[name] = _HostPort(name)
-        self.graph.add_node(name, kind="host")
         return name
 
     def attach_host_sink(self, name: str,
@@ -124,8 +119,6 @@ class MyrinetNetwork:
         link_ba.connect(self._sink_of(a))
         self._outlet_of(a, link_ab)
         self._outlet_of(b, link_ba)
-        self.graph.add_edge(a.device, b.device,
-                            ports={a.device: a.port, b.device: b.port})
         self._port_map.setdefault(a.device, {})[a.port] = b.device
         self._port_map.setdefault(b.device, {})[b.port] = a.device
 
@@ -161,9 +154,9 @@ class MyrinetNetwork:
         ``table`` must cover every ordered pair of distinct hosts;
         :meth:`compute_route` then serves it verbatim, so the fabric
         follows the topology's routing discipline (up*/down*,
-        dimension-order, …) rather than generic shortest path.  Called
-        by :func:`repro.hw.myrinet.topology.build` after the deadlock
-        check passes.
+        dimension-order, …).  Called by
+        :func:`repro.hw.myrinet.topology.build` after the deadlock check
+        passes.
         """
         hosts = self.host_names
         missing = [(s, d) for s in hosts for d in hosts
@@ -184,63 +177,22 @@ class MyrinetNetwork:
     def compute_route(self, src: str, dst: str) -> list[int]:
         """Source-route bytes (one per switch hop) from ``src`` to ``dst``.
 
-        Ground truth used by the mapping LCP.  Serves the installed
-        topology route table when one exists; otherwise falls back to
-        deterministic shortest path (BFS, neighbours explored in natural
-        name order, so ties break identically on every run).  Raises if
-        no path exists.
+        Ground truth used by the mapping LCP: the installed topology
+        route table, served verbatim.  Raises on a fabric with no table
+        or a pair the table does not hold.
         """
         if src == dst:
             return []
-        if self._route_table is not None:
-            try:
-                return list(self._route_table[(src, dst)])
-            except KeyError:
-                raise ValueError(
-                    f"no installed route {src!r} -> {dst!r} "
-                    f"(topology {self.topology!r})") from None
-        path = self._shortest_path(src, dst)
-        route: list[int] = []
-        for here, there in zip(path[1:-1], path[2:]):
-            # 'here' is a switch; find its output port toward 'there'.
-            ports = self.graph.edges[here, there]["ports"]
-            route.append(ports[here])
-        # Sanity: intermediate nodes must all be switches.
-        for node in path[1:-1]:
-            if node not in self.switches:
-                raise ValueError(
-                    f"path {path} routes through host {node}")
-        return route
-
-    def _shortest_path(self, src: str, dst: str) -> list[str]:
-        """BFS shortest path with deterministic (natural-order) ties."""
-        if src not in self.graph or dst not in self.graph:
-            raise ValueError(f"unknown device in {src!r} -> {dst!r}")
-        parents: dict[str, Optional[str]] = {src: None}
-        frontier = [src]
-        while frontier and dst not in parents:
-            nxt: list[str] = []
-            for node in frontier:
-                for neigh in sorted(self.graph[node], key=natural_key):
-                    if neigh not in parents:
-                        parents[neigh] = node
-                        nxt.append(neigh)
-            frontier = nxt
-        if dst not in parents:
-            raise ValueError(f"no path {src!r} -> {dst!r}")
-        path = [dst]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        return path
-
-    def hop_count(self, src: str, dst: str) -> int:
-        if src == dst:
-            return 0
-        if self._route_table is not None and (src, dst) in self._route_table:
-            # switch hops + the final switch→host cable
-            return len(self._route_table[(src, dst)]) + 1
-        return len(self._shortest_path(src, dst)) - 1
+        if self._route_table is None:
+            raise ValueError(
+                f"no route table installed for {src!r} -> {dst!r}: build "
+                "the fabric with repro.hw.myrinet.topology.build")
+        try:
+            return list(self._route_table[(src, dst)])
+        except KeyError:
+            raise ValueError(
+                f"no installed route {src!r} -> {dst!r} "
+                f"(topology {self.topology!r})") from None
 
     def port_neighbor(self, device: str, port: int) -> Optional[str]:
         """The device cabled to ``device``'s ``port`` (None if uncabled)."""

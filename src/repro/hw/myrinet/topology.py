@@ -54,8 +54,6 @@ import re
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, Union
 
-import networkx as nx
-
 from repro.sim import Environment
 from repro.hw.myrinet.link import LinkParams
 from repro.hw.myrinet.network import MyrinetNetwork, PortRef
@@ -75,7 +73,6 @@ __all__ = [
     "parse",
     "resolve",
     "walk_route",
-    "channel_dependency_graph",
     "check_deadlock_free",
     "minimal_torus_routes",
     "fabric_stats",
@@ -681,23 +678,6 @@ def _walked_routes(net: MyrinetNetwork,
         yield channels
 
 
-def channel_dependency_graph(net: MyrinetNetwork,
-                             routes: RouteTable) -> nx.DiGraph:
-    """The wormhole channel dependency graph of a routing function.
-
-    Nodes are unidirectional channels (links); an edge ``c1 → c2`` means
-    some route holds ``c1`` while requesting ``c2`` (consecutive hops of
-    one worm).  Every route is walked through the real cabling and must
-    terminate at its claimed destination host.
-    """
-    cdg = nx.DiGraph()
-    for channels in _walked_routes(net, routes):
-        cdg.add_nodes_from(channels)
-        for c1, c2 in zip(channels, channels[1:]):
-            cdg.add_edge(c1, c2)
-    return cdg
-
-
 def check_deadlock_free(net: MyrinetNetwork,
                         routes: Optional[RouteTable] = None
                         ) -> DeadlockReport:
@@ -714,36 +694,59 @@ def check_deadlock_free(net: MyrinetNetwork,
         if routes is None:
             raise TopologyError(
                 "no route table installed and none given to check")
-    channels: set[str] = set()
-    dependencies: set[tuple[str, str]] = set()
+    # The channel dependency graph: channel -> the channels a worm
+    # holding it requests next, both in walk order (dicts, not sets, so
+    # a cycle is named the same way on every run).
+    successors: dict[str, dict[str, None]] = {}
     for held in _walked_routes(net, routes):
-        channels.update(held)
-        dependencies.update(zip(held, held[1:]))
+        for c1, c2 in zip(held, held[1:]):
+            successors.setdefault(c1, {})[c2] = None
+        successors.setdefault(held[-1], {})
+    dependencies = sum(map(len, successors.values()))
     # Kahn's algorithm: peel off the channels no worm requests while it
     # holds one not yet peeled; the relation is acyclic iff they all go.
-    requested_after: dict[str, list[str]] = {c: [] for c in channels}
-    holders = dict.fromkeys(channels, 0)
-    for c1, c2 in dependencies:
-        requested_after[c1].append(c2)
-        holders[c2] += 1
+    holders = dict.fromkeys(successors, 0)
+    for nexts in successors.values():
+        for channel in nexts:
+            holders[channel] += 1
     ready = [channel for channel, n in holders.items() if n == 0]
     peeled = 0
     while ready:
         peeled += 1
-        for channel in requested_after[ready.pop()]:
+        for channel in successors[ready.pop()]:
             holders[channel] -= 1
             if holders[channel] == 0:
                 ready.append(channel)
-    if peeled == len(channels):
-        return DeadlockReport(routes=len(routes), channels=len(channels),
-                              dependencies=len(dependencies))
-    # Cyclic.  Only now is the networkx graph worth building: to name
-    # the cycle.
-    cycle_edges = nx.find_cycle(channel_dependency_graph(net, routes))
-    chain = [edge[0] for edge in cycle_edges] + [cycle_edges[-1][1]]
+    if peeled == len(successors):
+        return DeadlockReport(routes=len(routes), channels=len(successors),
+                              dependencies=dependencies)
+    chain = _first_cycle(successors)
     raise RoutingDeadlockError(
         f"routing function has a channel dependency cycle of length "
-        f"{len(cycle_edges)}: {' -> '.join(chain)}", cycle=chain)
+        f"{len(chain) - 1}: {' -> '.join(chain)}", cycle=chain)
+
+
+def _first_cycle(successors: dict[str, dict[str, None]]) -> list[str]:
+    """The first cycle a depth-first search meets, roots and successors
+    taken in insertion order, as a closed chain ``[c, ..., c]``.  Only
+    called once Kahn's algorithm has proven a cycle exists."""
+    finished: set[str] = set()
+    for root in successors:
+        if root in finished:
+            continue
+        path = [root]
+        todo = [iter(successors[root])]
+        while todo:
+            channel = next(todo[-1], None)
+            if channel is None:
+                finished.add(path.pop())
+                todo.pop()
+            elif channel in path:
+                return path[path.index(channel):] + [channel]
+            elif channel not in finished:
+                path.append(channel)
+                todo.append(iter(successors[channel]))
+    raise AssertionError("Kahn's algorithm left channels but no cycle")
 
 
 # -- fabric statistics -----------------------------------------------------
@@ -775,19 +778,8 @@ def fabric_stats(net: MyrinetNetwork) -> TopologyStats:
         raise TopologyError("fabric has no installed route table")
     hosts = net.host_names
     lengths = [len(route) for route in table.values()]
-    flow = nx.DiGraph()
-    for a, b in net.graph.edges:
-        flow.add_edge(a, b, capacity=1)
-        flow.add_edge(b, a, capacity=1)
-    bisection = 0
-    if len(hosts) >= 2:
-        half = len(hosts) // 2
-        for host in hosts[:half]:
-            flow.add_edge("bisect_src", host, capacity=len(hosts))
-        for host in hosts[half:]:
-            flow.add_edge(host, "bisect_dst", capacity=len(hosts))
-        bisection = int(nx.maximum_flow_value(flow, "bisect_src",
-                                              "bisect_dst"))
+    half = len(hosts) // 2
+    bisection = _max_flow(net, hosts[:half], hosts[half:]) if half else 0
     return TopologyStats(
         nhosts=len(hosts),
         nswitches=len(net.switches),
@@ -796,3 +788,39 @@ def fabric_stats(net: MyrinetNetwork) -> TopologyStats:
         route_hops_mean=(sum(lengths) / len(lengths)) if lengths else 0.0,
         bisection_links=bisection,
     )
+
+
+def _max_flow(net: MyrinetNetwork, sources: list[str],
+              sinks: list[str]) -> int:
+    """Edge-disjoint paths from ``sources`` to ``sinks`` over the cabling,
+    every cable one unit each way: breadth-first augmenting paths
+    (Edmonds–Karp) on a skew-symmetric flow between device pairs."""
+    targets = set(sinks)
+    flow: dict[tuple[str, str], int] = {}
+    paths = 0
+    while True:
+        parent: dict[str, Optional[str]] = dict.fromkeys(sources)
+        frontier = list(sources)
+        reached = None
+        while frontier and reached is None:
+            nxt = []
+            for here in frontier:
+                for there in net._port_map.get(here, {}).values():
+                    if there in parent or flow.get((here, there), 0) >= 1:
+                        continue
+                    parent[there] = here
+                    if there in targets:
+                        reached = there
+                        break
+                    nxt.append(there)
+                if reached is not None:
+                    break
+            frontier = nxt
+        if reached is None:
+            return paths
+        while parent[reached] is not None:
+            here = parent[reached]
+            flow[here, reached] = flow.get((here, reached), 0) + 1
+            flow[reached, here] = flow.get((reached, here), 0) - 1
+            reached = here
+        paths += 1

@@ -85,7 +85,7 @@ class PhysicalMemory:
     """
 
     def __init__(self, size_bytes: int, page_size: int = 4096,
-                 scatter: bool = True, reserved_frames: int = 0):
+                 reserved_frames: int = 0):
         if size_bytes % page_size != 0:
             raise ValueError("memory size must be a whole number of pages")
         self.size = size_bytes
@@ -101,8 +101,7 @@ class PhysicalMemory:
             dtype=np.uint8)
         # reserved_frames models kernel-owned low memory never given to users.
         self._reserved = min(max(reserved_frames, 0), self.nframes)
-        self._stride = (_scatter_stride(self.nframes)
-                        if scatter and self.nframes else 1)
+        self._stride = _scatter_stride(self.nframes) if self.nframes else 1
         self._cursor = 0
         #: Free frames the cursor has yet to reach, and the ones it must
         #: step over because alloc_contiguous got there first.

@@ -23,7 +23,7 @@ alltoall) are binomial-tree / linear compositions of the point-to-point
 layer.
 """
 
-from repro.mp.comm import Communicator, MPError, build_world, wire_world
+from repro.mp.comm import Communicator, MPError, build_world
 from repro.mp.collectives import (
     allreduce,
     alltoall,
@@ -45,5 +45,4 @@ __all__ = [
     "reduce",
     "scatter",
     "build_world",
-    "wire_world",
 ]

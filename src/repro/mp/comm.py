@@ -97,8 +97,7 @@ class Communicator:
 
     def __init__(self, rank: int, size: int, ep: VMMCEndpoint,
                  nslots: int = DEFAULT_SLOTS,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 prefix: str = "mp"):
+                 slot_bytes: int = DEFAULT_SLOT_BYTES):
         if nslots < 1:
             raise MPError(f"ring needs at least one slot, not {nslots}")
         if slot_bytes <= _HEADER_BYTES:
@@ -110,9 +109,6 @@ class Communicator:
         self.nslots = nslots
         self.slot_bytes = slot_bytes
         self.payload_per_slot = slot_bytes - _HEADER_BYTES
-        #: Namespace for export names, so several worlds coexist on one
-        #: cluster.
-        self.prefix = prefix
         self._rx: dict[int, _RxChannel] = {}
         self._tx: dict[int, _TxChannel] = {}
         self.messages_sent = 0
@@ -129,13 +125,13 @@ class Communicator:
                     continue
                 ring = self.ep.alloc_buffer(self.nslots * self.slot_bytes)
                 yield self.ep.export(
-                    ring, f"{self.prefix}.ring.{peer}->{self.rank}")
+                    ring, f"mp.ring.{peer}->{self.rank}")
                 self._rx[peer] = _RxChannel(
                     ring, self.nslots, self.slot_bytes,
                     credit_scratch=self.ep.alloc_buffer(4096))
                 credit = self.ep.alloc_buffer(4096)
                 yield self.ep.export(
-                    credit, f"{self.prefix}.credit.{self.rank}->{peer}")
+                    credit, f"mp.credit.{self.rank}->{peer}")
                 self._tx[peer] = _TxChannel(
                     remote_ring=None, credit=credit, credit_at_peer=None,
                     nslots=self.nslots, slot_bytes=self.slot_bytes,
@@ -156,12 +152,12 @@ class Communicator:
                 tx = self._tx[peer]
                 tx.remote_ring = yield self.ep.import_buffer(
                     node_of_rank(peer),
-                    f"{self.prefix}.ring.{self.rank}->{peer}")
+                    f"mp.ring.{self.rank}->{peer}")
                 # The credit word for traffic peer->me lives at the peer
                 # (their tx channel for me); we write consumption into it.
                 tx.credit_at_peer = yield self.ep.import_buffer(
                     node_of_rank(peer),
-                    f"{self.prefix}.credit.{peer}->{self.rank}")
+                    f"mp.credit.{peer}->{self.rank}")
 
         return self.env.process(run(), name=f"mp.connect.{self.rank}")
 
@@ -299,34 +295,21 @@ class Communicator:
         return self.env.process(run(), name="mp.recv_array")
 
 
-def wire_world(cluster, nslots: int = DEFAULT_SLOTS,
-               slot_bytes: int = DEFAULT_SLOT_BYTES, prefix: str = "mp"):
-    """Process: create one rank per cluster node and wire every channel;
-    the process's value is the list of :class:`Communicator` s.  Usable
-    from *inside* a running simulation (unlike :func:`build_world`, which
-    drives the environment itself)."""
-    env = cluster.env
+def build_world(cluster, nslots: int = DEFAULT_SLOTS,
+                slot_bytes: int = DEFAULT_SLOT_BYTES) -> list[Communicator]:
+    """Create one rank per cluster node, fully wired; runs the cluster's
+    environment until setup completes."""
     comms = []
     for index, node in enumerate(cluster.nodes):
-        _, ep = node.attach_process(f"{prefix}.rank{index}")
+        _, ep = node.attach_process(f"mp.rank{index}")
         comms.append(Communicator(index, len(cluster.nodes), ep,
-                                  nslots=nslots, slot_bytes=slot_bytes,
-                                  prefix=prefix))
+                                  nslots=nslots, slot_bytes=slot_bytes))
 
     def wire():
         for comm in comms:
             yield comm.setup_exports()
         for comm in comms:
             yield comm.connect(lambda rank: f"node{rank}")
-        return comms
 
-    return env.process(wire(), name=f"{prefix}.wire_world")
-
-
-def build_world(cluster, nslots: int = DEFAULT_SLOTS,
-                slot_bytes: int = DEFAULT_SLOT_BYTES,
-                prefix: str = "mp") -> list[Communicator]:
-    """Create one rank per cluster node, fully wired; runs the cluster's
-    environment until setup completes."""
-    return cluster.env.run(until=wire_world(
-        cluster, nslots=nslots, slot_bytes=slot_bytes, prefix=prefix))
+    cluster.env.run(until=cluster.env.process(wire(), name="mp.build_world"))
+    return comms

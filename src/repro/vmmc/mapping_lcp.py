@@ -43,8 +43,7 @@ class MappingResult:
     indices: dict[str, int]
     probes_sent: int = 0
     mapping_time_ns: int = 0
-    #: Deadlock-freedom proof of the fabric's installed routing function
-    #: (None for hand-built fabrics with no installed route table).
+    #: Deadlock-freedom proof of the fabric's installed routing function.
     deadlock: Optional[DeadlockReport] = None
 
 
@@ -80,10 +79,8 @@ class MappingPhase:
                 indices = {name: i for i, name in enumerate(names)}
             # Before trusting the fabric's routing function, prove it
             # cannot wedge the wormhole network: the channel dependency
-            # graph of every installed route table must be cycle-free.
-            report = None
-            if self.network.route_table is not None:
-                report = check_deadlock_free(self.network)
+            # graph of the installed route table must be cycle-free.
+            report = check_deadlock_free(self.network)
             routes: dict[str, dict[int, list[int]]] = {n: {} for n in names}
             probes = 0
             n = len(names)
@@ -106,10 +103,9 @@ class MappingPhase:
             duration = self.env.now - start
             emit(self.env, "mapping.done", probes=probes,
                  duration_ns=duration,
-                 topology=type(self.network.topology).__name__
-                 if self.network.topology is not None else "manual",
-                 channels=report.channels if report else 0,
-                 channel_deps=report.dependencies if report else 0)
+                 topology=type(self.network.topology).__name__,
+                 channels=report.channels,
+                 channel_deps=report.dependencies)
             return MappingResult(routes=routes, indices=indices,
                                  probes_sent=probes,
                                  mapping_time_ns=duration,

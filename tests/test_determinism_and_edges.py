@@ -8,6 +8,7 @@ from repro.bench.microbench import (
     vmmc_oneway_bandwidth,
     vmmc_pingpong_latency,
 )
+from repro.mem import UserBuffer
 from repro.sim import AllOf, Environment, SimulationError
 
 
@@ -81,9 +82,9 @@ def test_environment_initial_time():
 # --------------------------------------------------------------- config edges
 def test_config_with_override_helper():
     base = TestbedConfig(nnodes=2)
-    tweaked = base.with_(memory_mb=8, scatter_frames=False)
+    tweaked = base.with_(memory_mb=8, topology="dual_switch")
     assert tweaked.memory_mb == 8
-    assert not tweaked.scatter_frames
+    assert tweaked.topology == "dual_switch"
     assert tweaked.nnodes == 2
     assert base.memory_mb == 64  # original untouched
 
@@ -95,20 +96,23 @@ def test_unknown_topology_rejected():
 
 
 def test_contiguous_frames_ablation_config():
-    """With scatter_frames=False a long send's source pages happen to be
-    physically contiguous — but the LCP still chunks at page size (the
-    design assumes the general case, as the paper argues in §5.2)."""
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=8,
-                                          scatter_frames=False))
+    """A long send whose source pages are physically contiguous (mapped
+    like driver-preallocated memory) — the LCP still chunks at page size
+    (the design assumes the general case, as the paper argues in §5.2)."""
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=8))
     env = cluster.env
-    _, sender = cluster.nodes[0].attach_process("s")
+    process, sender = cluster.nodes[0].attach_process("s")
     _, receiver = cluster.nodes[1].attach_process("r")
 
     def app():
         inbox = receiver.alloc_buffer(32 * 1024)
         yield receiver.export(inbox, "inbox")
         imported = yield sender.import_buffer("node1", "inbox")
-        src = sender.alloc_buffer(32 * 1024)
+        space = process.space
+        src = UserBuffer(space, space.mmap(32 * 1024,
+                                           contiguous_physical=True),
+                         32 * 1024)
+        assert len(space.physical_extents(src.vaddr, src.nbytes)) == 1
         yield sender.send(src, imported, 32 * 1024)
 
     env.run(until=env.process(app()))

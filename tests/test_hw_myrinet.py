@@ -229,7 +229,18 @@ def test_single_switch_topology_routes():
     route = net.compute_route("node0", "node3")
     assert route == [3]  # one switch hop, output port 3
     assert net.compute_route("node0", "node0") == []
-    assert net.hop_count("node0", "node3") == 2
+
+
+def test_compute_route_needs_an_installed_table():
+    # Routes come only from topology.build's proven table; a hand-cabled
+    # fabric has none and says where to get one.
+    net = MyrinetNetwork(Environment())
+    net.add_switch("sw")
+    for i in range(2):
+        net.add_host(f"node{i}")
+        net.connect(PortRef(f"node{i}"), PortRef("sw", i))
+    with pytest.raises(ValueError, match="topology.build"):
+        net.compute_route("node0", "node1")
 
 
 def test_dual_switch_topology_routes():

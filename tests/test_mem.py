@@ -69,12 +69,6 @@ def test_alloc_contiguous_is_contiguous():
     assert mem.frames_are_contiguous(frames)
 
 
-def test_linear_allocator_contiguous():
-    mem = make_memory(1, scatter=False)
-    frames = mem.alloc_frames(4)
-    assert [f.number for f in frames] == [0, 1, 2, 3]
-
-
 def test_out_of_memory():
     mem = PhysicalMemory(4 * PAGE_SIZE)
     mem.alloc_frames(4)
@@ -288,9 +282,9 @@ def test_physical_extents_cover_range_exactly():
 
 
 def test_physical_extents_merge_contiguous():
-    mem = make_memory(1, scatter=False)
+    mem = make_memory(1)
     space = AddressSpace(mem)
-    vaddr = space.mmap(2 * PAGE_SIZE)
+    vaddr = space.mmap(2 * PAGE_SIZE, contiguous_physical=True)
     extents = space.physical_extents(vaddr, 2 * PAGE_SIZE)
     assert len(extents) == 1
     assert extents[0][1] == 2 * PAGE_SIZE

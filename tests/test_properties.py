@@ -186,13 +186,12 @@ def _lowest_run(free, count):
 
 @settings(max_examples=300, deadline=None)
 @given(nframes=st.sampled_from([41, 82, 123, 256, 2048]),
-       scatter=st.booleans(),
        reserved=st.integers(min_value=0, max_value=2048),
        ops=st.lists(st.tuples(st.sampled_from(["one", "many", "run", "free"]),
                               st.integers(min_value=0, max_value=4095)),
                     max_size=80))
 def test_frame_allocator_matches_the_free_list_it_replaced(
-        nframes, scatter, reserved, ops):
+        nframes, reserved, ops):
     """The allocator walks the scatter sequence instead of holding it; it
     must hand out the frames the materialized free list would — the
     scatter permutation minus the reserved frames, popped from the
@@ -201,10 +200,8 @@ def test_frame_allocator_matches_the_free_list_it_replaced(
     fingerprint in the repo hangs off.  (41, 82 and 123 frames push the
     stride past its default to stay co-prime.)"""
     reserved %= nframes + 1
-    mem = PhysicalMemory(nframes * PAGE_SIZE, scatter=scatter,
-                         reserved_frames=reserved)
-    order = _scatter_order(nframes) if scatter else list(range(nframes))
-    free = [f for f in order if f >= reserved]
+    mem = PhysicalMemory(nframes * PAGE_SIZE, reserved_frames=reserved)
+    free = [f for f in _scatter_order(nframes) if f >= reserved]
     held = []
     for kind, x in ops:
         if kind == "free":

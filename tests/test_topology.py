@@ -17,11 +17,23 @@ cyclic routing functions — both the canonical minimal-torus table and a
 hand-built three-switch ring — with a typed
 :class:`~repro.hw.myrinet.topology.RoutingDeadlockError` carrying the
 cycle.
+
+networkx is the oracle, and only here: the checker's verdict, counts and
+named cycle must be what ``nx.find_cycle`` gives on the channel
+dependency graph, and ``fabric_stats``'s bisection what
+``nx.maximum_flow_value`` gives on the cabling.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import repro
 from repro.sim import Environment
 from repro.hw.myrinet import MyrinetNetwork, PortRef, natural_key, topology
 from repro.hw.myrinet.topology import (
@@ -32,7 +44,6 @@ from repro.hw.myrinet.topology import (
     RoutingDeadlockError,
     SingleSwitchSpec,
     TopologyError,
-    channel_dependency_graph,
     check_deadlock_free,
     fabric_stats,
     minimal_torus_routes,
@@ -55,6 +66,34 @@ ALL_SPECS = [text for texts in SWEEP.values() for text in texts]
 
 def built(text):
     return topology.parse(text), topology.build(text, Environment())
+
+
+def channel_dependency_graph(net, routes):
+    """The wormhole channel dependency graph as a networkx ``DiGraph``:
+    nodes are channels, ``c1 -> c2`` when a worm holding ``c1`` requests
+    ``c2``; nodes and edges inserted in the checker's walk order."""
+    cdg = nx.DiGraph()
+    for (src, _), route in sorted(routes.items()):
+        _, channels = walk_route(net, src, route)
+        cdg.add_nodes_from(channels)
+        cdg.add_edges_from(zip(channels, channels[1:]))
+    return cdg
+
+
+def cabling_bisection(net):
+    """Max-flow between the two halves of the hosts in index order, every
+    cable capacity 1 each way, computed by networkx."""
+    flow = nx.DiGraph()
+    for link in net.links:
+        a, b = link.name.split("->")
+        flow.add_edge(a, b, capacity=1)
+    hosts = net.host_names
+    half = len(hosts) // 2
+    for host in hosts[:half]:
+        flow.add_edge("bisect_src", host, capacity=len(hosts))
+    for host in hosts[half:]:
+        flow.add_edge(host, "bisect_dst", capacity=len(hosts))
+    return nx.maximum_flow_value(flow, "bisect_src", "bisect_dst")
 
 
 def test_sweep_covers_every_registered_kind():
@@ -226,7 +265,8 @@ def _table_of(case):
 def test_checker_agrees_with_networkx(case):
     # The checker proves acyclicity without networkx; the verdict, the
     # counts and the cycle it names must be what find_cycle gives on the
-    # channel dependency graph.
+    # channel dependency graph, and a built fabric's bisection what
+    # maximum_flow_value gives on its cabling.
     net, table = _table_of(case)
     cdg = channel_dependency_graph(net, table)
     try:
@@ -239,6 +279,43 @@ def test_checker_agrees_with_networkx(case):
             check_deadlock_free(net, table)
         assert err.value.cycle == [a for a, _ in edges] + [edges[-1][1]]
         assert f"cycle of length {len(edges)}" in str(err.value)
+    if case in ALL_SPECS:
+        assert fabric_stats(net).bisection_links == cabling_bisection(net)
+
+
+def test_runtime_runs_without_networkx():
+    # networkx is a test-only oracle: with its import blocked, the package
+    # and the CLI load, a fat-tree cluster boots and reports its
+    # bisection, and the checker still rejects the minimal torus.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None
+        import repro, repro.cli
+        from repro.cluster import Cluster, TestbedConfig
+        from repro.hw.myrinet import MyrinetNetwork, topology
+        from repro.sim import Environment
+        cluster = Cluster.build(TestbedConfig(memory_mb=8),
+                                topology="fattree:4")
+        print(topology.fabric_stats(cluster.fabric).bisection_links)
+        spec = topology.parse("torus:4x4")
+        net = MyrinetNetwork(Environment())
+        spec.materialize(net)
+        try:
+            topology.check_deadlock_free(
+                net, topology.minimal_torus_routes(spec))
+        except topology.RoutingDeadlockError as err:
+            print(len(err.cycle) - 1)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    bisection, cycle_length = done.stdout.split()
+    assert bisection == "8"
+    assert int(cycle_length) >= 4
 
 
 def test_check_requires_some_table():
