@@ -14,7 +14,7 @@ hence DMA engines do not contend with :meth:`cycles` time.
 
 from __future__ import annotations
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.obs.metrics import count
 
 #: 33 MHz → one cycle ≈ 30 ns.
@@ -39,7 +39,9 @@ class LANaiProcessor:
         The next :meth:`cycles` charge is delayed until the stall window
         has passed — the whole LCP pauses, since it is one process whose
         every step funnels through this accounting.  Overlapping stalls
-        extend, never shorten.
+        extend, never shorten.  A stall that starts inside a charge is
+        served by the next one; a charge the LCP fuses from two steps
+        nothing observes apart is one charge here.
         """
         if duration_ns < 0:
             raise ValueError("negative stall duration")
@@ -48,16 +50,23 @@ class LANaiProcessor:
         self._stall_until = max(self._stall_until,
                                 self.env.now + duration_ns)
 
-    def cycles(self, n: int):
-        """Timeout event worth ``n`` processor cycles (plus any pending
-        injected stall time)."""
+    def charge(self, n: int) -> int:
+        """Charge ``n`` processor cycles now and return how long they take
+        in ns, any pending injected stall included.  Schedules nothing: a
+        caller that overlaps the charge with other work waits for what is
+        left of it once that work is done."""
         self.cycles_charged += n
         duration = n * self.cycle_ns
         if self._stall_until > self.env.now:
             extra = self._stall_until - self.env.now
             self.stall_ns_served += extra
             duration += extra
-        return self.env.timeout(duration)
+        return duration
+
+    def cycles(self, n: int):
+        """Timeout event worth ``n`` processor cycles (plus any pending
+        injected stall time)."""
+        return Timeout(self.env, self.charge(n))
 
     def work_ns(self, ns: int):
         """Timeout event for ``ns`` nanoseconds of firmware work, rounded

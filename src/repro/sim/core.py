@@ -143,6 +143,16 @@ class Event:
         self.env._schedule(self)
         return self
 
+    def _settle(self, value: Any) -> None:
+        """Succeed with ``value`` *and* count as processed, scheduling
+        nothing — for an event no callback is attached to: a store
+        hand-off that completes at once, a process that finishes with
+        nobody waiting on it.  (A free resource's ``Request`` is born in
+        this state.)"""
+        self._value = value
+        self._scheduled = True
+        self.callbacks = None
+
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (chaining)."""
         if event._ok:
@@ -244,7 +254,13 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process requires a generator, got {generator!r}")
-        super().__init__(env)
+        # Event.__init__, inlined: a packet starts a process per hop.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
@@ -302,8 +318,8 @@ class Process(Event):
                     self._finish_fail(raised)
                 break
             if target.callbacks is None:
-                # Already processed (fired earlier, or a resource granted
-                # in place): loop immediately with its value.
+                # Already processed (fired earlier, or settled in place):
+                # loop immediately with its value.
                 event = target
                 continue
             target.callbacks.append(self._resume)
@@ -314,8 +330,14 @@ class Process(Event):
     def _finish_ok(self, value: Any) -> None:
         self._target = None
         if self._value is _PENDING:
-            self._value = value
-            self.env._schedule(self)
+            if self.callbacks:
+                self._value = value
+                self.env._schedule(self)
+            else:
+                # Nobody waits: done in place; a later ``yield``, ``AllOf``
+                # or ``run(until=...)`` takes the value at once.  A failure
+                # is always scheduled, so an unobserved one still escalates.
+                self._settle(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._target = None

@@ -36,16 +36,21 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_order")
 
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
         self._order = next(resource._ticket)
         if not resource._queue and len(resource._users) < resource.capacity:
-            resource._users.append(self)
-            self._value = resource
-            self._scheduled = True
+            # Granted in place (the commonest request): the slots of a
+            # processed event, filled directly.
+            self.env = resource.env
             self.callbacks = None
+            self._value = resource
+            self._ok = True
+            self._scheduled = True
+            self._defused = False
+            resource._users.append(self)
         else:
+            super().__init__(resource.env)
             insort(resource._queue, self, key=_grant_order)
 
     def __enter__(self) -> "Request":
@@ -92,9 +97,11 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Release a previously granted request."""
-        if request in self._users:
-            self._users.remove(request)
-            self._grant()
+        users = self._users
+        if request in users:
+            users.remove(request)
+            if self._queue:
+                self._grant()
         else:
             request.cancel()
 
@@ -127,6 +134,12 @@ class Store:
     ``put`` returns an event that fires when the item is accepted
     (immediately for unbounded stores); ``get`` returns an event that fires
     with the next item.
+
+    A hand-off that can complete at once completes **in place**, like a
+    free :class:`Resource` grant: a put that finds room and no queued
+    putter, or a get that finds an item and no queued getter, returns an
+    event that is already processed, and no event is scheduled for it.
+    Queued waiters are served by :meth:`_dispatch` as before.
     """
 
     def __init__(self, env: Environment, capacity: Optional[int] = None):
@@ -143,13 +156,21 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         event = StorePut(self.env, item)
-        self._putters.append(event)
+        if not self._putters and (
+                self.capacity is None or len(self.items) < self.capacity):
+            self.items.append(item)
+            event._settle(None)
+        else:
+            self._putters.append(event)
         self._dispatch()
         return event
 
     def get(self) -> StoreGet:
         event = StoreGet(self.env)
-        self._getters.append(event)
+        if not self._getters and self.items:
+            event._settle(self.items.popleft())
+        else:
+            self._getters.append(event)
         self._dispatch()
         return event
 

@@ -48,7 +48,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.sim import AllOf, Environment, Event
+from repro.sim import Environment, Event
 from repro.sim.trace import emit
 from repro.obs.metrics import count, observe
 from repro.mem.virtual import PAGE_SIZE
@@ -341,8 +341,8 @@ class VmmcLCP:
         costs = self.costs
         resolved = self._resolve_destination(
             ctx, request.proxy_address, request.length)
-        yield cpu.cycles(costs.proxy_lookup)
         if resolved is None:
+            yield cpu.cycles(costs.proxy_lookup)
             self.proxy_faults += 1
             count(self.env, "lcp.proxy_faults", lcp=self.name)
             yield from self._write_completion(ctx, request.slot,
@@ -350,7 +350,11 @@ class VmmcLCP:
             return
         node, extents = resolved
         words = (request.length + 3) // 4
-        yield cpu.cycles(costs.short_copy_per_word * words
+        # The lookup and the copy/header/route/DMA start are one charge:
+        # the destination is resolved before either, so nothing observes
+        # the boundary between them.
+        yield cpu.cycles(costs.proxy_lookup
+                         + costs.short_copy_per_word * words
                          + costs.header_build + costs.route_fetch
                          + costs.start_dma)
         packet = self._make_packet(ctx, node, extents, request.inline_data,
@@ -361,9 +365,10 @@ class VmmcLCP:
         count(self.env, "lcp.chunks", lcp=self.name)
         # The net-send engine streams autonomously; the LCP moves on.
         self.env.process(self.nic.net_send.send(packet), name="netsend")
-        yield cpu.cycles(costs.send_epilogue)
-        # Slot is consumed (data copied out) — report completion.
-        yield from self._write_completion(ctx, request.slot, COMPLETION_DONE)
+        # Slot is consumed (data copied out) — report completion, the
+        # epilogue charged with the completion write.
+        yield from self._write_completion(ctx, request.slot, COMPLETION_DONE,
+                                          epilogue=costs.send_epilogue)
 
     def _plan_chunks(self, src_vaddr: int, length: int
                      ) -> list[tuple[int, int]]:
@@ -440,8 +445,15 @@ class VmmcLCP:
             prep_cycles = (costs.header_build + costs.route_fetch
                            + costs.start_dma + costs.tight_loop_per_chunk)
             if costs.precompute_headers:
-                yield AllOf(self.env, [self.env.process(host_dma),
-                                       cpu.cycles(prep_cycles)])
+                # Charge the preparation as the DMA starts, wait for the
+                # DMA, then for whatever preparation time it did not cover.
+                # That last wait is scheduled even when it is zero: like
+                # the join it replaces, it puts the LCP behind everything
+                # already due this nanosecond, so a packet that lands as
+                # the DMA ends is seen by the tight-loop check below.
+                prep_done = self.env.now + cpu.charge(prep_cycles)
+                yield from host_dma
+                yield self.env.timeout(max(0, prep_done - self.env.now))
             else:
                 # Ablation: prepare the header only after the data is in
                 # SRAM — the prep cost lands on the critical path.
@@ -475,10 +487,12 @@ class VmmcLCP:
             ctx, request.slot,
             COMPLETION_ERROR if error else COMPLETION_DONE)
 
-    def _write_completion(self, ctx: ProcessContext, slot: int, status: int):
-        """Generator: DMA the one-word completion status to user space."""
+    def _write_completion(self, ctx: ProcessContext, slot: int, status: int,
+                          epilogue: int = 0):
+        """Generator: DMA the one-word completion status to user space,
+        after ``epilogue`` cycles of send bookkeeping charged with it."""
         cpu = self.nic.processor
-        yield cpu.cycles(self.costs.completion_write)
+        yield cpu.cycles(epilogue + self.costs.completion_write)
         word = np.frombuffer(
             np.uint32(status).tobytes(), dtype=np.uint8)
         paddr = ctx.completion_paddr + 4 * slot
@@ -499,8 +513,8 @@ class VmmcLCP:
     def _handle_receive(self, packet: MyrinetPacket):
         cpu = self.nic.processor
         costs = self.costs
-        yield cpu.cycles(costs.recv_parse)
         if not packet.meta.get("crc_ok", True):
+            yield cpu.cycles(costs.recv_parse)
             # Detected, counted, dropped — never recovered (section 4.2).
             self.crc_drops += 1
             count(self.env, "lcp.crc_drops", lcp=self.name)
@@ -508,7 +522,10 @@ class VmmcLCP:
             return
         header = packet.header
         extents = list(header["extents"])
-        yield cpu.cycles(costs.incoming_check * max(1, len(extents)))
+        # Parse and page-table check are one charge: the CRC verdict was
+        # fixed on arrival, so nothing observes the boundary between them.
+        yield cpu.cycles(costs.recv_parse
+                         + costs.incoming_check * max(1, len(extents)))
         for paddr, length in extents:
             if length == 0:
                 continue

@@ -256,7 +256,7 @@ def test_dsm_world_is_one_mesh():
                 for name in node.daemon.exports
                 if name.startswith("dsm.mp")]
     assert env.now - booted_ns <= 17_000_000
-    assert env.events_processed - booted_events == 1_140
+    assert env.events_processed - booted_events == 1_007
 
 
 def test_dsm_locked_counter_survives_cold_crashes():

@@ -11,6 +11,10 @@ elsewhere — tests/golden_fingerprints.json and the ``paper_*`` gates.)
 The CRC is the other per-packet cost that is a number: the link hardware
 seals a packet once and checks it once, so ``seal``/``crc_ok`` calls are
 budgeted against the packets that reached a NIC.
+
+What no longer costs an event: a grant of a free resource, a store
+hand-off that completes at once, and the completion of a process nobody
+waits on — each is settled in place (DESIGN.md §9).
 """
 
 from collections import Counter
@@ -49,7 +53,7 @@ def pair():
 def test_one_4_byte_pingpong_round_trip(pair):
     one = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 1))
     two = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 2))
-    assert (one, two - one) == (82, 81)
+    assert (one, two - one) == (62, 63)
 
 
 def test_one_4kb_long_send_chunk_end_to_end(pair):
@@ -61,8 +65,28 @@ def test_one_4kb_long_send_chunk_end_to_end(pair):
     # preparation, net DMA, two cables and a switch, receive-side checks,
     # the delivery DMA and the completion word.  A second page repeats
     # everything from the translate to the delivery DMA.
-    assert send(4096) == 39
-    assert send(8192) == 39 + 26
+    assert send(4096) == 28
+    assert send(8192) == 28 + 17
+
+
+def test_one_64kb_one_way_message():
+    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                    buffer_bytes=64 * 1024)
+    before = pair.cluster.nodes[1].nic.net_recv.packets_received
+    cost = events_of(pair.env, lambda: pair.env.run(
+        until=pair.ep_a.send(pair.src_a, pair.to_b, 64 * 1024)))
+    assert pair.cluster.nodes[1].nic.net_recv.packets_received - before == 16
+    # Sixteen 4 KB packets: 28 for the first (post, pickup, completion
+    # word included) and 17 for each further one, 17.7 per packet.  Per
+    # further packet the sender's LCP pays the TLB probe, the proxy
+    # lookup, the host DMA's bus time and the rest of the header
+    # preparation (zero: the DMA covers it, but the wait is still an
+    # event, which keeps the LCP behind a packet landing in the same
+    # nanosecond); the net send is a process (start, wire time); two cable
+    # latencies and the switch worm (start, crossbar, wire time); the
+    # receiving LCP's doorbell, main-loop pass, parse + check and DMA
+    # start; and the delivery DMA (start, bus time).
+    assert cost == 28 + 15 * 17
 
 
 def test_one_switch_hop_of_a_probe_on_fattree_4():
@@ -85,12 +109,13 @@ def test_one_switch_hop_of_a_probe_on_fattree_4():
     same_edge, same_pod, cross_pod = (probe(d) for d in
                                       ("node1", "node2", "node15"))
     assert [hops for hops, _ in (same_edge, same_pod, cross_pod)] == [1, 3, 5]
-    # The injecting process and the first cable cost 4; every switch
-    # crossed adds one worm process (start, crossbar latency, wire time,
-    # end) and the next cable's latency.
-    assert same_edge[1] == 4 + 5
-    assert same_pod[1] == 4 + 3 * 5
-    assert cross_pod[1] == 4 + 5 * 5
+    # The injecting process (start, wire time) and the first cable cost
+    # 3; every switch crossed adds one worm process (start, crossbar
+    # latency, wire time) and the next cable's latency.  Neither process's
+    # end is an event: nobody waits on it.
+    assert same_edge[1] == 3 + 4
+    assert same_pod[1] == 3 + 3 * 4
+    assert cross_pod[1] == 3 + 5 * 4
 
 
 def test_one_clean_kv_get():
@@ -108,9 +133,11 @@ def test_one_clean_kv_get():
         until=client.call(PROC_GET, encode_get_args(7))))
     assert store.gets == 2
     # 179 while each retransmit deadline was a proxy event, a flush event
-    # and a one-member deadline batch; a plain Timeout saves 3 events per
-    # ACK wait, two waits per call.
-    assert cost == 173
+    # and a one-member deadline batch; a plain Timeout saved 3 events per
+    # ACK wait, two waits per call (173).  Settling store hand-offs and
+    # unwatched process ends in place, and fusing LCP charges nothing
+    # observes apart, took 38 more.
+    assert cost == 135
 
 
 def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
@@ -143,11 +170,11 @@ def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
     cost = events_of(env, lambda: env.run(until=tx.send(b"x" * 1024)))
     assert tx.stats.retransmits == 0
     # One ACK wait, its deadline a plain Timeout.  With the deadline
-    # batched the send also constructed 44 Timeouts (the batch armed one
-    # per member) but cost 89 events: the proxy, the flush and the
-    # batch's own completion on top of the Timeout.
+    # batched the send cost 89 events: the proxy, the flush and the
+    # batch's own completion on top of the Timeout.  With every LCP charge
+    # its own Timeout it constructed 44 and cost 86.
     assert deadlines == [Timeout]
-    assert (timeouts[0], cost) == (44, 86)
+    assert (timeouts[0], cost) == (40, 65)
 
 
 # -------------------------------------------------------------------- CRC work

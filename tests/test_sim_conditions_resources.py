@@ -1,5 +1,7 @@
 """Tests for condition events, resources, stores and tracing."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.sim import (
     Tracer,
     TracerOverflowWarning,
 )
+from repro.sim.resources import StoreGet, StorePut
 from repro.sim.trace import emit
 
 
@@ -383,6 +386,150 @@ def test_store_bad_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Store(env, capacity=0)
+
+
+def test_store_hand_off_completes_in_place():
+    env = Environment()
+    s = Store(env)
+    put = s.put("x")
+    assert put.processed and env._queue == []          # no put event
+    got = s.get()
+    assert got.processed and got.value == "x" and env._queue == []
+    assert len(s) == 0
+    # A get with nothing there waits; the put that serves it is itself
+    # in place and schedules only the waiter's wake-up.
+    waiting = s.get()
+    assert not waiting.triggered
+    assert s.put("y").processed
+    assert waiting.value == "y" and len(env._queue) == 1
+    # Bounded: a put into a full store waits; the get that makes room
+    # is in place and admits it.
+    bounded = Store(env, capacity=1)
+    assert bounded.put("a").processed
+    blocked = bounded.put("b")
+    assert not blocked.triggered
+    got = bounded.get()
+    assert got.processed and got.value == "a"
+    assert blocked.triggered and list(bounded.items) == ["b"]
+    env.run()
+
+    def user():
+        yield s.put("z")                                # falls through
+        return (yield s.get()), env.events_processed
+
+    before = env.events_processed
+    assert env.run(until=env.process(user())) == ("z", before + 1)
+
+
+class _OldStore:
+    """The oracle: ``Store`` before hand-offs completed in place.  Every
+    put and get queues, and ``_dispatch`` triggers it — an event each."""
+
+    def __init__(self, env, capacity=None):
+        self.env = env
+        self.capacity = capacity
+        self.items = deque()
+        self._getters = deque()
+        self._putters = deque()
+
+    def __len__(self):
+        return len(self.items)
+
+    def put(self, item):
+        event = StorePut(self.env, item)
+        self._putters.append(event)
+        self._dispatch()
+        return event
+
+    def get(self):
+        event = StoreGet(self.env)
+        self._getters.append(event)
+        self._dispatch()
+        return event
+
+    def _dispatch(self):
+        progress = True
+        while progress:
+            progress = False
+            # Admit queued puts while there is room.
+            while self._putters and (
+                    self.capacity is None or len(self.items) < self.capacity):
+                put = self._putters.popleft()
+                self.items.append(put.item)
+                put.succeed(None)
+                progress = True
+            # Serve queued gets while there are items.
+            while self._getters and self.items:
+                get = self._getters.popleft()
+                get.succeed(self.items.popleft())
+                progress = True
+
+
+_STORE_OPS = st.one_of(
+    st.tuples(st.just("put"), st.booleans()),       # and wait for it?
+    st.tuples(st.just("get"), st.just(0)),
+    st.tuples(st.just("coalesce"), st.just(0)),     # snoop.py's pipeline
+    st.tuples(st.just("sleep"), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.one_of(st.none(), st.integers(1, 3)),
+       actors=st.lists(st.lists(_STORE_OPS, max_size=12),
+                       min_size=1, max_size=4))
+def test_store_matches_the_queue_and_dispatch_model(capacity, actors):
+    """Each call is made on ``Store`` and on the old code at the same
+    instant: the same items, the same value for every get, the same
+    waiters resumed in the same order at the same times, the same
+    ``len()`` — and a hand-off is in place exactly when the old code
+    completed it within the call."""
+    env = Environment()
+    store, model = Store(env, capacity), _OldStore(env, capacity)
+    resumed = {"store": [], "model": []}
+    in_place, model_in_place = [], []
+    serial, tags = iter(range(1 << 30)), iter(range(1 << 30))
+
+    def record(log, ident, event):
+        event.callbacks.append(
+            lambda ev: log.append((ident, env.now, ev.value)))
+
+    def call(op, *args):
+        ident = next(serial)
+        new, old = getattr(store, op)(*args), getattr(model, op)(*args)
+        assert new.processed == old.triggered
+        if new.processed:
+            assert new.value == old.value
+            in_place.append((ident, env.now, new.value))
+            record(model_in_place, ident, old)
+        else:
+            record(resumed["store"], ident, new)
+            record(resumed["model"], ident, old)
+        assert list(store.items) == list(model.items)
+        assert len(store) == len(model)
+        return new
+
+    def actor(ops):
+        for op, arg in ops:
+            if op == "sleep":
+                yield env.timeout(arg)
+            elif op == "put":
+                put = call("put", next(tags))
+                if arg:
+                    yield put
+            elif op == "get":
+                yield call("get")
+            else:
+                # snoop.py: take one, then absorb what is already queued.
+                yield call("get")
+                while len(store):
+                    assert store.items[0] == model.items[0]
+                    yield call("get")
+
+    for ops in actors:
+        env.process(actor(ops))
+    env.run()
+    assert resumed["store"] == resumed["model"]
+    assert in_place == model_in_place
 
 
 # ------------------------------------------------------------------ tracing

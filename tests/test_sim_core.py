@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import (
     US,
+    AllOf,
     Environment,
     Event,
     Interrupt,
@@ -575,3 +576,87 @@ def test_run_until_past_time_is_refused():
     assert env.now == 100          # the clock did not rewind
     env.run(until=100)             # "until now" stays a legal no-op
     assert env.now == 100
+
+
+# -- a finished process nobody waits on ---------------------------------------
+def test_unwatched_process_finish_schedules_nothing():
+    env = Environment()
+
+    def work():
+        yield env.timeout(5)
+        return "ret"
+
+    p = env.process(work())
+    env.run()
+    # Its start and its one timeout: the finish is settled in place.
+    assert env.events_processed == 2
+    assert p.processed and p.ok and p.value == "ret" and not p.is_alive
+    assert env._queue == []
+
+
+def test_watched_process_finish_is_still_an_event():
+    env = Environment()
+
+    def work():
+        yield env.timeout(5)
+        return "ret"
+
+    def waiter(p):
+        return (yield p)
+
+    w = env.process(waiter(env.process(work())))
+    env.run()
+    # Two starts, the timeout, the watched finish (the waiter's own end
+    # is unwatched).
+    assert env.events_processed == 4
+    assert w.value == "ret"
+
+
+def test_a_finished_process_gives_its_value_at_once():
+    env = Environment()
+
+    def work():
+        yield env.timeout(3)
+        return "ret"
+
+    p = env.process(work())
+    env.run()
+    assert p.processed
+    got = []
+
+    def late():
+        got.append(((yield p), env.now))
+        both = yield AllOf(env, [p])
+        got.append((both[p], env.now))
+
+    env.run(until=env.process(late()))
+    assert got == [("ret", 3), ("ret", 3)]
+    before = env.events_processed
+    assert env.run(until=p) == "ret"
+    assert env.events_processed == before and env.now == 3
+
+
+def test_an_unwatched_failure_still_escalates():
+    env = Environment()
+
+    def bad():
+        yield env.timeout(1)
+        raise KeyError("unobserved")
+
+    env.process(bad())
+    with pytest.raises(KeyError, match="unobserved"):
+        env.run()
+
+
+def test_interrupting_a_process_finished_in_place_raises():
+    env = Environment()
+
+    def quick():
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    p = env.process(quick())
+    env.run()
+    assert p.processed and p.value == "done"
+    with pytest.raises(SimulationError, match="finished"):
+        p.interrupt("late")

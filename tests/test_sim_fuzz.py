@@ -6,18 +6,20 @@ seed): a handful of processes whose op lists mix sleeps, shared-event
 waits and fires, AND/OR combinators, same-tick deadline populations
 (``all_of`` over a list of timeouts), process joins, and interrupts of
 other live processes.  Executing a spec logs every observable step —
-start/end of each process, values received, interrupt catches,
-timestamps and the events-processed counter — and the log's sha256 must
-equal the one in ``RECORDED``.
+start/end of each process, values received, interrupt catches and
+timestamps — and the log's sha256 must equal the one in
+``RECORDED_ORDER``; the events the program cost must equal
+``RECORDED_EVENTS``.  The two are pinned apart so that a change in event
+*accounting* (an event no longer scheduled) cannot pass for, or hide
+behind, a change in event *order*.
 
-``RECORDED`` was taken by running this generator on the engine as it
-stood when a second, vectorized engine was still held bit-identical to
-it (hence "both engines" in the test name: the recording one and the
-one under test).  This is what locks in the same-timestamp FIFO
-tie-break: the programs deliberately pile many events onto shared
-timestamps (delays are drawn from a tiny quantized range), so any change
-to the ``(time, priority, seq)`` total order shows up as a different
-digest.
+The order digests descend from logs recorded on the engine as it stood
+when a second, vectorized engine was still held bit-identical to it
+(hence "both engines" in the test name: the recording one and the one
+under test).  This is what locks in the same-timestamp FIFO tie-break:
+the programs deliberately pile many events onto shared timestamps
+(delays are drawn from a tiny quantized range), so any change to the
+``(time, priority, seq)`` total order shows up as a different digest.
 """
 
 import hashlib
@@ -130,63 +132,80 @@ def _execute(spec):
         name = f"p{i}"
         procs[name] = env.process(body(name, ops), name=name)
     env.run()
-    log.append(("final", env.now, env.events_processed))
-    return log
+    log.append(("final", env.now))
+    return log, env.events_processed
 
 
 def _digest(log):
     return hashlib.sha256(repr(log).encode()).hexdigest()
 
 
-#: sha256 of ``repr(_execute(_generate_spec(seed)))``, seed 0..N_SEEDS-1.
-RECORDED = [
-    "e80735d0b7dc13d4c17aac898472b28349ebfde01a10332b089b6362c8fb41b0",
-    "da757fc3609b33c1c7101db1b250d7a33a972cc9974e884e77ae57ee48ad6e4b",
-    "d66f752a6c4514316424296ec4bdab9bdd5d85c35c77459283cb293e0d7e96d9",
-    "ee814b9d1100e31392f023fe6f1aceeee7950e41ec265254584e8567c9dde90f",
-    "3ed36b8fdccd1a73336a824088724b981c8fdd0b1cb06b471efacd1cc7d9a1d3",
-    "9342db8617f27bd878c49eba4959947ad67176741df8b83e729d2e16d81d677f",
-    "14b8fa73c8083fb84813dc6e1dd43001709911eea77f18e50a79fe243ed5084c",
-    "2d50fbf60eeec0bae8196a50b2aafd707d56b974c46c1e861dc484e6cf2bcb59",
-    "4ed63ae521cb0a31e1d50a3e264ce6ddc9dc3f2100fcd11a045af9a26c249c26",
-    "bd65e707ce1af07cf64b5055406512ea5a638b5d8810989ce1c03fec75ed074d",
-    "97ff5ac5e2e77bc542788b17ee3e1473a1a78db9fba12787820012d17280b1d0",
-    "4d9142493f1bbb69e7363aac9ca4b22bc702e5aed037d96454d93005234844d6",
-    "c94af0aeeb9f6596228c2225b1864179709c3568c6fe6480b0d464043cb17de7",
-    "e1eec92934cef621b9faf6364a42bb0ab9c5a2aa9422f53e84dbe8663d091f95",
-    "54b32717e4a015a05a3a0f5c056813f9fd43bd5b8efa33380f22215d94b4d408",
-    "756d84e70c39bc6a4189bb74577741439b908daedd76e7e177c470bfb3e49681",
-    "1d83d8d481c2975569b89a13617d821f1bc461b478183b81c98140d84f1b85b8",
-    "c7d1d8ef3a40190278fda360b71e119428b355ee609623d5baa60c026a1f634c",
-    "f347a9c93bb521825a06f2a8edd6e2209ffe43c5b9f9c598f93f67f0fb3741db",
-    "7cb39f5370c791966af454b0332fd2517f8bfca792b87defaa55421ff0455937",
-    "16ec9ad404e696411290d4f56c948450a4b559b43161b6e27e10f2cb84037bf5",
-    "2b1c9b4062f0dc5102b8b5a3896a359975a77be0c1b8946566d08bc4272800c6",
-    "c8b65f4d52b22dbbac4c06a2c0a19c3ee4af72a57b42810be5e0dbfec657e604",
-    "34b8940ba654fcfc184f3664ebd9914f3402275b97e380dc984e7945e6c8b528",
-    "75a1e70db1ed301655f5dfece67f4e0c26fc233bc1ec012d2a154add6e7d1c73",
-    "76a7c35a40d9009dfc1827dee7055c06026d01504fd85632b08df57a257def6b",
-    "5938cf34717c9892b43ef8a41f55169ce275615ce18fa4a64811347a121cca89",
-    "238ad4c32ecef5fba8e1a7db6ed51dd38b2a2f6f93973da0eb34914ca651886d",
-    "c306e1ccd3630f0c3dbf5a3487a1509cc7b6a2f43a301daee4077ea6f4e109bc",
-    "8eb98b548dcada1ae093a6556c13e2084937abf3917481ccc21f257ed928f56b",
-    "6d2901d518ba65e1adbc0eb254f6c961702baea5c791919220720a58d45302f3",
-    "b556f7f1161ecb35020a13966dbb0785a802340773e4237c39ec15e60f758d6e",
-    "fada4e2d5a26abbfe5d1f6cc52a2dabc08e285947bb8ff24e73aef4bb1fbd989",
-    "a27e3e5bccf4317f0272bd1f5fd8bd18fd3adff2142e4c41ab953735c63b1d37",
-    "6e5a8d7222bbffa9f18f21e3731e6d01b47ccefbde1af2bf370855a8ef65cba7",
-    "fef1b378eb5a2483eb7f1a860e4d29d6815de7bc084f2f8140b93b1d021ec367",
-    "eaf6777d927e5a6bcec32baf69e20a35a17342cc30669129f2942b1cec846b9d",
-    "9d872952f768a2ebc76460cf2af8c11b1bd8c070534e6876b567197b1f268f03",
-    "6fcdec2f1e087bb40ccf1f711d78f45a3ba3010abd80512b6ac1968fcbc6ba26",
-    "bef818e2f76981ba26f5b23f8fa1156ae97450594fc1ef95df6ca08e11758b51",
+#: sha256 of ``repr(log)`` for ``log, _ = _execute(_generate_spec(seed))``,
+#: seed 0..N_SEEDS-1: the event *order*.  Recorded while every finished
+#: process still scheduled a completion event, on the tree that
+#: reproduced the two-engine digests, and unchanged since.
+RECORDED_ORDER = [
+    "8efdebca135e8a168e00b2286f5f32383da416328b9471be3ca513037d493fe8",
+    "925b3f1298f842fe229e8608e764eba0cb9284e7a87963ed5ec1c9d35357b3bf",
+    "c6d87e2917d42229f13ff9c371b5709ee618a71d1c253ad55fa7db0e3d740521",
+    "d2f676ed7be31c9750162422fe8a7a2f4819ee9134c0025c62b5b65b66b72926",
+    "8217e551dc319dfaf7e82e40a0bb347ab210a71ca531cf2d70b589707d2dc787",
+    "faaf2d6071fcba89513a79dc399b7dcaed10a8a94e8a6b09ac653093bce91140",
+    "72ae50ded807e096435441752e7dac9fbc6e58b1e7376071f9eb890fa61113ea",
+    "5b0a1bfe29bee31ee3662f966bd06f02b1cd4615a9db67d01b3da162f89dd976",
+    "6ab28b0d2a4f57ade67b768fc753c40e16d4ed76dd209f092264f339790bc24b",
+    "342947404ffdbd8c4f7e0564a73593e76135ef8a013dc7d11d8814119cc16949",
+    "94be4438a90f0ab7f08c66f36f1b8bb14e789f2fd799b7d75a65ff504dfce267",
+    "9c788be95d21e85301fc8a1e66c3ef20968e0d0cabc9c9a932dc9c8108a10941",
+    "fdb55e7f2dd7b114c543901a8f3bf30f3ed8e5cf376c16c2b26496f05c3bedd0",
+    "71a6cb69ea3abe15c4ddd1a64e40c99752f7397b9c0991eda5240f87a61373e0",
+    "a4d923b92e5badcfe47579f7d64a68cf40439230d05710ba339bcb44144eb579",
+    "69b78f0217dbb3e9a3260678710b59baa351ab420e535cdb642122575af07843",
+    "2318a32d332d2342b2c764bf3a7483da74132ac820b80bb1c76898d991561942",
+    "e1cd4efbe42f0c10d75e9e8b29e4685960bac33987582f13ad6dc87df4b0fa0c",
+    "72c9451900f15baf659b2730cb515a76760d1b24dead0522742fb470c211245d",
+    "de040b54ae47c4744e682af718f3112b1edfb52a64bfe78b7268f51dcfd2c53a",
+    "1d016a78293e0b7e30bbdbfac9cc470b79821f9c21ccba14d2c03c86670846cc",
+    "0449cee3d499473bb718eb534607e8ece217e20b97a434d23c60d86349574929",
+    "f6650ce62d05da610ec596874e6003d31fe2764cc970acff633a13cd264dee15",
+    "40590678f2e35a282d01f02aeb660fa474cc19a681024656cb3e3021c93e671b",
+    "f591983580c168cdc8ea6c73533ba42c635f383ba372d2ce2966b43c021b0f64",
+    "3dabfb39d59a90260c01357b74360cf93b5a70a560da708848a3bd81f20ee4bf",
+    "8eb7f04220f92eca4feb393134fa9eb09e9d8740668f5cf0d222e9812dd52988",
+    "f92c73d2ed655c6b53bba29f6959c936132e713957dc36cec0dd40c2de79c066",
+    "72feed6b51268c30b45152e335aedb8b2c840c44767bd065fefb6b98fd8a7784",
+    "b3fd65707761c3023c06fd9f4c0c0ebd4cf74fd24a0d9b6aff2710f023ead64b",
+    "508607c72eae17012a2048ac61d95c7184128094dcc9885ce182e9b04a1b679f",
+    "c642c0b562e69c7c0bf188d2c1bd6f4ce53454e610b117234d2c31d026ea8ba2",
+    "badc0e4d17af410908a633c1f9d602d06350da8ef22831a45136e19e0bc4702a",
+    "a7bd40d57cefecb9c70c940a1000e802d307e423d3d4323cc198cd9e9cf6f076",
+    "b68ce46dce68f12aa9673fd082498008e09f50543ccd4e1d7ff0ae8c59677930",
+    "a0652fe4edd903ef8eac226eb4f1c9583b0c0c34dc2fffe988d406778fff7c49",
+    "7727992fa06a911272e17a68dd20328965ddac1960ad475b6ef43e3f5716fc6d",
+    "9da75dff065812b1ebaf78505e208ace310eead57c11aa6224b36e095cf5846e",
+    "4f273fe8e474342208611db6a4c3589367ed13b3c624497a7366f2266d9ecd64",
+    "9ca08473557fbdd011bc8392011dbd32df7621f71708b3def1c238084792b980",
+]
+
+#: ``events_processed`` at the end of each program, seed 0..N_SEEDS-1.  A
+#: process that finishes with nobody waiting on it is done in place, so
+#: each is one lower per such process than when every completion was an
+#: event (110, 78, 106, 59, ... then).
+RECORDED_EVENTS = [
+    106, 75, 102, 54, 56, 60, 60, 81, 84, 55, 54, 20, 71, 106, 21, 44, 70,
+    25, 48, 68, 126, 70, 111, 52, 63, 32, 33, 39, 60, 95, 77, 51, 72, 37,
+    23, 46, 86, 14, 28, 94,
 ]
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_random_program_identical_on_both_engines(seed):
-    assert _digest(_execute(_generate_spec(seed))) == RECORDED[seed], (
+    log, events = _execute(_generate_spec(seed))
+    assert _digest(log) == RECORDED_ORDER[seed], (
         f"seed {seed}: the event order of this program moved")
+    assert events == RECORDED_EVENTS[seed], (
+        f"seed {seed}: same order, but the program now costs {events} "
+        f"events, not {RECORDED_EVENTS[seed]}")
 
 
 def test_fuzz_covers_the_interesting_ops():
@@ -194,7 +213,7 @@ def test_fuzz_covers_the_interesting_ops():
     # combinators across the seed range, or the suite proves nothing.
     kinds = set()
     for seed in range(N_SEEDS):
-        log = _execute(_generate_spec(seed))
+        log, _ = _execute(_generate_spec(seed))
         kinds.update(entry[0] for entry in log)
     assert {"interrupted", "population", "all", "any", "got",
             "fired", "joined"} <= kinds
