@@ -12,16 +12,21 @@ Because AM had no numbers on the paper's platform, this model exists for
 structural completeness (the section-7 bench reports its figures as
 supplementary): request/reply pairs, handler dispatch at the destination,
 a small fixed argument payload with a bulk variant (``am_store``) that
-moves data into a remote pinned segment.
+moves data into a remote pinned segment.  Handlers are numbered by name,
+pair-wide, the way one program image gives every node the same handler
+table; a request's header word is that number with the argument count in
+its top byte, and the arguments are the four words of its payload.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from typing import Callable
 
 from repro.sim import Store
 from repro.mem.buffers import UserBuffer
+from repro.hw.myrinet.packet import BaselineHeader
 from repro.baselines.common import ProtocolPair
 
 #: Library cost per request/reply injection.
@@ -32,6 +37,8 @@ HANDLER_NS = 3_000
 FIRMWARE_NS = 1_100
 #: Bulk fragment size for am_store.
 STORE_FRAGMENT = 4096
+#: A request's fixed 16-byte payload: four 32-bit argument words.
+ARG_WORDS = struct.Struct("<4i")
 
 
 class ActiveMessagesPair(ProtocolPair):
@@ -43,6 +50,8 @@ class ActiveMessagesPair(ProtocolPair):
         self._inboxes = None
         self._seq = itertools.count(1)
         self.handlers: list[dict[str, Callable]] = [{}, {}]
+        #: Handler number → name; am_store's bulk fragments use ``store``.
+        self._handler_names = ["store"]
         super().__init__(**kw)
 
     def _start_firmware(self) -> None:
@@ -56,6 +65,11 @@ class ActiveMessagesPair(ProtocolPair):
                          handler: Callable) -> None:
         self.handlers[index][name] = handler
 
+    def _handler_number(self, name: str) -> int:
+        if name not in self._handler_names:
+            self._handler_names.append(name)
+        return self._handler_names.index(name)
+
     def _recv_loop(self, index: int):
         node = self.nodes[index]
         partial = self._partial[index]
@@ -65,20 +79,22 @@ class ActiveMessagesPair(ProtocolPair):
                 continue
             yield node.nic.processor.work_ns(FIRMWARE_NS)
             yield from node.nic.host_dma.write_host(packet.payload, 12288)
-            seq = packet.header["seq"]
-            got = partial.get(seq, 0) + packet.payload_bytes
-            if got < packet.header["msg_length"]:
-                partial[seq] = got
+            header = packet.header
+            got = partial.get(header.seq, 0) + packet.payload_bytes
+            if got < header.msg_length:
+                partial[header.seq] = got
                 continue
-            partial.pop(seq, None)
+            partial.pop(header.seq, None)
             yield self.env.timeout(HANDLER_NS)
             handler = self.handlers[index].get(
-                packet.header.get("handler", ""))
+                self._handler_names[header.word & 0xFFFFFF])
             if handler is not None:
-                result = handler(packet.header.get("args", ()))
+                nargs = header.word >> 24
+                result = handler(ARG_WORDS.unpack_from(packet.payload)[:nargs]
+                                 if nargs else ())
                 if hasattr(result, "__next__"):
                     yield from result
-            self._inboxes[index].put((seq, packet.header["msg_length"]))
+            self._inboxes[index].put((header.seq, header.msg_length))
 
     def deliveries(self, dst_index: int) -> Store:
         return self._inboxes[dst_index]
@@ -101,9 +117,8 @@ class ActiveMessagesPair(ProtocolPair):
                     + (sent % max(1, payload_buffer.nbytes - frag + 1)))
                 yield from node.nic.host_dma.to_sram(paddr, 0, frag)
                 packet = self.make_packet(
-                    src_index, "am_request",
-                    {"seq": seq, "msg_length": nbytes, "offset": sent,
-                     "handler": "store"},
+                    src_index, BaselineHeader("am_request", seq, nbytes, sent,
+                                              self._handler_number("store")),
                     payload_buffer.read(0, frag))
                 self.env.process(node.nic.net_send.send(packet),
                                  name="netsend")
@@ -112,19 +127,20 @@ class ActiveMessagesPair(ProtocolPair):
         return self.env.process(run(), name="am.send")
 
     def request(self, src_index: int, handler: str, args: tuple = ()):
-        """Process: a 4-word AM request invoking ``handler`` remotely."""
+        """Process: a 4-word AM request invoking ``handler`` remotely
+        with up to four integer ``args``."""
         node = self.nodes[src_index]
         seq = next(self._seq)
+        word = len(args) << 24 | self._handler_number(handler)
+        payload = ARG_WORDS.pack(*args, *(0,) * (4 - len(args)))
 
         def run():
             yield self.env.timeout(TX_OVERHEAD_NS)
             yield from node.bus.mmio_write(6)
             yield node.nic.processor.work_ns(FIRMWARE_NS)
             packet = self.make_packet(
-                src_index, "am_request",
-                {"seq": seq, "msg_length": 16, "offset": 0,
-                 "handler": handler, "args": args},
-                b"\0" * 16)
+                src_index, BaselineHeader("am_request", seq, 16, 0, word),
+                payload)
             yield from node.nic.net_send.send(packet)
 
         return self.env.process(run(), name="am.request")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim import Environment, Store
 from repro.mem.buffers import UserBuffer
 from repro.mem.physical import PhysicalMemory
@@ -21,7 +19,7 @@ from repro.hw.bus.membus import MemoryBus
 from repro.hw.bus.pci import PCIBus
 from repro.hw.lanai.nic import LanaiNIC
 from repro.hw.myrinet import topology
-from repro.hw.myrinet.packet import MyrinetPacket, PacketHeader
+from repro.hw.myrinet.packet import BaselineHeader, MyrinetPacket
 
 
 @dataclass
@@ -80,11 +78,11 @@ class ProtocolPair:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------------
-    def make_packet(self, src_index: int, kind: str, fields: dict,
+    def make_packet(self, src_index: int, header: BaselineHeader,
                     payload) -> MyrinetPacket:
         dst = 1 - src_index
-        return MyrinetPacket(list(self.routes[(src_index, dst)]),
-                             PacketHeader(kind, fields), payload)
+        return MyrinetPacket(list(self.routes[(src_index, dst)]), header,
+                             payload)
 
     def alloc(self, index: int, nbytes: int) -> UserBuffer:
         return UserBuffer.alloc(self.nodes[index].space, nbytes)

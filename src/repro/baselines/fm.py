@@ -26,6 +26,7 @@ import itertools
 
 from repro.sim import Store
 from repro.mem.buffers import UserBuffer
+from repro.hw.myrinet.packet import BaselineHeader
 from repro.baselines.common import ProtocolPair
 
 #: FM fragment (packet) payload size.
@@ -72,11 +73,11 @@ class FastMessagesPair(ProtocolPair):
                 continue
             # DMA fragment into the pinned receive region.
             yield from node.nic.host_dma.write_host(packet.payload, 8192)
-            seq = packet.header["seq"]
+            seq = packet.header.seq
             got = partial.get(seq, 0) + packet.payload_bytes
-            if got >= packet.header["msg_length"]:
+            if got >= packet.header.msg_length:
                 partial.pop(seq, None)
-                self._complete[index].put((seq, packet.header["msg_length"]))
+                self._complete[index].put((seq, packet.header.msg_length))
             else:
                 partial[seq] = got
 
@@ -110,8 +111,7 @@ class FastMessagesPair(ProtocolPair):
                 payload = payload_buffer.read(
                     sent % max(1, payload_buffer.nbytes - frag + 1), frag)
                 packet = self.make_packet(
-                    src_index, "fm_frag",
-                    {"seq": seq, "msg_length": nbytes, "offset": sent},
+                    src_index, BaselineHeader("fm_frag", seq, nbytes, sent),
                     payload)
                 # LANai forwarding overlaps the host's PIO of the next
                 # fragment; the send engine keeps fragments in order.

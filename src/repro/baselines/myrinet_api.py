@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from repro.sim import Store
 from repro.mem.buffers import UserBuffer
+from repro.hw.myrinet.packet import BaselineHeader
 from repro.baselines.common import ProtocolPair
 
 #: Per-message library cost on each side: channel lookup, descriptor
@@ -60,7 +59,7 @@ class MyrinetAPIPair(ProtocolPair):
             yield self.env.timeout(RX_OVERHEAD_NS)
             yield node.membus.bcopy(packet.payload_bytes)
             self._inboxes[index].put(
-                (packet.header["seq"], packet.payload_bytes))
+                (packet.header.seq, packet.payload_bytes))
 
     def deliveries(self, dst_index: int) -> Store:
         return self._inboxes[dst_index]
@@ -83,8 +82,7 @@ class MyrinetAPIPair(ProtocolPair):
                 yield from node.nic.host_dma.to_sram(paddr, 0, chunk)
                 fetched += chunk
             packet = self.make_packet(
-                src_index, "api_msg",
-                {"seq": next(self._seq), "length": nbytes},
+                src_index, BaselineHeader("api_msg", next(self._seq), nbytes),
                 payload_buffer.read(0, min(nbytes, payload_buffer.nbytes)))
             yield from node.nic.net_send.send(packet)
 

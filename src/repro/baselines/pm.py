@@ -30,6 +30,7 @@ import itertools
 
 from repro.sim import Store
 from repro.mem.buffers import UserBuffer
+from repro.hw.myrinet.packet import BaselineHeader
 from repro.baselines.common import ProtocolPair
 
 #: PM's transfer unit out of the preallocated send buffer.
@@ -79,19 +80,21 @@ class PMPair(ProtocolPair):
                 continue
             if packet.header.kind == "pm_ack":
                 # An ACK arriving here replenishes *this* node's credits.
-                self._grant_credit(index, packet.header["count"])
+                self._grant_credit(index, packet.header.word)
                 continue
             yield node.nic.processor.work_ns(RX_FIRMWARE_NS)
             # DMA into the preallocated pinned receive buffer (contiguous:
             # full transfer-unit DMAs).
             yield from node.nic.host_dma.write_host(packet.payload, 16384)
-            seq = packet.header["seq"]
+            seq = packet.header.seq
             got = partial.get(seq, 0) + packet.payload_bytes
-            if got >= packet.header["msg_length"]:
+            if got >= packet.header.msg_length:
                 partial.pop(seq, None)
-                self._inboxes[index].put((seq, packet.header["msg_length"]))
-                # Modified ACK/NACK: acknowledge received messages in bulk.
-                ack = self.make_packet(index, "pm_ack", {"count": 1}, b"")
+                self._inboxes[index].put((seq, packet.header.msg_length))
+                # Modified ACK/NACK: acknowledge received messages in bulk
+                # (the header word is the count).
+                ack = self.make_packet(
+                    index, BaselineHeader("pm_ack", word=1), b"")
                 self.env.process(node.nic.net_send.send(ack), name="pm.ack")
             else:
                 partial[seq] = got
@@ -141,8 +144,7 @@ class PMPair(ProtocolPair):
                 payload = payload_buffer.read(
                     sent % max(1, payload_buffer.nbytes - unit + 1), unit)
                 packet = self.make_packet(
-                    src_index, "pm_msg",
-                    {"seq": seq, "msg_length": nbytes, "offset": sent},
+                    src_index, BaselineHeader("pm_msg", seq, nbytes, sent),
                     payload)
                 # Network injection overlaps the next unit's host DMA (the
                 # net-send engine serialises packets in FIFO order).

@@ -328,8 +328,8 @@ def default_multi_campaigns(seed: int) -> list[FaultCampaign]:
 
 def run_multi_campaign_trial(seed: int, messages: int = 60,
                              size: int = 1024,
-                             campaigns: Optional[list[FaultCampaign]] = None,
-                             policy: str = "serialize") -> dict:
+                             campaigns: Optional[list[FaultCampaign]] = None
+                             ) -> dict:
     """Reliable traffic on a clean fabric while a whole
     :class:`CampaignSet` runs **concurrently** — the multi-campaign
     acceptance fixture.  Returns a deterministic, JSON-serialisable
@@ -350,8 +350,7 @@ def run_multi_campaign_trial(seed: int, messages: int = 60,
         # are testing) survives the channel-setup time.
         cset = CampaignSet.of(
             [c.shifted(injector.env.now)
-             for c in (campaigns or default_multi_campaigns(seed))],
-            policy=policy)
+             for c in (campaigns or default_multi_campaigns(seed))])
         planned["names"] = [c.name for c in cset]
         _, planned["conflicts"] = cset.resolve()   # re-done by run_all
         return injector.run_all(cset)
@@ -360,7 +359,6 @@ def run_multi_campaign_trial(seed: int, messages: int = 60,
         0.0, messages, size, start_faults)
     return {
         "seed": seed,
-        "policy": policy,
         "messages": messages,
         "size": size,
         "campaigns": planned["names"],

@@ -186,16 +186,6 @@ def vmmc_oneway_bandwidth(pair: VmmcPair, size: int,
                           mbps=total / result["elapsed"] * 1000.0)
 
 
-def vmmc_pingpong_bandwidth(pair: VmmcPair, size: int,
-                            iterations: int = 8) -> BandwidthPoint:
-    """Alternating-traffic bandwidth (Figure 3's 'ping-pong' series)."""
-    point = vmmc_pingpong_latency(pair, size, iterations)
-    # Bytes cross the wire in one direction at a time; each one-way leg
-    # carries `size` bytes in `one_way` time.
-    return BandwidthPoint(size=size,
-                          mbps=size / (point.one_way_us * 1000.0) * 1000.0)
-
-
 def vmmc_bidirectional_bandwidth(pair: VmmcPair, size: int,
                                  iterations: int = 12) -> BandwidthPoint:
     """Simultaneous bidirectional traffic; reports **total** bandwidth of

@@ -20,8 +20,9 @@ Campaigns compose too: :meth:`FaultInjector.run_all` drives a whole
 :class:`~repro.faults.orchestrator.CampaignSet` concurrently.  Overlapping
 raises on one target stack in the hardware hooks (down-depth counters,
 error-rate stacks, crash nesting — the target stays faulted until the
-*last* clear), incompatible raises are serialized or rejected by the
-set's conflict guard before anything runs, and the per-campaign
+*last* clear), incompatible raises are serialized (or, when one is
+permanent, rejected) by the set's conflict guard before anything runs,
+and the per-campaign
 :class:`FaultStats` are preserved in :attr:`FaultInjector.stats_by_campaign`
 while the ``run_all`` process's value is the canonical
 :class:`~repro.faults.campaign.MergedFaultStats` aggregate.
@@ -238,28 +239,26 @@ class FaultInjector:
 
     def run_all(self,
                 campaigns: Union[CampaignSet, Iterable[FaultCampaign]],
-                policy: str = "serialize",
                 phases: Optional[PhaseSchedule] = None) -> Process:
         """Process: drive several campaigns **concurrently**; value is the
         canonical :class:`MergedFaultStats` aggregate (also stored in
         :attr:`merged_stats` at completion).
 
         ``campaigns`` is a :class:`CampaignSet` or any iterable of
-        campaigns (wrapped with the given conflict ``policy``).  The
-        set's conflict guard runs *before* anything is scheduled:
-        serialized shifts are emitted as ``fault.set.conflict`` trace
-        points and counted in ``faults.conflicts{action}``; rejections
-        raise :class:`~repro.faults.orchestrator.CampaignConflictError`
+        campaigns (wrapped in one).  The set's conflict guard runs
+        *before* anything is scheduled: serialized shifts are emitted as
+        ``fault.set.conflict`` trace points and counted in
+        ``faults.conflicts{action}``; rejections raise :class:`~repro.faults.orchestrator.CampaignConflictError`
         synchronously, so a bad schedule never half-runs.
         """
         cset = (campaigns if isinstance(campaigns, CampaignSet)
-                else CampaignSet.of(campaigns, policy=policy))
+                else CampaignSet.of(campaigns))
         plan, conflicts = cset.resolve()
         for conflict in conflicts:
             count(self.env, "faults.conflicts", action=conflict.action)
             emit(self.env, "fault.set.conflict", **conflict.as_dict())
         emit(self.env, "fault.set.start", campaigns=len(plan),
-             conflicts=len(conflicts), policy=cset.policy)
+             conflicts=len(conflicts))
 
         def drive_set():
             procs = [self.run(campaign, phases=phases) for campaign in plan]

@@ -13,20 +13,17 @@ What cannot compose is a **semantically incompatible** pair of raises:
 a *warm* (``daemon_crash``) and a *cold* (``daemon_cold_crash``) crash
 overlapping on the same node ask for two different recovery protocols.
 The **conflict guard** detects those statically at :meth:`resolve` time
-and handles them deterministically by ``(campaign, seed)`` priority
+and serializes them deterministically by ``(campaign, seed)`` priority
 order (campaigns are kept sorted by ``(name, seed)``; the
-earlier-ordered campaign wins):
-
-* ``policy="serialize"`` (default): the losing event's ``at_ns`` is
-  pushed to 1 ns past the winning event's clear, repeatedly until no
-  incompatible overlap remains.  The shift is recorded as a
-  :class:`Conflict` so reports can show exactly what moved where.
-* ``policy="reject"``: :class:`CampaignConflictError` is raised, listing
-  every conflict in a deterministic order.
+earlier-ordered campaign wins): the losing event's ``at_ns`` is pushed
+to 1 ns past the winning event's clear, repeatedly until no
+incompatible overlap remains.  The shift is recorded as a
+:class:`Conflict` so reports can show exactly what moved where.
 
 A conflict with a **permanent** incompatible crash (``duration_ns=None``)
 can never be serialized — the loser would wait forever — so it is always
-rejected, regardless of policy.
+rejected: :class:`CampaignConflictError` lists every such conflict in a
+deterministic order.
 
 Everything here is pure schedule arithmetic: same campaigns in, same
 plan out, byte for byte, which is what keeps multi-campaign chaos runs
@@ -49,13 +46,10 @@ from repro.faults.campaign import (
 #: Kinds whose overlapping raises on one target can be incompatible.
 _CRASH_KINDS = frozenset({DAEMON_CRASH, DAEMON_COLD_CRASH})
 
-#: Conflict-guard policies.
-POLICIES = ("serialize", "reject")
-
 
 class CampaignConflictError(ValueError):
-    """Semantically incompatible concurrent raises that the policy (or
-    physics: nothing serializes after a permanent fault) refuses."""
+    """Semantically incompatible concurrent raises that cannot be
+    serialized: nothing waits out a permanent fault."""
 
     def __init__(self, conflicts: list["Conflict"]):
         self.conflicts = conflicts
@@ -115,17 +109,12 @@ class CampaignSet:
 
     Campaigns are canonicalised to ``(name, seed)`` order on
     construction; that order is the conflict-guard **priority** (earlier
-    wins).  ``policy`` selects what happens to incompatible overlaps —
-    see the module docstring.
+    wins) — see the module docstring.
     """
 
     campaigns: tuple[FaultCampaign, ...]
-    policy: str = "serialize"
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown conflict policy {self.policy!r} "
-                             f"(must be one of {POLICIES})")
         if not self.campaigns:
             raise ValueError("empty campaign set")
         ordered = tuple(sorted(self.campaigns,
@@ -137,9 +126,8 @@ class CampaignSet:
         object.__setattr__(self, "campaigns", ordered)
 
     @classmethod
-    def of(cls, campaigns: Iterable[FaultCampaign],
-           policy: str = "serialize") -> "CampaignSet":
-        return cls(campaigns=tuple(campaigns), policy=policy)
+    def of(cls, campaigns: Iterable[FaultCampaign]) -> "CampaignSet":
+        return cls(campaigns=tuple(campaigns))
 
     def __len__(self) -> int:
         return len(self.campaigns)
@@ -154,9 +142,8 @@ class CampaignSet:
         Returns ``(plan, conflicts)`` where ``plan`` is the campaigns
         with serialized events shifted (everything else untouched) and
         ``conflicts`` records each decision.  Raises
-        :class:`CampaignConflictError` under ``policy="reject"`` when any
-        conflict exists, or under any policy when serialization is
-        impossible (permanent incompatible winner).
+        :class:`CampaignConflictError` when serialization is impossible
+        (a permanent incompatible overlap).
         """
         # Crash-family events in priority order: (campaign index, event
         # sort key).  All other kinds compose in the hardware hooks.
@@ -218,11 +205,6 @@ class CampaignSet:
 
         if rejected:
             raise CampaignConflictError(rejected)
-        if conflicts and self.policy == "reject":
-            raise CampaignConflictError([
-                dataclasses.replace(c, action="rejected",
-                                    resolved_at_ns=None)
-                for c in conflicts])
 
         if not moved:
             return self.campaigns, conflicts

@@ -224,14 +224,6 @@ class MyrinetNetwork:
         raise KeyError(f"no link named {name!r} "
                        f"(have: {[l.name for l in self._links]})")
 
-    def cable_links(self, a: str, b: str) -> list[Link]:
-        """Both directions of the full-duplex cable between two devices."""
-        found = [l for l in self._links
-                 if l.name in (f"{a}->{b}", f"{b}->{a}")]
-        if not found:
-            raise KeyError(f"no cable between {a!r} and {b!r}")
-        return found
-
     def links_of(self, device: str) -> list[Link]:
         """Every unidirectional link touching ``device`` (either end)."""
         found = [l for l in self._links if device in l.name.split("->")]

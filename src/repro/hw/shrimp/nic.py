@@ -22,19 +22,15 @@ comparison on, all modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-import numpy as np
-
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.sim.trace import emit
 from repro.obs.metrics import count
 from repro.mem.physical import PhysicalMemory
-from repro.mem.virtual import PAGE_SIZE
 from repro.hw.bus.eisa import EISABus
 from repro.hw.myrinet.link import LinkParams
 from repro.hw.myrinet.network import MyrinetNetwork
-from repro.hw.myrinet.packet import MyrinetPacket, PacketHeader
+from repro.hw.myrinet.packet import DepositHeader, MyrinetPacket
 from repro.vmmc.pagetables import IncomingPageTable, OutgoingPageTable
 from repro.hw.shrimp.snoop import AutomaticUpdateUnit
 
@@ -84,13 +80,8 @@ class ShrimpStateMachine:
             payload = self.nic.host_memory.read(src_paddr, nbytes)
             packet = MyrinetPacket(
                 list(self.nic.routes[node_index]),
-                PacketHeader("shrimp_du", {
-                    "extents": tuple(extents),
-                    "length": nbytes,
-                    "last": last,
-                    "notify": notify,
-                    "src_node": self.nic.node_index,
-                }),
+                DepositHeader("shrimp_du", extents, notify, last,
+                              self.nic.node_index, nbytes),
                 payload)
             packet.seal()
             self.requests_processed += 1
@@ -140,16 +131,10 @@ class ShrimpNIC:
             count(self.env, "shrimp.crc_drops", nic=self.host_name)
             emit(self.env, "shrimp.recv.crc_drop")
             return
-        extents = list(packet.header["extents"])
-        for paddr, length in extents:
-            if length == 0:
-                continue
-            first = paddr // PAGE_SIZE
-            last = (paddr + length - 1) // PAGE_SIZE
-            if any(not self.incoming.writable(f)
-                   for f in range(first, last + 1)):
-                self.protection_violations += 1
-                return
+        extents = packet.header.extents
+        if self.incoming.first_unwritable(extents) is not None:
+            self.protection_violations += 1
+            return
         # DMA into pinned receive buffers over this node's EISA bus.
         offset = 0
         for paddr, length in extents:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.sim import Environment, Store
 from repro.sim.trace import emit
 from repro.mem.virtual import PAGE_SIZE
-from repro.hw.myrinet.packet import MyrinetPacket, PacketHeader
+from repro.hw.myrinet.packet import DepositHeader, MyrinetPacket
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,11 @@ class AutomaticUpdateUnit:
             yield self.env.timeout(self.params.inject_ns)
             packet = MyrinetPacket(
                 list(self.nic.routes[first.dest_node]),
-                PacketHeader("shrimp_au", {
-                    "extents": ((first.dest_paddr, int(payload.size)),),
-                    "length": int(payload.size),
-                    "last": True,
-                    "notify": False,
-                    "src_node": self.nic.node_index,
-                }),
+                DepositHeader("shrimp_au",
+                              ((first.dest_paddr, int(payload.size)),),
+                              notify=False, last=True,
+                              src_node=self.nic.node_index,
+                              msg_length=int(payload.size)),
                 payload)
             packet.seal()
             self.packets_injected += 1

@@ -230,12 +230,6 @@ class PhysicalMemory:
         self._check_range(paddr, nbytes)
         return self.data[paddr:paddr + nbytes]
 
-    def frame_base(self, frame_number: int) -> int:
-        return frame_number * self.page_size
-
-    def frame_of_paddr(self, paddr: int) -> int:
-        return paddr // self.page_size
-
     def _check_range(self, paddr: int, nbytes: int) -> None:
         if paddr < 0 or paddr + nbytes > self.size:
             raise ValueError(

@@ -283,7 +283,6 @@ class Process(Event):
         self.env._schedule(interruption, priority=Environment.PRIORITY_URGENT)
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         while True:
             if event._ok:
                 try:
@@ -325,7 +324,6 @@ class Process(Event):
             target.callbacks.append(self._resume)
             self._target = target
             break
-        self.env._active_process = None
 
     def _finish_ok(self, value: Any) -> None:
         self._target = None
@@ -376,7 +374,6 @@ class Environment:
         self._now = int(initial_time)
         self._queue: list[tuple[int, int, int, Event]] = []
         self._seq = itertools.count()
-        self._active_process: Optional[Process] = None
         self.tracer = tracer
         #: Events popped off the queue so far, one per heap entry — the
         #: per-operation budgets in ``tests/test_event_budget.py``.
@@ -392,11 +389,6 @@ class Environment:
     def now_us(self) -> float:
         """Current simulated time in microseconds."""
         return self._now / US
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories -----------------------------------------------------
     def event(self) -> Event:

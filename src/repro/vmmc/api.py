@@ -252,12 +252,6 @@ class SendHandle:
     posted_at: int
     completed_event: Optional[Event] = None
 
-    @property
-    def buffer_reusable_immediately(self) -> bool:
-        """Short sends copy the data at post time, so the send buffer is
-        reusable as soon as the call returns (section 5.3)."""
-        return self.is_short
-
 
 Destination = Union[ProxyAddress, ImportedBuffer]
 

@@ -44,7 +44,7 @@ not recovered (section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.sim.trace import emit
 from repro.obs.metrics import count, observe
 from repro.mem.virtual import PAGE_SIZE
 from repro.hw.lanai.nic import LanaiNIC
-from repro.hw.myrinet.packet import MyrinetPacket, PacketHeader
+from repro.hw.myrinet.packet import DepositHeader, MyrinetPacket
 from repro.vmmc.pagetables import (
     DEFAULT_OUTGOING_PAGES,
     IncomingPageTable,
@@ -292,55 +292,18 @@ class VmmcLCP:
         observe(self.env, "lcp.send.service_ns", self.env.now - t0,
                 lcp=self.name)
 
-    def _resolve_destination(self, ctx: ProcessContext, proxy_address: int,
-                             nbytes: int
-                             ) -> Optional[tuple[int, list[tuple[int, int]]]]:
-        """Proxy address → (destination node, ≤2 physical extents).
-
-        Returns None on a proxy fault (unmapped page, cross-node span);
-        the caller reports an error completion — data never leaves the
-        node with an invalid destination.
-        """
-        proxy_page, offset = ProxySpace.split(proxy_address)
-        try:
-            first = ctx.outgoing.lookup(proxy_page)
-        except ValueError:
-            first = None
-        if first is None:
-            return None
-        node, phys_page = first
-        len1 = min(nbytes, PAGE_SIZE - offset)
-        extents = [(phys_page * PAGE_SIZE + offset, len1)]
-        if len1 < nbytes:
-            try:
-                second = ctx.outgoing.lookup(proxy_page + 1)
-            except ValueError:
-                second = None
-            if second is None or second[0] != node:
-                return None
-            extents.append((second[1] * PAGE_SIZE, nbytes - len1))
-        return node, extents
-
-    def _make_packet(self, ctx: ProcessContext, node: int,
-                     extents: list[tuple[int, int]], payload: np.ndarray,
-                     notify: bool, last: bool, msg_len: int
-                     ) -> MyrinetPacket:
-        header = PacketHeader("vmmc_data", {
-            "length": int(payload.size),
-            "msg_length": msg_len,
-            "extents": tuple(extents),
-            "notify": notify,
-            "last": last,
-            "src_node": self.node_index,
-            "src_pid": ctx.pid,
-        })
+    def _make_packet(self, node: int, extents: tuple[tuple[int, int], ...],
+                     payload: np.ndarray, notify: bool, last: bool,
+                     msg_len: int) -> MyrinetPacket:
+        header = DepositHeader("vmmc_data", extents, notify, last,
+                               self.node_index, msg_len)
         return MyrinetPacket(list(self.routes[node]), header, payload)
 
     def _send_short(self, ctx: ProcessContext, request: SendRequest):
         cpu = self.nic.processor
         costs = self.costs
-        resolved = self._resolve_destination(
-            ctx, request.proxy_address, request.length)
+        resolved = ctx.outgoing.resolve(request.proxy_address,
+                                        request.length)
         if resolved is None:
             yield cpu.cycles(costs.proxy_lookup)
             self.proxy_faults += 1
@@ -357,7 +320,7 @@ class VmmcLCP:
                          + costs.short_copy_per_word * words
                          + costs.header_build + costs.route_fetch
                          + costs.start_dma)
-        packet = self._make_packet(ctx, node, extents, request.inline_data,
+        packet = self._make_packet(node, extents, request.inline_data,
                                    request.notify, last=True,
                                    msg_len=request.length)
         self.short_sends += 1
@@ -424,7 +387,7 @@ class VmmcLCP:
             if paddr is None:
                 error = True
                 break
-            resolved = self._resolve_destination(ctx, proxy_cursor, clen)
+            resolved = ctx.outgoing.resolve(proxy_cursor, clen)
             yield cpu.cycles(costs.proxy_lookup)
             if resolved is None:
                 self.proxy_faults += 1
@@ -461,7 +424,7 @@ class VmmcLCP:
                 yield cpu.cycles(prep_cycles)
             payload = self.nic.sram.read(self._staging[buf].base, clen)
             packet = self._make_packet(
-                ctx, node, extents, payload, request.notify,
+                node, extents, payload, request.notify,
                 last=(index == len(chunks) - 1), msg_len=request.length)
             net_busy[buf] = self.env.process(
                 self.nic.net_send.send(packet), name="netsend")
@@ -521,39 +484,33 @@ class VmmcLCP:
             emit(self.env, f"{self.name}.recv.crc_drop")
             return
         header = packet.header
-        extents = list(header["extents"])
+        extents = header.extents
         # Parse and page-table check are one charge: the CRC verdict was
         # fixed on arrival, so nothing observes the boundary between them.
         yield cpu.cycles(costs.recv_parse
                          + costs.incoming_check * max(1, len(extents)))
-        for paddr, length in extents:
-            if length == 0:
-                continue
-            first_frame = paddr // PAGE_SIZE
-            last_frame = (paddr + length - 1) // PAGE_SIZE
-            for frame in range(first_frame, last_frame + 1):
-                if not self.incoming.writable(frame):
-                    self.protection_violations += 1
-                    count(self.env, "lcp.protection_violations",
-                          lcp=self.name)
-                    emit(self.env, f"{self.name}.recv.protection_violation",
-                         frame=frame)
-                    return
+        frame = self.incoming.first_unwritable(extents)
+        if frame is not None:
+            self.protection_violations += 1
+            count(self.env, "lcp.protection_violations", lcp=self.name)
+            emit(self.env, f"{self.name}.recv.protection_violation",
+                 frame=frame)
+            return
         yield cpu.cycles(costs.start_dma)
         self.packets_delivered += 1
         count(self.env, "lcp.packets_delivered", lcp=self.name)
         delivery = self.env.process(
             self.nic.host_dma.write_host_scatter(packet.payload, extents))
-        notify = bool(header.get("notify")) or any(
+        notify = header.notify or any(
             self.incoming.lookup(paddr // PAGE_SIZE).notify
             for paddr, length in extents if length)
-        if notify and header.get("last"):
+        if notify and header.last:
             entry = self.incoming.lookup(extents[0][0] // PAGE_SIZE)
             info = {
                 "pid": entry.owner_pid,
                 "buffer_id": entry.buffer_id,
-                "src_node": header.get("src_node"),
-                "length": header.get("msg_length"),
+                "src_node": header.src_node,
+                "length": header.msg_length,
             }
             self.notifications_raised += 1
             count(self.env, "lcp.notifications", lcp=self.name)

@@ -12,8 +12,7 @@ VMMC LCPs start, computes candidate routes, and **verifies each route by
 sending a probe packet along it through the real simulated fabric** and
 checking it arrives at the right node.  The verified routes become the
 static tables installed into each VMMC LCP.  The topology is assumed
-static afterwards (section 4.2); :meth:`MappingPhase.remap_required`
-exposes the restart-on-topology-change policy.
+static afterwards (section 4.2).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.sim import Environment
 from repro.sim.trace import emit
 from repro.hw.lanai.nic import LanaiNIC
 from repro.hw.myrinet.network import MyrinetNetwork, natural_key
-from repro.hw.myrinet.packet import MyrinetPacket, PacketHeader
+from repro.hw.myrinet.packet import MyrinetPacket, ProbeHeader
 from repro.hw.myrinet.topology import DeadlockReport, check_deadlock_free
 
 
@@ -65,7 +64,6 @@ class MappingPhase:
         if indices is not None and set(indices) != set(nics):
             raise ValueError("indices must cover exactly the mapped NICs")
         self.indices = indices
-        self._topology_version = 0
 
     def run(self):
         """Process: map the network; value is a :class:`MappingResult`."""
@@ -96,7 +94,7 @@ class MappingPhase:
                     candidate = self.network.compute_route(src, dst)
                     routes[src][indices[dst]] = candidate
                     round_probes.append(self.env.process(
-                        self._verify_route(src, dst, candidate)))
+                        self._verify_route(src, dst, candidate, indices)))
                 for proc in round_probes:
                     yield proc
                 probes += n
@@ -113,27 +111,14 @@ class MappingPhase:
 
         return self.env.process(mapping(), name="mapping_phase")
 
-    def _verify_route(self, src: str, dst: str, route: list[int]):
+    def _verify_route(self, src: str, dst: str, route: list[int],
+                      indices: dict[str, int]):
         """Send a probe along ``route`` and confirm it lands on ``dst``."""
-        probe = MyrinetPacket(
-            list(route),
-            PacketHeader("map_probe", {"src": src, "claimed_dst": dst},
-                         wire_bytes=8),
-            b"")
+        header = ProbeHeader("map_probe", indices[src], indices[dst])
+        probe = MyrinetPacket(list(route), header, b"")
         yield from self.nics[src].net_send.send(probe)
         # Wait for the probe to surface in the claimed destination's inbox.
         arrived = yield self.nics[dst].net_recv.inbox.get()
-        if arrived.header.kind != "map_probe" \
-                or arrived.header["claimed_dst"] != dst \
-                or not arrived.route_exhausted:
+        if arrived.header != header or not arrived.route_exhausted:
             raise MappingError(
-                f"probe {src}->{dst} misrouted: got "
-                f"{arrived.header.fields}")
-
-    def remap_required(self) -> bool:
-        """The VMMC LCP performs no dynamic remapping; adding/removing
-        nodes requires restarting the system software (section 4.2)."""
-        return self._topology_version > 0
-
-    def topology_changed(self) -> None:
-        self._topology_version += 1
+                f"probe {src}->{dst} misrouted: got {arrived.header}")

@@ -2,17 +2,18 @@
 
 * The **incoming page table** (one per interface) has one entry per host
   physical memory frame saying whether an incoming message may write that
-  frame and whether delivery should raise a notification.  It is consulted
-  by the LCP before every receive-side DMA — this is what guarantees that
-  "transferred data does not overwrite any memory locations outside the
-  destination receive buffer".
+  frame and whether delivery should raise a notification.  Both receivers
+  (the LCP and SHRIMP's hardware) consult it before every receive-side DMA
+  — this is what guarantees that "transferred data does not overwrite any
+  memory locations outside the destination receive buffer".
 
 * The **outgoing page table** (one per process using the interface) maps
   proxy pages of imported receive buffers to a packed 32-bit value
   encoding the destination node index and the destination physical page.
   Because the table is private to the sending process, "there is no way a
   process can use outgoing page table entries set up for others" — the
-  protection argument of section 4.4.
+  protection argument of section 4.4.  Both senders resolve a proxy
+  address to its two-extent scatter through it.
 
 Both tables charge their SRAM footprint against the NIC's 256 KB, which is
 the resource-cost side of the section-6 design-tradeoff discussion.
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.lanai.sram import SRAM
+from repro.mem.virtual import PAGE_SIZE
+from repro.vmmc.proxy import ProxySpace
 
 #: Outgoing-table entry packing: high 8 bits node index, low 24 bits
 #: physical page number (24 bits of 4 KB pages = 64 GB reach, ample for
@@ -74,6 +77,20 @@ class IncomingPageTable:
 
     def writable(self, frame: int) -> bool:
         return self.lookup(frame).writable
+
+    def first_unwritable(self, extents: tuple[tuple[int, int], ...]
+                         ) -> Optional[int]:
+        """The first frame the ``(paddr, length)`` extents touch that no
+        export opened to the network, or None if every one may be
+        written — checked before any receive DMA starts."""
+        for paddr, length in extents:
+            if length == 0:
+                continue
+            for frame in range(paddr // PAGE_SIZE,
+                               (paddr + length - 1) // PAGE_SIZE + 1):
+                if not self.writable(frame):
+                    return frame
+        return None
 
     @property
     def entries_set(self) -> int:
@@ -128,6 +145,32 @@ class OutgoingPageTable:
         entry = self._entries.get(proxy_page)
         return None if entry is None else self.unpack(entry)
 
+    def resolve(self, proxy_address: int, nbytes: int
+                ) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Proxy address → (destination node, ≤ 2 physical extents): the
+        send side of the page-boundary scatter (section 4.5).
+
+        None on a proxy fault (unmapped page, a span leaving the import
+        or crossing to another node): nothing leaves the node with an
+        invalid destination.
+        """
+        proxy_page, offset = ProxySpace.split(proxy_address)
+        len1 = min(nbytes, PAGE_SIZE - offset)
+        try:
+            first = self.lookup(proxy_page)
+            second = self.lookup(proxy_page + 1) if len1 < nbytes else None
+        except ValueError:  # past the end of the table: unmapped
+            return None
+        if first is None:
+            return None
+        node, phys_page = first
+        extents = ((phys_page * PAGE_SIZE + offset, len1),)
+        if len1 == nbytes:
+            return node, extents
+        if second is None or second[0] != node:
+            return None
+        return node, extents + ((second[1] * PAGE_SIZE, nbytes - len1),)
+
     @property
     def entries_set(self) -> int:
         return len(self._entries)
@@ -135,8 +178,6 @@ class OutgoingPageTable:
     @property
     def import_capacity_bytes(self) -> int:
         """Total importable receive-buffer space (the 8 MB limit)."""
-        from repro.mem.virtual import PAGE_SIZE
-
         return self.npages * PAGE_SIZE
 
     def _check(self, proxy_page: int) -> None:

@@ -95,10 +95,6 @@ class ProxySpace:
     def pages_reserved(self) -> int:
         return self._cursor - sum(run for _, run in self._free)
 
-    @property
-    def regions_live(self) -> int:
-        return len(self._regions)
-
     @staticmethod
     def split(proxy_address: int) -> tuple[int, int]:
         """Proxy address → (proxy page, offset within page)."""

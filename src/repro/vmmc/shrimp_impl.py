@@ -18,20 +18,17 @@ SendMsg, deliberate update only); what differs is everything below it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from repro.sim import AllOf, Environment, Event
+from repro.sim import Environment, Event
 from repro.mem.buffers import UserBuffer
 from repro.mem.physical import PhysicalMemory
 from repro.mem.virtual import AddressSpace, PAGE_SIZE
-from repro.hw.bus.eisa import EISABus, EISAParams
-from repro.hw.bus.membus import MemoryBus, MemoryBusParams
+from repro.hw.bus.eisa import EISABus
+from repro.hw.bus.membus import MemoryBus
 from repro.hw.myrinet import topology
 from repro.hw.shrimp import ShrimpNIC, ShrimpParams
-from repro.hostos.kernel import Kernel, KernelParams
+from repro.hostos.kernel import Kernel
 from repro.vmmc.errors import ImportDenied, SendError
 from repro.vmmc.proxy import ProxyRegion, ProxySpace
 
@@ -142,21 +139,12 @@ class ShrimpEndpoint:
                     self.node.nic.params.initiation_writes)
                 # Permission check + V->P translation via the sender's own
                 # page tables happen in the state machine using the proxy
-                # mapping; resolve destination extents like the LCP does.
+                # mapping; destination extents resolve as on the LCP.
                 src_paddr = self.space.translate(cursor_v)
-                proxy_page = proxy_cursor // PAGE_SIZE
-                offset = proxy_cursor % PAGE_SIZE
-                first = outgoing.lookup(proxy_page)
-                if first is None:
-                    raise SendError("invalid proxy page")
-                node_index, phys_page = first
-                len1 = min(chunk, PAGE_SIZE - offset)
-                extents = [(phys_page * PAGE_SIZE + offset, len1)]
-                if len1 < chunk:
-                    second = outgoing.lookup(proxy_page + 1)
-                    if second is None or second[0] != node_index:
-                        raise SendError("send crosses out of the import")
-                    extents.append((second[1] * PAGE_SIZE, chunk - len1))
+                resolved = outgoing.resolve(proxy_cursor, chunk)
+                if resolved is None:
+                    raise SendError("send outside the import")
+                node_index, extents = resolved
                 remaining -= chunk
                 # The state machine works while the host initiates the
                 # next page.

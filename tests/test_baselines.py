@@ -8,6 +8,7 @@ from repro.baselines import (
     MyrinetAPIPair,
     PMPair,
 )
+from repro.hw.myrinet.packet import BaselineHeader
 
 
 # ----------------------------------------------------------- basic delivery
@@ -154,8 +155,7 @@ def test_api_unreliable_loss_on_crc_error():
     pair = MyrinetAPIPair(memory_mb=8)
     env = pair.env
     # Inject a pre-corrupted packet straight into node0's NIC.
-    packet = pair.make_packet(0, "api_msg", {"seq": 99, "length": 8},
-                              b"x" * 8)
+    packet = pair.make_packet(0, BaselineHeader("api_msg", 99, 8), b"x" * 8)
     packet.seal()
     packet.corrupt(bit=5)
 

@@ -23,7 +23,8 @@ import pytest
 
 from repro.bench.microbench import VmmcPair, vmmc_pingpong_latency
 from repro.cluster import Cluster, TestbedConfig
-from repro.hw.myrinet import MyrinetPacket, PacketHeader, topology
+from repro.hw.myrinet import MyrinetPacket, topology
+from repro.hw.myrinet.packet import ProbeHeader
 from repro.kv import KVStore
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
 from repro.obs.metrics import MetricsRegistry
@@ -98,9 +99,8 @@ def test_one_switch_hop_of_a_probe_on_fattree_4():
 
     def probe(dst):
         route = net.compute_route("node0", dst)
-        packet = MyrinetPacket(list(route), PacketHeader(
-            "map_probe", {"src": "node0", "claimed_dst": dst},
-            wire_bytes=8), b"")
+        packet = MyrinetPacket(list(route), ProbeHeader(
+            "map_probe", 0, net.host_names.index(dst)), b"")
         cost = events_of(env, lambda: env.run(until=env.process(
             net.inject("node0", packet))))
         assert arrived.pop() is packet and packet.route_exhausted

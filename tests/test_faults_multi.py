@@ -96,12 +96,10 @@ def _crash(name, seed, kind, at_ns, duration_ns, node="node1"):
                    duration_ns=duration_ns)], seed=seed)
 
 
-def test_campaign_set_validates_names_and_policy():
+def test_campaign_set_validates_names():
     a = _crash("a", 1, DAEMON_CRASH, 0, 100)
     with pytest.raises(ValueError, match="unique"):
         CampaignSet.of([a, _crash("a", 2, DAEMON_CRASH, 500, 100)])
-    with pytest.raises(ValueError, match="unknown conflict policy"):
-        CampaignSet.of([a], policy="panic")
     with pytest.raises(ValueError, match="empty campaign set"):
         CampaignSet.of([])
 
@@ -132,23 +130,9 @@ def test_conflict_guard_serializes_deterministically():
     assert conflicts2 == conflicts
 
 
-def test_conflict_guard_reject_policy_raises_stable_error():
-    warm = _crash("a-warm", 1, DAEMON_CRASH, 1_000, 2_000)
-    cold = _crash("b-cold", 2, DAEMON_COLD_CRASH, 2_000, 2_000)
-    cset = CampaignSet.of([warm, cold], policy="reject")
-    with pytest.raises(CampaignConflictError) as e1:
-        cset.resolve()
-    with pytest.raises(CampaignConflictError) as e2:
-        cset.resolve()
-    assert str(e1.value) == str(e2.value)     # stable message
-    assert "rejected" in str(e1.value)
-    assert e1.value.conflicts[0].action == "rejected"
-    assert e1.value.conflicts[0].resolved_at_ns is None
-
-
 def test_permanent_incompatible_overlap_always_rejected():
-    """Nothing serializes after a permanent crash — rejected even under
-    the default serialize policy."""
+    """Nothing serializes after a permanent crash — the one overlap the
+    guard rejects."""
     perm = _crash("a-perm", 1, DAEMON_CRASH, 1_000, None)
     cold = _crash("b-cold", 2, DAEMON_COLD_CRASH, 5_000, 1_000)
     with pytest.raises(CampaignConflictError, match="rejected"):

@@ -13,7 +13,8 @@ from repro.hw.lanai import (
     SRAMExhausted,
 )
 from repro.hw.lanai.sram import SRAM_SIZE
-from repro.hw.myrinet import MyrinetPacket, PacketHeader, topology
+from repro.hw.myrinet import MyrinetPacket, topology
+from repro.hw.myrinet.packet import BaselineHeader
 
 
 # ---------------------------------------------------------------------- SRAM
@@ -167,7 +168,7 @@ def test_net_send_to_recv_through_fabric():
 
     def sender():
         pkt = MyrinetPacket(net.compute_route("node0", "node1"),
-                            PacketHeader("test", {}),
+                            BaselineHeader("api_msg"),
                             nic0.sram.read(0, 13))
         yield from nic0.net_send.send(pkt)
 

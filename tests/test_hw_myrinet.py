@@ -1,5 +1,7 @@
 """Tests for the Myrinet fabric: CRC, packets, links, switches, topology."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,17 @@ from repro.hw.myrinet import (
     LinkParams,
     MyrinetNetwork,
     MyrinetPacket,
-    PacketHeader,
     PortRangeError,
     PortRef,
     Switch,
     crc8,
     topology,
 )
+from repro.hw.myrinet.packet import BaselineHeader, DepositHeader, ProbeHeader
 
 
-def make_packet(route=(), payload=b"hello", kind="test", **fields):
-    return MyrinetPacket(list(route), PacketHeader(kind, dict(fields)), payload)
+def make_packet(route=(), payload=b"hello", seq=0):
+    return MyrinetPacket(list(route), BaselineHeader("api_msg", seq), payload)
 
 
 # ---------------------------------------------------------------------- CRC
@@ -46,7 +48,7 @@ def test_crc8_numpy_and_bytes_agree():
 
 # ------------------------------------------------------------------- packets
 def test_packet_seal_and_check():
-    pkt = make_packet(payload=b"payload", length=7)
+    pkt = make_packet(payload=b"payload", seq=7)
     pkt.seal()
     assert pkt.crc_ok()
 
@@ -70,24 +72,79 @@ def test_unsealed_packet_fails_the_check():
 
 
 def test_every_single_bit_error_in_a_4kb_data_packet_is_caught():
-    """The chained header-then-payload CRC, through the packet API, at
-    the size and header shape the long-send path puts on the wire."""
+    """The chained image-then-payload CRC, through the packet API, at
+    the size and header shape the long-send path puts on the wire: a
+    flip of any bit of the type byte, the header or the payload fails
+    the check."""
     payload = np.random.default_rng(7).integers(0, 256, 4096, dtype=np.uint8)
-    pkt = make_packet(route=[1], payload=payload, kind="vmmc_data",
-                      length=4096, msg_length=65536,
-                      extents=((0x1F3000, 4096), (0, 0)), notify=False,
-                      last=False, src_node=0, src_pid=1)
+    pkt = MyrinetPacket([1], DepositHeader(
+        "vmmc_data", ((0x1F3000, 4096),), notify=False, last=False,
+        src_node=0, msg_length=65536), payload)
     pkt.seal()
     assert pkt.crc_ok()
-    head = repr(sorted(pkt.header.fields.items())).encode()
-    assert pkt.crc == crc8(head + payload.tobytes())
+    image = pkt.image
+    assert len(image) == 1 + 16
+    assert pkt.crc == crc8(image + payload.tobytes())
     missed = []
+    for bit in range(8 * len(image)):
+        flipped = bytearray(image)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        pkt.image = bytes(flipped)
+        if pkt.crc_ok():
+            missed.append(("image", bit))
+    pkt.image = image
     for bit in range(8 * 4096):
         pkt.corrupt(bit)
         if pkt.crc_ok():
             missed.append(bit)
         pkt.payload = payload
     assert missed == [] and pkt.crc_ok()
+
+
+#: Every header layout and the header bytes the link charged for it
+#: while headers were a declared size: the image must be exactly that.
+CHARGED = {DepositHeader: 16, ProbeHeader: 8, BaselineHeader: 16}
+
+
+def _sample(cls, kind):
+    if cls is DepositHeader:
+        return DepositHeader(kind, ((0x1F3FF0, 16), (0x0A2000, 4080)),
+                             notify=True, last=False, src_node=63,
+                             msg_length=(8 << 20) - 1)
+    if cls is ProbeHeader:
+        return ProbeHeader(kind, src=3, dst=60)
+    return BaselineHeader(kind, seq=9, msg_length=65536, offset=8192,
+                          word=2)
+
+
+def _other(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return tuple((addr + 4, length) for addr, length in value)
+
+
+def test_every_header_kind_packs_to_the_bytes_the_link_charges():
+    type_bytes = [t for cls in CHARGED for t in cls.TYPES.values()]
+    assert len(set(type_bytes)) == len(type_bytes)
+    for cls, charged in CHARGED.items():
+        for kind, type_byte in cls.TYPES.items():
+            header = _sample(cls, kind)
+            image = header.pack()
+            assert len(image) == charged, kind
+            packet = MyrinetPacket([2, 5], header, b"x" * 10)
+            assert packet.image == bytes((type_byte,)) + image
+            assert packet.wire_bytes == 2 + 1 + charged + 10 + 1
+            # Every field is on the wire: changing any one changes the image.
+            for field in dataclasses.fields(header)[1:]:
+                changed = dataclasses.replace(
+                    header, **{field.name: _other(getattr(header,
+                                                          field.name))})
+                assert changed.pack() != image, (kind, field.name)
+    with pytest.raises(ValueError, match="24-bit"):
+        DepositHeader("vmmc_data", ((0, 4096),), False, True, 0,
+                      1 << 24).pack()
 
 
 def test_packet_route_consumption():
@@ -109,9 +166,13 @@ def test_packet_wire_bytes_accounting():
 
 
 def test_header_access():
-    hdr = PacketHeader("vmmc_long", {"length": 4096})
-    assert hdr["length"] == 4096
-    assert hdr.get("missing", 7) == 7
+    hdr = DepositHeader("vmmc_data", ((0x5000, 4096),), notify=False,
+                        last=True, src_node=1, msg_length=4096)
+    assert hdr.extents == ((0x5000, 4096),)
+    assert hdr.msg_length == 4096
+    assert getattr(hdr, "missing", 7) == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hdr.last = False
 
 
 # --------------------------------------------------------------------- links
@@ -119,7 +180,7 @@ def test_link_delivers_in_order_with_timing():
     env = Environment()
     link = Link(env, LinkParams())
     got = []
-    link.connect(lambda pkt: got.append((pkt.header["seq"], env.now)))
+    link.connect(lambda pkt: got.append((pkt.header.seq, env.now)))
 
     def sender():
         for seq in range(3):
@@ -189,13 +250,13 @@ def test_switch_routes_by_route_byte():
         sw.attach_output(port, link)
 
     def feed():
-        yield env.process(sw.receive(make_packet(route=[1], tag="a")))
-        yield env.process(sw.receive(make_packet(route=[2], tag="b")))
+        yield env.process(sw.receive(make_packet(route=[1], seq=1)))
+        yield env.process(sw.receive(make_packet(route=[2], seq=2)))
 
     env.process(feed())
     env.run()
-    assert [p.header["tag"] for p in out[1]] == ["a"]
-    assert [p.header["tag"] for p in out[2]] == ["b"]
+    assert [p.header.seq for p in out[1]] == [1]
+    assert [p.header.seq for p in out[2]] == [2]
     assert sw.packets_forwarded == 2
 
 

@@ -216,7 +216,7 @@ def test_gigabytes_without_errors_at_paper_ber():
 def test_forged_destination_dropped_by_incoming_table():
     """Even a packet with a forged physical destination cannot land
     outside exported memory — the incoming page table rejects it."""
-    from repro.hw.myrinet.packet import MyrinetPacket, PacketHeader
+    from repro.hw.myrinet.packet import DepositHeader, MyrinetPacket
 
     cluster = small_cluster()
     env = cluster.env
@@ -225,12 +225,8 @@ def test_forged_destination_dropped_by_incoming_table():
     # frame of node1 and inject it from node0's NIC.
     evil = MyrinetPacket(
         cluster.fabric.compute_route("node0", "node1"),
-        PacketHeader("vmmc_data", {
-            "length": 16, "msg_length": 16,
-            "extents": ((123 * 4096, 16),),
-            "notify": False, "last": True,
-            "src_node": 0, "src_pid": 999,
-        }),
+        DepositHeader("vmmc_data", ((123 * 4096, 16),), notify=False,
+                      last=True, src_node=0, msg_length=16),
         b"A" * 16)
 
     def inject():

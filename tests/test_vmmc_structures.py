@@ -45,6 +45,18 @@ def test_incoming_bounds():
         table.allow(-1, 0, 0)
 
 
+def test_incoming_first_unwritable_frame():
+    table = IncomingPageTable(nframes=16)
+    table.allow(3, owner_pid=1, buffer_id=0)
+    assert table.first_unwritable(((3 * PAGE_SIZE + 8, 64),)) is None
+    # The first denied frame in extent order, crossing into frame 4.
+    assert table.first_unwritable(
+        ((3 * PAGE_SIZE + 100, PAGE_SIZE), (9 * PAGE_SIZE, 4))) == 4
+    # A zero-length piece touches no frame.
+    assert table.first_unwritable(((3 * PAGE_SIZE, 4),
+                                   (9 * PAGE_SIZE, 0))) is None
+
+
 def test_incoming_sram_accounting():
     sram = SRAM()
     IncomingPageTable(nframes=16384, sram=sram)
@@ -74,6 +86,23 @@ def test_outgoing_set_lookup_clear():
     assert table.lookup(3) == (2, 777)
     table.clear_entry(3)
     assert table.lookup(3) is None
+
+
+def test_outgoing_resolve_scatters_at_most_two_extents():
+    table = OutgoingPageTable(pid=1, npages=4)
+    table.set_entry(0, node_index=2, phys_page=50)
+    table.set_entry(1, node_index=2, phys_page=9)
+    table.set_entry(2, node_index=3, phys_page=70)
+    # Within one page: one extent, not a second empty one.
+    assert table.resolve(100, 64) == (2, ((50 * PAGE_SIZE + 100, 64),))
+    # Across a page boundary: the receive-side two-piece scatter.
+    assert table.resolve(PAGE_SIZE - 16, 48) == (
+        2, ((51 * PAGE_SIZE - 16, 16), (9 * PAGE_SIZE, 32)))
+    # Into another node's page, an unmapped page or past the table: None.
+    assert table.resolve(2 * PAGE_SIZE - 8, 16) is None
+    assert table.resolve(3 * PAGE_SIZE + 8, 4) is None
+    table.set_entry(3, node_index=3, phys_page=71)
+    assert table.resolve(4 * PAGE_SIZE - 8, 16) is None
 
 
 def test_outgoing_import_limit_is_8mb():
