@@ -4,10 +4,13 @@ The experiment the paper could not run: sweep the per-packet link error
 rate and compare **baseline VMMC** (section 4.2: CRC errors detected,
 counted, dropped — never recovered) against the
 :mod:`repro.vmmc.reliable` retransmission layer, on identical simulated
-hardware.  A second driver runs reliable traffic *under a seeded
-fault campaign* (bit-error bursts injected mid-run) to demonstrate that
-chaos here is deterministic: same seed, same drops, same retransmit
-counts, byte for byte.
+hardware.  The other drivers run reliable traffic *under one seeded
+fault campaign* (error bursts, daemon cold crashes, or overlapping
+bursts and LANai stalls) to demonstrate that chaos here is
+deterministic: same seed, same drops, same retransmit counts, byte for
+byte.  Every campaign is authored from t=0 and shifted to the moment
+the channel is up, so each fault fires at workload start + its
+authored offset.
 
 Used by the ``chaos`` and ``lossy-link`` campaigns
 (:mod:`repro.campaign.trials`; ``python -m repro chaos`` is an alias of
@@ -23,8 +26,8 @@ import numpy as np
 
 from repro.cluster import Cluster, TestbedConfig
 from repro.hw.myrinet.link import LinkParams
-from repro.faults import (CampaignSet, DAEMON_COLD_CRASH, FaultCampaign,
-                          FaultEvent, FaultInjector, FaultStats, LANAI_STALL,
+from repro.faults import (DAEMON_COLD_CRASH, FaultCampaign, FaultEvent,
+                          FaultInjector, FaultStats, LANAI_STALL,
                           LINK_ERROR_BURST)
 from repro.vmmc.reliable import HEADER_BYTES, open_channel
 
@@ -137,20 +140,19 @@ def _attach_probe(tx) -> dict:
 
 
 def _reliable_transfer(error_rate: float, messages: int, size: int,
-                       start_faults):
+                       campaign: Optional[FaultCampaign] = None):
     """The one reliable-transfer experiment behind every driver below:
-    build the 2-node cluster, open the channel, start the faults, issue
-    ``messages`` patterned payloads up front (the AIMD window pipelines
-    them), drain, audit.
+    build the 2-node cluster, open the channel, start the campaign,
+    issue ``messages`` patterned payloads up front (the AIMD window
+    pipelines them), drain, audit.
 
-    ``start_faults(injector)`` is called once the channel is up (so a
-    schedule can be anchored at ``injector.env.now``) and before the
-    workload clock starts; if it returns an event, that event is awaited
-    after the last delivery and before the drain.  Returns ``(point,
-    evidence, tx, rx, injector, awaited)``: ``evidence`` is the invariant
-    probe plus both ends' raw stat dicts (what
-    :func:`check_trial_invariants` reads), ``awaited`` the event's
-    value."""
+    ``campaign`` is authored from t=0; it is shifted to the moment the
+    channel is up, before the workload clock starts, and awaited after
+    the last delivery and before the drain.  Returns ``(point, evidence,
+    tx, rx, cluster, fault_stats)``: ``evidence`` is the invariant probe
+    plus both ends' raw stat dicts (what :func:`check_trial_invariants`
+    reads), ``fault_stats`` the campaign's :class:`FaultStats` (None
+    without a campaign)."""
     cluster = _two_node_cluster(error_rate)
     env = cluster.env
     _, ep_tx = cluster.nodes[0].attach_process("chaos_tx")
@@ -158,8 +160,8 @@ def _reliable_transfer(error_rate: float, messages: int, size: int,
     tx, rx = env.run(until=open_channel(
         ep_tx, ep_rx, "chaos", slot_bytes=HEADER_BYTES + size))
     probe = _attach_probe(tx)
-    injector = FaultInjector(cluster)
-    faults_done = start_faults(injector)
+    faults_done = (None if campaign is None else
+                   FaultInjector(cluster).run(campaign.shifted(env.now)))
 
     def receiver():
         got = []
@@ -180,7 +182,7 @@ def _reliable_transfer(error_rate: float, messages: int, size: int,
     rx_proc = env.process(receiver())
     env.process(sender())
     got, end = env.run(until=rx_proc)
-    awaited = None if faults_done is None else env.run(until=faults_done)
+    fault_stats = None if faults_done is None else env.run(until=faults_done)
     env.run(until=env.now + DRAIN_NS)
 
     point = ChaosPoint(
@@ -197,26 +199,13 @@ def _reliable_transfer(error_rate: float, messages: int, size: int,
         elapsed_ns=end - start)
     evidence = {"probe": probe, "tx_stats": tx.stats.as_dict(),
                 "rx_stats": rx.stats.as_dict()}
-    return point, evidence, tx, rx, injector, awaited
+    return point, evidence, tx, rx, cluster, fault_stats
 
 
 def run_reliable_point(error_rate: float, messages: int = 100,
-                       size: int = 1024,
-                       campaign: Optional[FaultCampaign] = None
-                       ) -> tuple[ChaosPoint, Optional[FaultStats], dict]:
-    """Reliable-VMMC transfer over the same lossy fabric, optionally with
-    a fault campaign running concurrently.  Returns the measurement
-    point, the campaign's :class:`FaultStats` (None without a campaign)
-    and the protocol evidence (invariant probe, raw tx/rx stat dicts)."""
-    def start_faults(injector: FaultInjector) -> None:
-        # Started, not awaited: the measurement ends with the last
-        # delivery, wherever the campaign is by then.
-        if campaign is not None:
-            injector.run(campaign)
-
-    point, evidence, _, _, injector, _ = _reliable_transfer(
-        error_rate, messages, size, start_faults)
-    return point, injector.stats, evidence
+                       size: int = 1024) -> ChaosPoint:
+    """Reliable-VMMC transfer over the same lossy fabric."""
+    return _reliable_transfer(error_rate, messages, size)[0]
 
 
 def burst_campaign(cluster_links: list[str], seed: int,
@@ -236,16 +225,15 @@ def data_path_links() -> list[str]:
     return ["node0->sw0", "sw0->node1", "node1->sw0", "sw0->node0"]
 
 
-def run_error_burst_trial(seed: int, messages: int = 60,
-                          size: int = 1024) -> dict:
-    """One error-burst run: seeded bursts on the data path.  Returns a
-    deterministic, JSON-serialisable report — two calls with the same
-    arguments must produce *identical* reports (pinned by the ``chaos``
-    golden fingerprint, ``tests/golden_fingerprints.json``)."""
-    campaign = burst_campaign(data_path_links(), seed=seed)
-    point, fault_stats, evidence = run_reliable_point(
-        0.0, messages=messages, size=size, campaign=campaign)
-    assert fault_stats is not None
+def _campaign_trial(build_campaign, seed: int, messages: int,
+                    size: int) -> dict:
+    """Reliable traffic on a clean fabric under ``build_campaign(seed)``.
+    Returns a deterministic, JSON-serialisable report — two calls with
+    the same arguments must produce *identical* reports (pinned by the
+    ``chaos`` and ``chaos-multi`` golden fingerprints,
+    ``tests/golden_fingerprints.json``)."""
+    point, evidence, _, _, _, fault_stats = _reliable_transfer(
+        0.0, messages, size, build_campaign(seed))
     return {
         "seed": seed,
         "messages": messages,
@@ -253,12 +241,21 @@ def run_error_burst_trial(seed: int, messages: int = 60,
         "delivered_intact": point.delivered_intact,
         "crc_drops": point.crc_drops,
         "retransmits": point.retransmits,
+        "duplicates_suppressed": point.duplicates_suppressed,
         "send_failures": point.send_failures,
         "elapsed_ns": point.elapsed_ns,
         "goodput_mbps": round(point.goodput_mbps, 6),
         **evidence,
         "fault_stats": fault_stats.as_dict(),
     }
+
+
+def run_error_burst_trial(seed: int, messages: int = 60,
+                          size: int = 1024) -> dict:
+    """One error-burst run: seeded bursts on the data path."""
+    return _campaign_trial(
+        lambda s: burst_campaign(data_path_links(), seed=s),
+        seed, messages, size)
 
 
 def check_trial_invariants(report: dict) -> list[str]:
@@ -295,92 +292,37 @@ def check_trial_invariants(report: dict) -> list[str]:
     return [violation for holds, violation in checks if not holds]
 
 
-# -- multi-campaign orchestration ------------------------------------------
-def default_multi_campaigns(seed: int) -> list[FaultCampaign]:
-    """The canonical concurrent-chaos set: two burst campaigns whose
-    schedules include *guaranteed-overlapping* bursts on one data-path
-    link (exercising the error-rate stack), plus a LANai-stall campaign
-    on both nodes.  Deterministic per ``seed``."""
+# -- composed faults ----------------------------------------------------------
+def default_multi_campaigns(seed: int) -> FaultCampaign:
+    """The canonical composed-chaos campaign: the bursts of two seeds,
+    two *guaranteed-overlapping* bursts on one data-path link
+    (exercising the error-rate stack) and a LANai stall on each node,
+    all in one schedule.  Deterministic per ``seed``."""
     links = data_path_links()
-    a = FaultCampaign.of(
-        f"bursts-a.seed{seed}",
-        list(burst_campaign(links, seed=seed).events) + [
-            FaultEvent(at_ns=100_000, kind=LINK_ERROR_BURST,
-                       target="sw0->node1", duration_ns=300_000,
-                       params={"rate": 0.5})],
-        seed=seed)
-    b = FaultCampaign.of(
-        f"bursts-b.seed{seed + 1}",
-        list(burst_campaign(links, seed=seed + 1).events) + [
-            FaultEvent(at_ns=250_000, kind=LINK_ERROR_BURST,
-                       target="sw0->node1", duration_ns=300_000,
-                       params={"rate": 0.3})],
-        seed=seed + 1)
-    stalls = FaultCampaign.of(
-        f"stalls.seed{seed}",
-        [FaultEvent(at_ns=500_000, kind=LANAI_STALL, target="node1",
-                    duration_ns=120_000),
-         FaultEvent(at_ns=1_500_000, kind=LANAI_STALL, target="node0",
-                    duration_ns=120_000)],
-        seed=seed)
-    return [a, b, stalls]
+    return FaultCampaign.of(f"multi.seed{seed}", [
+        *burst_campaign(links, seed=seed),
+        *burst_campaign(links, seed=seed + 1),
+        FaultEvent(at_ns=100_000, kind=LINK_ERROR_BURST,
+                   target="sw0->node1", duration_ns=300_000,
+                   params={"rate": 0.5}),
+        FaultEvent(at_ns=250_000, kind=LINK_ERROR_BURST,
+                   target="sw0->node1", duration_ns=300_000,
+                   params={"rate": 0.3}),
+        FaultEvent(at_ns=500_000, kind=LANAI_STALL, target="node1",
+                   duration_ns=120_000),
+        FaultEvent(at_ns=1_500_000, kind=LANAI_STALL, target="node0",
+                   duration_ns=120_000)], seed=seed)
 
 
 def run_multi_campaign_trial(seed: int, messages: int = 60,
-                             size: int = 1024,
-                             campaigns: Optional[list[FaultCampaign]] = None
-                             ) -> dict:
-    """Reliable traffic on a clean fabric while a whole
-    :class:`CampaignSet` runs **concurrently** — the multi-campaign
-    acceptance fixture.  Returns a deterministic, JSON-serialisable
-    report: two calls with the same arguments must be byte-identical
-    (pinned by the ``chaos-multi`` golden fingerprint and a tier-1 rerun
-    test).
-
-    The report carries the merged cross-campaign
-    :class:`~repro.faults.MergedFaultStats` (overlapped intervals
-    counted once per target), every per-campaign sub-stat, and any
-    conflict-guard decisions.
-    """
-    planned: dict = {}
-
-    def start_faults(injector: FaultInjector):
-        # Campaigns are authored relative to t=0; shift them to the
-        # workload start so their relative timing (and the overlaps we
-        # are testing) survives the channel-setup time.
-        cset = CampaignSet.of(
-            [c.shifted(injector.env.now)
-             for c in (campaigns or default_multi_campaigns(seed))])
-        planned["names"] = [c.name for c in cset]
-        _, planned["conflicts"] = cset.resolve()   # re-done by run_all
-        return injector.run_all(cset)
-
-    point, evidence, _, _, injector, merged = _reliable_transfer(
-        0.0, messages, size, start_faults)
-    return {
-        "seed": seed,
-        "messages": messages,
-        "size": size,
-        "campaigns": planned["names"],
-        "conflicts": [c.as_dict() for c in planned["conflicts"]],
-        "delivered_intact": point.delivered_intact,
-        "crc_drops": point.crc_drops,
-        "retransmits": point.retransmits,
-        "duplicates_suppressed": point.duplicates_suppressed,
-        "send_failures": point.send_failures,
-        "elapsed_ns": point.elapsed_ns,
-        "goodput_mbps": round(point.goodput_mbps, 6),
-        **evidence,
-        "merged_fault_stats": merged.as_dict(),
-        "per_campaign": {
-            name: stats.as_dict()
-            for name, stats in sorted(
-                injector.stats_by_campaign.items())},
-    }
+                             size: int = 1024) -> dict:
+    """Reliable traffic under :func:`default_multi_campaigns`: the
+    composed-faults fixture, whose overlapping faults stack in the
+    hardware hooks."""
+    return _campaign_trial(default_multi_campaigns, seed, messages, size)
 
 
-def cold_crash_campaign(seed: int, start_ns: int = 0,
-                        gap_ns: int = 4_000_000) -> FaultCampaign:
+def cold_crash_campaign(seed: int, gap_ns: int = 4_000_000) -> FaultCampaign:
     """Cold daemon crashes for the recovery protocol: first the
     *receiver's* daemon (node1 — the sender's ring import goes stale),
     then the *sender's* (node0 — the receiver's ACK import goes stale),
@@ -390,7 +332,7 @@ def cold_crash_campaign(seed: int, start_ns: int = 0,
     rng = np.random.default_rng(seed)
     events = []
     for i, node in enumerate(("node1", "node0")):
-        at = start_ns + i * gap_ns + int(rng.integers(100_000, 1_500_000))
+        at = i * gap_ns + int(rng.integers(100_000, 1_500_000))
         dead_ns = int(rng.integers(300_000, 800_000))
         events.append(FaultEvent(at_ns=at, kind=DAEMON_COLD_CRASH,
                                  target=node, duration_ns=dead_ns))
@@ -408,10 +350,8 @@ def run_cold_crash_point(seed: int, messages: int = 200, size: int = 1024
     table's refusals).  Returns ``(point, fault_stats, recovery)`` where
     ``recovery`` aggregates the protocol's counters plus the transfer's
     invariant evidence — identical across reruns of the same seed."""
-    point, evidence, tx, rx, injector, fault_stats = _reliable_transfer(
-        0.0, messages, size, lambda injector: injector.run(
-            cold_crash_campaign(seed, start_ns=injector.env.now)))
-    cluster = injector.cluster
+    point, evidence, tx, rx, cluster, fault_stats = _reliable_transfer(
+        0.0, messages, size, cold_crash_campaign(seed))
     daemons = [node.daemon for node in cluster.nodes]
     recovery = {
         "cold_restarts": sum(d.cold_restarts for d in daemons),

@@ -16,7 +16,7 @@ moves any simulated number fails there.
 * ``contract``    — the observability contract workload, fingerprinting
   the full event trace and the metrics snapshot;
 * ``chaos-cold-crash`` / ``chaos-multi`` — the reliable channel across
-  cold daemon restarts and under concurrent fault campaigns.
+  cold daemon restarts and under composed faults.
 """
 
 from __future__ import annotations

@@ -604,8 +604,8 @@ def chaos_trial(params: dict, seed: int) -> dict:
     """One seeded fault scenario against the reliable sender:
     ``error-burst`` (link error bursts on the data path),
     ``daemon-cold-crash`` (both daemons cold-restart mid-stream) or
-    ``multi-campaign`` (overlapping burst + LANai-stall campaigns driven
-    concurrently).
+    ``multi-campaign`` (one campaign of overlapping bursts and LANai
+    stalls).
 
     Gates, on every scenario: ``exactly_once`` — every payload intact,
     no send failure — and ``protocol_invariants``, every invariant of
@@ -659,7 +659,7 @@ def lossy_link_trial(params: dict, seed: int) -> dict:
     points = {}
     for rate in LOSS_RATES:
         base = run_baseline_point(rate, messages=messages, size=size)
-        rel = run_reliable_point(rate, messages=messages, size=size)[0]
+        rel = run_reliable_point(rate, messages=messages, size=size)
         points[rate] = base, rel
         for mode, point in (("baseline", base), ("reliable", rel)):
             m[f"{mode}_intact_r{rate:g}"] = point.delivered_intact

@@ -24,8 +24,8 @@ shootout     alias: the ``related-work`` campaign (section 7 — every
              protocol on identical hardware)
 sram         NIC SRAM accounting of a booted node
 chaos        alias: the ``chaos`` campaign (reliable sender under
-             error bursts, daemon cold crashes and concurrent fault
-             campaigns; exactly-once + protocol-invariant gates)
+             error bursts, daemon cold crashes and composed faults;
+             exactly-once + protocol-invariant gates)
 topology     generated fabrics: stats table + deadlock proof
 metrics      observability — metrics snapshot of the instrumented
              contract workload (``--json`` for machine consumption)

@@ -10,16 +10,13 @@ deterministic chaos harness over the simulated cluster:
   LANai stalls, daemon crash+restart.
 * :class:`FaultInjector` — runs a campaign as simulation processes against
   a booted :class:`~repro.cluster.cluster.Cluster`, emitting
-  ``fault.<kind>.raise`` / ``fault.<kind>.clear`` trace points; its
-  :meth:`~FaultInjector.run_all` drives a whole :class:`CampaignSet`
-  **concurrently** (overlapping raises stack in the hardware hooks, a
-  conflict guard serializes or rejects incompatible ones
-  deterministically).
+  ``fault.<kind>.raise`` / ``fault.<kind>.clear`` trace points.  A
+  composed fault is one campaign whose events overlap: raises on one
+  target stack in the hardware and daemon hooks, and the target stays
+  faulted until the last clear.
 * :class:`FaultStats` — aggregate counters queryable after the run; equal
   across reruns of the same (campaign, workload) pair, which is what makes
-  the chaos experiments debuggable.  :meth:`FaultStats.merge` folds
-  several campaigns' stats into one :class:`MergedFaultStats` whose
-  per-target fault time counts overlapped intervals once.
+  the chaos experiments debuggable.
 
 Used by the ``chaos`` and ``lossy-link`` campaigns to prove that
 :mod:`repro.vmmc.reliable` delivers byte-exact payloads where base VMMC
@@ -36,16 +33,9 @@ from repro.faults.campaign import (
     LANAI_STALL,
     LINK_DOWN,
     LINK_ERROR_BURST,
-    MergedFaultStats,
     PhaseAnchor,
     SWITCH_PORT_DOWN,
     phase,
-    union_ns,
-)
-from repro.faults.orchestrator import (
-    CampaignConflictError,
-    CampaignSet,
-    Conflict,
 )
 from repro.faults.injector import FaultInjector, PhaseSchedule
 
@@ -53,9 +43,6 @@ __all__ = [
     "DAEMON_COLD_CRASH",
     "DAEMON_CRASH",
     "FAULT_KINDS",
-    "CampaignConflictError",
-    "CampaignSet",
-    "Conflict",
     "FaultCampaign",
     "FaultEvent",
     "FaultInjector",
@@ -63,10 +50,8 @@ __all__ = [
     "LANAI_STALL",
     "LINK_DOWN",
     "LINK_ERROR_BURST",
-    "MergedFaultStats",
     "PhaseAnchor",
     "PhaseSchedule",
     "SWITCH_PORT_DOWN",
     "phase",
-    "union_ns",
 ]

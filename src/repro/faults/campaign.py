@@ -175,16 +175,6 @@ class FaultCampaign:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def horizon_ns(self) -> int:
-        """Time by which every scheduled fault has been raised *and*
-        cleared (permanent faults count only their raise time)."""
-        horizon = 0
-        for event in self.events:
-            end = event.at_ns + (event.duration_ns or 0)
-            horizon = max(horizon, end)
-        return horizon
-
     def shifted(self, offset_ns: int) -> "FaultCampaign":
         """A copy with every event delayed by ``offset_ns`` — campaigns
         are authored relative to t=0 and shifted to the workload's start
@@ -232,25 +222,6 @@ class FaultCampaign:
         return cls(name=name, events=tuple(events), seed=seed)
 
 
-def union_ns(intervals: Iterable[tuple[int, int]]) -> int:
-    """Total length of the union of half-open ``(start, end)`` intervals —
-    overlapping stretches are counted **once**.  Used by
-    :meth:`FaultStats.merge` so a target double-faulted by two campaigns
-    is not charged twice for the overlap."""
-    total = 0
-    cur_start = cur_end = None
-    for start, end in sorted(intervals):
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
-
-
 @dataclass
 class FaultStats:
     """Aggregate counters filled in by the injector, queryable after a run.
@@ -267,16 +238,19 @@ class FaultStats:
     faults_cleared: int = 0
     #: kind → number of raises.
     by_kind: dict[str, int] = field(default_factory=dict)
-    #: target → total ns spent faulted.  Cleared faults are charged their
+    #: target → total ns spent faulted, summed over raises: each fault is
+    #: charged its own span, so two overlapping faults on one target both
+    #: count the overlap.  Cleared faults are charged their
     #: raise-to-clear span; **permanent** faults (``duration_ns=None``)
     #: are charged ``now - raised_at`` when :meth:`finalize` is called at
     #: run end (the injector finalizes at campaign completion; callers may
     #: re-finalize later to extend the charge to the true end of the
     #: measurement window).
     fault_ns_by_target: dict[str, int] = field(default_factory=dict)
-    #: target → list of (raised_at, charged_until) fault intervals, in
-    #: clear order; the raw material for :meth:`merge`'s overlap-once
-    #: accounting.  Open (permanent) faults appear after finalize().
+    #: target → list of (raised_at, charged_until) fault intervals, one
+    #: per raise, in clear order; overlapping faults on one target show
+    #: as overlapping intervals.  Open (permanent) faults appear after
+    #: finalize().
     intervals_by_target: dict[str, list[tuple[int, int]]] = \
         field(default_factory=dict)
     #: (kind, target, at_ns) log of raises, in raise order.
@@ -327,9 +301,8 @@ class FaultStats:
     def finalize(self, now: int) -> "FaultStats":
         """Charge every still-open (permanent) fault up to ``now`` —
         without this, permanent faults would never appear in
-        ``fault_ns_by_target`` and merged goodput-vs-fault-time tables
-        would be skewed.  Idempotent and extendable: calling again with a
-        later clock re-charges only the new span."""
+        ``fault_ns_by_target``.  Idempotent and extendable: calling again
+        with a later clock re-charges only the new span."""
         for entry in self._open:
             kind, target, raised_at, prev = entry
             until = max(now, prev[1] if prev else raised_at)
@@ -357,89 +330,5 @@ class FaultStats:
             "intervals_by_target":
                 {target: list(intervals) for target, intervals
                  in sorted(self.intervals_by_target.items())},
-            "log": list(self.log),
-        }
-
-    @staticmethod
-    def merge(parts: Iterable["FaultStats"]) -> "MergedFaultStats":
-        """Canonical cross-campaign aggregate of several campaigns' stats.
-
-        Per-campaign sub-stats are preserved untouched (sorted by
-        ``(campaign, seed)``); counters and ``by_kind`` are summed; the
-        merged ``fault_ns_by_target`` is the **union** of every
-        campaign's fault intervals per target, so a stretch of time in
-        which two campaigns both held the same target faulted is counted
-        once (``overlap_ns_by_target`` reports the double-covered time
-        that was deduplicated).  Campaign names must be unique.
-        """
-        ordered = tuple(sorted(parts, key=lambda s: (s.campaign, s.seed)))
-        names = [s.campaign for s in ordered]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate campaign names in merge: {names}")
-        by_kind: dict[str, int] = {}
-        intervals: dict[str, list[tuple[int, int]]] = {}
-        for stats in ordered:
-            for kind, n in stats.by_kind.items():
-                by_kind[kind] = by_kind.get(kind, 0) + n
-            for target, spans in stats.intervals_by_target.items():
-                intervals.setdefault(target, []).extend(spans)
-        fault_ns = {target: union_ns(spans)
-                    for target, spans in intervals.items()}
-        overlap = {
-            target: sum(end - start for start, end in spans)
-            - fault_ns[target]
-            for target, spans in intervals.items()}
-        log = sorted(
-            ((at, stats.campaign, kind, target)
-             for stats in ordered
-             for kind, target, at in stats.log))
-        return MergedFaultStats(
-            campaigns=ordered,
-            faults_raised=sum(s.faults_raised for s in ordered),
-            faults_cleared=sum(s.faults_cleared for s in ordered),
-            by_kind=by_kind,
-            fault_ns_by_target=fault_ns,
-            overlap_ns_by_target=overlap,
-            log=log)
-
-
-@dataclass(frozen=True)
-class MergedFaultStats:
-    """Cross-campaign aggregate produced by :meth:`FaultStats.merge`.
-
-    ``fault_ns_by_target`` counts overlapped intervals **once** per
-    target; ``overlap_ns_by_target`` is the deduplicated double-coverage
-    (sum-of-spans minus union), i.e. how long ≥2 campaigns held the same
-    target simultaneously.  The per-campaign :class:`FaultStats` survive
-    untouched in ``campaigns``.
-    """
-
-    campaigns: tuple[FaultStats, ...]
-    faults_raised: int
-    faults_cleared: int
-    by_kind: dict[str, int]
-    fault_ns_by_target: dict[str, int]
-    overlap_ns_by_target: dict[str, int]
-    #: (at_ns, campaign, kind, target) raises across all campaigns,
-    #: sorted — a single reproducible timeline.
-    log: list[tuple[int, str, str, str]]
-
-    def stats_for(self, campaign: str) -> FaultStats:
-        for stats in self.campaigns:
-            if stats.campaign == campaign:
-                return stats
-        raise KeyError(f"no campaign named {campaign!r} in merge")
-
-    def as_dict(self) -> dict[str, Any]:
-        """Canonical, comparable form (determinism assertions)."""
-        return {
-            "campaigns": [s.as_dict() for s in self.campaigns],
-            "faults_raised": self.faults_raised,
-            "faults_cleared": self.faults_cleared,
-            "by_kind": dict(sorted(self.by_kind.items())),
-            "fault_ns_by_target":
-                dict(sorted(self.fault_ns_by_target.items())),
-            "overlap_ns_by_target":
-                dict(sorted(self.overlap_ns_by_target.items())),
             "log": list(self.log),
         }

@@ -16,21 +16,16 @@ The injector touches only public fault hooks:
 so it composes with any workload that runs on the same cluster — the chaos
 benchmark runs VMMC traffic while the injector pulls cables out.
 
-Campaigns compose too: :meth:`FaultInjector.run_all` drives a whole
-:class:`~repro.faults.orchestrator.CampaignSet` concurrently.  Overlapping
-raises on one target stack in the hardware hooks (down-depth counters,
-error-rate stacks, crash nesting — the target stays faulted until the
-*last* clear), incompatible raises are serialized (or, when one is
-permanent, rejected) by the set's conflict guard before anything runs,
-and the per-campaign
-:class:`FaultStats` are preserved in :attr:`FaultInjector.stats_by_campaign`
-while the ``run_all`` process's value is the canonical
-:class:`~repro.faults.campaign.MergedFaultStats` aggregate.
+Faults compose in those hooks, not in the schedule.  A composed scenario
+is one campaign whose events overlap: raises on one target stack
+(link down-depth, the error-rate stack, switch per-port down counts,
+daemon crash nesting with cold dominating warm), so the target stays
+faulted until the *last* clear.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from repro.sim import Environment, Process
 from repro.sim.trace import emit
@@ -41,13 +36,11 @@ from repro.faults.campaign import (
     FaultCampaign,
     FaultEvent,
     FaultStats,
-    MergedFaultStats,
     LANAI_STALL,
     LINK_DOWN,
     LINK_ERROR_BURST,
     SWITCH_PORT_DOWN,
 )
-from repro.faults.orchestrator import CampaignSet
 
 
 class PhaseSchedule:
@@ -94,15 +87,9 @@ class FaultInjector:
         self.cluster = cluster
         self.env: Environment = cluster.env
         #: Stats of the most recently *started* campaign.  With several
-        #: campaigns in flight this reference moves — use
-        #: :attr:`stats_by_campaign` (or the run process's value) for
-        #: anything multi-campaign.
+        #: campaigns in flight this reference moves — each :meth:`run`
+        #: process's value is its own campaign's stats.
         self.stats: Optional[FaultStats] = None
-        #: campaign name → its :class:`FaultStats`; one entry per
-        #: :meth:`run` call, never clobbered by later campaigns.
-        self.stats_by_campaign: dict[str, FaultStats] = {}
-        #: The last :meth:`run_all` aggregate (set when it completes).
-        self.merged_stats: Optional[MergedFaultStats] = None
 
     # -- target resolution ---------------------------------------------------
     def _node(self, name: str):
@@ -179,8 +166,8 @@ class FaultInjector:
         campaign with anchored events but no schedule is refused up front
         (the event would otherwise wait forever).
 
-        The campaign's stats live in ``stats_by_campaign[campaign.name]``
-        from the moment this returns; at campaign end they are
+        The campaign's stats are :attr:`stats` from the moment this
+        returns (until the next :meth:`run`); at campaign end they are
         :meth:`~FaultStats.finalize` d so permanent faults are charged up
         to the campaign's completion time (re-finalize with a later clock
         to extend the charge to a longer measurement window)."""
@@ -192,7 +179,6 @@ class FaultInjector:
                 f"PhaseSchedule was given")
         stats = FaultStats(campaign=campaign.name, seed=campaign.seed)
         self.stats = stats
-        self.stats_by_campaign[campaign.name] = stats
         count(self.env, "faults.campaigns")
 
         def drive_one(event: FaultEvent):
@@ -236,39 +222,3 @@ class FaultInjector:
 
         return self.env.process(drive_all(),
                                 name=f"faults.campaign.{campaign.name}")
-
-    def run_all(self,
-                campaigns: Union[CampaignSet, Iterable[FaultCampaign]],
-                phases: Optional[PhaseSchedule] = None) -> Process:
-        """Process: drive several campaigns **concurrently**; value is the
-        canonical :class:`MergedFaultStats` aggregate (also stored in
-        :attr:`merged_stats` at completion).
-
-        ``campaigns`` is a :class:`CampaignSet` or any iterable of
-        campaigns (wrapped in one).  The set's conflict guard runs
-        *before* anything is scheduled: serialized shifts are emitted as
-        ``fault.set.conflict`` trace points and counted in
-        ``faults.conflicts{action}``; rejections raise :class:`~repro.faults.orchestrator.CampaignConflictError`
-        synchronously, so a bad schedule never half-runs.
-        """
-        cset = (campaigns if isinstance(campaigns, CampaignSet)
-                else CampaignSet.of(campaigns))
-        plan, conflicts = cset.resolve()
-        for conflict in conflicts:
-            count(self.env, "faults.conflicts", action=conflict.action)
-            emit(self.env, "fault.set.conflict", **conflict.as_dict())
-        emit(self.env, "fault.set.start", campaigns=len(plan),
-             conflicts=len(conflicts))
-
-        def drive_set():
-            procs = [self.run(campaign, phases=phases) for campaign in plan]
-            parts = []
-            for proc in procs:
-                parts.append((yield proc))
-            merged = FaultStats.merge(parts)
-            self.merged_stats = merged
-            emit(self.env, "fault.set.done", campaigns=len(plan),
-                 faults_raised=merged.faults_raised)
-            return merged
-
-        return self.env.process(drive_set(), name="faults.set")

@@ -19,10 +19,9 @@ Fault hooks (used by :mod:`repro.faults`):
   would arrive while the link is down are lost in the fabric (the worm is
   truncated; downstream hardware sees nothing and the sender is not told —
   exactly the failure VMMC's base layer cannot survive).  Down state is
-  **depth-counted** so overlapping faults from concurrent campaigns
-  compose: every ``set_down`` increments the depth, every ``set_up``
-  decrements it, and the cable only carries traffic again at depth 0
-  (the *last* clear wins).
+  **depth-counted** so overlapping faults compose: every ``set_down``
+  increments the depth, every ``set_up`` decrements it, and the cable
+  only carries traffic again at depth 0 (the *last* clear wins).
 * :meth:`set_error_rate` / :meth:`clear_error_rate` — a temporary
   per-packet corruption-probability override modelling a clustered
   bit-error burst.  Overrides form a **stack**: each ``set_error_rate``

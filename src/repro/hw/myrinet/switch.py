@@ -50,7 +50,7 @@ class Switch:
         self._out_links: list[Optional[Link]] = [None] * nports
         self._out_ports = [Resource(env, capacity=1) for _ in range(nports)]
         #: port → number of outstanding down-faults (absent == up).
-        #: Depth-counted so overlapping campaigns compose: the port only
+        #: Depth-counted so overlapping faults compose: the port only
         #: forwards again once every overlapping fault has cleared.
         self._down_ports: dict[int, int] = {}
         self.packets_forwarded = 0

@@ -31,14 +31,11 @@ from repro.vmmc.api import VMMCEndpoint
 from repro.vmmc.errors import RetriesExhausted
 from repro.vmmc.reliable import ReliableError, open_channel
 from repro.rpc.sunrpc import (
-    PROC_UNAVAIL,
-    RPCError,
     RPCProgram,
-    SUCCESS,
-    decode_call,
+    check_reply,
     decode_reply,
     encode_call,
-    encode_reply,
+    serve_call,
 )
 from repro.rpc.vrpc import STUB_FIXED_NS, THIN_LAYER_NS
 from repro.rpc.xdr import XdrError
@@ -70,20 +67,10 @@ class ReliableRPCServer:
         while True:
             request = yield self.receiver.recv()
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
-            try:
-                xid, prog, vers, proc, args = decode_call(bytes(request))
-            except XdrError:
+            reply = yield from serve_call(self.env, self.program,
+                                          bytes(request))
+            if reply is None:
                 continue
-            handler = (self.program.lookup(proc)
-                       if (prog, vers) == (self.program.number,
-                                           self.program.version) else None)
-            if handler is None:
-                reply = encode_reply(xid, PROC_UNAVAIL)
-            else:
-                result = handler(args)
-                if hasattr(result, "__next__"):
-                    result = yield self.env.process(result)
-                reply = encode_reply(xid, SUCCESS, result)
             self.calls_served += 1
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
             # Replies pipeline through the channel window; blocking the
@@ -158,12 +145,7 @@ class ReliableRPCClient:
                 self._pending.pop(xid, None)
                 raise
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
-            reply_xid, status, dec = decode_reply(raw)
-            if reply_xid != xid:
-                raise RPCError("xid mismatch")
-            if status != SUCCESS:
-                raise RPCError(f"status {status}")
-            return dec
+            return check_reply(raw, xid)
 
         return self.env.process(run(), name=f"rrpc.call.{self.name}")
 

@@ -109,6 +109,37 @@ def marshal_time_ns(nbytes: int) -> int:
     return MARSHAL_FIXED_NS + (nbytes * MARSHAL_NS_PER_KB) // 1000
 
 
+def serve_call(env: Environment, program: RPCProgram, request: bytes):
+    """Generator: the server dispatch every transport shares — decode
+    the call, check program and version, run the handler (a generator
+    handler runs as a process) and encode the reply.  Its value is the
+    reply record, or ``None`` for a request that does not decode."""
+    try:
+        xid, prog, vers, proc, args = decode_call(request)
+    except XdrError:
+        return None
+    handler = (program.lookup(proc)
+               if (prog, vers) == (program.number, program.version)
+               else None)
+    if handler is None:
+        return encode_reply(xid, PROC_UNAVAIL)
+    result = handler(args)
+    if hasattr(result, "__next__"):
+        result = yield env.process(result)
+    return encode_reply(xid, SUCCESS, result)
+
+
+def check_reply(data: bytes, xid: int) -> XdrDecoder:
+    """The reply to call ``xid``'s result decoder; raises
+    :class:`RPCError` on a mismatched xid or a non-SUCCESS status."""
+    reply_xid, status, dec = decode_reply(data)
+    if reply_xid != xid:
+        raise RPCError("xid mismatch")
+    if status != SUCCESS:
+        raise RPCError(f"status {status}")
+    return dec
+
+
 class SunRPCServer:
     """The stock server loop on one node's UDP endpoint."""
 
@@ -127,20 +158,9 @@ class SunRPCServer:
             datagram = yield self.ether.receive(self.address)
             request = datagram.payload
             yield self.env.timeout(marshal_time_ns(len(request)))
-            try:
-                xid, prog, vers, proc, args = decode_call(request)
-            except XdrError:
+            reply = yield from serve_call(self.env, self.program, request)
+            if reply is None:
                 continue
-            handler = (self.program.lookup(proc)
-                       if (prog, vers) == (self.program.number,
-                                           self.program.version) else None)
-            if handler is None:
-                reply = encode_reply(xid, PROC_UNAVAIL)
-            else:
-                result = handler(args)
-                if hasattr(result, "__next__"):
-                    result = yield self.env.process(result)
-                reply = encode_reply(xid, SUCCESS, result)
             self.calls_served += 1
             yield self.env.timeout(marshal_time_ns(len(reply)))
             yield self.ether.send(self.address, datagram.src, reply,

@@ -35,20 +35,9 @@ import itertools
 
 import numpy as np
 
-from repro.sim import Environment
 from repro.mem.buffers import UserBuffer
 from repro.vmmc.api import VMMCEndpoint
-from repro.rpc.sunrpc import (
-    PROC_UNAVAIL,
-    RPCError,
-    RPCProgram,
-    SUCCESS,
-    decode_call,
-    decode_reply,
-    encode_call,
-    encode_reply,
-)
-from repro.rpc.xdr import XdrDecoder, XdrError
+from repro.rpc.sunrpc import RPCProgram, check_reply, encode_call, serve_call
 
 #: The collapsed runtime layer: per-message fixed cost on each side
 #: (dispatch, xid bookkeeping, null-auth processing).
@@ -180,21 +169,10 @@ class VRPCServer:
         while True:
             request = yield channel.await_record(seq)
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
-            try:
-                xid, prog, vers, proc, args = decode_call(request)
-            except XdrError:
+            reply = yield from serve_call(self.env, self.program, request)
+            if reply is None:
                 seq += 1
                 continue
-            handler = (self.program.lookup(proc)
-                       if (prog, vers) == (self.program.number,
-                                           self.program.version) else None)
-            if handler is None:
-                reply = encode_reply(xid, PROC_UNAVAIL)
-            else:
-                result = handler(args)
-                if hasattr(result, "__next__"):
-                    result = yield self.env.process(result)
-                reply = encode_reply(xid, SUCCESS, result)
             self.calls_served += 1
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
             yield channel.deposit(seq, reply)
@@ -227,11 +205,6 @@ class VRPCClient:
             yield self.channel.deposit(seq, request, bulk, bulk_nbytes)
             reply = yield self.channel.await_record(seq)
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
-            reply_xid, status, dec = decode_reply(reply)
-            if reply_xid != xid:
-                raise RPCError("xid mismatch")
-            if status != SUCCESS:
-                raise RPCError(f"status {status}")
-            return dec
+            return check_reply(reply, xid)
 
         return self.env.process(run(), name="vrpc.call")

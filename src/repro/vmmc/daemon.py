@@ -117,7 +117,7 @@ class VMMCDaemon:
         self._started = False
         self._crashed = False
         #: Number of overlapping crash-faults currently holding the
-        #: daemon down (0 == alive).  Concurrent campaigns nest.
+        #: daemon down (0 == alive).  Overlapping crash faults nest.
         self._crash_depth = 0
         #: A deferred restart asked for ``cold=True`` — cold dominates
         #: warm, so the eventual restart (depth → 0) is cold.
@@ -172,7 +172,7 @@ class VMMCDaemon:
 
         Crashes **nest**: each call stacks one crash-fault, and the daemon
         only comes back up when :meth:`restart` has been called once per
-        crash (concurrent fault campaigns compose instead of clobbering
+        crash (overlapping crash faults compose instead of clobbering
         each other's state)."""
         self._crash_depth += 1
         self._crashed = True
@@ -193,7 +193,7 @@ class VMMCDaemon:
         teardown, export re-registration from the attached libraries, and
         an invalidate broadcast that turns peer imports stale.
 
-        With nested crashes (overlapping campaigns) each ``restart``
+        With nested crashes (overlapping faults) each ``restart``
         releases one crash-fault; the daemon actually restarts only when
         the last one is released, and **cold dominates warm** — if *any*
         overlapping fault asked for a cold restart, the eventual restart

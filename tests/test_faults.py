@@ -43,14 +43,13 @@ def test_fault_event_kind_specific_requirements():
         FaultEvent(at_ns=0, kind=LINK_ERROR_BURST, target="node0->sw0")
 
 
-def test_campaign_sorts_events_and_computes_horizon():
+def test_campaign_sorts_events():
     late = FaultEvent(at_ns=900, kind=LINK_DOWN, target="a", duration_ns=50)
     early = FaultEvent(at_ns=100, kind=DAEMON_CRASH, target="node0",
                        duration_ns=2000)
     campaign = FaultCampaign.of("c", [late, early])
     assert [e.at_ns for e in campaign] == [100, 900]
     assert len(campaign) == 2
-    assert campaign.horizon_ns == 2100  # crash raised at 100, cleared 2100
 
 
 def test_random_link_bursts_deterministic_per_seed():
@@ -346,7 +345,8 @@ def test_injector_overlapping_bursts_one_link_no_early_clear():
 # -------------------------------- injector stats bookkeeping (satellite)
 def test_injector_second_campaign_does_not_clobber_first_stats():
     """Regression: run() used to overwrite `injector.stats`, so a second
-    campaign clobbered the first's reference mid-run."""
+    campaign clobbered the first's reference mid-run.  Each run
+    process's value is its own campaign's stats."""
     cluster = small_cluster()
     env = cluster.env
     injector = FaultInjector(cluster)
@@ -357,16 +357,17 @@ def test_injector_second_campaign_does_not_clobber_first_stats():
         FaultEvent(at_ns=1_500, kind=LINK_DOWN, target="sw0->node1",
                    duration_ns=2_000)])
     done_first = injector.run(first)
-    stats_first = injector.stats_by_campaign["first"]
-    done_second = injector.run(second)      # would have clobbered .stats
-    env.run(until=done_first)
-    env.run(until=done_second)
-    assert injector.stats_by_campaign["first"] is stats_first
+    stats_first = injector.stats
+    done_second = injector.run(second)      # moves .stats to the second
+    assert injector.stats is not stats_first
+    assert env.run(until=done_first) is stats_first
+    stats_second = env.run(until=done_second)
     assert stats_first.campaign == "first"
     assert stats_first.by_kind == {LINK_ERROR_BURST: 1}
-    assert injector.stats_by_campaign["second"].by_kind == {LINK_DOWN: 1}
-    # Process values carry the same objects.
-    assert done_first.value is stats_first
+    assert stats_first.fault_ns_by_target == {"node0->sw0": 2_000}
+    assert stats_second.campaign == "second"
+    assert stats_second.by_kind == {LINK_DOWN: 1}
+    assert stats_second.fault_ns_by_target == {"sw0->node1": 2_000}
 
 
 def test_permanent_fault_charged_by_finalize():
@@ -382,9 +383,7 @@ def test_permanent_fault_charged_by_finalize():
                    duration_ns=9_500, params={"rate": 0.5}),
     ]).shifted(t0)
     injector = FaultInjector(cluster)
-    done = injector.run(campaign)
-    env.run(until=done)                     # campaign ends at t0 + 10_500
-    stats = injector.stats_by_campaign["cut"]
+    stats = env.run(until=injector.run(campaign))  # ends at t0 + 10_500
     assert stats.finalized_at == t0 + 10_500
     assert stats.fault_ns_by_target["sw0->node1"] == 10_000
     assert stats.open_faults == 1

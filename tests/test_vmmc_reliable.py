@@ -429,8 +429,10 @@ def test_chaos_experiment_contract():
     cell: seeded chaos is deterministic."""
     from repro.bench.chaos import run_cold_crash_point, run_error_burst_trial
 
-    # A seeded burst campaign, twice: same faults, same report.
-    first, again = run_error_burst_trial(7), run_error_burst_trial(7)
+    # A seeded burst campaign, twice: same faults, same report.  (Seed 7's
+    # bursts all fall after its 60 messages are delivered; seed 0's hit
+    # the stream.)
+    first, again = run_error_burst_trial(0), run_error_burst_trial(0)
     assert first == again
     assert first["fault_stats"]["faults_raised"] > 0
     assert first["crc_drops"] > 0
