@@ -8,9 +8,8 @@ hardware.  The other drivers run reliable traffic *under one seeded
 fault campaign* (error bursts, daemon cold crashes, or overlapping
 bursts and LANai stalls) to demonstrate that chaos here is
 deterministic: same seed, same drops, same retransmit counts, byte for
-byte.  Every campaign is authored from t=0 and shifted to the moment
-the channel is up, so each fault fires at workload start + its
-authored offset.
+byte.  Every campaign is started the moment the channel is up, so each
+fault fires at workload start + its offset.
 
 Used by the ``chaos`` and ``lossy-link`` campaigns
 (:mod:`repro.campaign.trials`; ``python -m repro chaos`` is an alias of
@@ -146,13 +145,13 @@ def _reliable_transfer(error_rate: float, messages: int, size: int,
     issue ``messages`` patterned payloads up front (the AIMD window
     pipelines them), drain, audit.
 
-    ``campaign`` is authored from t=0; it is shifted to the moment the
-    channel is up, before the workload clock starts, and awaited after
-    the last delivery and before the drain.  Returns ``(point, evidence,
-    tx, rx, cluster, fault_stats)``: ``evidence`` is the invariant probe
-    plus both ends' raw stat dicts (what :func:`check_trial_invariants`
-    reads), ``fault_stats`` the campaign's :class:`FaultStats` (None
-    without a campaign)."""
+    ``campaign`` is started the moment the channel is up, before the
+    workload clock starts (its event offsets count from there), and
+    awaited after the last delivery and before the drain.  Returns
+    ``(point, evidence, tx, rx, cluster, fault_stats)``: ``evidence`` is
+    the invariant probe plus both ends' raw stat dicts (what
+    :func:`check_trial_invariants` reads), ``fault_stats`` the campaign's
+    :class:`FaultStats` (None without a campaign)."""
     cluster = _two_node_cluster(error_rate)
     env = cluster.env
     _, ep_tx = cluster.nodes[0].attach_process("chaos_tx")
@@ -161,7 +160,7 @@ def _reliable_transfer(error_rate: float, messages: int, size: int,
         ep_tx, ep_rx, "chaos", slot_bytes=HEADER_BYTES + size))
     probe = _attach_probe(tx)
     faults_done = (None if campaign is None else
-                   FaultInjector(cluster).run(campaign.shifted(env.now)))
+                   FaultInjector(cluster).run(campaign))
 
     def receiver():
         got = []

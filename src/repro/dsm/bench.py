@@ -7,10 +7,10 @@ One trial = one cluster, one seed, one chaos scenario:
   whole page space, values unique per (rank, op);
 * **drain** — barrier, protocol tails settle.
 
-Rank 0 announces the phases on a
-:class:`~repro.faults.injector.PhaseSchedule`, so chaos campaigns are
-authored campaign-relative (``phase("mixed") + 20us``) and land inside
-the phase they target regardless of how long wiring and warmup took.
+Rank 0 records when each phase starts and starts the chaos campaign as
+it enters the mixed phase, so fault times are offsets from ``run()``
+(the start of the mixed phase) and land inside it regardless of how
+long wiring and warmup took.
 
 Every op is recorded with its commit time and the whole run is fed to
 :func:`~repro.dsm.checker.check_sequential_consistency`; the report
@@ -28,8 +28,7 @@ import random
 from repro.cluster import Cluster, TestbedConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.faults import (DAEMON_COLD_CRASH, FaultCampaign, FaultEvent,
-                          FaultInjector, LINK_ERROR_BURST, PhaseSchedule,
-                          phase)
+                          FaultInjector, LINK_ERROR_BURST)
 from repro.dsm.checker import check_sequential_consistency
 from repro.dsm.sync import build_dsm_world
 
@@ -48,8 +47,9 @@ def _pct(values: list[int], q: float) -> int:
 
 
 def _campaign_for(scenario: str, seed: int, nnodes: int):
-    """The scenario's fault schedule, anchored to the mixed phase.  The
-    victim node is seeded, so the sweep exercises different corners."""
+    """The scenario's fault schedule, as offsets from the start of the
+    mixed phase.  The victim node is seeded, so the sweep exercises
+    different corners."""
     if scenario == "clean":
         return None
     rng = random.Random(seed * 9176 + 13)
@@ -57,7 +57,7 @@ def _campaign_for(scenario: str, seed: int, nnodes: int):
     if scenario == "error-burst":
         events = []
         for burst in range(2):
-            start = phase("mixed") + (15_000 + 90_000 * burst)
+            start = 15_000 + 90_000 * burst
             for link in (f"node{victim}->sw0", f"sw0->node{victim}"):
                 events.append(FaultEvent(
                     at_ns=start, kind=LINK_ERROR_BURST, target=link,
@@ -68,7 +68,7 @@ def _campaign_for(scenario: str, seed: int, nnodes: int):
         return FaultCampaign(
             name=f"dsm-coldcrash-s{seed}", seed=seed,
             events=(FaultEvent(
-                at_ns=phase("mixed") + 25_000, kind=DAEMON_COLD_CRASH,
+                at_ns=25_000, kind=DAEMON_COLD_CRASH,
                 target=f"node{victim}", duration_ns=250_000),))
     raise ValueError(f"unknown scenario {scenario!r} "
                      f"(have: {', '.join(SCENARIOS)})")
@@ -83,13 +83,13 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
     MetricsRegistry().install(env)
     segments = build_dsm_world(cluster, npages=npages,
                                page_bytes=page_bytes)
-    schedule = PhaseSchedule(env)
-    injector = FaultInjector(cluster)
+    # phase name → ns at which rank 0 entered it.
+    phases: dict[str, int] = {}
     campaign = _campaign_for(scenario, seed, nnodes)
-    fault_proc = (injector.run(campaign, phases=schedule)
-                  if campaign is not None else None)
+    fault_proc = None
 
     def app(rank: int):
+        nonlocal fault_proc
         segment = segments[rank]
         node = segment.node
         writes = 0
@@ -100,13 +100,15 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
             return rank * 1_000_000 + writes
 
         if rank == 0:
-            schedule.enter("warmup")
+            phases["warmup"] = env.now
         for page in range(npages):
             if page % nnodes == rank:
                 yield from node.write_u32(page, 0, next_value())
         yield from segment.barrier()
         if rank == 0:
-            schedule.enter("mixed")
+            phases["mixed"] = env.now
+            if campaign is not None:
+                fault_proc = FaultInjector(cluster).run(campaign)
         rng = random.Random(seed * 1_000_003 + rank * 7919)
         for _ in range(ops_per_node):
             page = rng.randrange(npages)
@@ -117,7 +119,7 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
                 yield from node.write_u32(page, offset, next_value())
         yield from segment.barrier()
         if rank == 0:
-            schedule.enter("drain")
+            phases["drain"] = env.now
 
     apps = [env.process(app(rank), name=f"dsm.app{rank}")
             for rank in range(nnodes)]
@@ -125,10 +127,8 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
         env.run(until=proc)
     elapsed_ns = env.now
     # Active window, wiring excluded — the denominator for rates.
-    workload_ns = (schedule.started_at["drain"]
-                   - schedule.started_at["warmup"])
-    if fault_proc is not None:
-        env.run(until=fault_proc)
+    workload_ns = phases["drain"] - phases["warmup"]
+    fault_stats = None if fault_proc is None else env.run(until=fault_proc)
 
     nodes = [segment.node for segment in segments]
     for node in nodes:
@@ -177,10 +177,9 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
                                     for s in senders + receivers),
             "credit_reacks": sum(s.acks_resent for s in receivers),
         },
-        "phases": dict(sorted(schedule.started_at.items())),
+        "phases": dict(sorted(phases.items())),
         "sc_violations": violations,
-        "faults": (injector.stats.as_dict()
-                   if campaign is not None else None),
+        "faults": None if fault_stats is None else fault_stats.as_dict(),
     }
     return report
 

@@ -10,7 +10,9 @@ deterministic chaos harness over the simulated cluster:
   LANai stalls, daemon crash+restart.
 * :class:`FaultInjector` — runs a campaign as simulation processes against
   a booted :class:`~repro.cluster.cluster.Cluster`, emitting
-  ``fault.<kind>.raise`` / ``fault.<kind>.clear`` trace points.  A
+  ``fault.<kind>.raise`` / ``fault.<kind>.clear`` trace points.  Event
+  times are offsets from ``run()``: a workload starts its campaign the
+  moment it wants the campaign's clock to start.  A
   composed fault is one campaign whose events overlap: raises on one
   target stack in the hardware and daemon hooks, and the target stays
   faulted until the last clear.
@@ -33,11 +35,9 @@ from repro.faults.campaign import (
     LANAI_STALL,
     LINK_DOWN,
     LINK_ERROR_BURST,
-    PhaseAnchor,
     SWITCH_PORT_DOWN,
-    phase,
 )
-from repro.faults.injector import FaultInjector, PhaseSchedule
+from repro.faults.injector import FaultInjector
 
 __all__ = [
     "DAEMON_COLD_CRASH",
@@ -50,8 +50,5 @@ __all__ = [
     "LANAI_STALL",
     "LINK_DOWN",
     "LINK_ERROR_BURST",
-    "PhaseAnchor",
-    "PhaseSchedule",
     "SWITCH_PORT_DOWN",
-    "phase",
 ]

@@ -17,9 +17,8 @@ keep.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -39,41 +38,6 @@ FAULT_KINDS = frozenset({
     DAEMON_CRASH,
     DAEMON_COLD_CRASH,
 })
-
-
-@dataclass(frozen=True)
-class PhaseAnchor:
-    """A point in time relative to a *named workload phase* instead of the
-    absolute clock: ``phase("warmup") + 10_000`` is 10 µs after the
-    workload announces the start of its ``warmup`` phase.
-
-    Campaigns authored against phases survive workload-timing changes
-    (cluster boot got slower, a barrier moved) that would silently shift
-    absolute-ns campaigns off their intended target — the carry-over the
-    DSM bench needed, where "crash the daemon mid-write-storm" is a
-    statement about the ``mixed`` phase, not about nanosecond 2_400_000.
-    """
-
-    phase: str
-    offset_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.phase:
-            raise ValueError("phase anchor needs a phase name")
-        if self.offset_ns < 0:
-            raise ValueError(
-                f"negative offset {self.offset_ns} from phase "
-                f"{self.phase!r}")
-
-    def __add__(self, extra_ns: int) -> "PhaseAnchor":
-        return PhaseAnchor(self.phase, self.offset_ns + int(extra_ns))
-
-    __radd__ = __add__
-
-
-def phase(name: str, offset_ns: int = 0) -> PhaseAnchor:
-    """Author a :class:`FaultEvent` time as ``phase("mixed") + 50_000``."""
-    return PhaseAnchor(name, offset_ns)
 
 
 @dataclass(frozen=True)
@@ -111,27 +75,19 @@ class FaultEvent:
     cleared (a permanent failure for the rest of the run).  For
     ``lanai_stall`` the duration *is* the fault, so it must be given.
 
-    ``at_ns`` may be a :class:`PhaseAnchor` (``phase("warmup") + 10_000``)
-    instead of an absolute time: the anchor's phase name lands in
-    :attr:`phase` and its offset in :attr:`at_ns`, and the injector fires
-    the event ``at_ns`` after the workload's
-    :class:`~repro.faults.injector.PhaseSchedule` enters that phase.
-    Phase-relative events are immune to :meth:`FaultCampaign.shifted`
-    (they are already relative to a moving origin).
+    ``at_ns`` is an offset from the moment the campaign is started
+    (:meth:`~repro.faults.injector.FaultInjector.run`), never an absolute
+    clock value, so a campaign means the same thing whenever the workload
+    starts it.
     """
 
-    at_ns: Union[int, "PhaseAnchor"]
+    at_ns: int
     kind: str
     target: str
     duration_ns: Optional[int] = None
     params: dict[str, Any] = field(default_factory=dict)
-    #: Workload phase this event is anchored to (``None`` = absolute ns).
-    phase: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.at_ns, PhaseAnchor):
-            object.__setattr__(self, "phase", self.at_ns.phase)
-            object.__setattr__(self, "at_ns", self.at_ns.offset_ns)
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(must be one of {sorted(FAULT_KINDS)})")
@@ -141,17 +97,20 @@ class FaultEvent:
             raise ValueError(f"negative fault duration {self.duration_ns}")
         if self.kind == LANAI_STALL and self.duration_ns is None:
             raise ValueError("lanai_stall requires a duration")
-        if self.kind == LINK_ERROR_BURST and "rate" not in self.params:
-            raise ValueError("link_error_burst requires params['rate']")
+        if self.kind == LINK_ERROR_BURST:
+            if "rate" not in self.params:
+                raise ValueError("link_error_burst requires params['rate']")
+            if not 0.0 <= self.params["rate"] <= 1.0:
+                raise ValueError(
+                    f"error rate {self.params['rate']} outside [0, 1]")
 
     @property
     def sort_key(self) -> tuple:
-        """A **total** ordering key: ``(phase, at_ns, kind, target)`` ties
-        are broken by duration (permanent faults last) and a canonical
-        params repr, so same-seed campaigns sort bit-identically
-        regardless of the order the events were constructed in.
-        Absolute events (empty phase) sort before phase-anchored ones."""
-        return (self.phase or "", self.at_ns, self.kind, self.target,
+        """A **total** ordering key: ``(at_ns, kind, target)`` ties are
+        broken by duration (permanent faults last) and a canonical params
+        repr, so same-seed campaigns sort bit-identically regardless of
+        the order the events were constructed in."""
+        return (self.at_ns, self.kind, self.target,
                 self.duration_ns is None, self.duration_ns or 0,
                 repr(sorted(self.params.items(), key=lambda kv: kv[0])))
 
@@ -174,24 +133,6 @@ class FaultCampaign:
 
     def __iter__(self):
         return iter(self.events)
-
-    def shifted(self, offset_ns: int) -> "FaultCampaign":
-        """A copy with every event delayed by ``offset_ns`` — campaigns
-        are authored relative to t=0 and shifted to the workload's start
-        time at run time (events scheduled in the past would otherwise
-        all fire immediately, collapsing their relative timing).
-
-        Phase-anchored events are left untouched: their origin is the
-        phase start, which moves with the workload by construction."""
-        if offset_ns == 0:
-            return self
-        return FaultCampaign(
-            name=self.name,
-            events=tuple(e if e.phase is not None
-                         else dataclasses.replace(e, at_ns=e.at_ns
-                                                  + offset_ns)
-                         for e in self.events),
-            seed=self.seed)
 
     # -- builders -------------------------------------------------------------
     @classmethod
@@ -242,10 +183,8 @@ class FaultStats:
     #: charged its own span, so two overlapping faults on one target both
     #: count the overlap.  Cleared faults are charged their
     #: raise-to-clear span; **permanent** faults (``duration_ns=None``)
-    #: are charged ``now - raised_at`` when :meth:`finalize` is called at
-    #: run end (the injector finalizes at campaign completion; callers may
-    #: re-finalize later to extend the charge to the true end of the
-    #: measurement window).
+    #: are charged ``now - raised_at`` by :meth:`finalize`, which the
+    #: injector calls once, when the campaign completes.
     fault_ns_by_target: dict[str, int] = field(default_factory=dict)
     #: target → list of (raised_at, charged_until) fault intervals, one
     #: per raise, in clear order; overlapping faults on one target show
@@ -255,58 +194,38 @@ class FaultStats:
         field(default_factory=dict)
     #: (kind, target, at_ns) log of raises, in raise order.
     log: list[tuple[str, str, int]] = field(default_factory=list)
-    #: Clock value of the last finalize() (None: never finalized).
+    #: Clock value of finalize() (None: not finalized yet).
     finalized_at: Optional[int] = None
-    #: Still-open raises: mutable [kind, target, raised_at,
-    #: charged_interval-or-None] entries (internal bookkeeping).
-    _open: list[list] = field(default_factory=list, repr=False,
-                              compare=False)
+    #: Still-open raises as (kind, target, raised_at) (internal
+    #: bookkeeping).
+    _open: list[tuple[str, str, int]] = field(default_factory=list,
+                                              repr=False, compare=False)
 
     def record_raise(self, event: FaultEvent, now: int) -> None:
         self.faults_raised += 1
         self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
         self.log.append((event.kind, event.target, now))
-        self._open.append([event.kind, event.target, now, None])
+        self._open.append((event.kind, event.target, now))
 
-    def _pop_open(self, kind: str, target: str, raised_at: int):
-        for i, entry in enumerate(self._open):
-            if entry[0] == kind and entry[1] == target \
-                    and entry[2] == raised_at:
-                return self._open.pop(i)
-        return None
-
-    def _charge(self, target: str, raised_at: int, until: int,
-                prev: Optional[tuple[int, int]]) -> tuple[int, int]:
-        """Extend ``target``'s fault interval ``(raised_at, …)`` to
-        ``until``, charging only the not-yet-charged span."""
-        already = (prev[1] - prev[0]) if prev else 0
+    def _charge(self, target: str, raised_at: int, until: int) -> None:
+        """Charge ``target`` the fault interval ``(raised_at, until)``."""
         self.fault_ns_by_target[target] = \
-            self.fault_ns_by_target.get(target, 0) \
-            + (until - raised_at) - already
-        intervals = self.intervals_by_target.setdefault(target, [])
-        interval = (raised_at, until)
-        if prev is None:
-            intervals.append(interval)
-        else:
-            intervals[intervals.index(prev)] = interval
-        return interval
+            self.fault_ns_by_target.get(target, 0) + (until - raised_at)
+        self.intervals_by_target.setdefault(target, []).append(
+            (raised_at, until))
 
     def record_clear(self, event: FaultEvent, raised_at: int,
                      now: int) -> None:
         self.faults_cleared += 1
-        entry = self._pop_open(event.kind, event.target, raised_at)
-        self._charge(event.target, raised_at, now,
-                     entry[3] if entry else None)
+        self._open.remove((event.kind, event.target, raised_at))
+        self._charge(event.target, raised_at, now)
 
     def finalize(self, now: int) -> "FaultStats":
         """Charge every still-open (permanent) fault up to ``now`` —
         without this, permanent faults would never appear in
-        ``fault_ns_by_target``.  Idempotent and extendable: calling again
-        with a later clock re-charges only the new span."""
-        for entry in self._open:
-            kind, target, raised_at, prev = entry
-            until = max(now, prev[1] if prev else raised_at)
-            entry[3] = self._charge(target, raised_at, until, prev)
+        ``fault_ns_by_target``."""
+        for _kind, target, raised_at in self._open:
+            self._charge(target, raised_at, now)
         self.finalized_at = now
         return self
 

@@ -28,8 +28,7 @@ Fault hooks (used by :mod:`repro.faults`):
   pushes an entry and returns a token; the effective rate is the most
   recently pushed entry (*last-wins*, documented contract), and clearing
   by token removes only that entry, so two overlapping bursts keep the
-  link faulted until the last one clears.  ``clear_error_rate()`` with no
-  token empties the whole stack (the legacy single-override behaviour).
+  link faulted until the last one clears.
 """
 
 from __future__ import annotations
@@ -152,15 +151,11 @@ class Link:
              depth=len(self._error_stack))
         return token
 
-    def clear_error_rate(self, token: Optional[int] = None) -> None:
+    def clear_error_rate(self, token: int) -> None:
         """Remove the override identified by ``token`` (idempotent: an
-        unknown token is a no-op).  Without a token the whole stack is
-        emptied — the legacy 'return to baseline' behaviour."""
-        if token is None:
-            self._error_stack.clear()
-        else:
-            self._error_stack = [entry for entry in self._error_stack
-                                 if entry[0] != token]
+        unknown token is a no-op)."""
+        self._error_stack = [entry for entry in self._error_stack
+                             if entry[0] != token]
         emit(self.env, f"{self.name}.error_clear",
              depth=len(self._error_stack))
 

@@ -12,8 +12,9 @@ One trial = one cluster, one seed, one chaos scenario:
   the driver never waits for the service), end-to-end latency =
   completion − scheduled arrival, recorded into :mod:`repro.obs`
   histograms end-to-end and per shard;
-* chaos scenarios anchor fault windows to the replay phase on a
-  :class:`~repro.faults.injector.PhaseSchedule`: ``error-burst`` drops
+* chaos scenarios start their campaign as the replay begins, so fault
+  windows are offsets from ``run()`` (the start of replay):
+  ``error-burst`` drops
   every frame on the victim shard's links twice mid-replay,
   ``daemon-cold-crash`` cold-restarts the victim shard's daemon;
 * after the run every GET is checked against the static
@@ -30,8 +31,7 @@ import random
 from repro.cluster import Cluster, TestbedConfig
 from repro.obs.metrics import MetricsRegistry, count, observe, quantile_key
 from repro.faults import (DAEMON_COLD_CRASH, FaultCampaign, FaultEvent,
-                          FaultInjector, LINK_ERROR_BURST, PhaseSchedule,
-                          phase)
+                          FaultInjector, LINK_ERROR_BURST)
 from repro.kv.hashing import HashRing
 from repro.kv.store import (KVStore, PROC_GET, PROC_PUT, decode_get_reply,
                             decode_put_reply, encode_get_args,
@@ -57,7 +57,7 @@ _CLIENTS_PER_FRONTEND = 6
 
 def _campaign_for(scenario: str, seed: int, cluster: Cluster,
                   shard_nodes: list[str], span_ns: int):
-    """The scenario's fault schedule, anchored to the replay phase.
+    """The scenario's fault schedule, as offsets from the start of replay.
 
     The victim shard is seeded; fault windows scale with the replay
     span so they land mid-workload for any request count.  Link names
@@ -74,7 +74,7 @@ def _campaign_for(scenario: str, seed: int, cluster: Cluster,
         for start in (span_ns // 8, span_ns // 2):
             for link in cluster.fabric.links_of(victim):
                 events.append(FaultEvent(
-                    at_ns=phase("replay") + start, kind=LINK_ERROR_BURST,
+                    at_ns=start, kind=LINK_ERROR_BURST,
                     target=link.name, duration_ns=burst_ns,
                     params={"rate": 1.0}))
         return FaultCampaign(name=f"kv-burst-s{seed}", seed=seed,
@@ -83,7 +83,7 @@ def _campaign_for(scenario: str, seed: int, cluster: Cluster,
         return FaultCampaign(
             name=f"kv-coldcrash-s{seed}", seed=seed,
             events=(FaultEvent(
-                at_ns=phase("replay") + span_ns // 4,
+                at_ns=span_ns // 4,
                 kind=DAEMON_COLD_CRASH, target=victim,
                 duration_ns=_CRASH_OUTAGE_NS),))
     raise ValueError(f"unknown scenario {scenario!r} "
@@ -128,11 +128,10 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
     ring = HashRing(shard_nodes)
     shard_of = {req.index: ring.route(req.key) for req in schedule_reqs}
 
-    phases = PhaseSchedule(env)
-    injector = FaultInjector(cluster)
+    # phase name → ns at which the driver entered it.
+    phases: dict[str, int] = {}
     campaign = _campaign_for(scenario, seed, cluster, shard_nodes, span_ns)
-    fault_proc = (injector.run(campaign, phases=phases)
-                  if campaign is not None else None)
+    fault_proc = None
 
     stores = {name: KVStore(name) for name in shard_nodes}
     clients: dict[str, object] = {}
@@ -184,8 +183,11 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
         # Open-loop replay: wire the tier, then fire every request at
         # its scheduled arrival (rebased past wiring) without ever
         # waiting for the service.
+        nonlocal fault_proc
         yield env.process(wire())
-        phases.enter("replay")
+        phases["replay"] = env.now
+        if campaign is not None:
+            fault_proc = FaultInjector(cluster).run(campaign)
         t0 = env.now
         pending = []
         for req in schedule_reqs:
@@ -197,13 +199,12 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
                                        name=f"kv.req{req.index}"))
         for proc in pending:
             yield proc
-        phases.enter("drain")
+        phases["drain"] = env.now
 
     env.run(until=env.process(driver(), name="kv.driver"))
     elapsed_ns = env.now
-    workload_ns = phases.started_at["drain"] - phases.started_at["replay"]
-    if fault_proc is not None:
-        env.run(until=fault_proc)
+    workload_ns = phases["drain"] - phases["replay"]
+    fault_stats = None if fault_proc is None else env.run(until=fault_proc)
 
     shard_counts = {name: 0 for name in shard_nodes}
     for shard in shard_of.values():
@@ -259,9 +260,8 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
         "transport": transport,
         "ryw_violations": ryw_violations[:10],
         "ryw_violations_total": len(ryw_violations),
-        "phases": dict(sorted(phases.started_at.items())),
-        "faults": (injector.stats.as_dict()
-                   if campaign is not None else None),
+        "phases": dict(sorted(phases.items())),
+        "faults": None if fault_stats is None else fault_stats.as_dict(),
     }
     return report
 

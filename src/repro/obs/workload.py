@@ -35,7 +35,6 @@ def run_contract_workload() -> tuple[Tracer, MetricsRegistry]:
         LANAI_STALL,
         LINK_DOWN,
         LINK_ERROR_BURST,
-        PhaseSchedule,
         SWITCH_PORT_DOWN,
     )
     from repro.vmmc.reliable import open_channel
@@ -71,7 +70,7 @@ def run_contract_workload() -> tuple[Tracer, MetricsRegistry]:
         yield sender.send(b"clean run")
         yield recv
         burst = FaultCampaign.of("obs_burst", [
-            FaultEvent(at_ns=env.now, kind=LINK_ERROR_BURST,
+            FaultEvent(at_ns=0, kind=LINK_ERROR_BURST,
                        target="node0->sw0", duration_ns=200_000,
                        params={"rate": 1.0}),
         ])
@@ -96,13 +95,13 @@ def run_contract_workload() -> tuple[Tracer, MetricsRegistry]:
         # -- hardware fault sweep with traffic in flight ------------------
         t0 = env.now
         sweep = FaultCampaign.of("obs_sweep", [
-            FaultEvent(at_ns=t0, kind=LINK_DOWN,
+            FaultEvent(at_ns=0, kind=LINK_DOWN,
                        target="sw0->node1", duration_ns=150_000),
-            FaultEvent(at_ns=t0 + 200_000, kind=SWITCH_PORT_DOWN,
+            FaultEvent(at_ns=200_000, kind=SWITCH_PORT_DOWN,
                        target="sw0:1", duration_ns=150_000),
-            FaultEvent(at_ns=t0 + 400_000, kind=LANAI_STALL,
+            FaultEvent(at_ns=400_000, kind=LANAI_STALL,
                        target="node0", duration_ns=20_000),
-            FaultEvent(at_ns=t0 + 500_000, kind=DAEMON_CRASH,
+            FaultEvent(at_ns=500_000, kind=DAEMON_CRASH,
                        target="node1", duration_ns=500_000),
         ])
         driving = injector.run(sweep)
@@ -127,10 +126,8 @@ def run_contract_workload() -> tuple[Tracer, MetricsRegistry]:
         # A two-rank shared segment: rank 0 allocates and writes (home
         # page, local hit), rank 1 read-faults the page in (fetch), then
         # write-faults it (invalidating rank 0's copy) — touching every
-        # `dsm.*` e2e trace point plus the phase announcement.
+        # `dsm.*` e2e trace point.
         segments = yield wire_dsm_world(cluster, npages=8, page_bytes=128)
-        schedule = PhaseSchedule(env)
-        schedule.enter("dsm")
         shared: dict = {}
 
         def dsm_rank0():

@@ -1,8 +1,7 @@
 """Tests for the DSM subsystem (repro.dsm) and its supporting pieces:
 the directory state machine, the wire codec, the SC checker itself,
-phase-anchored fault scheduling, barriers and locks on the coherence
-mesh, and the seeded multi-node coherence sweep (clean and under chaos
-campaigns)."""
+barriers and locks on the coherence mesh, and the seeded multi-node
+coherence sweep (clean and under chaos campaigns)."""
 
 import json
 
@@ -20,16 +19,6 @@ from repro.dsm import (
 )
 from repro.dsm import wire
 from repro.dsm.directory import DOWNGRADE, FLUSH, INVALIDATE, PUSH
-from repro.faults import (
-    DAEMON_COLD_CRASH,
-    FaultCampaign,
-    FaultEvent,
-    FaultInjector,
-    LANAI_STALL,
-    PhaseAnchor,
-    PhaseSchedule,
-    phase,
-)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -172,69 +161,6 @@ def test_checker_catches_program_order_and_interval_violations():
 
 
 # ---------------------------------------------------------------------------
-# phase-anchored fault scheduling (campaign-relative sugar)
-# ---------------------------------------------------------------------------
-
-def test_phase_anchor_arithmetic_and_coercion():
-    anchor = phase("mixed") + 10_000
-    assert isinstance(anchor, PhaseAnchor)
-    assert anchor.phase == "mixed" and anchor.offset_ns == 10_000
-    assert (5_000 + phase("mixed")).offset_ns == 5_000
-    event = FaultEvent(at_ns=anchor, kind=LANAI_STALL, target="node0",
-                       duration_ns=1_000)
-    assert event.phase == "mixed" and event.at_ns == 10_000
-    absolute = FaultEvent(at_ns=500, kind=LANAI_STALL, target="node0",
-                          duration_ns=1_000)
-    assert absolute.phase is None
-    # shifted() moves absolute events only — anchors are already relative.
-    campaign = FaultCampaign(name="c", events=(event, absolute))
-    shifted = campaign.shifted(100)
-    by_phase = {e.phase: e for e in shifted}
-    assert by_phase["mixed"].at_ns == 10_000
-    assert by_phase[None].at_ns == 600
-
-
-def test_injector_refuses_anchored_campaign_without_schedule():
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=16))
-    injector = FaultInjector(cluster)
-    campaign = FaultCampaign(name="anchored", events=(
-        FaultEvent(at_ns=phase("mixed"), kind=LANAI_STALL,
-                   target="node0", duration_ns=1_000),))
-    with pytest.raises(ValueError, match="PhaseSchedule"):
-        injector.run(campaign)
-
-
-def test_anchored_event_fires_at_phase_entry_plus_offset():
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=16))
-    env = cluster.env
-    schedule = PhaseSchedule(env)
-    injector = FaultInjector(cluster)
-    campaign = FaultCampaign(name="anchored", events=(
-        FaultEvent(at_ns=phase("mixed") + 2_000, kind=LANAI_STALL,
-                   target="node0", duration_ns=500),))
-    run = injector.run(campaign, phases=schedule)
-
-    def workload():
-        yield env.timeout(7_000)
-        schedule.enter("mixed")
-
-    env.process(workload())
-    stats = env.run(until=run)
-    entered_at = schedule.started_at["mixed"]
-    assert stats.faults_raised == 1
-    # raise at entry + offset, clear after the stall duration
-    assert env.now == entered_at + 2_000 + 500
-
-
-def test_phase_schedule_rejects_double_entry():
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=16))
-    schedule = PhaseSchedule(cluster.env)
-    schedule.enter("warmup")
-    with pytest.raises(ValueError, match="entered twice"):
-        schedule.enter("warmup")
-
-
-# ---------------------------------------------------------------------------
 # barriers and locks on the coherence mesh
 # ---------------------------------------------------------------------------
 
@@ -367,6 +293,10 @@ def test_dsm_cold_crash_triggers_lifecycle_downgrade():
     report = run_dsm_trial(2, scenario="daemon-cold-crash")
     assert report["sc_violations"] == []
     assert report["faults"]["faults_raised"] == 1
+    # The campaign starts with the mixed phase: the crash fires at its
+    # offset from that moment.
+    [(_kind, _node, raised_at)] = report["faults"]["log"]
+    assert raised_at == report["phases"]["mixed"] + 25_000
     # The crashed daemon's import invalidations reached the DSM layer
     # and pages were conservatively dropped, then re-fetched cleanly.
     assert report["counters"]["downgrades"] > 0

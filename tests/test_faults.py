@@ -3,6 +3,7 @@ the injector's end-to-end drive, and the CRC-drop path of the base
 protocol (section 4.2: detected, counted, dropped — never recovered)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, TestbedConfig
 from repro.faults import (
@@ -41,6 +42,13 @@ def test_fault_event_kind_specific_requirements():
         FaultEvent(at_ns=0, kind=LANAI_STALL, target="node0")
     with pytest.raises(ValueError, match=r"params\['rate'\]"):
         FaultEvent(at_ns=0, kind=LINK_ERROR_BURST, target="node0->sw0")
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.5])
+def test_fault_event_rejects_rate_outside_unit_interval(rate):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        FaultEvent(at_ns=0, kind=LINK_ERROR_BURST, target="node0->sw0",
+                   duration_ns=1_000, params={"rate": rate})
 
 
 def test_campaign_sorts_events():
@@ -192,9 +200,8 @@ def test_injector_drives_burst_and_clears_it():
     done = injector.run(campaign)
     env.run(until=env.now + 2_000)
     assert link.effective_error_rate == pytest.approx(0.9)
-    env.run(until=done)
+    stats = env.run(until=done)
     assert link.effective_error_rate == 0.0
-    stats = injector.stats
     assert stats.faults_raised == 1
     assert stats.faults_cleared == 1
     assert stats.by_kind == {LINK_ERROR_BURST: 1}
@@ -227,10 +234,8 @@ def test_injector_mixed_campaign_stats_are_deterministic():
             FaultEvent(at_ns=3_000, kind=DAEMON_CRASH, target="node0",
                        duration_ns=2_000),
         ], seed=11)
-        injector = FaultInjector(cluster)
-        done = injector.run(campaign)
-        cluster.env.run(until=done)
-        return injector.stats.as_dict()
+        done = FaultInjector(cluster).run(campaign)
+        return cluster.env.run(until=done).as_dict()
 
     first, second = run_once(), run_once()
     assert first == second
@@ -259,16 +264,6 @@ def test_overlapping_error_bursts_last_clear_wins():
     # Unknown token is an idempotent no-op.
     link.clear_error_rate(tok_b)
     assert link.effective_error_rate == 0.0
-
-
-def test_bare_clear_error_rate_empties_stack():
-    cluster = small_cluster()
-    link = cluster.fabric.find_link("node0->sw0")
-    link.set_error_rate(0.9)
-    link.set_error_rate(0.5)
-    link.clear_error_rate()                 # legacy: back to baseline
-    assert link.effective_error_rate == 0.0
-    assert link.error_burst_depth == 0
 
 
 def test_overlapping_link_down_depth_counted():
@@ -322,6 +317,7 @@ def test_injector_overlapping_bursts_one_link_no_early_clear():
     clear and only return to baseline at B's clear."""
     cluster = small_cluster()
     env = cluster.env
+    t0 = env.now
     link = cluster.fabric.find_link("node0->sw0")
     campaign = FaultCampaign.of("overlap", [
         FaultEvent(at_ns=1_000, kind=LINK_ERROR_BURST, target="node0->sw0",
@@ -330,11 +326,11 @@ def test_injector_overlapping_bursts_one_link_no_early_clear():
                    duration_ns=5_000, params={"rate": 0.5}),
     ])
     done = FaultInjector(cluster).run(campaign)
-    env.run(until=2_000)
+    env.run(until=t0 + 2_000)
     assert link.effective_error_rate == pytest.approx(0.9)
-    env.run(until=5_000)                    # both active: last-wins
+    env.run(until=t0 + 5_000)               # both active: last-wins
     assert link.effective_error_rate == pytest.approx(0.5)
-    env.run(until=7_000)                    # A cleared at 6000, B alive
+    env.run(until=t0 + 7_000)               # A cleared at 6000, B alive
     assert link.effective_error_rate == pytest.approx(0.5)
     assert link.error_burst_depth == 1
     env.run(until=done)                     # B cleared at 9000
@@ -342,11 +338,76 @@ def test_injector_overlapping_bursts_one_link_no_early_clear():
     assert link.error_burst_depth == 0
 
 
+# ------------------------------------------------------ the campaign clock
+@pytest.mark.parametrize("kind, target, error", [
+    (LINK_DOWN, "node0->sw9", KeyError),
+    (SWITCH_PORT_DOWN, "sw9:0", KeyError),
+    (SWITCH_PORT_DOWN, "sw0:px", ValueError),
+    (DAEMON_CRASH, "node7", KeyError),
+])
+def test_bad_target_raises_at_run_before_anything_is_scheduled(
+        kind, target, error):
+    """A typo in a target fails at run(), not when its event fires after
+    the workload has run: nothing is queued, not even the good events."""
+    cluster = small_cluster()
+    env = cluster.env
+    now, queued = env.now, len(env._queue)
+    campaign = FaultCampaign.of("typo", [
+        FaultEvent(at_ns=1_000, kind=LINK_DOWN, target="node0->sw0",
+                   duration_ns=1_000),
+        FaultEvent(at_ns=5_000_000, kind=kind, target=target,
+                   duration_ns=1_000),
+    ])
+    with pytest.raises(error):
+        FaultInjector(cluster).run(campaign)
+    assert (env.now, len(env._queue)) == (now, queued)
+    assert cluster.fabric.find_link("node0->sw0").is_up
+
+
+_CLOCK_TARGETS = {
+    LINK_ERROR_BURST: ["node0->sw0", "sw0->node1"],
+    SWITCH_PORT_DOWN: ["sw0:0", "sw0:1"],
+    LANAI_STALL: ["node0", "node1"],
+}
+
+
+@st.composite
+def _clock_events(draw):
+    kind = draw(st.sampled_from(sorted(_CLOCK_TARGETS)))
+    return FaultEvent(
+        at_ns=draw(st.integers(0, 40_000)), kind=kind,
+        target=draw(st.sampled_from(_CLOCK_TARGETS[kind])),
+        duration_ns=draw(st.integers(1, 20_000)),
+        params={"rate": 0.5} if kind == LINK_ERROR_BURST else {})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_clock_events(), min_size=1, max_size=6),
+       st.integers(0, 3_000_000))
+def test_campaign_clock_starts_at_run(events, wait_ns):
+    """However late a campaign is started, each event is raised at
+    start + at_ns and charged (start + at_ns, start + at_ns +
+    duration_ns), and the campaign is finalized at its last clear."""
+    cluster = small_cluster()
+    env = cluster.env
+    env.run(until=env.now + wait_ns)
+    start = env.now
+    campaign = FaultCampaign.of("clock", events)
+    stats = env.run(until=FaultInjector(cluster).run(campaign))
+    assert sorted(stats.log) == sorted(
+        (e.kind, e.target, start + e.at_ns) for e in events)
+    for target in {e.target for e in events}:
+        assert sorted(stats.intervals_by_target[target]) == sorted(
+            (start + e.at_ns, start + e.at_ns + e.duration_ns)
+            for e in events if e.target == target)
+    assert stats.finalized_at == start + max(e.at_ns + e.duration_ns
+                                             for e in events)
+
+
 # -------------------------------- injector stats bookkeeping (satellite)
 def test_injector_second_campaign_does_not_clobber_first_stats():
-    """Regression: run() used to overwrite `injector.stats`, so a second
-    campaign clobbered the first's reference mid-run.  Each run
-    process's value is its own campaign's stats."""
+    """Two campaigns in flight on one injector: each run process's value
+    is its own campaign's stats."""
     cluster = small_cluster()
     env = cluster.env
     injector = FaultInjector(cluster)
@@ -357,10 +418,8 @@ def test_injector_second_campaign_does_not_clobber_first_stats():
         FaultEvent(at_ns=1_500, kind=LINK_DOWN, target="sw0->node1",
                    duration_ns=2_000)])
     done_first = injector.run(first)
-    stats_first = injector.stats
-    done_second = injector.run(second)      # moves .stats to the second
-    assert injector.stats is not stats_first
-    assert env.run(until=done_first) is stats_first
+    done_second = injector.run(second)
+    stats_first = env.run(until=done_first)
     stats_second = env.run(until=done_second)
     assert stats_first.campaign == "first"
     assert stats_first.by_kind == {LINK_ERROR_BURST: 1}
@@ -372,8 +431,8 @@ def test_injector_second_campaign_does_not_clobber_first_stats():
 
 def test_permanent_fault_charged_by_finalize():
     """Regression: permanent faults (duration_ns=None) never appeared in
-    fault_ns_by_target; finalize(now) charges run_end - raised_at, and
-    re-finalizing later extends the charge."""
+    fault_ns_by_target; the injector's finalize at campaign end charges
+    campaign_end - raised_at."""
     cluster = small_cluster()
     env = cluster.env
     t0 = env.now                            # build boots the cluster
@@ -381,18 +440,14 @@ def test_permanent_fault_charged_by_finalize():
         FaultEvent(at_ns=500, kind=LINK_DOWN, target="sw0->node1"),
         FaultEvent(at_ns=1_000, kind=LINK_ERROR_BURST, target="node0->sw0",
                    duration_ns=9_500, params={"rate": 0.5}),
-    ]).shifted(t0)
+    ])
     injector = FaultInjector(cluster)
     stats = env.run(until=injector.run(campaign))  # ends at t0 + 10_500
     assert stats.finalized_at == t0 + 10_500
     assert stats.fault_ns_by_target["sw0->node1"] == 10_000
-    assert stats.open_faults == 1
-    env.run(until=t0 + 20_000)
-    stats.finalize(env.now)                 # extend to measurement end
-    assert stats.fault_ns_by_target["sw0->node1"] == 19_500
     assert stats.intervals_by_target["sw0->node1"] == [(t0 + 500,
-                                                        t0 + 20_000)]
-    # The timed burst is unaffected by finalize.
+                                                        t0 + 10_500)]
+    assert stats.open_faults == 1
     assert stats.fault_ns_by_target["node0->sw0"] == 9_500
 
 

@@ -4,8 +4,8 @@ Overlapping faults compose in the hardware and daemon hooks, not in the
 schedule: a composed scenario is one campaign whose events overlap (or
 several campaigns run side by side), and a target stays faulted until
 its *last* clear.  Overlapping daemon crashes nest, and cold dominates
-warm; the chaos scenarios place every fault at workload start + its
-authored offset.
+warm; a campaign's event times are offsets from ``FaultInjector.run()``,
+so the chaos scenarios place every fault at workload start + its offset.
 """
 
 import json
@@ -30,13 +30,12 @@ def small_cluster(**overrides):
 
 
 # ------------------------------------------------ daemon crashes, composed
-def _crashes(t0, *crashes):
-    """One campaign of ``(kind, node, at_ns, duration_ns)`` crashes,
-    shifted to ``t0``."""
+def _crashes(*crashes):
+    """One campaign of ``(kind, node, at_ns, duration_ns)`` crashes."""
     return FaultCampaign.of("crashes", [
         FaultEvent(at_ns=at_ns, kind=kind, target=node,
                    duration_ns=duration_ns)
-        for kind, node, at_ns, duration_ns in crashes]).shifted(t0)
+        for kind, node, at_ns, duration_ns in crashes])
 
 
 def _counter(registry, name, node):
@@ -57,7 +56,7 @@ def test_warm_and_cold_crash_on_one_node_restart_once_cold(first, second):
     t0 = env.now
     daemon = cluster.nodes[1].daemon
     epoch = daemon.epoch
-    campaign = _crashes(t0, (first, "node1", 1_000, 2_000),    # [1000, 3000)
+    campaign = _crashes((first, "node1", 1_000, 2_000),        # [1000, 3000)
                         (second, "node1", 2_000, 2_000))       # [2000, 4000)
     done = FaultInjector(cluster).run(campaign)
     env.run(until=t0 + 2_500)
@@ -85,7 +84,7 @@ def test_permanent_crash_holds_the_daemon_past_an_overlapping_cold_crash():
     env = cluster.env
     t0 = env.now
     daemon = cluster.nodes[1].daemon
-    campaign = _crashes(t0, (DAEMON_CRASH, "node1", 1_000, None),
+    campaign = _crashes((DAEMON_CRASH, "node1", 1_000, None),
                         (DAEMON_COLD_CRASH, "node1", 5_000, 1_000))
     stats = env.run(until=FaultInjector(cluster).run(campaign))
     env.run(until=t0 + 10_000)
@@ -104,7 +103,7 @@ def test_same_kind_crashes_compose_without_conflict():
     t0 = env.now
     daemon = cluster.nodes[1].daemon
     epoch = daemon.epoch
-    campaign = _crashes(t0, (DAEMON_CRASH, "node1", 1_000, 2_000),
+    campaign = _crashes((DAEMON_CRASH, "node1", 1_000, 2_000),
                         (DAEMON_CRASH, "node1", 2_000, 2_000))
     done = FaultInjector(cluster).run(campaign)
     env.run(until=t0 + 3_500)
@@ -124,7 +123,7 @@ def test_incompatible_on_different_nodes_is_fine():
     registry = MetricsRegistry().install(env)
     t0 = env.now
     warm, cold = cluster.nodes[0].daemon, cluster.nodes[1].daemon
-    campaign = _crashes(t0, (DAEMON_CRASH, "node0", 1_000, 2_000),
+    campaign = _crashes((DAEMON_CRASH, "node0", 1_000, 2_000),
                         (DAEMON_COLD_CRASH, "node1", 2_000, 2_000))
     done = FaultInjector(cluster).run(campaign)
     env.run(until=t0 + 3_500)
@@ -148,10 +147,10 @@ def test_concurrent_campaigns_overlapping_link_down_no_early_clear():
     link = cluster.fabric.find_link("sw0->node1")
     a = FaultCampaign.of("a", [
         FaultEvent(at_ns=1_000, kind=LINK_DOWN, target="sw0->node1",
-                   duration_ns=4_000)], seed=1).shifted(t0)   # [1000, 5000)
+                   duration_ns=4_000)], seed=1)   # [1000, 5000)
     b = FaultCampaign.of("b", [
         FaultEvent(at_ns=3_000, kind=LINK_DOWN, target="sw0->node1",
-                   duration_ns=5_000)], seed=2).shifted(t0)   # [3000, 8000)
+                   duration_ns=5_000)], seed=2)   # [3000, 8000)
     injector = FaultInjector(cluster)
     done_a, done_b = injector.run(a), injector.run(b)
     env.run(until=t0 + 4_000)
@@ -168,22 +167,22 @@ def test_concurrent_campaigns_overlapping_link_down_no_early_clear():
 def test_disjoint_targets_match_solo_runs():
     """With disjoint targets, each campaign's stats from a side-by-side
     run equal its stats from a solo run on a fresh cluster."""
-    def campaigns(t0):
+    def campaigns():
         a = FaultCampaign.of("bursts", [
             FaultEvent(at_ns=1_000, kind=LINK_ERROR_BURST,
                        target="node0->sw0", duration_ns=2_000,
                        params={"rate": 0.4}),
             FaultEvent(at_ns=5_000, kind=LINK_ERROR_BURST,
                        target="node0->sw0", duration_ns=1_000,
-                       params={"rate": 0.7})], seed=1).shifted(t0)
+                       params={"rate": 0.7})], seed=1)
         b = FaultCampaign.of("flaps", [
             FaultEvent(at_ns=2_000, kind=LINK_DOWN, target="sw0->node1",
-                       duration_ns=3_000)], seed=2).shifted(t0)
+                       duration_ns=3_000)], seed=2)
         return a, b
 
     together = small_cluster()
     inj = FaultInjector(together)
-    procs = [inj.run(c) for c in campaigns(together.env.now)]
+    procs = [inj.run(c) for c in campaigns()]
     concurrent = {}
     for proc in procs:
         stats = together.env.run(until=proc)
@@ -192,7 +191,7 @@ def test_disjoint_targets_match_solo_runs():
     solo = {}
     for pick in (0, 1):
         cluster = small_cluster()
-        campaign = campaigns(cluster.env.now)[pick]
+        campaign = campaigns()[pick]
         injector = FaultInjector(cluster)
         stats = cluster.env.run(until=injector.run(campaign))
         solo[campaign.name] = stats.as_dict()
@@ -219,10 +218,10 @@ def test_multi_campaign_trial_bit_identical_across_reruns():
 
 
 def test_chaos_faults_fire_at_workload_start_plus_authored_offset():
-    """Every chaos scenario shifts its campaign, authored from t=0, to the
-    moment the channel is up: each raise lands at that one start + its
-    authored offset.  (Error bursts drawn before the channel opened
-    used to fire together the moment it did.)"""
+    """Every chaos scenario starts its campaign the moment the channel is
+    up: each raise lands at that one start + its offset.  (Error bursts
+    drawn before the channel opened used to fire together the moment it
+    did.)"""
     from repro.bench import chaos
 
     scenarios = (

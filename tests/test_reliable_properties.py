@@ -22,6 +22,12 @@ and assert the protocol invariants hold on **every** run:
    ``ReliableStats`` on both ends, the same fault stats, and the same
    end-of-stream timestamp.
 
+The schedule is started the moment the channel is up, so every fault
+lands at that moment + its authored offset (checked on every run).  The
+sender offers one message every ``SEND_GAP_NS``, so the 16–20 message
+stream spans the schedule's 20 µs–2.5 ms window and the faults land
+mid-stream.
+
 The schedule *generator* uses ``numpy``'s seeded Generator (test-side
 only); the protocol itself is RNG-free, which is exactly why (5) can be
 asserted.
@@ -60,6 +66,8 @@ GEOMETRIES = [
 SEEDS = range(56)          # >= 50-seed sweep (acceptance floor)
 PAYLOAD = 200
 DRAIN_NS = 5_000_000
+#: Open-loop gap between the sender's messages.
+SEND_GAP_NS = 150_000
 
 
 def _pattern(index: int) -> bytes:
@@ -151,8 +159,9 @@ def run_case(seed: int, messages: int | None = None,
     tx, rx = env.run(until=open_channel(ep_tx, ep_rx, "prop", **geometry))
     log = _instrument(tx)
 
-    injector = FaultInjector(cluster)
-    campaign_done = injector.run(build_schedule(seed))
+    up_ns = env.now
+    schedule = build_schedule(seed)
+    campaign_done = FaultInjector(cluster).run(schedule)
 
     got: list[bytes] = []
     end = {}
@@ -168,15 +177,24 @@ def run_case(seed: int, messages: int | None = None,
         rx.recv()
 
     def sender():
-        sends = [tx.send(_pattern(i)) for i in range(messages)]
+        sends = []
+        for i in range(messages):
+            if i:
+                yield env.timeout(SEND_GAP_NS)
+            sends.append(tx.send(_pattern(i)))
         for proc in sends:
             yield proc
 
     rx_proc = env.process(receiver())
     env.process(sender())
     env.run(until=rx_proc)
-    env.run(until=campaign_done)
+    fault_stats = env.run(until=campaign_done)
     env.run(until=env.now + DRAIN_NS)
+
+    # -- the schedule ran on the channel's clock -------------------------
+    assert sorted(fault_stats.log) == sorted(
+        (e.kind, e.target, up_ns + e.at_ns) for e in schedule), (
+        f"seed {seed}: a fault fired off its authored offset")
 
     # -- invariant 1: exactly-once, in-order, byte-exact ---------------
     assert len(got) == messages
@@ -204,7 +222,7 @@ def run_case(seed: int, messages: int | None = None,
         "digest": digest,
         "tx_stats": tx.stats.as_dict(),
         "rx_stats": rx.stats.as_dict(),
-        "fault_stats": injector.stats.as_dict(),
+        "fault_stats": fault_stats.as_dict(),
     }
 
 
