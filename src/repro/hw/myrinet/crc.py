@@ -16,9 +16,14 @@ this polynomial), so the masks repeat with that period and bytes one
 period apart contribute alike: a long buffer is first XOR-folded, in one
 numpy reduce, onto its first period plus the ragged tail.
 
-This is the link pipeline's hot path (every packet is sealed and
-checked); the shift register itself lives in the tests, as the oracle
-this form is held to.
+The same table gives a flip's *syndrome*: flipping bit *j* of the byte
+*d* places from the end changes the CRC by ``T^(d+1)[1 << j]``
+(:func:`flip_syndrome`), one column of the power table the masks are
+read from.  A packet keeps the XOR of its flips' syndromes and checks
+that, so :func:`crc8` is no longer on the per-packet path: it is the
+oracle the syndrome is held to and what derives a packet's wire CRC on
+demand.  The shift register itself lives in the tests, as the oracle
+this form is held to in turn.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ _POLY = 0x07
 _SMALL_PERIODS = 4
 
 
-def _build_masks() -> tuple[int, list[int]]:
-    """The period of ``T`` and the eight masks, ``_SMALL_PERIODS`` periods
-    long, as big-endian ints (lowest byte = last message byte)."""
+def _build_masks() -> tuple[list[list[int]], list[int]]:
+    """The powers of ``T`` over one period and the eight masks,
+    ``_SMALL_PERIODS`` periods long, as big-endian ints (lowest byte =
+    last message byte)."""
     step = []
     for crc in range(256):
         for _ in range(8):
@@ -51,11 +57,19 @@ def _build_masks() -> tuple[int, list[int]]:
         row = bytes(sum((column[j] >> o & 1) << j for j in range(8))
                     for column in reversed(powers))
         masks.append(int.from_bytes(row * _SMALL_PERIODS, "big"))
-    return len(powers), masks
+    return powers, masks
 
 
-_PERIOD, _MASKS = _build_masks()
+_POWERS, _MASKS = _build_masks()
+_PERIOD = len(_POWERS)
 _SMALL = _SMALL_PERIODS * _PERIOD
+
+
+def flip_syndrome(distance: int, bit: int) -> int:
+    """How flipping bit ``bit`` of the byte ``distance`` places from the
+    end of a message changes its CRC-8: ``crc8`` of the flipped message
+    is ``crc8`` of the original XOR this."""
+    return _POWERS[distance % _PERIOD][bit]
 
 
 def crc8(data: bytes | bytearray | memoryview | np.ndarray,

@@ -16,9 +16,22 @@ A packet on the wire is::
   the mapping LCP's 8-byte *probe* and the baselines' 16-byte header.
   The image is packed once, when the packet is built; the fabric
   charges its length and never looks inside.
-* **payload** — real bytes (numpy array), checked end-to-end by tests.
+* **payload** — real bytes (a read-only numpy array), checked
+  end-to-end by tests.
 * **crc** — CRC-8 over image then payload, appended on send, verified on
   arrival.
+
+The image and payload are frozen once the packet is built: neither can
+be rebound or written, so the only thing that changes a packet's bytes
+between the sending NIC's ``seal`` and the receiving NIC's ``crc_ok`` is
+:meth:`MyrinetPacket.flip`, the wire error.  The CRC is linear over
+GF(2), so a packet keeps its *syndrome* — the wire CRC XOR the CRC of
+the bytes it now carries — instead of the CRC itself: ``seal`` starts it
+at 0, each flip XORs in :func:`~repro.hw.myrinet.crc.flip_syndrome`, and
+the check is ``syndrome == 0``.  That is exactly the recompute
+``crc == crc8(image + payload)``, at a cost of O(flips) instead of
+O(bytes); the wire CRC itself is derived on demand (``crc``) for tests
+and oracles, which nothing on the packet path reads.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from typing import Any, ClassVar, Optional
 
 import numpy as np
 
-from repro.hw.myrinet.crc import crc8
+from repro.hw.myrinet.crc import crc8, flip_syndrome
 
 
 def _bits(value: int, width: int) -> int:
@@ -121,25 +134,39 @@ class BaselineHeader(PacketHeader):
 class MyrinetPacket:
     """One packet travelling the fabric."""
 
-    __slots__ = ("route", "_hop", "header", "image", "payload", "crc",
-                 "injected_at", "meta", "_fixed_bytes")
+    __slots__ = ("route", "_hop", "header", "_image", "_payload",
+                 "_syndrome", "injected_at", "meta", "_fixed_bytes")
 
     def __init__(self, route: list[int], header: PacketHeader,
                  payload: np.ndarray | bytes):
         self.route = list(route)
         self._hop = 0
         self.header = header
-        #: Type byte + packed header, packed once: what the CRC covers
-        #: ahead of the payload.
-        self.image = bytes((header.TYPES[header.kind],)) + header.pack()
-        self.payload = (np.frombuffer(bytes(payload), dtype=np.uint8)
-                        if isinstance(payload, (bytes, bytearray))
-                        else np.asarray(payload, dtype=np.uint8))
+        self._image = bytes((header.TYPES[header.kind],)) + header.pack()
+        if isinstance(payload, (bytes, bytearray)):
+            self._payload = np.frombuffer(bytes(payload), dtype=np.uint8)
+        else:
+            # A read-only view: the caller's array stays writable, but
+            # nothing writes the packet's bytes through it.
+            self._payload = np.asarray(payload, dtype=np.uint8).view()
+            self._payload.setflags(write=False)
         #: Image + payload + CRC: what no switch consumes.
-        self._fixed_bytes = len(self.image) + self.payload.size + 1
-        self.crc: Optional[int] = None
+        self._fixed_bytes = len(self._image) + self._payload.size + 1
+        #: Wire CRC XOR the CRC of the bytes now carried; None until sealed.
+        self._syndrome: Optional[int] = None
         self.injected_at: Optional[int] = None
         self.meta: dict[str, Any] = {}
+
+    @property
+    def image(self) -> bytes:
+        """Type byte + packed header, packed once: what the CRC covers
+        ahead of the payload."""
+        return self._image
+
+    @property
+    def payload(self) -> np.ndarray:
+        """The payload bytes, read-only."""
+        return self._payload
 
     # -- routing -------------------------------------------------------------
     def next_port(self) -> int:
@@ -161,7 +188,7 @@ class MyrinetPacket:
     # -- sizing ----------------------------------------------------------------
     @property
     def payload_bytes(self) -> int:
-        return int(self.payload.size)
+        return self._payload.size
 
     @property
     def wire_bytes(self) -> int:
@@ -170,27 +197,61 @@ class MyrinetPacket:
         return len(self.route) - self._hop + self._fixed_bytes
 
     # -- CRC -----------------------------------------------------------------------
-    def _compute_crc(self) -> int:
-        """CRC-8 over the image, chained into the payload."""
-        return crc8(self.payload, initial=crc8(self.image))
+    @property
+    def crc(self) -> Optional[int]:
+        """The CRC field on the wire: ``None`` before :meth:`seal`, then
+        the CRC of the bytes sealed XOR any flips of the field itself."""
+        if self._syndrome is None:
+            return None
+        return crc8(self._payload, initial=crc8(self._image)) ^ self._syndrome
 
     def seal(self) -> None:
-        """Compute and append the hardware CRC (done by the sending NIC)."""
-        self.crc = self._compute_crc()
+        """Append the hardware CRC (done by the sending NIC): the CRC of
+        the bytes carried now, so the syndrome starts at 0."""
+        self._syndrome = 0
 
     def crc_ok(self) -> bool:
-        """Verify the CRC (done by the receiving NIC)."""
-        return self.crc is not None and self.crc == self._compute_crc()
+        """Verify the CRC (done by the receiving NIC): exactly
+        ``crc == crc8(image + payload)``, read off the syndrome."""
+        return self._syndrome == 0
+
+    def flip(self, bit: int) -> None:
+        """Flip bit ``bit % 8`` of byte ``bit // 8`` of image + payload +
+        CRC field — the one way a packet's bytes change — and carry the
+        flip's syndrome."""
+        image, payload = self._image, self._payload
+        covered = len(image) + payload.size
+        index, mask = bit >> 3, 1 << (bit & 7)
+        if not 0 <= index <= covered:
+            raise ValueError(f"bit {bit} is outside the packet's "
+                             f"{covered + 1} CRC-covered and CRC bytes")
+        if index < len(image):
+            flipped = bytearray(image)
+            flipped[index] ^= mask
+            self._image = bytes(flipped)
+        elif index < covered:
+            if payload.base is not None:
+                # First write: until now the bytes may be the sender's.
+                payload = self._payload = payload.copy()
+            else:
+                payload.setflags(write=True)
+            payload[index - len(image)] ^= mask
+            payload.setflags(write=False)
+        else:
+            # The CRC field itself: the check compares against it directly.
+            if self._syndrome is not None:
+                self._syndrome ^= mask
+            return
+        if self._syndrome is not None:
+            self._syndrome ^= flip_syndrome(covered - 1 - index, bit & 7)
 
     def corrupt(self, bit: int = 0) -> None:
-        """Flip one payload bit — wire error injection (section 4.2)."""
-        if self.payload_bytes == 0:
-            # No payload: corrupt the CRC itself.
-            self.crc = (self.crc or 0) ^ 1
-            return
-        idx = (bit // 8) % self.payload_bytes
-        self.payload = self.payload.copy()
-        self.payload[idx] ^= np.uint8(1 << (bit % 8))
+        """Flip one payload bit, ``bit`` taken modulo the payload, or the
+        CRC's lowest bit when there is no payload — wire error injection
+        (section 4.2)."""
+        size = self._payload.size
+        offset = (bit // 8) % size * 8 + bit % 8 if size else 0
+        self.flip(8 * len(self._image) + offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MyrinetPacket({self.header.kind}, "

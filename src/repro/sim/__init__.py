@@ -17,6 +17,8 @@ Public surface
 * :class:`Event`, :class:`Timeout`, :class:`Process` — core event types.
 * :class:`AllOf`, :class:`AnyOf` — condition events.
 * :class:`Interrupt` — exception thrown into interrupted processes.
+* :class:`SimulationError` — engine misuse; its :class:`SimulationStalled`
+  says which event a drained ``run(until=...)`` was still waiting for.
 * :class:`Resource`, :class:`PriorityResource` — capacity-limited resources.
 * :class:`Store` — FIFO object queue (used for DMA request queues, NIC
   packet queues, daemon mailboxes...).
@@ -34,6 +36,7 @@ from repro.sim.core import (
     Interrupt,
     Process,
     SimulationError,
+    SimulationStalled,
     Timeout,
     VectorEnvironment,
     ns_to_us,
@@ -58,6 +61,7 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
+    "SimulationStalled",
     "Store",
     "Timeout",
     "TraceRecord",

@@ -53,6 +53,27 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the engine (double triggering, bad yields...)."""
 
 
+class SimulationStalled(SimulationError):
+    """``run(until=event)`` drained the queue before ``event`` fired:
+    nothing left can ever fire it.  Carries the clock (``now``), the
+    awaited ``event`` and, when that is a :class:`Process`, its ``name``
+    and the event it is blocked on (``blocked_on``)."""
+
+    def __init__(self, now: int, event: "Event"):
+        self.now = now
+        self.event = event
+        self.name: Optional[str] = None
+        self.blocked_on: Optional[Event] = None
+        waiting = ""
+        if isinstance(event, Process):
+            self.name, self.blocked_on = event.name, event._target
+            waiting = (f"; process {self.name!r} is blocked on "
+                       f"{self.blocked_on!r}")
+        super().__init__(
+            f"run(until={event!r}): queue drained before it fired "
+            f"(deadlock at t={now} ns{waiting})")
+
+
 class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 
@@ -489,9 +510,7 @@ class Environment:
                 self._now = deadline
             return None
         if stop._value is _PENDING:
-            raise SimulationError(
-                f"run(until={stop!r}): queue drained before it fired "
-                f"(deadlock at t={self._now} ns?)")
+            raise SimulationStalled(self._now, stop)
         if stop._ok:
             return stop._value
         stop._defused = True

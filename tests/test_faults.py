@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, TestbedConfig
+from repro.campaign import get_campaign
 from repro.faults import (
     DAEMON_CRASH,
     FaultCampaign,
@@ -16,6 +17,7 @@ from repro.faults import (
     LINK_ERROR_BURST,
     SWITCH_PORT_DOWN,
 )
+from repro.hw.myrinet import MyrinetPacket, crc8
 from repro.hw.myrinet.link import LinkParams, _seed_from_name
 
 
@@ -510,3 +512,45 @@ def test_crc_error_detected_counted_dropped_never_recovered():
     assert cluster.nodes[1].lcp.crc_drops >= 1
     # Dropped means dropped: the receive buffer never changed.
     assert bytes(inbox.read(0, 1024)) == b"\x00" * 1024
+
+
+@pytest.mark.parametrize("campaign, params", [
+    ("lossy-link", {}),
+    ("chaos", {"scenario": "error-burst"}),
+])
+def test_every_verdict_of_a_lossy_run_is_the_full_recompute(
+        monkeypatch, campaign, params):
+    """Each received packet's syndrome verdict is held to ``crc8`` over
+    the bytes it carries against the CRC sealed, XOR any flips of the
+    CRC field — tracked here, apart from the packet."""
+    wire_crc, verdicts, flips = {}, [], []
+    real_seal, real_flip = MyrinetPacket.seal, MyrinetPacket.flip
+    real_check = MyrinetPacket.crc_ok
+
+    def carried(packet):
+        return crc8(packet.payload, initial=crc8(packet.image))
+
+    def seal(packet):
+        real_seal(packet)
+        wire_crc[packet] = carried(packet)
+
+    def flip(packet, bit):
+        flips.append(bit)
+        if packet in wire_crc and bit >= 8 * (len(packet.image)
+                                              + packet.payload_bytes):
+            wire_crc[packet] ^= 1 << bit % 8
+        real_flip(packet, bit)
+
+    def crc_ok(packet):
+        verdict = real_check(packet)
+        verdicts.append((verdict, wire_crc[packet] == carried(packet)))
+        return verdict
+
+    for name, wrapper in (("seal", seal), ("flip", flip), ("crc_ok", crc_ok)):
+        monkeypatch.setattr(MyrinetPacket, name, wrapper)
+    spec = get_campaign(campaign)
+    report = spec.trial({**spec.fixed, **params}, 0)
+    assert all(report["gates"].values())
+    assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+    drops = sum(v for k, v in report["metrics"].items() if "crc_drops" in k)
+    assert flips and drops > 0 and verdicts.count((False, False)) >= drops

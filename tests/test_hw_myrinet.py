@@ -61,10 +61,15 @@ def test_packet_corruption_detected():
 
 
 def test_empty_payload_corruption_detected():
+    """No payload: ``corrupt`` flips the CRC field's lowest bit, the
+    last bit ``flip`` reaches."""
     pkt = make_packet(payload=b"")
     pkt.seal()
+    sealed = pkt.crc
     pkt.corrupt()
-    assert not pkt.crc_ok()
+    assert not pkt.crc_ok() and pkt.crc == sealed ^ 1
+    with pytest.raises(ValueError, match="outside"):
+        pkt.flip(8 * (len(pkt.image) + 1))
 
 
 def test_unsealed_packet_fails_the_check():
@@ -75,7 +80,8 @@ def test_every_single_bit_error_in_a_4kb_data_packet_is_caught():
     """The chained image-then-payload CRC, through the packet API, at
     the size and header shape the long-send path puts on the wire: a
     flip of any bit of the type byte, the header or the payload fails
-    the check."""
+    the check, exactly when a full recompute fails, leaves the wire CRC
+    as sealed, and flipping the bit back passes the check again."""
     payload = np.random.default_rng(7).integers(0, 256, 4096, dtype=np.uint8)
     pkt = MyrinetPacket([1], DepositHeader(
         "vmmc_data", ((0x1F3000, 4096),), notify=False, last=False,
@@ -84,21 +90,74 @@ def test_every_single_bit_error_in_a_4kb_data_packet_is_caught():
     assert pkt.crc_ok()
     image = pkt.image
     assert len(image) == 1 + 16
-    assert pkt.crc == crc8(image + payload.tobytes())
-    missed = []
-    for bit in range(8 * len(image)):
-        flipped = bytearray(image)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        pkt.image = bytes(flipped)
-        if pkt.crc_ok():
-            missed.append(("image", bit))
-    pkt.image = image
-    for bit in range(8 * 4096):
-        pkt.corrupt(bit)
+    sealed = crc8(image + payload.tobytes())
+    assert pkt.crc == sealed
+    missed, disagree = [], []
+    for bit in range(8 * (len(image) + 4096)):
+        pkt.flip(bit)
+        recomputed = crc8(pkt.image + pkt.payload.tobytes()) == sealed
         if pkt.crc_ok():
             missed.append(bit)
-        pkt.payload = payload
-    assert missed == [] and pkt.crc_ok()
+        if pkt.crc_ok() != recomputed or pkt.crc != sealed:
+            disagree.append(bit)
+        pkt.flip(bit)
+        if not pkt.crc_ok():
+            missed.append(("not restored", bit))
+    assert missed == [] and disagree == []
+    assert pkt.image == image and np.array_equal(pkt.payload, payload)
+    assert pkt.crc == sealed
+
+
+def test_a_sealed_payload_cannot_be_written_or_rebound():
+    pkt = make_packet(payload=np.arange(64, dtype=np.uint8))
+    pkt.seal()
+    with pytest.raises(ValueError, match="read-only"):
+        pkt.payload[0] = 1
+    with pytest.raises(AttributeError):
+        pkt.payload = np.zeros(64, dtype=np.uint8)
+    with pytest.raises(AttributeError):
+        pkt.image = b"\x34" + bytes(16)
+    pkt.flip(8 * len(pkt.image))
+    with pytest.raises(ValueError, match="read-only"):
+        pkt.payload[0] = 1
+    assert pkt.payload[0] == 1 and not pkt.crc_ok()
+
+
+def test_the_callers_array_stays_writable_and_the_packet_keeps_its_copy():
+    """A flip copies the payload before it writes, so the sender's
+    buffer never sees a wire error."""
+    data = np.arange(64, dtype=np.uint8)
+    pkt = make_packet(payload=data)
+    pkt.seal()
+    data[1] = 7                     # still the caller's to write
+    assert data.flags.writeable
+    pkt.corrupt(bit=8 * 2)
+    assert data[2] == 2 and pkt.payload[2] == 3
+
+
+def test_corrupt_flips_the_payload_bit_its_draw_names():
+    """``corrupt(bit)`` flips bit ``bit % 8`` of payload byte
+    ``(bit // 8) % size``: the link's draw picks the same bit it
+    always has."""
+    for bit, (index, mask) in [(0, (0, 1)), (8 * 5 + 3, (5, 8)),
+                               (8 * 13 + 1, (3, 2)), (65535, (1, 128))]:
+        pkt = make_packet(payload=bytes(10))
+        pkt.seal()
+        pkt.corrupt(bit)
+        expected = np.zeros(10, dtype=np.uint8)
+        expected[index] = mask
+        assert np.array_equal(pkt.payload, expected), bit
+
+
+def test_resealing_a_corrupted_packet_adopts_the_corrupted_bytes():
+    pkt = make_packet(payload=b"payload bytes")
+    pkt.seal()
+    before = pkt.crc
+    pkt.corrupt(bit=13)
+    assert not pkt.crc_ok()
+    pkt.seal()
+    assert pkt.crc_ok()
+    assert pkt.crc == crc8(pkt.image + pkt.payload.tobytes()) != before
 
 
 #: Every header layout and the header bytes the link charged for it

@@ -167,8 +167,9 @@ def test_bad_ranks_rejected():
 
 def test_failed_send_releases_the_destination_lock():
     """Regression: a remote write that raised inside ``send`` used to
-    leak the per-destination lock, so the *next* send to that rank hung
-    ("queue drained ... deadlock?") instead of running."""
+    leak the per-destination lock, so the *next* send to that rank
+    stalled (``SimulationStalled``: the queue drained with the send still
+    blocked on the lock) instead of running."""
     from repro.vmmc.errors import CompletionError
 
     cluster, (c0, c1) = make_world()

@@ -120,6 +120,26 @@ def test_registry_baselines_and_ci_name_the_same_campaigns():
                 == sorted(m.name for m in spec.metrics)), spec.name
     assert ({path.name for path in ROOT.glob("BENCH_*.json")}
             == {spec.artifact_name for spec in specs})
+    assert sorted(_ci_smoke_loop()[0]) == sorted(spec.name for spec in specs)
+
+
+def _ci_smoke_loop() -> tuple[list[str], str]:
+    """The campaign list and loop body of CI's "Benchmark campaigns
+    (smoke)" step."""
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    loop = re.search(r"for c in ([a-z0-9 -]+); do", ci).group(1).split()
-    assert sorted(loop) == sorted(spec.name for spec in specs)
+    step = ci[ci.index("- name: Benchmark campaigns (smoke)"):]
+    step = step[:step.index("\n      - name:")]
+    loop = re.search(r"for c in ([a-z0-9 -]+); do\n(.*?)\n\s*done", step,
+                     re.S)
+    return loop.group(1).split(), loop.group(2)
+
+
+def test_ci_runs_and_diffs_every_registered_campaign_once():
+    """A campaign missing from CI's smoke loop would never meet
+    ``campaign diff``: the loop lists each registered campaign once,
+    and runs and diffs each."""
+    listed, body = _ci_smoke_loop()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {spec.name for spec in all_campaigns()}
+    assert 'campaign run "$c" --smoke --out-dir fresh' in body
+    assert 'campaign diff "$c" --candidate-dir fresh' in body

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.myrinet.crc import _PERIOD, _POLY, _SMALL, crc8
+from repro.hw.myrinet.packet import (BaselineHeader, DepositHeader,
+                                     MyrinetPacket, ProbeHeader)
 from repro.mem import (AddressSpace, OutOfMemoryError, PAGE_SIZE,
                        PhysicalMemory)
 from repro.mem.physical import _scatter_order
@@ -107,6 +109,70 @@ def test_crc8_detects_any_single_bitflip(data, bit):
 @given(st.binary(max_size=256))
 def test_crc8_deterministic(data):
     assert crc8(data) == crc8(data)
+
+
+# ------------------------------------------------------- packet CRC syndrome
+#: One header of each wire layout.
+_HEADERS = [
+    DepositHeader("vmmc_data", ((0x1F3000, 96), (0x0A2000, 4000)),
+                  notify=True, last=False, src_node=5, msg_length=65536),
+    ProbeHeader("map_probe", src=3, dst=60),
+    BaselineHeader("pm_msg", seq=9, msg_length=65536, offset=8192, word=2),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_HEADERS), st.integers(min_value=0, max_value=70_000),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+def test_the_syndrome_check_is_the_shift_register_recompute(
+        header, length, seed, data):
+    """1–3 flips anywhere in image + payload + CRC field: the O(flips)
+    verdict equals a full recompute, and ``crc`` is the CRC sealed XOR
+    the flips that hit the field itself."""
+    payload = _random_bytes(seed, length)
+    pkt = MyrinetPacket([0], header, payload)
+    pkt.seal()
+    sealed = crc8_oracle(pkt.image + payload)
+    covered = 8 * (len(pkt.image) + length)
+    field = 0
+    bits = data.draw(st.lists(st.integers(min_value=0,
+                                          max_value=covered + 7),
+                              min_size=1, max_size=3))
+    for bit in bits:
+        pkt.flip(bit)
+        if bit >= covered:
+            field ^= 1 << (bit - covered)
+    carried = crc8_oracle(pkt.image + pkt.payload.tobytes())
+    assert pkt.crc == sealed ^ field
+    assert pkt.crc_ok() == (pkt.crc == carried)
+
+
+@pytest.mark.parametrize("header", _HEADERS)
+def test_a_crc_field_flip_on_an_empty_payload_is_the_recompute(header):
+    pkt = MyrinetPacket([0], header, b"")
+    pkt.seal()
+    sealed = crc8_oracle(pkt.image)
+    for bit in range(8):
+        pkt.flip(8 * len(pkt.image) + bit)
+        assert pkt.crc == sealed ^ 1 << bit and not pkt.crc_ok()
+        pkt.flip(8 * len(pkt.image) + bit)
+        assert pkt.crc_ok()
+
+
+def test_two_flips_one_period_apart_are_missed_by_both_checks():
+    """``T`` has order 127, so the same bit flipped in two bytes 127
+    apart leaves the CRC unchanged: the syndrome misses exactly what
+    the recompute misses."""
+    payload = _random_bytes(3, 300)
+    pkt = MyrinetPacket([0], _HEADERS[2], payload)
+    pkt.seal()
+    sealed = crc8_oracle(pkt.image + payload)
+    base = 8 * len(pkt.image)
+    pkt.flip(base + 8 * 10 + 3)
+    pkt.flip(base + 8 * (10 + _PERIOD) + 3)
+    assert pkt.payload.tobytes() != payload
+    assert crc8_oracle(pkt.image + pkt.payload.tobytes()) == sealed
+    assert pkt.crc_ok()
 
 
 # ----------------------------------------------------------- outgoing packing

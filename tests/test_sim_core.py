@@ -9,6 +9,7 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    SimulationStalled,
     Timeout,
     ns_to_us,
     us,
@@ -289,8 +290,29 @@ def test_interrupted_process_can_continue():
 def test_run_until_event_deadlock_detected():
     env = Environment()
     never = env.event()
-    with pytest.raises(SimulationError, match="deadlock"):
+    with pytest.raises(SimulationError, match="deadlock") as info:
         env.run(until=never)
+    stalled = info.value
+    assert isinstance(stalled, SimulationStalled)
+    assert (stalled.now, stalled.event, stalled.name, stalled.blocked_on) \
+        == (0, never, None, None)
+
+
+def test_a_stalled_process_names_what_it_is_blocked_on():
+    env = Environment()
+    never = env.event()
+
+    def waiter():
+        yield env.timeout(40)
+        yield never
+
+    proc = env.process(waiter(), name="waiter")
+    with pytest.raises(SimulationStalled, match="'waiter' is blocked on") \
+            as info:
+        env.run(until=proc)
+    stalled = info.value
+    assert (stalled.now, stalled.event, stalled.name, stalled.blocked_on) \
+        == (40, proc, "waiter", never)
 
 
 def test_peek_and_step():
