@@ -158,7 +158,7 @@ class NetSendEngine:
         with self._engine.request() as req:
             yield req
             packet.seal()
-            yield from self.network.inject(self.host_name, packet)
+            yield self.network.inject(self.host_name, packet)
             self.packets_sent += 1
             self._packets_sent.inc()
             emit(self.env, "lanai.netsend", nic=self.host_name,

@@ -9,7 +9,7 @@ Models the properties the paper relies on (section 3):
 * in-order delivery on any fixed route,
 * hardware CRC-8 appended on send and checked on arrival, with a very low
   bit error rate; errors are *detected but not recovered* (section 4.2),
-* back-pressure flow control (a blocked output port stalls the worm).
+* back-pressure flow control (a busy output port holds the worm).
 
 Fabrics beyond the paper's testbed come from the declarative topology
 layer (:mod:`repro.hw.myrinet.topology`): fat-tree/Clos and 2-D

@@ -1,12 +1,12 @@
 """Myrinet link: 160 MB/s per direction, cut-through, in-order, lossless.
 
 A :class:`Link` is unidirectional (full-duplex cables are two links).  We
-model wormhole cut-through at packet granularity: the head of the packet
-reaches the far end after the propagation latency, the tail after the
-packet's wire time (``wire_bytes / rate``), and the link is occupied for
-the wire time — so back-to-back packets pipeline correctly and a busy link
-exerts back-pressure (the send blocks until the previous packet's tail has
-left).
+model wormhole cut-through at packet granularity: the tail leaves this end
+one wire time (``wire_bytes / rate``) after :meth:`Link.transmit` and
+reaches the far end one cable latency later, so back-to-back packets
+pipeline.  The link has no arbiter: its one feeder (a switch output port
+or a NIC's send engine) serialises it, and a transmit before the
+previous tail has left raises.
 
 Bit errors are injected by an optional error process with the paper's
 "very rare, clustered" character (section 4.2): a Bernoulli draw per packet
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Timeout
 from repro.sim.trace import emit
 from repro.obs.metrics import counter
 from repro.hw.myrinet.packet import MyrinetPacket
@@ -76,10 +76,9 @@ def _seed_from_name(name: str) -> int:
 class Link:
     """Unidirectional link from a source port to a sink callable.
 
-    The sink is ``receive(packet)`` on a switch input port or a NIC; it is
-    invoked when the packet **tail** arrives, i.e. when the packet is
-    fully deliverable to the next stage's buffer; a generator sink (a
-    switch forwarding the worm) runs as a new process.
+    The sink is ``receive(packet)`` on a switch input port or a NIC, a
+    plain call made when the packet **tail** arrives, i.e. when the
+    packet is fully deliverable to the next stage's buffer.
     """
 
     def __init__(self, env: Environment, params: LinkParams | None = None,
@@ -87,8 +86,8 @@ class Link:
         self.env = env
         self.params = params or LinkParams()
         self.name = name
-        self.sink: Optional[Callable[[MyrinetPacket], object]] = None
-        self._wire = Resource(env, capacity=1)
+        self.sink: Optional[Callable[[MyrinetPacket], None]] = None
+        self._tail_at = 0           # when the last tail leaves this end
         self._rng = rng or np.random.default_rng(_seed_from_name(name))
         #: Stack of ``(token, rate)`` error-rate overrides (last-wins).
         self._error_stack: list[tuple[int, float]] = []
@@ -166,38 +165,42 @@ class Link:
              depth=len(self._error_stack))
 
     # -- data path ------------------------------------------------------------
-    def connect(self, sink: Callable[[MyrinetPacket], object]) -> None:
+    def connect(self, sink: Callable[[MyrinetPacket], None]) -> None:
         self.sink = sink
 
-    def transmit(self, packet: MyrinetPacket):
-        """Put ``packet`` on the wire.  Returns a generator that ends when
-        the **tail** has left this end (so the sender's DMA engine frees
-        up), while delivery to the sink happens ``latency`` later; an
-        unconnected link raises here, at the call."""
+    def transmit(self, packet: MyrinetPacket) -> Timeout:
+        """Put ``packet``'s head on the wire now.  Returns the timer that
+        fires when the **tail** has left this end (so the sender's DMA
+        engine frees up); delivery to the sink happens ``latency`` later.
+        An unconnected link, or a second feeder overlapping the first,
+        raises here, at the call."""
+        env = self.env
         if self.sink is None:
             raise RuntimeError(f"{self.name}: link not connected")
-        return self._transmit(packet)
+        if env.now < self._tail_at:
+            raise RuntimeError(f"{self.name}: transmit before the previous "
+                               f"tail left at {self._tail_at} ns")
+        wire_bytes = packet.wire_bytes
+        wire_time = self.params.wire_time_ns(wire_bytes)
+        self._tail_at = env.now + wire_time
+        emit(env, f"{self.name}.tx", bytes=wire_bytes, wire_time=wire_time)
+        error_rate = self.effective_error_rate
+        if error_rate > 0 and self._rng.random() < error_rate:
+            packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
+            self.errors_injected += 1
+            self._errors_injected.inc()
+        self.packets_carried += 1
+        self.bytes_carried += wire_bytes
+        self._packets.inc()
+        self._bytes.inc(wire_bytes)
+        self._busy_ns.inc(wire_time)
+        tail = env.timeout(wire_time)
+        tail.callbacks.append(lambda _tail: self._tail_left(packet))
+        return tail
 
-    def _transmit(self, packet: MyrinetPacket):
-        with self._wire.request() as req:
-            yield req
-            wire_bytes = packet.wire_bytes
-            wire_time = self.params.wire_time_ns(wire_bytes)
-            emit(self.env, f"{self.name}.tx",
-                 bytes=wire_bytes, wire_time=wire_time)
-            error_rate = self.effective_error_rate
-            if error_rate > 0 and self._rng.random() < error_rate:
-                packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
-                self.errors_injected += 1
-                self._errors_injected.inc()
-            self.packets_carried += 1
-            self.bytes_carried += wire_bytes
-            self._packets.inc()
-            self._bytes.inc(wire_bytes)
-            self._busy_ns.inc(wire_time)
-            yield self.env.timeout(wire_time)
-        # Tail has left this end; the head surfaces at the far end one
-        # cable latency later, whatever the sender does meanwhile.
+    def _tail_left(self, packet: MyrinetPacket) -> None:
+        # The head surfaces at the far end one cable latency after the
+        # tail left this one, whatever the sender does meanwhile.
         self.env.timeout(self.params.latency_ns).callbacks.append(
             lambda _arrival: self._deliver(packet))
 
@@ -210,7 +213,4 @@ class Link:
             emit(self.env, f"{self.name}.lost_down",
                  bytes=packet.wire_bytes)
             return
-        result = self.sink(packet)
-        if hasattr(result, "__next__"):
-            # The sink is a switch: the worm crossing it is a process.
-            self.env.process(result, name=f"{self.name}.deliver")
+        self.sink(packet)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.hw.myrinet.link import Link, LinkParams
 from repro.hw.myrinet.packet import MyrinetPacket
 from repro.hw.myrinet.switch import Switch
@@ -49,15 +49,15 @@ class _HostPort:
 
     name: str
     out_link: Optional[Link] = None
-    sink: Optional[Callable[[MyrinetPacket], object]] = None
+    sink: Optional[Callable[[MyrinetPacket], None]] = None
     queued: list = field(default_factory=list)
 
-    def receive(self, packet: MyrinetPacket):
+    def receive(self, packet: MyrinetPacket) -> None:
         if self.sink is None:
             # NIC not attached yet (e.g. during fabric construction).
             self.queued.append(packet)
-            return None
-        return self.sink(packet)
+        else:
+            self.sink(packet)
 
 
 class MyrinetNetwork:
@@ -90,14 +90,12 @@ class MyrinetNetwork:
         return name
 
     def attach_host_sink(self, name: str,
-                         sink: Callable[[MyrinetPacket], object]) -> None:
+                         sink: Callable[[MyrinetPacket], None]) -> None:
         """Register the NIC's receive entry point for host ``name``."""
         port = self.hosts[name]
         port.sink = sink
         for packet in port.queued:
-            result = sink(packet)
-            if hasattr(result, "__next__"):
-                self.env.process(result)
+            sink(packet)
         port.queued.clear()
 
     def connect(self, a: PortRef, b: PortRef,
@@ -122,7 +120,7 @@ class MyrinetNetwork:
         self._port_map.setdefault(a.device, {})[a.port] = b.device
         self._port_map.setdefault(b.device, {})[b.port] = a.device
 
-    def _sink_of(self, ref: PortRef) -> Callable[[MyrinetPacket], object]:
+    def _sink_of(self, ref: PortRef) -> Callable[[MyrinetPacket], None]:
         if ref.device in self.switches:
             return self.switches[ref.device].receive
         return self.hosts[ref.device].receive
@@ -137,10 +135,10 @@ class MyrinetNetwork:
             host.out_link = link
 
     # -- use ------------------------------------------------------------------------
-    def inject(self, host: str, packet: MyrinetPacket):
+    def inject(self, host: str, packet: MyrinetPacket) -> Timeout:
         """Host NIC puts a packet on its outgoing cable: stamps
         ``packet.injected_at`` and returns :meth:`Link.transmit`'s
-        generator; an uncabled host raises here, at the call."""
+        tail timer; an uncabled host raises here, at the call."""
         out = self.hosts[host].out_link
         if out is None:
             raise RuntimeError(f"host {host} is not cabled to the fabric")

@@ -3,14 +3,15 @@
 Source routing: each arriving packet surrenders one route byte naming the
 output port.  The crossbar is non-blocking — distinct output ports forward
 concurrently — but each output port serialises (back-pressure), modelled by
-a per-port resource.  Cut-through adds a small per-hop latency.
+one integer per port: when its last tail leaves.  A crossing is three timers:
+the crossbar (cut-through latency), the tail leaving and the cable delivery.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.sim.trace import emit
 from repro.obs.metrics import counter
 from repro.hw.myrinet.link import Link
@@ -48,7 +49,8 @@ class Switch:
         self.name = name
         self.latency_ns = latency_ns
         self._out_links: list[Optional[Link]] = [None] * nports
-        self._out_ports = [Resource(env, capacity=1) for _ in range(nports)]
+        #: port → when the tail of the last worm forwarded there leaves.
+        self._port_free_at = [0] * nports
         #: port → number of outstanding down-faults (absent == up).
         #: Depth-counted so overlapping faults compose: the port only
         #: forwards again once every overlapping fault has cleared.
@@ -98,8 +100,8 @@ class Switch:
         self._check_port(port)
         return port not in self._down_ports
 
-    def receive(self, packet: MyrinetPacket):
-        """Sink for incoming links: route and forward (generator)."""
+    def receive(self, packet: MyrinetPacket) -> None:
+        """Sink for incoming links: route the worm, time its crossing."""
         port = packet.next_port()
         self._check_port(port)
         link = self._out_links[port]
@@ -117,14 +119,19 @@ class Switch:
             self._drops_port_down.inc()
             emit(self.env, f"{self.name}.drop_port_down", port=port)
             return
-        with self._out_ports[port].request() as req:
-            yield req
-            yield self.env.timeout(self.latency_ns)
-            self.packets_forwarded += 1
-            self._forwarded.inc()
-            emit(self.env, f"{self.name}.forward", port=port,
-                 bytes=packet.wire_bytes)
-            yield from link.transmit(packet)
+        now = self.env.now
+        crossbar = max(now, self._port_free_at[port]) + self.latency_ns
+        self._port_free_at[port] = crossbar + link.params.wire_time_ns(
+            packet.wire_bytes)
+        self.env.timeout(crossbar - now).callbacks.append(
+            lambda _crossbar: self._forward(port, link, packet))
+
+    def _forward(self, port: int, link: Link, packet: MyrinetPacket) -> None:
+        self.packets_forwarded += 1
+        self._forwarded.inc()
+        emit(self.env, f"{self.name}.forward", port=port,
+             bytes=packet.wire_bytes)
+        link.transmit(packet)
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.nports:

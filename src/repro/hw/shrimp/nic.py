@@ -88,9 +88,7 @@ class ShrimpStateMachine:
             emit(self.env, "shrimp.sm.send", nbytes=nbytes)
             # The backplane injection proceeds in hardware; don't hold
             # the state machine for the wire time.
-            self.env.process(
-                self.nic.network.inject(self.nic.host_name, packet),
-                name="shrimp.inject")
+            self.env.process(self.nic.inject(packet), name="shrimp.inject")
 
 
 class ShrimpNIC:
@@ -118,13 +116,26 @@ class ShrimpNIC:
         self.packets_delivered = 0
         self.protection_violations = 0
         self.crc_drops = 0
+        self._outbound = Resource(env, capacity=1)
         network.attach_host_sink(host_name, self._receive)
 
     def install_routes(self, routes: dict[int, list[int]]) -> None:
         self.routes = dict(routes)
 
+    def inject(self, packet: MyrinetPacket):
+        """Generator: put ``packet`` on this board's one cable, which the
+        deliberate- and automatic-update paths take in turn."""
+        with self._outbound.request() as req:
+            yield req
+            yield self.network.inject(self.host_name, packet)
+
     # -- receive side (hardware) ------------------------------------------------
-    def _receive(self, packet: MyrinetPacket):
+    def _receive(self, packet: MyrinetPacket) -> None:
+        # The receive engine runs beside whatever arrives next.
+        self.env.process(self._deposit(packet),
+                         name=f"{self.host_name}.deposit")
+
+    def _deposit(self, packet: MyrinetPacket):
         yield self.env.timeout(self.params.recv_setup_ns)
         if not packet.crc_ok():
             self.crc_drops += 1

@@ -135,5 +135,4 @@ class AutomaticUpdateUnit:
             self.packets_injected += 1
             emit(self.env, "shrimp.au.inject", nbytes=int(payload.size),
                  coalesced=len(batch))
-            yield from self.nic.network.inject(self.nic.host_name,
-                                               packet)
+            yield from self.nic.inject(packet)

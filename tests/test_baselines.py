@@ -161,7 +161,7 @@ def test_api_unreliable_loss_on_crc_error():
 
     def app():
         # Inject below the send engine (which would re-seal the CRC).
-        yield from pair.fabric.inject("node0", packet)
+        yield pair.fabric.inject("node0", packet)
 
     env.run(until=env.process(app()))
     env.run(until=env.now + 1_000_000)

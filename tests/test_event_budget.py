@@ -31,7 +31,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.rpc.reliable import connect_reliable_rpc
 from repro.vmmc import reliable
 from repro.vmmc.reliable import open_channel
-from repro.sim import AnyOf, Environment, Timeout
+from repro.sim import AnyOf, Environment, Process, Timeout
+from repro.sim.resources import Request
 from repro.sim.trace import Tracer
 
 
@@ -54,7 +55,7 @@ def pair():
 def test_one_4_byte_pingpong_round_trip(pair):
     one = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 1))
     two = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 2))
-    assert (one, two - one) == (62, 63)
+    assert (one, two - one) == (60, 61)
 
 
 def test_one_4kb_long_send_chunk_end_to_end(pair):
@@ -66,8 +67,8 @@ def test_one_4kb_long_send_chunk_end_to_end(pair):
     # preparation, net DMA, two cables and a switch, receive-side checks,
     # the delivery DMA and the completion word.  A second page repeats
     # everything from the translate to the delivery DMA.
-    assert send(4096) == 28
-    assert send(8192) == 28 + 17
+    assert send(4096) == 27
+    assert send(8192) == 27 + 16
 
 
 def test_one_64kb_one_way_message():
@@ -77,32 +78,41 @@ def test_one_64kb_one_way_message():
     cost = events_of(pair.env, lambda: pair.env.run(
         until=pair.ep_a.send(pair.src_a, pair.to_b, 64 * 1024)))
     assert pair.cluster.nodes[1].nic.net_recv.packets_received - before == 16
-    # Sixteen 4 KB packets: 28 for the first (post, pickup, completion
-    # word included) and 17 for each further one, 17.7 per packet.  Per
+    # Sixteen 4 KB packets: 27 for the first (post, pickup, completion
+    # word included) and 16 for each further one, 16.7 per packet.  Per
     # further packet the sender's LCP pays the TLB probe, the proxy
     # lookup, the host DMA's bus time and the rest of the header
     # preparation (zero: the DMA covers it, but the wait is still an
     # event, which keeps the LCP behind a packet landing in the same
     # nanosecond); the net send is a process (start, wire time); two cable
-    # latencies and the switch worm (start, crossbar, wire time); the
-    # receiving LCP's doorbell, main-loop pass, parse + check and DMA
-    # start; and the delivery DMA (start, bus time).
-    assert cost == 28 + 15 * 17
+    # latencies and the switch's crossbar and tail timers; the receiving
+    # LCP's doorbell, main-loop pass, parse + check and DMA start; and
+    # the delivery DMA (start, bus time).
+    assert cost == 27 + 15 * 16
 
 
-def test_one_switch_hop_of_a_probe_on_fattree_4():
+def test_one_switch_hop_of_a_probe_on_fattree_4(monkeypatch):
     env = Environment()
     net = topology.build("fattree:4", env)
     arrived = []
     for name in net.host_names:
         net.attach_host_sink(name, arrived.append)
+    constructed = Counter()
+    for cls in (Process, Request):
+        def counted_init(self, *args, _cls=cls, _real=cls.__init__,
+                         **kwargs):
+            constructed[_cls] += 1
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_init)
 
     def probe(dst):
         route = net.compute_route("node0", dst)
         packet = MyrinetPacket(list(route), ProbeHeader(
             "map_probe", 0, net.host_names.index(dst)), b"")
-        cost = events_of(env, lambda: env.run(until=env.process(
-            net.inject("node0", packet))))
+        def inject():
+            yield net.inject("node0", packet)
+
+        cost = events_of(env, lambda: env.run(until=env.process(inject())))
         assert arrived.pop() is packet and packet.route_exhausted
         return len(route), cost
 
@@ -110,12 +120,13 @@ def test_one_switch_hop_of_a_probe_on_fattree_4():
                                       ("node1", "node2", "node15"))
     assert [hops for hops, _ in (same_edge, same_pod, cross_pod)] == [1, 3, 5]
     # The injecting process (start, wire time) and the first cable cost
-    # 3; every switch crossed adds one worm process (start, crossbar
-    # latency, wire time) and the next cable's latency.  Neither process's
-    # end is an event: nobody waits on it.
-    assert same_edge[1] == 3 + 4
-    assert same_pod[1] == 3 + 3 * 4
-    assert cross_pod[1] == 3 + 5 * 4
+    # 3; every switch crossed adds its crossbar timer, its tail timer and
+    # the next cable's latency — no process, no resource request.  The
+    # injecting process's end is not an event: nobody waits on it.
+    assert same_edge[1] == 3 + 3
+    assert same_pod[1] == 3 + 3 * 3
+    assert cross_pod[1] == 3 + 5 * 3
+    assert constructed == {Process: 3}      # the three injections only
 
 
 def test_one_clean_kv_get():
@@ -136,8 +147,9 @@ def test_one_clean_kv_get():
     # and a one-member deadline batch; a plain Timeout saved 3 events per
     # ACK wait, two waits per call (173).  Settling store hand-offs and
     # unwatched process ends in place, and fusing LCP charges nothing
-    # observes apart, took 38 more.
-    assert cost == 135
+    # observes apart, took 38 more (135).  A switch hop of three timers
+    # took one per packet, four packets.
+    assert cost == 131
 
 
 def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
@@ -174,7 +186,7 @@ def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
     # batch's own completion on top of the Timeout.  With every LCP charge
     # its own Timeout it constructed 44 and cost 86.
     assert deadlines == [Timeout]
-    assert (timeouts[0], cost) == (40, 65)
+    assert (timeouts[0], cost) == (40, 63)
 
 
 # -------------------------------------------------------------------- CRC work

@@ -243,7 +243,7 @@ def test_link_delivers_in_order_with_timing():
 
     def sender():
         for seq in range(3):
-            yield from link.transmit(
+            yield link.transmit(
                 make_packet(payload=b"z" * 1006, seq=seq))
 
     env.process(sender())
@@ -270,7 +270,7 @@ def test_link_error_injection_detected():
     def sender():
         pkt = make_packet(payload=b"data to protect")
         pkt.seal()
-        yield from link.transmit(pkt)
+        yield link.transmit(pkt)
 
     env.process(sender())
     env.run()
@@ -308,11 +308,8 @@ def test_switch_routes_by_route_byte():
         link.connect(out[port].append)
         sw.attach_output(port, link)
 
-    def feed():
-        yield env.process(sw.receive(make_packet(route=[1], seq=1)))
-        yield env.process(sw.receive(make_packet(route=[2], seq=2)))
-
-    env.process(feed())
+    assert sw.receive(make_packet(route=[1], seq=1)) is None
+    assert sw.receive(make_packet(route=[2], seq=2)) is None
     env.run()
     assert [p.header.seq for p in out[1]] == [1]
     assert [p.header.seq for p in out[2]] == [2]
@@ -322,17 +319,16 @@ def test_switch_routes_by_route_byte():
 def test_switch_drops_on_unconnected_port():
     env = Environment()
     sw = Switch(env, nports=4)
-    env.process(sw.receive(make_packet(route=[3])))
-    env.run()
+    sw.receive(make_packet(route=[3]))
     assert sw.drops == 1
+    assert env.peek() is None               # a dropped worm schedules nothing
 
 
 def test_switch_bad_port_rejected():
     env = Environment()
     sw = Switch(env, nports=4, name="swX")
     with pytest.raises(PortRangeError) as exc:
-        env.process(sw.receive(make_packet(route=[9])))
-        env.run()
+        sw.receive(make_packet(route=[9]))
     # The error names the offending switch — essential in multi-switch
     # fabrics — and carries typed fields.
     assert exc.value.switch == "swX"
@@ -389,7 +385,7 @@ def test_end_to_end_delivery_through_switch():
         pkt = make_packet(route=net.compute_route("node0", "node1"),
                           payload=b"through the fabric")
         pkt.seal()
-        yield from net.inject("node0", pkt)
+        yield net.inject("node0", pkt)
 
     env.process(sender())
     env.run()
@@ -399,13 +395,24 @@ def test_end_to_end_delivery_through_switch():
     assert got[0].route_exhausted
 
 
+def test_a_second_feeder_overlapping_a_link_raises():
+    # A link has no arbiter: the feeder serialises it.  Two injections
+    # onto one cable in the same nanosecond are a modelling error, and it
+    # is loud.
+    env = Environment()
+    net = topology.build("single:2", env)
+    net.inject("node0", make_packet(route=[1], seq=1))
+    with pytest.raises(RuntimeError, match="before the previous tail left"):
+        net.inject("node0", make_packet(route=[1], seq=2))
+
+
 def test_packets_before_sink_attachment_are_queued():
     env = Environment()
     net = topology.build("single:2", env)
 
     def sender():
         pkt = make_packet(route=[1], payload=b"early")
-        yield from net.inject("node0", pkt)
+        yield net.inject("node0", pkt)
 
     env.process(sender())
     env.run()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hw.bus.eisa import EISAParams
-from repro.hw.myrinet import LinkParams
+from repro.hw.myrinet import LinkParams, MyrinetPacket
+from repro.hw.myrinet.packet import BaselineHeader
 from repro.hw.shrimp import ShrimpParams
 from repro.obs.metrics import MetricsRegistry
 from repro.vmmc.errors import ImportDenied, SendError
@@ -209,3 +210,28 @@ def test_shrimp_state_machine_invalidation_counter():
     sm.invalidate()
     sm.invalidate()
     assert sm.invalidations == 2
+
+
+def test_both_update_paths_take_turns_on_the_one_cable():
+    # Deliberate and automatic update feed the same cable; the board's
+    # outbound port makes the second wait for the first's tail.
+    cluster, _a, _b = make_pair()
+    env = cluster.env
+    nic = cluster.nodes[0].nic
+    route = cluster.fabric.compute_route("node0", "node1")
+    launched = []
+    link = cluster.fabric.find_link("node0->sw0")
+    real_transmit = link.transmit
+    link.transmit = lambda pkt: (launched.append(env.now),
+                                 real_transmit(pkt))[1]
+    env.run()
+    start = env.now
+    # Unsealed: the receiving board drops them at its CRC check.
+    packets = [MyrinetPacket(list(route), BaselineHeader("api_msg", i),
+                             bytes(4096)) for i in range(2)]
+    wire_ns = link.params.wire_time_ns(packets[0].wire_bytes)
+    for packet in packets:
+        env.process(nic.inject(packet))
+    env.run()
+    assert launched == [start, start + wire_ns]
+    assert cluster.nodes[1].nic.crc_drops == 2
