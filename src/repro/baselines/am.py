@@ -74,11 +74,11 @@ class ActiveMessagesPair(ProtocolPair):
         node = self.nodes[index]
         partial = self._partial[index]
         while True:
-            packet = yield node.nic.net_recv.inbox.get()
+            packet = yield node.nic.net_recv.get()
             if not packet.meta.get("crc_ok", True):
                 continue
             yield node.nic.processor.work_ns(FIRMWARE_NS)
-            yield from node.nic.host_dma.write_host(packet.payload, 12288)
+            yield node.nic.host_dma.write_host(packet.payload, 12288)
             header = packet.header
             got = partial.get(header.seq, 0) + packet.payload_bytes
             if got < header.msg_length:
@@ -110,18 +110,17 @@ class ActiveMessagesPair(ProtocolPair):
             sent = 0
             while sent < nbytes:
                 frag = min(STORE_FRAGMENT, nbytes - sent)
-                yield from node.bus.mmio_write(4)
+                yield node.bus.mmio_write(4)
                 yield node.nic.processor.work_ns(FIRMWARE_NS)
                 paddr = node.space.translate(
                     payload_buffer.vaddr
                     + (sent % max(1, payload_buffer.nbytes - frag + 1)))
-                yield from node.nic.host_dma.to_sram(paddr, 0, frag)
+                yield node.nic.host_dma.to_sram(paddr, 0, frag)
                 packet = self.make_packet(
                     src_index, BaselineHeader("am_request", seq, nbytes, sent,
                                               self._handler_number("store")),
                     payload_buffer.read(0, frag))
-                self.env.process(node.nic.net_send.send(packet),
-                                 name="netsend")
+                node.nic.net_send.send(packet)
                 sent += frag
 
         return self.env.process(run(), name="am.send")
@@ -136,11 +135,11 @@ class ActiveMessagesPair(ProtocolPair):
 
         def run():
             yield self.env.timeout(TX_OVERHEAD_NS)
-            yield from node.bus.mmio_write(6)
+            yield node.bus.mmio_write(6)
             yield node.nic.processor.work_ns(FIRMWARE_NS)
             packet = self.make_packet(
                 src_index, BaselineHeader("am_request", seq, 16, 0, word),
                 payload)
-            yield from node.nic.net_send.send(packet)
+            yield node.nic.net_send.send(packet)
 
         return self.env.process(run(), name="am.request")

@@ -68,11 +68,11 @@ class FastMessagesPair(ProtocolPair):
         node = self.nodes[index]
         partial = self._partial[index]
         while True:
-            packet = yield node.nic.net_recv.inbox.get()
+            packet = yield node.nic.net_recv.get()
             if not packet.meta.get("crc_ok", True):
                 continue
             # DMA fragment into the pinned receive region.
-            yield from node.nic.host_dma.write_host(packet.payload, 8192)
+            yield node.nic.host_dma.write_host(packet.payload, 8192)
             seq = packet.header.seq
             got = partial.get(seq, 0) + packet.payload_bytes
             if got >= packet.header.msg_length:
@@ -107,7 +107,7 @@ class FastMessagesPair(ProtocolPair):
                 words = HEADER_WORDS + (frag + 3) // 4
                 # The defining cost: every payload word crosses the PCI
                 # bus as a programmed-I/O write.  No pinning needed.
-                yield from node.bus.mmio_write(words)
+                yield node.bus.mmio_write(words)
                 payload = payload_buffer.read(
                     sent % max(1, payload_buffer.nbytes - frag + 1), frag)
                 packet = self.make_packet(
@@ -123,4 +123,4 @@ class FastMessagesPair(ProtocolPair):
 
     def _forward(self, node, packet):
         yield node.nic.processor.work_ns(FIRMWARE_NS)
-        yield from node.nic.net_send.send(packet)
+        yield node.nic.net_send.send(packet)

@@ -49,11 +49,11 @@ class MyrinetAPIPair(ProtocolPair):
     def _recv_loop(self, index: int):
         node = self.nodes[index]
         while True:
-            packet = yield node.nic.net_recv.inbox.get()
+            packet = yield node.nic.net_recv.get()
             if not packet.meta.get("crc_ok", True):
                 continue  # unreliable: silently lost (no recovery)
             # NIC DMAs the packet into the API's pinned receive ring.
-            yield from node.nic.host_dma.write_host(
+            yield node.nic.host_dma.write_host(
                 packet.payload, 4096)  # ring slot in low memory
             # Host-side: receive call overhead + copy into user structures.
             yield self.env.timeout(RX_OVERHEAD_NS)
@@ -70,7 +70,7 @@ class MyrinetAPIPair(ProtocolPair):
         def run():
             yield self.env.timeout(TX_OVERHEAD_NS)
             # Post a gather descriptor (no copy — memory is registered).
-            yield from node.bus.mmio_write(4)
+            yield node.bus.mmio_write(4)
             yield node.nic.processor.work_ns(FIRMWARE_NS)
             # LANai fetches the data page-by-page (registered user memory
             # is as scattered as anyone's: 4 KB DMA transfer units).
@@ -79,11 +79,11 @@ class MyrinetAPIPair(ProtocolPair):
                 chunk = min(4096, nbytes - fetched)
                 paddr = node.space.translate(
                     payload_buffer.vaddr + (fetched % payload_buffer.nbytes))
-                yield from node.nic.host_dma.to_sram(paddr, 0, chunk)
+                yield node.nic.host_dma.to_sram(paddr, 0, chunk)
                 fetched += chunk
             packet = self.make_packet(
                 src_index, BaselineHeader("api_msg", next(self._seq), nbytes),
                 payload_buffer.read(0, min(nbytes, payload_buffer.nbytes)))
-            yield from node.nic.net_send.send(packet)
+            yield node.nic.net_send.send(packet)
 
         return self.env.process(run(), name="api.send")

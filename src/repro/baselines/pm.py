@@ -75,7 +75,7 @@ class PMPair(ProtocolPair):
         node = self.nodes[index]
         partial = self._partial[index]
         while True:
-            packet = yield node.nic.net_recv.inbox.get()
+            packet = yield node.nic.net_recv.get()
             if not packet.meta.get("crc_ok", True):
                 continue
             if packet.header.kind == "pm_ack":
@@ -85,7 +85,7 @@ class PMPair(ProtocolPair):
             yield node.nic.processor.work_ns(RX_FIRMWARE_NS)
             # DMA into the preallocated pinned receive buffer (contiguous:
             # full transfer-unit DMAs).
-            yield from node.nic.host_dma.write_host(packet.payload, 16384)
+            yield node.nic.host_dma.write_host(packet.payload, 16384)
             seq = packet.header.seq
             got = partial.get(seq, 0) + packet.payload_bytes
             if got >= packet.header.msg_length:
@@ -95,7 +95,7 @@ class PMPair(ProtocolPair):
                 # (the header word is the count).
                 ack = self.make_packet(
                     index, BaselineHeader("pm_ack", word=1), b"")
-                self.env.process(node.nic.net_send.send(ack), name="pm.ack")
+                node.nic.net_send.send(ack)
             else:
                 partial[seq] = got
 
@@ -131,7 +131,7 @@ class PMPair(ProtocolPair):
                 yield node.membus.bcopy(nbytes)
             yield self._take_credit(src_index)
             # Descriptor: addr, len, doorbell.
-            yield from node.bus.mmio_write(3)
+            yield node.bus.mmio_write(3)
             sent = 0
             send_vaddr = self._send_bufs[src_index]
             while sent < nbytes:
@@ -140,7 +140,7 @@ class PMPair(ProtocolPair):
                 # Contiguous pinned buffer: one DMA per 8 KB unit.
                 paddr = node.space.translate(
                     send_vaddr + (sent % (256 * 1024 - unit + 1)))
-                yield from node.nic.host_dma.to_sram(paddr, 0, unit)
+                yield node.nic.host_dma.to_sram(paddr, 0, unit)
                 payload = payload_buffer.read(
                     sent % max(1, payload_buffer.nbytes - unit + 1), unit)
                 packet = self.make_packet(
@@ -148,8 +148,7 @@ class PMPair(ProtocolPair):
                     payload)
                 # Network injection overlaps the next unit's host DMA (the
                 # net-send engine serialises packets in FIFO order).
-                self.env.process(node.nic.net_send.send(packet),
-                                 name="netsend")
+                node.nic.net_send.send(packet)
                 sent += unit
 
         return self.env.process(run(), name="pm.send")

@@ -246,14 +246,14 @@ def hw_limits_trial(params: dict, seed: int) -> dict:
 
     def probe():
         t0 = env.now
-        yield from bus.mmio_read(1)
+        yield bus.mmio_read(1)
         out["mmio_read_us"] = (env.now - t0) / 1000
         t0 = env.now
-        yield from bus.mmio_write(1)
+        yield bus.mmio_write(1)
         out["mmio_write_us"] = (env.now - t0) / 1000
         # Posting a one-word send request: 4 control + 1 data word.
         t0 = env.now
-        yield from bus.mmio_write(5)
+        yield bus.mmio_write(5)
         out["post_us"] = (env.now - t0) / 1000
 
     env.process(probe())

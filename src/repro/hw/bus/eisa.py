@@ -6,15 +6,18 @@ and that a deliberate-update send is initiated with just **two**
 memory-mapped I/O instructions.  EISA I/O cycles are slower than PCI's but
 the hardware state machine makes up for it — one-word latency ≈7 µs versus
 9.8 µs on Myrinet despite the slower bus.
+
+The bus is a :class:`~repro.hw.bus.pci.PCIBus` with these parameters: a
+capacity-1 :class:`~repro.sim.server.Server` of which a DMA or PIO burst
+is a hold, a plain call returning the event fired when the hold ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import Environment, Resource
-from repro.sim.trace import emit
-from repro.obs.metrics import counter, gauge, histogram
+from repro.sim import Environment
+from repro.hw.bus.pci import PCIBus
 
 
 @dataclass(frozen=True)
@@ -41,46 +44,10 @@ class EISAParams:
         return nbytes / t * 1000.0 if t else 0.0
 
 
-class EISABus:
-    """Shared EISA bus: same interface as :class:`~repro.hw.bus.pci.PCIBus`
-    (every operation is a generator the caller runs with ``yield from``)."""
+class EISABus(PCIBus):
+    """Shared EISA bus: the :class:`~repro.hw.bus.pci.PCIBus` operations
+    and metrics with EISA's timing."""
 
     def __init__(self, env: Environment, params: EISAParams | None = None,
                  name: str = "eisa"):
-        self.env = env
-        self.params = params or EISAParams()
-        self.name = name
-        self._arbiter = Resource(env, capacity=1)
-        self._pio_words = {kind: counter(env, "bus.pio.words", bus=name,
-                                         kind=kind)
-                           for kind in ("read", "write")}
-        self._dma_queue_depth = gauge(env, "bus.dma.queue_depth", bus=name)
-        self._dma_transactions = counter(env, "bus.dma.transactions",
-                                         bus=name)
-        self._dma_bytes = counter(env, "bus.dma.bytes", bus=name)
-        self._dma_duration = histogram(env, "bus.dma.duration_ns", bus=name)
-
-    def mmio_read(self, words: int = 1):
-        return self._pio(self.params.mmio_read_ns, words, "read")
-
-    def mmio_write(self, words: int = 1):
-        return self._pio(self.params.mmio_write_ns, words, "write")
-
-    def _pio(self, cost_ns: int, words: int, kind: str):
-        with self._arbiter.request() as req:
-            yield req
-            emit(self.env, f"{self.name}.pio.{kind}", words=words)
-            self._pio_words[kind].inc(words)
-            yield self.env.timeout(cost_ns * words)
-
-    def dma(self, nbytes: int, priority: int = 0):
-        duration = self.params.dma_time_ns(nbytes)
-        self._dma_queue_depth.set(self._arbiter.queue_length)
-        with self._arbiter.request(priority=priority) as req:
-            yield req
-            emit(self.env, f"{self.name}.dma", nbytes=nbytes,
-                 duration=duration)
-            self._dma_transactions.inc()
-            self._dma_bytes.inc(nbytes)
-            self._dma_duration.observe(duration)
-            yield self.env.timeout(duration)
+        super().__init__(env, params or EISAParams(), name)

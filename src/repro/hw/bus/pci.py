@@ -19,13 +19,20 @@ long streams).  We therefore use a two-slope law::
 with ``knee`` = one page.  Fitted to the anchors this gives ≈2 µs for tiny
 transfers, exactly 100 MB/s at 4 KB and exactly 128 MB/s at 64 KB, with the
 monotonically rising curve of Figure 1 in between.
+
+The bus carries one transaction at a time in arrival order: it is a
+capacity-1 :class:`~repro.sim.server.Server`, and a DMA or PIO burst is
+a *hold* of it — a plain call that returns the event fired when the hold
+ends.  A DMA engine appends its own finish (copy the bytes, release the
+engine) to that event, so one event ends both the bus transaction and
+the engine's transfer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Event, Server, Timeout
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, gauge, histogram
 
@@ -66,14 +73,16 @@ class PCIParams:
 class PCIBus:
     """A shared PCI bus: MMIO accesses and DMA bursts contend for it.
 
-    The bus is a capacity-1 resource.  DMA engines hold it for whole
-    transactions (the 430FX gives the busmaster long bursts); PIO accesses
-    queue behind them, which is how send-posting cost can grow under heavy
-    DMA traffic — visible in the bidirectional benchmark.
+    The bus is a capacity-1 :class:`~repro.sim.server.Server`.  DMA
+    engines hold it for whole transactions (the 430FX gives the
+    busmaster long bursts); PIO accesses queue behind them, which is how
+    send-posting cost can grow under heavy DMA traffic — visible in the
+    bidirectional benchmark.
 
-    Every operation is a **generator** the caller runs:
-    ``yield from bus.dma(n)`` inline, or ``env.process(bus.dma(n))`` to
-    overlap it with the caller's own work.
+    Every operation is a **plain call** that takes the bus in arrival
+    order and returns the event fired when the hold ends (a ``Timeout``
+    started at the grant): ``yield bus.dma(n)`` to wait for it, or keep
+    the event and carry on.
     """
 
     def __init__(self, env: Environment, params: PCIParams | None = None,
@@ -81,7 +90,7 @@ class PCIBus:
         self.env = env
         self.params = params or PCIParams()
         self.name = name
-        self._arbiter = Resource(env, capacity=1)
+        self._server = Server(env)
         self._pio_words = {kind: counter(env, "bus.pio.words", bus=name,
                                          kind=kind)
                            for kind in ("read", "write")}
@@ -92,39 +101,40 @@ class PCIBus:
         self._dma_duration = histogram(env, "bus.dma.duration_ns", bus=name)
 
     # -- programmed I/O ------------------------------------------------------
-    def mmio_read(self, words: int = 1):
-        """Generator: perform ``words`` uncached I/O reads."""
-        return self._pio(self.params.mmio_read_ns, words, "read")
+    def mmio_read(self, words: int = 1) -> Event:
+        """``words`` uncached I/O reads; the event fires when they end."""
+        return self._server.serve(self._pio, "read", words,
+                                  self.params.mmio_read_ns * words)
 
-    def mmio_write(self, words: int = 1):
-        """Generator: perform ``words`` posted I/O writes."""
-        return self._pio(self.params.mmio_write_ns, words, "write")
+    def mmio_write(self, words: int = 1) -> Event:
+        """``words`` posted I/O writes; the event fires when they end."""
+        return self._server.serve(self._pio, "write", words,
+                                  self.params.mmio_write_ns * words)
 
-    def _pio(self, cost_ns: int, words: int, kind: str):
-        with self._arbiter.request() as req:
-            yield req
-            emit(self.env, f"{self.name}.pio.{kind}", words=words)
-            self._pio_words[kind].inc(words)
-            yield self.env.timeout(cost_ns * words)
+    def _pio(self, kind: str, words: int, duration: int) -> Timeout:
+        emit(self.env, f"{self.name}.pio.{kind}", words=words)
+        self._pio_words[kind].inc(words)
+        return Timeout(self.env, duration)
 
     # -- DMA ---------------------------------------------------------------------
-    def dma(self, nbytes: int, priority: int = 0):
-        """Generator: one DMA transaction of ``nbytes`` across the bus.
+    def dma(self, nbytes: int) -> Event:
+        """One DMA transaction of ``nbytes`` across the bus; the event
+        fires when it ends.
 
         The caller (a DMA engine) is responsible for actually moving the
         bytes between memories; this models only the bus time.
         """
         duration = self.params.dma_time_ns(nbytes)
-        self._dma_queue_depth.set(self._arbiter.queue_length)
-        with self._arbiter.request(priority=priority) as req:
-            yield req
-            emit(self.env, f"{self.name}.dma", nbytes=nbytes,
-                 duration=duration)
-            self._dma_transactions.inc()
-            self._dma_bytes.inc(nbytes)
-            self._dma_duration.observe(duration)
-            yield self.env.timeout(duration)
+        self._dma_queue_depth.set(self._server.queue_length)
+        return self._server.serve(self._dma, nbytes, duration)
+
+    def _dma(self, nbytes: int, duration: int) -> Timeout:
+        emit(self.env, f"{self.name}.dma", nbytes=nbytes, duration=duration)
+        self._dma_transactions.inc()
+        self._dma_bytes.inc(nbytes)
+        self._dma_duration.observe(duration)
+        return Timeout(self.env, duration)
 
     @property
     def busy(self) -> bool:
-        return self._arbiter.count > 0
+        return self._server.busy

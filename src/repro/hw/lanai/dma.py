@@ -9,22 +9,29 @@
 * :class:`NetRecvEngine` — receives packets from the link into SRAM
   staging buffers and queues their descriptors for the LCP.
 
-Each engine serialises its own transfers (capacity-1 resource) but the
-three engines run concurrently — the internal bus is clocked at twice the
-processor, "letting the two DMA engines operate concurrently".
+Each engine serialises its own transfers (a capacity-1
+:class:`~repro.sim.server.Server`) but the three engines run concurrently
+— the internal bus is clocked at twice the processor, "letting the two
+DMA engines operate concurrently".
 
-An engine operation is a **generator**: ``yield from`` it to wait for the
-transfer, or hand it to ``env.process(...)`` — once, at the call site —
-when the caller carries on while the engine works.
+An engine operation is a **plain call**, not a process: it queues for
+its engine and returns the event fired when the transfer ends.  Once
+granted, a host-DMA transfer takes a hold of the PCI bus; when the hold
+ends, the bus is released, then the engine copies the bytes, tells the
+memory (``notify_write``), emits, counts and releases itself, and then
+the caller's waiters run — all in the dispatch of that one event, which
+is what the operation returns (a queued operation returns a stand-in
+fired in place there).  ``yield`` the event to wait for the transfer, or
+keep it and carry on while the engine works.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
 
 import numpy as np
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Event, Server
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, gauge
 from repro.mem.physical import PhysicalMemory
@@ -49,7 +56,7 @@ class HostDMAEngine:
         self.host_memory = host_memory
         self.sram = sram
         self.name = name
-        self._engine = Resource(env, capacity=1)
+        self._engine = Server(env)
         self._queue_depth = gauge(env, "hostdma.queue_depth", nic=name)
         self._bytes_to_sram = counter(env, "hostdma.bytes", nic=name,
                                       dir="to_sram")
@@ -58,13 +65,14 @@ class HostDMAEngine:
         self.bytes_to_sram = 0
         self.bytes_to_host = 0
 
-    def to_sram(self, paddr: int, sram_addr: int, nbytes: int):
-        """Generator: DMA ``nbytes`` host→SRAM; returns when data is in
+    def to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
+        """DMA ``nbytes`` host→SRAM; the event fires when the data is in
         SRAM."""
         self._queue_depth.set(self._engine.queue_length)
-        with self._engine.request() as req:
-            yield req
-            yield from self.bus.dma(nbytes)
+        return self._engine.serve(self._to_sram, paddr, sram_addr, nbytes)
+
+    def _to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
+        def landed(_hold):
             self.sram.view(sram_addr, nbytes)[:] = \
                 self.host_memory.view(paddr, nbytes)
             self.bytes_to_sram += nbytes
@@ -72,28 +80,22 @@ class HostDMAEngine:
             emit(self.env, f"{self.name}.hostdma.to_sram",
                  paddr=paddr, nbytes=nbytes)
 
-    def to_host(self, sram_addr: int, paddr: int, nbytes: int):
-        """Generator: DMA ``nbytes`` SRAM→host memory."""
-        with self._engine.request() as req:
-            yield req
-            yield from self.bus.dma(nbytes)
-            self.host_memory.view(paddr, nbytes)[:] = \
-                self.sram.view(sram_addr, nbytes)
-            self.host_memory.notify_write(paddr, nbytes)
-            self.bytes_to_host += nbytes
-            self._bytes_to_host.inc(nbytes)
-            emit(self.env, f"{self.name}.hostdma.to_host",
-                 paddr=paddr, nbytes=nbytes)
+        hold = self.bus.dma(nbytes)
+        hold.callbacks.append(landed)
+        return hold
 
-    def write_host(self, data: np.ndarray, paddr: int):
-        """Generator: DMA the given bytes (already staged in SRAM by the
-        receive engine) to host memory at ``paddr``."""
+    def write_host(self, data: np.ndarray, paddr: int) -> Event:
+        """DMA the given bytes (already staged in SRAM by the receive
+        engine) to host memory at ``paddr``; the event fires when they
+        are there."""
         payload = np.asarray(data, dtype=np.uint8)
-        nbytes = int(payload.size)
         self._queue_depth.set(self._engine.queue_length)
-        with self._engine.request() as req:
-            yield req
-            yield from self.bus.dma(nbytes)
+        return self._engine.serve(self._write_host, payload, paddr)
+
+    def _write_host(self, payload: np.ndarray, paddr: int) -> Event:
+        nbytes = int(payload.size)
+
+        def landed(_hold):
             self.host_memory.view(paddr, nbytes)[:] = payload
             self.host_memory.notify_write(paddr, nbytes)
             self.bytes_to_host += nbytes
@@ -101,33 +103,39 @@ class HostDMAEngine:
             emit(self.env, f"{self.name}.hostdma.write_host",
                  paddr=paddr, nbytes=nbytes)
 
+        hold = self.bus.dma(nbytes)
+        hold.callbacks.append(landed)
+        return hold
+
     def write_host_scatter(self, data: np.ndarray,
-                           extents: list[tuple[int, int]]):
-        """Generator: deliver staged receive data to up to two physical
-        extents — the section-4.5 two-piece scatter."""
+                           extents: list[tuple[int, int]]) -> Event:
+        """Deliver staged receive data to up to two physical extents — the
+        section-4.5 two-piece scatter.  Each piece is its own engine
+        operation, queued as the one before it ends; the event fires when
+        the last has landed."""
         payload = np.asarray(data, dtype=np.uint8)
-        offset = 0
+        pieces, offset = [], 0
         for paddr, length in extents:
-            if length == 0:
-                continue
-            yield from self.write_host(payload[offset:offset + length],
-                                       paddr)
-            offset += length
+            if length:
+                pieces.append((payload[offset:offset + length], paddr))
+                offset += length
+        if not pieces:
+            done = Event(self.env)
+            done._settle(None)
+            return done
+        written = self.write_host(*pieces[0])
+        if len(pieces) == 1:
+            return written
+        done = Event(self.env)
+        self._then_scatter(written, pieces[1:], done)
+        return done
 
-    def scatter_to_host(self, sram_addr: int,
-                        extents: list[tuple[int, int]]):
-        """Generator: write SRAM bytes to up to two physical extents.
-
-        This is the receive-side "two piece scatter" of section 4.5 — a
-        message landing across a page boundary is written with two DMA
-        transactions, addresses taken from the packet header.
-        """
-        offset = 0
-        for paddr, length in extents:
-            if length == 0:
-                continue
-            yield from self.to_host(sram_addr + offset, paddr, length)
-            offset += length
+    def _then_scatter(self, written: Event, rest: list, done: Event) -> None:
+        if rest:
+            written.callbacks.append(lambda _written: self._then_scatter(
+                self.write_host(*rest[0]), rest[1:], done))
+        else:
+            written.callbacks.append(lambda _written: done._fire())
 
     @property
     def queue_length(self) -> int:
@@ -142,27 +150,34 @@ class NetSendEngine:
         self.env = env
         self.network = network
         self.host_name = host_name
-        self._engine = Resource(env, capacity=1)
+        self._engine = Server(env)
         self._packets_sent = counter(env, "net.packets", nic=host_name,
                                      dir="tx")
         self.packets_sent = 0
 
-    def send(self, packet: MyrinetPacket):
-        """Generator: seal (hardware CRC) and transmit one packet.
+    def send(self, packet: MyrinetPacket) -> Event:
+        """Seal (hardware CRC) and transmit one packet.
 
-        Returns when the packet's tail has left the NIC — the point at
-        which the SRAM staging buffer is reusable.  The engine streams
-        autonomously of the LANai, so the LCP runs this as its own
-        process (``env.process(net_send.send(packet))``).
+        The event fires when the packet's tail has left the NIC — the
+        point at which the SRAM staging buffer is reusable.  The engine
+        streams autonomously of the LANai: the LCP keeps the event and
+        moves on (it is the link's tail timer when the engine was free,
+        born triggered: test ``processed``).
         """
-        with self._engine.request() as req:
-            yield req
-            packet.seal()
-            yield self.network.inject(self.host_name, packet)
+        return self._engine.serve(self._send, packet)
+
+    def _send(self, packet: MyrinetPacket) -> Event:
+        packet.seal()
+
+        def tail_left(_tail):
             self.packets_sent += 1
             self._packets_sent.inc()
             emit(self.env, "lanai.netsend", nic=self.host_name,
                  nbytes=packet.payload_bytes)
+
+        tail = self.network.inject(self.host_name, packet)
+        tail.callbacks.append(tail_left)
+        return tail
 
 
 class NetRecvEngine:
@@ -179,7 +194,9 @@ class NetRecvEngine:
         self.env = env
         self.sram = sram
         self.host_name = host_name
-        self.inbox: Store = Store(env)
+        #: Arrived packets the LCP pops after :meth:`pending`.
+        self.inbox: deque[MyrinetPacket] = deque()
+        self._getters: deque[Event] = deque()
         self.packets_received = 0
         self.crc_errors = 0
         self._packets_received = counter(env, "net.packets", nic=host_name,
@@ -199,10 +216,24 @@ class NetRecvEngine:
         emit(self.env, "lanai.netrecv", nic=self.host_name,
              nbytes=packet.payload_bytes, ok=ok)
         packet.meta["crc_ok"] = ok
-        self.inbox.put(packet)
+        if self._getters:
+            self._getters.popleft().succeed(packet)
+        else:
+            self.inbox.append(packet)
         if self.on_arrival is not None:
             self.on_arrival()
 
     def pending(self) -> int:
         """Packets waiting for the LCP — polled by the main loop."""
         return len(self.inbox)
+
+    def get(self) -> Event:
+        """Blocking receive, for firmware that waits for a packet (the
+        mapping LCP, the baseline protocols): the event's value is the
+        next packet, at once if one is waiting."""
+        event = Event(self.env)
+        if self.inbox:
+            event._settle(self.inbox.popleft())
+        else:
+            self._getters.append(event)
+        return event

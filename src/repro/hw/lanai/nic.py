@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, SimulationError
 from repro.sim.trace import emit
 from repro.mem.physical import PhysicalMemory
 from repro.hw.bus.pci import PCIBus
@@ -42,48 +42,60 @@ class LanaiNIC:
         self.interrupts_raised = 0
 
     # -- host-side MMIO access to SRAM ---------------------------------------
-    def host_write_sram(self, addr: int, payload, words: int | None = None):
-        """Generator: host writes ``payload`` into SRAM via programmed I/O.
+    def host_write_sram(self, addr: int, payload,
+                        words: int | None = None) -> Event:
+        """Host writes ``payload`` into SRAM via programmed I/O; the event
+        fires when the last write completes, which is when the bytes land.
 
         Cost: one posted PCI write per 32-bit word (section 5.2's
-        0.121 µs each).  The byte payload lands in SRAM when the last
-        write completes.
+        0.121 µs each).
         """
         data = bytes(payload)
         nwords = words if words is not None else max(1, (len(data) + 3) // 4)
-        yield from self.bus.mmio_write(nwords)
-        self.sram.write(addr, data)
-        emit(self.env, "nic.host_write_sram", addr=addr, nbytes=len(data))
 
-    def host_read_sram(self, addr: int, nbytes: int):
-        """Generator: host reads SRAM via programmed I/O (0.422 µs/word);
-        returns the bytes read."""
-        yield from self.bus.mmio_read(max(1, (nbytes + 3) // 4))
-        return self.sram.read(addr, nbytes)
+        def landed(_writes):
+            self.sram.write(addr, data)
+            emit(self.env, "nic.host_write_sram", addr=addr, nbytes=len(data))
+
+        written = self.bus.mmio_write(nwords)
+        written.callbacks.append(landed)
+        return written
+
+    def host_read_sram(self, addr: int, nbytes: int) -> Event:
+        """Host reads SRAM via programmed I/O (0.422 µs/word); the event's
+        value is the bytes read."""
+        done = Event(self.env)
+        self.bus.mmio_read(max(1, (nbytes + 3) // 4)).callbacks.append(
+            lambda _reads: done._fire(self.sram.read(addr, nbytes)))
+        return done
 
     # -- interrupt line ----------------------------------------------------------
     def set_interrupt_handler(self,
                               handler: Callable[[str, Any], Any]) -> None:
-        """The driver registers its IRQ entry point here."""
+        """The driver registers its IRQ entry point here: it returns an
+        event whose value is the service's result (the driver's ISR
+        process), or the result itself."""
         self._interrupt_handler = handler
 
-    def raise_interrupt(self, reason: str, payload: Any = None):
-        """Assert the PCI interrupt line; returns a generator that ends
+    def raise_interrupt(self, reason: str, payload: Any = None) -> Event:
+        """Assert the PCI interrupt line; returns the event that fires
         when the host driver has serviced it (the LCP blocks on TLB-miss
-        service) and returns the handler's result."""
+        service), valued with the handler's result."""
         if self._interrupt_handler is None:
             raise RuntimeError(
                 f"{self.host_name}: interrupt with no driver attached")
         self.interrupts_raised += 1
         emit(self.env, "nic.interrupt", reason=reason)
-        return self._serviced(self._interrupt_handler(reason, payload))
-
-    def _serviced(self, result: Any):
-        if hasattr(result, "__next__"):
-            result = yield from result
-        elif isinstance(result, Event):
-            result = yield result
-        return result
+        result = self._interrupt_handler(reason, payload)
+        if isinstance(result, Event):
+            return result
+        if hasattr(result, "throw"):
+            raise SimulationError(
+                f"{self.host_name}: the interrupt handler returned a "
+                f"generator; return the process that runs it")
+        serviced = Event(self.env)
+        serviced._settle(result)
+        return serviced
 
     # -- resource accounting (section 6 tradeoffs) ------------------------------
     def sram_usage(self) -> dict[str, int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Event, Server
 from repro.sim.trace import emit
 from repro.obs.metrics import count
 from repro.mem.physical import PhysicalMemory
@@ -59,7 +59,7 @@ class ShrimpStateMachine:
         self.env = env
         self.nic = nic
         self.params = params
-        self._engine = Resource(env, capacity=1)
+        self._engine = Server(env)
         self.requests_processed = 0
         self.invalidations = 0
 
@@ -69,26 +69,39 @@ class ShrimpStateMachine:
         self.invalidations += 1
 
     def deliberate_update(self, src_paddr: int, extents, node_index: int,
-                          nbytes: int, last: bool, notify: bool = False):
-        """Generator: one ≤page transfer; returns when the data has left
+                          nbytes: int, last: bool,
+                          notify: bool = False) -> Event:
+        """One ≤page transfer; the event fires when the data has left
         host memory (the EISA DMA finished) — the sender-visible point."""
-        with self._engine.request() as req:
-            yield req
-            yield self.env.timeout(self.params.state_machine_ns)
+        return self._engine.serve(self._update, src_paddr, extents,
+                                  node_index, nbytes, last, notify)
+
+    def _update(self, src_paddr: int, extents, node_index: int,
+                nbytes: int, last: bool, notify: bool) -> Event:
+        nic = self.nic
+        done = Event(self.env)
+
+        def fetch(_setup):
             # Fetch the data from host memory over EISA.
-            yield from self.nic.bus.dma(nbytes)
-            payload = self.nic.host_memory.read(src_paddr, nbytes)
+            nic.bus.dma(nbytes).callbacks.append(fetched)
+
+        def fetched(_dma):
+            payload = nic.host_memory.read(src_paddr, nbytes)
             packet = MyrinetPacket(
-                list(self.nic.routes[node_index]),
+                list(nic.routes[node_index]),
                 DepositHeader("shrimp_du", extents, notify, last,
-                              self.nic.node_index, nbytes),
+                              nic.node_index, nbytes),
                 payload)
             packet.seal()
             self.requests_processed += 1
             emit(self.env, "shrimp.sm.send", nbytes=nbytes)
             # The backplane injection proceeds in hardware; don't hold
             # the state machine for the wire time.
-            self.env.process(self.nic.inject(packet), name="shrimp.inject")
+            nic.inject(packet)
+            done._fire()
+
+        self.env.timeout(self.params.state_machine_ns).callbacks.append(fetch)
+        return done
 
 
 class ShrimpNIC:
@@ -116,27 +129,26 @@ class ShrimpNIC:
         self.packets_delivered = 0
         self.protection_violations = 0
         self.crc_drops = 0
-        self._outbound = Resource(env, capacity=1)
+        self._outbound = Server(env)
         network.attach_host_sink(host_name, self._receive)
 
     def install_routes(self, routes: dict[int, list[int]]) -> None:
         self.routes = dict(routes)
 
-    def inject(self, packet: MyrinetPacket):
-        """Generator: put ``packet`` on this board's one cable, which the
-        deliberate- and automatic-update paths take in turn."""
-        with self._outbound.request() as req:
-            yield req
-            yield self.network.inject(self.host_name, packet)
+    def inject(self, packet: MyrinetPacket) -> Event:
+        """Put ``packet`` on this board's one cable, which the deliberate-
+        and automatic-update paths take in turn; the event fires when its
+        tail has left."""
+        return self._outbound.serve(self.network.inject, self.host_name,
+                                    packet)
 
     # -- receive side (hardware) ------------------------------------------------
     def _receive(self, packet: MyrinetPacket) -> None:
         # The receive engine runs beside whatever arrives next.
-        self.env.process(self._deposit(packet),
-                         name=f"{self.host_name}.deposit")
+        self.env.timeout(self.params.recv_setup_ns).callbacks.append(
+            lambda _setup: self._deposit(packet))
 
-    def _deposit(self, packet: MyrinetPacket):
-        yield self.env.timeout(self.params.recv_setup_ns)
+    def _deposit(self, packet: MyrinetPacket) -> None:
         if not packet.crc_ok():
             self.crc_drops += 1
             count(self.env, "shrimp.crc_drops", nic=self.host_name)
@@ -146,15 +158,23 @@ class ShrimpNIC:
         if self.incoming.first_unwritable(extents) is not None:
             self.protection_violations += 1
             return
-        # DMA into pinned receive buffers over this node's EISA bus.
-        offset = 0
-        for paddr, length in extents:
-            if length == 0:
-                continue
-            yield from self.bus.dma(length)
+        # DMA into pinned receive buffers over this node's EISA bus, one
+        # extent after another.
+        self._deposit_extents(packet, [e for e in extents if e[1]], 0)
+
+    def _deposit_extents(self, packet: MyrinetPacket, extents: list,
+                         offset: int) -> None:
+        if not extents:
+            self.packets_delivered += 1
+            emit(self.env, "shrimp.recv.delivered",
+                 nbytes=packet.payload_bytes)
+            return
+        (paddr, length), rest = extents[0], extents[1:]
+
+        def landed(_dma):
             self.host_memory.view(paddr, length)[:] = \
                 packet.payload[offset:offset + length]
             self.host_memory.notify_write(paddr, length)
-            offset += length
-        self.packets_delivered += 1
-        emit(self.env, "shrimp.recv.delivered", nbytes=packet.payload_bytes)
+            self._deposit_extents(packet, rest, offset + length)
+
+        self.bus.dma(length).callbacks.append(landed)

@@ -12,16 +12,20 @@ pages are captured **off the memory bus** — the data never crosses the
 EISA bus on the send side and the sending CPU executes *zero* extra
 instructions.  Captured writes are coalesced in a small outgoing queue
 (the real hardware had a proxy-write FIFO) and injected as packets by a
-hardware pipeline.
+hardware pipeline.  Both sides are plain calls and callbacks on the
+event core, like every other device in :mod:`repro.hw`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.sim import Environment, Store
+from repro.sim import Environment, Event
+from repro.sim.server import at_now
 from repro.sim.trace import emit
 from repro.mem.virtual import PAGE_SIZE
 from repro.hw.myrinet.packet import DepositHeader, MyrinetPacket
@@ -52,7 +56,13 @@ class _CapturedWrite:
 
 
 class AutomaticUpdateUnit:
-    """The snooping side-car on a SHRIMP node's memory bus."""
+    """The snooping side-car on a SHRIMP node's memory bus.
+
+    Two pieces of hardware, both driven by callbacks: the capture side
+    (:meth:`snoop`) fills the FIFO, and the injection pipeline drains it
+    — idle until a capture arrives, then coalesce, build, inject, and
+    look at the FIFO again once the packet's tail has left.
+    """
 
     def __init__(self, env: Environment, nic, params: SnoopParams | None = None):
         self.env = env
@@ -60,11 +70,14 @@ class AutomaticUpdateUnit:
         self.params = params or SnoopParams()
         #: local physical page → (dest node index, dest physical page).
         self._table: dict[int, tuple[int, int]] = {}
-        self._fifo: Store = Store(env, capacity=self.params.fifo_depth)
+        self._fifo: deque[_CapturedWrite] = deque()
+        #: Captures stalled on a full FIFO, each with its continuation.
+        self._stalled: deque[tuple[_CapturedWrite, Callable[[], None]]] = \
+            deque()
+        self._pipeline_idle = True
         self.writes_captured = 0
         self.packets_injected = 0
         self.coalesced = 0
-        env.process(self._pipeline(), name=f"{nic.host_name}.au")
 
     # -- mapping management (set up by the OS on au-import) -------------------
     def map_page(self, local_page: int, dest_node: int,
@@ -79,11 +92,17 @@ class AutomaticUpdateUnit:
         return len(self._table)
 
     # -- the snoop itself -----------------------------------------------------------
-    def snoop(self, paddr: int, data: np.ndarray):
-        """Generator: a write of ``data`` at ``paddr`` appeared on the
-        memory bus.  If the page is mapped, capture it (may stall on
-        FIFO-full, back-pressuring the writing CPU)."""
-        offset = 0
+    def snoop(self, paddr: int, data: np.ndarray) -> Event:
+        """A write of ``data`` at ``paddr`` appeared on the memory bus.
+        Each piece on a mapped page is captured in turn; the event fires
+        when the last is in the FIFO (a full FIFO stalls it,
+        back-pressuring the writing CPU)."""
+        done = Event(self.env)
+        self._snoop_from(paddr, data, 0, done)
+        return done
+
+    def _snoop_from(self, paddr: int, data: np.ndarray, offset: int,
+                    done: Event) -> None:
         size = int(np.asarray(data).size)
         while offset < size:
             page = (paddr + offset) // PAGE_SIZE
@@ -94,45 +113,92 @@ class AutomaticUpdateUnit:
                 dest_node, dest_page = mapping
                 dest_paddr = dest_page * PAGE_SIZE \
                     + (paddr + offset) % PAGE_SIZE
-                yield self.env.timeout(self.params.capture_ns)
-                yield self._fifo.put(_CapturedWrite(
-                    dest_node=dest_node, dest_paddr=dest_paddr,
-                    data=np.asarray(data[offset:offset + chunk],
-                                    dtype=np.uint8).copy(),
-                    captured_at=self.env.now))
-                self.writes_captured += 1
-            offset += chunk
+                start, end = offset, offset + chunk
 
-    def _pipeline(self):
-        """Drain the FIFO: coalesce adjacent captures, inject packets."""
-        while True:
-            first = yield self._fifo.get()
-            batch = [first]
-            # Coalesce: absorb immediately-following contiguous captures.
-            while len(self._fifo):
-                nxt = self._fifo.items[0]
-                last = batch[-1]
-                contiguous = (
-                    nxt.dest_node == last.dest_node
-                    and nxt.dest_paddr == last.dest_paddr + last.data.size
-                    and nxt.captured_at - first.captured_at
-                    <= self.params.coalesce_window_ns)
-                if not contiguous:
-                    break
-                batch.append((yield self._fifo.get()))
-                self.coalesced += 1
-            payload = np.concatenate([w.data for w in batch])
-            yield self.env.timeout(self.params.inject_ns)
-            packet = MyrinetPacket(
-                list(self.nic.routes[first.dest_node]),
-                DepositHeader("shrimp_au",
-                              ((first.dest_paddr, int(payload.size)),),
-                              notify=False, last=True,
-                              src_node=self.nic.node_index,
-                              msg_length=int(payload.size)),
-                payload)
-            packet.seal()
-            self.packets_injected += 1
-            emit(self.env, "shrimp.au.inject", nbytes=int(payload.size),
-                 coalesced=len(batch))
-            yield from self.nic.inject(packet)
+                def captured(_capture):
+                    self._put(_CapturedWrite(
+                        dest_node=dest_node, dest_paddr=dest_paddr,
+                        data=np.asarray(data[start:end],
+                                        dtype=np.uint8).copy(),
+                        captured_at=self.env.now),
+                        lambda: self._captured(paddr, data, end, done))
+
+                self.env.timeout(self.params.capture_ns).callbacks.append(
+                    captured)
+                return
+            offset += chunk
+        done._fire()
+
+    def _captured(self, paddr: int, data: np.ndarray, offset: int,
+                  done: Event) -> None:
+        self.writes_captured += 1
+        self._snoop_from(paddr, data, offset, done)
+
+    # -- the FIFO -------------------------------------------------------------------
+    def _put(self, item: _CapturedWrite, then: Callable[[], None]) -> None:
+        """Queue a capture and continue with ``then`` — now if the FIFO
+        has room, else from an event when the pipeline makes room."""
+        if self._stalled or len(self._fifo) >= self.params.fifo_depth:
+            self._stalled.append((item, then))
+            return
+        self._fifo.append(item)
+        if self._pipeline_idle:
+            # The idle pipeline takes it, and starts from an event.
+            self._pipeline_idle = False
+            first = self._fifo.popleft()
+            at_now(self.env, lambda: self._coalesce(first))
+        then()
+
+    def _take(self) -> _CapturedWrite:
+        """Pop the FIFO head; a stalled capture takes the room, and its
+        writer resumes from an event."""
+        item = self._fifo.popleft()
+        if self._stalled:
+            admitted, then = self._stalled.popleft()
+            self._fifo.append(admitted)
+            at_now(self.env, then)
+        return item
+
+    # -- the injection pipeline ---------------------------------------------------
+    def _next_batch(self) -> None:
+        if self._fifo:
+            self._coalesce(self._take())
+        else:
+            self._pipeline_idle = True
+
+    def _coalesce(self, first: _CapturedWrite) -> None:
+        """Absorb immediately-following contiguous captures, then build
+        and inject one packet."""
+        batch = [first]
+        while self._fifo:
+            nxt = self._fifo[0]
+            last = batch[-1]
+            contiguous = (
+                nxt.dest_node == last.dest_node
+                and nxt.dest_paddr == last.dest_paddr + last.data.size
+                and nxt.captured_at - first.captured_at
+                <= self.params.coalesce_window_ns)
+            if not contiguous:
+                break
+            batch.append(self._take())
+            self.coalesced += 1
+        self.env.timeout(self.params.inject_ns).callbacks.append(
+            lambda _build: self._inject(first, batch))
+
+    def _inject(self, first: _CapturedWrite,
+                batch: list[_CapturedWrite]) -> None:
+        payload = np.concatenate([w.data for w in batch])
+        packet = MyrinetPacket(
+            list(self.nic.routes[first.dest_node]),
+            DepositHeader("shrimp_au",
+                          ((first.dest_paddr, int(payload.size)),),
+                          notify=False, last=True,
+                          src_node=self.nic.node_index,
+                          msg_length=int(payload.size)),
+            payload)
+        packet.seal()
+        self.packets_injected += 1
+        emit(self.env, "shrimp.au.inject", nbytes=int(payload.size),
+             coalesced=len(batch))
+        self.nic.inject(packet).callbacks.append(
+            lambda _tail: self._next_batch())

@@ -1,9 +1,10 @@
 """Discrete-event simulation engine.
 
-This package is the foundation of the whole reproduction: every piece of
-simulated hardware (buses, DMA engines, Myrinet links, the LANai processor)
-and software (the VMMC LCP, drivers, daemons, user processes) runs as a
-generator-based :class:`~repro.sim.core.Process` over a shared
+This package is the foundation of the whole reproduction: simulated
+software (the VMMC LCP, drivers, daemons, user processes) runs as
+generator-based :class:`~repro.sim.core.Process` es, and simulated
+hardware (buses, DMA engines, Myrinet links and switches) as plain calls
+that schedule events, all over a shared
 :class:`~repro.sim.core.Environment`.
 
 The engine is deliberately SimPy-like (processes yield events) but written
@@ -19,9 +20,11 @@ Public surface
 * :class:`Interrupt` — exception thrown into interrupted processes.
 * :class:`SimulationError` — engine misuse; its :class:`SimulationStalled`
   says which event a drained ``run(until=...)`` was still waiting for.
-* :class:`Resource`, :class:`PriorityResource` — capacity-limited resources.
-* :class:`Store` — FIFO object queue (used for DMA request queues, NIC
-  packet queues, daemon mailboxes...).
+* :class:`Resource` — capacity-limited resource a process requests.
+* :class:`Server` — capacity-1 FIFO server run by callbacks (the buses
+  and DMA engines of :mod:`repro.hw`).
+* :class:`Store` — FIFO object queue (daemon mailboxes, protocol
+  delivery queues...).
 * Time helpers: :data:`NS`, :data:`US`, :data:`MS`, :data:`SEC`,
   :func:`us`, :func:`ns_to_us`.
 """
@@ -44,7 +47,8 @@ from repro.sim.core import (
     us,
 )
 from repro.sim.conditions import AllOf, AnyOf
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
+from repro.sim.server import Server
 from repro.sim.trace import TraceRecord, Tracer, TracerOverflowWarning
 
 __all__ = [
@@ -57,9 +61,9 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
+    "Server",
     "SimulationError",
     "SimulationStalled",
     "Store",

@@ -174,6 +174,19 @@ class Event:
         self._scheduled = True
         self.callbacks = None
 
+    def _fire(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the callbacks now, scheduling
+        nothing — for an operation that ends inside the dispatch of
+        another event (a queued :class:`~repro.sim.server.Server`
+        operation's stand-in, a scatter's last piece): its waiters run
+        in that dispatch, as if they were that event's callbacks."""
+        callbacks = self.callbacks
+        self._value = value
+        self._scheduled = True
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (chaining)."""
         if event._ok:
@@ -231,9 +244,9 @@ class Timeout(Event):
 
 def _not_an_event(what: str, target: Any) -> SimulationError:
     """The error for a non-event where an event was required.  A bare
-    generator — ``yield bus.dma(n)`` with the ``from`` forgotten — is
-    the mistake the hardware API invites, so it is named and the two
-    fixes spelled out; it is never wrapped into a process silently."""
+    generator — a generator helper yielded with the ``from`` forgotten —
+    is named and the two fixes spelled out; it is never wrapped into a
+    process silently."""
     if hasattr(target, "throw"):
         name = getattr(target, "__qualname__", type(target).__name__)
         return SimulationError(

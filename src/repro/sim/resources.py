@@ -1,10 +1,11 @@
 """Capacity-limited resources and FIFO stores.
 
-These primitives model contended hardware: a :class:`Resource` with
-capacity 1 is a bus or a DMA engine (one transaction at a time), a
-:class:`PriorityResource` is a bus with arbitration classes, and a
-:class:`Store` is any bounded/unbounded queue of objects — packets queued
-at a switch port, requests in a send queue, messages in a daemon mailbox.
+These primitives model contention a *process* waits on: a
+:class:`Resource` is a lock or a shared segment (a DSM page, a message
+channel, the Ethernet wire), and a :class:`Store` is any
+bounded/unbounded queue of objects — a daemon mailbox, a protocol's
+delivery queue.  The buses and DMA engines of :mod:`repro.hw` are not
+resources: each is a callback-driven :class:`~repro.sim.server.Server`.
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ class Resource:
             nxt = self._queue.pop(0)
             self._users.append(nxt)
             nxt.succeed(self)
-
-
-class PriorityResource(Resource):
-    """Alias making priority usage explicit at call sites."""
 
 
 class StoreGet(Event):

@@ -525,7 +525,7 @@ class VMMCEndpoint:
                     is_short=False, src_vaddr=src_vaddr, notify=notify,
                     posted_at=self.env.now)
             # Post with programmed I/O: control words + inline data words.
-            yield from self.lcp.nic.bus.mmio_write(
+            yield self.lcp.nic.bus.mmio_write(
                 request.control_words + request.data_words)
             self.ctx.queue.post(request)
             self.lcp.doorbell()

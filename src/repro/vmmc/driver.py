@@ -100,7 +100,7 @@ class VMMCDriver(DeviceDriver):
             process.space.memory.pin(paddr // PAGE_SIZE)
             self.pages_locked_for_send += 1
         # Two PIO words per TLB entry (tag + frame).
-        yield from self.lcp.nic.bus.mmio_write(2 * len(pairs))
+        yield self.lcp.nic.bus.mmio_write(2 * len(pairs))
         for vpage, paddr in pairs:
             ctx.tlb.insert(vpage, paddr // PAGE_SIZE)
         self.tlb_refills += 1
@@ -141,7 +141,7 @@ class VMMCDriver(DeviceDriver):
                                  buffer_id: int, notify: bool):
         """Process: mark frames writable in the incoming page table."""
         def run():
-            yield from self.lcp.nic.bus.mmio_write(len(frames))
+            yield self.lcp.nic.bus.mmio_write(len(frames))
             for frame in frames:
                 self.lcp.incoming.allow(frame, owner_pid, buffer_id,
                                         notify=notify)
@@ -150,7 +150,7 @@ class VMMCDriver(DeviceDriver):
 
     def revoke_incoming_entries(self, frames: list[int]):
         def run():
-            yield from self.lcp.nic.bus.mmio_write(len(frames))
+            yield self.lcp.nic.bus.mmio_write(len(frames))
             for frame in frames:
                 self.lcp.incoming.revoke(frame)
 
@@ -162,7 +162,7 @@ class VMMCDriver(DeviceDriver):
         ctx = self.lcp.processes[pid]
 
         def run():
-            yield from self.lcp.nic.bus.mmio_write(len(phys_pages))
+            yield self.lcp.nic.bus.mmio_write(len(phys_pages))
             for i, phys_page in enumerate(phys_pages):
                 ctx.outgoing.set_entry(first_proxy_page + i, node_index,
                                        phys_page)
@@ -176,7 +176,7 @@ class VMMCDriver(DeviceDriver):
         ctx = self.lcp.processes[pid]
 
         def run():
-            yield from self.lcp.nic.bus.mmio_write(npages)
+            yield self.lcp.nic.bus.mmio_write(npages)
             for i in range(npages):
                 ctx.outgoing.clear_entry(first_proxy_page + i)
 

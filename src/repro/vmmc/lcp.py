@@ -272,7 +272,7 @@ class VmmcLCP:
                              + costs.scan_per_queue
                              * max(1, len(self._scan_order)))
             if self.nic.net_recv.pending():
-                packet = yield self.nic.net_recv.inbox.get()
+                packet = self.nic.net_recv.inbox.popleft()
                 yield from self._handle_receive(packet)
                 continue
             picked = self._scan()
@@ -342,7 +342,7 @@ class VmmcLCP:
         self.chunks_sent += 1
         self._m_chunks.inc()
         # The net-send engine streams autonomously; the LCP moves on.
-        self.env.process(self.nic.net_send.send(packet), name="netsend")
+        self.nic.net_send.send(packet)
         # Slot is consumed (data copied out) — report completion, the
         # epilogue charged with the completion write.
         yield from self._write_completion(ctx, request.slot, COMPLETION_DONE,
@@ -377,7 +377,7 @@ class VmmcLCP:
             self.tlb_miss_interrupts += 1
             self._m_tlb_misses.inc()
             yield cpu.cycles(self.costs.raise_interrupt)
-            ok = yield from self.nic.raise_interrupt(
+            ok = yield self.nic.raise_interrupt(
                 "tlb_miss",
                 {"pid": ctx.pid, "vaddr": vaddr, "count": REFILL_BATCH})
             yield cpu.cycles(self.costs.tlb_lookup)
@@ -392,6 +392,8 @@ class VmmcLCP:
         chunks = self._plan_chunks(request.src_vaddr, request.length)
         proxy_cursor = request.proxy_address
         # Per-staging-buffer events: the net DMA that last used each buffer.
+        # It may be the link's tail timer, a Timeout, which is triggered
+        # from birth: "finished" is `.processed`.
         net_busy: list[Optional[Event]] = [None] * _SEND_STAGING
         host_pending: Optional[tuple[Event, int, int, int]] = None
         error = False
@@ -413,7 +415,7 @@ class VmmcLCP:
             buf = index % _SEND_STAGING
             # Double buffering: wait until the net DMA that last streamed
             # from this staging buffer has finished.
-            if net_busy[buf] is not None and not net_busy[buf].triggered:
+            if net_busy[buf] is not None and not net_busy[buf].processed:
                 yield net_busy[buf]
             # Fire the host DMA for this chunk, then do the header
             # preparation *while it is in flight* — the overlap that buys
@@ -430,19 +432,18 @@ class VmmcLCP:
                 # already due this nanosecond, so a packet that lands as
                 # the DMA ends is seen by the tight-loop check below.
                 prep_done = self.env.now + cpu.charge(prep_cycles)
-                yield from host_dma
+                yield host_dma
                 yield self.env.timeout(max(0, prep_done - self.env.now))
             else:
                 # Ablation: prepare the header only after the data is in
                 # SRAM — the prep cost lands on the critical path.
-                yield from host_dma
+                yield host_dma
                 yield cpu.cycles(prep_cycles)
             payload = self.nic.sram.read(self._staging[buf].base, clen)
             packet = self._make_packet(
                 node, extents, payload, request.notify,
                 last=(index == len(chunks) - 1), msg_len=request.length)
-            net_busy[buf] = self.env.process(
-                self.nic.net_send.send(packet), name="netsend")
+            net_busy[buf] = self.nic.net_send.send(packet)
             if not costs.pipeline_dma:
                 # Ablation: no host/net overlap — wait for the wire before
                 # fetching the next chunk.
@@ -457,7 +458,7 @@ class VmmcLCP:
                 self.tight_loop_breaks += 1
                 self._m_tight_loop_breaks.inc()
                 yield cpu.cycles(costs.main_loop_full)
-                pkt = yield self.nic.net_recv.inbox.get()
+                pkt = self.nic.net_recv.inbox.popleft()
                 yield from self._handle_receive(pkt)
         # Completion: the last chunk is safely in LANai memory as soon as
         # its host DMA finished (which the loop above awaited).
@@ -478,14 +479,14 @@ class VmmcLCP:
         # Capture the waiter now (synchronously with this slot's request) so
         # a later re-post of the same slot cannot alias into this writeback.
         event = ctx.completion_events.pop(slot, None)
-
-        def finish():
-            yield from self.nic.host_dma.write_host(word, paddr)
-            if event is not None and not event.triggered:
-                event.succeed(status)
-
         # The writeback proceeds in the background; the LCP does not stall.
-        self.env.process(finish(), name=f"{self.name}.completion")
+        written = self.nic.host_dma.write_host(word, paddr)
+        if event is not None:
+            def completed(_written):
+                if not event.triggered:
+                    event.succeed(status)
+
+            written.callbacks.append(completed)
 
     # ----------------------------------------------------------- receive path
     def _handle_receive(self, packet: MyrinetPacket):
@@ -514,8 +515,8 @@ class VmmcLCP:
         yield cpu.cycles(costs.start_dma)
         self.packets_delivered += 1
         self._m_packets_delivered.inc()
-        delivery = self.env.process(
-            self.nic.host_dma.write_host_scatter(packet.payload, extents))
+        delivery = self.nic.host_dma.write_host_scatter(packet.payload,
+                                                        extents)
         notify = header.notify or any(
             self.incoming.lookup(paddr // PAGE_SIZE).notify
             for paddr, length in extents if length)
@@ -533,7 +534,7 @@ class VmmcLCP:
             def deliver_then_notify():
                 yield delivery
                 yield self.nic.processor.cycles(self.costs.raise_interrupt)
-                yield from self.nic.raise_interrupt("notification", info)
+                yield self.nic.raise_interrupt("notification", info)
 
             self.env.process(deliver_then_notify(),
                              name=f"{self.name}.notify")

@@ -116,9 +116,9 @@ class MappingPhase:
         """Send a probe along ``route`` and confirm it lands on ``dst``."""
         header = ProbeHeader("map_probe", indices[src], indices[dst])
         probe = MyrinetPacket(list(route), header, b"")
-        yield from self.nics[src].net_send.send(probe)
+        yield self.nics[src].net_send.send(probe)
         # Wait for the probe to surface in the claimed destination's inbox.
-        arrived = yield self.nics[dst].net_recv.inbox.get()
+        arrived = yield self.nics[dst].net_recv.get()
         if arrived.header != header or not arrived.route_exhausted:
             raise MappingError(
                 f"probe {src}->{dst} misrouted: got {arrived.header}")

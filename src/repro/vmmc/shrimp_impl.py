@@ -135,7 +135,7 @@ class ShrimpEndpoint:
             while remaining > 0:
                 chunk = min(remaining, PAGE_SIZE - (cursor_v % PAGE_SIZE))
                 # Two memory-mapped I/O instructions per initiation.
-                yield from self.node.bus.mmio_write(
+                yield self.node.bus.mmio_write(
                     self.node.nic.params.initiation_writes)
                 # Permission check + V->P translation via the sender's own
                 # page tables happen in the state machine using the proxy
@@ -148,10 +148,9 @@ class ShrimpEndpoint:
                 remaining -= chunk
                 # The state machine works while the host initiates the
                 # next page.
-                last_sm = self.env.process(
-                    self.node.nic.state_machine.deliberate_update(
-                        src_paddr, extents, node_index, chunk,
-                        last=(remaining == 0)), name="shrimp.sm")
+                last_sm = self.node.nic.state_machine.deliberate_update(
+                    src_paddr, extents, node_index, chunk,
+                    last=(remaining == 0))
                 initiations += 1
                 cursor_v += chunk
                 proxy_cursor += chunk
@@ -208,7 +207,7 @@ class ShrimpEndpoint:
             cursor = 0
             for paddr, length in self.space.physical_extents(
                     buffer.vaddr + offset, int(data.size)):
-                yield from self.node.nic.au.snoop(
+                yield self.node.nic.au.snoop(
                     paddr, data[cursor:cursor + length])
                 cursor += length
 

@@ -14,7 +14,9 @@ budgeted against the packets that reached a NIC.
 
 What no longer costs an event: a grant of a free resource, a store
 hand-off that completes at once, and the completion of a process nobody
-waits on — each is settled in place (DESIGN.md §9).
+waits on — each is settled in place (DESIGN.md §9).  A bus transaction
+or a DMA-engine transfer costs its hold's end and nothing else: it is a
+plain call on a callback-driven server, not a process.
 """
 
 from collections import Counter
@@ -55,7 +57,10 @@ def pair():
 def test_one_4_byte_pingpong_round_trip(pair):
     one = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 1))
     two = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 2))
-    assert (one, two - one) == (60, 61)
+    # 60 and 61 while the net send, the completion writeback and the
+    # receive delivery were each a process: three start events per
+    # one-way message.
+    assert (one, two - one) == (54, 55)
 
 
 def test_one_4kb_long_send_chunk_end_to_end(pair):
@@ -66,9 +71,28 @@ def test_one_4kb_long_send_chunk_end_to_end(pair):
     # One page: post, pickup, translate, host DMA overlapped with header
     # preparation, net DMA, two cables and a switch, receive-side checks,
     # the delivery DMA and the completion word.  A second page repeats
-    # everything from the translate to the delivery DMA.
-    assert send(4096) == 27
-    assert send(8192) == 27 + 16
+    # everything from the translate to the delivery DMA.  (27 and 16
+    # while the net send, the delivery and the completion writeback were
+    # processes.)
+    assert send(4096) == 24
+    assert send(8192) == 24 + 14
+
+
+def test_a_4kb_long_send_makes_no_request_and_no_nic_process(
+        monkeypatch, pair):
+    pair.env.run()
+    constructed = []
+    for cls in (Process, Request):
+        def counted_init(self, *args, _cls=cls, _real=cls.__init__,
+                         **kwargs):
+            _real(self, *args, **kwargs)
+            constructed.append(getattr(self, "name", _cls.__name__))
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    pair.env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 4096))
+    pair.env.run()
+    # The library call is the only process: the buses, the host-DMA and
+    # net-send engines and the LCP's writebacks are plain calls.
+    assert constructed == ["vmmc.send"]
 
 
 def test_one_64kb_one_way_message():
@@ -78,17 +102,18 @@ def test_one_64kb_one_way_message():
     cost = events_of(pair.env, lambda: pair.env.run(
         until=pair.ep_a.send(pair.src_a, pair.to_b, 64 * 1024)))
     assert pair.cluster.nodes[1].nic.net_recv.packets_received - before == 16
-    # Sixteen 4 KB packets: 27 for the first (post, pickup, completion
-    # word included) and 16 for each further one, 16.7 per packet.  Per
+    # Sixteen 4 KB packets: 24 for the first (post, pickup, completion
+    # word included) and 14 for each further one, 14.6 per packet.  Per
     # further packet the sender's LCP pays the TLB probe, the proxy
     # lookup, the host DMA's bus time and the rest of the header
     # preparation (zero: the DMA covers it, but the wait is still an
     # event, which keeps the LCP behind a packet landing in the same
-    # nanosecond); the net send is a process (start, wire time); two cable
-    # latencies and the switch's crossbar and tail timers; the receiving
-    # LCP's doorbell, main-loop pass, parse + check and DMA start; and
-    # the delivery DMA (start, bus time).
-    assert cost == 27 + 15 * 16
+    # nanosecond); the net send its wire time; two cable latencies and
+    # the switch's crossbar and tail timers; the receiving LCP's
+    # doorbell, main-loop pass, parse + check and DMA start; and the
+    # delivery DMA's bus time.  (27 + 15 * 16 while the net send and the
+    # delivery were processes, each with a start event.)
+    assert cost == 24 + 15 * 14
 
 
 def test_one_switch_hop_of_a_probe_on_fattree_4(monkeypatch):
@@ -148,8 +173,10 @@ def test_one_clean_kv_get():
     # ACK wait, two waits per call (173).  Settling store hand-offs and
     # unwatched process ends in place, and fusing LCP charges nothing
     # observes apart, took 38 more (135).  A switch hop of three timers
-    # took one per packet, four packets.
-    assert cost == 131
+    # took one per packet, four packets (131).  Engine transfers as plain
+    # calls took the net send's, the delivery's and the completion
+    # writeback's process starts (119).
+    assert cost == 119
 
 
 def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
@@ -184,9 +211,12 @@ def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
     # One ACK wait, its deadline a plain Timeout.  With the deadline
     # batched the send cost 89 events: the proxy, the flush and the
     # batch's own completion on top of the Timeout.  With every LCP charge
-    # its own Timeout it constructed 44 and cost 86.
+    # its own Timeout it constructed 44 and cost 86.  Each of the seven
+    # bus holds (post, fetch, delivery and completion word of the data;
+    # post, delivery and completion word of the ACK) is a Timeout too.
+    # While engine transfers were processes the send cost 63 events.
     assert deadlines == [Timeout]
-    assert (timeouts[0], cost) == (40, 63)
+    assert (timeouts[0], cost) == (40, 57)
 
 
 # -------------------------------------------------------------------- CRC work

@@ -48,7 +48,7 @@ def test_pci_mmio_write_timing():
     done = {}
 
     def proc():
-        yield from bus.mmio_write(4)
+        yield bus.mmio_write(4)
         done["t"] = env.now
 
     env.process(proc())
@@ -62,7 +62,7 @@ def test_pci_mmio_read_timing():
     done = {}
 
     def proc():
-        yield from bus.mmio_read(2)
+        yield bus.mmio_read(2)
         done["t"] = env.now
 
     env.process(proc())
@@ -76,12 +76,12 @@ def test_pci_bus_serializes_dma_and_pio():
     log = []
 
     def dma_user():
-        yield from bus.dma(4096)
+        yield bus.dma(4096)
         log.append(("dma", env.now))
 
     def pio_user():
         yield env.timeout(10)  # arrive while DMA holds the bus
-        yield from bus.mmio_write(1)
+        yield bus.mmio_write(1)
         log.append(("pio", env.now))
 
     env.process(dma_user())
@@ -110,7 +110,7 @@ def test_eisa_bus_pio():
     done = {}
 
     def proc():
-        yield from bus.mmio_write(2)
+        yield bus.mmio_write(2)
         done["t"] = env.now
 
     env.process(proc())

@@ -109,7 +109,7 @@ def test_host_dma_to_sram_moves_real_bytes():
     done = {}
 
     def proc():
-        yield from nic.host_dma.to_sram(8192, 1000, 4096)
+        yield nic.host_dma.to_sram(8192, 1000, 4096)
         done["t"] = env.now
 
     env.process(proc())
@@ -124,24 +124,31 @@ def test_host_dma_to_host_roundtrip():
     nic.sram.write(500, b"from sram")
 
     def proc():
-        yield from nic.host_dma.to_host(500, 4096, 9)
+        yield nic.host_dma.write_host(nic.sram.read(500, 9), 4096)
 
     env.process(proc())
     env.run()
     assert mem.read(4096, 9).tobytes() == b"from sram"
+    assert nic.host_dma.bytes_to_host == 9
 
 
 def test_host_dma_scatter_two_extents():
     env, _, (nic, mem), _ = make_nic_pair()
     nic.sram.write(0, bytes(range(100)))
+    done = {}
 
     def proc():
-        yield from nic.host_dma.scatter_to_host(0, [(1000, 60), (5000, 40)])
+        yield nic.host_dma.write_host_scatter(nic.sram.read(0, 100),
+                                              [(1000, 60), (5000, 40)])
+        done["t"] = env.now
 
     env.process(proc())
     env.run()
     assert mem.read(1000, 60).tobytes() == bytes(range(60))
     assert mem.read(5000, 40).tobytes() == bytes(range(60, 100))
+    # Two transactions, the second queued as the first ends.
+    params = PCIParams()
+    assert done["t"] == params.dma_time_ns(60) + params.dma_time_ns(40)
 
 
 def test_host_dma_serializes_transfers():
@@ -149,8 +156,8 @@ def test_host_dma_serializes_transfers():
     times = []
 
     def proc():
-        a = env.process(nic.host_dma.to_sram(0, 0, 1024))
-        b = env.process(nic.host_dma.to_sram(4096, 2048, 1024))
+        a = nic.host_dma.to_sram(0, 0, 1024)
+        b = nic.host_dma.to_sram(4096, 2048, 1024)
         yield a
         times.append(env.now)
         yield b
@@ -170,7 +177,7 @@ def test_net_send_to_recv_through_fabric():
         pkt = MyrinetPacket(net.compute_route("node0", "node1"),
                             BaselineHeader("api_msg"),
                             nic0.sram.read(0, 13))
-        yield from nic0.net_send.send(pkt)
+        yield nic0.net_send.send(pkt)
 
     env.process(sender())
     env.run()
@@ -182,7 +189,7 @@ def test_net_send_to_recv_through_fabric():
     got = {}
 
     def drain():
-        pkt = yield nic1.net_recv.inbox.get()
+        pkt = yield nic1.net_recv.get()
         got["payload"] = bytes(pkt.payload)
         got["crc_ok"] = pkt.meta["crc_ok"]
 
@@ -196,9 +203,9 @@ def test_host_mmio_sram_write_and_read():
     got = {}
 
     def proc():
-        yield from nic.host_write_sram(64, b"posted!!")  # 2 words
+        yield nic.host_write_sram(64, b"posted!!")  # 2 words
         got["t_write"] = env.now
-        data = yield from nic.host_read_sram(64, 8)
+        data = yield nic.host_read_sram(64, 8)
         got["t_read"] = env.now
         got["data"] = bytes(data)
 
@@ -221,15 +228,14 @@ def test_interrupt_dispatch_to_handler():
 
     def handler(reason, payload):
         seen.append((reason, payload, env.now))
-        if False:  # plain callable, not generator
-            yield
+        return "serviced"           # a plain result, not an event
 
-    nic.set_interrupt_handler(lambda r, p: seen.append((r, p, env.now)))
+    nic.set_interrupt_handler(handler)
 
     def proc():
-        yield from nic.raise_interrupt("tlb_miss", {"vpage": 3})
+        seen.append((yield nic.raise_interrupt("tlb_miss", {"vpage": 3})))
 
     env.process(proc())
     env.run()
-    assert seen == [("tlb_miss", {"vpage": 3}, 0)]
+    assert seen == [("tlb_miss", {"vpage": 3}, 0), "serviced"]
     assert nic.interrupts_raised == 1

@@ -231,7 +231,7 @@ def test_both_update_paths_take_turns_on_the_one_cable():
                              bytes(4096)) for i in range(2)]
     wire_ns = link.params.wire_time_ns(packets[0].wire_bytes)
     for packet in packets:
-        env.process(nic.inject(packet))
+        nic.inject(packet)
     env.run()
     assert launched == [start, start + wire_ns]
     assert cluster.nodes[1].nic.crc_drops == 2

@@ -503,25 +503,35 @@ def test_simulation_error_propagates_through_nested_processes():
         env.run(until=top)
 
 
-def test_yielding_a_bare_generator_names_it_and_both_fixes():
-    # The mistake the hardware API invites: `yield bus.dma(n)` with the
-    # `from` forgotten.  Never auto-wrapped into a process.
-    from repro.hw.bus.pci import PCIBus
+class Wire:
+    """A device model whose operation is a generator function."""
 
+    def __init__(self, env):
+        self.env = env
+        self.settled = []
+
+    def settle(self, ns):
+        self.settled.append(ns)
+        yield self.env.timeout(ns)
+
+
+def test_yielding_a_bare_generator_names_it_and_both_fixes():
+    # `yield wire.settle(n)` with the `from` forgotten: never
+    # auto-wrapped into a process.
     env = Environment()
-    bus = PCIBus(env)
+    wire = Wire(env)
 
     def app():
-        yield bus.dma(64)
+        yield wire.settle(64)
 
     with pytest.raises(SimulationError) as raised:
         env.run(until=env.process(app()))
     message = str(raised.value)
-    assert "process 'app' yielded the generator PCIBus.dma()" in message
-    assert "`yield from PCIBus.dma(...)`" in message
-    assert "`env.process(PCIBus.dma(...))`" in message
+    assert "process 'app' yielded the generator Wire.settle()" in message
+    assert "`yield from Wire.settle(...)`" in message
+    assert "`env.process(Wire.settle(...))`" in message
     assert env.events_processed == 2      # app's start and its failure
-    assert not bus.busy                   # the DMA never began
+    assert wire.settled == []             # the operation never began
 
 
 def test_run_until_a_bare_generator_is_a_typed_error():

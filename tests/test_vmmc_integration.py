@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro import Cluster, TestbedConfig
+from repro.bench.microbench import VmmcPair
+from repro.hw.bus import PCIParams
+from repro.hw.myrinet import LinkParams
+from repro.sim import Tracer
 from repro.vmmc.errors import ImportDenied, SendError
 
 
@@ -328,3 +332,33 @@ def test_third_process_cannot_use_others_imports():
 
     env.run(until=env.process(app()))
     assert cluster.nodes[0].lcp.proxy_faults == 1
+
+
+def test_long_send_reuses_a_staging_buffer_only_after_its_tail_left():
+    # Slow the sender's cable to a quarter of 160 MB/s, so a page's wire
+    # time outlasts its host DMA.  Chunk k+2 reuses chunk k's staging
+    # buffer: its host DMA may start only once chunk k's tail has left
+    # the NIC.
+    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                    buffer_bytes=8 * 4096)
+    env = pair.env
+    link = pair.cluster.fabric.find_link("node0->sw0")
+    link.params = LinkParams(ns_per_kb=4 * LinkParams().ns_per_kb)
+    dma_ns = PCIParams().dma_time_ns(4096)
+    assert link.params.wire_time_ns(4096) > dma_ns
+    payload = np.random.default_rng(7).integers(
+        0, 256, 8 * 4096, dtype=np.uint8)
+    pair.src_a.write(payload)
+    env.tracer = Tracer(keep=lambda c: c in ("node0.hostdma.to_sram",
+                                             "lanai.netsend"))
+    env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 8 * 4096))
+    env.run()
+    fetched = [r.time - dma_ns for r in env.tracer.records
+               if r.category == "node0.hostdma.to_sram"]
+    sent = [r.time for r in env.tracer.records
+            if r.category == "lanai.netsend" and r.payload["nic"] == "node0"]
+    assert len(fetched) == len(sent) == 8
+    waits = [fetched[k + 2] - sent[k] for k in range(6)]
+    assert min(waits) >= 0
+    assert 0 in waits                   # the buffer, not the LCP, gated it
+    assert np.array_equal(pair.inbox_b.read(0, 8 * 4096), payload)

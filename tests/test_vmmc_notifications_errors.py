@@ -230,7 +230,7 @@ def test_forged_destination_dropped_by_incoming_table():
         b"A" * 16)
 
     def inject():
-        yield from cluster.nodes[0].nic.net_send.send(evil)
+        yield cluster.nodes[0].nic.net_send.send(evil)
 
     env.run(until=env.process(inject()))
     drain(env, 500)
