@@ -6,7 +6,8 @@ each node owns a horizontal strip of a grid, iterates a 5-point stencil,
 and exchanges boundary rows ("halos") with its neighbours every step.
 Communication uses :mod:`repro.mp` — the message-passing library built on
 the public VMMC API — so every halo crosses the simulated Myrinet as real
-bytes, flow-controlled by VMMC remote writes.
+bytes, on reliable VMMC channels that recover lost or corrupted packets
+and daemon cold restarts.
 
 The result is checked bit-for-bit against a single-node numpy reference
 (the halos carry exact float64 bytes and each rank applies the same

@@ -40,7 +40,7 @@ from repro.sim import Environment, Resource
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, histogram
 from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
-from repro.vmmc.reliable import HEADER_BYTES, open_channel
+from repro.vmmc.reliable import HEADER_BYTES, open_mesh
 from repro.dsm import wire
 from repro.dsm.checker import DsmOp
 from repro.dsm.directory import (
@@ -588,17 +588,14 @@ def wire_dsm(cluster, npages: int = 64, page_bytes: int = 256,
         for rank, cnode in enumerate(cluster.nodes):
             _, ep = cnode.attach_process(f"dsm.rank{rank}")
             nodes.append(DsmNode(rank, nranks, ep, npages, page_bytes))
-        for src in range(nranks):
-            for dst in range(nranks):
-                if src == dst:
-                    continue
-                sender, receiver = yield open_channel(
-                    nodes[src].ep, nodes[dst].ep, f"dsm.{src}->{dst}",
-                    nslots=nslots, slot_bytes=slot_bytes)
-                nodes[src]._tx[dst] = sender
-                nodes[dst]._rx[src] = receiver
-                nodes[src].watch_import(sender._ring)
-                nodes[dst].watch_import(receiver._ack_at_sender)
+        channels = yield from open_mesh(
+            [node.ep for node in nodes], "dsm",
+            nslots=nslots, slot_bytes=slot_bytes)
+        for (src, dst), (sender, receiver) in channels.items():
+            nodes[src]._tx[dst] = sender
+            nodes[dst]._rx[src] = receiver
+            nodes[src].watch_import(sender._ring)
+            nodes[dst].watch_import(receiver._ack_at_sender)
         for node in nodes:
             node.start()
         return nodes

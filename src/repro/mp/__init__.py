@@ -7,16 +7,14 @@ library such programs would link: MPI-flavoured point-to-point messaging
 with tags, plus the standard collectives, implemented entirely with the
 *public* VMMC API in the style the paper intends:
 
-* each pair of ranks shares a one-way **data ring** in the receiver's
-  exported memory; senders deposit fragments with ``SendMsg`` and write
-  the fragment header (sequence/tag/length) *last*, so in-order delivery
-  makes the header's arrival publish the payload;
-* flow control is VMMC-native: the receiver acknowledges consumption by
-  writing a credit counter **directly into the sender's exported credit
-  word** — data and acknowledgements are both just remote memory writes,
-  no kernel anywhere;
-* receivers spin on exported memory (no receive operation exists), and
-  messages larger than a ring slot are fragmented and reassembled.
+* each ordered pair of ranks shares one :mod:`repro.vmmc.reliable`
+  channel — a sequence-stamped ring in the receiver's exported memory and
+  an ACK word in the sender's, both written only by ``SendMsg`` — so the
+  messaging layer inherits retransmission and cold-restart recovery and
+  keeps no protocol of its own;
+* messages larger than a ring slot are fragmented, posted in one call so
+  their fragments stay contiguous, and reassembled per channel into
+  inboxes keyed by ``(source, tag)``.
 
 Collectives (barrier, broadcast, reduce, allreduce, gather, scatter,
 alltoall) are binomial-tree / linear compositions of the point-to-point

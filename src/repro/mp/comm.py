@@ -1,28 +1,21 @@
-"""Point-to-point messaging over VMMC rings with credit flow control.
+"""Point-to-point messaging over :mod:`repro.vmmc.reliable` channels.
 
-Channel layout (one per ordered pair ``src → dst``, living in *dst*'s
-exported memory)::
+Every ordered pair of ranks ``src → dst`` shares one reliable channel
+(:func:`~repro.vmmc.reliable.open_mesh`), so fragments and their
+acknowledgements are plain VMMC remote writes that survive loss and a
+daemon cold restart.  A message is cut into fragments of at most one ring
+slot; each fragment is one :meth:`ReliableSender.send` of::
 
-    slot i (i = seq % nslots):
-        [0:4)   u32 seq      (written LAST — publishes the fragment)
-        [4:8)   u32 tag
-        [8:12)  u32 total message length
-        [12:16) u32 fragment length
-        [16:..) fragment payload
+    [0:4)  u32 tag
+    [4:8)  u32 total message length
+    [8:..) fragment bytes
 
-Credit word (living in *src*'s exported memory, written remotely by dst):
-
-    u32: highest sequence number consumed
-
-The sender may have at most ``nslots`` unconsumed fragments outstanding;
-it spins on its own credit word (a local cached read — the receiver's
-remote write invalidates it) when the ring is full.  All data movement is
-``SendMsg``; all synchronisation is spinning on exported memory.
-
-There is no recovery here, as in VMMC itself (§4.2): a daemon cold
-restart can silently swallow an in-flight fragment or credit write and
-wedge both ends.  Traffic that must survive one rides
-:mod:`repro.vmmc.reliable` channels instead.
+All fragments of a message are posted in one call, and the channel
+numbers its sends in call order, so a message's fragments arrive
+contiguous and in order with no send-side lock.  One pump per incoming
+channel reassembles them and files each whole message in a
+:class:`~repro.sim.Store` keyed by ``(src, tag)``; ``recv`` is a ``get``
+on that store.
 """
 
 from __future__ import annotations
@@ -31,250 +24,87 @@ import struct
 
 import numpy as np
 
-from repro.sim import Environment, Resource
-from repro.mem.buffers import UserBuffer
-from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
+from repro.sim import AllOf, Environment, Store
+from repro.vmmc.api import VMMCEndpoint
+from repro.vmmc.reliable import HEADER_BYTES, open_mesh
 
-#: Fragment slots per channel and payload bytes per slot.
+#: Fragment slots per channel and bytes per slot (reliable header included).
 DEFAULT_SLOTS = 8
 DEFAULT_SLOT_BYTES = 16 * 1024
-#: Fragment header: u32 seq, tag, message total, fragment length.
-_HEADER = struct.Struct("<IIII")
-_HEADER_BYTES = _HEADER.size
+#: Fragment header: u32 tag, message total.
+_FRAGMENT = struct.Struct("<II")
 
 
 class MPError(RuntimeError):
     """Misuse of the messaging layer (bad rank, oversized buffer...)."""
 
 
-class _RxChannel:
-    """Receiver side of one src→me channel."""
-
-    def __init__(self, ring: UserBuffer, nslots: int, slot_bytes: int,
-                 credit_scratch: UserBuffer):
-        self.ring = ring
-        self.nslots = nslots
-        self.slot_bytes = slot_bytes
-        self.next_seq = 1
-        #: Staging for outgoing credit updates (per channel, so receives
-        #: from different sources never share a buffer mid-send).
-        self.credit_scratch = credit_scratch
-        #: Out-of-band buffered messages keyed by tag (tag mismatch).
-        self.pending: dict[int, list[bytes]] = {}
-        #: Serialises concurrent ``recv`` posts on this channel — two
-        #: :meth:`Communicator._next_message` instances racing on
-        #: ``next_seq`` would double-consume a fragment.  Lazy.
-        self.lock = None
-
-
-class _TxChannel:
-    """Sender side of one me→dst channel."""
-
-    def __init__(self, remote_ring: ImportedBuffer, credit: UserBuffer,
-                 credit_at_peer: ImportedBuffer | None,
-                 nslots: int, slot_bytes: int, scratch: UserBuffer):
-        self.remote_ring = remote_ring
-        self.credit = credit            # local, exported; peer writes it
-        self.credit_at_peer = credit_at_peer
-        self.nslots = nslots
-        self.slot_bytes = slot_bytes
-        #: Staging for outgoing fragments + header (per destination, so
-        #: concurrent sends to different peers never interleave on it).
-        self.scratch = scratch
-        self.next_seq = 1
-        #: Serialises concurrent sends to the same destination (channel
-        #: order must match sequence-number order).
-        self.lock = None
-
-
 class Communicator:
     """One rank's handle on the world."""
 
-    def __init__(self, rank: int, size: int, ep: VMMCEndpoint,
-                 nslots: int = DEFAULT_SLOTS,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES):
-        if nslots < 1:
-            raise MPError(f"ring needs at least one slot, not {nslots}")
-        if slot_bytes <= _HEADER_BYTES:
-            raise MPError("slot too small for the fragment header")
+    def __init__(self, rank: int, size: int, ep: VMMCEndpoint):
         self.rank = rank
         self.size = size
         self.ep = ep
         self.env: Environment = ep.env
-        self.nslots = nslots
-        self.slot_bytes = slot_bytes
-        self.payload_per_slot = slot_bytes - _HEADER_BYTES
-        self._rx: dict[int, _RxChannel] = {}
-        self._tx: dict[int, _TxChannel] = {}
+        #: Reliable channel ends by peer rank (wired by :func:`build_world`).
+        self._tx = {}
+        self._rx = {}
+        self._inbox: dict[tuple[int, int], Store] = {}
         self.messages_sent = 0
         self.messages_received = 0
         self.fragments_sent = 0
-        self.flow_control_stalls = 0
 
-    # -- wiring -----------------------------------------------------------
-    def setup_exports(self):
-        """Process: export this rank's rings and credit words."""
-        def run():
-            for peer in range(self.size):
-                if peer == self.rank:
-                    continue
-                ring = self.ep.alloc_buffer(self.nslots * self.slot_bytes)
-                yield self.ep.export(
-                    ring, f"mp.ring.{peer}->{self.rank}")
-                self._rx[peer] = _RxChannel(
-                    ring, self.nslots, self.slot_bytes,
-                    credit_scratch=self.ep.alloc_buffer(4096))
-                credit = self.ep.alloc_buffer(4096)
-                yield self.ep.export(
-                    credit, f"mp.credit.{self.rank}->{peer}")
-                self._tx[peer] = _TxChannel(
-                    remote_ring=None, credit=credit, credit_at_peer=None,
-                    nslots=self.nslots, slot_bytes=self.slot_bytes,
-                    scratch=self.ep.alloc_buffer(
-                        self.slot_bytes + _HEADER_BYTES))
+    def start(self) -> None:
+        """Start one pump process per incoming channel."""
+        for src, receiver in sorted(self._rx.items()):
+            self.env.process(self._pump(src, receiver),
+                             name=f"mp.pump.{src}->{self.rank}")
 
-        return self.env.process(run(), name=f"mp.exports.{self.rank}")
+    def _inbox_of(self, src: int, tag: int) -> Store:
+        inbox = self._inbox.get((src, tag))
+        if inbox is None:
+            inbox = self._inbox[src, tag] = Store(self.env)
+        return inbox
 
-    def connect(self, node_of_rank):
-        """Process: import every peer's ring + our credit word at them.
-
-        ``node_of_rank(rank) -> node name``.
-        """
-        def run():
-            for peer in range(self.size):
-                if peer == self.rank:
-                    continue
-                tx = self._tx[peer]
-                tx.remote_ring = yield self.ep.import_buffer(
-                    node_of_rank(peer),
-                    f"mp.ring.{self.rank}->{peer}")
-                # The credit word for traffic peer->me lives at the peer
-                # (their tx channel for me); we write consumption into it.
-                tx.credit_at_peer = yield self.ep.import_buffer(
-                    node_of_rank(peer),
-                    f"mp.credit.{peer}->{self.rank}")
-
-        return self.env.process(run(), name=f"mp.connect.{self.rank}")
+    def _pump(self, src: int, receiver):
+        chunks: list[bytes] = []
+        got = 0
+        while True:
+            raw = yield receiver.recv()
+            tag, total = _FRAGMENT.unpack_from(raw)
+            chunks.append(raw[_FRAGMENT.size:])
+            got += len(raw) - _FRAGMENT.size
+            if got >= total:
+                self.messages_received += 1
+                self._inbox_of(src, tag).put(b"".join(chunks))
+                chunks, got = [], 0
 
     # -- point-to-point ------------------------------------------------------
     def send(self, dst: int, payload: bytes | np.ndarray, tag: int = 0):
-        """Process: send one tagged message to rank ``dst``."""
+        """Event: send one tagged message to rank ``dst``.  It fires once
+        every fragment is acknowledged, or fails with the first fragment
+        failure (e.g. :class:`~repro.vmmc.errors.RetriesExhausted`); the
+        later fragments' outcomes are observed, so none escapes."""
         data = bytes(payload) if isinstance(payload, (bytes, bytearray)) \
             else np.asarray(payload).tobytes()
         if dst == self.rank or not 0 <= dst < self.size:
             raise MPError(f"bad destination rank {dst}")
         tx = self._tx[dst]
-
-        def run():
-            if tx.lock is None:
-                tx.lock = Resource(self.env, capacity=1)
-            grant = tx.lock.request()
-            yield grant
-            try:
-                total = len(data)
-                offset = 0
-                first = True
-                while first or offset < total:
-                    first = False
-                    frag = data[offset:offset + self.payload_per_slot]
-                    seq = tx.next_seq
-                    # Flow control: wait until the ring has a free slot.
-                    while seq - tx.credit.read_u32(0) > self.nslots:
-                        self.flow_control_stalls += 1
-                        watch = self.ep.watch(tx.credit, 0, 4)
-                        yield self.ep.membus.cacheline_fill()
-                        if seq - tx.credit.read_u32(0) <= self.nslots:
-                            break
-                        yield watch
-                    slot = (seq - 1) % self.nslots
-                    base = slot * self.slot_bytes
-                    # Payload first, header last (seq publishes the fragment).
-                    if frag:
-                        tx.scratch.write(frag)
-                        yield self.ep.send(
-                            tx.scratch,
-                            tx.remote_ring.at(base + _HEADER_BYTES),
-                            len(frag))
-                    header = _HEADER.pack(seq, tag, total, len(frag))
-                    tx.scratch.write(header, offset=self.slot_bytes)
-                    yield self.ep.send(
-                        tx.scratch, tx.remote_ring.at(base), _HEADER_BYTES,
-                        src_offset=self.slot_bytes)
-                    tx.next_seq += 1
-                    self.fragments_sent += 1
-                    offset += len(frag)
-            finally:
-                tx.lock.release(grant)
-            self.messages_sent += 1
-
-        return self.env.process(run(), name=f"mp.send.{self.rank}->{dst}")
+        step = tx.payload_per_slot - _FRAGMENT.size
+        header = _FRAGMENT.pack(tag, len(data))
+        fragments = [tx.send(header + data[offset:offset + step])
+                     for offset in range(0, max(len(data), 1), step)]
+        self.messages_sent += 1
+        self.fragments_sent += len(fragments)
+        return AllOf(self.env, fragments)
 
     def recv(self, src: int, tag: int = 0):
-        """Process: receive the next message with ``tag`` from ``src``;
-        value is its bytes.  Messages with other tags are buffered."""
+        """Event: value is the bytes of the next message with ``tag`` from
+        ``src``.  Messages with other tags wait in their own inboxes."""
         if src == self.rank or not 0 <= src < self.size:
             raise MPError(f"bad source rank {src}")
-        rx = self._rx[src]
-
-        def run():
-            if rx.lock is None:
-                rx.lock = Resource(self.env, capacity=1)
-            while True:
-                queued = rx.pending.get(tag)
-                if queued:
-                    self.messages_received += 1
-                    return queued.pop(0)
-                # Only one receiver may pull from the wire at a time;
-                # whoever held the channel may have buffered our tag, so
-                # re-check before committing to the next message.
-                grant = rx.lock.request()
-                yield grant
-                try:
-                    queued = rx.pending.get(tag)
-                    if queued:
-                        self.messages_received += 1
-                        return queued.pop(0)
-                    got_tag, message = yield self.env.process(
-                        self._next_message(src, rx))
-                finally:
-                    rx.lock.release(grant)
-                if got_tag == tag:
-                    self.messages_received += 1
-                    return message
-                rx.pending.setdefault(got_tag, []).append(message)
-
-        return self.env.process(run(), name=f"mp.recv.{src}->{self.rank}")
-
-    def _next_message(self, src: int, rx: _RxChannel):
-        """Process: pull the next whole message off the wire (reassembling
-        fragments) and acknowledge consumption."""
-        chunks: list[bytes] = []
-        total = None
-        got = 0
-        first = True
-        while first or got < total:
-            first = False
-            seq = rx.next_seq
-            base = ((seq - 1) % rx.nslots) * rx.slot_bytes
-            while True:
-                watch = self.ep.watch(rx.ring, base, 4)
-                yield self.ep.membus.cacheline_fill()
-                if rx.ring.read_u32(base) == seq:
-                    break
-                yield watch
-            _, msg_tag, total, frag_len = _HEADER.unpack(
-                rx.ring.read(base, _HEADER_BYTES).tobytes())
-            if frag_len:
-                chunks.append(
-                    rx.ring.read(base + _HEADER_BYTES, frag_len).tobytes())
-            got += frag_len
-            rx.next_seq += 1
-            # Return credit: write the consumed sequence number straight
-            # into the sender's exported credit word.
-            rx.credit_scratch.write_u32(seq)
-            yield self.ep.send(
-                rx.credit_scratch, self._tx[src].credit_at_peer.at(0), 4)
-        return msg_tag, b"".join(chunks)
+        return self._inbox_of(src, tag).get()
 
     # -- numpy conveniences --------------------------------------------------------
     def send_array(self, dst: int, array: np.ndarray, tag: int = 0):
@@ -290,19 +120,24 @@ class Communicator:
 
 def build_world(cluster, nslots: int = DEFAULT_SLOTS,
                 slot_bytes: int = DEFAULT_SLOT_BYTES) -> list[Communicator]:
-    """Create one rank per cluster node, fully wired; runs the cluster's
-    environment until setup completes."""
+    """Create one rank per cluster node, joined by one reliable channel
+    per ordered pair; runs the cluster's environment until wired."""
+    if slot_bytes <= HEADER_BYTES + _FRAGMENT.size:
+        raise MPError("slot too small for the fragment header")
     comms = []
-    for index, node in enumerate(cluster.nodes):
-        _, ep = node.attach_process(f"mp.rank{index}")
-        comms.append(Communicator(index, len(cluster.nodes), ep,
-                                  nslots=nslots, slot_bytes=slot_bytes))
+    for rank, node in enumerate(cluster.nodes):
+        _, ep = node.attach_process(f"mp.rank{rank}")
+        comms.append(Communicator(rank, len(cluster.nodes), ep))
 
     def wire():
+        channels = yield from open_mesh(
+            [comm.ep for comm in comms], "mp",
+            nslots=nslots, slot_bytes=slot_bytes)
+        for (src, dst), (sender, receiver) in channels.items():
+            comms[src]._tx[dst] = sender
+            comms[dst]._rx[src] = receiver
         for comm in comms:
-            yield comm.setup_exports()
-        for comm in comms:
-            yield comm.connect(lambda rank: f"node{rank}")
+            comm.start()
 
     cluster.env.run(until=cluster.env.process(wire(), name="mp.build_world"))
     return comms

@@ -67,6 +67,7 @@ from repro.vmmc.reliable import (
     ReliableSender,
     ReliableStats,
     open_channel,
+    open_mesh,
 )
 
 __all__ = [
@@ -97,4 +98,5 @@ __all__ = [
     "VMMCEndpoint",
     "VMMCError",
     "open_channel",
+    "open_mesh",
 ]

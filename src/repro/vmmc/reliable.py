@@ -13,9 +13,8 @@ using only VMMC-idiomatic machinery:
   header carries a payload CRC-32 so a partially-arrived multi-chunk
   message is distinguishable from a complete one;
 * the sender exports a one-word **ACK buffer**; the receiver acknowledges
-  by remote-memory write into it (the same trick :mod:`repro.mp` uses for
-  credits) — there are no receiver-side protocol messages, just one
-  ``SendMsg`` of 4 bytes.  ACKs are **cumulative**: the word always holds
+  by remote-memory write into it — there are no receiver-side protocol
+  messages, just one ``SendMsg`` of 4 bytes.  ACKs are **cumulative**: the word always holds
   the highest in-order sequence applied;
 * the sender runs **adaptive congestion control** — the one policy;
   its gains, pacing quantum and window ceiling are module constants:
@@ -803,3 +802,17 @@ def open_channel(tx_ep: VMMCEndpoint, rx_ep: VMMCEndpoint, name: str,
         return sender, receiver
 
     return env.process(run(), name=f"rel.open.{name}")
+
+
+def open_mesh(eps: list[VMMCEndpoint], prefix: str, **geometry):
+    """Generator (run it with ``yield from``): wire one reliable channel
+    per ordered pair of ``eps``, ``src`` major, each named
+    ``f"{prefix}.{src}->{dst}"``; value is ``{(src, dst): (sender,
+    receiver)}``.  ``geometry`` is :func:`open_channel`'s keywords."""
+    channels = {}
+    for src, tx_ep in enumerate(eps):
+        for dst, rx_ep in enumerate(eps):
+            if src != dst:
+                channels[src, dst] = yield open_channel(
+                    tx_ep, rx_ep, f"{prefix}.{src}->{dst}", **geometry)
+    return channels

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Cluster, TestbedConfig
+from repro.faults import FaultCampaign, FaultEvent, FaultInjector, LINK_DOWN
 from repro.mp import (
-    Communicator,
     MPError,
     allreduce,
     alltoall,
@@ -16,6 +16,8 @@ from repro.mp import (
     reduce,
     scatter,
 )
+from repro.vmmc.errors import CompletionError, RetriesExhausted
+from repro.vmmc.reliable import ReliableError
 
 
 def make_world(nnodes=2, **kw):
@@ -78,15 +80,14 @@ def test_large_message_fragments_and_reassembles():
         yield c0.send(1, payload)
 
     def rank1():
-        # A slow consumer: the sender must fill the 8-slot ring and stall
-        # on credits before we drain it.
+        # A slow consumer: the message waits whole in the inbox.
         yield cluster.env.timeout(10_000_000)
         return (yield c1.recv(0))
 
     results = run_ranks(cluster, [rank0(), rank1()])
     assert results[1] == payload
     assert c0.fragments_sent > 20  # many fragments through an 8-slot ring
-    assert c0.flow_control_stalls > 0  # the credit path was exercised
+    assert c0._tx[1].stats.cwnd_max == 8  # the window filled the ring
 
 
 def test_messages_ordered_per_channel():
@@ -161,17 +162,14 @@ def test_bad_ranks_rejected():
         c0.send(5, b"ghost")
     with pytest.raises(MPError):
         c0.recv(0)
-    with pytest.raises(MPError, match="at least one slot"):
-        Communicator(0, 2, c0.ep, nslots=0)
+    with pytest.raises(ReliableError, match="at least one slot"):
+        build_world(cluster, nslots=0)
 
 
-def test_failed_send_releases_the_destination_lock():
-    """Regression: a remote write that raised inside ``send`` used to
-    leak the per-destination lock, so the *next* send to that rank
-    stalled (``SimulationStalled``: the queue drained with the send still
-    blocked on the lock) instead of running."""
-    from repro.vmmc.errors import CompletionError
-
+def test_failed_fragment_write_is_recovered_by_the_channel():
+    """A remote write that fails inside ``send`` is the reliable
+    channel's to recover: the fragment is written again, and both
+    messages arrive in order."""
     cluster, (c0, c1) = make_world()
     real, failures = c0.ep.send, [CompletionError("injected")]
 
@@ -183,15 +181,60 @@ def test_failed_send_releases_the_destination_lock():
     c0.ep.send = flaky
 
     def rank0():
-        with pytest.raises(CompletionError, match="injected"):
-            yield c0.send(1, b"lost")
-        yield c0.send(1, b"the second send still fires")
+        yield c0.send(1, b"first")
+        yield c0.send(1, b"second")
 
     def rank1():
-        return (yield c1.recv(0))
+        return [(yield c1.recv(0)), (yield c1.recv(0))]
 
     results = run_ranks(cluster, [rank0(), rank1()])
-    assert results[1] == b"the second send still fires"
+    assert results[1] == [b"first", b"second"]
+    assert c0._tx[1].stats.completion_errors == 1
+
+
+def test_concurrent_multi_fragment_sends_keep_call_order():
+    """Two sends to one rank with one tag, in flight together, each
+    several fragments long: both arrive whole, in call order (a
+    message's fragments are posted in one call, so they never
+    interleave with another message's)."""
+    cluster, (c0, c1) = make_world(slot_bytes=1024)
+    first, second = (bytes([byte]) * 5000 for byte in (1, 2))
+
+    def rank0():
+        sends = [c0.send(1, first, tag=4), c0.send(1, second, tag=4)]
+        yield cluster.env.all_of(sends)
+
+    def rank1():
+        return [(yield c1.recv(0, tag=4)), (yield c1.recv(0, tag=4))]
+
+    results = run_ranks(cluster, [rank0(), rank1()])
+    assert results[1] == [first, second]
+    assert c0.fragments_sent == 10  # five per message
+
+
+def test_send_over_a_dead_link_fails_once_and_leaves_nothing_behind():
+    """Every fragment of a message posted over a link that is down for
+    good spends its retries: the send raises ``RetriesExhausted`` once,
+    and the other fragments' failures are observed, not left to escape
+    at a later ``env.run``."""
+    cluster, (c0, c1) = make_world(slot_bytes=1024)
+    env = cluster.env
+    FaultInjector(cluster).run(FaultCampaign.of("dead", [
+        FaultEvent(at_ns=0, kind=LINK_DOWN, target="node0->sw0")]))
+    failures = []
+
+    def rank0():
+        send = c0.send(1, b"x" * 2500)
+        assert c0.fragments_sent == 3
+        try:
+            yield send
+        except RetriesExhausted as exc:
+            failures.append(exc)
+
+    env.run(until=env.process(rank0()))
+    assert len(failures) == 1
+    env.run(until=env.now + 500_000_000)
+    assert c0._tx[1].stats.send_failures == 3
 
 
 # --------------------------------------------------------------- collectives
