@@ -22,7 +22,7 @@ import mmap
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -111,8 +111,9 @@ class PhysicalMemory:
         self._allocated: set[int] = set()
         #: Frames ever allocated or pinned; the rest have no object.
         self._frames: dict[int, Frame] = {}
-        #: frame number -> [(registration seq, paddr, nbytes, event)]
-        self._watches: dict[int, list[tuple[int, int, int, object]]] = {}
+        #: frame number -> [(registration seq, paddr, nbytes, one-shot
+        #: event or None, standing callback or None)]
+        self._watches: dict[int, list[tuple]] = {}
         self._watch_seq = 0
 
     def _frame(self, number: int) -> Frame:
@@ -251,14 +252,30 @@ class PhysicalMemory:
         extent; the first extent written fires it.  Its records on other
         frames are swept the next time anything visits their bucket — this
         method included, so re-arming a buffer of which only one page is
-        ever written does not pile records up on the others."""
-        record = (self._watch_seq, paddr, nbytes, event)
+        ever written does not pile records up on the others.  A receiver
+        that waits on one buffer again and again has a standing watcher
+        instead (:meth:`watch_writes`)."""
+        self._register([(paddr, nbytes)], event, None)
+
+    def watch_writes(self, extents: Iterable[tuple[int, int]],
+                     callback: Callable[[int, int], None]) -> None:
+        """Register a standing watcher: ``callback(paddr, nbytes)`` runs
+        with the whole written range on every device write that touches
+        any of ``extents``, once per write however many of them it spans.
+        It is never swept, and runs in registration order among the
+        one-shot watches on the same frames."""
+        self._register(extents, None, callback)
+
+    def _register(self, extents, event, callback) -> None:
+        seq = self._watch_seq
         self._watch_seq += 1
-        for frame in self._frames_spanned(paddr, nbytes):
-            bucket = [r for r in self._watches.get(frame, ())
-                      if not r[3].triggered]
-            bucket.append(record)
-            self._watches[frame] = bucket
+        for paddr, nbytes in extents:
+            record = (seq, paddr, nbytes, event, callback)
+            for frame in self._frames_spanned(paddr, nbytes):
+                bucket = [r for r in self._watches.get(frame, ())
+                          if r[3] is None or not r[3].triggered]
+                bucket.append(record)
+                self._watches[frame] = bucket
 
     def notify_write(self, paddr: int, nbytes: int) -> None:
         """Called by DMA engines after mutating [paddr, paddr+nbytes).
@@ -276,13 +293,14 @@ class PhysicalMemory:
                 continue
             armed = []
             for record in bucket:
-                _seq, start, length, event = record
-                if event.triggered:
+                _seq, start, length, event, _callback = record
+                if event is not None and event.triggered:
                     continue
                 if start < end and paddr < start + length:
                     hits.append(record)
-                else:
-                    armed.append(record)
+                    if event is not None:
+                        continue
+                armed.append(record)
             if armed:
                 watches[frame] = armed
             else:
@@ -290,8 +308,13 @@ class PhysicalMemory:
         # Each bucket is in registration order; a write over several
         # frames has to merge them.
         hits.sort(key=itemgetter(0))
-        for _seq, _start, _length, event in hits:
-            if not event.triggered:     # one record per frame it spans
+        last = -1
+        for seq, _start, _length, event, callback in hits:
+            if event is None:
+                if seq != last:         # one call per write
+                    last = seq
+                    callback(paddr, nbytes)
+            elif not event.triggered:   # one record per frame it spans
                 event.succeed((paddr, nbytes))
 
     # -- introspection ----------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 
 from repro.sim import Environment, Event
+from repro.sim.server import at_now, then
 from repro.vmmc.api import VMMCEndpoint
 from repro.vmmc.errors import RetriesExhausted
 from repro.vmmc.reliable import ReliableError, open_channel
@@ -75,14 +76,19 @@ class ReliableRPCServer:
             yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
             # Replies pipeline through the channel window; blocking the
             # serve loop on the client's transport ACK would put one
-            # round trip between every pair of requests.
-            self.env.process(self._send_reply(reply),
-                             name=f"rrpc.reply.{self.name}")
+            # round trip between every pair of requests.  The reply send
+            # starts from an event at ``now``, so the loop posts its next
+            # ``recv`` first.
+            at_now(self.env, lambda reply=reply: self.sender.send(
+                reply).callbacks.append(self._replied))
 
-    def _send_reply(self, reply: bytes):
-        try:
-            yield self.sender.send(reply)
-        except (ReliableError, RetriesExhausted):
+    def _replied(self, sent: Event) -> None:
+        """A reply send ended; a transport failure is counted, not
+        raised."""
+        if not sent.ok:
+            if not isinstance(sent.value, (ReliableError, RetriesExhausted)):
+                raise sent.value
+            sent.defuse()
             self.reply_failures += 1
 
 
@@ -92,6 +98,8 @@ class ReliableRPCClient:
     Concurrent :meth:`call` s pipeline through the request channel's
     AIMD window; a single demux process matches replies to callers by
     xid, so calls complete as their replies arrive regardless of order.
+    A reply nobody waits for — a duplicate, one for a call that already
+    failed, or one that does not decode — is dropped.
     """
 
     def __init__(self, prog: int, vers: int, sender, receiver, name: str):
@@ -122,32 +130,46 @@ class ReliableRPCClient:
             if waiter is not None:
                 waiter.succeed(bytes(raw))
 
-    def call(self, proc: int, args: bytes = b""):
-        """Process: one RPC; value is the reply's XdrDecoder.
+    def call(self, proc: int, args: bytes = b"") -> Event:
+        """Event: one RPC; value is the reply's XdrDecoder.
 
-        Raises :class:`~repro.rpc.sunrpc.RPCError` on a non-SUCCESS
+        Fails with :class:`~repro.rpc.sunrpc.RPCError` on a non-SUCCESS
         reply status; transport-level exhaustion surfaces as
-        :class:`~repro.vmmc.reliable.RetriesExhausted`.
+        :class:`~repro.vmmc.reliable.RetriesExhausted`.  The call starts
+        from one event at ``now``, where it takes its xid.
         """
         self._ensure_demux()
+        done = Event(self.env)
+        at_now(self.env, lambda: self._call(proc, args, done))
+        return done
 
-        def run():
-            xid = next(self._xids)
-            yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
+    def _call(self, proc: int, args: bytes, done: Event) -> None:
+        env = self.env
+        xid = next(self._xids)
+        waiter = Event(env)
+
+        def post(_stub):
             request = encode_call(xid, self.prog, self.vers, proc, args)
-            waiter = Event(self.env)
             self._pending[xid] = waiter
-            try:
-                yield self.sender.send(request)
-                self.calls_sent += 1
-                raw = yield waiter
-            except BaseException:
-                self._pending.pop(xid, None)
-                raise
-            yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
-            return check_reply(raw, xid)
+            then(self.sender.send(request), sent)
 
-        return self.env.process(run(), name=f"rrpc.call.{self.name}")
+        def sent(event):
+            if not event.ok:
+                event.defuse()
+                self._pending.pop(xid, None)
+                return done.fail(event.value)
+            self.calls_sent += 1
+            then(waiter, lambda _reply: env.timeout(
+                THIN_LAYER_NS + STUB_FIXED_NS).callbacks.append(decode))
+
+        def decode(_stub):
+            try:
+                reply = check_reply(waiter.value, xid)
+            except Exception as exc:
+                return done.fail(exc)
+            done._end(reply)
+
+        env.timeout(THIN_LAYER_NS + STUB_FIXED_NS).callbacks.append(post)
 
 
 def connect_reliable_rpc(client_ep: VMMCEndpoint, server_ep: VMMCEndpoint,

@@ -174,6 +174,15 @@ class Event:
         self._scheduled = True
         self.callbacks = None
 
+    def _end(self, value: Any = None) -> None:
+        """Succeed with ``value`` the way a process ends: scheduled if
+        anything waits on the event, settled in place if nothing does —
+        for a library call that returns an event instead of a process."""
+        if self.callbacks:
+            self.succeed(value)
+        else:
+            self._settle(value)
+
     def _fire(self, value: Any = None) -> None:
         """Succeed with ``value`` and run the callbacks now, scheduling
         nothing — for an operation that ends inside the dispatch of
@@ -362,14 +371,10 @@ class Process(Event):
     def _finish_ok(self, value: Any) -> None:
         self._target = None
         if self._value is _PENDING:
-            if self.callbacks:
-                self._value = value
-                self.env._schedule(self)
-            else:
-                # Nobody waits: done in place; a later ``yield``, ``AllOf``
-                # or ``run(until=...)`` takes the value at once.  A failure
-                # is always scheduled, so an unobserved one still escalates.
-                self._settle(value)
+            # With nobody waiting it is done in place: a later ``yield``,
+            # ``AllOf`` or ``run(until=...)`` takes the value at once.  A
+            # failure is always scheduled, so an unobserved one escalates.
+            self._end(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._target = None

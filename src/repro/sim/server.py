@@ -90,3 +90,12 @@ def at_now(env: Environment, action: Callable[[], Any]) -> None:
     event = Event(env)
     event.callbacks.append(lambda _event: action())
     event.succeed()
+
+
+def then(event: Event, callback: Callable[[Event], Any]) -> None:
+    """Run ``callback(event)`` once ``event`` is processed — at once if it
+    already is, where a process that yielded it would have gone on."""
+    if event.callbacks is None:
+        callback(event)
+    else:
+        event.callbacks.append(callback)

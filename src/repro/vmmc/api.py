@@ -47,6 +47,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.sim import Environment, Event
+from repro.sim.server import at_now, then
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, histogram
 from repro.mem.buffers import UserBuffer
@@ -459,27 +460,28 @@ class VMMCEndpoint:
     def send(self, src: UserBuffer, dest: Destination,
              nbytes: int | None = None,
              src_offset: int = 0, dest_offset: int = 0,
-             synchronous: bool = True, notify: bool = False):
-        """Process: ``SendMsg(srcAddr, destAddr, nbytes)`` (section 2).
+             synchronous: bool = True, notify: bool = False) -> Event:
+        """Event: ``SendMsg(srcAddr, destAddr, nbytes)`` (section 2).
 
-        Value is a :class:`SendHandle`.  ``synchronous=True`` returns only
+        Value is a :class:`SendHandle`.  ``synchronous=True`` fires only
         when the send buffer is safely reusable (short: at post; long:
         when the last chunk is in LANai memory and the completion word has
-        been observed).  ``synchronous=False`` returns right after
-        posting; use :meth:`wait_send` / :meth:`check_send`.
+        been observed).  ``synchronous=False`` fires right after posting;
+        use :meth:`wait_send` / :meth:`check_send`.  The arguments are
+        checked and the destination resolved at the call, and the
+        library prologue starts there.
 
-        Raises (all :class:`~repro.vmmc.errors.SendError` subclasses):
+        Fails with (all :class:`~repro.vmmc.errors.SendError` subclasses):
         :class:`~repro.vmmc.errors.InvalidSendError` on malformed
         arguments, :class:`~repro.vmmc.errors.ImportStale` when ``dest``
         is an invalidated/revoked import (fail-fast, before any I/O),
         :class:`~repro.vmmc.errors.CompletionError` when the LANai
         reports an error completion.
         """
+        env = self.env
         length = src.nbytes - src_offset if nbytes is None else nbytes
-        src_vaddr = src.vaddr + src_offset
-
-        def run():
-            t0 = self.env.now
+        done = Event(env)
+        try:
             if length <= 0:
                 raise InvalidSendError(f"invalid send length {length}")
             if length > MAX_MESSAGE_BYTES:
@@ -488,99 +490,126 @@ class VMMCEndpoint:
             if src_offset + length > src.nbytes:
                 raise InvalidSendError(
                     "send runs past the end of the source buffer")
-            try:
-                proxy_address = self._resolve_destination(
-                    dest, dest_offset)
-            except ImportStale:
-                self.stale_sends_blocked += 1
-                self._m_sends_stale_blocked.inc()
-                emit(self.env, "vmmc.send.stale_blocked",
-                     node=self.node_name, pid=self.process.pid)
-                raise
-            # Library prologue: argument checks + protocol selection.
-            yield self.env.timeout(LIB_SEND_OVERHEAD_NS)
-            # Flow control: wait for a free slot (spin on the completion
-            # word of the oldest outstanding request).
-            while not self.ctx.queue.slot_available():
-                tail_event = self.ctx.completion_events.get(
-                    self.ctx.queue.next_slot())
-                if tail_event is not None and not tail_event.triggered:
-                    yield tail_event
-                else:
-                    yield self.env.timeout(500)
-                yield self.membus.cacheline_fill()
-            slot = self.ctx.queue.reserve()
-            completion = self.env.event()
-            self.ctx.completion_events[slot] = completion
-            is_short = length <= SHORT_SEND_LIMIT
+            proxy_address = self._resolve_destination(dest, dest_offset)
+        except VMMCError as exc:
+            at_now(env, lambda exc=exc: self._refuse(done, exc))
+            return done
+        t0 = env.now
+        ctx = self.ctx
+        queue = ctx.queue
+        is_short = length <= SHORT_SEND_LIMIT
+
+        def post():
+            slot = queue.reserve()
+            completion = ctx.completion_events[slot] = Event(env)
             if is_short:
-                data = src.read(src_offset, length)
                 request = SendRequest(
                     slot=slot, length=length, proxy_address=proxy_address,
-                    is_short=True, inline_data=data, notify=notify,
-                    posted_at=self.env.now)
+                    is_short=True, inline_data=src.read(src_offset, length),
+                    notify=notify, posted_at=env.now)
             else:
                 request = SendRequest(
                     slot=slot, length=length, proxy_address=proxy_address,
-                    is_short=False, src_vaddr=src_vaddr, notify=notify,
-                    posted_at=self.env.now)
+                    is_short=False, src_vaddr=src.vaddr + src_offset,
+                    notify=notify, posted_at=env.now)
             # Post with programmed I/O: control words + inline data words.
-            yield self.lcp.nic.bus.mmio_write(
-                request.control_words + request.data_words)
-            self.ctx.queue.post(request)
+            self.lcp.nic.bus.mmio_write(
+                request.control_words + request.data_words
+            ).callbacks.append(lambda _hold: posted(request, completion))
+
+        def posted(request, completion):
+            queue.post(request)
             self.lcp.doorbell()
             self.sends_posted += 1
             self._m_sends_posted[is_short].inc()
-            emit(self.env, "vmmc.send.posted", node=self.node_name,
-                 pid=self.process.pid, slot=slot, length=length,
+            emit(env, "vmmc.send.posted", node=self.node_name,
+                 pid=self.process.pid, slot=request.slot, length=length,
                  short=is_short)
-            handle = SendHandle(slot=slot, length=length, is_short=is_short,
-                                synchronous=synchronous,
-                                posted_at=self.env.now,
+            handle = SendHandle(slot=request.slot, length=length,
+                                is_short=is_short, synchronous=synchronous,
+                                posted_at=env.now,
                                 completed_event=completion)
             if synchronous and not is_short:
                 # Spin on the completion cache location (section 4.5).
-                status = yield completion
-                yield self.membus.cacheline_fill()
-                if status != COMPLETION_DONE:
-                    raise CompletionError(
-                        f"send failed with completion status {status}",
-                        status=status)
+                then(completion, lambda completed: then(
+                    self.membus.cacheline_fill(),
+                    lambda _fill: observed(handle, completed._value)))
+            else:
+                finish(handle)
+
+        def observed(handle, status):
+            if status != COMPLETION_DONE:
+                done.fail(CompletionError(
+                    f"send failed with completion status {status}",
+                    status=status))
+            else:
+                finish(handle)
+
+        def finish(handle):
             if synchronous:
-                self._m_send_sync_ns.observe(self.env.now - t0)
-            return handle
+                self._m_send_sync_ns.observe(env.now - t0)
+            done._end(handle)
 
-        return self.env.process(run(), name="vmmc.send")
+        # Library prologue: argument checks + protocol selection.
+        env.timeout(LIB_SEND_OVERHEAD_NS).callbacks.append(
+            lambda _prologue: self._when_slot_free(post))
+        return done
 
-    def wait_send(self, handle: SendHandle):
-        """Process: block until an asynchronous send's buffer is reusable."""
-        def run():
+    def _when_slot_free(self, go: Callable[[], None]) -> None:
+        """Flow control: call ``go()`` once the send queue has a free
+        slot (spin on the completion word of the oldest outstanding
+        request)."""
+        queue = self.ctx.queue
+        if queue.slot_available():
+            return go()
+        tail = self.ctx.completion_events.get(queue.next_slot())
+        if tail is None or tail.triggered:
+            tail = self.env.timeout(500)
+        then(tail, lambda _tail: self.membus.cacheline_fill().callbacks
+             .append(lambda _fill: self._when_slot_free(go)))
+
+    def _refuse(self, done: Event, exc: VMMCError) -> None:
+        """Fail a send the library rejected at the call, one event later
+        (where the prologue would have begun)."""
+        if isinstance(exc, ImportStale):
+            self.stale_sends_blocked += 1
+            self._m_sends_stale_blocked.inc()
+            emit(self.env, "vmmc.send.stale_blocked",
+                 node=self.node_name, pid=self.process.pid)
+        done.fail(exc)
+
+    def wait_send(self, handle: SendHandle) -> Event:
+        """Event: fires when an asynchronous send's buffer is reusable."""
+        done = Event(self.env)
+
+        def observed(status):
+            then(self.membus.cacheline_fill(), lambda _fill: done._end(None)
+                 if status in (COMPLETION_DONE, None) else done.fail(
+                     CompletionError(f"send failed with completion status "
+                                     f"{status}", status=status)))
+
+        def look():
             event = handle.completed_event
             if event is not None and not event.triggered:
-                status = yield event
+                then(event, lambda event: observed(event._value))
             else:
-                status = self.ctx.last_status.get(handle.slot,
-                                                  COMPLETION_DONE)
-            yield self.membus.cacheline_fill()
-            if status != COMPLETION_DONE and status is not None:
-                raise CompletionError(
-                    f"send failed with completion status {status}",
-                    status=status)
+                observed(self.ctx.last_status.get(handle.slot,
+                                                 COMPLETION_DONE))
 
-        return self.env.process(run(), name="vmmc.wait_send")
+        at_now(self.env, look)
+        return done
 
-    def check_send(self, handle: SendHandle):
-        """Process: non-blocking completion probe; value is a bool.
+    def check_send(self, handle: SendHandle) -> Event:
+        """Event: non-blocking completion probe; value is a bool.
 
         Reads the completion word from (cached) host memory — no device
         access, just the library fast path.
         """
-        def run():
-            yield self.env.timeout(LIB_CHECK_OVERHEAD_NS)
-            event = handle.completed_event
-            return handle.is_short or (event is not None and event.triggered)
-
-        return self.env.process(run(), name="vmmc.check_send")
+        done, event = Event(self.env), handle.completed_event
+        self.env.timeout(LIB_CHECK_OVERHEAD_NS).callbacks.append(
+            lambda _cost: done._end(handle.is_short or (
+                event is not None and event.triggered)))
+        return done
 
     # -- receive-side helpers -------------------------------------------------------
     def watch(self, buffer: UserBuffer, offset: int = 0,
@@ -602,13 +631,10 @@ class VMMCEndpoint:
         return event
 
     def spin_recv(self, buffer: UserBuffer, offset: int = 0,
-                  nbytes: int | None = None):
-        """Process: spin until data is deposited in the watched range,
-        charging the cache-line fill the spinner pays to observe it."""
-        watch_event = self.watch(buffer, offset, nbytes)
-
-        def run():
-            yield watch_event
-            yield self.membus.cacheline_fill()
-
-        return self.env.process(run(), name="vmmc.spin_recv")
+                  nbytes: int | None = None) -> Event:
+        """Event: fires once data is deposited in the watched range and
+        the spinner has paid the cache-line fill that observes it."""
+        done = Event(self.env)
+        then(self.watch(buffer, offset, nbytes), lambda _watch: then(
+            self.membus.cacheline_fill(), lambda _fill: done._end(None)))
+        return done

@@ -50,6 +50,15 @@ using only VMMC-idiomatic machinery:
   a fresh ACK.  Out-of-order arrivals of *future* window slots park in
   their ring slots and are deliberately not mistaken for duplicates.
 
+``send()`` and ``recv()`` are calls that return an event, run as chains
+of callbacks, not processes.  The receiver spins on its ring the way a
+VMMC receiver does — no receive operation, just memory the DMA writes
+into — through one standing write watcher per ring: it notes the slots
+each device write touches and fires the pending wake, and the wake
+reads only those slots against the image it last read of each.  The
+sender watches its ACK word the same way.  One ``recv()`` may be
+pending per receiver.
+
 Both ends are deterministic: no RNG, integer-ns timers and estimator
 arithmetic, and all traffic is ordinary VMMC sends, so a run under a
 seeded :class:`~repro.faults.campaign.FaultCampaign` reproduces exactly —
@@ -74,11 +83,12 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.sim import AnyOf, Environment
+from repro.sim import AnyOf, Environment, Event
+from repro.sim.server import at_now, then
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, gauge, histogram
 from repro.mem.buffers import UserBuffer
@@ -173,32 +183,262 @@ def _check_geometry(nslots: int, slot_bytes: int) -> None:
         raise ReliableError("slot too small for the header")
 
 
-def _reimport_with_backoff(end, imported: ImportedBuffer):
-    """Generator: re-establish a stale import of channel end ``end``
-    (sender or receiver), retried with exponential backoff on the end's
-    timeout schedule while the exporter's daemon reboots — it
-    re-registers exports *during* boot, so early attempts are denied
-    (export not yet back) or time out (daemon still dead), both
-    :class:`ImportDenied`.  The spent budget surfaces as
-    :class:`RetriesExhausted`."""
-    backoff = end.timeout_ns
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            yield imported.reimport(timeout_ns=backoff)
-            break
-        except ImportDenied:
-            if attempts > end.max_retries:
-                raise RetriesExhausted(
-                    f"{end.name}: import of {imported.name!r} not "
-                    f"re-established after {attempts} attempts",
-                    retries=attempts)
-            backoff = min(backoff * 2, end.max_timeout_ns)
-    end.stats.reimports += 1
-    end._m_reimports.inc()
-    emit(end.env, "rel.reimport", channel=end.name, name=imported.name,
-         attempts=attempts)
+def _deposit(end, post: Callable[[], Event], imported: ImportedBuffer,
+             seq: int, sent: Callable[[], None],
+             failed: Callable[[Exception], None], ack: bool = False) -> None:
+    """Run ``post()`` — one VMMC send into ``imported``, a slot image or
+    an ACK word — then ``sent()``; a failed send is a :class:`_Deposit`'s
+    to recover."""
+    def landed(event: Event) -> None:
+        if event._ok:
+            sent()
+        else:
+            _Deposit(end, post, imported, seq, sent, failed, ack).landed(
+                event)
+
+    post().callbacks.append(landed)
+
+
+class _Deposit:
+    """A deposit whose send failed, carried on to ``sent()``, or to
+    ``failed(exc)`` once the retry budget is spent.
+
+    Failure is the rare path (``ack`` marks the receiver's ACK write).
+    An error completion means the mapping died *while the send was in
+    flight* (the error completion beat the stale flag): back off one
+    timeout and retry.  A stale import (the peer's daemon cold-restarted)
+    is re-imported and the send replayed, the re-import retried with
+    exponential backoff while the exporter's daemon reboots (it
+    re-registers exports *during* boot, so early attempts are denied or
+    time out, both :class:`ImportDenied`); sends that hit it meanwhile
+    share that one recovery."""
+
+    __slots__ = ("end", "post", "imported", "seq", "sent", "failed", "ack",
+                 "attempts", "reimports", "backoff")
+
+    def __init__(self, end, post: Callable[[], Event],
+                 imported: ImportedBuffer, seq: int,
+                 sent: Callable[[], None],
+                 failed: Callable[[Exception], None], ack: bool = False):
+        self.end, self.post, self.imported = end, post, imported
+        self.seq, self.sent, self.failed, self.ack = seq, sent, failed, ack
+        self.attempts = 0
+
+    def attempt(self, _event=None) -> None:
+        self.post().callbacks.append(self.landed)
+
+    def landed(self, event: Event) -> None:
+        if event._ok:
+            return self.sent()
+        event.defuse()
+        exc, end, seq = event._value, self.end, self.seq
+        stale = isinstance(exc, ImportStale)
+        if not stale and not isinstance(exc, CompletionError):
+            return self.failed(exc)
+        self.attempts = attempts = self.attempts + 1
+        if stale:
+            end.stats.stale_transmits += 1
+            end._m_stale_transmits.inc()
+        else:
+            end.stats.completion_errors += 1
+        emit(end.env, "rel.transmit.stale" if stale else "rel.transmit.error",
+             channel=end.name, seq=seq, attempt=attempts,
+             **({"ack": True} if self.ack else {}))
+        if attempts > end.max_retries:
+            if not self.ack:
+                end.stats.send_failures += 1
+            return self.failed(RetriesExhausted(
+                f"{end.name}: {'ACK write' if self.ack else f'seq {seq}'} "
+                f"kept {'hitting a stale import' if stale else 'failing'} "
+                f"after {attempts} attempts", seq=seq, retries=attempts))
+        if not stale:
+            return end.env.timeout(end.timeout_ns).callbacks.append(
+                self.attempt)
+        if end._recovering is not None:
+            return then(end._recovering, self.attempt)
+        end._recovering = Event(end.env)
+        self.reimports, self.backoff = 0, end.timeout_ns
+        self.reimport()
+
+    def reimport(self) -> None:
+        self.reimports += 1
+        self.imported.reimport(timeout_ns=self.backoff).callbacks.append(
+            self.reimported)
+
+    def reimported(self, event: Event) -> None:
+        end, exc = self.end, None
+        if event._ok:
+            end.stats.reimports += 1
+            end._m_reimports.inc()
+            emit(end.env, "rel.reimport", channel=end.name,
+                 name=self.imported.name, attempts=self.reimports)
+        else:
+            event.defuse()
+            exc = event._value
+            if isinstance(exc, ImportDenied):
+                if self.reimports <= end.max_retries:
+                    self.backoff = min(self.backoff * 2, end.max_timeout_ns)
+                    return self.reimport()
+                exc = RetriesExhausted(
+                    f"{end.name}: import of {self.imported.name!r} not "
+                    f"re-established after {self.reimports} attempts",
+                    retries=self.reimports)
+        # Let the sends that waited on this recovery go, then replay.
+        recovering, end._recovering = end._recovering, None
+        recovering.succeed()
+        if exc is None:
+            self.attempt()
+        else:
+            self.failed(exc)
+
+
+class _Message:
+    """One ``ReliableSender.send`` in the window — its slot, deadline and
+    retries — and the send policy as callbacks: admission through the
+    AIMD window, pacing, the (re)transmission, the ACK watch against the
+    slot's deadline, completion.  Making one starts the send."""
+
+    __slots__ = ("tx", "data", "done", "seq", "base", "retries", "t0",
+                 "slot_rto", "deadline", "last_ack")
+
+    def __init__(self, tx: "ReliableSender", data: bytes, done: Event):
+        if tx._ring is None:
+            done.fail(ReliableError(f"channel {tx.name} not opened"))
+            return
+        if len(data) > tx.payload_per_slot:
+            done.fail(ReliableError(f"payload of {len(data)}B exceeds the "
+                                    f"{tx.payload_per_slot}B slot capacity"))
+            return
+        self.tx, self.data, self.done = tx, data, done
+        self.seq = tx._next_seq
+        tx._next_seq += 1
+        self.base = ((self.seq - 1) % tx.nslots) * tx.slot_bytes
+        self.retries = 0
+        self.admit()
+
+    def admit(self, _kick=None) -> None:
+        # FIFO admission: wait for both the window and our turn, so slots
+        # enter the ring in sequence order and never overwrite a live
+        # predecessor (window <= ring slots).
+        tx, seq = self.tx, self.seq
+        if seq != tx._admit_next or tx.inflight >= tx.cwnd:
+            return tx._kick_wait().callbacks.append(self.admit)
+        tx._admit_next = seq + 1
+        tx._set_inflight(tx.inflight + 1)
+        tx._kick()
+        tx.stats.messages_sent += 1
+        emit(tx.env, "rel.send", channel=tx.name, seq=seq,
+             nbytes=len(self.data))
+        self.pace()
+
+    def pace(self) -> None:
+        """Hold a (re)transmission behind the pacing gate."""
+        tx = self.tx
+        wait = tx._next_tx_at - tx.env.now
+        if wait <= 0:
+            return self.transmit()
+        tx.stats.paced_ns += wait
+        emit(tx.env, "rel.pace", channel=tx.name, seq=self.seq,
+             wait_ns=wait, pressure=tx.pressure)
+        tx.env.timeout(wait).callbacks.append(self.transmit)
+
+    def transmit(self, _paced=None) -> None:
+        """Reserve the next transmission's earliest start by the current
+        retransmit pressure and deposit the slot image in the remote
+        ring; a stale ring import or an error completion is recovered
+        underneath (:func:`_deposit`)."""
+        tx, base, data = self.tx, self.base, self.data
+        now = tx.env.now
+        tx._next_tx_at = now + tx.pressure * PACE_QUANTUM_NS
+        if not self.retries:
+            self.t0 = now
+        header = _HEADER.pack(self.seq & 0xFFFFFFFF, len(data),
+                              zlib.crc32(data), 0)
+
+        def post():
+            tx._scratch.write(header, offset=base)
+            if data:
+                tx._scratch.write(data, offset=base + HEADER_BYTES)
+            return tx.ep.send(tx._scratch, tx._ring.at(base),
+                              HEADER_BYTES + len(data), src_offset=base)
+
+        _deposit(tx, post, tx._ring, self.seq, self.sent, self.finish)
+
+    def sent(self) -> None:
+        tx = self.tx
+        if not self.retries:
+            self.slot_rto, self.last_ack = tx.rto_ns, tx.acked
+        self.deadline = tx.env.now + self.slot_rto
+        self.look()
+
+    def look(self, _woken=None) -> None:
+        # Arm the wake *before* checking (race-free idiom).
+        wake = Event(self.tx.env)
+        self.tx._ack_waiters.append(wake)
+        self.tx.ep.membus.cacheline_fill().callbacks.append(
+            lambda _fill: self.check(wake))
+
+    def check(self, wake: Event) -> None:
+        tx, seq = self.tx, self.seq
+        env = tx.env
+        ack = tx.acked
+        if ack >= seq:
+            if not wake.triggered:
+                tx._ack_waiters.remove(wake)
+            return self.delivered()
+        if ack > self.last_ack:
+            # Cumulative progress: the window is draining in order, so
+            # restart this slot's timer instead of retransmitting a
+            # message that is merely queued behind the advancing ACK.
+            self.last_ack = ack
+            self.deadline = env.now + self.slot_rto
+        remaining = self.deadline - env.now
+        if remaining > 0:
+            return AnyOf(env, [wake, env.timeout(remaining)]).callbacks \
+                .append(self.look)
+        tx.stats.timeouts += 1
+        tx._m_timeouts.inc()
+        if self.retries >= tx.max_retries:
+            tx.stats.send_failures += 1
+            emit(env, "rel.send.failed", channel=tx.name, seq=seq,
+                 retries=self.retries)
+            return self.finish(RetriesExhausted(
+                f"{tx.name}: seq {seq} unacknowledged after "
+                f"{self.retries} retransmissions", seq=seq,
+                retries=self.retries))
+        self.retries += 1
+        tx.stats.retransmits += 1
+        tx._m_retransmits.inc()
+        emit(env, "rel.retransmit", channel=tx.name, seq=seq,
+             attempt=self.retries)
+        tx._on_timeout(seq)
+        self.slot_rto = tx.rto_ns
+        self.pace()
+
+    def delivered(self) -> None:
+        tx, seq = self.tx, self.seq
+        tx.stats.messages_delivered += 1
+        rtt = tx.env.now - self.t0
+        tx._m_rtt_ns.observe(rtt)
+        if self.retries:
+            # Karn's rule: a retransmitted slot's round trip is ambiguous
+            # (which copy was ACKed?) — never sample it.
+            tx.stats.retransmitted_deliveries += 1
+        else:
+            tx._on_clean_ack(seq, rtt)
+        emit(tx.env, "rel.delivered", channel=tx.name, seq=seq,
+             retransmits=self.retries)
+        self.finish()
+
+    def finish(self, exc: Optional[Exception] = None) -> None:
+        """The send is over — delivered, or failed with ``exc``: free its
+        window place, then end it."""
+        self.tx._set_inflight(self.tx.inflight - 1)
+        self.tx._kick()
+        if exc is None:
+            self.done._end(self.seq)
+        else:
+            self.done.fail(exc)
 
 
 class ReliableSender:
@@ -243,6 +483,16 @@ class ReliableSender:
         #: Local, exported; the receiver remote-writes the cumulative ACK.
         self.ack_buf: UserBuffer = ep.alloc_buffer(4096)
         self.ack_buf.write_u32(0)
+        #: The ACK word's frame, resolved once (nothing unmaps the
+        #: buffer, and once exported it is pinned), so :attr:`acked`
+        #: reads it without translating; one standing watcher on it wakes
+        #: the sends waiting for it, in the order they armed.
+        [(paddr, _)] = self.ack_buf.space.physical_extents(
+            self.ack_buf.vaddr, 4)
+        memory = self.ack_buf.space.memory
+        self._ack_word = memory.data[paddr:paddr + 4].view("<u4")
+        self._ack_waiters: list[Event] = []
+        memory.watch_writes([(paddr, 4)], self._ack_written)
         #: Staging for outgoing slot images — one staging area *per ring
         #: slot*, so pipelined in-flight transmissions never overwrite
         #: each other's frame mid-DMA (the window never holds two
@@ -376,184 +626,29 @@ class ReliableSender:
     @property
     def acked(self) -> int:
         """Highest sequence number the receiver has acknowledged."""
-        return self.ack_buf.read_u32(0)
+        return int(self._ack_word[0])
 
-    def _transmit(self, seq: int, base: int, data: bytes):
-        """Generator: deposit one complete slot image in the remote ring."""
-        header = _HEADER.pack(seq & 0xFFFFFFFF, len(data),
-                              zlib.crc32(data), 0)
-        self._scratch.write(header, offset=base)
-        if data:
-            self._scratch.write(data, offset=base + HEADER_BYTES)
-        yield self.ep.send(self._scratch, self._ring.at(base),
-                           HEADER_BYTES + len(data), src_offset=base)
+    def _ack_written(self, _paddr: int, _nbytes: int) -> None:
+        """The ACK word's standing watcher: a device write landed on it."""
+        waiters, self._ack_waiters = self._ack_waiters, []
+        for wake in waiters:
+            wake.succeed()
 
-    def _transmit_recovering(self, seq: int, base: int, data: bytes):
-        """Generator: like :meth:`_transmit`, but when the ring import has
-        gone stale (receiver's daemon cold-restarted) transparently
-        re-import it and replay the slot — the retransmission machinery
-        above us never notices the outage.  Concurrent in-flight slots
-        that hit the same stale import share one recovery."""
-        attempts = 0
-        while True:
-            try:
-                yield from self._transmit(seq, base, data)
-                return
-            except CompletionError:
-                # The mapping died *while the send was in flight* (cold
-                # crash race: the error completion beats the stale
-                # flag).  Back off one timeout; the retry either finds a
-                # healthy mapping or hits the ImportStale fast path
-                # below and recovers through the reimport machinery.
-                attempts += 1
-                self.stats.completion_errors += 1
-                emit(self.env, "rel.transmit.error", channel=self.name,
-                     seq=seq, attempt=attempts)
-                if attempts > self.max_retries:
-                    self.stats.send_failures += 1
-                    raise RetriesExhausted(
-                        f"{self.name}: seq {seq} kept failing with error "
-                        f"completions after {attempts} attempts",
-                        seq=seq, retries=attempts)
-                yield self.env.timeout(self.timeout_ns)
-            except ImportStale:
-                attempts += 1
-                self.stats.stale_transmits += 1
-                self._m_stale_transmits.inc()
-                emit(self.env, "rel.transmit.stale", channel=self.name,
-                     seq=seq, attempt=attempts)
-                if attempts > self.max_retries:
-                    self.stats.send_failures += 1
-                    raise RetriesExhausted(
-                        f"{self.name}: seq {seq} kept hitting a stale "
-                        f"ring import after {attempts} recoveries",
-                        seq=seq, retries=attempts)
-                if self._recovering is not None:
-                    # Another in-flight slot is already re-importing the
-                    # ring; piggyback on its recovery (a second reimport
-                    # of the same handle would race the first).
-                    yield self._recovering
-                    continue
-                self._recovering = self.env.event()
-                try:
-                    yield from _reimport_with_backoff(self, self._ring)
-                finally:
-                    event = self._recovering
-                    self._recovering = None
-                    event.succeed()
-
-    def _pace(self, seq: int):
-        """Generator: delay this transmission behind the pacing gate,
-        then reserve the next transmission's earliest start according to
-        the current retransmit pressure."""
-        wait = self._next_tx_at - self.env.now
-        if wait > 0:
-            self.stats.paced_ns += wait
-            emit(self.env, "rel.pace", channel=self.name, seq=seq,
-                 wait_ns=wait, pressure=self.pressure)
-            yield self.env.timeout(wait)
-        self._next_tx_at = self.env.now + self.pressure * PACE_QUANTUM_NS
-
-    def send(self, payload: bytes | np.ndarray):
-        """Process: deliver ``payload`` reliably; value is its sequence
-        number.  Raises :class:`RetriesExhausted` when the retry budget is
-        spent without an acknowledgement.
+    def send(self, payload: bytes | np.ndarray) -> Event:
+        """Event: deliver ``payload`` reliably; value is its sequence
+        number.  Fails with :class:`RetriesExhausted` when the retry
+        budget is spent without an acknowledgement.
 
         Concurrent ``send()`` calls pipeline through the AIMD window in
         FIFO order; payloads are delivered exactly once, in call order.
+        The send starts from one event at ``now``, where it takes its
+        sequence number and queues for the window.
         """
         data = bytes(payload) if isinstance(payload, (bytes, bytearray)) \
             else np.asarray(payload).tobytes()
-        return self.env.process(self._send_windowed(data),
-                                name=f"rel.send.{self.name}")
-
-    def _send_windowed(self, data: bytes):
-        """Generator: the send policy — admission through the AIMD
-        window, per-slot deadline from the RTO estimator, cumulative-ACK
-        completion, pacing on every (re)transmission."""
-        if self._ring is None:
-            raise ReliableError(f"channel {self.name} not opened")
-        if len(data) > self.payload_per_slot:
-            raise ReliableError(
-                f"payload of {len(data)}B exceeds the "
-                f"{self.payload_per_slot}B slot capacity")
-        seq = self._next_seq
-        self._next_seq += 1
-        base = ((seq - 1) % self.nslots) * self.slot_bytes
-        # FIFO admission: wait for both the window and our turn, so slots
-        # enter the ring in sequence order and never overwrite a live
-        # predecessor (window <= ring slots).
-        while seq != self._admit_next or self.inflight >= self.cwnd:
-            yield self._kick_wait()
-        self._admit_next = seq + 1
-        self._set_inflight(self.inflight + 1)
-        self._kick()
-        self.stats.messages_sent += 1
-        emit(self.env, "rel.send", channel=self.name, seq=seq,
-             nbytes=len(data))
-        retries = 0
-        retransmitted = False
-        try:
-            yield from self._pace(seq)
-            t0 = self.env.now
-            yield from self._transmit_recovering(seq, base, data)
-            slot_rto = self.rto_ns
-            deadline = self.env.now + slot_rto
-            last_ack = self.acked
-            while True:
-                # Arm the watch *before* checking (race-free idiom).
-                watch = self.ep.watch(self.ack_buf, 0, 4)
-                yield self.ep.membus.cacheline_fill()
-                ack = self.acked
-                if ack >= seq:
-                    break
-                if ack > last_ack:
-                    # Cumulative progress: the window is draining in
-                    # order, so restart this slot's timer instead of
-                    # retransmitting a message that is merely queued
-                    # behind the advancing ACK.
-                    last_ack = ack
-                    deadline = self.env.now + slot_rto
-                remaining = deadline - self.env.now
-                if remaining <= 0:
-                    self.stats.timeouts += 1
-                    self._m_timeouts.inc()
-                    if retries >= self.max_retries:
-                        self.stats.send_failures += 1
-                        emit(self.env, "rel.send.failed",
-                             channel=self.name, seq=seq, retries=retries)
-                        raise RetriesExhausted(
-                            f"{self.name}: seq {seq} unacknowledged "
-                            f"after {retries} retransmissions",
-                            seq=seq, retries=retries)
-                    retries += 1
-                    retransmitted = True
-                    self.stats.retransmits += 1
-                    self._m_retransmits.inc()
-                    emit(self.env, "rel.retransmit", channel=self.name,
-                         seq=seq, attempt=retries)
-                    self._on_timeout(seq)
-                    slot_rto = self.rto_ns
-                    yield from self._pace(seq)
-                    yield from self._transmit_recovering(seq, base, data)
-                    deadline = self.env.now + slot_rto
-                    continue
-                yield AnyOf(self.env, [watch, self.env.timeout(remaining)])
-            self.stats.messages_delivered += 1
-            rtt = self.env.now - t0
-            self._m_rtt_ns.observe(rtt)
-            if retransmitted:
-                # Karn's rule: a retransmitted slot's round trip is
-                # ambiguous (which copy was ACKed?) — never sample it.
-                self.stats.retransmitted_deliveries += 1
-            else:
-                self._on_clean_ack(seq, rtt)
-            emit(self.env, "rel.delivered", channel=self.name, seq=seq,
-                 retransmits=retries)
-            return seq
-        finally:
-            self._set_inflight(self.inflight - 1)
-            self._kick()
+        done = Event(self.env)
+        at_now(self.env, lambda: _Message(self, data, done))
+        return done
 
 
 class ReliableReceiver:
@@ -591,20 +686,33 @@ class ReliableReceiver:
         #: Local, exported; the sender deposits slot images here.
         self.ring: UserBuffer = ep.alloc_buffer(nslots * slot_bytes)
         self.ring.fill(0)
-        #: The ring's frames, resolved once: nothing unmaps it (and an
-        #: exported buffer is pinned, so nothing can), so a wake watches
-        #: and reads them without translating the ring's pages again.
-        self._ring_extents = self.ring.space.physical_extents(
-            self.ring.vaddr, self.ring.nbytes)
-        self._memory = self.ring.space.memory
+        space = self.ring.space
+        self._data = space.memory.data
+        #: Each slot's frames, resolved once (nothing unmaps the ring, and
+        #: once exported it is pinned); one standing watcher on them notes
+        #: the slots every device write touches.
+        self._slot_extents = [
+            space.physical_extents(self.ring.vaddr + i * slot_bytes,
+                                   slot_bytes) for i in range(nslots)]
+        space.memory.watch_writes(
+            [extent for extents in self._slot_extents for extent in extents],
+            self._ring_written)
+        #: Slots written since a look last read them, and each slot as
+        #: that look read it (None: never), for telling a duplicate
+        #: retransmission (seq <= delivered landing again) from a future
+        #: window slot arriving out of order.
+        self._written: set[int] = set(range(nslots))
+        self._images: list[Optional[bytes]] = [None] * nslots
+        #: The pending ``recv()``'s event, whether it has looked at the
+        #: ring yet, and the wake event its current look waits on.
+        self._receiving: Optional[Event] = None
+        self._looked = False
+        self._wake: Optional[Event] = None
         #: Staging for outgoing ACK remote-writes.
         self._ack_scratch: UserBuffer = ep.alloc_buffer(4096)
         self._ack_at_sender: Optional[ImportedBuffer] = None
+        self._recovering: Optional[Event] = None
         self._next_seq = 1
-        #: The whole ring as the previous wake read it, for telling a
-        #: duplicate retransmission (seq <= delivered landing again) from
-        #: a future window slot arriving out of order.
-        self._image: Optional[bytes] = None
 
     # -- wiring ---------------------------------------------------------------
     def export_ring(self):
@@ -626,8 +734,130 @@ class ReliableReceiver:
         """Highest sequence number applied (exactly once) so far."""
         return self._next_seq - 1
 
-    def _send_ack(self, seq: int, resend: bool = False):
-        """Generator: remote-write the cumulative ACK into the sender.
+    def _ring_written(self, paddr: int, nbytes: int) -> None:
+        """The ring's standing watcher: note the slots a device write
+        touched, and fire the pending wake, if there is one."""
+        end = paddr + nbytes
+        for i, extents in enumerate(self._slot_extents):
+            for start, length in extents:
+                if start < end and paddr < start + length:
+                    self._written.add(i)
+        if self._wake is not None and not self._wake.triggered:
+            self._wake.succeed()
+
+    def _scan(self) -> list[int]:
+        """Read the slots written since the last wake; returns those whose
+        bytes differ from the image that wake read."""
+        written, self._written = self._written, set()
+        data = self._data
+        changed = []
+        for i in written:
+            image = b"".join([data[paddr:paddr + length]
+                              for paddr, length in self._slot_extents[i]])
+            if image != self._images[i]:
+                self._images[i] = image
+                changed.append(i)
+        return changed
+
+    def _complete(self, image: bytes, expected: int) -> Optional[bytes]:
+        """The slot ``image`` holds a complete copy of message ``expected``
+        iff the seq matches and the payload CRC verifies (guards against
+        partially-arrived multi-chunk messages whose tail was corrupted
+        on the wire)."""
+        seq, length, crc, _ = _HEADER.unpack_from(image)
+        if seq != expected or length > self.payload_per_slot:
+            return None
+        payload = image[HEADER_BYTES:HEADER_BYTES + length]
+        if zlib.crc32(payload) != crc:
+            return None
+        return payload
+
+    def _duplicate_in(self, changed: list[int]) -> bool:
+        """True if any freshly-changed slot holds a *complete* image of an
+        already-applied message — a late retransmission whose payload
+        differs from what last occupied the slot (e.g. it was since
+        overwritten by a wrapped sequence)."""
+        for i in changed:
+            image = self._images[i]
+            seq = _HEADER.unpack_from(image)[0]
+            if 0 < seq <= self.delivered and \
+                    self._complete(image, seq) is not None:
+                return True
+        return False
+
+    def recv(self) -> Event:
+        """Event: value is the next message's payload bytes, applied
+        exactly once and acknowledged.  One ``recv`` may be pending per
+        receiver; a second raises :class:`ReliableError`.
+
+        The receive starts from one event at ``now``.  Each look arms the
+        wake, pays the cache-line fill and reads only the slots written
+        since the last look.  Future window slots arriving ahead of
+        ``expected`` (the sender pipelines up to ``cwnd`` slots) simply
+        park in the ring; only genuine duplicates — retransmissions of
+        already-applied messages, provoked by a lost ACK — are
+        suppressed and re-ACKed.
+        """
+        if self._receiving is not None:
+            raise ReliableError(f"channel {self.name}: a recv() is already "
+                                "pending (one per receiver)")
+        done = self._receiving = Event(self.env)
+        self._looked = False
+        if self._ack_at_sender is None:
+            at_now(self.env, lambda: self._finish(error=ReliableError(
+                f"channel {self.name} not opened")))
+        else:
+            at_now(self.env, self._look)
+        return done
+
+    def _look(self, _wake=None) -> None:
+        wake = self._wake = Event(self.env)
+        self.ep.membus.cacheline_fill().callbacks.append(
+            lambda _fill: self._check(wake))
+
+    def _check(self, wake: Event) -> None:
+        changed = self._scan()
+        expected = self._next_seq
+        payload = self._complete(self._images[(expected - 1) % self.nslots],
+                                 expected)
+        if payload is not None:
+            self._wake = None
+            self._next_seq = expected + 1
+            self.stats.messages_delivered += 1
+            emit(self.env, "rel.recv", channel=self.name, seq=expected,
+                 nbytes=len(payload))
+            return self._send_ack(expected,
+                                  lambda: self._finish(payload=payload))
+        # Duplicate suppression.  Two shapes of lost-ACK fallout: a
+        # retransmission that *changed* some slot back to an
+        # already-applied seq, or an *identical* rewrite of an applied
+        # slot (the common case: same header, same payload, so the wake
+        # fired but no byte moved).  Both deserve a re-ACK so the sender
+        # stops; a changed slot carrying a *future* seq is the pipeline
+        # at work and is left alone.
+        duplicate = self._duplicate_in(changed) or (
+            self._looked and not changed and self.delivered >= 1)
+        self._looked = True
+        if duplicate:
+            self.stats.duplicates_suppressed += 1
+            self._m_duplicates.inc()
+            self._send_ack(self.delivered, lambda: then(wake, self._look),
+                           resend=True)
+        else:
+            then(wake, self._look)
+
+    def _finish(self, payload: Optional[bytes] = None,
+                error: Optional[Exception] = None) -> None:
+        done, self._receiving, self._wake = self._receiving, None, None
+        if error is None:
+            done._end(payload)
+        else:
+            done.fail(error)
+
+    def _send_ack(self, seq: int, acked: Callable[[], None],
+                  resend: bool = False) -> None:
+        """Remote-write the cumulative ACK into the sender, then
+        ``acked()``.
 
         If the ACK import went stale (the *sender's* daemon cold-
         restarted) recover it transparently — a swallowed ACK would only
@@ -638,136 +868,10 @@ class ReliableReceiver:
             self.stats.acks_resent += 1
         self.stats.acks_sent += 1
         emit(self.env, "rel.ack", channel=self.name, seq=seq, resend=resend)
-        attempts = 0
-        while True:
-            try:
-                yield self.ep.send(self._ack_scratch,
-                                   self._ack_at_sender.at(0), 4)
-                return
-            except CompletionError:
-                # ACK write completed with an error (the sender's
-                # mapping died mid-flight during a cold crash).  Back
-                # off and retry; a genuinely stale import surfaces as
-                # ImportStale on the next attempt.
-                attempts += 1
-                self.stats.completion_errors += 1
-                emit(self.env, "rel.transmit.error", channel=self.name,
-                     seq=seq, attempt=attempts, ack=True)
-                if attempts > self.max_retries:
-                    raise RetriesExhausted(
-                        f"{self.name}: ACK write kept failing with error "
-                        f"completions after {attempts} attempts",
-                        seq=seq, retries=attempts)
-                yield self.env.timeout(self.timeout_ns)
-            except ImportStale:
-                attempts += 1
-                self.stats.stale_transmits += 1
-                self._m_stale_transmits.inc()
-                emit(self.env, "rel.transmit.stale", channel=self.name,
-                     seq=seq, attempt=attempts, ack=True)
-                if attempts > self.max_retries:
-                    raise RetriesExhausted(
-                        f"{self.name}: ACK import kept going stale after "
-                        f"{attempts} recoveries", seq=seq, retries=attempts)
-                yield from _reimport_with_backoff(self, self._ack_at_sender)
-
-    def _complete_at(self, image: bytes, base: int,
-                     expected: int) -> Optional[bytes]:
-        """The ring ``image`` holds a complete copy of message
-        ``expected`` in the slot at ``base`` iff the seq matches and the
-        payload CRC verifies (guards against partially-arrived multi-chunk
-        messages whose tail was corrupted on the wire)."""
-        seq, length, crc, _ = _HEADER.unpack_from(image, base)
-        if seq != expected or length > self.payload_per_slot:
-            return None
-        start = base + HEADER_BYTES
-        payload = image[start:start + length]
-        if zlib.crc32(payload) != crc:
-            return None
-        return payload
-
-    def _watch_ring(self):
-        """Event fired when a device write lands anywhere in the ring:
-        ``ep.watch(self.ring)`` on the resolved frames."""
-        event = self.env.event()
-        for paddr, length in self._ring_extents:
-            self._memory.add_watch(paddr, length, event)
-        return event
-
-    def _scan(self) -> tuple[bytes, list[int]]:
-        """Read the whole ring once; returns that image and the indices
-        of the slots that changed since the previous wake."""
-        memory = self._memory
-        image = b"".join([memory.view(paddr, length)
-                          for paddr, length in self._ring_extents])
-        previous, self._image = self._image, image
-        if previous is None:
-            return image, list(range(self.nslots))
-        if image == previous:
-            return image, []
-        size = self.slot_bytes
-        return image, [i for i in range(self.nslots)
-                       if image[i * size:(i + 1) * size]
-                       != previous[i * size:(i + 1) * size]]
-
-    def _duplicate_in(self, image: bytes, changed: list[int]) -> bool:
-        """True if any freshly-changed slot holds a *complete* image of an
-        already-applied message — a late retransmission whose payload
-        differs from what last occupied the slot (e.g. it was since
-        overwritten by a wrapped sequence)."""
-        for i in changed:
-            base = i * self.slot_bytes
-            seq = _HEADER.unpack_from(image, base)[0]
-            if 0 < seq <= self.delivered and \
-                    self._complete_at(image, base, seq) is not None:
-                return True
-        return False
-
-    def recv(self):
-        """Process: value is the next message's payload bytes, applied
-        exactly once and acknowledged.
-
-        Future window slots arriving ahead of ``expected`` (the sender
-        pipelines up to ``cwnd`` slots) simply park in the ring;
-        only genuine duplicates — retransmissions of already-applied
-        messages, provoked by a lost ACK — are suppressed and re-ACKed.
-        """
-        def run():
-            if self._ack_at_sender is None:
-                raise ReliableError(f"channel {self.name} not opened")
-            expected = self._next_seq
-            base = ((expected - 1) % self.nslots) * self.slot_bytes
-            first = True
-            while True:
-                watch = self._watch_ring()
-                yield self.ep.membus.cacheline_fill()
-                image, changed = self._scan()
-                payload = self._complete_at(image, base, expected)
-                if payload is not None:
-                    self._next_seq = expected + 1
-                    self.stats.messages_delivered += 1
-                    emit(self.env, "rel.recv", channel=self.name,
-                         seq=expected, nbytes=len(payload))
-                    yield from self._send_ack(expected)
-                    return payload
-                # Duplicate suppression.  Two shapes of lost-ACK fallout:
-                # a retransmission that *changed* some slot back to an
-                # already-applied seq, or an *identical* rewrite of an
-                # applied slot (the common case: same header, same
-                # payload, so the watch fired but no byte moved).  Both
-                # deserve a re-ACK so the sender stops; a changed slot
-                # carrying a *future* seq is the pipeline at work and is
-                # left alone.
-                duplicate = self._duplicate_in(image, changed) or (
-                    not first and not changed and self.delivered >= 1)
-                if duplicate:
-                    self.stats.duplicates_suppressed += 1
-                    self._m_duplicates.inc()
-                    yield from self._send_ack(self.delivered, resend=True)
-                first = False
-                yield watch
-
-        return self.env.process(run(), name=f"rel.recv.{self.name}")
+        _deposit(self, lambda: self.ep.send(
+            self._ack_scratch, self._ack_at_sender.at(0), 4),
+            self._ack_at_sender, seq, acked,
+            lambda exc: self._finish(error=exc), ack=True)
 
 
 def open_channel(tx_ep: VMMCEndpoint, rx_ep: VMMCEndpoint, name: str,

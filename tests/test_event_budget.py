@@ -28,6 +28,7 @@ from repro.cluster import Cluster, TestbedConfig
 from repro.hw.myrinet import MyrinetPacket, topology
 from repro.hw.myrinet.packet import ProbeHeader
 from repro.kv import KVStore
+from repro.mem import PhysicalMemory
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
 from repro.obs.metrics import MetricsRegistry
 from repro.rpc.reliable import connect_reliable_rpc
@@ -59,8 +60,9 @@ def test_one_4_byte_pingpong_round_trip(pair):
     two = events_of(pair.env, lambda: vmmc_pingpong_latency(pair, 4, 2))
     # 60 and 61 while the net send, the completion writeback and the
     # receive delivery were each a process: three start events per
-    # one-way message.
-    assert (one, two - one) == (54, 55)
+    # one-way message.  54 and 55 while ``VMMCEndpoint.send`` was a
+    # process: its start event, once per one-way message.
+    assert (one, two - one) == (52, 53)
 
 
 def test_one_4kb_long_send_chunk_end_to_end(pair):
@@ -73,9 +75,9 @@ def test_one_4kb_long_send_chunk_end_to_end(pair):
     # the delivery DMA and the completion word.  A second page repeats
     # everything from the translate to the delivery DMA.  (27 and 16
     # while the net send, the delivery and the completion writeback were
-    # processes.)
-    assert send(4096) == 24
-    assert send(8192) == 24 + 14
+    # processes; 24 while the library call was one.)
+    assert send(4096) == 23
+    assert send(8192) == 23 + 14
 
 
 def test_a_4kb_long_send_makes_no_request_and_no_nic_process(
@@ -90,9 +92,10 @@ def test_a_4kb_long_send_makes_no_request_and_no_nic_process(
         monkeypatch.setattr(cls, "__init__", counted_init)
     pair.env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 4096))
     pair.env.run()
-    # The library call is the only process: the buses, the host-DMA and
-    # net-send engines and the LCP's writebacks are plain calls.
-    assert constructed == ["vmmc.send"]
+    # No process at all: the library call returns an event, and the
+    # buses, the host-DMA and net-send engines and the LCP's writebacks
+    # are plain calls.  (The library call used to be a process.)
+    assert constructed == []
 
 
 def test_one_64kb_one_way_message():
@@ -102,8 +105,9 @@ def test_one_64kb_one_way_message():
     cost = events_of(pair.env, lambda: pair.env.run(
         until=pair.ep_a.send(pair.src_a, pair.to_b, 64 * 1024)))
     assert pair.cluster.nodes[1].nic.net_recv.packets_received - before == 16
-    # Sixteen 4 KB packets: 24 for the first (post, pickup, completion
-    # word included) and 14 for each further one, 14.6 per packet.  Per
+    # Sixteen 4 KB packets: 23 for the first (post, pickup, completion
+    # word included; 24 while the library call was a process) and 14
+    # for each further one, 14.5 per packet.  Per
     # further packet the sender's LCP pays the TLB probe, the proxy
     # lookup, the host DMA's bus time and the rest of the header
     # preparation (zero: the DMA covers it, but the wait is still an
@@ -113,7 +117,7 @@ def test_one_64kb_one_way_message():
     # doorbell, main-loop pass, parse + check and DMA start; and the
     # delivery DMA's bus time.  (27 + 15 * 16 while the net send and the
     # delivery were processes, each with a start event.)
-    assert cost == 24 + 15 * 14
+    assert cost == 23 + 15 * 14
 
 
 def test_one_switch_hop_of_a_probe_on_fattree_4(monkeypatch):
@@ -175,8 +179,48 @@ def test_one_clean_kv_get():
     # observes apart, took 38 more (135).  A switch hop of three timers
     # took one per packet, four packets (131).  Engine transfers as plain
     # calls took the net send's, the delivery's and the completion
-    # writeback's process starts (119).
-    assert cost == 119
+    # writeback's process starts (119).  The library's four sends as
+    # calls took their process starts, and one standing watcher per
+    # ring and per ACK word the four one-shot watches (two on rings, two
+    # on ACK words) that fired after their wait had ended (111).
+    assert cost == 111
+
+
+def test_a_clean_kv_get_makes_no_message_process_and_arms_no_watch(
+        monkeypatch):
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    _, cli_ep = cluster.nodes[0].attach_process("cli")
+    _, srv_ep = cluster.nodes[1].attach_process("srv")
+    client, _server = env.run(until=connect_reliable_rpc(
+        cli_ep, srv_ep, "kv", KVStore("shard0").program()))
+    env.run(until=client.call(PROC_PUT, encode_put_args(7, b"v" * 64)))
+    constructed, watches = [], []
+    real_init, real_watch = Process.__init__, PhysicalMemory.add_watch
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        constructed.append(self.name)
+
+    def counted_watch(self, *args):
+        watches.append(args)
+        return real_watch(self, *args)
+
+    monkeypatch.setattr(Process, "__init__", counted_init)
+    monkeypatch.setattr(PhysicalMemory, "add_watch", counted_watch)
+    dec = env.run(until=client.call(PROC_GET, encode_get_args(7)))
+    env.run()
+    assert dec is not None
+    # Once the connection is open, the call, both channel sends, both
+    # receives and the four VMMC sends under them are calls returning
+    # events, and each ring and ACK word has its one standing watcher.
+    # Only the two serve/demux loops, parked in their next ``recv``, are
+    # processes — and they were made when the connection opened.  (A
+    # GET spawned ten processes — ``rrpc.call``, ``rrpc.reply``, two
+    # ``rel.send``, two ``rel.recv`` and four ``vmmc.send`` — and made 40
+    # ``add_watch`` calls, re-arming every ring page at every look.)
+    assert constructed == []
+    assert watches == []
 
 
 def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
@@ -214,9 +258,12 @@ def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
     # its own Timeout it constructed 44 and cost 86.  Each of the seven
     # bus holds (post, fetch, delivery and completion word of the data;
     # post, delivery and completion word of the ACK) is a Timeout too.
-    # While engine transfers were processes the send cost 63 events.
+    # While engine transfers were processes the send cost 63 events,
+    # and 57 while the library's two sends (data, ACK) were processes and
+    # the ring and the ACK word were re-watched at every look, leaving
+    # one watch each to fire after the wait was over.
     assert deadlines == [Timeout]
-    assert (timeouts[0], cost) == (40, 57)
+    assert (timeouts[0], cost) == (40, 53)
 
 
 # -------------------------------------------------------------------- CRC work

@@ -233,6 +233,58 @@ def test_rearmed_watch_leaves_no_records_on_unwritten_pages():
     assert sum(len(bucket) for bucket in mem._watches.values()) <= 3
 
 
+def test_standing_watcher_runs_on_every_write_in_registration_order():
+    env = Environment()
+    mem = make_memory(1)
+    fired = []
+    first = watch(env, mem, PAGE_SIZE - 8, 16, fired, "one-shot before")
+    # One standing watcher on two extents in different frames: every
+    # write that touches either runs it once, with the whole range.
+    mem.watch_writes([(PAGE_SIZE - 64, 64), (3 * PAGE_SIZE, 64)],
+                     lambda paddr, nbytes: fired.append(
+                         ("standing", paddr, nbytes)))
+    later = watch(env, mem, PAGE_SIZE, 8, fired, "one-shot after")
+    mem.notify_write(PAGE_SIZE - 16, 32)          # frames 0 and 1
+    env.run()
+    # The standing watcher ran in the write's dispatch; the one-shot
+    # events, fired in registration order around it, ran when processed.
+    assert fired == [("standing", PAGE_SIZE - 16, 32), "one-shot before",
+                     "one-shot after"]
+    assert first.value == later.value == (PAGE_SIZE - 16, 32)
+    fired.clear()
+    mem.notify_write(PAGE_SIZE - 4096, 4096 * 4)  # spans both extents
+    mem.notify_write(3 * PAGE_SIZE + 63, 1)
+    mem.notify_write(3 * PAGE_SIZE + 64, 1)       # just past the extent
+    mem.notify_write(PAGE_SIZE - 65, 1)           # just before it
+    env.run()
+    assert fired == [("standing", 0, 4096 * 4),
+                     ("standing", 3 * PAGE_SIZE + 63, 1)]
+
+
+def test_standing_watcher_is_never_swept_and_the_one_shot_sweep_works():
+    env = Environment()
+    mem = make_memory(1)
+    calls = []
+    mem.watch_writes([(0, 64)], lambda paddr, nbytes: calls.append(paddr))
+    for i in range(1000):
+        event = env.event()
+        mem.add_watch(0, 64, event)
+        mem.add_watch(PAGE_SIZE, 64, event)       # never written
+        mem.notify_write(i % 64, 1)
+        assert event.triggered
+    assert calls == [i % 64 for i in range(1000)]
+    # The fired one-shots' records are gone from the written frame; the
+    # standing record stays, and the unwritten frame keeps at most the
+    # last one-shot record until something visits it.
+    assert [len(mem._watches[0]), len(mem._watches[1])] == [1, 1]
+    event = env.event()
+    mem.add_watch(PAGE_SIZE, 64, event)
+    assert len(mem._watches[1]) == 1
+    mem.notify_write(PAGE_SIZE, 8)
+    assert event.triggered and 1 not in mem._watches
+    assert len(mem._watches[0]) == 1
+
+
 # ------------------------------------------------------------- address space
 def test_mmap_translate_roundtrip():
     mem = make_memory(4)

@@ -174,8 +174,8 @@ def test_failed_fragment_write_is_recovered_by_the_channel():
     real, failures = c0.ep.send, [CompletionError("injected")]
 
     def flaky(*args, **kwargs):
-        if failures:
-            raise failures.pop()
+        if failures:        # a send reports failure on its event
+            return cluster.env.event().fail(failures.pop())
         return real(*args, **kwargs)
 
     c0.ep.send = flaky

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Cluster, TestbedConfig
 from repro.hw.myrinet.link import LinkParams
+from repro.sim import SimulationStalled
 from repro.vmmc.errors import RetriesExhausted
 from repro.vmmc.reliable import (
     HEADER_BYTES,
@@ -175,6 +176,44 @@ def test_send_before_open_rejected():
             yield tx.send(b"hello")
 
     cluster.env.run(until=cluster.env.process(app()))
+
+
+def test_a_second_pending_recv_is_refused():
+    # Two receives posted together used to both deliver message 1 (each
+    # captured the expected sequence number when it started): the
+    # receiver counted two deliveries of one message.  One receive may
+    # be pending per receiver.
+    cluster, tx, rx = channel_pair()
+    env = cluster.env
+    first = rx.recv()
+    with pytest.raises(ReliableError, match="already pending"):
+        rx.recv()
+    env.run(until=tx.send(b"first"))
+    assert env.run(until=first) == b"first"
+    second = rx.recv()          # the first has ended: a new one is fine
+    env.run(until=tx.send(b"second"))
+    assert env.run(until=second) == b"second"
+    assert rx.stats.messages_delivered == rx.delivered == 2
+
+
+def test_a_recv_on_a_silent_channel_stalls_loudly():
+    # A receive is a chain of callbacks now, not a process, but a process
+    # blocked on it still makes ``run(until=...)`` name that process and
+    # the receive it waits on.
+    cluster, _tx, rx = channel_pair()
+    env = cluster.env
+    pending = []
+
+    def app():
+        pending.append(rx.recv())
+        yield pending[0]
+
+    proc = env.process(app(), name="silent.reader")
+    with pytest.raises(SimulationStalled, match="silent.reader") as stall:
+        env.run(until=proc)
+    assert stall.value.name == "silent.reader"
+    assert stall.value.blocked_on is pending[0]
+    assert not pending[0].triggered
 
 
 def test_slot_bytes_must_exceed_header():
