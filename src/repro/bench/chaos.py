@@ -228,9 +228,9 @@ def _campaign_trial(build_campaign, seed: int, messages: int,
                     size: int) -> dict:
     """Reliable traffic on a clean fabric under ``build_campaign(seed)``.
     Returns a deterministic, JSON-serialisable report — two calls with
-    the same arguments must produce *identical* reports (pinned by the
-    ``chaos`` and ``chaos-multi`` golden fingerprints,
-    ``tests/golden_fingerprints.json``)."""
+    the same arguments must produce *identical* reports (the ``chaos``
+    campaign keeps it as its cells' evidence, so the committed cell
+    fingerprints pin it)."""
     point, evidence, _, _, _, fault_stats = _reliable_transfer(
         0.0, messages, size, build_campaign(seed))
     return {

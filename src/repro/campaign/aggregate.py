@@ -9,6 +9,10 @@ measures seed-to-seed workload variation, not measurement noise).
 All floats are rounded to 6 decimals so artifacts are stable to
 re-serialisation; trials are deterministic, so re-aggregating the same
 trial set — e.g. after ``campaign resume`` — is byte-identical.
+
+Rounded statistics cannot show a 1 ns shift or a changed event count,
+so each cell also carries a ``fingerprint``: the per-seed trial digests
+(exact metrics, gates and evidence) folded in seed order.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import math
 import statistics
 from typing import Mapping, Sequence
+
+from repro.sim.fingerprint import value_fingerprint
 
 #: z-score of the two-sided 95 % interval (normal approximation).
 Z95 = 1.96
@@ -76,4 +82,6 @@ def aggregate_cell(trial_reports: Sequence[Mapping]) -> dict:
         "seeds": [r["seed"] for r in trial_reports],
         "metrics": metrics,
         "gates_failed": gates_failed,
+        "fingerprint": value_fingerprint(
+            [r["fingerprint"] for r in trial_reports]),
     }

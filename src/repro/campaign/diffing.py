@@ -11,6 +11,12 @@ docs/BENCHMARKS.md, "Refreshing baselines").
 Structural problems always fail: schema/campaign mismatch, a baseline
 cell missing from the candidate, or any candidate cell with failed
 trial gates (SC violations, lost deliveries, ...).
+
+So does a moved simulation: when a cell ran the same seeds on both
+sides, its ``fingerprint`` (exact per-seed metrics, gates and evidence)
+must match, whatever the thresholds say.  Cells whose seed lists differ
+(a full-shape candidate against a smoke baseline) cannot be compared
+that way; they are listed in ``notes`` instead.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ class DiffResult:
     rows: list[DiffRow] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
     new_cells: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[DiffRow]:
@@ -94,6 +101,16 @@ def diff_artifacts(baseline: dict, candidate: dict,
         cand_cell = cand_cells.get(key)
         if cand_cell is None:
             continue
+        if base_cell["seeds"] != cand_cell["seeds"]:
+            result.notes.append(
+                f"cell {key!r}: seeds {base_cell['seeds']} vs "
+                f"{cand_cell['seeds']}, fingerprint not compared")
+        elif base_cell["fingerprint"] != cand_cell["fingerprint"]:
+            result.problems.append(
+                f"cell {key!r}: the simulation moved (fingerprint "
+                f"{base_cell['fingerprint'][:12]} -> "
+                f"{cand_cell['fingerprint'][:12]}); diff its trial files "
+                "seed by seed")
         for name, info in sorted(meta.items()):
             direction = info.get("direction", "info")
             threshold = (max_regression_pct

@@ -6,7 +6,8 @@ The runner owns a *state directory* per ``(campaign, shape)``:
 
     out/campaigns/<name>[-smoke]/
         state.json              # shape fingerprint (grid, seeds, schema)
-        trials/<cell>_s<seed>.json   # one file per finished trial
+        trials/<cell>_s<seed>.json   # one file per finished trial:
+                                     # metrics, gates, evidence, digest
 
 Each trial file is written atomically (tmp + rename) the moment its
 trial finishes, so a killed run loses only in-flight trials; ``resume``
@@ -35,6 +36,8 @@ from typing import Callable, Optional
 from repro.campaign.aggregate import aggregate_cell
 from repro.campaign.spec import (SCHEMA_VERSION, CampaignSpec, SpecError,
                                  cell_key)
+from repro.hostos.process import fresh_pid_namespace
+from repro.sim.fingerprint import value_fingerprint
 
 #: Default root for campaign state, relative to the invocation directory
 #: (the repo root in CI); see docs/BENCHMARKS.md.
@@ -85,11 +88,12 @@ def _write_json(path: pathlib.Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _check_report(spec: CampaignSpec, raw: dict) -> tuple[dict, dict]:
+def _check_report(spec: CampaignSpec, raw: dict) -> tuple[dict, dict, dict]:
     """Validate a trial function's return value against the spec."""
     if not isinstance(raw, dict) or "metrics" not in raw:
         raise SpecError(f"campaign {spec.name}: trial returned {type(raw)}; "
-                        "expected {'metrics': {...}, 'gates': {...}}")
+                        "expected {'metrics': {...}, 'gates': {...}, "
+                        "'evidence': {...}}")
     metrics = raw["metrics"]
     declared = {m.name for m in spec.metrics}
     if set(metrics) != declared:
@@ -104,14 +108,25 @@ def _check_report(spec: CampaignSpec, raw: dict) -> tuple[dict, dict]:
     if any(not isinstance(v, bool) for v in gates.values()):
         raise SpecError(f"campaign {spec.name}: gates must be booleans, "
                         f"got {gates}")
-    return dict(metrics), dict(gates)
+    evidence = raw.get("evidence", {})
+    if not isinstance(evidence, dict):
+        raise SpecError(f"campaign {spec.name}: evidence must be a dict, "
+                        f"got {type(evidence)}")
+    return dict(metrics), dict(gates), dict(evidence)
 
 
 def run_trial(spec: CampaignSpec, index: int, params: dict,
               seed: int) -> dict:
-    """Execute one trial and normalise its report (JSON-ready)."""
-    metrics, gates = _check_report(
-        spec, spec.trial(spec.trial_params(params), seed))
+    """Execute one trial and normalise its report (JSON-ready).
+
+    The trial runs with pid allocation restarted, so its report does not
+    depend on what ran before it in the same interpreter (inline and
+    pooled runs fingerprint alike).  ``fingerprint`` digests the exact
+    metrics, gates and evidence; the evidence itself is kept only in the
+    trial file, so a moved cell can be diffed seed by seed."""
+    with fresh_pid_namespace():
+        metrics, gates, evidence = _check_report(
+            spec, spec.trial(spec.trial_params(params), seed))
     return {
         "campaign": spec.name,
         "cell_index": index,
@@ -120,6 +135,8 @@ def run_trial(spec: CampaignSpec, index: int, params: dict,
         "seed": seed,
         "metrics": metrics,
         "gates": gates,
+        "evidence": evidence,
+        "fingerprint": value_fingerprint([metrics, gates, evidence]),
     }
 
 

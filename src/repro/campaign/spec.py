@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 #: Version of the BENCH_<AREA>.json artifact layout.  Bump on any
 #: structural change and document the migration in docs/BENCHMARKS.md.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 _AREA_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")

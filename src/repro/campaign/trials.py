@@ -23,6 +23,11 @@ The microbenchmark simulations are deterministic and seed-free; their
 campaigns run a single seed 0 and the trial ignores it.  The chaos and
 DSM trials are seeded — the seed drives the fault schedule and the
 workload stream.
+
+A trial may also return ``evidence``: simulated output no metric shows
+(event counts, final times, protocol counters, trace digests), with
+nothing wall-clock in it.  It is folded into the cell's fingerprint, so
+``campaign diff`` fails when it moves (docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -82,7 +87,9 @@ def bandwidth_trial(params: dict, seed: int) -> dict:
             gates["paper_91mbps_total"] = _near(point.mbps, 91.0, rel=0.03)
     else:
         raise ValueError(f"unknown pattern {params['pattern']!r}")
-    return {"metrics": {"mbps": point.mbps}, "gates": gates}
+    return {"metrics": {"mbps": point.mbps}, "gates": gates,
+            "evidence": {"events_processed": pair.env.events_processed,
+                         "now": pair.env.now}}
 
 
 def overhead_trial(params: dict, seed: int) -> dict:
@@ -129,9 +136,17 @@ def breakdown_trial(params: dict, seed: int) -> dict:
     (integer ns; 1 % is the declared bar, the decomposition gives 0);
     for one word, the total is the paper's 9.8 us, software on the two
     LANais is more than half of it and the wire is about 1 us."""
-    from repro.obs.breakdown import STAGE_KEYS, measure_stage_breakdown
+    from repro.obs.breakdown import (STAGE_KEYS, breakdown_from_trace,
+                                     traced_oneway_send)
+    from repro.obs.metrics import MetricsRegistry
+    from repro.sim.fingerprint import (trace_fingerprint,
+                                       trace_multiset_fingerprint,
+                                       value_fingerprint)
 
-    report = measure_stage_breakdown(params["size"])
+    registry = MetricsRegistry()
+    tracer, marks, _pair = traced_oneway_send(params["size"],
+                                              registry=registry)
+    report = breakdown_from_trace(tracer, marks, params["size"])
     stages = {key: ns for key, (_, ns) in zip(STAGE_KEYS, report.stages)}
     gates = {"stages_telescope":
              report.total_ns > 0 and report.sum_ns == report.total_ns}
@@ -143,7 +158,13 @@ def breakdown_trial(params: dict, seed: int) -> dict:
         gates["paper_wire_1us"] = stages["wire"] < 1_500
     metrics = {f"{key}_us": ns / 1000.0 for key, ns in stages.items()}
     metrics["total_us"] = report.total_ns / 1000.0
-    return {"metrics": metrics, "gates": gates}
+    return {"metrics": metrics, "gates": gates, "evidence": {
+        "trace_fingerprint": trace_fingerprint(tracer),
+        # Order-insensitive: moves only if a record's time or payload
+        # does, so a same-nanosecond reorder shows as this one staying.
+        "trace_multiset_fingerprint": trace_multiset_fingerprint(tracer),
+        "metrics_fingerprint": value_fingerprint(registry.snapshot()),
+    }}
 
 
 #: Section 5.4's bulk-transfer size (one 128 KB argument per call).
@@ -610,7 +631,7 @@ def chaos_trial(params: dict, seed: int) -> dict:
     Gates, on every scenario: ``exactly_once`` — every payload intact,
     no send failure — and ``protocol_invariants``, every invariant of
     :func:`repro.bench.chaos.check_trial_invariants` (RTO/window bounds,
-    Karn's rule)."""
+    Karn's rule).  Evidence: the driver's whole trial report."""
     from dataclasses import asdict
 
     from repro.bench import chaos
@@ -619,9 +640,10 @@ def chaos_trial(params: dict, seed: int) -> dict:
     if params["scenario"] == "error-burst":
         trial = chaos.run_error_burst_trial(seed, **kwargs)
     elif params["scenario"] == "daemon-cold-crash":
-        point, _, recovery = chaos.run_cold_crash_point(seed, **kwargs)
+        point, stats, recovery = chaos.run_cold_crash_point(seed, **kwargs)
         trial = {**asdict(point), **recovery,
-                 "goodput_mbps": round(point.goodput_mbps, 6)}
+                 "goodput_mbps": round(point.goodput_mbps, 6),
+                 "fault_stats": stats.as_dict()}
     elif params["scenario"] == "multi-campaign":
         trial = chaos.run_multi_campaign_trial(seed, **kwargs)
     else:
@@ -635,6 +657,7 @@ def chaos_trial(params: dict, seed: int) -> dict:
             "exactly_once": (trial["delivered_intact"] == trial["messages"]
                              and trial["send_failures"] == 0),
         },
+        "evidence": trial,
     }
 
 
@@ -751,6 +774,8 @@ def fabric_trial(params: dict, seed: int) -> dict:
             "deadlock_free": cluster.mapping.deadlock is not None,
             "all_delivered": delivered["messages"] == npairs * messages,
         },
+        "evidence": {"events_processed": env.events_processed,
+                     "now": env.now},
     }
 
 
@@ -776,6 +801,7 @@ def dsm_trial(params: dict, seed: int) -> dict:
             "workload_ns": trial["workload_ns"],
         },
         "gates": {"sequential_consistency": not trial["sc_violations"]},
+        "evidence": trial,
     }
 
 
@@ -806,4 +832,5 @@ def kv_trial(params: dict, seed: int) -> dict:
                           and trial["completed"] == trial["requests"]),
             "read_your_writes": trial["ryw_violations_total"] == 0,
         },
+        "evidence": trial,
     }

@@ -358,6 +358,8 @@ def cmd_campaign_diff(args) -> int:
         for key in result.new_cells:
             print(f"note: cell {key!r} is new in the candidate "
                   "(not gated)")
+        for note in result.notes:
+            print(f"note: {note}")
         print(f"campaign {name} regression gate: "
               + ("PASS" if result.ok else "FAIL"))
         if not result.ok:

@@ -24,11 +24,11 @@ def fresh_pid_namespace(first: int = 100) -> Iterator[None]:
 
     Pids are allocation-order identifiers from a process-global counter,
     so two otherwise identical simulations started at different points
-    in one interpreter get different pids.  The golden-fingerprint runner
-    (:func:`repro.bench.differential.run_workload`) reruns workloads in
-    one interpreter and wraps each run in this so its fingerprint does
-    not depend on what ran before; the previous counter is restored on
-    exit.
+    in one interpreter get different pids.  The campaign runner
+    (:func:`repro.campaign.runner.run_trial`) wraps every trial in this,
+    so a trial's fingerprint does not depend on what ran before it, and
+    an inline run and a forked pool agree; the previous counter is
+    restored on exit.
     """
     global _pids
     saved = _pids

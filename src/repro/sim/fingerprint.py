@@ -1,6 +1,6 @@
 """Canonical fingerprints of simulation outputs.
 
-The golden fingerprints (``tests/golden_fingerprints.json``) and
+Campaign cell fingerprints (:mod:`repro.campaign.runner`) and
 perfbench's ``sim_fingerprint`` must decide "bit-identical or not" over
 three kinds of output: event traces (:class:`~repro.sim.trace.Tracer`),
 metrics snapshots, and JSON-serializable trial reports.  This module

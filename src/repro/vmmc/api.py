@@ -495,29 +495,26 @@ class VMMCEndpoint:
             at_now(env, lambda exc=exc: self._refuse(done, exc))
             return done
         t0 = env.now
-        ctx = self.ctx
-        queue = ctx.queue
+        queue = self.ctx.queue
         is_short = length <= SHORT_SEND_LIMIT
 
         def post():
-            slot = queue.reserve()
-            completion = ctx.completion_events[slot] = Event(env)
+            request = SendRequest(
+                slot=queue.next_slot(), length=length,
+                proxy_address=proxy_address, is_short=is_short,
+                notify=notify, posted_at=env.now, completion=Event(env))
             if is_short:
-                request = SendRequest(
-                    slot=slot, length=length, proxy_address=proxy_address,
-                    is_short=True, inline_data=src.read(src_offset, length),
-                    notify=notify, posted_at=env.now)
+                request.inline_data = src.read(src_offset, length)
             else:
-                request = SendRequest(
-                    slot=slot, length=length, proxy_address=proxy_address,
-                    is_short=False, src_vaddr=src.vaddr + src_offset,
-                    notify=notify, posted_at=env.now)
+                request.src_vaddr = src.vaddr + src_offset
+            queue.reserve(request)
             # Post with programmed I/O: control words + inline data words.
             self.lcp.nic.bus.mmio_write(
                 request.control_words + request.data_words
-            ).callbacks.append(lambda _hold: posted(request, completion))
+            ).callbacks.append(lambda _hold: posted(request))
 
-        def posted(request, completion):
+        def posted(request):
+            completion = request.completion
             queue.post(request)
             self.lcp.doorbell()
             self.sends_posted += 1
@@ -562,7 +559,8 @@ class VMMCEndpoint:
         queue = self.ctx.queue
         if queue.slot_available():
             return go()
-        tail = self.ctx.completion_events.get(queue.next_slot())
+        holder = queue.holder(queue.next_slot())
+        tail = None if holder is None else holder.completion
         if tail is None or tail.triggered:
             tail = self.env.timeout(500)
         then(tail, lambda _tail: self.membus.cacheline_fill().callbacks

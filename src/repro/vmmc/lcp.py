@@ -135,8 +135,6 @@ class ProcessContext:
     proxy: ProxySpace
     #: Physical address of the process's pinned completion-word array.
     completion_paddr: int
-    #: Per-slot events the user library waits on (sync sends).
-    completion_events: dict[int, Event] = field(default_factory=dict)
     #: Per-slot status mirror for test introspection.
     last_status: dict[int, int] = field(default_factory=dict)
 
@@ -323,7 +321,7 @@ class VmmcLCP:
             yield cpu.cycles(costs.proxy_lookup)
             self.proxy_faults += 1
             self._m_proxy_faults.inc()
-            yield from self._write_completion(ctx, request.slot,
+            yield from self._write_completion(ctx, request,
                                               COMPLETION_ERROR)
             return
         node, extents = resolved
@@ -345,7 +343,7 @@ class VmmcLCP:
         self.nic.net_send.send(packet)
         # Slot is consumed (data copied out) — report completion, the
         # epilogue charged with the completion write.
-        yield from self._write_completion(ctx, request.slot, COMPLETION_DONE,
+        yield from self._write_completion(ctx, request, COMPLETION_DONE,
                                           epilogue=costs.send_epilogue)
 
     def _plan_chunks(self, src_vaddr: int, length: int
@@ -463,22 +461,19 @@ class VmmcLCP:
         # Completion: the last chunk is safely in LANai memory as soon as
         # its host DMA finished (which the loop above awaited).
         yield from self._write_completion(
-            ctx, request.slot,
-            COMPLETION_ERROR if error else COMPLETION_DONE)
+            ctx, request, COMPLETION_ERROR if error else COMPLETION_DONE)
 
-    def _write_completion(self, ctx: ProcessContext, slot: int, status: int,
-                          epilogue: int = 0):
+    def _write_completion(self, ctx: ProcessContext, request: SendRequest,
+                          status: int, epilogue: int = 0):
         """Generator: DMA the one-word completion status to user space,
         after ``epilogue`` cycles of send bookkeeping charged with it."""
         cpu = self.nic.processor
         yield cpu.cycles(epilogue + self.costs.completion_write)
         word = np.frombuffer(
             np.uint32(status).tobytes(), dtype=np.uint8)
-        paddr = ctx.completion_paddr + 4 * slot
-        ctx.last_status[slot] = status
-        # Capture the waiter now (synchronously with this slot's request) so
-        # a later re-post of the same slot cannot alias into this writeback.
-        event = ctx.completion_events.pop(slot, None)
+        paddr = ctx.completion_paddr + 4 * request.slot
+        ctx.last_status[request.slot] = status
+        event = request.completion
         # The writeback proceeds in the background; the LCP does not stall.
         written = self.nic.host_dma.write_host(word, paddr)
         if event is not None:

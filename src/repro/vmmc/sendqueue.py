@@ -18,12 +18,15 @@ cache location instead of reading device registers (section 4.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.hw.lanai.sram import SRAM, SRAMRegion
+
+if TYPE_CHECKING:
+    from repro.sim import Event
 
 #: Short/long protocol threshold (section 4.5: "currently up to 128 bytes",
 #: chosen so that synchronous-send overhead stays low without burning SRAM).
@@ -57,6 +60,10 @@ class SendRequest:
     #: Request a notification at the receiver for this message.
     notify: bool = False
     posted_at: int = 0
+    #: Fires with the completion status once the LCP's writeback of it
+    #: lands.  It travels with the request, not the slot: the slot is
+    #: freed at pickup and may be posted again before a long send ends.
+    completion: Optional["Event"] = None
 
     @property
     def control_words(self) -> int:
@@ -78,7 +85,7 @@ class SendQueue:
         self.pid = pid
         self.nslots = nslots
         self._slots: list[Optional[SendRequest]] = [None] * nslots
-        self._reserved: set[int] = set()
+        self._reserved: dict[int, Optional[SendRequest]] = {}
         self._head = 0  # next slot the LCP will scan
         self._tail = 0  # next slot the host will fill
         self.posted = 0
@@ -95,16 +102,22 @@ class SendQueue:
     def next_slot(self) -> int:
         return self._tail
 
-    def reserve(self) -> int:
+    def holder(self, slot: int) -> Optional[SendRequest]:
+        """The request holding ``slot``: posted and not yet picked up,
+        or reserved and still being posted."""
+        return self._slots[slot] or self._reserved.get(slot)
+
+    def reserve(self, request: Optional[SendRequest] = None) -> int:
         """Atomically claim the tail slot (the library does this before
         the multi-word PIO fill, so concurrent senders in one process
-        never collide on a slot).  The LCP sees the slot as empty until
-        :meth:`post` marks it valid, preserving FIFO pickup."""
+        never collide on a slot) for ``request``, if given.  The LCP sees
+        the slot as empty until :meth:`post` marks it valid, preserving
+        FIFO pickup."""
         if not self.slot_available():
             raise RuntimeError(
                 f"send queue of pid {self.pid} overflow (slot {self._tail})")
         slot = self._tail
-        self._reserved.add(slot)
+        self._reserved[slot] = request
         self._tail = (self._tail + 1) % self.nslots
         return slot
 
@@ -113,7 +126,7 @@ class SendQueue:
         if request.slot not in self._reserved:
             raise ValueError(
                 f"posting to unreserved slot {request.slot}")
-        self._reserved.discard(request.slot)
+        del self._reserved[request.slot]
         self._slots[request.slot] = request
         self.posted += 1
 

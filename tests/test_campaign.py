@@ -26,11 +26,13 @@ from repro.campaign import (
     get_campaign,
     register,
     run_campaign,
+    run_trial,
     state_dir_for,
     unregister,
     write_artifact,
 )
 from repro.cli import main
+from repro.sim.fingerprint import value_fingerprint
 
 GIT = {"commit": "test", "branch": "main", "dirty": False}
 
@@ -175,17 +177,52 @@ def test_aggregate_values_odd_n_and_singleton():
 
 def test_aggregate_cell_folds_metrics_and_gates():
     reports = [
-        {"seed": 0, "metrics": {"v": 10.0}, "gates": {"g": True}},
+        {"seed": 0, "metrics": {"v": 10.0}, "gates": {"g": True},
+         "fingerprint": "a"},
         {"seed": 1, "metrics": {"v": 20.0}, "gates": {"g": False,
-                                                      "h": False}},
+                                                      "h": False},
+         "fingerprint": "b"},
     ]
     cell = aggregate_cell(reports)
     assert cell["seeds"] == [0, 1]
     assert cell["metrics"]["v"]["median"] == 15.0
     assert cell["gates_failed"] == ["g", "h"]
+    # The per-seed digests, folded in seed order.
+    assert cell["fingerprint"] == value_fingerprint(["a", "b"])
+    assert cell["fingerprint"] != aggregate_cell(
+        [reports[0], {**reports[1], "fingerprint": "c"}])["fingerprint"]
     with pytest.raises(ValueError, match="disagree"):
         aggregate_cell([{"seed": 0, "metrics": {"v": 1}},
                         {"seed": 1, "metrics": {"w": 1}}])
+
+
+def test_trial_fingerprint_covers_metrics_gates_and_evidence(tmp_path):
+    """A trial file holds the trial's evidence next to the digest of its
+    exact metrics, gates and evidence; a cell without evidence still
+    fingerprints its metrics and gates."""
+    events = {"n": 7}
+    spec = register(_spec(
+        name="evidenced", area="EVIDENCED", grid={"x": (1,)}, seeds=(0,),
+        trial=lambda p, s: {"metrics": {"value": 1.0}, "gates": {"ok": True},
+                            "evidence": dict(events)}))
+    try:
+        first = run_trial(spec, 0, {"x": 1}, 0)
+        assert first["evidence"] == {"n": 7}
+        assert first["fingerprint"] == value_fingerprint(
+            [{"value": 1.0}, {"ok": True}, {"n": 7}])
+        events["n"] = 8                 # same metrics, moved evidence
+        assert run_trial(spec, 0, {"x": 1}, 0)["fingerprint"] \
+            != first["fingerprint"]
+        run_campaign(spec, jobs=1, state_root=tmp_path)
+        [trial_file] = (state_dir_for(spec, False, tmp_path)
+                        / "trials").glob("*.json")
+        assert json.loads(trial_file.read_text())["evidence"] == {"n": 8}
+    finally:
+        unregister("evidenced")
+    bare = run_trial(_spec(), 0, {"x": 1, "y": "a"}, 2)
+    assert bare["evidence"] == {}
+    assert bare["fingerprint"] == value_fingerprint(
+        [{"value": 12}, {"ok": True}, {}])
 
 
 # ----------------------------------------------------------------- the runner
@@ -211,7 +248,7 @@ def test_run_executes_full_grid_and_aggregates(tmp_path):
         assert summary["trials_executed"] == 12
         assert len(counter.read_text().splitlines()) == 12
         artifact = build_artifact(spec, state_root=tmp_path / "s", git=GIT)
-        assert artifact["schema_version"] == 1
+        assert artifact["schema_version"] == 2
         assert artifact["artifact"] == "BENCH_COUNTING.json"
         assert len(artifact["cells"]) == 4
         # x=2 cells: values 20,21,22 across seeds -> median 21.
@@ -293,6 +330,8 @@ def test_pool_run_matches_inline_run(tmp_path):
     inline = build_artifact(spec, state_root=tmp_path / "inline", git=GIT)
     pooled = build_artifact(spec, state_root=tmp_path / "pool", git=GIT)
     assert inline == pooled
+    assert ([cell["fingerprint"] for cell in inline["cells"]]
+            == [cell["fingerprint"] for cell in pooled["cells"]])
 
 
 def test_failed_gates_surface_in_artifact(tmp_path):
@@ -312,7 +351,7 @@ def test_failed_gates_surface_in_artifact(tmp_path):
 
 # -------------------------------------------------------------- the diff gate
 def _artifact(medians, *, direction="higher", threshold=10.0,
-              gates_failed=(), schema=1):
+              gates_failed=(), schema=2, seeds=(0,), fingerprint="f0"):
     return {
         "schema_version": schema,
         "campaign": "tiny",
@@ -320,8 +359,9 @@ def _artifact(medians, *, direction="higher", threshold=10.0,
         "metrics": {"value": {"unit": "u", "direction": direction,
                               "regression_pct": threshold}},
         "cells": [
-            {"key": key, "params": {}, "seeds": [0],
+            {"key": key, "params": {}, "seeds": list(seeds),
              "gates_failed": list(gates_failed),
+             "fingerprint": fingerprint,
              "metrics": {"value": {"n": 1, "min": m, "max": m,
                                    "mean": m, "median": m, "ci95": 0.0}}}
             for key, m in medians.items()
@@ -381,10 +421,46 @@ def test_diff_fails_on_candidate_gate_failures():
 
 def test_diff_schema_and_campaign_mismatch():
     base = _artifact({"a": 1.0})
-    assert not diff_artifacts(base, _artifact({"a": 1.0}, schema=2)).ok
+    assert not diff_artifacts(base, _artifact({"a": 1.0}, schema=1)).ok
     other = _artifact({"a": 1.0})
     other["campaign"] = "other"
     assert not diff_artifacts(base, other).ok
+
+
+def test_diff_fails_on_a_moved_fingerprint_naming_the_cell():
+    """Equal medians, moved simulation: the fingerprint catches what the
+    thresholds cannot."""
+    base = _artifact({"a": 100.0, "b": 5.0})
+    moved = _artifact({"a": 100.0, "b": 5.0})
+    moved["cells"][1]["fingerprint"] = "f1"
+    result = diff_artifacts(base, moved)
+    assert not result.ok
+    assert result.regressions == []
+    assert [p for p in result.problems if "fingerprint" in p] == [
+        "cell 'b': the simulation moved (fingerprint f0 -> f1); diff its "
+        "trial files seed by seed"]
+
+
+def test_diff_does_not_compare_fingerprints_across_seed_lists(
+        tmp_path, capsys, tiny):
+    """A full-shape candidate against a smoke baseline ran other seeds:
+    its fingerprint cannot match, so it is not compared, and the output
+    says so instead of reporting a move."""
+    smoke = _artifact({"a": 100.0}, seeds=(0, 1), fingerprint="smoke")
+    full = _artifact({"a": 101.0}, seeds=(0, 1, 2), fingerprint="full")
+    result = diff_artifacts(smoke, full)
+    assert result.ok
+    assert result.notes == [
+        "cell 'a': seeds [0, 1] vs [0, 1, 2], fingerprint not compared"]
+    write_artifact(smoke, tmp_path / "smoke.json")
+    write_artifact(full, tmp_path / "full.json")
+    assert main(["campaign", "diff", "tiny",
+                 "--baseline", str(tmp_path / "smoke.json"),
+                 "--candidate", str(tmp_path / "full.json")]) == 0
+    out = capsys.readouterr().out
+    assert ("note: cell 'a': seeds [0, 1] vs [0, 1, 2], fingerprint not "
+            "compared") in out
+    assert "PROBLEM" not in out and "gate: PASS" in out
 
 
 def test_diff_zero_baseline_is_noted_not_gated():

@@ -6,7 +6,8 @@ budget here is an equality: a ``Process`` spawned per transaction, or a
 grant event for an idle resource, creeping back into the data path fails
 a named test with the new count.  (Lowering a budget on purpose: update
 the number and say so in CHANGES.md.  Simulated *times* are pinned
-elsewhere — tests/golden_fingerprints.json and the ``paper_*`` gates.)
+elsewhere — the campaign cells' fingerprints and the ``paper_*``
+gates.)
 
 The CRC is the other per-packet cost that is a number: the link hardware
 seals a packet once and checks it once, so ``seal``/``crc_ok`` calls are

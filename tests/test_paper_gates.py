@@ -3,9 +3,11 @@
 Every anchor the paper states is a ``paper_*`` gate inside the campaign
 trial that measures it, so these tests only have to show that (a) the
 smoke shape CI runs passes every gate and reproduces the committed
-baseline, (b) a gate actually fails when the model drifts, (c) registry,
-baselines and CI name the same campaigns — plus the few Figure 1-4
-claims that compare several cells and so cannot be a one-cell gate.
+baseline, fingerprints included, (b) a gate actually fails when the
+model drifts, and ``campaign diff`` fails on any simulated move, even
+one no threshold or metric can see, (c) registry, baselines and CI name
+the same campaigns — plus the few Figure 1-4 claims that compare
+several cells and so cannot be a one-cell gate.
 """
 
 import json
@@ -14,8 +16,9 @@ import re
 
 import pytest
 
-from repro.campaign import (all_campaigns, artifact_from_reports,
-                            get_campaign, run_campaign)
+from repro.campaign import (aggregate_cell, all_campaigns,
+                            artifact_from_reports, cell_key, diff_artifacts,
+                            get_campaign, run_campaign, run_trial)
 from repro.campaign.runner import load_reports
 from repro.campaign.trials import (bandwidth_trial, dma_trial, latency_trial,
                                    overhead_trial)
@@ -24,8 +27,9 @@ from repro.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Campaigns that reproduce a paper table/figure or extend one with a
-#: deterministic simulated result; the ``dsm``/``kv``/``fabric`` smoke
-#: shapes are pinned by their own tests.
+#: deterministic simulated result.  Of ``dsm``, ``kv`` and ``fabric``,
+#: whose whole smoke shapes cost more, one cell each is pinned below
+#: (``EXTENSION_CELLS``).
 PAPER_CAMPAIGNS = ("dma", "latency", "bandwidth", "overhead", "breakdown",
                    "hw-limits", "vrpc", "shrimp", "related-work",
                    "threshold", "pipeline", "multiprocess", "chaos",
@@ -46,6 +50,37 @@ def test_smoke_run_passes_every_gate_and_equals_the_baseline(name, tmp_path):
             if c["gates_failed"]] == []
     # Medians, extremes, CI, seeds and params of every cell, to the digit.
     assert artifact["cells"] == _baseline(spec)["cells"]
+
+
+#: One smoke cell of each extension campaign: the faulted DSM and KV
+#: workloads and a multi-switch fabric.
+EXTENSION_CELLS = {
+    "dsm": {"scenario": "error-burst"},
+    "kv": {"load": "diurnal", "scenario": "error-burst", "shards": 2,
+           "skew": 1.2, "requests": 400},
+    "fabric": {"topology": "fattree:4"},
+}
+
+
+def _run_cell(spec, params) -> dict:
+    """One smoke cell through the runner, as its artifact entry."""
+    index = spec.cells(smoke=True).index(params)
+    cell = aggregate_cell([run_trial(spec, index, params, seed)
+                           for seed in spec.resolved_seeds(smoke=True)])
+    return {**cell, "params": params, "key": cell_key(params)}
+
+
+def _baseline_cell(spec, params) -> dict:
+    [cell] = [cell for cell in _baseline(spec)["cells"]
+              if cell["params"] == params]
+    return cell
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_CELLS))
+def test_extension_cell_equals_the_baseline(name):
+    spec = get_campaign(name)
+    params = EXTENSION_CELLS[name]
+    assert _run_cell(spec, params) == _baseline_cell(spec, params)
 
 
 def _curve(trial, metric, sizes, **fixed) -> dict:
@@ -106,6 +141,51 @@ def test_the_paper_gate_bites(monkeypatch, capsys):
     assert report["gates"] == {"paper_9.8us": False}
     assert main(["latency", "--sizes", "4"]) == 1
     assert "FAIL paper_9.8us" in capsys.readouterr().out
+
+
+def test_a_1ns_cost_shift_fails_the_diff_naming_the_cell(monkeypatch,
+                                                        tmp_path):
+    """1 ns on the library's send prologue moves every latency cell by
+    far less than its 10 % threshold; the fingerprints still catch it."""
+    import repro.vmmc.api as api
+
+    monkeypatch.setattr(api, "LIB_SEND_OVERHEAD_NS",
+                        api.LIB_SEND_OVERHEAD_NS + 1)
+    spec = get_campaign("latency")
+    run_campaign(spec, smoke=True, jobs=1, state_root=tmp_path)
+    candidate = artifact_from_reports(
+        spec, load_reports(spec, True, tmp_path), smoke=True, git=None)
+    result = diff_artifacts(_baseline(spec), candidate)
+    assert not result.ok
+    assert result.regressions == []
+    assert sorted(problem.split(":")[0] for problem in result.problems) == \
+        sorted(f"cell {cell['key']!r}" for cell in candidate["cells"])
+
+
+def test_an_events_only_change_fails_the_diff(monkeypatch):
+    """One extra zero-delay event per send moves no simulated time and no
+    metric, only the event count: the fingerprint still fails."""
+    from repro.vmmc.api import VMMCEndpoint
+
+    real_send = VMMCEndpoint.send
+
+    def send_with_a_spare_event(self, *args, **kwargs):
+        self.env.timeout(0)
+        return real_send(self, *args, **kwargs)
+
+    monkeypatch.setattr(VMMCEndpoint, "send", send_with_a_spare_event)
+    spec = get_campaign("fabric")
+    params = EXTENSION_CELLS["fabric"]
+    baseline, cell = _baseline(spec), _run_cell(spec, params)
+    base_cell = _baseline_cell(spec, params)
+    result = diff_artifacts({**baseline, "cells": [base_cell]},
+                            {**baseline, "cells": [cell]})
+    assert cell["metrics"] == base_cell["metrics"]
+    assert {row.status for row in result.rows} == {"ok"}
+    assert result.problems == [
+        f"cell 'topology=fattree_4': the simulation moved (fingerprint "
+        f"{base_cell['fingerprint'][:12]} -> {cell['fingerprint'][:12]}); "
+        "diff its trial files seed by seed"]
 
 
 def test_registry_baselines_and_ci_name_the_same_campaigns():

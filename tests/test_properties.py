@@ -262,7 +262,7 @@ def test_frame_allocator_matches_the_free_list_it_replaced(
     must hand out the frames the materialized free list would — the
     scatter permutation minus the reserved frames, popped from the
     front, freed frames appended, contiguous runs removed in place.
-    Placement is what every physical address, trace and golden
+    Placement is what every physical address, trace and cell
     fingerprint in the repo hangs off.  (41, 82 and 123 frames push the
     stride past its default to stay co-prime.)"""
     reserved %= nframes + 1

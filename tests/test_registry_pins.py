@@ -1,7 +1,7 @@
 """Whole-registry pins for the two workloads that carry a registry.
 
-The goldens of ``tests/test_sim_differential.py`` fingerprint the KV and
-DSM *reports*, which carry a few histogram quantiles but not the
+The ``kv`` and ``dsm`` campaign cells fingerprint the trials' *reports*
+(their evidence), which carry a few histogram quantiles but not the
 registry itself.  A metric handle that bound the wrong label, or created
 a series before its first record, would pass them.  These pins hash the
 full ``MetricsRegistry.snapshot()`` of a small trial instead.

@@ -74,27 +74,27 @@ def process_send(ep, src, dest, nbytes=None, src_offset=0, dest_offset=0,
             raise
         yield ep.env.timeout(LIB_SEND_OVERHEAD_NS)
         while not ep.ctx.queue.slot_available():
-            tail_event = ep.ctx.completion_events.get(
-                ep.ctx.queue.next_slot())
+            holder = ep.ctx.queue.holder(ep.ctx.queue.next_slot())
+            tail_event = None if holder is None else holder.completion
             if tail_event is not None and not tail_event.triggered:
                 yield tail_event
             else:
                 yield ep.env.timeout(500)
             yield ep.membus.cacheline_fill()
-        slot = ep.ctx.queue.reserve()
+        slot = ep.ctx.queue.next_slot()
         completion = ep.env.event()
-        ep.ctx.completion_events[slot] = completion
         is_short = length <= SHORT_SEND_LIMIT
         if is_short:
             request = SendRequest(
                 slot=slot, length=length, proxy_address=proxy_address,
                 is_short=True, inline_data=src.read(src_offset, length),
-                notify=notify, posted_at=ep.env.now)
+                notify=notify, posted_at=ep.env.now, completion=completion)
         else:
             request = SendRequest(
                 slot=slot, length=length, proxy_address=proxy_address,
                 is_short=False, src_vaddr=src_vaddr, notify=notify,
-                posted_at=ep.env.now)
+                posted_at=ep.env.now, completion=completion)
+        ep.ctx.queue.reserve(request)
         yield ep.lcp.nic.bus.mmio_write(
             request.control_words + request.data_words)
         ep.ctx.queue.post(request)
@@ -436,12 +436,12 @@ def _run_channel(reference, scenario):
     real_completion = VmmcLCP._write_completion
     tx_lcp = cluster.nodes[0].lcp
 
-    def flaky_completion(lcp, ctx, slot, status, epilogue=0):
+    def flaky_completion(lcp, ctx, request, status, epilogue=0):
         if lcp is tx_lcp and status == COMPLETION_DONE:
             completions[0] += 1
             if completions[0] in error_at:
                 status = COMPLETION_ERROR
-        return real_completion(lcp, ctx, slot, status, epilogue)
+        return real_completion(lcp, ctx, request, status, epilogue)
 
     for name, losses in (("node0->sw0", data_loss), ("node1->sw0", ack_loss)):
         link = cluster.fabric.find_link(name)

@@ -1,24 +1,23 @@
-"""Golden fingerprints of the standing workloads.
+"""The fingerprint helper behind "did the simulation move".
 
-Replays the repo's standing workloads — chaos, fig3 bandwidth,
-DSM-smoke, fabric-smoke, KV-smoke and the observability contract
-workload — and checks each run report's sha256 (event traces, metrics
-snapshots, simulated times, protocol counters, bench artifacts) against
-the value recorded in ``tests/golden_fingerprints.json``.  The values
-were recorded while a second, vectorized engine was held bit-identical
-to this one, hence the ``_across_engines`` test names: each test now
-holds the one engine to that record.  A change that moves a simulated
-number on purpose regenerates the file
-(``run_workload(name)["fingerprint"]`` per workload) and says so.
+Every campaign cell carries a ``fingerprint``: the per-seed digests of
+its trials' exact metrics, gates and evidence (event counts, final
+times, protocol counters, trace digests), and ``campaign diff`` fails
+when it moves (tests/test_campaign.py, tests/test_paper_gates.py).
+These tests pin the helper itself — exact-float canonical form, order
+sensitivity — so an "identical" verdict can be trusted.
 
-Also pins down the fingerprint helper itself (exact-float canonical
-form, order sensitivity) so an "identical" verdict can be trusted.
+They also hold the chaos and Figure 3 cells that replaced the standing
+workloads' golden fingerprints to their committed cells, and check
+that each cell's evidence carries what its golden held.  The
+``_across_engines`` names are historical: the goldens were recorded
+while a second, vectorized engine was held bit-identical to this one.
 """
 
 import json
 import pathlib
 
-from repro.bench.differential import WORKLOADS, run_workload
+from repro.campaign import aggregate_cell, cell_key, get_campaign, run_trial
 from repro.sim import Tracer
 from repro.sim.fingerprint import (canonical_json, trace_fingerprint,
                                    trace_multiset_fingerprint,
@@ -70,69 +69,80 @@ def test_trace_multiset_fingerprint_ignores_order_only():
     assert traced(base) != traced([(5, "a", {"x": 9})] + base[1:])
 
 
-# -- the standing workloads against their recorded fingerprints ---------
-GOLDEN = json.loads(pathlib.Path(__file__).with_name(
-    "golden_fingerprints.json").read_text())
+# -- the cells that replaced the goldens, against the committed cells ----
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _assert_golden(name):
-    run = run_workload(name)
-    assert run["fingerprint"] == GOLDEN[name], (
-        f"{name!r} no longer produces its recorded simulation "
-        "(tests/golden_fingerprints.json)")
-    return run["report"]
+def _cell_equals_the_baseline(name, params):
+    """Run one smoke cell of ``name`` through the runner, check it,
+    fingerprint included, against the committed cell, and return the
+    trial reports (evidence included)."""
+    spec = get_campaign(name)
+    index = spec.cells(smoke=True).index(params)
+    trials = [run_trial(spec, index, params, seed)
+              for seed in spec.resolved_seeds(smoke=True)]
+    baseline = json.loads((ROOT / spec.artifact_name).read_text())
+    [committed] = [cell for cell in baseline["cells"]
+                   if cell["params"] == params]
+    cell = {**aggregate_cell(trials), "params": params,
+            "key": cell_key(params)}
+    assert cell == committed, (
+        f"{name} {committed['key']!r} no longer produces its committed "
+        f"simulation ({spec.artifact_name})")
+    return trials
 
 
-def test_workload_registry_matches_the_issue_acceptance_list():
-    assert {"chaos", "fig3", "dsm-smoke", "fabric-smoke",
-            "kv-smoke", "contract"} <= set(WORKLOADS)
-    assert set(GOLDEN) == set(WORKLOADS)
+def _assert_whole_chaos_report(trials):
+    """A chaos cell's evidence is the driver's whole trial report: its
+    metrics, fault statistics, both ends' protocol counters and the
+    invariant probe."""
+    for trial in trials:
+        evidence = trial["evidence"]
+        assert {"fault_stats", "probe", "tx_stats", "rx_stats",
+                "send_failures"} <= set(evidence)
+        assert {name: evidence[name] for name in trial["metrics"]} == \
+            trial["metrics"]
 
 
 def test_chaos_workload_bit_identical_across_engines():
-    _assert_golden("chaos")
+    _assert_whole_chaos_report(
+        _cell_equals_the_baseline("chaos", {"scenario": "error-burst"}))
 
 
 def test_chaos_cold_crash_workload_bit_identical_across_engines():
-    _assert_golden("chaos-cold-crash")
+    trials = _cell_equals_the_baseline("chaos",
+                                       {"scenario": "daemon-cold-crash"})
+    _assert_whole_chaos_report(trials)
+    for trial in trials:                # the recovery report, too
+        assert {"cold_restarts", "reimports", "imports_invalidated",
+                "exports_reestablished"} <= set(trial["evidence"])
+        assert trial["evidence"]["cold_restarts"] > 0
 
 
 def test_chaos_multi_workload_bit_identical_across_engines():
-    _assert_golden("chaos-multi")
+    _assert_whole_chaos_report(
+        _cell_equals_the_baseline("chaos", {"scenario": "multi-campaign"}))
 
 
 def test_fig3_workload_bit_identical_across_engines():
-    _assert_golden("fig3")
-
-
-def test_dsm_smoke_workload_bit_identical_across_engines():
-    _assert_golden("dsm-smoke")
-
-
-def test_fabric_smoke_workload_bit_identical_across_engines():
-    _assert_golden("fabric-smoke")
-
-
-def test_kv_smoke_workload_bit_identical_across_engines():
-    # The KV chaos trial exercises the reliable sender's retransmit
-    # deadlines end to end.
-    _assert_golden("kv-smoke")
-
-
-def test_contract_workload_traces_and_metrics_bit_identical():
-    report = _assert_golden("contract")
-    # Recorded at the commit before hardware operations became inline
-    # generators (which swapped two same-nanosecond records), then
-    # re-derived without the one phase-announcement record when fault
-    # campaigns got their own clock: a change that only
-    # reorders within a nanosecond keeps this digest.
-    assert report["trace_multiset_fingerprint"] == (
-        "6ee303364c75bec950ff101d4cf295526348206ede9f7b3d7b8a85e8128e7b90")
+    spec = get_campaign("bandwidth")
+    for params in spec.cells(smoke=True):
+        for trial in _cell_equals_the_baseline("bandwidth", params):
+            assert set(trial["evidence"]) == {"events_processed", "now"}
+            assert trial["evidence"]["events_processed"] > 0
 
 
 def test_run_workload_report_is_wall_clock_free():
-    # Run twice: reports must be byte-identical, proving no wall-clock
-    # (or other ambient) content leaks into what the goldens pin.
-    first = run_workload("fig3")
-    again = run_workload("fig3")
-    assert first["fingerprint"] == again["fingerprint"]
+    # The same trials twice, with other trials run in between: reports,
+    # evidence included, must be byte-identical, proving no wall-clock
+    # (or other ambient) content leaks into what the fingerprints pin.
+    cases = [(get_campaign("bandwidth"), {"pattern": "oneway",
+                                          "size": 65536}),
+             (get_campaign("chaos"), {"scenario": "error-burst"})]
+
+    def run_all():
+        return [canonical_json(run_trial(spec, spec.cells(smoke=True)
+                                         .index(params), params, 0))
+                for spec, params in cases]
+
+    assert run_all() == run_all()

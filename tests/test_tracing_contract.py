@@ -73,9 +73,12 @@ def test_docs_parse_with_known_coverage_classes():
 # -------------------------------------------------------- the two-way diff
 @pytest.fixture(scope="module")
 def workload():
+    from repro.hostos.process import fresh_pid_namespace
     from repro.obs.workload import run_contract_workload
 
-    tracer, registry = run_contract_workload()
+    # Pids appear in trace payloads: start them where every run does.
+    with fresh_pid_namespace():
+        tracer, registry = run_contract_workload()
     return tracer, registry
 
 
@@ -102,6 +105,22 @@ def test_every_recorded_metric_documented(workload):
     missing = sorted(set(registry.names()) - documented_metrics())
     assert missing == [], (
         f"metrics recorded but absent from docs/TRACING.md: {missing}")
+
+
+def test_trace_records_are_pinned_up_to_same_nanosecond_order(workload):
+    """Every record's time, category and payload, as a multiset.
+
+    Recorded at the commit before hardware operations became inline
+    generators (which swapped two same-nanosecond records), then
+    re-derived without the one phase-announcement record when fault
+    campaigns got their own clock.  A change that only reorders records
+    within a nanosecond keeps this digest; one that moves a time or a
+    payload, or adds or drops a record, does not."""
+    from repro.sim.fingerprint import trace_multiset_fingerprint
+
+    tracer, _ = workload
+    assert trace_multiset_fingerprint(tracer) == (
+        "6ee303364c75bec950ff101d4cf295526348206ede9f7b3d7b8a85e8128e7b90")
 
 
 # ----------------------------------------- adaptive reliable golden trace

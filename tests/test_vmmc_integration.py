@@ -299,6 +299,41 @@ def test_queue_flow_control_under_burst():
     assert inbox.read(0, n).tolist() == [(i + 1) for i in range(n)]
 
 
+def test_long_send_completes_after_its_slot_is_posted_again():
+    """A long send frees its slot at pickup, so 32 sends posted behind it
+    wrap the queue onto that slot while it is still in flight.  Its
+    completion travels with the request, not the slot: the long send
+    still returns, and so does every send that reused the ring."""
+    cluster = small_cluster()
+    env = cluster.env
+    sender, receiver, inbox, imported = wire_pair(cluster)
+    size = 192 * 1024       # ~2 ms on the wire; the 32 posts take less
+    src = sender.alloc_buffer(size)
+    src.fill(0x3C)
+    log = {}
+
+    def long_send():
+        yield sender.send(src, imported, size)
+        log["long_done"] = env.now
+
+    def app():
+        long = env.process(long_send())
+        yield env.timeout(20_000)       # picked up, far from finished
+        handles = []
+        for i in range(32):
+            handles.append((yield sender.send(
+                src, imported, 4, dest_offset=size + 4 * i,
+                synchronous=False)))
+        log["reused_at"] = env.now
+        yield long
+        for handle in handles:
+            yield sender.wait_send(handle)
+
+    env.run(until=env.process(app()))
+    assert log["reused_at"] < log["long_done"]
+    assert set(inbox.read(0, size).tolist()) == {0x3C}
+
+
 def test_receiver_cpu_not_involved_in_data_transfer():
     """VMMC's core claim: no receive operation, no receiver interrupts for
     data-only messages."""
