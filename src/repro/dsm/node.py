@@ -153,7 +153,7 @@ class DsmNode:
     def _lock(self, table: dict, key: int) -> Resource:
         lock = table.get(key)
         if lock is None:
-            lock = table[key] = Resource(self.env, capacity=1)
+            lock = table[key] = Resource(self.env)
         return lock
 
     # -- messaging ---------------------------------------------------------

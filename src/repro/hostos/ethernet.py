@@ -55,7 +55,7 @@ class EthernetNetwork:
     def __init__(self, env: Environment, params: EthernetParams | None = None):
         self.env = env
         self.params = params or EthernetParams()
-        self._segment = Resource(env, capacity=1)
+        self._segment = Resource(env)
         self._mailboxes: dict[str, Store] = {}
         self.datagrams_carried = 0
 

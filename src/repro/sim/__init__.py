@@ -20,11 +20,12 @@ Public surface
 * :class:`Interrupt` — exception thrown into interrupted processes.
 * :class:`SimulationError` — engine misuse; its :class:`SimulationStalled`
   says which event a drained ``run(until=...)`` was still waiting for.
-* :class:`Resource` — capacity-limited resource a process requests.
+* :class:`Resource` — FIFO lock a process requests (DSM locks, the
+  Ethernet wire).
 * :class:`Server` — capacity-1 FIFO server run by callbacks (the buses
   and DMA engines of :mod:`repro.hw`).
-* :class:`Store` — FIFO object queue (daemon mailboxes, protocol
-  delivery queues...).
+* :class:`Store` — unbounded FIFO object queue (daemon mailboxes,
+  protocol delivery queues...).
 * Time helpers: :data:`NS`, :data:`US`, :data:`MS`, :data:`SEC`,
   :func:`us`, :func:`ns_to_us`.
 """

@@ -89,7 +89,8 @@ class Interrupt(Exception):
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
-# Scheduling priorities (public as ``Environment.PRIORITY_*``).
+# Same-time ranks in the heap key ``(time, rank, seq)``: an interrupt
+# (``Environment.PRIORITY_URGENT``) goes before normal events.
 _URGENT, _NORMAL = 0, 1
 
 
@@ -196,13 +197,6 @@ class Event:
         for callback in callbacks:
             callback(self)
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.defused_fail(event._value)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it will not escalate."""
         self._defused = True
@@ -297,7 +291,7 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process requires a generator, got {generator!r}")
-        # Event.__init__, inlined: a packet starts a process per hop.
+        # Event.__init__, inlined.
         self.env = env
         self.callbacks = []
         self._value = _PENDING
@@ -323,7 +317,7 @@ class Process(Event):
         interruption._value = Interrupt(cause)
         interruption._defused = True
         interruption.callbacks.append(self._resume)
-        self.env._schedule(interruption, priority=Environment.PRIORITY_URGENT)
+        self.env._schedule(interruption, rank=_URGENT)
 
     def _resume(self, event: Event) -> None:
         while True:
@@ -400,10 +394,8 @@ class Environment:
         assert proc.value == "done"
     """
 
-    #: Priority used for interrupts so they beat same-time normal events.
+    #: Rank of an interrupt, so it beats same-time normal events.
     PRIORITY_URGENT = _URGENT
-    #: Default scheduling priority.
-    PRIORITY_NORMAL = _NORMAL
 
     # ``engine`` is accepted only as ``None``/``"scalar"``: kept because
     # ``perfbench/tracing.py:204`` passes it.
@@ -426,11 +418,6 @@ class Environment:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def now_us(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now / US
 
     # -- event factories -----------------------------------------------------
     def event(self) -> Event:
@@ -457,31 +444,16 @@ class Environment:
 
     # -- scheduling / execution ---------------------------------------------
     def _schedule(self, event: Event, delay: int = 0,
-                  priority: int = _NORMAL) -> None:
+                  rank: int = _NORMAL) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._seq), event))
+            self._queue, (self._now + delay, rank, next(self._seq), event))
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
         return self._queue[0][0] if self._queue else None
-
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("step() on empty event queue")
-        when, _prio, _seq, event = heapq.heappop(self._queue)
-        self._now = when
-        self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused and not callbacks:
-            # A failure nobody observed: escalate so bugs surface.
-            raise event._value
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -490,9 +462,10 @@ class Environment:
         nanoseconds, or an :class:`Event` — in which case its value is
         returned (or its exception raised).
 
-        The body of :meth:`step` is repeated inside the loop so draining
-        costs one frame, not a method call per event; ``events_processed``
-        is bumped per pop so callbacks observe exact counts.
+        Each event is popped, its callbacks run, and a failure nobody
+        observed is re-raised, all inside this one frame (there is no
+        per-event method call); ``events_processed`` is bumped per pop so
+        callbacks observe exact counts.
         """
         queue = self._queue
         pop = heapq.heappop
@@ -513,7 +486,7 @@ class Environment:
                     break
             elif deadline is not None and queue[0][0] > deadline:
                 break
-            when, _prio, _seq, event = pop(queue)
+            when, _rank, _seq, event = pop(queue)
             self._now = when
             self.events_processed += 1
             callbacks = event.callbacks

@@ -1,58 +1,45 @@
-"""Capacity-limited resources and FIFO stores.
-
-These primitives model contention a *process* waits on: a
-:class:`Resource` is a lock or a shared segment (a DSM page, a message
-channel, the Ethernet wire), and a :class:`Store` is any
-bounded/unbounded queue of objects — a daemon mailbox, a protocol's
-delivery queue.  The buses and DMA engines of :mod:`repro.hw` are not
-resources: each is a callback-driven :class:`~repro.sim.server.Server`.
-"""
+"""What a *process* waits on: a :class:`Resource` is a FIFO lock (a DSM
+page or sync lock, the Ethernet wire), a :class:`Store` an unbounded
+FIFO queue (a daemon mailbox, a protocol's delivery queue).  The buses
+and DMA engines of :mod:`repro.hw` are callback-driven
+:class:`~repro.sim.server.Server` objects instead."""
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import Any, Optional
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import Environment, Event
 
 
 class Request(Event):
-    """Event that fires when the resource grants this request.
+    """Event that fires when the lock is granted to this request.  As a
+    context manager (``with res.request() as req: yield req; ...``) it is
+    released on exit, or dropped from the queue if still waiting.
 
-    Usable as a context manager::
-
-        with resource.request() as req:
-            yield req
-            ... hold the resource ...
-        # released on exit
-
-    A request that finds nobody queued and spare capacity is granted
-    **in place**: it is born already processed, so ``yield req`` falls
-    straight through and no grant event is scheduled.  A contended
-    request queues in ``(priority, ticket)`` order and is granted by a
-    later :meth:`Resource.release`.
+    A request that finds the lock free is granted **in place**: it is
+    born processed, so ``yield req`` falls through and no grant event is
+    scheduled.  A contended request queues FIFO until
+    :meth:`Resource.release` hands it the lock.
     """
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         self.resource = resource
-        self.priority = priority
-        self._order = next(resource._ticket)
-        if not resource._queue and len(resource._users) < resource.capacity:
-            # Granted in place (the commonest request): the slots of a
-            # processed event, filled directly.
+        # Free means nobody is queued (release hands the lock on): grant
+        # in place, filling the slots of a processed event directly.
+        if resource._holder is None:
             self.env = resource.env
             self.callbacks = None
             self._value = resource
             self._ok = True
             self._scheduled = True
             self._defused = False
-            resource._users.append(self)
+            resource._holder = self
         else:
             super().__init__(resource.env)
-            insort(resource._queue, self, key=_grant_order)
+            resource._queue.append(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -66,124 +53,70 @@ class Request(Event):
             self.resource._queue.remove(self)
 
 
-def _grant_order(request: Request) -> tuple[int, int]:
-    return request.priority, request._order
-
-
 class Resource:
-    """A resource with integer capacity and FIFO (or priority) granting."""
+    """A lock held by one request at a time, granted in FIFO order."""
 
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
-        self._queue: list[Request] = []
-        self._users: list[Request] = []
-        self._ticket = iter(range(1 << 62))
+        self._holder: Optional[Request] = None
+        self._queue: deque[Request] = deque()
 
     @property
     def count(self) -> int:
-        """Number of requests currently holding the resource."""
-        return len(self._users)
+        """Number of requests holding the lock (0 or 1)."""
+        return 0 if self._holder is None else 1
 
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a grant."""
         return len(self._queue)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Queue a request; the returned event fires when granted."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> None:
-        """Release a previously granted request."""
-        users = self._users
-        if request in users:
-            users.remove(request)
-            if self._queue:
-                self._grant()
-        else:
+        """Release a granted request, or withdraw a queued one."""
+        if request is not self._holder:
             request.cancel()
-
-    def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            nxt = self._queue.pop(0)
-            self._users.append(nxt)
+        elif self._queue:
+            nxt = self._holder = self._queue.popleft()
             nxt.succeed(self)
+        else:
+            self._holder = None
 
 
 class StoreGet(Event):
     __slots__ = ()
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any):
-        super().__init__(env)
-        self.item = item
-
-
 class Store:
-    """FIFO queue of arbitrary items with optional capacity.
+    """Unbounded FIFO queue.  ``put`` returns a processed event; ``get``
+    an event with the next item, processed in place if there is one,
+    else succeeded by the put that brings it."""
 
-    ``put`` returns an event that fires when the item is accepted
-    (immediately for unbounded stores); ``get`` returns an event that fires
-    with the next item.
-
-    A hand-off that can complete at once completes **in place**, like a
-    free :class:`Resource` grant: a put that finds room and no queued
-    putter, or a get that finds an item and no queued getter, returns an
-    event that is already processed, and no event is scheduled for it.
-    Queued waiters are served by :meth:`_dispatch` as before.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise SimulationError("store capacity must be >= 1 or None")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[StoreGet] = deque()
-        self._putters: deque[StorePut] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        event = StorePut(self.env, item)
-        if not self._putters and (
-                self.capacity is None or len(self.items) < self.capacity):
-            self.items.append(item)
-            event._settle(None)
+    def put(self, item: Any) -> Event:
+        event = Event(self.env)
+        event._settle(None)
+        # Getters only ever wait on an empty store: this item is theirs.
+        if self._getters:
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append(event)
-        self._dispatch()
+            self.items.append(item)
         return event
 
     def get(self) -> StoreGet:
         event = StoreGet(self.env)
-        if not self._getters and self.items:
+        if self.items:
             event._settle(self.items.popleft())
         else:
             self._getters.append(event)
-        self._dispatch()
         return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Admit queued puts while there is room.
-            while self._putters and (
-                    self.capacity is None or len(self.items) < self.capacity):
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed(None)
-                progress = True
-            # Serve queued gets while there are items.
-            while self._getters and self.items:
-                get = self._getters.popleft()
-                get.succeed(self.items.popleft())
-                progress = True

@@ -7,7 +7,7 @@ call that returns the event it ends on; no generator and no process is
 made for it.
 
 The rules keep every simulated time and every same-nanosecond order that
-a ``Resource(capacity=1)`` held by a generator gave:
+a :class:`~repro.sim.resources.Resource` held by a generator gave:
 
 * A free server starts the operation **at the call** (a free resource's
   request was granted in place).

@@ -627,12 +627,3 @@ class VMMCEndpoint:
                 buffer.vaddr + offset, span):
             memory.add_watch(paddr, length, event)
         return event
-
-    def spin_recv(self, buffer: UserBuffer, offset: int = 0,
-                  nbytes: int | None = None) -> Event:
-        """Event: fires once data is deposited in the watched range and
-        the spinner has paid the cache-line fill that observes it."""
-        done = Event(self.env)
-        then(self.watch(buffer, offset, nbytes), lambda _watch: then(
-            self.membus.cacheline_fill(), lambda _fill: done._end(None)))
-        return done

@@ -135,7 +135,8 @@ class ProcessContext:
     proxy: ProxySpace
     #: Physical address of the process's pinned completion-word array.
     completion_paddr: int
-    #: Per-slot status mirror for test introspection.
+    #: The completion status last written per slot; ``wait_send`` reads
+    #: it for a send whose completion event has fired or was never made.
     last_status: dict[int, int] = field(default_factory=dict)
 
 

@@ -36,7 +36,7 @@ class ResourceBus(PCIBus):
 
     def __init__(self, env, name):
         super().__init__(env, name=name)
-        self._arbiter = Resource(env, capacity=1)
+        self._arbiter = Resource(env)
 
     def mmio_read(self, words=1):
         return self._pio(self.params.mmio_read_ns, words, "read")
@@ -70,7 +70,7 @@ class ResourceHostDMA(HostDMAEngine):
 
     def __init__(self, env, bus, host_memory, sram, name):
         super().__init__(env, bus, host_memory, sram, name=name)
-        self._resource = Resource(env, capacity=1)
+        self._resource = Resource(env)
 
     def to_sram(self, paddr, sram_addr, nbytes):
         self._queue_depth.set(self._resource.queue_length)
@@ -114,7 +114,7 @@ class ResourceNetSend(NetSendEngine):
 
     def __init__(self, env, network, host_name):
         super().__init__(env, network, host_name)
-        self._resource = Resource(env, capacity=1)
+        self._resource = Resource(env)
 
     def send(self, packet):
         with self._resource.request() as req:

