@@ -81,7 +81,7 @@ class ProtocolPair:
     def make_packet(self, src_index: int, header: BaselineHeader,
                     payload) -> MyrinetPacket:
         dst = 1 - src_index
-        return MyrinetPacket(list(self.routes[(src_index, dst)]), header,
+        return MyrinetPacket(self.routes[(src_index, dst)], header,
                              payload)
 
     def alloc(self, index: int, nbytes: int) -> UserBuffer:

@@ -183,8 +183,9 @@ class DsmNode:
         self.store.write(blob, offset=page * self.page_bytes)
         self.pages_fetched += 1
         self._m_pages_fetched.inc()
-        emit(self.env, "dsm.fetch", node=self.rank, page=page,
-             xfer=xfer, supplier=src)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.fetch", node=self.rank, page=page,
+                 xfer=xfer, supplier=src)
         key = (page, xfer)
         self._pages_received.add(key)
         waiter = self._page_waiters.pop(key, None)
@@ -256,8 +257,9 @@ class DsmNode:
             self.directory.commit_read(page, src)
         finally:
             lock.release(grant)
-        emit(self.env, "dsm.grant", node=self.rank, kind="read",
-             page=page, to=src, xfer=xfer)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.grant", node=self.rank, kind="read",
+                 page=page, to=src, xfer=xfer)
         return [wire.STATUS_OK, xfer]
 
     def _serve_write_fault(self, src: int, page: int):
@@ -281,8 +283,9 @@ class DsmNode:
             self.directory.commit_write(page, src)
         finally:
             lock.release(grant)
-        emit(self.env, "dsm.grant", node=self.rank, kind="write",
-             page=page, to=src, xfer=xfer)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.grant", node=self.rank, kind="write",
+                 page=page, to=src, xfer=xfer)
         return [wire.STATUS_OK, xfer]
 
     def _serve_alloc(self, src: int, want: int) -> list:
@@ -290,8 +293,9 @@ class DsmNode:
             return [wire.STATUS_ERANGE, 0]
         first = self._alloc_next
         self._alloc_next += want
-        emit(self.env, "dsm.alloc", node=self.rank, to=src,
-             first_page=first, npages=want)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.alloc", node=self.rank, to=src,
+                 first_page=first, npages=want)
         return [wire.STATUS_OK, first]
 
     def _serve_barrier(self):
@@ -351,8 +355,9 @@ class DsmNode:
             if had_copy:
                 self.invalidations += 1
                 self._m_invalidations.inc()
-                emit(self.env, "dsm.invalidate", node=self.rank,
-                     page=page)
+                if self.env.tracer is not None:
+                    emit(self.env, "dsm.invalidate", node=self.rank,
+                         page=page)
             self.owned[page] = False
         return [wire.STATUS_OK]
 
@@ -373,8 +378,9 @@ class DsmNode:
             else:
                 self.write_faults += 1
             self._m_faults[kind].inc()
-            emit(self.env, "dsm.fault", node=self.rank, kind=kind,
-                 page=page)
+            if self.env.tracer is not None:
+                emit(self.env, "dsm.fault", node=self.rank, kind=kind,
+                     page=page)
             fault_op = (wire.OP_READ_FAULT if kind == "r"
                         else wire.OP_WRITE_FAULT)
             home = self.home(page)
@@ -510,7 +516,8 @@ class DsmNode:
         else:
             yield from self._call(0, wire.OP_BARRIER, [])
         self._m_barriers.inc()
-        emit(self.env, "dsm.barrier", node=self.rank)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.barrier", node=self.rank)
 
     def lock(self, lock_id: int):
         """Generator: block until this rank holds ``lock_id``."""
@@ -519,7 +526,8 @@ class DsmNode:
         else:
             yield from self._call(0, wire.OP_LOCK, [lock_id])
         self._m_lock_acquires.inc()
-        emit(self.env, "dsm.lock.acquire", node=self.rank, lock=lock_id)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.lock.acquire", node=self.rank, lock=lock_id)
 
     def unlock(self, lock_id: int):
         """Generator: release ``lock_id`` (must be held by this rank)."""
@@ -531,7 +539,8 @@ class DsmNode:
             raise DsmError(
                 f"rank {self.rank} released lock {lock_id} without "
                 f"holding it")
-        emit(self.env, "dsm.lock.release", node=self.rank, lock=lock_id)
+        if self.env.tracer is not None:
+            emit(self.env, "dsm.lock.release", node=self.rank, lock=lock_id)
 
     # -- lifecycle ----------------------------------------------------------
     def watch_import(self, imported: ImportedBuffer) -> None:
@@ -551,9 +560,10 @@ class DsmNode:
         if dropped:
             self.downgrades += dropped
             self._m_downgrades.inc(dropped)
-            emit(self.env, "dsm.downgrade", node=self.rank,
-                 pages=dropped, peer=info.get("remote_node", ""),
-                 reason=info.get("reason", ""))
+            if self.env.tracer is not None:
+                emit(self.env, "dsm.downgrade", node=self.rank,
+                     pages=dropped, peer=info.get("remote_node", ""),
+                     reason=info.get("reason", ""))
 
     def channel_stats(self) -> tuple[list, list]:
         """The :class:`~repro.vmmc.reliable.ReliableStats` of this rank's

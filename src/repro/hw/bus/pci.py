@@ -112,7 +112,8 @@ class PCIBus:
                                   self.params.mmio_write_ns * words)
 
     def _pio(self, kind: str, words: int, duration: int) -> Timeout:
-        emit(self.env, f"{self.name}.pio.{kind}", words=words)
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.pio.{kind}", words=words)
         self._pio_words[kind].inc(words)
         return Timeout(self.env, duration)
 
@@ -129,7 +130,9 @@ class PCIBus:
         return self._server.serve(self._dma, nbytes, duration)
 
     def _dma(self, nbytes: int, duration: int) -> Timeout:
-        emit(self.env, f"{self.name}.dma", nbytes=nbytes, duration=duration)
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.dma", nbytes=nbytes,
+                 duration=duration)
         self._dma_transactions.inc()
         self._dma_bytes.inc(nbytes)
         self._dma_duration.observe(duration)

@@ -77,8 +77,9 @@ class HostDMAEngine:
                 self.host_memory.view(paddr, nbytes)
             self.bytes_to_sram += nbytes
             self._bytes_to_sram.inc(nbytes)
-            emit(self.env, f"{self.name}.hostdma.to_sram",
-                 paddr=paddr, nbytes=nbytes)
+            if self.env.tracer is not None:
+                emit(self.env, f"{self.name}.hostdma.to_sram",
+                     paddr=paddr, nbytes=nbytes)
 
         hold = self.bus.dma(nbytes)
         hold.callbacks.append(landed)
@@ -100,8 +101,9 @@ class HostDMAEngine:
             self.host_memory.notify_write(paddr, nbytes)
             self.bytes_to_host += nbytes
             self._bytes_to_host.inc(nbytes)
-            emit(self.env, f"{self.name}.hostdma.write_host",
-                 paddr=paddr, nbytes=nbytes)
+            if self.env.tracer is not None:
+                emit(self.env, f"{self.name}.hostdma.write_host",
+                     paddr=paddr, nbytes=nbytes)
 
         hold = self.bus.dma(nbytes)
         hold.callbacks.append(landed)
@@ -172,8 +174,9 @@ class NetSendEngine:
         def tail_left(_tail):
             self.packets_sent += 1
             self._packets_sent.inc()
-            emit(self.env, "lanai.netsend", nic=self.host_name,
-                 nbytes=packet.payload_bytes)
+            if self.env.tracer is not None:
+                emit(self.env, "lanai.netsend", nic=self.host_name,
+                     nbytes=packet.payload_bytes)
 
         tail = self.network.inject(self.host_name, packet)
         tail.callbacks.append(tail_left)
@@ -213,8 +216,9 @@ class NetRecvEngine:
             self._crc_errors.inc()
         self.packets_received += 1
         self._packets_received.inc()
-        emit(self.env, "lanai.netrecv", nic=self.host_name,
-             nbytes=packet.payload_bytes, ok=ok)
+        if self.env.tracer is not None:
+            emit(self.env, "lanai.netrecv", nic=self.host_name,
+                 nbytes=packet.payload_bytes, ok=ok)
         packet.meta["crc_ok"] = ok
         if self._getters:
             self._getters.popleft().succeed(packet)

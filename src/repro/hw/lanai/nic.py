@@ -55,7 +55,9 @@ class LanaiNIC:
 
         def landed(_writes):
             self.sram.write(addr, data)
-            emit(self.env, "nic.host_write_sram", addr=addr, nbytes=len(data))
+            if self.env.tracer is not None:
+                emit(self.env, "nic.host_write_sram", addr=addr,
+                     nbytes=len(data))
 
         written = self.bus.mmio_write(nwords)
         written.callbacks.append(landed)
@@ -85,7 +87,8 @@ class LanaiNIC:
             raise RuntimeError(
                 f"{self.host_name}: interrupt with no driver attached")
         self.interrupts_raised += 1
-        emit(self.env, "nic.interrupt", reason=reason)
+        if self.env.tracer is not None:
+            emit(self.env, "nic.interrupt", reason=reason)
         result = self._interrupt_handler(reason, payload)
         if isinstance(result, Event):
             return result

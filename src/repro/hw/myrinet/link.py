@@ -134,14 +134,16 @@ class Link:
         Depth-counted — overlapping down-faults compose, and the link
         stays down until the matching number of :meth:`set_up` calls."""
         self._down_depth += 1
-        emit(self.env, f"{self.name}.down", depth=self._down_depth)
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.down", depth=self._down_depth)
 
     def set_up(self) -> None:
         """Release one down-fault; the cable carries traffic again only
         when every overlapping down-fault has been released (clamped at
         0 so stray extra calls are harmless)."""
         self._down_depth = max(0, self._down_depth - 1)
-        emit(self.env, f"{self.name}.up", depth=self._down_depth)
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.up", depth=self._down_depth)
 
     def set_error_rate(self, rate: float) -> int:
         """Push a per-packet corruption-probability override (error
@@ -152,8 +154,9 @@ class Link:
         self._error_tokens += 1
         token = self._error_tokens
         self._error_stack.append((token, rate))
-        emit(self.env, f"{self.name}.error_burst", rate=rate,
-             depth=len(self._error_stack))
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.error_burst", rate=rate,
+                 depth=len(self._error_stack))
         return token
 
     def clear_error_rate(self, token: int) -> None:
@@ -161,8 +164,9 @@ class Link:
         unknown token is a no-op)."""
         self._error_stack = [entry for entry in self._error_stack
                              if entry[0] != token]
-        emit(self.env, f"{self.name}.error_clear",
-             depth=len(self._error_stack))
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.error_clear",
+                 depth=len(self._error_stack))
 
     # -- data path ------------------------------------------------------------
     def connect(self, sink: Callable[[MyrinetPacket], None]) -> None:
@@ -173,18 +177,29 @@ class Link:
         fires when the **tail** has left this end (so the sender's DMA
         engine frees up); delivery to the sink happens ``latency`` later.
         An unconnected link, or a second feeder overlapping the first,
-        raises here, at the call."""
+        raises here, at the call.
+
+        Every packet on every hop comes through here, so the wire size
+        (what ``packet.wire_bytes`` and ``params.wire_time_ns`` compute)
+        and the error rate in force are read inline."""
         env = self.env
+        now = env._now
         if self.sink is None:
             raise RuntimeError(f"{self.name}: link not connected")
-        if env.now < self._tail_at:
+        if now < self._tail_at:
             raise RuntimeError(f"{self.name}: transmit before the previous "
                                f"tail left at {self._tail_at} ns")
-        wire_bytes = packet.wire_bytes
-        wire_time = self.params.wire_time_ns(wire_bytes)
-        self._tail_at = env.now + wire_time
-        emit(env, f"{self.name}.tx", bytes=wire_bytes, wire_time=wire_time)
-        error_rate = self.effective_error_rate
+        params = self.params
+        wire_bytes = len(packet.route) - packet._hop + packet._fixed_bytes
+        wire_time = wire_bytes * params.ns_per_kb // 1000
+        if wire_time < 1:
+            wire_time = 1
+        self._tail_at = now + wire_time
+        if env.tracer is not None:
+            emit(env, f"{self.name}.tx", bytes=wire_bytes,
+                 wire_time=wire_time)
+        errors = self._error_stack
+        error_rate = errors[-1][1] if errors else params.error_rate
         if error_rate > 0 and self._rng.random() < error_rate:
             packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
             self.errors_injected += 1
@@ -194,23 +209,24 @@ class Link:
         self._packets.inc()
         self._bytes.inc(wire_bytes)
         self._busy_ns.inc(wire_time)
-        tail = env.timeout(wire_time)
-        tail.callbacks.append(lambda _tail: self._tail_left(packet))
+
+        def arrive(_arrival: Timeout) -> None:
+            if self._down_depth:
+                # Dead cable: the worm never reaches the far end.  Nobody
+                # is notified — Myrinet hardware gives the sender no
+                # feedback.
+                self.packets_lost_down += 1
+                self._lost_down.inc()
+                if env.tracer is not None:
+                    emit(env, f"{self.name}.lost_down", bytes=wire_bytes)
+                return
+            self.sink(packet)
+
+        def tail_left(_tail: Timeout) -> None:
+            # The head surfaces at the far end one cable latency after the
+            # tail left this one, whatever the sender does meanwhile.
+            Timeout(env, self.params.latency_ns).callbacks.append(arrive)
+
+        tail = Timeout(env, wire_time)
+        tail.callbacks.append(tail_left)
         return tail
-
-    def _tail_left(self, packet: MyrinetPacket) -> None:
-        # The head surfaces at the far end one cable latency after the
-        # tail left this one, whatever the sender does meanwhile.
-        self.env.timeout(self.params.latency_ns).callbacks.append(
-            lambda _arrival: self._deliver(packet))
-
-    def _deliver(self, packet: MyrinetPacket) -> None:
-        if not self.is_up:
-            # Dead cable: the worm never reaches the far end.  Nobody is
-            # notified — Myrinet hardware gives the sender no feedback.
-            self.packets_lost_down += 1
-            self._lost_down.inc()
-            emit(self.env, f"{self.name}.lost_down",
-                 bytes=packet.wire_bytes)
-            return
-        self.sink(packet)

@@ -45,10 +45,14 @@ class PortRef:
 
 @dataclass
 class _HostPort:
-    """A host attachment point: one full-duplex cable to the fabric."""
+    """A host attachment point: one full-duplex cable to the fabric.
+
+    Until a NIC attaches, the incoming link delivers here and packets
+    queue; once one has, the link delivers to the NIC directly."""
 
     name: str
     out_link: Optional[Link] = None
+    in_link: Optional[Link] = None
     sink: Optional[Callable[[MyrinetPacket], None]] = None
     queued: list = field(default_factory=list)
 
@@ -94,6 +98,8 @@ class MyrinetNetwork:
         """Register the NIC's receive entry point for host ``name``."""
         port = self.hosts[name]
         port.sink = sink
+        if port.in_link is not None:
+            port.in_link.connect(sink)
         for packet in port.queued:
             sink(packet)
         port.queued.clear()
@@ -113,17 +119,22 @@ class MyrinetNetwork:
         link_ab = Link(self.env, params, name=f"{a.device}->{b.device}")
         link_ba = Link(self.env, params, name=f"{b.device}->{a.device}")
         self._links += [link_ab, link_ba]
-        link_ab.connect(self._sink_of(b))
-        link_ba.connect(self._sink_of(a))
+        link_ab.connect(self._sink_of(b, link_ab))
+        link_ba.connect(self._sink_of(a, link_ba))
         self._outlet_of(a, link_ab)
         self._outlet_of(b, link_ba)
         self._port_map.setdefault(a.device, {})[a.port] = b.device
         self._port_map.setdefault(b.device, {})[b.port] = a.device
 
-    def _sink_of(self, ref: PortRef) -> Callable[[MyrinetPacket], None]:
+    def _sink_of(self, ref: PortRef,
+                 link: Link) -> Callable[[MyrinetPacket], None]:
+        """Where ``link`` delivers at ``ref``: a switch's crossbar, or a
+        host's NIC once attached (its port until then)."""
         if ref.device in self.switches:
             return self.switches[ref.device].receive
-        return self.hosts[ref.device].receive
+        host = self.hosts[ref.device]
+        host.in_link = link
+        return host.receive if host.sink is None else host.sink
 
     def _outlet_of(self, ref: PortRef, link: Link) -> None:
         if ref.device in self.switches:
@@ -142,7 +153,7 @@ class MyrinetNetwork:
         out = self.hosts[host].out_link
         if out is None:
             raise RuntimeError(f"host {host} is not cabled to the fabric")
-        packet.injected_at = self.env.now
+        packet.injected_at = self.env._now
         return out.transmit(packet)
 
     def install_topology(self, spec, table: dict[tuple[str, str],

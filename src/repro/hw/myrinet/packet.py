@@ -131,8 +131,16 @@ class BaselineHeader(PacketHeader):
                                 self.word)
 
 
+#: The payload of every empty packet (a mapping probe): read-only, and
+#: :meth:`MyrinetPacket.flip` never reaches it, so packets share it.
+_NO_PAYLOAD = np.frombuffer(b"", dtype=np.uint8)
+
+
 class MyrinetPacket:
-    """One packet travelling the fabric."""
+    """One packet travelling the fabric.
+
+    The packet owns a copy of ``route`` (the one copy made of it), so a
+    caller may pass its routing table's list as it is."""
 
     __slots__ = ("route", "_hop", "header", "_image", "_payload",
                  "_syndrome", "injected_at", "meta", "_fixed_bytes")
@@ -144,7 +152,8 @@ class MyrinetPacket:
         self.header = header
         self._image = bytes((header.TYPES[header.kind],)) + header.pack()
         if isinstance(payload, (bytes, bytearray)):
-            self._payload = np.frombuffer(bytes(payload), dtype=np.uint8)
+            self._payload = (np.frombuffer(bytes(payload), dtype=np.uint8)
+                             if payload else _NO_PAYLOAD)
         else:
             # A read-only view: the caller's array stays writable, but
             # nothing writes the packet's bytes through it.

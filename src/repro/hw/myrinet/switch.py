@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.sim.trace import emit
 from repro.obs.metrics import counter
 from repro.hw.myrinet.link import Link
@@ -76,8 +76,9 @@ class Switch:
         Depth-counted — each call stacks one down-fault on the port."""
         self._check_port(port)
         self._down_ports[port] = self._down_ports.get(port, 0) + 1
-        emit(self.env, f"{self.name}.port_down", port=port,
-             depth=self._down_ports[port])
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.port_down", port=port,
+                 depth=self._down_ports[port])
 
     def set_port_up(self, port: int) -> None:
         """Release one down-fault on ``port``; the port forwards again
@@ -88,8 +89,9 @@ class Switch:
             self._down_ports.pop(port, None)
         else:
             self._down_ports[port] = depth - 1
-        emit(self.env, f"{self.name}.port_up", port=port,
-             depth=self._down_ports.get(port, 0))
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.port_up", port=port,
+                 depth=self._down_ports.get(port, 0))
 
     def port_down_depth(self, port: int) -> int:
         """How many overlapping down-faults currently hold ``port``."""
@@ -101,37 +103,55 @@ class Switch:
         return port not in self._down_ports
 
     def receive(self, packet: MyrinetPacket) -> None:
-        """Sink for incoming links: route the worm, time its crossing."""
-        port = packet.next_port()
-        self._check_port(port)
+        """Sink for incoming links: route the worm, time its crossing.
+
+        The hot path of every hop, so the route byte, the port check and
+        the wire size are read inline (what ``next_port``,
+        ``_check_port``, ``wire_bytes`` and ``wire_time_ns`` compute),
+        and the crossing is one closure on the crossbar timer."""
+        route, hop = packet.route, packet._hop
+        if hop >= len(route):
+            raise ValueError("packet ran out of route bytes")
+        port = route[hop]
+        packet._hop = hop = hop + 1
+        if not 0 <= port < self.nports:
+            raise PortRangeError(self.name, port, self.nports)
+        env = self.env
         link = self._out_links[port]
         if link is None:
             # Route byte names an unconnected port: the worm is dropped by
             # the hardware (this is what the mapping phase repairs).
             self.drops += 1
             self._drops_unconnected.inc()
-            emit(self.env, f"{self.name}.drop", port=port)
+            if env.tracer is not None:
+                emit(env, f"{self.name}.drop", port=port)
             return
         if port in self._down_ports:
             # Faulted output port: the crossbar sinks the worm silently.
             self.drops += 1
             self.port_down_drops += 1
             self._drops_port_down.inc()
-            emit(self.env, f"{self.name}.drop_port_down", port=port)
+            if env.tracer is not None:
+                emit(env, f"{self.name}.drop_port_down", port=port)
             return
-        now = self.env.now
-        crossbar = max(now, self._port_free_at[port]) + self.latency_ns
-        self._port_free_at[port] = crossbar + link.params.wire_time_ns(
-            packet.wire_bytes)
-        self.env.timeout(crossbar - now).callbacks.append(
-            lambda _crossbar: self._forward(port, link, packet))
+        wire_bytes = len(route) - hop + packet._fixed_bytes
+        wire_time = wire_bytes * link.params.ns_per_kb // 1000
+        if wire_time < 1:
+            wire_time = 1
+        now = env._now
+        free_at = self._port_free_at[port]
+        crossbar = (free_at if free_at > now else now) + self.latency_ns
+        self._port_free_at[port] = crossbar + wire_time
 
-    def _forward(self, port: int, link: Link, packet: MyrinetPacket) -> None:
-        self.packets_forwarded += 1
-        self._forwarded.inc()
-        emit(self.env, f"{self.name}.forward", port=port,
-             bytes=packet.wire_bytes)
-        link.transmit(packet)
+        def forward(_crossbar: Timeout) -> None:
+            self.packets_forwarded += 1
+            self._forwarded.inc()
+            if env.tracer is not None:
+                emit(env, f"{self.name}.forward", port=port,
+                     bytes=wire_bytes)
+            link.transmit(packet)
+
+        Timeout(env, crossbar - now).callbacks.append(forward)
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.nports:

@@ -221,18 +221,18 @@ class DualSwitchSpec(TopologySpec):
             net.connect(PortRef(name, 0), PortRef(switch, port))
 
     def routes(self, net: MyrinetNetwork) -> RouteTable:
+        names = self.host_names()
+        placement = [self._placement(i) for i in range(self.nhosts_)]
         table: RouteTable = {}
-        for s in range(self.nhosts_):
-            s_sw, _ = self._placement(s)
-            for d in range(self.nhosts_):
+        for s, (s_sw, _) in enumerate(placement):
+            for d, (d_sw, d_port) in enumerate(placement):
                 if s == d:
                     continue
-                d_sw, d_port = self._placement(d)
                 if s_sw == d_sw:
-                    table[(f"node{s}", f"node{d}")] = [d_port]
+                    table[(names[s], names[d])] = [d_port]
                 else:
                     # Cross the port-7 uplink, then exit at the far port.
-                    table[(f"node{s}", f"node{d}")] = [7, d_port]
+                    table[(names[s], names[d])] = [7, d_port]
         return table
 
     def describe(self) -> str:
@@ -338,13 +338,13 @@ class FatTreeSpec(TopologySpec):
 
     def routes(self, net: MyrinetNetwork) -> RouteTable:
         half, h = self.half, self.h
+        names = self.host_names()
+        coords = [self.host_coords(i) for i in range(self.nhosts)]
         table: RouteTable = {}
-        for s_idx in range(self.nhosts):
-            sp, se, _ = self.host_coords(s_idx)
-            for d_idx in range(self.nhosts):
+        for s_idx, (sp, se, _) in enumerate(coords):
+            for d_idx, (dp, de, ds) in enumerate(coords):
                 if s_idx == d_idx:
                     continue
-                dp, de, ds = self.host_coords(d_idx)
                 if sp == dp and se == de:
                     route = [ds]                    # same edge switch
                 elif sp == dp:
@@ -354,7 +354,7 @@ class FatTreeSpec(TopologySpec):
                     a = d_idx % half                # D-mod up-path choice
                     j = (d_idx // half) % half
                     route = [h + a, half + j, dp, de, ds]
-                table[(f"node{s_idx}", f"node{d_idx}")] = route
+                table[(names[s_idx], names[d_idx])] = route
         return table
 
     def describe(self) -> str:
@@ -451,10 +451,11 @@ class MeshSpec(TopologySpec):
             net.connect(PortRef(name, 0),
                         PortRef(self.sw(x, y), self.HOST_BASE + s))
 
-    def _dor_route(self, src: int, dst: int, *, minimal: bool) -> list[int]:
-        """Dimension-order route bytes; ``minimal`` may use wrap cables."""
-        sx, sy, _ = self.host_coords(src)
-        dx, dy, ds = self.host_coords(dst)
+    def _dor_route(self, src: tuple[int, int, int],
+                   dst: tuple[int, int, int], *, minimal: bool) -> list[int]:
+        """Dimension-order route bytes between two hosts' coordinates;
+        ``minimal`` may use wrap cables."""
+        (sx, sy, _), (dx, dy, ds) = src, dst
         route: list[int] = []
         route += self._ring_steps(sx, dx, self.cols, self.EAST, self.WEST,
                                   minimal=minimal)
@@ -475,13 +476,15 @@ class MeshSpec(TopologySpec):
         return [plus] * (b - a) if b > a else [minus] * (a - b)
 
     def routes(self, net: MyrinetNetwork) -> RouteTable:
-        table: RouteTable = {}
-        for s in range(self.nhosts):
-            for d in range(self.nhosts):
-                if s != d:
-                    table[(f"node{s}", f"node{d}")] = \
-                        self._dor_route(s, d, minimal=False)
-        return table
+        return self._dor_table(minimal=False)
+
+    def _dor_table(self, *, minimal: bool) -> RouteTable:
+        names = self.host_names()
+        coords = [self.host_coords(i) for i in range(self.nhosts)]
+        return {(names[s], names[d]): self._dor_route(src, dst,
+                                                      minimal=minimal)
+                for s, src in enumerate(coords)
+                for d, dst in enumerate(coords) if s != d}
 
     def describe(self) -> str:
         shape = "torus" if self.torus else "mesh"
@@ -501,9 +504,7 @@ def minimal_torus_routes(spec: MeshSpec) -> RouteTable:
     """
     if not spec.torus:
         raise TopologyError("minimal_torus_routes needs torus=True")
-    return {(f"node{s}", f"node{d}"): spec._dor_route(s, d, minimal=True)
-            for s in range(spec.nhosts)
-            for d in range(spec.nhosts) if s != d}
+    return spec._dor_table(minimal=True)
 
 
 # -- string forms ----------------------------------------------------------
@@ -628,27 +629,32 @@ def walk_route(net: MyrinetNetwork, src: str,
 
     Returns ``(terminal_device, channels)`` where ``channels`` is the
     ordered list of unidirectional link names (``"a->b"``) a worm
-    holds.  Raises :class:`TopologyError` on an uncabled port or a route
-    that tries to forward through a host;
-    :class:`~repro.hw.myrinet.switch.PortRangeError` on an out-of-range
-    route byte.
+    holds.  Raises :class:`TopologyError` on a source that is not a
+    cabled host, an uncabled port or a route that tries to forward
+    through a host; :class:`~repro.hw.myrinet.switch.PortRangeError` on
+    an out-of-range route byte.  The deadlock check walks every route
+    of a table, so the walk reads the network's port map directly.
     """
     if src not in net.hosts:
         raise TopologyError(f"{src!r} is not a host")
-    there = net.host_uplink(src)
-    channels = [f"{src}->{there}"]
-    here = there
+    port_map, switches = net._port_map, net.switches
+    uplink = port_map.get(src)
+    if not uplink:
+        raise TopologyError(f"host {src!r} is not cabled")
+    here = next(iter(uplink.values()))
+    channels = [f"{src}->{here}"]
     for byte in route:
-        if here not in net.switches:
+        if here not in switches:
             raise TopologyError(
                 f"route from {src} tries to forward through {here!r}, "
                 "which is not a switch")
-        net.switches[here]._check_port(byte)
-        there = net.port_neighbor(here, byte)
-        if there is None:
+        switches[here]._check_port(byte)
+        ports = port_map[here]
+        if byte not in ports:
             raise TopologyError(
                 f"route from {src}: switch {here!r} port {byte} is "
                 "not cabled")
+        there = ports[byte]
         channels.append(f"{here}->{there}")
         here = there
     return here, channels

@@ -88,7 +88,7 @@ class ShrimpStateMachine:
         def fetched(_dma):
             payload = nic.host_memory.read(src_paddr, nbytes)
             packet = MyrinetPacket(
-                list(nic.routes[node_index]),
+                nic.routes[node_index],
                 DepositHeader("shrimp_du", extents, notify, last,
                               nic.node_index, nbytes),
                 payload)

@@ -189,7 +189,7 @@ class AutomaticUpdateUnit:
                 batch: list[_CapturedWrite]) -> None:
         payload = np.concatenate([w.data for w in batch])
         packet = MyrinetPacket(
-            list(self.nic.routes[first.dest_node]),
+            self.nic.routes[first.dest_node],
             DepositHeader("shrimp_au",
                           ((first.dest_paddr, int(payload.size)),),
                           notify=False, last=True,

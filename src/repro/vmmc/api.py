@@ -364,8 +364,9 @@ class VMMCEndpoint:
             if imported in self._imports:
                 self._imports.remove(imported)
             self._m_unimports.inc()
-            emit(self.env, "vmmc.import.revoked", node=self.node_name,
-                 remote=imported.remote_node, name=imported.name)
+            if self.env.tracer is not None:
+                emit(self.env, "vmmc.import.revoked", node=self.node_name,
+                     remote=imported.remote_node, name=imported.name)
 
         return self.env.process(run(), name=f"vmmc.unimport.{imported.name}")
 
@@ -401,9 +402,10 @@ class VMMCEndpoint:
             imported._rebind(grant)
             self.reimports += 1
             self._m_reimports.inc()
-            emit(self.env, "vmmc.import.reimport", node=self.node_name,
-                 remote=imported.remote_node, name=imported.name,
-                 epoch=grant.epoch)
+            if self.env.tracer is not None:
+                emit(self.env, "vmmc.import.reimport", node=self.node_name,
+                     remote=imported.remote_node, name=imported.name,
+                     epoch=grant.epoch)
             return imported
 
         return self.env.process(run(), name=f"vmmc.reimport.{imported.name}")
@@ -436,9 +438,10 @@ class VMMCEndpoint:
                 imported.region.npages)
             invalidated += 1
             self._m_imports_invalidated.inc()
-            emit(self.env, "vmmc.import.stale", node=self.node_name,
-                 remote=imported.remote_node, name=imported.name,
-                 reason=reason)
+            if self.env.tracer is not None:
+                emit(self.env, "vmmc.import.stale", node=self.node_name,
+                     remote=imported.remote_node, name=imported.name,
+                     reason=reason)
         return invalidated
 
     # -- SendMsg ------------------------------------------------------------------
@@ -519,9 +522,10 @@ class VMMCEndpoint:
             self.lcp.doorbell()
             self.sends_posted += 1
             self._m_sends_posted[is_short].inc()
-            emit(env, "vmmc.send.posted", node=self.node_name,
-                 pid=self.process.pid, slot=request.slot, length=length,
-                 short=is_short)
+            if env.tracer is not None:
+                emit(env, "vmmc.send.posted", node=self.node_name,
+                     pid=self.process.pid, slot=request.slot, length=length,
+                     short=is_short)
             handle = SendHandle(slot=request.slot, length=length,
                                 is_short=is_short, synchronous=synchronous,
                                 posted_at=env.now,
@@ -572,8 +576,9 @@ class VMMCEndpoint:
         if isinstance(exc, ImportStale):
             self.stale_sends_blocked += 1
             self._m_sends_stale_blocked.inc()
-            emit(self.env, "vmmc.send.stale_blocked",
-                 node=self.node_name, pid=self.process.pid)
+            if self.env.tracer is not None:
+                emit(self.env, "vmmc.send.stale_blocked",
+                     node=self.node_name, pid=self.process.pid)
         done.fail(exc)
 
     def wait_send(self, handle: SendHandle) -> Event:

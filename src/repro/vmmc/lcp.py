@@ -206,7 +206,7 @@ class VmmcLCP:
 
         Route bytes also live in SRAM (a few bytes per destination)."""
         self.routes = dict(routes)
-        region = f"route_table"
+        region = "route_table"
         if region not in self.nic.sram.regions:
             self.nic.sram.alloc(region, max(64, 8 * max(1, len(routes))))
 
@@ -296,9 +296,10 @@ class VmmcLCP:
         t0 = self.env.now
         yield cpu.cycles(self.costs.pickup)
         self.sends_processed += 1
-        emit(self.env, f"{self.name}.send.pickup", pid=ctx.pid,
-             slot=request.slot, length=request.length,
-             short=request.is_short)
+        if self.env.tracer is not None:
+            emit(self.env, f"{self.name}.send.pickup", pid=ctx.pid,
+                 slot=request.slot, length=request.length,
+                 short=request.is_short)
         self._m_sends[request.is_short].inc()
         if request.is_short:
             yield from self._send_short(ctx, request)
@@ -311,7 +312,7 @@ class VmmcLCP:
                      msg_len: int) -> MyrinetPacket:
         header = DepositHeader("vmmc_data", extents, notify, last,
                                self.node_index, msg_len)
-        return MyrinetPacket(list(self.routes[node]), header, payload)
+        return MyrinetPacket(self.routes[node], header, payload)
 
     def _send_short(self, ctx: ProcessContext, request: SendRequest):
         cpu = self.nic.processor
@@ -493,7 +494,8 @@ class VmmcLCP:
             # Detected, counted, dropped — never recovered (section 4.2).
             self.crc_drops += 1
             self._m_crc_drops.inc()
-            emit(self.env, f"{self.name}.recv.crc_drop")
+            if self.env.tracer is not None:
+                emit(self.env, f"{self.name}.recv.crc_drop")
             return
         header = packet.header
         extents = header.extents
@@ -505,8 +507,9 @@ class VmmcLCP:
         if frame is not None:
             self.protection_violations += 1
             self._m_protection_violations.inc()
-            emit(self.env, f"{self.name}.recv.protection_violation",
-                 frame=frame)
+            if self.env.tracer is not None:
+                emit(self.env, f"{self.name}.recv.protection_violation",
+                     frame=frame)
             return
         yield cpu.cycles(costs.start_dma)
         self.packets_delivered += 1

@@ -99,11 +99,12 @@ class MappingPhase:
                     yield proc
                 probes += n
             duration = self.env.now - start
-            emit(self.env, "mapping.done", probes=probes,
-                 duration_ns=duration,
-                 topology=type(self.network.topology).__name__,
-                 channels=report.channels,
-                 channel_deps=report.dependencies)
+            if self.env.tracer is not None:
+                emit(self.env, "mapping.done", probes=probes,
+                     duration_ns=duration,
+                     topology=type(self.network.topology).__name__,
+                     channels=report.channels,
+                     channel_deps=report.dependencies)
             return MappingResult(routes=routes, indices=indices,
                                  probes_sent=probes,
                                  mapping_time_ns=duration,
@@ -115,7 +116,7 @@ class MappingPhase:
                       indices: dict[str, int]):
         """Send a probe along ``route`` and confirm it lands on ``dst``."""
         header = ProbeHeader("map_probe", indices[src], indices[dst])
-        probe = MyrinetPacket(list(route), header, b"")
+        probe = MyrinetPacket(route, header, b"")
         yield self.nics[src].net_send.send(probe)
         # Wait for the probe to surface in the claimed destination's inbox.
         arrived = yield self.nics[dst].net_recv.get()

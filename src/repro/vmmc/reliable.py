@@ -241,9 +241,11 @@ class _Deposit:
             end._m_stale_transmits.inc()
         else:
             end.stats.completion_errors += 1
-        emit(end.env, "rel.transmit.stale" if stale else "rel.transmit.error",
-             channel=end.name, seq=seq, attempt=attempts,
-             **({"ack": True} if self.ack else {}))
+        if end.env.tracer is not None:
+            emit(end.env,
+                 "rel.transmit.stale" if stale else "rel.transmit.error",
+                 channel=end.name, seq=seq, attempt=attempts,
+                 **({"ack": True} if self.ack else {}))
         if attempts > end.max_retries:
             if not self.ack:
                 end.stats.send_failures += 1
@@ -270,8 +272,9 @@ class _Deposit:
         if event._ok:
             end.stats.reimports += 1
             end._m_reimports.inc()
-            emit(end.env, "rel.reimport", channel=end.name,
-                 name=self.imported.name, attempts=self.reimports)
+            if end.env.tracer is not None:
+                emit(end.env, "rel.reimport", channel=end.name,
+                     name=self.imported.name, attempts=self.reimports)
         else:
             event.defuse()
             exc = event._value
@@ -327,8 +330,9 @@ class _Message:
         tx._set_inflight(tx.inflight + 1)
         tx._kick()
         tx.stats.messages_sent += 1
-        emit(tx.env, "rel.send", channel=tx.name, seq=seq,
-             nbytes=len(self.data))
+        if tx.env.tracer is not None:
+            emit(tx.env, "rel.send", channel=tx.name, seq=seq,
+                 nbytes=len(self.data))
         self.pace()
 
     def pace(self) -> None:
@@ -338,8 +342,9 @@ class _Message:
         if wait <= 0:
             return self.transmit()
         tx.stats.paced_ns += wait
-        emit(tx.env, "rel.pace", channel=tx.name, seq=self.seq,
-             wait_ns=wait, pressure=tx.pressure)
+        if tx.env.tracer is not None:
+            emit(tx.env, "rel.pace", channel=tx.name, seq=self.seq,
+                 wait_ns=wait, pressure=tx.pressure)
         tx.env.timeout(wait).callbacks.append(self.transmit)
 
     def transmit(self, _paced=None) -> None:
@@ -400,8 +405,9 @@ class _Message:
         tx._m_timeouts.inc()
         if self.retries >= tx.max_retries:
             tx.stats.send_failures += 1
-            emit(env, "rel.send.failed", channel=tx.name, seq=seq,
-                 retries=self.retries)
+            if env.tracer is not None:
+                emit(env, "rel.send.failed", channel=tx.name, seq=seq,
+                     retries=self.retries)
             return self.finish(RetriesExhausted(
                 f"{tx.name}: seq {seq} unacknowledged after "
                 f"{self.retries} retransmissions", seq=seq,
@@ -409,8 +415,9 @@ class _Message:
         self.retries += 1
         tx.stats.retransmits += 1
         tx._m_retransmits.inc()
-        emit(env, "rel.retransmit", channel=tx.name, seq=seq,
-             attempt=self.retries)
+        if env.tracer is not None:
+            emit(env, "rel.retransmit", channel=tx.name, seq=seq,
+                 attempt=self.retries)
         tx._on_timeout(seq)
         self.slot_rto = tx.rto_ns
         self.pace()
@@ -426,8 +433,9 @@ class _Message:
             tx.stats.retransmitted_deliveries += 1
         else:
             tx._on_clean_ack(seq, rtt)
-        emit(tx.env, "rel.delivered", channel=tx.name, seq=seq,
-             retransmits=self.retries)
+        if tx.env.tracer is not None:
+            emit(tx.env, "rel.delivered", channel=tx.name, seq=seq,
+                 retransmits=self.retries)
         self.finish()
 
     def finish(self, exc: Optional[Exception] = None) -> None:
@@ -565,8 +573,9 @@ class ReliableSender:
         if value > self.stats.cwnd_max:
             self.stats.cwnd_max = value
         self._m_cwnd.set(value)
-        emit(self.env, "rel.cwnd", channel=self.name, cwnd=value,
-             reason=reason)
+        if self.env.tracer is not None:
+            emit(self.env, "rel.cwnd", channel=self.name, cwnd=value,
+                 reason=reason)
         if reason == "grow":
             self._kick()
 
@@ -602,9 +611,10 @@ class ReliableSender:
         self._m_rttvar_ns.set(self.rttvar_ns)
         self._set_rto(self.srtt_ns
                       + max(RTO_GRANULARITY_NS, RTO_K * self.rttvar_ns))
-        emit(self.env, "rel.rtt.sample", channel=self.name, seq=seq,
-             rtt_ns=int(rtt_ns), srtt_ns=self.srtt_ns,
-             rttvar_ns=self.rttvar_ns, rto_ns=self.rto_ns)
+        if self.env.tracer is not None:
+            emit(self.env, "rel.rtt.sample", channel=self.name, seq=seq,
+                 rtt_ns=int(rtt_ns), srtt_ns=self.srtt_ns,
+                 rttvar_ns=self.rttvar_ns, rto_ns=self.rto_ns)
         self.pressure = max(0, self.pressure - 1)
         self._set_cwnd(self.cwnd + 1, reason="grow")
 
@@ -824,8 +834,9 @@ class ReliableReceiver:
             self._wake = None
             self._next_seq = expected + 1
             self.stats.messages_delivered += 1
-            emit(self.env, "rel.recv", channel=self.name, seq=expected,
-                 nbytes=len(payload))
+            if self.env.tracer is not None:
+                emit(self.env, "rel.recv", channel=self.name, seq=expected,
+                     nbytes=len(payload))
             return self._send_ack(expected,
                                   lambda: self._finish(payload=payload))
         # Duplicate suppression.  Two shapes of lost-ACK fallout: a
@@ -867,7 +878,9 @@ class ReliableReceiver:
         if resend:
             self.stats.acks_resent += 1
         self.stats.acks_sent += 1
-        emit(self.env, "rel.ack", channel=self.name, seq=seq, resend=resend)
+        if self.env.tracer is not None:
+            emit(self.env, "rel.ack", channel=self.name, seq=seq,
+                 resend=resend)
         _deposit(self, lambda: self.ep.send(
             self._ack_scratch, self._ack_at_sender.at(0), 4),
             self._ack_at_sender, seq, acked,

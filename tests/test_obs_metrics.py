@@ -353,3 +353,81 @@ def test_hot_path_modules_record_through_handles(module):
             assert node.func.id not in _HELPERS, \
                 f"{module}:{node.lineno} calls {node.func.id}()"
 
+
+
+#: Modules whose trace points fire per packet or per request: the
+#: handle modules plus the NIC and the fabric's host ports.
+TRACED_MODULES = HANDLE_MODULES + ("hw/lanai/nic.py",
+                                   "hw/myrinet/network.py")
+
+
+def _tracer_guarded(test: ast.expr) -> str | None:
+    """The environment ``test`` is ``<env>.tracer is not None`` of (as
+    an AST dump), else None."""
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.IsNot)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "tracer"):
+        return ast.dump(test.left.value)
+    return None
+
+
+def unguarded_emits(tree: ast.AST) -> list[int]:
+    """Lines of the ``emit(env, ...)`` calls not inside the body of an
+    ``if env.tracer is not None`` on the same ``env`` expression.  A
+    guard does not reach into a function defined under it."""
+    found = []
+
+    def visit(node, guards):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            guards = frozenset()
+        if isinstance(node, ast.If):
+            guard = _tracer_guarded(node.test)
+            inside = guards | {guard} if guard else guards
+            for child in node.body:
+                visit(child, inside)
+            for child in (node.test, *node.orelse):
+                visit(child, guards)
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "emit"
+                and (not node.args or ast.dump(node.args[0]) not in guards)):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, guards)
+
+    visit(tree, frozenset())
+    return found
+
+
+@pytest.mark.parametrize("module", TRACED_MODULES)
+def test_hot_path_trace_points_cost_nothing_untraced(module):
+    """Each ``emit`` in a hot module is reached only when a tracer is
+    installed, so an untraced run builds no category string and no
+    payload dict for it."""
+    source = Path(__file__).resolve().parents[1] / "src" / "repro" / module
+    lines = unguarded_emits(ast.parse(source.read_text()))
+    assert lines == [], (
+        f"{module}: emit() outside `if <env>.tracer is not None` at "
+        f"line(s) {lines}")
+
+
+def test_unguarded_emit_finder():
+    guarded = ("def f(self, env):\n"
+               "    if env.tracer is not None:\n"
+               "        emit(env, 'a')\n"
+               "    if self.env.tracer is not None:\n"
+               "        emit(self.env, 'b')\n")
+    assert unguarded_emits(ast.parse(guarded)) == []
+    for source, line in [
+            ("emit(env, 'a')\n", 1),
+            ("if env.tracer is not None:\n    pass\nelse:\n"
+             "    emit(env, 'a')\n", 4),
+            ("if env.tracer is None:\n    emit(env, 'a')\n", 2),
+            ("if other.tracer is not None:\n    emit(env, 'a')\n", 2),
+            ("if env.tracer is not None:\n    def later():\n"
+             "        emit(env, 'a')\n", 3)]:
+        assert unguarded_emits(ast.parse(source)) == [line], source

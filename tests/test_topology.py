@@ -24,6 +24,7 @@ dependency graph, and ``fabric_stats``'s bisection what
 ``nx.maximum_flow_value`` gives on the cabling.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -336,6 +337,63 @@ def test_route_walk_rejects_lies():
         # byte then lands on host node0, and the extra byte asks the
         # host to forward.
         walk_route(net, "node1", [MeshSpec.WEST, MeshSpec.HOST_BASE, 0])
+
+
+
+def test_route_walk_from_an_unknown_or_uncabled_host_is_a_topology_error():
+    _, net = built("single:2")
+    net.add_host("loose")
+    for src, message in [("node9", "not a host"), ("loose", "not cabled")]:
+        with pytest.raises(TopologyError, match=message):
+            walk_route(net, src, [0])
+
+
+def test_route_walk_reads_the_port_map_directly(monkeypatch):
+    _, net = built("fattree:4")
+    for name in ("port_neighbor", "host_uplink"):
+        monkeypatch.setattr(net, name, None)
+    check_deadlock_free(net)
+
+
+#: sha256 (first 16 hex digits) of each example spec's installed route
+#: table, in insertion order, one ``"src dst [bytes]"`` line per pair —
+#: and, for a torus, of its minimal (cyclic) table after it.  Recorded
+#: while the generators still computed a host's coordinates once per
+#: ordered pair; ``mesh:8x8`` is the benchmark's mesh.
+ROUTE_TABLE_DIGESTS = {
+    "dual:4": "486abd5ed8afb5dc",
+    "dual:8": "3f228402f3827931",
+    "dual:14": "61ce6ea0445e4026",
+    "fattree:2": "2edce4968a93a47a",
+    "fattree:4": "a6708b5ba4dda7e1",
+    "fattree:4,h=1": "7a564ab3c0a7630c",
+    "fattree:8,h=2": "276a3c67e5b26469",
+    "mesh:2x2": "c669fa5c5b515426",
+    "mesh:3x2,h=2": "3be9d6f1a3ab52d7",
+    "mesh:4x4": "6e3ddec9ec00ce07",
+    "mesh:8x8": "c9417f6b930d2818",
+    "torus:3x3": "da624ccfa00c4170",
+    "torus:4x4": "42d31dd98caa3f6c",
+    "single:2": "c92e2a59dac1f15e",
+    "single:4": "85cb70bd21b78209",
+    "single:8": "30941e1d047e7e23",
+}
+
+
+def test_every_example_route_table_is_unchanged():
+    examples = [text for kind in topology.SPEC_KINDS.values()
+                for text in kind.EXAMPLES] + ["mesh:8x8"]
+    assert sorted(examples) == sorted(ROUTE_TABLE_DIGESTS)
+    for text in examples:
+        spec, net = built(text)
+        tables = [net.route_table]
+        if getattr(spec, "torus", False):
+            tables.append(minimal_torus_routes(spec))
+        digest = hashlib.sha256()
+        for table in tables:
+            for (src, dst), route in table.items():
+                digest.update(f"{src} {dst} {route}\n".encode())
+        assert digest.hexdigest()[:16] == ROUTE_TABLE_DIGESTS[text], text
 
 
 # ------------------------------------------------ parse / resolve / stats
