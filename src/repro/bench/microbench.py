@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim import Environment
 from repro.mem.buffers import UserBuffer
 from repro.cluster import Cluster, TestbedConfig
@@ -43,8 +41,9 @@ class OverheadPoint:
 
 
 def _stamp(buffer: UserBuffer, size: int, seq: int) -> None:
-    """Write the sequence number into the message's last word."""
-    word = np.frombuffer(np.uint32(seq).tobytes(), dtype=np.uint8)
+    """Write the sequence number into the message's last word, a
+    little-endian u32 (its low ``size`` bytes in a shorter message)."""
+    word = seq.to_bytes(4, "little")
     if size >= 4:
         buffer.write(word, offset=size - 4)
     else:
@@ -52,12 +51,8 @@ def _stamp(buffer: UserBuffer, size: int, seq: int) -> None:
 
 
 def _read_stamp(buffer: UserBuffer, size: int) -> int:
-    if size >= 4:
-        raw = buffer.read(size - 4, 4)
-    else:
-        raw = np.zeros(4, dtype=np.uint8)
-        raw[:size] = buffer.read(0, size)
-    return int(np.frombuffer(raw.tobytes(), dtype=np.uint32)[0])
+    return int.from_bytes(buffer.read(max(0, size - 4), min(4, size)),
+                          "little")
 
 
 def spin_until_stamp(ep: VMMCEndpoint, buffer: UserBuffer, size: int,

@@ -182,7 +182,8 @@ class DsmNode:
                       blob: bytes) -> None:
         self.store.write(blob, offset=page * self.page_bytes)
         self.pages_fetched += 1
-        self._m_pages_fetched.inc()
+        if self.env.metrics is not None:
+            self._m_pages_fetched.inc()
         if self.env.tracer is not None:
             emit(self.env, "dsm.fetch", node=self.rank, page=page,
                  xfer=xfer, supplier=src)
@@ -270,7 +271,7 @@ class DsmNode:
             plan, needs_data = self.directory.begin_write(page, src)
             xfer = self._next_xfer() if needs_data else 0
             self.invalidations_sent += len(plan)
-            if plan:
+            if plan and self.env.metrics is not None:
                 self._m_invalidations_sent.inc(len(plan))
             children = [
                 self.env.process(
@@ -354,7 +355,8 @@ class DsmNode:
         if action in (FLUSH, INVALIDATE):
             if had_copy:
                 self.invalidations += 1
-                self._m_invalidations.inc()
+                if self.env.metrics is not None:
+                    self._m_invalidations.inc()
                 if self.env.tracer is not None:
                     emit(self.env, "dsm.invalidate", node=self.rank,
                          page=page)
@@ -377,7 +379,8 @@ class DsmNode:
                 self.read_faults += 1
             else:
                 self.write_faults += 1
-            self._m_faults[kind].inc()
+            if self.env.metrics is not None:
+                self._m_faults[kind].inc()
             if self.env.tracer is not None:
                 emit(self.env, "dsm.fault", node=self.rank, kind=kind,
                      page=page)
@@ -416,7 +419,8 @@ class DsmNode:
             elif self.access[page] == INV:
                 self.access[page] = READ
             self.fetch_ns.append(self.env.now - started)
-            self._m_fetch_ns[kind].observe(self.env.now - started)
+            if self.env.metrics is not None:
+                self._m_fetch_ns[kind].observe(self.env.now - started)
         finally:
             lock.release(grant)
 
@@ -442,8 +446,10 @@ class DsmNode:
             yield from self._fault("r", page)
         if not faulted:
             self.local_hits += 1
-            self._m_local_hits.inc()
-        self._m_ops["read"].inc()
+        if self.env.metrics is not None:
+            if not faulted:
+                self._m_local_hits.inc()
+            self._m_ops["read"].inc()
         self.history.append(DsmOp(
             node=self.rank, index=len(self.history), kind="r", page=page,
             offset=offset, value=value, start_ns=started,
@@ -465,8 +471,10 @@ class DsmNode:
             yield from self._fault("w", page)
         if not faulted:
             self.local_hits += 1
-            self._m_local_hits.inc()
-        self._m_ops["write"].inc()
+        if self.env.metrics is not None:
+            if not faulted:
+                self._m_local_hits.inc()
+            self._m_ops["write"].inc()
         self.history.append(DsmOp(
             node=self.rank, index=len(self.history), kind="w", page=page,
             offset=offset, value=value, start_ns=started,

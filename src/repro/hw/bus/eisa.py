@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import Environment
+from repro.sim import Environment, Event
 from repro.hw.bus.pci import PCIBus
 
 
@@ -51,3 +51,13 @@ class EISABus(PCIBus):
     def __init__(self, env: Environment, params: EISAParams | None = None,
                  name: str = "eisa"):
         super().__init__(env, params or EISAParams(), name)
+
+    def dma(self, nbytes: int) -> Event:
+        """:meth:`PCIBus.dma` with EISA's one-slope law
+        (``params.dma_time_ns``), computed inline the same way."""
+        params = self.params
+        duration = (params.dma_setup_ns + nbytes * params.dma_ns_per_kb // 1000
+                    if nbytes > 0 else 0)
+        if self.env.metrics is not None:
+            self._dma_queue_depth.set(self._server.queue_length)
+        return self._server.serve(self._dma, nbytes, duration)

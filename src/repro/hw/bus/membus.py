@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 
 
 @dataclass(frozen=True)
@@ -61,4 +61,4 @@ class MemoryBus:
 
     def cacheline_fill(self):
         """Timeout event: one cache-line fill."""
-        return self.env.timeout(self.params.cacheline_fill_ns)
+        return Timeout(self.env, self.params.cacheline_fill_ns)

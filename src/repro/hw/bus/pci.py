@@ -112,10 +112,12 @@ class PCIBus:
                                   self.params.mmio_write_ns * words)
 
     def _pio(self, kind: str, words: int, duration: int) -> Timeout:
-        if self.env.tracer is not None:
-            emit(self.env, f"{self.name}.pio.{kind}", words=words)
-        self._pio_words[kind].inc(words)
-        return Timeout(self.env, duration)
+        env = self.env
+        if env.tracer is not None:
+            emit(env, f"{self.name}.pio.{kind}", words=words)
+        if env.metrics is not None:
+            self._pio_words[kind].inc(words)
+        return Timeout(env, duration)
 
     # -- DMA ---------------------------------------------------------------------
     def dma(self, nbytes: int) -> Event:
@@ -123,20 +125,36 @@ class PCIBus:
         fires when it ends.
 
         The caller (a DMA engine) is responsible for actually moving the
-        bytes between memories; this models only the bus time.
+        bytes between memories; this models only the bus time, which is
+        ``params.dma_time_ns(nbytes)``, computed inline: every DMA of
+        every packet comes through here.
         """
-        duration = self.params.dma_time_ns(nbytes)
-        self._dma_queue_depth.set(self._server.queue_length)
+        if nbytes <= 0:
+            duration = 0
+        else:
+            params = self.params
+            knee = params.dma_knee_bytes
+            if nbytes <= knee:
+                duration = (params.dma_setup_ns
+                            + nbytes * params.dma_small_ns_per_kb // 1000)
+            else:
+                duration = (params.dma_setup_ns
+                            + knee * params.dma_small_ns_per_kb // 1000
+                            + (nbytes - knee)
+                            * params.dma_large_ns_per_kb // 1000)
+        if self.env.metrics is not None:
+            self._dma_queue_depth.set(self._server.queue_length)
         return self._server.serve(self._dma, nbytes, duration)
 
     def _dma(self, nbytes: int, duration: int) -> Timeout:
-        if self.env.tracer is not None:
-            emit(self.env, f"{self.name}.dma", nbytes=nbytes,
-                 duration=duration)
-        self._dma_transactions.inc()
-        self._dma_bytes.inc(nbytes)
-        self._dma_duration.observe(duration)
-        return Timeout(self.env, duration)
+        env = self.env
+        if env.tracer is not None:
+            emit(env, f"{self.name}.dma", nbytes=nbytes, duration=duration)
+        if env.metrics is not None:
+            self._dma_transactions.inc()
+            self._dma_bytes.inc(nbytes)
+            self._dma_duration.observe(duration)
+        return Timeout(env, duration)
 
     @property
     def busy(self) -> bool:

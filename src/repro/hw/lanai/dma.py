@@ -68,17 +68,21 @@ class HostDMAEngine:
     def to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
         """DMA ``nbytes`` host→SRAM; the event fires when the data is in
         SRAM."""
-        self._queue_depth.set(self._engine.queue_length)
+        if self.env.metrics is not None:
+            self._queue_depth.set(self._engine.queue_length)
         return self._engine.serve(self._to_sram, paddr, sram_addr, nbytes)
 
     def _to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
+        env = self.env
+
         def landed(_hold):
             self.sram.view(sram_addr, nbytes)[:] = \
                 self.host_memory.view(paddr, nbytes)
             self.bytes_to_sram += nbytes
-            self._bytes_to_sram.inc(nbytes)
-            if self.env.tracer is not None:
-                emit(self.env, f"{self.name}.hostdma.to_sram",
+            if env.metrics is not None:
+                self._bytes_to_sram.inc(nbytes)
+            if env.tracer is not None:
+                emit(env, f"{self.name}.hostdma.to_sram",
                      paddr=paddr, nbytes=nbytes)
 
         hold = self.bus.dma(nbytes)
@@ -89,20 +93,26 @@ class HostDMAEngine:
         """DMA the given bytes (already staged in SRAM by the receive
         engine) to host memory at ``paddr``; the event fires when they
         are there."""
-        payload = np.asarray(data, dtype=np.uint8)
-        self._queue_depth.set(self._engine.queue_length)
+        return self._queue_write(np.asarray(data, dtype=np.uint8), paddr)
+
+    def _queue_write(self, payload: np.ndarray, paddr: int) -> Event:
+        """:meth:`write_host` of bytes already a ``uint8`` array."""
+        if self.env.metrics is not None:
+            self._queue_depth.set(self._engine.queue_length)
         return self._engine.serve(self._write_host, payload, paddr)
 
     def _write_host(self, payload: np.ndarray, paddr: int) -> Event:
+        env = self.env
         nbytes = int(payload.size)
 
         def landed(_hold):
             self.host_memory.view(paddr, nbytes)[:] = payload
             self.host_memory.notify_write(paddr, nbytes)
             self.bytes_to_host += nbytes
-            self._bytes_to_host.inc(nbytes)
-            if self.env.tracer is not None:
-                emit(self.env, f"{self.name}.hostdma.write_host",
+            if env.metrics is not None:
+                self._bytes_to_host.inc(nbytes)
+            if env.tracer is not None:
+                emit(env, f"{self.name}.hostdma.write_host",
                      paddr=paddr, nbytes=nbytes)
 
         hold = self.bus.dma(nbytes)
@@ -114,7 +124,7 @@ class HostDMAEngine:
         """Deliver staged receive data to up to two physical extents — the
         section-4.5 two-piece scatter.  Each piece is its own engine
         operation, queued as the one before it ends; the event fires when
-        the last has landed."""
+        the last has landed.  The payload is converted once, here."""
         payload = np.asarray(data, dtype=np.uint8)
         pieces, offset = [], 0
         for paddr, length in extents:
@@ -125,7 +135,7 @@ class HostDMAEngine:
             done = Event(self.env)
             done._settle(None)
             return done
-        written = self.write_host(*pieces[0])
+        written = self._queue_write(*pieces[0])
         if len(pieces) == 1:
             return written
         done = Event(self.env)
@@ -135,7 +145,7 @@ class HostDMAEngine:
     def _then_scatter(self, written: Event, rest: list, done: Event) -> None:
         if rest:
             written.callbacks.append(lambda _written: self._then_scatter(
-                self.write_host(*rest[0]), rest[1:], done))
+                self._queue_write(*rest[0]), rest[1:], done))
         else:
             written.callbacks.append(lambda _written: done._fire())
 
@@ -169,13 +179,15 @@ class NetSendEngine:
         return self._engine.serve(self._send, packet)
 
     def _send(self, packet: MyrinetPacket) -> Event:
+        env = self.env
         packet.seal()
 
         def tail_left(_tail):
             self.packets_sent += 1
-            self._packets_sent.inc()
-            if self.env.tracer is not None:
-                emit(self.env, "lanai.netsend", nic=self.host_name,
+            if env.metrics is not None:
+                self._packets_sent.inc()
+            if env.tracer is not None:
+                emit(env, "lanai.netsend", nic=self.host_name,
                      nbytes=packet.payload_bytes)
 
         tail = self.network.inject(self.host_name, packet)
@@ -211,11 +223,13 @@ class NetRecvEngine:
 
     def _on_packet(self, packet: MyrinetPacket):
         ok = packet.crc_ok()
+        self.packets_received += 1
         if not ok:
             self.crc_errors += 1
-            self._crc_errors.inc()
-        self.packets_received += 1
-        self._packets_received.inc()
+        if self.env.metrics is not None:
+            if not ok:
+                self._crc_errors.inc()
+            self._packets_received.inc()
         if self.env.tracer is not None:
             emit(self.env, "lanai.netrecv", nic=self.host_name,
                  nbytes=packet.payload_bytes, ok=ok)

@@ -7,9 +7,11 @@ making Myrinet send initiation at least twice SHRIMP's 2–3 µs.
 
 The processor is *single threaded* — the LCP is one big loop — which is
 modelled naturally by running the whole LCP as a single simulation process
-that yields :meth:`cycles` charges.  The internal bus runs at 2× the CPU
-clock, letting the DMA engines move data concurrently with the processor;
-hence DMA engines do not contend with :meth:`cycles` time.
+that yields one timer per charge: :meth:`cycles`, or a ``Timeout`` of what
+:meth:`charge` returns (the same duration, one call fewer; the VMMC LCP's
+form).  The internal bus runs at 2× the CPU clock, letting the DMA engines
+move data concurrently with the processor; hence DMA engines do not
+contend with charged time.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ class LANaiProcessor:
     def stall(self, duration_ns: int) -> None:
         """Freeze the processor for ``duration_ns`` (fault injection).
 
-        The next :meth:`cycles` charge is delayed until the stall window
-        has passed — the whole LCP pauses, since it is one process whose
-        every step funnels through this accounting.  Overlapping stalls
-        extend, never shorten.  A stall that starts inside a charge is
-        served by the next one; a charge the LCP fuses from two steps
-        nothing observes apart is one charge here.
+        The next charge (:meth:`charge` or :meth:`cycles`) is delayed
+        until the stall window has passed — the whole LCP pauses, since it
+        is one process whose every step funnels through this accounting.
+        Overlapping stalls extend, never shorten.  A stall that starts
+        inside a charge is served by the next one; a charge the LCP fuses
+        from two steps nothing observes apart is one charge here.
         """
         if duration_ns < 0:
             raise ValueError("negative stall duration")
@@ -54,11 +56,12 @@ class LANaiProcessor:
         """Charge ``n`` processor cycles now and return how long they take
         in ns, any pending injected stall included.  Schedules nothing: a
         caller that overlaps the charge with other work waits for what is
-        left of it once that work is done."""
+        left of it once that work is done, and a firmware step waits on a
+        ``Timeout`` of it.  The only copy of the stall arithmetic."""
         self.cycles_charged += n
         duration = n * self.cycle_ns
-        if self._stall_until > self.env.now:
-            extra = self._stall_until - self.env.now
+        extra = self._stall_until - self.env._now
+        if extra > 0:
             self.stall_ns_served += extra
             duration += extra
         return duration

@@ -82,7 +82,8 @@ class SRAM:
 
     # -- data access ------------------------------------------------------------
     def read(self, addr: int, nbytes: int) -> np.ndarray:
-        self._check(addr, nbytes)
+        if addr < 0 or addr + nbytes > self.size:
+            self._check(addr, nbytes)
         return self.data[addr:addr + nbytes].copy()
 
     def write(self, addr: int, payload: np.ndarray | bytes) -> None:
@@ -94,10 +95,13 @@ class SRAM:
 
     def view(self, addr: int, nbytes: int) -> np.ndarray:
         """Mutable no-copy view (used by DMA engines)."""
-        self._check(addr, nbytes)
+        if addr < 0 or addr + nbytes > self.size:
+            self._check(addr, nbytes)
         return self.data[addr:addr + nbytes]
 
     def _check(self, addr: int, nbytes: int) -> None:
+        """Raise on an access outside the SRAM (the hot accessors test
+        the range inline and call this only when it fails)."""
         if addr < 0 or addr + nbytes > self.size:
             raise ValueError(
                 f"SRAM access [{addr}, {addr + nbytes}) out of range")

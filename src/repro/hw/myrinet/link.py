@@ -203,12 +203,14 @@ class Link:
         if error_rate > 0 and self._rng.random() < error_rate:
             packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
             self.errors_injected += 1
-            self._errors_injected.inc()
+            if env.metrics is not None:
+                self._errors_injected.inc()
         self.packets_carried += 1
         self.bytes_carried += wire_bytes
-        self._packets.inc()
-        self._bytes.inc(wire_bytes)
-        self._busy_ns.inc(wire_time)
+        if env.metrics is not None:
+            self._packets.inc()
+            self._bytes.inc(wire_bytes)
+            self._busy_ns.inc(wire_time)
 
         def arrive(_arrival: Timeout) -> None:
             if self._down_depth:
@@ -216,7 +218,8 @@ class Link:
                 # is notified — Myrinet hardware gives the sender no
                 # feedback.
                 self.packets_lost_down += 1
-                self._lost_down.inc()
+                if env.metrics is not None:
+                    self._lost_down.inc()
                 if env.tracer is not None:
                     emit(env, f"{self.name}.lost_down", bytes=wire_bytes)
                 return

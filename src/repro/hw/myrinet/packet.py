@@ -89,11 +89,18 @@ class DepositHeader(PacketHeader):
     def pack(self) -> bytes:
         (addr1, len1), (addr2, len2) = \
             self.extents + ((0, 0),) * (2 - len(self.extents))
+        src_node, msg_length = self.src_node, self.msg_length
+        # Every data packet is packed once: the four field checks are
+        # _bits's, inline, and call it only to raise its error.
+        if not (0 <= len1 < 1 << 13 and 0 <= len2 < 1 << 13
+                and 0 <= src_node < 1 << 8 and 0 <= msg_length < 1 << 24):
+            for value, width in ((len1, 13), (len2, 13), (src_node, 8),
+                                 (msg_length, 24)):
+                _bits(value, width)
         return self.LAYOUT.pack(
             addr1, addr2,
-            _bits(len1, 13) | _bits(len2, 13) << 13
-            | self.notify << 26 | self.last << 27,
-            _bits(self.src_node, 8) | _bits(self.msg_length, 24) << 8)
+            len1 | len2 << 13 | self.notify << 26 | self.last << 27,
+            src_node | msg_length << 8)
 
 
 @dataclass(frozen=True, slots=True)

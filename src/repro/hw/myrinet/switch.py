@@ -122,7 +122,8 @@ class Switch:
             # Route byte names an unconnected port: the worm is dropped by
             # the hardware (this is what the mapping phase repairs).
             self.drops += 1
-            self._drops_unconnected.inc()
+            if env.metrics is not None:
+                self._drops_unconnected.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.drop", port=port)
             return
@@ -130,7 +131,8 @@ class Switch:
             # Faulted output port: the crossbar sinks the worm silently.
             self.drops += 1
             self.port_down_drops += 1
-            self._drops_port_down.inc()
+            if env.metrics is not None:
+                self._drops_port_down.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.drop_port_down", port=port)
             return
@@ -145,7 +147,8 @@ class Switch:
 
         def forward(_crossbar: Timeout) -> None:
             self.packets_forwarded += 1
-            self._forwarded.inc()
+            if env.metrics is not None:
+                self._forwarded.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.forward", port=port,
                      bytes=wire_bytes)

@@ -216,7 +216,8 @@ class PhysicalMemory:
     # -- data access (by physical address) -----------------------------------
     def read(self, paddr: int, nbytes: int) -> np.ndarray:
         """Return a *copy* of ``nbytes`` at physical address ``paddr``."""
-        self._check_range(paddr, nbytes)
+        if paddr < 0 or paddr + nbytes > self.size:
+            self._check_range(paddr, nbytes)
         return self.data[paddr:paddr + nbytes].copy()
 
     def write(self, paddr: int, payload: np.ndarray | bytes) -> None:
@@ -228,10 +229,13 @@ class PhysicalMemory:
 
     def view(self, paddr: int, nbytes: int) -> np.ndarray:
         """A mutable *view* (no copy) — used by DMA engines."""
-        self._check_range(paddr, nbytes)
+        if paddr < 0 or paddr + nbytes > self.size:
+            self._check_range(paddr, nbytes)
         return self.data[paddr:paddr + nbytes]
 
     def _check_range(self, paddr: int, nbytes: int) -> None:
+        """Raise on an access outside the memory (the hot accessors test
+        the range inline and call this only when it fails)."""
         if paddr < 0 or paddr + nbytes > self.size:
             raise ValueError(
                 f"physical access [{paddr}, {paddr + nbytes}) outside "
@@ -287,7 +291,10 @@ class PhysicalMemory:
             return
         end = paddr + nbytes
         hits = []
-        for frame in self._frames_spanned(paddr, nbytes):
+        page_size = self.page_size
+        # _frames_spanned, inline: this runs for every device write.
+        for frame in range(paddr // page_size,
+                           (paddr + max(nbytes, 1) - 1) // page_size + 1):
             bucket = watches.get(frame)
             if bucket is None:
                 continue

@@ -114,11 +114,12 @@ class AddressSpace:
     # -- translation -------------------------------------------------------------
     def translate(self, vaddr: int) -> int:
         """Virtual → physical translation of a single address."""
-        frame = self._table.get(vpage_of(vaddr))
+        vpage, offset = divmod(vaddr, PAGE_SIZE)
+        frame = self._table.get(vpage)
         if frame is None:
             raise PageFault(
                 f"{self.name}: unmapped virtual address {vaddr:#x}")
-        return frame.number * PAGE_SIZE + page_offset(vaddr)
+        return frame.number * PAGE_SIZE + offset
 
     def frame_of(self, vaddr: int) -> Frame:
         frame = self._table.get(vpage_of(vaddr))
@@ -177,7 +178,7 @@ class AddressSpace:
     # -- virtual data access -----------------------------------------------------------
     def read(self, vaddr: int, nbytes: int) -> np.ndarray:
         """Copy bytes out of virtual memory (may cross page boundaries)."""
-        if 0 < nbytes <= PAGE_SIZE - page_offset(vaddr):
+        if 0 < nbytes <= PAGE_SIZE - vaddr % PAGE_SIZE:
             # Inside one page: one lookup, no extents list.
             paddr = self.translate(vaddr)
             return self.memory.data[paddr:paddr + nbytes].copy()
@@ -192,7 +193,7 @@ class AddressSpace:
         buf = np.frombuffer(bytes(payload), dtype=np.uint8) \
             if isinstance(payload, (bytes, bytearray)) \
             else np.asarray(payload, dtype=np.uint8)
-        if 0 < len(buf) <= PAGE_SIZE - page_offset(vaddr):
+        if 0 < len(buf) <= PAGE_SIZE - vaddr % PAGE_SIZE:
             paddr = self.translate(vaddr)
             self.memory.data[paddr:paddr + len(buf)] = buf
             return

@@ -17,7 +17,10 @@ whichever registry is installed on their environment (``env.metrics``,
   not once per record.  A registry may be installed at any time, before
   or after the modules are built: each record lands in the registry
   installed when it happens, and a metric exists only once something
-  has been recorded into it.
+  has been recorded into it.  A hot site tests ``env.metrics`` first
+  (``if env.metrics is not None:`` around its records, beside the
+  ``env.tracer`` guard of its trace points), so a run with no registry
+  makes no handle call at all.
 * **Helpers** — :func:`count`, :func:`set_gauge` and :func:`observe`
   resolve the metric on every call.  They are for labels drawn from
   request data (``kv.requests{shard,op}``) and for cold control-path

@@ -46,7 +46,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 from repro.sim.server import at_now, then
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, histogram
@@ -445,9 +445,10 @@ class VMMCEndpoint:
         return invalidated
 
     # -- SendMsg ------------------------------------------------------------------
-    def _resolve_destination(self, dest: Destination,
-                             dest_offset: int) -> int:
-        """Destination → raw proxy address, staleness-checked."""
+    def _resolve_destination(self, dest: Destination, dest_offset: int,
+                             length: int) -> int:
+        """Destination of a ``length``-byte send → raw proxy address,
+        staleness- and bounds-checked."""
         if isinstance(dest, ProxyAddress):
             origin, offset = dest.imported, dest.offset + dest_offset
         elif isinstance(dest, ImportedBuffer):
@@ -456,6 +457,14 @@ class VMMCEndpoint:
             raise InvalidSendError(
                 f"send destination must be an ImportedBuffer or "
                 f"imported.at(offset), not {type(dest).__name__}")
+        # The whole span must lie in the import: the proxy pages past it
+        # may map another import from the same node, where the LCP would
+        # deposit without a fault.
+        if offset < 0 or offset + length > origin.region.nbytes:
+            raise InvalidSendError(
+                f"send of {length} bytes at offset {offset} is outside the "
+                f"{origin.region.nbytes}-byte import "
+                f"{origin.remote_node}:{origin.name}")
         # address() raises ImportStale on a non-usable import — the
         # fail-fast that keeps data out of dangling proxy mappings.
         return origin.address(offset)
@@ -476,7 +485,8 @@ class VMMCEndpoint:
 
         Fails with (all :class:`~repro.vmmc.errors.SendError` subclasses):
         :class:`~repro.vmmc.errors.InvalidSendError` on malformed
-        arguments, :class:`~repro.vmmc.errors.ImportStale` when ``dest``
+        arguments (a source or destination span that overruns its buffer
+        included), :class:`~repro.vmmc.errors.ImportStale` when ``dest``
         is an invalidated/revoked import (fail-fast, before any I/O),
         :class:`~repro.vmmc.errors.CompletionError` when the LANai
         reports an error completion.
@@ -493,11 +503,12 @@ class VMMCEndpoint:
             if src_offset + length > src.nbytes:
                 raise InvalidSendError(
                     "send runs past the end of the source buffer")
-            proxy_address = self._resolve_destination(dest, dest_offset)
+            proxy_address = self._resolve_destination(dest, dest_offset,
+                                                      length)
         except VMMCError as exc:
             at_now(env, lambda exc=exc: self._refuse(done, exc))
             return done
-        t0 = env.now
+        t0 = env._now
         queue = self.ctx.queue
         is_short = length <= SHORT_SEND_LIMIT
 
@@ -505,7 +516,7 @@ class VMMCEndpoint:
             request = SendRequest(
                 slot=queue.next_slot(), length=length,
                 proxy_address=proxy_address, is_short=is_short,
-                notify=notify, posted_at=env.now, completion=Event(env))
+                notify=notify, posted_at=env._now, completion=Event(env))
             if is_short:
                 request.inline_data = src.read(src_offset, length)
             else:
@@ -521,14 +532,15 @@ class VMMCEndpoint:
             queue.post(request)
             self.lcp.doorbell()
             self.sends_posted += 1
-            self._m_sends_posted[is_short].inc()
+            if env.metrics is not None:
+                self._m_sends_posted[is_short].inc()
             if env.tracer is not None:
                 emit(env, "vmmc.send.posted", node=self.node_name,
                      pid=self.process.pid, slot=request.slot, length=length,
                      short=is_short)
             handle = SendHandle(slot=request.slot, length=length,
                                 is_short=is_short, synchronous=synchronous,
-                                posted_at=env.now,
+                                posted_at=env._now,
                                 completed_event=completion)
             if synchronous and not is_short:
                 # Spin on the completion cache location (section 4.5).
@@ -547,12 +559,12 @@ class VMMCEndpoint:
                 finish(handle)
 
         def finish(handle):
-            if synchronous:
-                self._m_send_sync_ns.observe(env.now - t0)
+            if synchronous and env.metrics is not None:
+                self._m_send_sync_ns.observe(env._now - t0)
             done._end(handle)
 
         # Library prologue: argument checks + protocol selection.
-        env.timeout(LIB_SEND_OVERHEAD_NS).callbacks.append(
+        Timeout(env, LIB_SEND_OVERHEAD_NS).callbacks.append(
             lambda _prologue: self._when_slot_free(post))
         return done
 
@@ -625,7 +637,7 @@ class VMMCEndpoint:
         the moment the spinner's cache line is invalidated by the DMA.
         """
         span = buffer.nbytes - offset if nbytes is None else nbytes
-        event = self.env.event()
+        event = Event(self.env)
         memory = self.process.space.memory
         # The watched virtual range may span physically scattered frames.
         for paddr, length in buffer.space.physical_extents(

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, histogram
 from repro.mem.virtual import PAGE_SIZE
@@ -143,6 +143,11 @@ class ProcessContext:
 #: Number of 4 KB double-buffered send staging buffers in SRAM.
 _SEND_STAGING = 2
 
+#: The one-word completion status as the LCP DMAs it, row ``status``:
+#: a little-endian u32 per status, read-only, made once.
+_STATUS_WORDS = np.arange(4, dtype="<u4").view(np.uint8).reshape(4, 4)
+_STATUS_WORDS.setflags(write=False)
+
 
 class VmmcLCP:
     """The VMMC control program running on one NIC."""
@@ -165,11 +170,11 @@ class VmmcLCP:
         # LCP code + data + staging buffers, resident in SRAM.
         nic.sram.alloc("lcp_code_data", 48 * 1024)
         self._staging = [
-            nic.sram.alloc(f"send_staging.{i}", PAGE_SIZE)
+            nic.sram.alloc(f"send_staging.{i}", PAGE_SIZE).base
             for i in range(_SEND_STAGING)
         ]
         nic.sram.alloc("recv_staging", 4 * PAGE_SIZE)
-        nic.net_recv.on_arrival = self._ring_doorbell
+        nic.net_recv.on_arrival = self.doorbell
         # counters
         self.sends_processed = 0
         self.short_sends = 0
@@ -240,39 +245,47 @@ class VmmcLCP:
         self.env.process(self._main_loop(), name=f"{self.name}.main")
 
     # ------------------------------------------------------------- wakeups
-    def _ring_doorbell(self) -> None:
-        if self._doorbell is not None and not self._doorbell.triggered:
-            self._doorbell.succeed()
-
     def doorbell(self) -> None:
-        """Called by the user library after posting a send request."""
-        self._ring_doorbell()
+        """Wake an idle main loop: rung by the user library after posting
+        a send request, and by the receive engine on every arrival."""
+        doorbell = self._doorbell
+        if doorbell is not None:
+            self._doorbell = None
+            doorbell.succeed()
 
     # ------------------------------------------------------------ main loop
+    #
+    # Every firmware step below is one charge: a ``Timeout`` of
+    # ``cpu.charge(cycles)``, the processor's one call per step (it adds
+    # any injected stall).  The receive inbox is read directly.
     def _work_pending(self) -> bool:
-        if self.nic.net_recv.pending():
+        if self.nic.net_recv.inbox:
             return True
-        return any(self.processes[pid].queue.peek() is not None
-                   for pid in self._scan_order)
+        processes = self.processes
+        for pid in self._scan_order:
+            if processes[pid].queue.peek() is not None:
+                return True
+        return False
 
     def _main_loop(self):
+        env = self.env
         cpu = self.nic.processor
         costs = self.costs
+        inbox = self.nic.net_recv.inbox
         while True:
             if not self._work_pending():
-                self._doorbell = self.env.event()
+                # The doorbell clears itself as it rings.
+                self._doorbell = Event(env)
                 yield self._doorbell
-                self._doorbell = None
             # One iteration of the main loop: poll receive side, then scan
             # every attached process's queue head (section 6: "picking up a
             # send request in Myrinet requires scanning send queues of all
             # possible senders").
-            yield cpu.cycles(costs.main_loop
-                             + costs.scan_per_queue
-                             * max(1, len(self._scan_order)))
-            if self.nic.net_recv.pending():
-                packet = self.nic.net_recv.inbox.popleft()
-                yield from self._handle_receive(packet)
+            yield Timeout(env, cpu.charge(
+                costs.main_loop
+                + costs.scan_per_queue * max(1, len(self._scan_order))))
+            if inbox:
+                yield from self._handle_receive(inbox.popleft())
                 continue
             picked = self._scan()
             if picked is not None:
@@ -292,20 +305,22 @@ class VmmcLCP:
 
     # ------------------------------------------------------------- send path
     def _process_send(self, ctx: ProcessContext, request: SendRequest):
-        cpu = self.nic.processor
-        t0 = self.env.now
-        yield cpu.cycles(self.costs.pickup)
+        env = self.env
+        t0 = env._now
+        yield Timeout(env, self.nic.processor.charge(self.costs.pickup))
         self.sends_processed += 1
-        if self.env.tracer is not None:
-            emit(self.env, f"{self.name}.send.pickup", pid=ctx.pid,
+        if env.tracer is not None:
+            emit(env, f"{self.name}.send.pickup", pid=ctx.pid,
                  slot=request.slot, length=request.length,
                  short=request.is_short)
-        self._m_sends[request.is_short].inc()
+        if env.metrics is not None:
+            self._m_sends[request.is_short].inc()
         if request.is_short:
             yield from self._send_short(ctx, request)
         else:
             yield from self._send_long(ctx, request)
-        self._m_service_ns.observe(self.env.now - t0)
+        if env.metrics is not None:
+            self._m_service_ns.observe(env._now - t0)
 
     def _make_packet(self, node: int, extents: tuple[tuple[int, int], ...],
                      payload: np.ndarray, notify: bool, last: bool,
@@ -315,14 +330,16 @@ class VmmcLCP:
         return MyrinetPacket(self.routes[node], header, payload)
 
     def _send_short(self, ctx: ProcessContext, request: SendRequest):
+        env = self.env
         cpu = self.nic.processor
         costs = self.costs
         resolved = ctx.outgoing.resolve(request.proxy_address,
                                         request.length)
         if resolved is None:
-            yield cpu.cycles(costs.proxy_lookup)
+            yield Timeout(env, cpu.charge(costs.proxy_lookup))
             self.proxy_faults += 1
-            self._m_proxy_faults.inc()
+            if env.metrics is not None:
+                self._m_proxy_faults.inc()
             yield from self._write_completion(ctx, request,
                                               COMPLETION_ERROR)
             return
@@ -331,16 +348,16 @@ class VmmcLCP:
         # The lookup and the copy/header/route/DMA start are one charge:
         # the destination is resolved before either, so nothing observes
         # the boundary between them.
-        yield cpu.cycles(costs.proxy_lookup
-                         + costs.short_copy_per_word * words
-                         + costs.header_build + costs.route_fetch
-                         + costs.start_dma)
+        yield Timeout(env, cpu.charge(
+            costs.proxy_lookup + costs.short_copy_per_word * words
+            + costs.header_build + costs.route_fetch + costs.start_dma))
         packet = self._make_packet(node, extents, request.inline_data,
                                    request.notify, last=True,
                                    msg_len=request.length)
         self.short_sends += 1
         self.chunks_sent += 1
-        self._m_chunks.inc()
+        if env.metrics is not None:
+            self._m_chunks.inc()
         # The net-send engine streams autonomously; the LCP moves on.
         self.nic.net_send.send(packet)
         # Slot is consumed (data copied out) — report completion, the
@@ -366,64 +383,71 @@ class VmmcLCP:
             remaining -= size
         return chunks
 
-    def _translate(self, ctx: ProcessContext, vaddr: int):
-        """Generator: V→P through the software TLB; interrupts the host
-        driver on a miss.  Returns the physical address or None."""
+    def _tlb_miss(self, ctx: ProcessContext, vaddr: int):
+        """Generator: a software-TLB miss on ``vaddr`` — interrupt the
+        host driver for a refill, then probe again.  Returns the frame,
+        or None if the refill failed."""
+        env = self.env
         cpu = self.nic.processor
-        vpage = vaddr // PAGE_SIZE
-        yield cpu.cycles(self.costs.tlb_lookup)
-        frame = ctx.tlb.lookup(vpage)
-        if frame is None:
-            self.tlb_miss_interrupts += 1
+        self.tlb_miss_interrupts += 1
+        if env.metrics is not None:
             self._m_tlb_misses.inc()
-            yield cpu.cycles(self.costs.raise_interrupt)
-            ok = yield self.nic.raise_interrupt(
-                "tlb_miss",
-                {"pid": ctx.pid, "vaddr": vaddr, "count": REFILL_BATCH})
-            yield cpu.cycles(self.costs.tlb_lookup)
-            frame = ctx.tlb.lookup(vpage)
-            if not ok or frame is None:
-                return None
-        return frame * PAGE_SIZE + (vaddr % PAGE_SIZE)
+        yield Timeout(env, cpu.charge(self.costs.raise_interrupt))
+        ok = yield self.nic.raise_interrupt(
+            "tlb_miss",
+            {"pid": ctx.pid, "vaddr": vaddr, "count": REFILL_BATCH})
+        yield Timeout(env, cpu.charge(self.costs.tlb_lookup))
+        frame = ctx.tlb.lookup(vaddr // PAGE_SIZE)
+        return frame if ok else None
 
     def _send_long(self, ctx: ProcessContext, request: SendRequest):
-        cpu = self.nic.processor
+        env = self.env
+        nic = self.nic
+        cpu = nic.processor
         costs = self.costs
+        inbox = nic.net_recv.inbox
         chunks = self._plan_chunks(request.src_vaddr, request.length)
+        last_index = len(chunks) - 1
         proxy_cursor = request.proxy_address
         # Per-staging-buffer events: the net DMA that last used each buffer.
         # It may be the link's tail timer, a Timeout, which is triggered
-        # from birth: "finished" is `.processed`.
+        # from birth: "finished" is processed (no callbacks left).
         net_busy: list[Optional[Event]] = [None] * _SEND_STAGING
-        host_pending: Optional[tuple[Event, int, int, int]] = None
+        prep_cycles = (costs.header_build + costs.route_fetch
+                       + costs.start_dma + costs.tight_loop_per_chunk)
         error = False
         self.long_sends += 1
 
         for index, (vaddr, clen) in enumerate(chunks):
-            paddr = yield from self._translate(ctx, vaddr)
-            if paddr is None:
-                error = True
-                break
+            # V→P through the software TLB; only a miss leaves the loop.
+            yield Timeout(env, cpu.charge(costs.tlb_lookup))
+            frame = ctx.tlb.lookup(vaddr // PAGE_SIZE)
+            if frame is None:
+                frame = yield from self._tlb_miss(ctx, vaddr)
+                if frame is None:
+                    error = True
+                    break
+            paddr = frame * PAGE_SIZE + vaddr % PAGE_SIZE
             resolved = ctx.outgoing.resolve(proxy_cursor, clen)
-            yield cpu.cycles(costs.proxy_lookup)
+            yield Timeout(env, cpu.charge(costs.proxy_lookup))
             if resolved is None:
                 self.proxy_faults += 1
-                self._m_proxy_faults.inc()
+                if env.metrics is not None:
+                    self._m_proxy_faults.inc()
                 error = True
                 break
             node, extents = resolved
             buf = index % _SEND_STAGING
+            staging = self._staging[buf]
             # Double buffering: wait until the net DMA that last streamed
             # from this staging buffer has finished.
-            if net_busy[buf] is not None and not net_busy[buf].processed:
-                yield net_busy[buf]
+            busy = net_busy[buf]
+            if busy is not None and busy.callbacks is not None:
+                yield busy
             # Fire the host DMA for this chunk, then do the header
             # preparation *while it is in flight* — the overlap that buys
             # the last few MB/s (section 5.3).
-            host_dma = self.nic.host_dma.to_sram(
-                paddr, self._staging[buf].base, clen)
-            prep_cycles = (costs.header_build + costs.route_fetch
-                           + costs.start_dma + costs.tight_loop_per_chunk)
+            host_dma = nic.host_dma.to_sram(paddr, staging, clen)
             if costs.precompute_headers:
                 # Charge the preparation as the DMA starts, wait for the
                 # DMA, then for whatever preparation time it did not cover.
@@ -431,35 +455,36 @@ class VmmcLCP:
                 # the join it replaces, it puts the LCP behind everything
                 # already due this nanosecond, so a packet that lands as
                 # the DMA ends is seen by the tight-loop check below.
-                prep_done = self.env.now + cpu.charge(prep_cycles)
+                prep_done = env._now + cpu.charge(prep_cycles)
                 yield host_dma
-                yield self.env.timeout(max(0, prep_done - self.env.now))
+                left = prep_done - env._now
+                yield Timeout(env, left if left > 0 else 0)
             else:
                 # Ablation: prepare the header only after the data is in
                 # SRAM — the prep cost lands on the critical path.
                 yield host_dma
-                yield cpu.cycles(prep_cycles)
-            payload = self.nic.sram.read(self._staging[buf].base, clen)
+                yield Timeout(env, cpu.charge(prep_cycles))
             packet = self._make_packet(
-                node, extents, payload, request.notify,
-                last=(index == len(chunks) - 1), msg_len=request.length)
-            net_busy[buf] = self.nic.net_send.send(packet)
+                node, extents, nic.sram.read(staging, clen), request.notify,
+                last=index == last_index, msg_len=request.length)
+            net_busy[buf] = nic.net_send.send(packet)
             if not costs.pipeline_dma:
                 # Ablation: no host/net overlap — wait for the wire before
                 # fetching the next chunk.
                 yield net_busy[buf]
             self.chunks_sent += 1
-            self._m_chunks.inc()
+            if env.metrics is not None:
+                self._m_chunks.inc()
             proxy_cursor += clen
             # Responsiveness: if traffic arrived, abandon the tight loop,
             # service it through the main loop, and come back (this is the
             # bidirectional-bandwidth cost of section 5.3).
-            if self.nic.net_recv.pending():
+            if inbox:
                 self.tight_loop_breaks += 1
-                self._m_tight_loop_breaks.inc()
-                yield cpu.cycles(costs.main_loop_full)
-                pkt = self.nic.net_recv.inbox.popleft()
-                yield from self._handle_receive(pkt)
+                if env.metrics is not None:
+                    self._m_tight_loop_breaks.inc()
+                yield Timeout(env, cpu.charge(costs.main_loop_full))
+                yield from self._handle_receive(inbox.popleft())
         # Completion: the last chunk is safely in LANai memory as soon as
         # its host DMA finished (which the loop above awaited).
         yield from self._write_completion(
@@ -469,15 +494,13 @@ class VmmcLCP:
                           status: int, epilogue: int = 0):
         """Generator: DMA the one-word completion status to user space,
         after ``epilogue`` cycles of send bookkeeping charged with it."""
-        cpu = self.nic.processor
-        yield cpu.cycles(epilogue + self.costs.completion_write)
-        word = np.frombuffer(
-            np.uint32(status).tobytes(), dtype=np.uint8)
+        yield Timeout(self.env, self.nic.processor.charge(
+            epilogue + self.costs.completion_write))
         paddr = ctx.completion_paddr + 4 * request.slot
         ctx.last_status[request.slot] = status
         event = request.completion
         # The writeback proceeds in the background; the LCP does not stall.
-        written = self.nic.host_dma.write_host(word, paddr)
+        written = self.nic.host_dma.write_host(_STATUS_WORDS[status], paddr)
         if event is not None:
             def completed(_written):
                 if not event.triggered:
@@ -487,39 +510,41 @@ class VmmcLCP:
 
     # ----------------------------------------------------------- receive path
     def _handle_receive(self, packet: MyrinetPacket):
+        env = self.env
         cpu = self.nic.processor
         costs = self.costs
         if not packet.meta.get("crc_ok", True):
-            yield cpu.cycles(costs.recv_parse)
+            yield Timeout(env, cpu.charge(costs.recv_parse))
             # Detected, counted, dropped — never recovered (section 4.2).
             self.crc_drops += 1
-            self._m_crc_drops.inc()
-            if self.env.tracer is not None:
-                emit(self.env, f"{self.name}.recv.crc_drop")
+            if env.metrics is not None:
+                self._m_crc_drops.inc()
+            if env.tracer is not None:
+                emit(env, f"{self.name}.recv.crc_drop")
             return
         header = packet.header
         extents = header.extents
         # Parse and page-table check are one charge: the CRC verdict was
         # fixed on arrival, so nothing observes the boundary between them.
-        yield cpu.cycles(costs.recv_parse
-                         + costs.incoming_check * max(1, len(extents)))
-        frame = self.incoming.first_unwritable(extents)
+        yield Timeout(env, cpu.charge(
+            costs.recv_parse + costs.incoming_check * max(1, len(extents))))
+        # One walk of the incoming table: protection, then notification.
+        frame, notify = self.incoming.admit(extents)
         if frame is not None:
             self.protection_violations += 1
-            self._m_protection_violations.inc()
-            if self.env.tracer is not None:
-                emit(self.env, f"{self.name}.recv.protection_violation",
+            if env.metrics is not None:
+                self._m_protection_violations.inc()
+            if env.tracer is not None:
+                emit(env, f"{self.name}.recv.protection_violation",
                      frame=frame)
             return
-        yield cpu.cycles(costs.start_dma)
+        yield Timeout(env, cpu.charge(costs.start_dma))
         self.packets_delivered += 1
-        self._m_packets_delivered.inc()
+        if env.metrics is not None:
+            self._m_packets_delivered.inc()
         delivery = self.nic.host_dma.write_host_scatter(packet.payload,
                                                         extents)
-        notify = header.notify or any(
-            self.incoming.lookup(paddr // PAGE_SIZE).notify
-            for paddr, length in extents if length)
-        if notify and header.last:
+        if (notify or header.notify) and header.last:
             entry = self.incoming.lookup(extents[0][0] // PAGE_SIZE)
             info = {
                 "pid": entry.owner_pid,
@@ -528,11 +553,13 @@ class VmmcLCP:
                 "length": header.msg_length,
             }
             self.notifications_raised += 1
-            self._m_notifications.inc()
+            if env.metrics is not None:
+                self._m_notifications.inc()
 
             def deliver_then_notify():
                 yield delivery
-                yield self.nic.processor.cycles(self.costs.raise_interrupt)
+                yield Timeout(env, self.nic.processor.charge(
+                    self.costs.raise_interrupt))
                 yield self.nic.raise_interrupt("notification", info)
 
             self.env.process(deliver_then_notify(),

@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.hw.lanai.sram import SRAM
 from repro.mem.virtual import PAGE_SIZE
-from repro.vmmc.proxy import ProxySpace
+from repro.vmmc.errors import ProxyFault
 
 #: Outgoing-table entry packing: high 8 bits node index, low 24 bits
 #: physical page number (24 bits of 4 KB pages = 64 GB reach, ample for
@@ -40,7 +40,7 @@ _ENTRY_BYTES = 4
 DEFAULT_OUTGOING_PAGES = 2048
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncomingEntry:
     """Receive permission for one physical frame."""
 
@@ -48,6 +48,10 @@ class IncomingEntry:
     notify: bool = False
     owner_pid: int = -1
     buffer_id: int = -1
+
+
+#: The entry of every frame no export opened, shared: entries are frozen.
+_CLOSED = IncomingEntry()
 
 
 class IncomingPageTable:
@@ -73,7 +77,7 @@ class IncomingPageTable:
 
     def lookup(self, frame: int) -> IncomingEntry:
         self._check(frame)
-        return self._entries.get(frame, IncomingEntry())
+        return self._entries.get(frame, _CLOSED)
 
     def writable(self, frame: int) -> bool:
         return self.lookup(frame).writable
@@ -83,14 +87,30 @@ class IncomingPageTable:
         """The first frame the ``(paddr, length)`` extents touch that no
         export opened to the network, or None if every one may be
         written — checked before any receive DMA starts."""
+        return self.admit(extents)[0]
+
+    def admit(self, extents: tuple[tuple[int, int], ...]
+              ) -> tuple[Optional[int], bool]:
+        """One walk over the frames the ``(paddr, length)`` extents
+        touch: the first one no export opened (None if every one may be
+        written), and whether the first frame of any extent asks for a
+        notification.  A frame outside the table raises ``ValueError``
+        when the walk reaches it."""
+        entries, nframes = self._entries, self.nframes
+        notify = False
         for paddr, length in extents:
             if length == 0:
                 continue
-            for frame in range(paddr // PAGE_SIZE,
-                               (paddr + length - 1) // PAGE_SIZE + 1):
-                if not self.writable(frame):
-                    return frame
-        return None
+            first = paddr // PAGE_SIZE
+            for frame in range(first, (paddr + length - 1) // PAGE_SIZE + 1):
+                if not 0 <= frame < nframes:
+                    self._check(frame)
+                entry = entries.get(frame, _CLOSED)
+                if not entry.writable:
+                    return frame, notify
+                if frame == first and entry.notify:
+                    notify = True
+        return None, notify
 
     @property
     def entries_set(self) -> int:
@@ -151,25 +171,33 @@ class OutgoingPageTable:
         send side of the page-boundary scatter (section 4.5).
 
         None on a proxy fault (unmapped page, a span leaving the import
-        or crossing to another node): nothing leaves the node with an
-        invalid destination.
+        or crossing to another node, a page past the end of the table):
+        nothing leaves the node with an invalid destination.  Called
+        once per packet, so the split, the lookups and the unpacking are
+        inline.
         """
-        proxy_page, offset = ProxySpace.split(proxy_address)
-        len1 = min(nbytes, PAGE_SIZE - offset)
-        try:
-            first = self.lookup(proxy_page)
-            second = self.lookup(proxy_page + 1) if len1 < nbytes else None
-        except ValueError:  # past the end of the table: unmapped
+        if proxy_address < 0:
+            raise ProxyFault(f"negative proxy address {proxy_address:#x}")
+        proxy_page, offset = divmod(proxy_address, PAGE_SIZE)
+        len1 = PAGE_SIZE - offset
+        if nbytes < len1:
+            len1 = nbytes
+        last = proxy_page if len1 == nbytes else proxy_page + 1
+        if last >= self.npages:
             return None
+        entries = self._entries
+        first = entries.get(proxy_page)
         if first is None:
             return None
-        node, phys_page = first
-        extents = ((phys_page * PAGE_SIZE + offset, len1),)
-        if len1 == nbytes:
+        node = first >> _NODE_SHIFT
+        extents = (((first & _PAGE_MASK) * PAGE_SIZE + offset, len1),)
+        if last == proxy_page:
             return node, extents
-        if second is None or second[0] != node:
+        second = entries.get(last)
+        if second is None or second >> _NODE_SHIFT != node:
             return None
-        return node, extents + ((second[1] * PAGE_SIZE, nbytes - len1),)
+        return node, extents + (((second & _PAGE_MASK) * PAGE_SIZE,
+                                 nbytes - len1),)
 
     @property
     def entries_set(self) -> int:

@@ -38,7 +38,7 @@ class ProxyRegion:
         if not 0 <= offset < self.nbytes:
             raise ProxyFault(
                 f"offset {offset} outside imported buffer of {self.nbytes}")
-        return self.base_address + offset
+        return self.first_page * PAGE_SIZE + offset
 
 
 class ProxySpace:

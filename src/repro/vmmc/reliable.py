@@ -402,7 +402,8 @@ class _Message:
             return AnyOf(env, [wake, env.timeout(remaining)]).callbacks \
                 .append(self.look)
         tx.stats.timeouts += 1
-        tx._m_timeouts.inc()
+        if env.metrics is not None:
+            tx._m_timeouts.inc()
         if self.retries >= tx.max_retries:
             tx.stats.send_failures += 1
             if env.tracer is not None:
@@ -414,7 +415,8 @@ class _Message:
                 retries=self.retries))
         self.retries += 1
         tx.stats.retransmits += 1
-        tx._m_retransmits.inc()
+        if env.metrics is not None:
+            tx._m_retransmits.inc()
         if env.tracer is not None:
             emit(env, "rel.retransmit", channel=tx.name, seq=seq,
                  attempt=self.retries)
@@ -426,7 +428,8 @@ class _Message:
         tx, seq = self.tx, self.seq
         tx.stats.messages_delivered += 1
         rtt = tx.env.now - self.t0
-        tx._m_rtt_ns.observe(rtt)
+        if tx.env.metrics is not None:
+            tx._m_rtt_ns.observe(rtt)
         if self.retries:
             # Karn's rule: a retransmitted slot's round trip is ambiguous
             # (which copy was ACKed?) — never sample it.
@@ -561,7 +564,8 @@ class ReliableSender:
         ``[timeout_ns, max_timeout_ns]`` invariant holds *always*)."""
         self.rto_ns = max(self.timeout_ns,
                           min(int(value), self.max_timeout_ns))
-        self._m_rto_ns.set(self.rto_ns)
+        if self.env.metrics is not None:
+            self._m_rto_ns.set(self.rto_ns)
 
     def _set_cwnd(self, value: int, reason: str) -> None:
         """Sole mutator of :attr:`cwnd`; clamped to ``[1, nslots]`` (the
@@ -572,7 +576,8 @@ class ReliableSender:
         self.cwnd = value
         if value > self.stats.cwnd_max:
             self.stats.cwnd_max = value
-        self._m_cwnd.set(value)
+        if self.env.metrics is not None:
+            self._m_cwnd.set(value)
         if self.env.tracer is not None:
             emit(self.env, "rel.cwnd", channel=self.name, cwnd=value,
                  reason=reason)
@@ -581,7 +586,8 @@ class ReliableSender:
 
     def _set_inflight(self, value: int) -> None:
         self.inflight = value
-        self._m_inflight.set(value)
+        if self.env.metrics is not None:
+            self._m_inflight.set(value)
 
     def _on_timeout(self, seq: int) -> None:
         """Loss signal: raise pacing pressure, back the RTO off (Karn:
@@ -607,8 +613,9 @@ class ReliableSender:
             err = int(rtt_ns) - self.srtt_ns
             self.rttvar_ns += (abs(err) - self.rttvar_ns) >> RTT_BETA_SHIFT
             self.srtt_ns += err >> RTT_ALPHA_SHIFT
-        self._m_srtt_ns.set(self.srtt_ns)
-        self._m_rttvar_ns.set(self.rttvar_ns)
+        if self.env.metrics is not None:
+            self._m_srtt_ns.set(self.srtt_ns)
+            self._m_rttvar_ns.set(self.rttvar_ns)
         self._set_rto(self.srtt_ns
                       + max(RTO_GRANULARITY_NS, RTO_K * self.rttvar_ns))
         if self.env.tracer is not None:
@@ -851,7 +858,8 @@ class ReliableReceiver:
         self._looked = True
         if duplicate:
             self.stats.duplicates_suppressed += 1
-            self._m_duplicates.inc()
+            if self.env.metrics is not None:
+                self._m_duplicates.inc()
             self._send_ack(self.delivered, lambda: then(wake, self._look),
                            resend=True)
         else:

@@ -61,7 +61,8 @@ class SoftwareTLB:
     def lookup(self, vpage: int) -> Optional[int]:
         """Frame number for ``vpage``, or None on miss."""
         self._clock += 1
-        for way in self._set_of(vpage):
+        ways = self._sets.get(vpage % self.nsets)
+        for way in ways if ways is not None else self._set_of(vpage):
             if way.vpage == vpage:
                 way.lru = self._clock
                 self.hits += 1

@@ -118,6 +118,19 @@ def test_eisa_bus_pio():
     assert done["t"] == 2 * EISAParams().mmio_write_ns
 
 
+@pytest.mark.parametrize("bus_type", [PCIBus, EISABus])
+def test_a_dma_hold_lasts_what_its_law_says(bus_type):
+    """``dma`` computes the hold inline; it must be ``dma_time_ns``."""
+    env = Environment()
+    bus = bus_type(env)
+    knee = getattr(bus.params, "dma_knee_bytes", 4096)
+    for nbytes in (-1, 0, 1, 4, 999, 1000, knee - 1, knee, knee + 1,
+                   8192 + 3, 65536, 262144):
+        hold = bus.dma(nbytes)
+        assert hold.delay == bus.params.dma_time_ns(nbytes), nbytes
+        env.run()
+
+
 # ---------------------------------------------------------------- memory bus
 def test_bcopy_bandwidth_near_50mbps():
     """Paper: bcopy ~50 MB/s on the P166 testbed (section 5.4)."""

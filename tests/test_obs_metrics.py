@@ -6,11 +6,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.microbench import VmmcPair
+from repro.cluster import Cluster, TestbedConfig
 from repro.obs.metrics import (
     SNAPSHOT_QUANTILES,
     Counter,
+    CounterHandle,
     Gauge,
+    GaugeHandle,
     Histogram,
+    HistogramHandle,
     MetricsRegistry,
     count,
     counter,
@@ -353,6 +358,34 @@ def test_hot_path_modules_record_through_handles(module):
             assert node.func.id not in _HELPERS, \
                 f"{module}:{node.lineno} calls {node.func.id}()"
 
+
+
+def test_no_handle_is_called_without_a_registry(monkeypatch):
+    """With no registry installed a hot module does not call its
+    handles at all: each site tests ``env.metrics`` first.  Counted over
+    one 64 KB one-way message and one ``fattree:4,h=2`` boot."""
+    calls = []
+    for cls, method in ((CounterHandle, "inc"), (GaugeHandle, "set"),
+                        (HistogramHandle, "observe")):
+        def record(self, *args, _name=f"{cls.__name__}.{method}"):
+            calls.append((_name, self._name))
+        monkeypatch.setattr(cls, method, record)
+
+    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                    buffer_bytes=64 * 1024)
+    env = pair.env
+    assert env.metrics is None
+    calls.clear()
+    env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 64 * 1024))
+    env.run()
+    assert pair.cluster.nodes[1].lcp.packets_delivered >= 16
+    assert calls == []
+
+    cluster = Cluster.build(TestbedConfig(memory_mb=8),
+                            topology="fattree:4,h=2")
+    assert cluster.env.metrics is None
+    assert cluster.mapping.probes_sent == 16 * 15
+    assert calls == []
 
 
 #: Modules whose trace points fire per packet or per request: the

@@ -65,7 +65,8 @@ def process_send(ep, src, dest, nbytes=None, src_offset=0, dest_offset=0,
             raise InvalidSendError(
                 "send runs past the end of the source buffer")
         try:
-            proxy_address = ep._resolve_destination(dest, dest_offset)
+            proxy_address = ep._resolve_destination(dest, dest_offset,
+                                                    length)
         except ImportStale:
             ep.stale_sends_blocked += 1
             ep._m_sends_stale_blocked.inc()

@@ -8,7 +8,7 @@ from repro.bench.microbench import VmmcPair
 from repro.hw.bus import PCIParams
 from repro.hw.myrinet import LinkParams
 from repro.sim import Tracer
-from repro.vmmc.errors import ImportDenied, SendError
+from repro.vmmc.errors import ImportDenied, InvalidSendError, SendError
 
 
 def small_cluster(nnodes=2, **overrides):
@@ -213,12 +213,54 @@ def test_send_beyond_import_reports_error():
         yield receiver.export(inbox, "tiny")
         imported = yield sender.import_buffer("node1", "tiny")
         src = sender.alloc_buffer(8192)
-        with pytest.raises(SendError):
-            # 8 KB into a 4 KB import: second proxy page is unmapped.
+        with pytest.raises(InvalidSendError):
+            # 8 KB into a 4 KB import.
             yield sender.send(src, imported.at(0), 8192)
 
     env.run(until=env.process(app()))
-    assert cluster.nodes[0].lcp.proxy_faults == 1
+    # Refused at the call, before any I/O: the LCP never sees the send.
+    assert cluster.nodes[0].lcp.proxy_faults == 0
+
+
+def test_send_past_an_import_never_reaches_the_next_import():
+    """The proxy pages after an import may map another import from the
+    same node; a send that overruns the first is refused at the call
+    instead of landing in the second with no proxy fault."""
+    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                    buffer_bytes=16 * 1024)
+    env, ep_a, ep_b = pair.env, pair.ep_a, pair.ep_b
+    other = ep_b.alloc_buffer(16 * 1024)
+    other.fill(0x5A)
+    env.run(until=ep_b.export(other, "other"))
+    neighbour = env.run(until=ep_a.import_buffer("node1", "other"))
+    assert neighbour.region.first_page == 4 == \
+        pair.to_b.region.first_page + pair.to_b.region.npages
+    pio = []
+    bus = pair.cluster.nodes[0].nic.bus
+    real_mmio_write = bus.mmio_write
+    bus.mmio_write = lambda words=1: pio.append(words) or \
+        real_mmio_write(words)
+    posted = ep_a.sends_posted
+
+    def app():
+        for offset, nbytes in ((16 * 1024 - 4, 8), (12 * 1024, 8192)):
+            with pytest.raises(InvalidSendError, match="outside the"):
+                yield ep_a.send(pair.src_a, pair.to_b, nbytes,
+                                dest_offset=offset)
+            with pytest.raises(InvalidSendError, match="outside the"):
+                yield ep_a.send(pair.src_a, pair.to_b.at(offset), nbytes)
+        # A span that starts past the end, or before the start, is a
+        # malformed argument too (it used to raise ProxyFault, which is
+        # not a SendError).
+        for offset in (16 * 1024, -4):
+            with pytest.raises(InvalidSendError, match="outside the"):
+                yield ep_a.send(pair.src_a, pair.to_b, 4, dest_offset=offset)
+
+    env.run(until=env.process(app()))
+    env.run()
+    assert pio == [] and ep_a.sends_posted == posted
+    assert pair.cluster.nodes[0].lcp.proxy_faults == 0
+    assert (other.read() == 0x5A).all()
 
 
 def test_bad_send_arguments_rejected():
