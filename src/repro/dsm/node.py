@@ -36,7 +36,7 @@ across a crash window.
 
 from __future__ import annotations
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Process, Resource, Timeout
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, histogram
 from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
@@ -62,6 +62,7 @@ _ACTION_OPS = {
     DOWNGRADE: wire.OP_DOWNGRADE,
     PUSH: wire.OP_PUSH,
 }
+_OP_ACTIONS = {op: action for action, op in _ACTION_OPS.items()}
 
 
 class DsmError(RuntimeError):
@@ -164,19 +165,18 @@ class DsmNode:
                              name=f"dsm.pump.{peer}->{self.rank}")
 
     def _pump(self, peer: int, receiver):
+        recv, pending, decode = receiver.recv, self._pending, wire.decode
         while True:
-            raw = yield receiver.recv()
-            op, req_id, src, ints, blob = wire.decode(bytes(raw))
+            op, req_id, src, ints, blob = decode((yield recv()))
             if op == wire.OP_REPLY:
-                waiter = self._pending.pop(req_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(ints)
+                waiter = pending.pop(req_id, None)
+                if waiter is not None and not waiter._scheduled:
+                    waiter.succeed(ints)        # untriggered: wake it
             elif op == wire.OP_PAGE:
                 self._page_arrived(src, ints[0], ints[1], blob)
             else:
-                self.env.process(
-                    self._dispatch(op, req_id, src, ints),
-                    name=f"dsm.{wire.op_name(op)}.{self.rank}")
+                Process(self.env, self._dispatch(op, req_id, src, ints),
+                        name=f"dsm.{wire.op_name(op)}.{self.rank}")
 
     def _page_arrived(self, src: int, page: int, xfer: int,
                       blob: bytes) -> None:
@@ -190,7 +190,7 @@ class DsmNode:
         key = (page, xfer)
         self._pages_received.add(key)
         waiter = self._page_waiters.pop(key, None)
-        if waiter is not None and not waiter.triggered:
+        if waiter is not None and not waiter._scheduled:
             waiter.succeed()
 
     def _dispatch(self, op: int, req_id: int, src: int, ints):
@@ -208,7 +208,7 @@ class DsmNode:
             result = self._serve_unlock(src, ints[0])
         elif op in (wire.OP_INVALIDATE, wire.OP_FLUSH,
                     wire.OP_DOWNGRADE, wire.OP_PUSH):
-            action = {v: k for k, v in _ACTION_OPS.items()}[op]
+            action = _OP_ACTIONS[op]
             to_rank = ints[1] if len(ints) > 1 else 0
             xfer = ints[2] if len(ints) > 2 else 0
             result = yield from self._member_local(
@@ -374,7 +374,7 @@ class DsmNode:
             want = READ if kind == "r" else WRITE
             if self.access[page] == want or self.access[page] == WRITE:
                 return  # a concurrent local fault already resolved it
-            started = self.env.now
+            started = self.env._now
             if kind == "r":
                 self.read_faults += 1
             else:
@@ -386,7 +386,7 @@ class DsmNode:
                      page=page)
             fault_op = (wire.OP_READ_FAULT if kind == "r"
                         else wire.OP_WRITE_FAULT)
-            home = self.home(page)
+            home = page % self.nranks
             if home == self.rank:
                 if kind == "r":
                     result = yield from self._serve_read_fault(
@@ -418,9 +418,10 @@ class DsmNode:
                 self.owned[page] = True
             elif self.access[page] == INV:
                 self.access[page] = READ
-            self.fetch_ns.append(self.env.now - started)
+            fetch_ns = self.env._now - started
+            self.fetch_ns.append(fetch_ns)
             if self.env.metrics is not None:
-                self._m_fetch_ns[kind].observe(self.env.now - started)
+                self._m_fetch_ns[kind].observe(fetch_ns)
         finally:
             lock.release(grant)
 
@@ -434,13 +435,14 @@ class DsmNode:
     def read_u32(self, page: int, offset: int):
         """Generator: sequentially-consistent 4-byte load."""
         self._check_page(page, offset, 4)
-        started = self.env.now
+        env = self.env
+        started = env._now
         faulted = False
         while True:
-            yield self.env.timeout(LOCAL_ACCESS_NS)
+            yield Timeout(env, LOCAL_ACCESS_NS)
             if self.access[page] != INV:
                 value = self.store.read_u32(page * self.page_bytes + offset)
-                committed = self.env.now
+                committed = env._now
                 break
             faulted = True
             yield from self._fault("r", page)
@@ -453,19 +455,20 @@ class DsmNode:
         self.history.append(DsmOp(
             node=self.rank, index=len(self.history), kind="r", page=page,
             offset=offset, value=value, start_ns=started,
-            commit_ns=committed, end_ns=self.env.now))
+            commit_ns=committed, end_ns=env._now))
         return value
 
     def write_u32(self, page: int, offset: int, value: int):
         """Generator: sequentially-consistent 4-byte store."""
         self._check_page(page, offset, 4)
-        started = self.env.now
+        env = self.env
+        started = env._now
         faulted = False
         while True:
-            yield self.env.timeout(LOCAL_ACCESS_NS)
+            yield Timeout(env, LOCAL_ACCESS_NS)
             if self.access[page] == WRITE:
                 self.store.write_u32(value, page * self.page_bytes + offset)
-                committed = self.env.now
+                committed = env._now
                 break
             faulted = True
             yield from self._fault("w", page)
@@ -478,14 +481,14 @@ class DsmNode:
         self.history.append(DsmOp(
             node=self.rank, index=len(self.history), kind="w", page=page,
             offset=offset, value=value, start_ns=started,
-            commit_ns=committed, end_ns=self.env.now))
+            commit_ns=committed, end_ns=env._now))
 
     def read_bytes(self, page: int, offset: int, nbytes: int):
         """Generator: byte-range load within one page (not recorded in
         the SC history — the checker tracks the u32 ops)."""
         self._check_page(page, offset, nbytes)
         while True:
-            yield self.env.timeout(LOCAL_ACCESS_NS)
+            yield Timeout(self.env, LOCAL_ACCESS_NS)
             if self.access[page] != INV:
                 return self.store.read(
                     page * self.page_bytes + offset, nbytes).tobytes()
@@ -496,7 +499,7 @@ class DsmNode:
         data = bytes(data)
         self._check_page(page, offset, len(data))
         while True:
-            yield self.env.timeout(LOCAL_ACCESS_NS)
+            yield Timeout(self.env, LOCAL_ACCESS_NS)
             if self.access[page] == WRITE:
                 self.store.write(data,
                                  offset=page * self.page_bytes + offset)

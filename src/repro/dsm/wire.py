@@ -15,7 +15,7 @@ without touching the codec.
 
 from __future__ import annotations
 
-from repro.rpc.xdr import XdrDecoder, XdrEncoder
+from repro.rpc.xdr import XdrDecoder, pack_uints
 
 #: Read fault → home.  ints = [page].  Reply ints = [status, xfer]
 #: (``xfer`` non-zero when page data is being pushed separately).
@@ -73,21 +73,15 @@ def op_name(op: int) -> str:
 
 def encode(op: int, req_id: int, src: int,
            ints: tuple | list = (), blob: bytes = b"") -> bytes:
-    enc = XdrEncoder()
-    enc.pack_uint(op)
-    enc.pack_uint(req_id)
-    enc.pack_uint(src)
-    enc.pack_array([int(v) for v in ints], XdrEncoder.pack_uint)
-    enc.pack_opaque(bytes(blob))
-    return enc.getvalue()
+    ints = [int(v) for v in ints]
+    blob = bytes(blob)
+    return (pack_uints(op, req_id, src, len(ints), *ints, len(blob)) + blob
+            + b"\0" * (-len(blob) % 4))
 
 
 def decode(data: bytes) -> tuple[int, int, int, tuple, bytes]:
     """Returns ``(op, req_id, src, ints, blob)``."""
-    dec = XdrDecoder(bytes(data))
-    op = dec.unpack_uint()
-    req_id = dec.unpack_uint()
-    src = dec.unpack_uint()
-    ints = tuple(dec.unpack_array(XdrDecoder.unpack_uint))
-    blob = dec.unpack_opaque()
-    return op, req_id, src, ints, blob
+    dec = XdrDecoder(data)
+    op, req_id, src, count = dec.unpack_uints(4)
+    ints = dec.unpack_uints(count)
+    return op, req_id, src, ints, dec.unpack_opaque()

@@ -143,7 +143,7 @@ class PCIBus:
                             + (nbytes - knee)
                             * params.dma_large_ns_per_kb // 1000)
         if self.env.metrics is not None:
-            self._dma_queue_depth.set(self._server.queue_length)
+            self._dma_queue_depth.set(len(self._server._waiting))
         return self._server.serve(self._dma, nbytes, duration)
 
     def _dma(self, nbytes: int, duration: int) -> Timeout:

@@ -69,7 +69,7 @@ class HostDMAEngine:
         """DMA ``nbytes`` host→SRAM; the event fires when the data is in
         SRAM."""
         if self.env.metrics is not None:
-            self._queue_depth.set(self._engine.queue_length)
+            self._queue_depth.set(len(self._engine._waiting))
         return self._engine.serve(self._to_sram, paddr, sram_addr, nbytes)
 
     def _to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
@@ -98,7 +98,7 @@ class HostDMAEngine:
     def _queue_write(self, payload: np.ndarray, paddr: int) -> Event:
         """:meth:`write_host` of bytes already a ``uint8`` array."""
         if self.env.metrics is not None:
-            self._queue_depth.set(self._engine.queue_length)
+            self._queue_depth.set(len(self._engine._waiting))
         return self._engine.serve(self._write_host, payload, paddr)
 
     def _write_host(self, payload: np.ndarray, paddr: int) -> Event:

@@ -15,8 +15,10 @@ over vRPC or the reliable RPC layer unchanged.
 
 from __future__ import annotations
 
+import struct
+
 from repro.rpc.sunrpc import RPCProgram
-from repro.rpc.xdr import XdrDecoder, XdrEncoder
+from repro.rpc.xdr import XdrDecoder, XdrError
 
 __all__ = ["KVStore", "KV_PROGRAM_NUMBER", "KV_PROGRAM_VERSION",
            "PROC_GET", "PROC_PUT", "encode_get_args", "encode_put_args",
@@ -28,13 +30,30 @@ PROC_GET = 1
 PROC_PUT = 2
 
 
+#: XDR words packed in one call: a uhyper (a key, a version), a PUT's
+#: key and value length, a GET reply's found flag and value length.
+_U64 = struct.Struct(">Q")
+_U64_U32 = struct.Struct(">QI")
+_FOUND_LENGTH = struct.Struct(">II")
+
+
+def _key(key: int) -> int:
+    if not 0 <= key < (1 << 64):
+        raise XdrError(f"uhyper out of range: {key}")
+    return key
+
+
 # -- argument / reply marshalling (shared by client and tests) -------------
+# Each message is a few struct calls over the same XDR layout the
+# XdrEncoder chain writes (a uhyper key, an opaque padded to 4 bytes).
 def encode_get_args(key: int) -> bytes:
-    return XdrEncoder().pack_uhyper(key).getvalue()
+    return _U64.pack(_key(key))
 
 
 def encode_put_args(key: int, value: bytes) -> bytes:
-    return XdrEncoder().pack_uhyper(key).pack_opaque(value).getvalue()
+    value = bytes(value)
+    return (_U64_U32.pack(_key(key), len(value)) + value
+            + b"\0" * (-len(value) % 4))
 
 
 def decode_get_reply(dec: XdrDecoder) -> tuple[bool, bytes, int]:
@@ -79,13 +98,13 @@ class KVStore:
 
         def handle_get(dec: XdrDecoder) -> bytes:
             found, value, version = self.get(dec.unpack_uhyper())
-            return (XdrEncoder().pack_bool(found).pack_opaque(value)
-                    .pack_uhyper(version).getvalue())
+            return (_FOUND_LENGTH.pack(found, len(value)) + value
+                    + b"\0" * (-len(value) % 4) + _U64.pack(version))
 
         def handle_put(dec: XdrDecoder) -> bytes:
             key = dec.unpack_uhyper()
             version = self.put(key, dec.unpack_opaque())
-            return XdrEncoder().pack_uhyper(version).getvalue()
+            return _U64.pack(version)
 
         prog.register(PROC_GET, handle_get)
         prog.register(PROC_PUT, handle_put)

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import itertools
 
-from repro.sim import Environment, Event
-from repro.sim.server import at_now, then
+from repro.sim import Environment, Event, Timeout
+from repro.sim.server import then
 from repro.vmmc.api import VMMCEndpoint
 from repro.vmmc.errors import RetriesExhausted
 from repro.vmmc.reliable import ReliableError, open_channel
 from repro.rpc.sunrpc import (
+    SUCCESS,
+    RPCError,
     RPCProgram,
-    check_reply,
     decode_reply,
     encode_call,
     serve_call,
@@ -65,29 +66,32 @@ class ReliableRPCServer:
         return self.env.process(self._serve(), name=f"rrpc.serve.{self.name}")
 
     def _serve(self):
+        env, recv = self.env, self.receiver.recv
         while True:
-            request = yield self.receiver.recv()
-            yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
-            reply = yield from serve_call(self.env, self.program,
-                                          bytes(request))
+            request = yield recv()
+            yield Timeout(env, THIN_LAYER_NS + STUB_FIXED_NS)
+            reply = yield from serve_call(env, self.program, bytes(request))
             if reply is None:
                 continue
             self.calls_served += 1
-            yield self.env.timeout(THIN_LAYER_NS + STUB_FIXED_NS)
+            yield Timeout(env, THIN_LAYER_NS + STUB_FIXED_NS)
             # Replies pipeline through the channel window; blocking the
             # serve loop on the client's transport ACK would put one
             # round trip between every pair of requests.  The reply send
             # starts from an event at ``now``, so the loop posts its next
             # ``recv`` first.
-            at_now(self.env, lambda reply=reply: self.sender.send(
-                reply).callbacks.append(self._replied))
+            Timeout(env, 0, reply).callbacks.append(self._reply)
+
+    def _reply(self, start: Timeout) -> None:
+        self.sender.send(start._value).callbacks.append(self._replied)
 
     def _replied(self, sent: Event) -> None:
         """A reply send ended; a transport failure is counted, not
         raised."""
-        if not sent.ok:
-            if not isinstance(sent.value, (ReliableError, RetriesExhausted)):
-                raise sent.value
+        if not sent._ok:
+            if not isinstance(sent._value,
+                              (ReliableError, RetriesExhausted)):
+                raise sent._value
             sent.defuse()
             self.reply_failures += 1
 
@@ -114,21 +118,19 @@ class ReliableRPCClient:
         self._pending: dict[int, Event] = {}
         self._demux_started = False
 
-    def _ensure_demux(self) -> None:
-        if not self._demux_started:
-            self._demux_started = True
-            self.env.process(self._demux(), name=f"rrpc.demux.{self.name}")
-
     def _demux(self):
+        """Match each reply to its caller; the waiter's value is the
+        reply's ``(status, result decoder)``."""
+        recv, pending = self.receiver.recv, self._pending
         while True:
-            raw = yield self.receiver.recv()
+            raw = yield recv()
             try:
-                xid, _status, _dec = decode_reply(bytes(raw))
+                xid, status, dec = decode_reply(raw)
             except XdrError:
                 continue
-            waiter = self._pending.pop(xid, None)
+            waiter = pending.pop(xid, None)
             if waiter is not None:
-                waiter.succeed(bytes(raw))
+                waiter.succeed((status, dec))
 
     def call(self, proc: int, args: bytes = b"") -> Event:
         """Event: one RPC; value is the reply's XdrDecoder.
@@ -138,38 +140,44 @@ class ReliableRPCClient:
         :class:`~repro.vmmc.reliable.RetriesExhausted`.  The call starts
         from one event at ``now``, where it takes its xid.
         """
-        self._ensure_demux()
-        done = Event(self.env)
-        at_now(self.env, lambda: self._call(proc, args, done))
+        env = self.env
+        if not self._demux_started:
+            self._demux_started = True
+            env.process(self._demux(), name=f"rrpc.demux.{self.name}")
+        done = Event(env)
+        Timeout(env, 0, (proc, args, done)).callbacks.append(self._call)
         return done
 
-    def _call(self, proc: int, args: bytes, done: Event) -> None:
+    def _call(self, start: Timeout) -> None:
+        proc, args, done = start._value
         env = self.env
         xid = next(self._xids)
         waiter = Event(env)
 
         def post(_stub):
-            request = encode_call(xid, self.prog, self.vers, proc, args)
             self._pending[xid] = waiter
-            then(self.sender.send(request), sent)
+            self.sender.send(encode_call(
+                xid, self.prog, self.vers, proc, args)).callbacks.append(sent)
 
         def sent(event):
-            if not event.ok:
+            if not event._ok:
                 event.defuse()
                 self._pending.pop(xid, None)
-                return done.fail(event.value)
+                return done.fail(event._value)
             self.calls_sent += 1
-            then(waiter, lambda _reply: env.timeout(
-                THIN_LAYER_NS + STUB_FIXED_NS).callbacks.append(decode))
+            then(waiter, replied)
+
+        def replied(_reply):
+            Timeout(env, THIN_LAYER_NS + STUB_FIXED_NS).callbacks.append(
+                decode)
 
         def decode(_stub):
-            try:
-                reply = check_reply(waiter.value, xid)
-            except Exception as exc:
-                return done.fail(exc)
-            done._end(reply)
+            status, dec = waiter._value
+            if status != SUCCESS:
+                return done.fail(RPCError(f"status {status}"))
+            done._end(dec)
 
-        env.timeout(THIN_LAYER_NS + STUB_FIXED_NS).callbacks.append(post)
+        Timeout(env, THIN_LAYER_NS + STUB_FIXED_NS).callbacks.append(post)
 
 
 def connect_reliable_rpc(client_ep: VMMCEndpoint, server_ep: VMMCEndpoint,

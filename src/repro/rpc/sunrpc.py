@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from repro.sim import Environment, Store
 from repro.hostos.ethernet import EthernetNetwork
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.rpc.xdr import XdrDecoder, XdrError, pack_uints
 
 CALL = 0
 REPLY = 1
@@ -61,47 +61,38 @@ class RPCProgram:
 
 def encode_call(xid: int, prog: int, vers: int, proc: int,
                 args: bytes) -> bytes:
-    enc = XdrEncoder()
-    enc.pack_uint(xid).pack_uint(CALL)
-    enc.pack_uint(2)            # RPC version
-    enc.pack_uint(prog).pack_uint(vers).pack_uint(proc)
-    enc.pack_uint(0).pack_uint(0)   # null cred
-    enc.pack_uint(0).pack_uint(0)   # null verf
-    return enc.getvalue() + args
+    """The 10-word call header (RPC version 2, null credential and
+    verifier), then ``args``."""
+    return pack_uints(xid, CALL, 2, prog, vers, proc, 0, 0, 0, 0) + args
 
 
 def decode_call(data: bytes):
+    """``(xid, prog, vers, proc, args decoder)``; the 10-word header is
+    read in one call, then its message type and RPC version checked."""
     dec = XdrDecoder(data)
-    xid = dec.unpack_uint()
-    if dec.unpack_uint() != CALL:
+    xid, mtype, rpcvers, prog, vers, proc, _, _, _, _ = dec.unpack_uints(10)
+    if mtype != CALL:
         raise XdrError("not a call")
-    if dec.unpack_uint() != 2:
+    if rpcvers != 2:
         raise XdrError("bad RPC version")
-    prog, vers, proc = (dec.unpack_uint(), dec.unpack_uint(),
-                        dec.unpack_uint())
-    dec.unpack_uint(), dec.unpack_uint()   # cred
-    dec.unpack_uint(), dec.unpack_uint()   # verf
     return xid, prog, vers, proc, dec
 
 
 def encode_reply(xid: int, status: int, result: bytes = b"") -> bytes:
-    enc = XdrEncoder()
-    enc.pack_uint(xid).pack_uint(REPLY)
-    enc.pack_uint(MSG_ACCEPTED)
-    enc.pack_uint(0).pack_uint(0)   # null verf
-    enc.pack_uint(status)
-    return enc.getvalue() + result
+    """The 6-word accepted-reply header (null verifier), then
+    ``result``."""
+    return pack_uints(xid, REPLY, MSG_ACCEPTED, 0, 0, status) + result
 
 
 def decode_reply(data: bytes):
+    """``(xid, status, result decoder)``; the 6-word header is read in
+    one call, then its message type and acceptance checked."""
     dec = XdrDecoder(data)
-    xid = dec.unpack_uint()
-    if dec.unpack_uint() != REPLY:
+    xid, mtype, accepted, _, _, status = dec.unpack_uints(6)
+    if mtype != REPLY:
         raise XdrError("not a reply")
-    if dec.unpack_uint() != MSG_ACCEPTED:
+    if accepted != MSG_ACCEPTED:
         raise XdrError("message rejected")
-    dec.unpack_uint(), dec.unpack_uint()   # verf
-    status = dec.unpack_uint()
     return xid, status, dec
 
 

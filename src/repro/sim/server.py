@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable
 
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, Timeout
 
 
 class Server:
@@ -87,9 +87,7 @@ def at_now(env: Environment, action: Callable[[], Any]) -> None:
     """Run ``action()`` from an event scheduled at ``now``: behind
     everything already due this nanosecond, which is where a hand-off to
     a waiting party (a grant, a FIFO slot) resumes it."""
-    event = Event(env)
-    event.callbacks.append(lambda _event: action())
-    event.succeed()
+    Timeout(env, 0).callbacks.append(lambda _event: action())
 
 
 def then(event: Event, callback: Callable[[Event], Any]) -> None:

@@ -94,6 +94,11 @@ class LifecycleState(enum.Enum):
         return self in (LifecycleState.ACTIVE, LifecycleState.REESTABLISHED)
 
 
+#: The usable states, compared by identity on the send path.
+_ACTIVE = LifecycleState.ACTIVE
+_REESTABLISHED = LifecycleState.REESTABLISHED
+
+
 @dataclass
 class ExportHandle:
     """A successfully exported receive buffer (lifecycle-aware)."""
@@ -213,12 +218,15 @@ class ImportedBuffer:
         :class:`ImportStale` unless the import is usable.  Not a send
         destination — use :meth:`at`."""
         if not self.usable:
-            raise ImportStale(
-                f"import {self.remote_node}:{self.name} is "
-                f"{self.state.value} ({self.stale_reason})",
-                remote_node=self.remote_node, name=self.name,
-                state=self.state.value, epoch=self.epoch)
+            raise self._stale()
         return self.region.address(offset)
+
+    def _stale(self) -> ImportStale:
+        return ImportStale(
+            f"import {self.remote_node}:{self.name} is "
+            f"{self.state.value} ({self.stale_reason})",
+            remote_node=self.remote_node, name=self.name,
+            state=self.state.value, epoch=self.epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ImportedBuffer({self.remote_node}:{self.name}, "
@@ -460,14 +468,18 @@ class VMMCEndpoint:
         # The whole span must lie in the import: the proxy pages past it
         # may map another import from the same node, where the LCP would
         # deposit without a fault.
-        if offset < 0 or offset + length > origin.region.nbytes:
+        region = origin.region
+        if offset < 0 or offset + length > region.nbytes:
             raise InvalidSendError(
                 f"send of {length} bytes at offset {offset} is outside the "
-                f"{origin.region.nbytes}-byte import "
+                f"{region.nbytes}-byte import "
                 f"{origin.remote_node}:{origin.name}")
-        # address() raises ImportStale on a non-usable import — the
-        # fail-fast that keeps data out of dangling proxy mappings.
-        return origin.address(offset)
+        # A non-usable import raises ImportStale — the fail-fast that
+        # keeps data out of dangling proxy mappings.
+        state = origin.state
+        if state is not _ACTIVE and state is not _REESTABLISHED:
+            raise origin._stale()
+        return region.first_page * PAGE_SIZE + offset
 
     def send(self, src: UserBuffer, dest: Destination,
              nbytes: int | None = None,
@@ -509,26 +521,29 @@ class VMMCEndpoint:
             at_now(env, lambda exc=exc: self._refuse(done, exc))
             return done
         t0 = env._now
-        queue = self.ctx.queue
+        queue, membus = self.ctx.queue, self.membus
         is_short = length <= SHORT_SEND_LIMIT
+        # Programmed I/O: four control words, then the inline data words.
+        words = 4 + (length + 3) // 4 if is_short else 4
+        request = handle = None
 
-        def post():
+        def post(_prologue=None):
+            nonlocal request
+            if not queue.slot_available():
+                return self._when_slot_free(post)
             request = SendRequest(
-                slot=queue.next_slot(), length=length,
-                proxy_address=proxy_address, is_short=is_short,
-                notify=notify, posted_at=env._now, completion=Event(env))
+                slot=0, length=length, proxy_address=proxy_address,
+                is_short=is_short, notify=notify, posted_at=env._now,
+                completion=Event(env))
             if is_short:
                 request.inline_data = src.read(src_offset, length)
             else:
                 request.src_vaddr = src.vaddr + src_offset
-            queue.reserve(request)
-            # Post with programmed I/O: control words + inline data words.
-            self.lcp.nic.bus.mmio_write(
-                request.control_words + request.data_words
-            ).callbacks.append(lambda _hold: posted(request))
+            request.slot = queue.reserve(request)
+            self.lcp.nic.bus.mmio_write(words).callbacks.append(posted)
 
-        def posted(request):
-            completion = request.completion
+        def posted(_hold):
+            nonlocal handle
             queue.post(request)
             self.lcp.doorbell()
             self.sends_posted += 1
@@ -541,31 +556,33 @@ class VMMCEndpoint:
             handle = SendHandle(slot=request.slot, length=length,
                                 is_short=is_short, synchronous=synchronous,
                                 posted_at=env._now,
-                                completed_event=completion)
+                                completed_event=request.completion)
             if synchronous and not is_short:
-                # Spin on the completion cache location (section 4.5).
-                then(completion, lambda completed: then(
-                    self.membus.cacheline_fill(),
-                    lambda _fill: observed(handle, completed._value)))
+                # Spin on the completion cache location (section 4.5):
+                # the LCP writes it back only after the doorbell.
+                request.completion.callbacks.append(spin)
             else:
-                finish(handle)
+                finish()
 
-        def observed(handle, status):
+        def spin(_completed):
+            membus.cacheline_fill().callbacks.append(observed)
+
+        def observed(_fill):
+            status = request.completion._value
             if status != COMPLETION_DONE:
                 done.fail(CompletionError(
                     f"send failed with completion status {status}",
                     status=status))
             else:
-                finish(handle)
+                finish()
 
-        def finish(handle):
+        def finish():
             if synchronous and env.metrics is not None:
                 self._m_send_sync_ns.observe(env._now - t0)
             done._end(handle)
 
         # Library prologue: argument checks + protocol selection.
-        Timeout(env, LIB_SEND_OVERHEAD_NS).callbacks.append(
-            lambda _prologue: self._when_slot_free(post))
+        Timeout(env, LIB_SEND_OVERHEAD_NS).callbacks.append(post)
         return done
 
     def _when_slot_free(self, go: Callable[[], None]) -> None:

@@ -263,7 +263,8 @@ class VmmcLCP:
             return True
         processes = self.processes
         for pid in self._scan_order:
-            if processes[pid].queue.peek() is not None:
+            queue = processes[pid].queue
+            if queue._slots[queue._head] is not None:     # peek(), inline
                 return True
         return False
 
@@ -298,7 +299,8 @@ class VmmcLCP:
         for i in range(n):
             pid = self._scan_order[(self._scan_cursor + i) % n]
             ctx = self.processes[pid]
-            if ctx.queue.peek() is not None:
+            queue = ctx.queue
+            if queue._slots[queue._head] is not None:     # peek(), inline
                 self._scan_cursor = (self._scan_cursor + i + 1) % n
                 return ctx, ctx.queue.pickup()
         return None

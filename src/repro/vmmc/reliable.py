@@ -54,10 +54,23 @@ using only VMMC-idiomatic machinery:
 of callbacks, not processes.  The receiver spins on its ring the way a
 VMMC receiver does — no receive operation, just memory the DMA writes
 into — through one standing write watcher per ring: it notes the slots
-each device write touches and fires the pending wake, and the wake
-reads only those slots against the image it last read of each.  The
-sender watches its ACK word the same way.  One ``recv()`` may be
-pending per receiver.
+each device write touches (found from the ring's frame map) and fires
+the pending wake, and the wake reads only those slots against the image
+it last read of each.  One ``recv()`` may be pending per receiver.
+
+The sender spins on its one ACK word the same way, however many sends
+are in flight.  A send *arms* on the word, then checks it one
+cache-line fill later; if the check leaves it waiting it *parks*.  An
+ACK write wakes exactly the sends armed before it: one hop at ``now``,
+then one fill for the sends that had parked and a check of each in the
+order they armed.  A send that arms after the write waits for the next
+one; a send woken while its own fill runs looks again from its check.
+A parked send keeps one deadline timer: a cumulative-progress restart
+moves the deadline, and a timer that fires early re-arms for the rest.
+The window's admission queue is a plain list: a kick is one event that
+walks the sends queued before it, in order; a send that cannot enter
+goes onto the next kick's list.  So a wait costs work in proportion to
+the sends it releases, not to the sends queued behind them.
 
 Both ends are deterministic: no RNG, integer-ns timers and estimator
 arithmetic, and all traffic is ordinary VMMC sends, so a run under a
@@ -87,7 +100,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.sim import AnyOf, Environment, Event
+from repro.sim import Environment, Event, Timeout
 from repro.sim.server import at_now, then
 from repro.sim.trace import emit
 from repro.obs.metrics import counter, gauge, histogram
@@ -299,10 +312,19 @@ class _Message:
     """One ``ReliableSender.send`` in the window — its slot, deadline and
     retries — and the send policy as callbacks: admission through the
     AIMD window, pacing, the (re)transmission, the ACK watch against the
-    slot's deadline, completion.  Making one starts the send."""
+    slot's deadline, completion.  Making one starts the send.
+
+    The ACK watch: :meth:`look` arms the send on the sender's ACK word
+    and checks the word one cache-line fill later.  A send the check
+    leaves waiting is *parked*; the next ACK write wakes it with every
+    other send armed before that write (:meth:`ReliableSender._ack_written`),
+    and its deadline timer — one per parked send, moved rather than
+    re-pushed when cumulative progress restarts it — retransmits it if
+    no write comes in time."""
 
     __slots__ = ("tx", "data", "done", "seq", "base", "retries", "t0",
-                 "slot_rto", "deadline", "last_ack")
+                 "slot_rto", "deadline", "last_ack", "wake", "parked",
+                 "timer")
 
     def __init__(self, tx: "ReliableSender", data: bytes, done: Event):
         if tx._ring is None:
@@ -313,19 +335,26 @@ class _Message:
                                     f"{tx.payload_per_slot}B slot capacity"))
             return
         self.tx, self.data, self.done = tx, data, done
-        self.seq = tx._next_seq
-        tx._next_seq += 1
-        self.base = ((self.seq - 1) % tx.nslots) * tx.slot_bytes
+        self.seq = seq = tx._next_seq
+        tx._next_seq = seq + 1
+        self.base = ((seq - 1) % tx.nslots) * tx.slot_bytes
         self.retries = 0
-        self.admit()
-
-    def admit(self, _kick=None) -> None:
+        #: The hop of the ACK write that woke this send since it last
+        #: armed (None: not woken), whether it is parked, and its
+        #: pending deadline timer.
+        self.wake = self.timer = None
+        self.parked = False
         # FIFO admission: wait for both the window and our turn, so slots
         # enter the ring in sequence order and never overwrite a live
         # predecessor (window <= ring slots).
-        tx, seq = self.tx, self.seq
         if seq != tx._admit_next or tx.inflight >= tx.cwnd:
-            return tx._kick_wait().callbacks.append(self.admit)
+            tx._queued.append(self)
+        else:
+            self.admit()
+
+    def admit(self) -> None:
+        """Take the window place this send's turn and the window allow."""
+        tx, seq = self.tx, self.seq
         tx._admit_next = seq + 1
         tx._set_inflight(tx.inflight + 1)
         tx._kick()
@@ -338,14 +367,14 @@ class _Message:
     def pace(self) -> None:
         """Hold a (re)transmission behind the pacing gate."""
         tx = self.tx
-        wait = tx._next_tx_at - tx.env.now
+        wait = tx._next_tx_at - tx.env._now
         if wait <= 0:
             return self.transmit()
         tx.stats.paced_ns += wait
         if tx.env.tracer is not None:
             emit(tx.env, "rel.pace", channel=tx.name, seq=self.seq,
                  wait_ns=wait, pressure=tx.pressure)
-        tx.env.timeout(wait).callbacks.append(self.transmit)
+        Timeout(tx.env, wait).callbacks.append(self.transmit)
 
     def transmit(self, _paced=None) -> None:
         """Reserve the next transmission's earliest start by the current
@@ -353,7 +382,7 @@ class _Message:
         ring; a stale ring import or an error completion is recovered
         underneath (:func:`_deposit`)."""
         tx, base, data = self.tx, self.base, self.data
-        now = tx.env.now
+        now = tx.env._now
         tx._next_tx_at = now + tx.pressure * PACE_QUANTUM_NS
         if not self.retries:
             self.t0 = now
@@ -361,46 +390,63 @@ class _Message:
                               zlib.crc32(data), 0)
 
         def post():
-            tx._scratch.write(header, offset=base)
-            if data:
-                tx._scratch.write(data, offset=base + HEADER_BYTES)
-            return tx.ep.send(tx._scratch, tx._ring.at(base),
-                              HEADER_BYTES + len(data), src_offset=base)
+            tx._scratch.write(header + data, offset=base)
+            return tx.ep.send(tx._scratch, tx._ring, HEADER_BYTES + len(data),
+                              src_offset=base, dest_offset=base)
 
         _deposit(tx, post, tx._ring, self.seq, self.sent, self.finish)
 
     def sent(self) -> None:
         tx = self.tx
         if not self.retries:
-            self.slot_rto, self.last_ack = tx.rto_ns, tx.acked
-        self.deadline = tx.env.now + self.slot_rto
+            self.slot_rto, self.last_ack = tx.rto_ns, int(tx._ack_word[0])
+        self.deadline = tx.env._now + self.slot_rto
         self.look()
 
-    def look(self, _woken=None) -> None:
-        # Arm the wake *before* checking (race-free idiom).
-        wake = Event(self.tx.env)
-        self.tx._ack_waiters.append(wake)
-        self.tx.ep.membus.cacheline_fill().callbacks.append(
-            lambda _fill: self.check(wake))
+    def look(self, _hop=None) -> None:
+        """Arm on the ACK word *before* checking it (race-free idiom),
+        then check it one cache-line fill later."""
+        tx = self.tx
+        self.wake = None
+        tx._armed.append(self)
+        tx.membus.cacheline_fill().callbacks.append(self.check)
 
-    def check(self, wake: Event) -> None:
+    def check(self, _fill=None) -> None:
         tx, seq = self.tx, self.seq
         env = tx.env
-        ack = tx.acked
+        ack = int(tx._ack_word[0])
         if ack >= seq:
-            if not wake.triggered:
-                tx._ack_waiters.remove(wake)
+            if self.wake is None:
+                tx._armed.remove(self)
             return self.delivered()
+        now = env._now
         if ack > self.last_ack:
             # Cumulative progress: the window is draining in order, so
             # restart this slot's timer instead of retransmitting a
             # message that is merely queued behind the advancing ACK.
             self.last_ack = ack
-            self.deadline = env.now + self.slot_rto
-        remaining = self.deadline - env.now
+            self.deadline = now + self.slot_rto
+        remaining = self.deadline - now
         if remaining > 0:
-            return AnyOf(env, [wake, env.timeout(remaining)]).callbacks \
-                .append(self.look)
+            wake = self.wake
+            if wake is None:
+                # Armed, not woken: wait for the next write or the
+                # deadline (the timer a progress restart moved is kept).
+                self.parked = True
+                if self.timer is None:
+                    self.timer = Timeout(env, remaining)
+                    self.timer.callbacks.append(self.expire)
+            elif wake.callbacks is not None:
+                # Woken by a write whose hop has not run yet: look
+                # again with that write's batch.
+                self.parked = True
+            else:
+                # Woken while this fill ran: look again right away.
+                Timeout(env, 0).callbacks.append(self.look)
+            return
+        if self.wake is None:
+            tx._armed.remove(self)
+        self.timer = None
         tx.stats.timeouts += 1
         if env.metrics is not None:
             tx._m_timeouts.inc()
@@ -424,11 +470,33 @@ class _Message:
         self.slot_rto = tx.rto_ns
         self.pace()
 
+    def expire(self, timer: Timeout) -> None:
+        """The deadline timer fired: re-arm it for the rest of a deadline
+        a progress restart moved, or, at the deadline, look one last time
+        (from a hop at ``now``, where a woken look starts) before the
+        check retransmits."""
+        if timer is not self.timer:
+            return
+        self.timer = None
+        if not self.parked:
+            return
+        env = self.tx.env
+        remaining = self.deadline - env._now
+        if remaining > 0:
+            self.timer = Timeout(env, remaining)
+            self.timer.callbacks.append(self.expire)
+            return
+        self.parked = False
+        if self.wake is None:
+            self.tx._armed.remove(self)
+        Timeout(env, 0).callbacks.append(self.look)
+
     def delivered(self) -> None:
         tx, seq = self.tx, self.seq
+        env = tx.env
         tx.stats.messages_delivered += 1
-        rtt = tx.env.now - self.t0
-        if tx.env.metrics is not None:
+        rtt = env._now - self.t0
+        if env.metrics is not None:
             tx._m_rtt_ns.observe(rtt)
         if self.retries:
             # Karn's rule: a retransmitted slot's round trip is ambiguous
@@ -436,16 +504,17 @@ class _Message:
             tx.stats.retransmitted_deliveries += 1
         else:
             tx._on_clean_ack(seq, rtt)
-        if tx.env.tracer is not None:
-            emit(tx.env, "rel.delivered", channel=tx.name, seq=seq,
+        if env.tracer is not None:
+            emit(env, "rel.delivered", channel=tx.name, seq=seq,
                  retransmits=self.retries)
         self.finish()
 
     def finish(self, exc: Optional[Exception] = None) -> None:
         """The send is over — delivered, or failed with ``exc``: free its
         window place, then end it."""
-        self.tx._set_inflight(self.tx.inflight - 1)
-        self.tx._kick()
+        tx = self.tx
+        tx._set_inflight(tx.inflight - 1)
+        tx._kick()
         if exc is None:
             self.done._end(self.seq)
         else:
@@ -497,12 +566,13 @@ class ReliableSender:
         #: The ACK word's frame, resolved once (nothing unmaps the
         #: buffer, and once exported it is pinned), so :attr:`acked`
         #: reads it without translating; one standing watcher on it wakes
-        #: the sends waiting for it, in the order they armed.
+        #: the sends armed on it, in the order they armed.
         [(paddr, _)] = self.ack_buf.space.physical_extents(
             self.ack_buf.vaddr, 4)
         memory = self.ack_buf.space.memory
         self._ack_word = memory.data[paddr:paddr + 4].view("<u4")
-        self._ack_waiters: list[Event] = []
+        self._armed: list[_Message] = []
+        self.membus = ep.membus
         memory.watch_writes([(paddr, 4)], self._ack_written)
         #: Staging for outgoing slot images — one staging area *per ring
         #: slot*, so pipelined in-flight transmissions never overwrite
@@ -530,9 +600,10 @@ class ReliableSender:
         self._next_tx_at = 0
         #: Loss-event guard: one multiplicative cut per in-flight window.
         self._cut_upto = 0
-        #: FIFO admission cursor (next sequence allowed to transmit).
+        #: FIFO admission cursor (next sequence allowed to transmit), and
+        #: the sends queued for the next kick, in the order they queued.
         self._admit_next = 1
-        self._kick_ev = None
+        self._queued: list[_Message] = []
         #: In-progress transparent recovery of the stale ring import
         #: (serialises concurrent in-flight slots onto one reimport).
         self._recovering = None
@@ -627,17 +698,28 @@ class ReliableSender:
 
     # -- admission / wakeup plumbing ------------------------------------------
     def _kick(self) -> None:
-        """Wake every process parked in :meth:`_kick_wait` (window state
-        changed: a slot resolved, or the window grew)."""
-        if self._kick_ev is not None and not self._kick_ev.triggered:
-            event = self._kick_ev
-            self._kick_ev = None
-            event.succeed()
+        """Window state changed (a slot resolved, or the window grew): the
+        sends queued so far try again, from one event at ``now``.  A send
+        that queues after this waits for the next kick."""
+        queued = self._queued
+        if queued:
+            self._queued = []
+            Timeout(self.env, 0, queued).callbacks.append(self._admit)
 
-    def _kick_wait(self):
-        if self._kick_ev is None or self._kick_ev.triggered:
-            self._kick_ev = self.env.event()
-        return self._kick_ev
+    def _admit(self, kick: Timeout) -> None:
+        """A kick's event: walk its sends in the order they queued; each
+        is admitted if it is next in sequence and the window has room,
+        and otherwise queues for the next kick.  Admitting only fills the
+        window, so once it is full the rest queue as they are."""
+        queued = kick._value
+        for i, message in enumerate(queued):
+            if self.inflight >= self.cwnd:
+                self._queued += queued[i:]
+                return
+            if message.seq == self._admit_next:
+                message.admit()
+            else:
+                self._queued.append(message)
 
     # -- protocol -------------------------------------------------------------
     @property
@@ -646,10 +728,31 @@ class ReliableSender:
         return int(self._ack_word[0])
 
     def _ack_written(self, _paddr: int, _nbytes: int) -> None:
-        """The ACK word's standing watcher: a device write landed on it."""
-        waiters, self._ack_waiters = self._ack_waiters, []
-        for wake in waiters:
-            wake.succeed()
+        """The ACK word's standing watcher: a device write landed on it.
+        It wakes exactly the sends armed before it, through one hop at
+        ``now``; a send that arms later waits for the next write."""
+        woken = self._armed
+        if woken:
+            self._armed = []
+            hop = Timeout(self.env, 0, woken)
+            for message in woken:
+                message.wake = hop
+            hop.callbacks.append(self._relook)
+
+    def _relook(self, hop: Timeout) -> None:
+        """A write's hop: the sends it woke that had parked re-arm, in arm
+        order, and look again together — one cache-line fill, then each
+        send's check in that order.  A send it woke mid-fill looks again
+        from its own check."""
+        armed, fill = self._armed, None
+        for message in hop._value:
+            if message.parked and message.wake is hop:
+                if fill is None:
+                    fill = self.membus.cacheline_fill()
+                message.parked = False
+                message.wake = None
+                armed.append(message)
+                fill.callbacks.append(message.check)
 
     def send(self, payload: bytes | np.ndarray) -> Event:
         """Event: deliver ``payload`` reliably; value is its sequence
@@ -664,8 +767,11 @@ class ReliableSender:
         data = bytes(payload) if isinstance(payload, (bytes, bytearray)) \
             else np.asarray(payload).tobytes()
         done = Event(self.env)
-        at_now(self.env, lambda: _Message(self, data, done))
+        Timeout(self.env, 0, (data, done)).callbacks.append(self._start)
         return done
+
+    def _start(self, start: Timeout) -> None:
+        _Message(self, *start._value)
 
 
 class ReliableReceiver:
@@ -704,14 +810,26 @@ class ReliableReceiver:
         self.ring: UserBuffer = ep.alloc_buffer(nslots * slot_bytes)
         self.ring.fill(0)
         space = self.ring.space
-        self._data = space.memory.data
+        memory = space.memory
+        #: Physical memory as bytes: a look joins a slot's frames from it.
+        self._data = memoryview(memory.data)
         #: Each slot's frames, resolved once (nothing unmaps the ring, and
         #: once exported it is pinned); one standing watcher on them notes
-        #: the slots every device write touches.
+        #: the slots every device write touches, found from the ring
+        #: offset of each ring frame's first byte (the ring is
+        #: page-aligned, so each of its frames holds one ring page).
         self._slot_extents = [
             space.physical_extents(self.ring.vaddr + i * slot_bytes,
                                    slot_bytes) for i in range(nslots)]
-        space.memory.watch_writes(
+        self._page_size = page = memory.page_size
+        self._frame_offsets: dict[int, int] = {}
+        offset = 0
+        for paddr, length in space.physical_extents(self.ring.vaddr,
+                                                    self.ring.nbytes):
+            for start in range(paddr - paddr % page, paddr + length, page):
+                self._frame_offsets[start // page] = offset + start - paddr
+            offset += length
+        memory.watch_writes(
             [extent for extents in self._slot_extents for extent in extents],
             self._ring_written)
         #: Slots written since a look last read them, and each slot as
@@ -725,8 +843,11 @@ class ReliableReceiver:
         self._receiving: Optional[Event] = None
         self._looked = False
         self._wake: Optional[Event] = None
-        #: Staging for outgoing ACK remote-writes.
+        #: Staging for outgoing ACK remote-writes, and its word, resolved
+        #: once like the sender's ACK word.
         self._ack_scratch: UserBuffer = ep.alloc_buffer(4096)
+        [(paddr, _)] = space.physical_extents(self._ack_scratch.vaddr, 4)
+        self._ack_image = memory.data[paddr:paddr + 4].view("<u4")
         self._ack_at_sender: Optional[ImportedBuffer] = None
         self._recovering: Optional[Event] = None
         self._next_seq = 1
@@ -753,14 +874,23 @@ class ReliableReceiver:
 
     def _ring_written(self, paddr: int, nbytes: int) -> None:
         """The ring's standing watcher: note the slots a device write
-        touched, and fire the pending wake, if there is one."""
-        end = paddr + nbytes
-        for i, extents in enumerate(self._slot_extents):
-            for start, length in extents:
-                if start < end and paddr < start + length:
-                    self._written.add(i)
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        touched, and fire the pending wake, if there is one.  (It runs
+        for an empty write only inside a slot: that slot is noted.)"""
+        page, slot_bytes = self._page_size, self.slot_bytes
+        end = paddr + max(nbytes, 1)
+        ring_bytes = self.ring.nbytes
+        for frame in range(paddr // page, (end - 1) // page + 1):
+            offset = self._frame_offsets.get(frame)
+            if offset is not None:
+                start = frame * page
+                lo = offset + max(paddr, start) - start
+                hi = min(offset + min(end, start + page) - start, ring_bytes)
+                if lo < hi:
+                    self._written.update(
+                        range(lo // slot_bytes, (hi - 1) // slot_bytes + 1))
+        wake = self._wake
+        if wake is not None and not wake._scheduled:     # untriggered
+            wake.succeed()
 
     def _scan(self) -> list[int]:
         """Read the slots written since the last wake; returns those whose
@@ -824,15 +954,15 @@ class ReliableReceiver:
             at_now(self.env, lambda: self._finish(error=ReliableError(
                 f"channel {self.name} not opened")))
         else:
-            at_now(self.env, self._look)
+            Timeout(self.env, 0).callbacks.append(self._look)
         return done
 
     def _look(self, _wake=None) -> None:
-        wake = self._wake = Event(self.env)
-        self.ep.membus.cacheline_fill().callbacks.append(
-            lambda _fill: self._check(wake))
+        self._wake = Event(self.env)
+        self.ep.membus.cacheline_fill().callbacks.append(self._check)
 
-    def _check(self, wake: Event) -> None:
+    def _check(self, _fill=None) -> None:
+        wake = self._wake
         changed = self._scan()
         expected = self._next_seq
         payload = self._complete(self._images[(expected - 1) % self.nslots],
@@ -862,8 +992,10 @@ class ReliableReceiver:
                 self._m_duplicates.inc()
             self._send_ack(self.delivered, lambda: then(wake, self._look),
                            resend=True)
+        elif wake.callbacks is None:
+            self._look(wake)
         else:
-            then(wake, self._look)
+            wake.callbacks.append(self._look)
 
     def _finish(self, payload: Optional[bytes] = None,
                 error: Optional[Exception] = None) -> None:
@@ -882,7 +1014,7 @@ class ReliableReceiver:
         restarted) recover it transparently — a swallowed ACK would only
         provoke a retransmission, but re-importing here keeps the channel
         from degenerating into a retransmit storm."""
-        self._ack_scratch.write_u32(seq)
+        self._ack_image[0] = seq & 0xFFFFFFFF
         if resend:
             self.stats.acks_resent += 1
         self.stats.acks_sent += 1
@@ -890,7 +1022,7 @@ class ReliableReceiver:
             emit(self.env, "rel.ack", channel=self.name, seq=seq,
                  resend=resend)
         _deposit(self, lambda: self.ep.send(
-            self._ack_scratch, self._ack_at_sender.at(0), 4),
+            self._ack_scratch, self._ack_at_sender, 4),
             self._ack_at_sender, seq, acked,
             lambda exc: self._finish(error=exc), ack=True)
 

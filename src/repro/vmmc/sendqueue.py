@@ -113,12 +113,12 @@ class SendQueue:
         never collide on a slot) for ``request``, if given.  The LCP sees
         the slot as empty until :meth:`post` marks it valid, preserving
         FIFO pickup."""
-        if not self.slot_available():
-            raise RuntimeError(
-                f"send queue of pid {self.pid} overflow (slot {self._tail})")
         slot = self._tail
+        if self._slots[slot] is not None or slot in self._reserved:
+            raise RuntimeError(
+                f"send queue of pid {self.pid} overflow (slot {slot})")
         self._reserved[slot] = request
-        self._tail = (self._tail + 1) % self.nslots
+        self._tail = (slot + 1) % self.nslots
         return slot
 
     def post(self, request: SendRequest) -> None:

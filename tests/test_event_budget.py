@@ -14,7 +14,9 @@ seals a packet once and checks it once, so ``seal``/``crc_ok`` calls are
 budgeted against the packets that reached a NIC.
 
 The host pays per Python call as well as per event, so the calls a
-4 KB packet makes in ``src/repro`` have budgets too.  They are upper
+4 KB packet makes in ``src/repro`` have budgets too, and so do those of
+a KV GET, of a request in an overloaded KV trial and of a DSM read and
+write fault.  They are upper
 bounds, not equalities, because the count depends a little on the
 CPython version.
 
@@ -29,6 +31,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -38,16 +41,19 @@ from repro.bench.microbench import (
     vmmc_pingpong_latency,
 )
 from repro.cluster import Cluster, TestbedConfig
+from repro.dsm import build_dsm_world
+from repro.hw.bus.membus import MemoryBus
 from repro.hw.myrinet import MyrinetPacket, topology
 from repro.hw.myrinet.packet import ProbeHeader
 from repro.kv import KVStore
+from repro.kv.bench import run_kv_trial
 from repro.mem import PhysicalMemory
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
 from repro.obs.metrics import MetricsRegistry
 from repro.rpc.reliable import connect_reliable_rpc
 from repro.vmmc import reliable
 from repro.vmmc.reliable import open_channel
-from repro.sim import AnyOf, Environment, Process, Timeout
+from repro.sim import Environment, Process, Timeout
 from repro.sim.resources import Request
 from repro.sim.trace import Tracer
 
@@ -171,7 +177,9 @@ def test_one_switch_hop_of_a_probe_on_fattree_4(monkeypatch):
     assert constructed == {Process: 3}      # the three injections only
 
 
-def test_one_clean_kv_get():
+def warm_kv_client():
+    """A reliable-RPC KV connection on two nodes, after one PUT and one
+    GET; returns ``(env, client, store)``."""
     cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
     env = cluster.env
     _, cli_ep = cluster.nodes[0].attach_process("cli")
@@ -180,8 +188,13 @@ def test_one_clean_kv_get():
     client, _server = env.run(until=connect_reliable_rpc(
         cli_ep, srv_ep, "kv", store.program()))
     env.run(until=client.call(PROC_PUT, encode_put_args(7, b"v" * 64)))
-    env.run(until=client.call(PROC_GET, encode_get_args(7)))    # warm
+    env.run(until=client.call(PROC_GET, encode_get_args(7)))
+    env.run()
+    return env, client, store
 
+
+def test_one_clean_kv_get():
+    env, client, store = warm_kv_client()
     cost = events_of(env, lambda: env.run(
         until=client.call(PROC_GET, encode_get_args(7))))
     assert store.gets == 2
@@ -195,8 +208,11 @@ def test_one_clean_kv_get():
     # writeback's process starts (119).  The library's four sends as
     # calls took their process starts, and one standing watcher per
     # ring and per ACK word the four one-shot watches (two on rings, two
-    # on ACK words) that fired after their wait had ended (111).
-    assert cost == 111
+    # on ACK words) that fired after their wait had ended (111).  An ACK
+    # write wakes the sends armed before it through one hop, not a wake
+    # event and a condition event per send: one event per ACK wait, two
+    # waits per call (109).
+    assert cost == 109
 
 
 def test_a_clean_kv_get_makes_no_message_process_and_arms_no_watch(
@@ -251,18 +267,20 @@ def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
     env.run(until=tx.send(b"w" * 1024))                         # warm
     timeouts, deadlines = [0], []
     real_init = Timeout.__init__
+    real_check = reliable._Message.check
 
     def counted_init(self, *args, **kwargs):
         timeouts[0] += 1
         real_init(self, *args, **kwargs)
 
-    class Watched(AnyOf):
-        def __init__(self, env, events):
-            deadlines.append(type(events[1]))
-            super().__init__(env, events)
+    def watched_check(message, *args):
+        had = message.timer
+        real_check(message, *args)
+        if message.timer is not had:
+            deadlines.append(type(message.timer))
 
     monkeypatch.setattr(Timeout, "__init__", counted_init)
-    monkeypatch.setattr(reliable, "AnyOf", Watched)
+    monkeypatch.setattr(reliable._Message, "check", watched_check)
     cost = events_of(env, lambda: env.run(until=tx.send(b"x" * 1024)))
     assert tx.stats.retransmits == 0
     # One ACK wait, its deadline a plain Timeout.  With the deadline
@@ -274,9 +292,70 @@ def test_a_clean_reliable_send_arms_one_timeout_per_ack_wait(monkeypatch):
     # While engine transfers were processes the send cost 63 events,
     # and 57 while the library's two sends (data, ACK) were processes and
     # the ring and the ACK word were re-watched at every look, leaving
-    # one watch each to fire after the wait was over.
+    # one watch each to fire after the wait was over.  It cost 53 events
+    # and 40 Timeouts while the ACK write's wake was an event per send
+    # and the deadline raced it in an ``AnyOf``: the write's one hop, a
+    # zero-delay Timeout like the hop that starts the send, replaces the
+    # wake and the condition event.
     assert deadlines == [Timeout]
-    assert (timeouts[0], cost) == (40, 53)
+    assert (timeouts[0], cost) == (42, 52)
+
+
+def test_one_ack_write_wakes_the_parked_sends_once(monkeypatch):
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    _, ep_tx = cluster.nodes[0].attach_process("tx")
+    _, ep_rx = cluster.nodes[1].attach_process("rx")
+    # A 1 ms RTO floor: no deadline falls due while the sends land.
+    tx, rx = env.run(until=open_channel(ep_tx, ep_rx, "herd",
+                                        timeout_ns=1_000_000))
+
+    def receiver(count):
+        for _ in range(count):
+            yield rx.recv()
+
+    env.process(receiver(8))
+    for _ in range(8):                       # clean ACKs grow the window
+        env.run(until=tx.send(b"w" * 64))
+    assert tx.cwnd == 8
+    sends = [tx.send(b"x" * 64) for _ in range(8)]       # nobody receives
+    env.run(until=env.now + 200_000)
+    assert tx.inflight == 8 and len(tx._armed) == 8
+    assert all(m.parked and m.timer is not None for m in tx._armed)
+    timers = {m.seq: m.timer for m in tx._armed}
+
+    fills, timeouts = [0], [0]
+    real_fill, real_init = MemoryBus.cacheline_fill, Timeout.__init__
+
+    def counted_fill(membus):
+        fills[0] += 1
+        return real_fill(membus)
+
+    def counted_init(self, *args, **kwargs):
+        timeouts[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoryBus, "cacheline_fill", counted_fill)
+    monkeypatch.setattr(Timeout, "__init__", counted_init)
+    # The receiver's ACK DMA, as a device write of the cumulative ACK
+    # word: it acknowledges the first four of the eight.
+    first = min(timers)
+    [(paddr, _)] = tx.ack_buf.space.physical_extents(tx.ack_buf.vaddr, 4)
+    memory = tx.ack_buf.space.memory
+    memory.data[paddr:paddr + 4] = np.frombuffer(
+        (first + 3).to_bytes(4, "little"), dtype=np.uint8)
+    before = env.events_processed
+    memory.notify_write(paddr, 4)
+    env.run(until=env.now + 1_000)
+    # One hop for the write and one cache-line fill for the batch; each
+    # send still waiting keeps the deadline timer it parked with.  (With
+    # a wake per send: eight wake events, eight condition events, eight
+    # fills and four fresh deadline timers.)
+    assert (fills[0], timeouts[0], env.events_processed - before) == (
+        1, 2, 2)
+    assert [s.processed for s in sends] == [True] * 4 + [False] * 4
+    assert [m.seq for m in tx._armed] == [first + i for i in range(4, 8)]
+    assert all(m.parked and m.timer is timers[m.seq] for m in tx._armed)
 
 
 # ------------------------------------------------------------ Python calls
@@ -330,6 +409,83 @@ def test_a_4kb_message_costs_few_python_calls():
     # 216.8 per message on CPython 3.11 (336.2 before, as above, and
     # with the sequence stamp built and read through numpy).
     assert calls_per_packet(4096, 32) <= 240
+
+
+def kv_request_costs(requests: int, base_gap_ns: int,
+                     seed: int = 1) -> tuple[float, float]:
+    """Events and repro-level calls per request of one clean
+    ``run_kv_trial`` at ``base_gap_ns`` (the ``kv-serve`` shape), cluster
+    boot included."""
+    envs = []
+    real_init = Environment.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        envs.append(self)
+
+    Environment.__init__ = recorded_init
+    try:
+        calls = repro_calls(lambda: run_kv_trial(
+            seed, shards=4, requests=requests, nkeys=512, skew=0.9,
+            get_fraction=0.8, load="steady", scenario="clean",
+            base_gap_ns=base_gap_ns))
+    finally:
+        Environment.__init__ = real_init
+    events = sum(env.events_processed for env in envs)
+    return events / requests, calls / requests
+
+
+def test_a_clean_kv_get_costs_few_python_calls():
+    env, client, store = warm_kv_client()
+
+    def get():
+        env.run(until=client.call(PROC_GET, encode_get_args(7)))
+        env.run()
+
+    calls = repro_calls(get)
+    assert store.gets == 2
+    # 734 on CPython 3.11.  976 while the XDR headers were decoded one
+    # ``_take`` per field, a send resolved its destination through five
+    # calls and probed its slot twice, the completion spin was a
+    # ``then``/lambda chain, and the ACK wait was a wake event and an
+    # ``AnyOf`` per send.
+    assert calls <= 800
+
+
+def test_an_overloaded_kv_trial_costs_few_events_and_calls_per_request():
+    events, calls = kv_request_costs(200, 10_000)
+    # 120.0 events and 1 120.3 calls per request on CPython 3.11, boot
+    # included.  161.6 and 1 666 while every ACK write woke every send in
+    # flight on the channel (a wake event, a condition event, a
+    # cache-line fill and a fresh deadline timer each) and every kick
+    # re-parked every send queued behind the window on a fresh event.
+    assert events <= 125
+    assert calls <= 1_400
+
+
+def test_a_dsm_read_fault_and_write_fault_cost_few_python_calls():
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    node = build_dsm_world(cluster, npages=8, page_bytes=128)[0].node
+
+    def op(generator):
+        def run():
+            env.run(until=env.process(generator))
+            env.run()
+        return run
+
+    op(node.read_u32(3, 0))()                    # warm, on another page
+    op(node.write_u32(3, 0, 1))()
+    # Page 1 is homed at rank 1: a read fault fetches it, then a write
+    # fault upgrades the copy (the home invalidates its own).
+    read = repro_calls(op(node.read_u32(1, 0)))
+    write = repro_calls(op(node.write_u32(1, 0, 5)))
+    assert (node.read_faults, node.write_faults) == (2, 2)
+    # 1 174 and 779 on CPython 3.11 (1 486 and 986 with the frames
+    # decoded one ``_take`` per field and the library and channel paths
+    # as above).
+    assert read <= 1_200
+    assert write <= 800
 
 
 # -------------------------------------------------------------------- CRC work

@@ -6,6 +6,7 @@ seeded end-to-end trial (clean and under chaos scenarios)."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kv import HashRing, KVStore, WorkloadSpec, generate_schedule
 from repro.kv.bench import SCENARIOS, run_kv_trial
@@ -63,6 +64,39 @@ def test_hash_ring_validation():
     with pytest.raises(ValueError):
         HashRing(["a"], vnodes=0)
     assert isinstance(point_for(b"x"), int)
+
+
+_SHARDS = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8,
+                   unique=True)
+_KEYS = st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shards=_SHARDS, vnodes=st.integers(1, 16), keys=_KEYS,
+       data=st.data())
+def test_hash_ring_routing_under_arbitrary_membership(shards, vnodes, keys,
+                                                      data):
+    ring = HashRing(shards, vnodes=vnodes)
+    routed = {key: ring.route(key) for key in keys}
+    # Every key routes to a member.
+    assert set(routed.values()) <= set(shards)
+    # The order the shards are listed in does not matter.
+    shuffled = data.draw(st.permutations(shards))
+    assert {key: HashRing(shuffled, vnodes=vnodes).route(key)
+            for key in keys} == routed
+    # Removing a shard moves only that shard's keys.
+    if len(shards) > 1:
+        gone = data.draw(st.sampled_from(shards))
+        smaller = HashRing([s for s in shards if s != gone], vnodes=vnodes)
+        for key, owner in routed.items():
+            if owner != gone:
+                assert smaller.route(key) == owner
+    # Adding a shard moves keys only onto it.
+    extra = data.draw(st.text(min_size=1, max_size=6).filter(
+        lambda name: name not in shards))
+    larger = HashRing([*shards, extra], vnodes=vnodes)
+    for key, owner in routed.items():
+        assert larger.route(key) in (owner, extra)
 
 
 # ---------------------------------------------------------------------------

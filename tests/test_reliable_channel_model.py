@@ -144,11 +144,25 @@ def reimport_with_backoff(end, imported):
 
 class ProcessSender(ReliableSender):
     """The sender as it was: a process per ``send`` that arms a one-shot
-    watch on the ACK word at every look."""
+    watch on the ACK word at every look, and waits for a window place
+    on one kick event that wakes every queued send."""
+
+    _kick_ev = None
 
     @property
     def acked(self):
         return self.ack_buf.read_u32(0)
+
+    def _kick(self):
+        if self._kick_ev is not None and not self._kick_ev.triggered:
+            event = self._kick_ev
+            self._kick_ev = None
+            event.succeed()
+
+    def _kick_wait(self):
+        if self._kick_ev is None or self._kick_ev.triggered:
+            self._kick_ev = self.env.event()
+        return self._kick_ev
 
     def _transmit_recovering(self, seq, base, data):
         attempts = 0

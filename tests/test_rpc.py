@@ -1,6 +1,9 @@
 """Tests for XDR, SunRPC/UDP and vRPC (section 5.4)."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, TestbedConfig
 from repro.sim import Environment
@@ -100,6 +103,165 @@ def test_decode_call_rejects_reply():
     reply = sunrpc.encode_reply(1, sunrpc.SUCCESS)
     with pytest.raises(XdrError):
         sunrpc.decode_call(reply)
+
+
+# ------------------------------------- header codecs against field by field
+# The 10-word call header and the 6-word reply header are packed and
+# unpacked in one struct call each.  The oracle is the field-by-field
+# codec they replaced: ``pack_uint`` per word, and a decoder that takes
+# each word with a bounds-checked slice.
+class FieldDecoder:
+    """One word at a time, each a bounds-checked slice."""
+
+    def __init__(self, data):
+        self.data, self.pos = bytes(data), 0
+
+    def uint(self):
+        if self.pos + 4 > len(self.data):
+            raise XdrError("underrun")
+        self.pos += 4
+        return struct.unpack(">I", self.data[self.pos - 4:self.pos])[0]
+
+
+def field_encode_call(xid, prog, vers, proc, args):
+    enc = XdrEncoder()
+    for word in (xid, sunrpc.CALL, 2, prog, vers, proc, 0, 0, 0, 0):
+        enc.pack_uint(word)
+    return enc.getvalue() + args
+
+
+def field_decode_call(data):
+    dec = FieldDecoder(data)
+    xid = dec.uint()
+    if dec.uint() != sunrpc.CALL:
+        raise XdrError("not a call")
+    if dec.uint() != 2:
+        raise XdrError("bad RPC version")
+    prog, vers, proc = dec.uint(), dec.uint(), dec.uint()
+    for _ in range(4):                   # null credential and verifier
+        dec.uint()
+    return xid, prog, vers, proc, dec.data[dec.pos:]
+
+
+def field_encode_reply(xid, status, result):
+    enc = XdrEncoder()
+    for word in (xid, sunrpc.REPLY, sunrpc.MSG_ACCEPTED, 0, 0, status):
+        enc.pack_uint(word)
+    return enc.getvalue() + result
+
+
+def field_decode_reply(data):
+    dec = FieldDecoder(data)
+    xid = dec.uint()
+    if dec.uint() != sunrpc.REPLY:
+        raise XdrError("not a reply")
+    if dec.uint() != sunrpc.MSG_ACCEPTED:
+        raise XdrError("message rejected")
+    dec.uint(), dec.uint()               # null verifier
+    return xid, dec.uint(), dec.data[dec.pos:]
+
+
+def outcome(function, *args):
+    """The value, with a result decoder as the bytes it has left, or the
+    type of the exception raised."""
+    try:
+        value = function(*args)
+    except Exception as exc:            # noqa: BLE001 - compared by type
+        return type(exc)
+    if value and isinstance(value, tuple) and \
+            isinstance(value[-1], XdrDecoder):
+        dec = value[-1]
+        value = (*value[:-1], bytes(dec._data[dec._pos:]))
+    return value
+
+
+_FIELD = st.integers(-(1 << 33), 1 << 33)
+_WORD = st.one_of(st.integers(0, 3), st.integers(0, (1 << 32) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.tuples(_FIELD, _FIELD, _FIELD, _FIELD),
+       args=st.binary(max_size=12))
+def test_call_header_encodes_as_field_by_field(fields, args):
+    assert outcome(sunrpc.encode_call, *fields, args) == \
+        outcome(field_encode_call, *fields, args)
+    xid, _prog, _vers, status = fields
+    assert outcome(sunrpc.encode_reply, xid, status, args) == \
+        outcome(field_encode_reply, xid, status, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(_WORD, min_size=10, max_size=10),
+       tail=st.binary(max_size=9))
+def test_headers_decode_as_field_by_field_at_every_truncation(words, tail):
+    # Arbitrary words, so the message type, RPC version and acceptance
+    # are often wrong, and every prefix, so each can be followed by an
+    # underrun.
+    image = struct.pack(">10I", *words) + tail
+    for cut in range(len(image) + 1):
+        data = image[:cut]
+        assert outcome(sunrpc.decode_call, data) == \
+            outcome(field_decode_call, data)
+        assert outcome(sunrpc.decode_reply, data) == \
+            outcome(field_decode_reply, data)
+
+
+def test_a_bad_message_type_then_an_underrun_is_an_xdr_error():
+    data = struct.pack(">II", 5, sunrpc.REPLY)           # a call's first words
+    for decode in (sunrpc.decode_call, field_decode_call):
+        with pytest.raises(XdrError):
+            decode(data)
+    with pytest.raises(XdrError):
+        sunrpc.decode_reply(struct.pack(">II", 5, sunrpc.CALL))
+
+
+_OPS = st.lists(st.sampled_from(
+    ["uint", "int", "uhyper", "bool", "opaque", "uints0", "uints3"]),
+    max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=40), ops=_OPS)
+def test_decoder_fields_read_as_bounds_checked_slices(data, ops):
+    """Each ``unpack_*`` against the slice-per-field reading it replaced:
+    the same values, the same position, an ``XdrError`` on the same
+    field."""
+    dec, pos, got, want = XdrDecoder(data), 0, [], []
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(data):
+            raise XdrError("underrun")
+        pos += n
+        return data[pos - n:pos]
+
+    def oracle(op):
+        if op == "uint":
+            return struct.unpack(">I", take(4))[0]
+        if op == "int":
+            return struct.unpack(">i", take(4))[0]
+        if op == "uhyper":
+            return struct.unpack(">Q", take(8))[0]
+        if op == "bool":
+            value = struct.unpack(">I", take(4))[0]
+            if value not in (0, 1):
+                raise XdrError("bad bool")
+            return bool(value)
+        if op == "opaque":
+            n = struct.unpack(">I", take(4))[0]
+            return take(n + (4 - n % 4) % 4)[:n]
+        return tuple(struct.unpack(">I", take(4))[0]
+                     for _ in range(int(op[-1])))
+
+    for op in ops:
+        read = (lambda: dec.unpack_uints(int(op[-1]))) \
+            if op.startswith("uints") else getattr(dec, f"unpack_{op}")
+        got.append(outcome(read))
+        want.append(outcome(oracle, op))
+        if want[-1] is XdrError:
+            break
+        assert dec._pos == pos
+    assert got == want
 
 
 # --------------------------------------------------------------- UDP baseline
