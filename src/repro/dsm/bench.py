@@ -80,7 +80,7 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
     """One seeded DSM trial; returns a JSON-serialisable report."""
     cluster = Cluster.build(TestbedConfig(nnodes=nnodes, memory_mb=32))
     env = cluster.env
-    MetricsRegistry().install(env)
+    registry = MetricsRegistry().install(env)
     segments = build_dsm_world(cluster, npages=npages,
                                page_bytes=page_bytes)
     # phase name → ns at which rank 0 entered it.
@@ -181,5 +181,6 @@ def run_dsm_trial(seed: int, *, nnodes: int = 4, npages: int = 64,
         "sc_violations": violations,
         "faults": None if fault_stats is None else fault_stats.as_dict(),
     }
+    registry.uninstall()
     return report
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from repro.sim import Environment, Process, Resource, Timeout
 from repro.sim.trace import emit
-from repro.obs.metrics import counter, histogram
 from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
 from repro.vmmc.reliable import HEADER_BYTES, open_mesh
 from repro.dsm import wire
@@ -122,22 +121,26 @@ class DsmNode:
         self.invalidations = 0          #: copies dropped here by protocol
         self.invalidations_sent = 0     #: member messages fanned out (home)
         self.downgrades = 0             #: copies dropped by lifecycle
-        env, node = self.env, rank
-        self._m_pages_fetched = counter(env, "dsm.pages_fetched", node=node)
-        self._m_invalidations_sent = counter(env, "dsm.invalidations_sent",
-                                             node=node)
-        self._m_invalidations = counter(env, "dsm.invalidations", node=node)
-        self._m_faults = {"r": counter(env, "dsm.read_faults", node=node),
-                          "w": counter(env, "dsm.write_faults", node=node)}
-        self._m_fetch_ns = {kind: histogram(env, "dsm.fault.fetch_ns",
-                                            node=node, kind=kind)
-                            for kind in ("r", "w")}
-        self._m_local_hits = counter(env, "dsm.local_hits", node=node)
-        self._m_ops = {kind: counter(env, "dsm.ops", node=node, kind=kind)
-                       for kind in ("read", "write")}
-        self._m_barriers = counter(env, "dsm.barriers", node=node)
-        self._m_lock_acquires = counter(env, "dsm.lock_acquires", node=node)
-        self._m_downgrades = counter(env, "dsm.downgrades", node=node)
+        self.barriers = 0
+        self.lock_acquires = 0
+        #: Fault kind -> its fetch times, while a registry is installed.
+        self.fetch_samples_ns: dict[str, list[int]] = {"r": [], "w": []}
+        self.env.collectors.append(self._collect)
+
+    def _collect(self):
+        rank = self.rank
+        node = {"node": rank}
+        for key, value in self.counters().items():
+            yield "counter", f"dsm.{key}", node, value
+        for kind, samples in self.fetch_samples_ns.items():
+            yield ("histogram", "dsm.fault.fetch_ns",
+                   {"node": rank, "kind": kind}, samples)
+        reads = sum(op.kind == "r" for op in self.history)
+        yield "counter", "dsm.ops", {"node": rank, "kind": "read"}, reads
+        yield ("counter", "dsm.ops", {"node": rank, "kind": "write"},
+               len(self.history) - reads)
+        yield "counter", "dsm.barriers", node, self.barriers
+        yield "counter", "dsm.lock_acquires", node, self.lock_acquires
 
     # -- topology ----------------------------------------------------------
     def home(self, page: int) -> int:
@@ -182,8 +185,6 @@ class DsmNode:
                       blob: bytes) -> None:
         self.store.write(blob, offset=page * self.page_bytes)
         self.pages_fetched += 1
-        if self.env.metrics is not None:
-            self._m_pages_fetched.inc()
         if self.env.tracer is not None:
             emit(self.env, "dsm.fetch", node=self.rank, page=page,
                  xfer=xfer, supplier=src)
@@ -271,8 +272,6 @@ class DsmNode:
             plan, needs_data = self.directory.begin_write(page, src)
             xfer = self._next_xfer() if needs_data else 0
             self.invalidations_sent += len(plan)
-            if plan and self.env.metrics is not None:
-                self._m_invalidations_sent.inc(len(plan))
             children = [
                 self.env.process(
                     self._member(member, action, page, src, xfer),
@@ -355,8 +354,6 @@ class DsmNode:
         if action in (FLUSH, INVALIDATE):
             if had_copy:
                 self.invalidations += 1
-                if self.env.metrics is not None:
-                    self._m_invalidations.inc()
                 if self.env.tracer is not None:
                     emit(self.env, "dsm.invalidate", node=self.rank,
                          page=page)
@@ -379,8 +376,6 @@ class DsmNode:
                 self.read_faults += 1
             else:
                 self.write_faults += 1
-            if self.env.metrics is not None:
-                self._m_faults[kind].inc()
             if self.env.tracer is not None:
                 emit(self.env, "dsm.fault", node=self.rank, kind=kind,
                      page=page)
@@ -421,7 +416,7 @@ class DsmNode:
             fetch_ns = self.env._now - started
             self.fetch_ns.append(fetch_ns)
             if self.env.metrics is not None:
-                self._m_fetch_ns[kind].observe(fetch_ns)
+                self.fetch_samples_ns[kind].append(fetch_ns)
         finally:
             lock.release(grant)
 
@@ -448,10 +443,6 @@ class DsmNode:
             yield from self._fault("r", page)
         if not faulted:
             self.local_hits += 1
-        if self.env.metrics is not None:
-            if not faulted:
-                self._m_local_hits.inc()
-            self._m_ops["read"].inc()
         self.history.append(DsmOp(
             node=self.rank, index=len(self.history), kind="r", page=page,
             offset=offset, value=value, start_ns=started,
@@ -474,10 +465,6 @@ class DsmNode:
             yield from self._fault("w", page)
         if not faulted:
             self.local_hits += 1
-        if self.env.metrics is not None:
-            if not faulted:
-                self._m_local_hits.inc()
-            self._m_ops["write"].inc()
         self.history.append(DsmOp(
             node=self.rank, index=len(self.history), kind="w", page=page,
             offset=offset, value=value, start_ns=started,
@@ -526,7 +513,7 @@ class DsmNode:
             yield from self._serve_barrier()
         else:
             yield from self._call(0, wire.OP_BARRIER, [])
-        self._m_barriers.inc()
+        self.barriers += 1
         if self.env.tracer is not None:
             emit(self.env, "dsm.barrier", node=self.rank)
 
@@ -536,7 +523,7 @@ class DsmNode:
             yield from self._serve_lock(self.rank, lock_id)
         else:
             yield from self._call(0, wire.OP_LOCK, [lock_id])
-        self._m_lock_acquires.inc()
+        self.lock_acquires += 1
         if self.env.tracer is not None:
             emit(self.env, "dsm.lock.acquire", node=self.rank, lock=lock_id)
 
@@ -570,7 +557,6 @@ class DsmNode:
                 dropped += 1
         if dropped:
             self.downgrades += dropped
-            self._m_downgrades.inc(dropped)
             if self.env.tracer is not None:
                 emit(self.env, "dsm.downgrade", node=self.rank,
                      pages=dropped, peer=info.get("remote_node", ""),

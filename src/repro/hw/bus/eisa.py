@@ -59,5 +59,5 @@ class EISABus(PCIBus):
         duration = (params.dma_setup_ns + nbytes * params.dma_ns_per_kb // 1000
                     if nbytes > 0 else 0)
         if self.env.metrics is not None:
-            self._dma_queue_depth.set(len(self._server._waiting))
+            self.dma_queue_depth.set(len(self._server._waiting))
         return self._server.serve(self._dma, nbytes, duration)

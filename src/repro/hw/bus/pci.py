@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from repro.sim import Environment, Event, Server, Timeout
 from repro.sim.trace import emit
-from repro.obs.metrics import counter, gauge, histogram
+from repro.obs.metrics import UNSET, Gauge
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,24 @@ class PCIBus:
         self.params = params or PCIParams()
         self.name = name
         self._server = Server(env)
-        self._pio_words = {kind: counter(env, "bus.pio.words", bus=name,
-                                         kind=kind)
-                           for kind in ("read", "write")}
-        self._dma_queue_depth = gauge(env, "bus.dma.queue_depth", bus=name)
-        self._dma_transactions = counter(env, "bus.dma.transactions",
-                                         bus=name)
-        self._dma_bytes = counter(env, "bus.dma.bytes", bus=name)
-        self._dma_duration = histogram(env, "bus.dma.duration_ns", bus=name)
+        #: PIO kind -> [words, accesses], while a registry is installed.
+        self.pio_words = {"read": [0, 0], "write": [0, 0]}
+        self.dma_queue_depth = Gauge(UNSET)
+        self.dma_transactions = 0
+        self.dma_bytes = 0
+        self.dma_durations: list[int] = []
+        env.collectors.append(self._collect)
+
+    def _collect(self):
+        bus = {"bus": self.name}
+        for kind, (words, accesses) in self.pio_words.items():
+            yield ("counter", "bus.pio.words",
+                   {"bus": self.name, "kind": kind}, (words, accesses))
+        yield "gauge", "bus.dma.queue_depth", bus, self.dma_queue_depth
+        yield "counter", "bus.dma.transactions", bus, self.dma_transactions
+        yield ("counter", "bus.dma.bytes", bus,
+               (self.dma_bytes, self.dma_transactions))
+        yield "histogram", "bus.dma.duration_ns", bus, self.dma_durations
 
     # -- programmed I/O ------------------------------------------------------
     def mmio_read(self, words: int = 1) -> Event:
@@ -116,7 +126,9 @@ class PCIBus:
         if env.tracer is not None:
             emit(env, f"{self.name}.pio.{kind}", words=words)
         if env.metrics is not None:
-            self._pio_words[kind].inc(words)
+            tally = self.pio_words[kind]
+            tally[0] += words
+            tally[1] += 1
         return Timeout(env, duration)
 
     # -- DMA ---------------------------------------------------------------------
@@ -143,7 +155,7 @@ class PCIBus:
                             + (nbytes - knee)
                             * params.dma_large_ns_per_kb // 1000)
         if self.env.metrics is not None:
-            self._dma_queue_depth.set(len(self._server._waiting))
+            self.dma_queue_depth.set(len(self._server._waiting))
         return self._server.serve(self._dma, nbytes, duration)
 
     def _dma(self, nbytes: int, duration: int) -> Timeout:
@@ -151,9 +163,9 @@ class PCIBus:
         if env.tracer is not None:
             emit(env, f"{self.name}.dma", nbytes=nbytes, duration=duration)
         if env.metrics is not None:
-            self._dma_transactions.inc()
-            self._dma_bytes.inc(nbytes)
-            self._dma_duration.observe(duration)
+            self.dma_transactions += 1
+            self.dma_bytes += nbytes
+            self.dma_durations.append(duration)
         return Timeout(env, duration)
 
     @property

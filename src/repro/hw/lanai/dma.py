@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.sim import Environment, Event, Server
 from repro.sim.trace import emit
-from repro.obs.metrics import counter, gauge
+from repro.obs.metrics import UNSET, Gauge
 from repro.mem.physical import PhysicalMemory
 from repro.hw.bus.pci import PCIBus
 from repro.hw.lanai.sram import SRAM
@@ -57,19 +57,27 @@ class HostDMAEngine:
         self.sram = sram
         self.name = name
         self._engine = Server(env)
-        self._queue_depth = gauge(env, "hostdma.queue_depth", nic=name)
-        self._bytes_to_sram = counter(env, "hostdma.bytes", nic=name,
-                                      dir="to_sram")
-        self._bytes_to_host = counter(env, "hostdma.bytes", nic=name,
-                                      dir="to_host")
         self.bytes_to_sram = 0
         self.bytes_to_host = 0
+        self.transfers_to_sram = 0
+        self.transfers_to_host = 0
+        #: Waiting operations at each call, while a registry is installed.
+        self.queue_depth = Gauge(UNSET)
+        env.collectors.append(self._collect)
+
+    def _collect(self):
+        nic = self.name
+        yield "gauge", "hostdma.queue_depth", {"nic": nic}, self.queue_depth
+        yield ("counter", "hostdma.bytes", {"nic": nic, "dir": "to_sram"},
+               (self.bytes_to_sram, self.transfers_to_sram))
+        yield ("counter", "hostdma.bytes", {"nic": nic, "dir": "to_host"},
+               (self.bytes_to_host, self.transfers_to_host))
 
     def to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
         """DMA ``nbytes`` host→SRAM; the event fires when the data is in
         SRAM."""
         if self.env.metrics is not None:
-            self._queue_depth.set(len(self._engine._waiting))
+            self.queue_depth.set(len(self._engine._waiting))
         return self._engine.serve(self._to_sram, paddr, sram_addr, nbytes)
 
     def _to_sram(self, paddr: int, sram_addr: int, nbytes: int) -> Event:
@@ -79,8 +87,7 @@ class HostDMAEngine:
             self.sram.view(sram_addr, nbytes)[:] = \
                 self.host_memory.view(paddr, nbytes)
             self.bytes_to_sram += nbytes
-            if env.metrics is not None:
-                self._bytes_to_sram.inc(nbytes)
+            self.transfers_to_sram += 1
             if env.tracer is not None:
                 emit(env, f"{self.name}.hostdma.to_sram",
                      paddr=paddr, nbytes=nbytes)
@@ -98,7 +105,7 @@ class HostDMAEngine:
     def _queue_write(self, payload: np.ndarray, paddr: int) -> Event:
         """:meth:`write_host` of bytes already a ``uint8`` array."""
         if self.env.metrics is not None:
-            self._queue_depth.set(len(self._engine._waiting))
+            self.queue_depth.set(len(self._engine._waiting))
         return self._engine.serve(self._write_host, payload, paddr)
 
     def _write_host(self, payload: np.ndarray, paddr: int) -> Event:
@@ -109,8 +116,7 @@ class HostDMAEngine:
             self.host_memory.view(paddr, nbytes)[:] = payload
             self.host_memory.notify_write(paddr, nbytes)
             self.bytes_to_host += nbytes
-            if env.metrics is not None:
-                self._bytes_to_host.inc(nbytes)
+            self.transfers_to_host += 1
             if env.tracer is not None:
                 emit(env, f"{self.name}.hostdma.write_host",
                      paddr=paddr, nbytes=nbytes)
@@ -163,9 +169,12 @@ class NetSendEngine:
         self.network = network
         self.host_name = host_name
         self._engine = Server(env)
-        self._packets_sent = counter(env, "net.packets", nic=host_name,
-                                     dir="tx")
         self.packets_sent = 0
+        env.collectors.append(self._collect)
+
+    def _collect(self):
+        yield ("counter", "net.packets", {"nic": self.host_name, "dir": "tx"},
+               self.packets_sent)
 
     def send(self, packet: MyrinetPacket) -> Event:
         """Seal (hardware CRC) and transmit one packet.
@@ -184,8 +193,6 @@ class NetSendEngine:
 
         def tail_left(_tail):
             self.packets_sent += 1
-            if env.metrics is not None:
-                self._packets_sent.inc()
             if env.tracer is not None:
                 emit(env, "lanai.netsend", nic=self.host_name,
                      nbytes=packet.payload_bytes)
@@ -214,22 +221,22 @@ class NetRecvEngine:
         self._getters: deque[Event] = deque()
         self.packets_received = 0
         self.crc_errors = 0
-        self._packets_received = counter(env, "net.packets", nic=host_name,
-                                         dir="rx")
-        self._crc_errors = counter(env, "net.crc_errors", nic=host_name)
+        env.collectors.append(self._collect)
         #: Optional hook invoked on every arrival (the LCP's wakeup line).
         self.on_arrival = None
         network.attach_host_sink(host_name, self._on_packet)
+
+    def _collect(self):
+        nic = self.host_name
+        yield ("counter", "net.packets", {"nic": nic, "dir": "rx"},
+               self.packets_received)
+        yield "counter", "net.crc_errors", {"nic": nic}, self.crc_errors
 
     def _on_packet(self, packet: MyrinetPacket):
         ok = packet.crc_ok()
         self.packets_received += 1
         if not ok:
             self.crc_errors += 1
-        if self.env.metrics is not None:
-            if not ok:
-                self._crc_errors.inc()
-            self._packets_received.inc()
         if self.env.tracer is not None:
             emit(self.env, "lanai.netrecv", nic=self.host_name,
                  nbytes=packet.payload_bytes, ok=ok)

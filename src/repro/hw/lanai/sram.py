@@ -42,6 +42,8 @@ class SRAM:
     def __init__(self, size: int = SRAM_SIZE):
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
+        #: The same bytes as a memoryview, for ``bytes`` payloads.
+        self.raw = memoryview(self.data)
         self.regions: dict[str, SRAMRegion] = {}
         self._cursor = 0
 
@@ -87,11 +89,12 @@ class SRAM:
         return self.data[addr:addr + nbytes].copy()
 
     def write(self, addr: int, payload: np.ndarray | bytes) -> None:
-        buf = np.frombuffer(bytes(payload), dtype=np.uint8) \
-            if isinstance(payload, (bytes, bytearray)) \
-            else np.asarray(payload, dtype=np.uint8)
-        self._check(addr, len(buf))
-        self.data[addr:addr + len(buf)] = buf
+        if isinstance(payload, (bytes, bytearray)):
+            target = self.raw
+        else:
+            target, payload = self.data, np.asarray(payload, dtype=np.uint8)
+        self._check(addr, len(payload))
+        target[addr:addr + len(payload)] = payload
 
     def view(self, addr: int, nbytes: int) -> np.ndarray:
         """Mutable no-copy view (used by DMA engines)."""

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.sim import Environment, Timeout
 from repro.sim.trace import emit
-from repro.obs.metrics import counter
 from repro.hw.myrinet.packet import MyrinetPacket
 
 
@@ -96,14 +95,19 @@ class Link:
         self._down_depth = 0
         self.packets_carried = 0
         self.bytes_carried = 0
+        self.busy_ns = 0
         self.errors_injected = 0
         self.packets_lost_down = 0
-        self._errors_injected = counter(env, "link.errors_injected",
-                                        link=name)
-        self._packets = counter(env, "link.packets", link=name)
-        self._bytes = counter(env, "link.bytes", link=name)
-        self._busy_ns = counter(env, "link.busy_ns", link=name)
-        self._lost_down = counter(env, "link.lost_down", link=name)
+        env.collectors.append(self._collect)
+
+    def _collect(self):
+        link = {"link": self.name}
+        packets = self.packets_carried
+        yield "counter", "link.errors_injected", link, self.errors_injected
+        yield "counter", "link.packets", link, packets
+        yield "counter", "link.bytes", link, (self.bytes_carried, packets)
+        yield "counter", "link.busy_ns", link, (self.busy_ns, packets)
+        yield "counter", "link.lost_down", link, self.packets_lost_down
 
     # -- fault hooks ----------------------------------------------------------
     @property
@@ -203,14 +207,9 @@ class Link:
         if error_rate > 0 and self._rng.random() < error_rate:
             packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
             self.errors_injected += 1
-            if env.metrics is not None:
-                self._errors_injected.inc()
         self.packets_carried += 1
         self.bytes_carried += wire_bytes
-        if env.metrics is not None:
-            self._packets.inc()
-            self._bytes.inc(wire_bytes)
-            self._busy_ns.inc(wire_time)
+        self.busy_ns += wire_time
 
         def arrive(_arrival: Timeout) -> None:
             if self._down_depth:
@@ -218,8 +217,6 @@ class Link:
                 # is notified — Myrinet hardware gives the sender no
                 # feedback.
                 self.packets_lost_down += 1
-                if env.metrics is not None:
-                    self._lost_down.inc()
                 if env.tracer is not None:
                     emit(env, f"{self.name}.lost_down", bytes=wire_bytes)
                 return

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.sim import Environment, Timeout
 from repro.sim.trace import emit
-from repro.obs.metrics import counter
 from repro.hw.myrinet.link import Link
 from repro.hw.myrinet.packet import MyrinetPacket
 
@@ -58,11 +57,17 @@ class Switch:
         self.packets_forwarded = 0
         self.drops = 0
         self.port_down_drops = 0
-        self._drops_unconnected = counter(env, "switch.drops", switch=name,
-                                          reason="unconnected")
-        self._drops_port_down = counter(env, "switch.drops", switch=name,
-                                        reason="port_down")
-        self._forwarded = counter(env, "switch.forwarded", switch=name)
+        env.collectors.append(self._collect)
+
+    def _collect(self):
+        name = self.name
+        yield ("counter", "switch.drops",
+               {"switch": name, "reason": "unconnected"},
+               self.drops - self.port_down_drops)
+        yield ("counter", "switch.drops",
+               {"switch": name, "reason": "port_down"}, self.port_down_drops)
+        yield "counter", "switch.forwarded", {"switch": name}, \
+            self.packets_forwarded
 
     def attach_output(self, port: int, link: Link) -> None:
         """Connect the outgoing side of ``port`` to a link."""
@@ -122,8 +127,6 @@ class Switch:
             # Route byte names an unconnected port: the worm is dropped by
             # the hardware (this is what the mapping phase repairs).
             self.drops += 1
-            if env.metrics is not None:
-                self._drops_unconnected.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.drop", port=port)
             return
@@ -131,8 +134,6 @@ class Switch:
             # Faulted output port: the crossbar sinks the worm silently.
             self.drops += 1
             self.port_down_drops += 1
-            if env.metrics is not None:
-                self._drops_port_down.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.drop_port_down", port=port)
             return
@@ -147,8 +148,6 @@ class Switch:
 
         def forward(_crossbar: Timeout) -> None:
             self.packets_forwarded += 1
-            if env.metrics is not None:
-                self._forwarded.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.forward", port=port,
                      bytes=wire_bytes)

@@ -29,8 +29,7 @@ from __future__ import annotations
 import random
 
 from repro.cluster import Cluster, TestbedConfig
-from repro.obs.metrics import (MetricsRegistry, count, counter, histogram,
-                                quantile_key)
+from repro.obs.metrics import MetricsRegistry, count, quantile_key
 from repro.faults import (DAEMON_COLD_CRASH, FaultCampaign, FaultEvent,
                           FaultInjector, LINK_ERROR_BURST)
 from repro.kv.hashing import HashRing
@@ -137,7 +136,7 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
     stores = {name: KVStore(name) for name in shard_nodes}
     clients: dict[str, object] = {}
     servers: dict[str, object] = {}
-    outcome = {"completed": 0, "failed": 0, "gets": 0, "puts": 0}
+    outcome = {"failed": 0}
     ryw_violations: list[dict] = []
 
     def wire():
@@ -151,13 +150,19 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
             clients[name] = client
             servers[name] = server
 
-    # One bound handle per series a request records (each series is
-    # still made at its first record, as by the per-call helpers).
-    m_e2e_ns = histogram(env, "kv.e2e_ns")
-    m_shard_ns = {name: histogram(env, "kv.shard_ns", shard=name)
-                  for name in shard_nodes}
-    m_requests = {(name, op): counter(env, "kv.requests", shard=name, op=op)
-                  for name in shard_nodes for op in ("get", "put")}
+    # The driver's tallies of completed requests (read by the registry).
+    e2e_ns: list[int] = []
+    shard_ns: dict[str, list[int]] = {name: [] for name in shard_nodes}
+    served = {(name, op): 0 for name in shard_nodes for op in ("get", "put")}
+
+    def collect():
+        yield "histogram", "kv.e2e_ns", {}, e2e_ns
+        for name, samples in shard_ns.items():
+            yield "histogram", "kv.shard_ns", {"shard": name}, samples
+        for (name, op), n in served.items():
+            yield "counter", "kv.requests", {"shard": name, "op": op}, n
+
+    env.collectors.append(collect)
 
     def do_request(req, arrival_ns):
         shard = shard_of[req.index]
@@ -167,11 +172,9 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
                 dec = yield client.call(PROC_PUT,
                                         encode_put_args(req.key, req.value))
                 decode_put_reply(dec)
-                outcome["puts"] += 1
             else:
                 dec = yield client.call(PROC_GET, encode_get_args(req.key))
                 found, value, _version = decode_get_reply(dec)
-                outcome["gets"] += 1
                 want = expected[req.index]
                 got = value if found else None
                 if got != want:
@@ -182,11 +185,10 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
             outcome["failed"] += 1
             count(env, "kv.failures", shard=shard)
             return
-        outcome["completed"] += 1
         latency = env.now - arrival_ns
-        m_e2e_ns.observe(latency)
-        m_shard_ns[shard].observe(latency)
-        m_requests[shard, req.op].inc()
+        e2e_ns.append(latency)
+        shard_ns[shard].append(latency)
+        served[shard, req.op] += 1
 
     def driver():
         # Open-loop replay: wire the tier, then fire every request at
@@ -219,6 +221,7 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
     for shard in shard_of.values():
         shard_counts[shard] += 1
     mean_count = len(schedule_reqs) / len(shard_nodes)
+    registry.uninstall()
     per_shard = {}
     for name in shard_nodes:
         shard_snap = registry.histogram("kv.shard_ns", shard=name).snapshot()
@@ -240,6 +243,8 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
     for req in schedule_reqs:
         key_counts[req.key] = key_counts.get(req.key, 0) + 1
 
+    completed = sum(served.values())
+    gets = sum(n for (_name, op), n in served.items() if op == "get")
     report = {
         "bench": "kv",
         "scenario": scenario,
@@ -254,17 +259,17 @@ def run_kv_trial(seed: int, *, shards: int = 4, requests: int = 400,
         "base_gap_ns": base_gap_ns,
         "elapsed_ns": elapsed_ns,
         "workload_ns": workload_ns,
-        "completed": outcome["completed"],
+        "completed": completed,
         "failed": outcome["failed"],
-        "gets": outcome["gets"],
-        "puts": outcome["puts"],
+        "gets": gets,
+        "puts": completed - gets,
         "latency_ns": registry.histogram("kv.e2e_ns").snapshot(),
         "per_shard": per_shard,
         "imbalance": round(max(shard_counts.values()) / mean_count, 4),
         "hot_key_fraction": round(
             max(key_counts.values()) / len(schedule_reqs), 4),
         "requests_per_sec": (
-            round(outcome["completed"] * 1e9 / workload_ns, 3)
+            round(completed * 1e9 / workload_ns, 3)
             if workload_ns else 0.0),
         "transport": transport,
         "ryw_violations": ryw_violations[:10],

@@ -10,6 +10,8 @@ bytes through another that maps the exported region.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.mem.virtual import AddressSpace, PAGE_SIZE, page_offset
@@ -52,6 +54,12 @@ class UserBuffer:
     def read_u32(self, offset: int = 0) -> int:
         """The 32-bit word at ``offset`` (little-endian, like the wire
         headers)."""
+        vaddr = self.vaddr + offset
+        if 0 <= offset <= self.nbytes - 4 and \
+                vaddr % PAGE_SIZE <= PAGE_SIZE - 4:     # inside one page
+            space = self.space
+            return struct.unpack_from("<I", space.memory.raw,
+                                      space.translate(vaddr))[0]
         return int.from_bytes(self.read(offset, 4).tobytes(), "little")
 
     def write_u32(self, value: int, offset: int = 0) -> None:

@@ -99,6 +99,8 @@ class PhysicalMemory:
         self.data = np.frombuffer(
             mmap.mmap(-1, size_bytes, access=mmap.ACCESS_COPY),
             dtype=np.uint8)
+        #: The same bytes as a memoryview, for ``bytes`` payloads.
+        self.raw = memoryview(self.data)
         # reserved_frames models kernel-owned low memory never given to users.
         self._reserved = min(max(reserved_frames, 0), self.nframes)
         self._stride = _scatter_stride(self.nframes) if self.nframes else 1
@@ -221,11 +223,14 @@ class PhysicalMemory:
         return self.data[paddr:paddr + nbytes].copy()
 
     def write(self, paddr: int, payload: np.ndarray | bytes) -> None:
-        buf = np.frombuffer(bytes(payload), dtype=np.uint8) \
-            if isinstance(payload, (bytes, bytearray)) \
-            else np.asarray(payload, dtype=np.uint8)
-        self._check_range(paddr, len(buf))
-        self.data[paddr:paddr + len(buf)] = buf
+        if isinstance(payload, (bytes, bytearray)):
+            target = self.raw
+        else:
+            target, payload = self.data, np.asarray(payload, dtype=np.uint8)
+        end = paddr + len(payload)
+        if paddr < 0 or end > self.size:
+            self._check_range(paddr, len(payload))
+        target[paddr:end] = payload
 
     def view(self, paddr: int, nbytes: int) -> np.ndarray:
         """A mutable *view* (no copy) — used by DMA engines."""

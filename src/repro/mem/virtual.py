@@ -190,14 +190,13 @@ class AddressSpace:
         return out
 
     def write(self, vaddr: int, payload: np.ndarray | bytes) -> None:
-        buf = np.frombuffer(bytes(payload), dtype=np.uint8) \
-            if isinstance(payload, (bytes, bytearray)) \
-            else np.asarray(payload, dtype=np.uint8)
-        if 0 < len(buf) <= PAGE_SIZE - vaddr % PAGE_SIZE:
-            paddr = self.translate(vaddr)
-            self.memory.data[paddr:paddr + len(buf)] = buf
+        if not isinstance(payload, (bytes, bytearray)):
+            payload = np.asarray(payload, dtype=np.uint8)
+        nbytes = len(payload)
+        if 0 < nbytes <= PAGE_SIZE - vaddr % PAGE_SIZE:
+            self.memory.write(self.translate(vaddr), payload)
             return
         done = 0
-        for paddr, length in self.physical_extents(vaddr, len(buf)):
-            self.memory.view(paddr, length)[:] = buf[done:done + length]
+        for paddr, length in self.physical_extents(vaddr, nbytes):
+            self.memory.write(paddr, payload[done:done + length])
             done += length

@@ -4,8 +4,8 @@ Cross-cutting instrumentation for the whole simulator (DESIGN S18):
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges
   and histograms (latency quantiles, retransmit counts, DMA-queue depth,
-  link utilisation), recorded through bound handles on the per-packet
-  path and per-call helpers elsewhere, both no-ops until a registry is
+  link utilisation): statistics the per-packet objects own, read at
+  snapshot, and per-call helpers elsewhere, no-ops until a registry is
   installed, like :func:`repro.sim.trace.emit`.  Install one per
   environment with ``MetricsRegistry().install(env)``, at any time.
 * :mod:`repro.obs.perfetto` — Chrome trace-event / Perfetto JSON exporter

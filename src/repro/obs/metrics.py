@@ -5,27 +5,31 @@ qualitative half is :mod:`repro.sim.trace`).  Modules record into
 whichever registry is installed on their environment (``env.metrics``,
 ``None`` when there is none) in one of two ways:
 
-* **Bound handles** — :func:`counter`, :func:`gauge` and
-  :func:`histogram` return a handle bound to ``(env, name, labels)``.
-  Every site on the per-packet and per-request path (buses, host DMA,
-  links, switches, the LCP, the VMMC endpoint, the reliable channel and
-  DSM) makes its handles once, at construction, and records with
-  ``inc``/``set``/``observe``.  A record reads ``env.metrics``; with no
-  registry it does nothing, and when it meets a registry it has not
-  seen it resolves its metric there through the registry's factory, so
-  the label set is sorted and rendered once per series per registry,
-  not once per record.  A registry may be installed at any time, before
-  or after the modules are built: each record lands in the registry
-  installed when it happens, and a metric exists only once something
-  has been recorded into it.  A hot site tests ``env.metrics`` first
-  (``if env.metrics is not None:`` around its records, beside the
-  ``env.tracer`` guard of its trace points), so a run with no registry
-  makes no handle call at all.
+* **Object-owned statistics** — every object on the per-packet and
+  per-request path (buses, host DMA, links, switches, the LCP, the VMMC
+  endpoint, the reliable channel, DSM, the KV driver) owns its
+  statistics, as the LCP in the paper owns the words it bumps: a counter
+  is an ``int`` attribute, a gauge a :class:`Gauge` of its own (its
+  ``max_value`` starts at :data:`UNSET`), a histogram a sample list, so
+  a record never calls the registry.  Each such object appends one
+  *collector* to ``env.collectors`` when it is built, yielding
+  ``(kind, name, labels, value)`` per series; a counter's value is its
+  total, or ``(total, records)`` where an increment may be 0.  The
+  installed registry reads the collectors at each snapshot: a series
+  exists once something was recorded into it (a 0 increment counts).
+  What only the registry wants is updated under ``if env.metrics is
+  not None:``, so a run with no registry makes no metrics call.
 * **Helpers** — :func:`count`, :func:`set_gauge` and :func:`observe`
-  resolve the metric on every call.  They are for labels drawn from
-  request data (``kv.requests{shard,op}``) and for cold control-path
-  modules (daemon, driver, kernel, Ethernet, the fault injector) that
-  record a handful of times per run.
+  resolve the metric on every call, for cold control paths (daemon,
+  driver, kernel, Ethernet, the fault injector) and rare request data
+  (``kv.failures{shard}``).
+
+A registry may be installed at any time and holds exactly what was
+recorded while it was installed: :meth:`~MetricsRegistry.install`
+uninstalls the registry it replaces (which reads the collectors one last
+time and keeps that view), then rebases them (counter totals become
+baselines, gauge maxima go back to :data:`UNSET`, sample lists are
+emptied).  The KV and DSM trials uninstall theirs when they end.
 
 Design points:
 
@@ -45,23 +49,21 @@ Usage::
 
     registry = MetricsRegistry().install(env)   # env.metrics = registry
     ... run the simulation ...
-    snap = registry.snapshot()
+    snap = registry.snapshot()                  # reads every collector
     snap["link.bytes{link=node0->sw0}"]          # -> int
     snap["vmmc.send.sync_ns{node=node0}"]["p90"]  # -> float
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter",
-    "gauge",
-    "histogram",
+    "UNSET",
     "count",
     "set_gauge",
     "observe",
@@ -71,6 +73,9 @@ __all__ = [
 
 #: Quantiles reported in histogram snapshots.
 SNAPSHOT_QUANTILES = (0.5, 0.9, 0.99, 0.999)
+
+#: An owned :class:`Gauge`'s ``max_value`` while unset since a read.
+UNSET = float("-inf")
 
 
 def quantile_key(q: float) -> str:
@@ -107,13 +112,14 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; the high-water mark is tracked alongside."""
+    """A point-in-time value; the high-water mark is tracked alongside
+    (from :data:`UNSET` in a gauge an object owns)."""
 
     __slots__ = ("value", "max_value")
 
-    def __init__(self) -> None:
+    def __init__(self, max_value: float = 0) -> None:
         self.value: float = 0
-        self.max_value: float = 0
+        self.max_value: float = max_value
 
     def set(self, value: float) -> None:
         self.value = value
@@ -144,6 +150,12 @@ class Histogram:
             self._sorted = False
         self._values.append(value)
         self._sum += value
+
+    def extend(self, values: list[int]) -> None:
+        """:meth:`observe` each of ``values`` (integers: in one sum)."""
+        self._values += values
+        self._sum += sum(values)
+        self._sorted = False
 
     @property
     def count(self) -> int:
@@ -210,15 +222,18 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple], Any] = {}
         self._kinds: dict[str, type] = {}
+        #: The environment it is installed on, whose collectors it reads.
+        self._env: Any = None
+        #: (collector index, series key) -> (total, records) at last read.
+        self._base: dict[tuple[int, tuple], tuple] = {}
 
     # -- metric factories -----------------------------------------------------
-    def _get(self, cls: type, name: str, labels: dict[str, Any]):
+    def _series(self, cls: type, name: str, key: tuple[str, tuple]):
         seen = self._kinds.setdefault(name, cls)
         if seen is not cls:
             raise TypeError(
                 f"metric {name!r} already registered as "
                 f"{seen.__name__}, cannot reuse it as {cls.__name__}")
-        key = _key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls()
@@ -226,37 +241,84 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(Counter, name, labels)
+        return self._series(Counter, name, _key(name, labels))
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels)
+        return self._series(Gauge, name, _key(name, labels))
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels)
+        return self._series(Histogram, name, _key(name, labels))
 
     # -- wiring ---------------------------------------------------------------
     def install(self, env: Any) -> "MetricsRegistry":
-        """Attach this registry to an environment (``env.metrics``)."""
+        """Attach this registry to an environment (``env.metrics``),
+        uninstalling the one it replaces (see the module docstring)."""
+        previous = getattr(env, "metrics", None)
+        if previous is not None:
+            previous.uninstall()
+        self._env = env
+        self._read(keep=False)
         env.metrics = self
         return self
 
+    def uninstall(self) -> None:
+        """Read the collectors one last time and detach from the
+        environment (``env.metrics`` back to None), keeping that view;
+        an installed registry keeps its whole simulation alive."""
+        if self._env is not None:
+            self._read(keep=True)
+            self._env.metrics = None
+            self._env = None
+
+    def _read(self, keep: bool) -> None:
+        """Read the collectors of the environment it is installed on
+        into its series (``keep``), or just rebase them."""
+        base = self._base
+        for index, collector in enumerate(
+                getattr(self._env, "collectors", ())):
+            for kind, name, labels, value in collector():
+                key = _key(name, labels)
+                if kind == "counter":
+                    total, records = (value if type(value) is tuple
+                                      else (value, value))
+                    was = base.get((index, key), (0, 0))
+                    if records != was[1]:
+                        if keep:
+                            self._series(Counter, name, key).value += \
+                                total - was[0]
+                        base[index, key] = (total, records)
+                elif kind == "gauge":
+                    if value.max_value != UNSET:
+                        if keep:     # its high-water mark, then its value
+                            gauge = self._series(Gauge, name, key)
+                            gauge.set(value.max_value)
+                            gauge.set(value.value)
+                        value.max_value = UNSET
+                elif value:
+                    if keep:
+                        self._series(Histogram, name, key).extend(value)
+                    value.clear()
+
     # -- introspection --------------------------------------------------------
     def __len__(self) -> int:
+        self._read(keep=True)
         return len(self._metrics)
 
     def names(self) -> list[str]:
         """Sorted base metric names (label sets collapsed)."""
+        self._read(keep=True)
         return sorted({name for name, _ in self._metrics})
 
     def snapshot(self) -> dict[str, Any]:
         """Flat, deterministic view: ``name{labels}`` → value/dict.
 
-        Counters render as numbers, gauges as ``{value, max}`` dicts,
-        histograms as ``{count, sum, min, max, p50, p90, p99, p999}``
-        dicts.
+        Reads the collectors first (:meth:`collect`).  Counters render
+        as numbers, gauges as ``{value, max}`` dicts, histograms as
+        ``{count, sum, min, max, p50, p90, p99, p999}`` dicts.
         Keys are sorted, so two identically seeded runs produce *equal*
         snapshots (`==` on the dicts).
         """
+        self._read(keep=True)
         out: dict[str, Any] = {}
         for (name, labels), metric in sorted(self._metrics.items()):
             out[_render(name, labels)] = metric.snapshot()
@@ -306,84 +368,3 @@ def observe(env: Any, name: str, value: float, **labels: Any) -> None:
     registry = getattr(env, "metrics", None)
     if registry is not None:
         registry.histogram(name, **labels).observe(value)
-
-
-# -- bound handles (resolved once per registry) -------------------------------
-class _Handle:
-    """One series of whichever registry ``env`` carries.
-
-    ``_factory`` names the :class:`MetricsRegistry` factory that makes
-    the series, so a handle's first record in a registry does exactly
-    what a helper call would (the kind-conflict ``TypeError`` included).
-    Each subclass repeats the registry check inline rather than calling
-    a shared resolver: it runs once per packet.
-    """
-
-    __slots__ = ("_env", "_name", "_labels", "_registry", "_metric")
-    _factory = ""
-
-    def __init__(self, env: Any, name: str, labels: dict[str, Any]):
-        self._env = env
-        self._name = name
-        self._labels = labels
-        self._registry: Optional[MetricsRegistry] = None
-        self._metric: Any = None
-
-    def _bind(self, registry: MetricsRegistry) -> None:
-        self._metric = getattr(registry, self._factory)(
-            self._name, **self._labels)
-        self._registry = registry
-
-
-class CounterHandle(_Handle):
-    __slots__ = ()
-    _factory = "counter"
-
-    def inc(self, n: float = 1) -> None:
-        registry = self._env.metrics
-        if registry is None:
-            return
-        if registry is not self._registry:
-            self._bind(registry)
-        self._metric.inc(n)
-
-
-class GaugeHandle(_Handle):
-    __slots__ = ()
-    _factory = "gauge"
-
-    def set(self, value: float) -> None:
-        registry = self._env.metrics
-        if registry is None:
-            return
-        if registry is not self._registry:
-            self._bind(registry)
-        self._metric.set(value)
-
-
-class HistogramHandle(_Handle):
-    __slots__ = ()
-    _factory = "histogram"
-
-    def observe(self, value: float) -> None:
-        registry = self._env.metrics
-        if registry is None:
-            return
-        if registry is not self._registry:
-            self._bind(registry)
-        self._metric.observe(value)
-
-
-def counter(env: Any, name: str, **labels: Any) -> CounterHandle:
-    """A counter handle bound to ``env`` (see the module docstring)."""
-    return CounterHandle(env, name, labels)
-
-
-def gauge(env: Any, name: str, **labels: Any) -> GaugeHandle:
-    """A gauge handle bound to ``env``."""
-    return GaugeHandle(env, name, labels)
-
-
-def histogram(env: Any, name: str, **labels: Any) -> HistogramHandle:
-    """A histogram handle bound to ``env``."""
-    return HistogramHandle(env, name, labels)

@@ -409,6 +409,8 @@ class Environment:
         #: The installed :class:`~repro.obs.metrics.MetricsRegistry`, if
         #: any (``MetricsRegistry.install`` sets it).
         self.metrics = None
+        #: Statistics collectors of the objects built on it (obs.metrics).
+        self.collectors: list = []
         #: Events popped off the queue so far, one per heap entry — the
         #: per-operation budgets in ``tests/test_event_budget.py``.
         self.events_processed = 0

@@ -49,7 +49,6 @@ import numpy as np
 from repro.sim import Environment, Event, Timeout
 from repro.sim.server import at_now, then
 from repro.sim.trace import emit
-from repro.obs.metrics import counter, histogram
 from repro.mem.buffers import UserBuffer
 from repro.mem.virtual import PAGE_SIZE
 from repro.hostos.process import UserProcess
@@ -285,18 +284,29 @@ class VMMCEndpoint:
         self.reimports = 0
         self._exports: dict[str, ExportHandle] = {}
         self._imports: list[ImportedBuffer] = []
-        node = node_name
-        self._m_unimports = counter(env, "vmmc.unimports", node=node)
-        self._m_reimports = counter(env, "vmmc.reimports", node=node)
-        self._m_imports_invalidated = counter(env, "vmmc.imports_invalidated",
-                                              node=node)
-        self._m_sends_stale_blocked = counter(env, "vmmc.sends_stale_blocked",
-                                              node=node)
-        self._m_sends_posted = {short: counter(env, "vmmc.sends_posted",
-                                               node=node, short=short)
-                                for short in (True, False)}
-        self._m_send_sync_ns = histogram(env, "vmmc.send.sync_ns", node=node)
+        self.short_sends_posted = 0
+        self.unimports = 0
+        self.imports_invalidated = 0
+        #: Each synchronous send's duration, while a registry is installed.
+        self.send_sync_ns: list[int] = []
+        env.collectors.append(self._collect)
         daemon.register_endpoint(self)
+
+    def _collect(self):
+        node = {"node": self.node_name}
+        yield "counter", "vmmc.unimports", node, self.unimports
+        yield "counter", "vmmc.reimports", node, self.reimports
+        yield ("counter", "vmmc.imports_invalidated", node,
+               self.imports_invalidated)
+        yield ("counter", "vmmc.sends_stale_blocked", node,
+               self.stale_sends_blocked)
+        short = self.short_sends_posted
+        yield ("counter", "vmmc.sends_posted",
+               {"node": self.node_name, "short": True}, short)
+        yield ("counter", "vmmc.sends_posted",
+               {"node": self.node_name, "short": False},
+               self.sends_posted - short)
+        yield "histogram", "vmmc.send.sync_ns", node, self.send_sync_ns
 
     # -- buffer management ---------------------------------------------------
     def alloc_buffer(self, nbytes: int) -> UserBuffer:
@@ -371,7 +381,7 @@ class VMMCEndpoint:
             imported._revoke()
             if imported in self._imports:
                 self._imports.remove(imported)
-            self._m_unimports.inc()
+            self.unimports += 1
             if self.env.tracer is not None:
                 emit(self.env, "vmmc.import.revoked", node=self.node_name,
                      remote=imported.remote_node, name=imported.name)
@@ -409,7 +419,6 @@ class VMMCEndpoint:
             self.ctx.proxy.release(old_region)
             imported._rebind(grant)
             self.reimports += 1
-            self._m_reimports.inc()
             if self.env.tracer is not None:
                 emit(self.env, "vmmc.import.reimport", node=self.node_name,
                      remote=imported.remote_node, name=imported.name,
@@ -445,7 +454,7 @@ class VMMCEndpoint:
                 self.process.pid, imported.region.first_page,
                 imported.region.npages)
             invalidated += 1
-            self._m_imports_invalidated.inc()
+            self.imports_invalidated += 1
             if self.env.tracer is not None:
                 emit(self.env, "vmmc.import.stale", node=self.node_name,
                      remote=imported.remote_node, name=imported.name,
@@ -547,8 +556,8 @@ class VMMCEndpoint:
             queue.post(request)
             self.lcp.doorbell()
             self.sends_posted += 1
-            if env.metrics is not None:
-                self._m_sends_posted[is_short].inc()
+            if is_short:
+                self.short_sends_posted += 1
             if env.tracer is not None:
                 emit(env, "vmmc.send.posted", node=self.node_name,
                      pid=self.process.pid, slot=request.slot, length=length,
@@ -578,7 +587,7 @@ class VMMCEndpoint:
 
         def finish():
             if synchronous and env.metrics is not None:
-                self._m_send_sync_ns.observe(env._now - t0)
+                self.send_sync_ns.append(env._now - t0)
             done._end(handle)
 
         # Library prologue: argument checks + protocol selection.
@@ -604,7 +613,6 @@ class VMMCEndpoint:
         (where the prologue would have begun)."""
         if isinstance(exc, ImportStale):
             self.stale_sends_blocked += 1
-            self._m_sends_stale_blocked.inc()
             if self.env.tracer is not None:
                 emit(self.env, "vmmc.send.stale_blocked",
                      node=self.node_name, pid=self.process.pid)

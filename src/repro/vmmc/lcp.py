@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.sim import Environment, Event, Timeout
 from repro.sim.trace import emit
-from repro.obs.metrics import counter, histogram
 from repro.mem.virtual import PAGE_SIZE
 from repro.hw.lanai.nic import LanaiNIC
 from repro.hw.myrinet.packet import DepositHeader, MyrinetPacket
@@ -187,23 +186,27 @@ class VmmcLCP:
         self.tlb_miss_interrupts = 0
         self.notifications_raised = 0
         self.tight_loop_breaks = 0
-        # registry series, one handle each (kind: short or long send)
-        lcp = self.name
-        self._m_sends = {short: counter(env, "lcp.sends", lcp=lcp, kind=kind)
-                         for short, kind in ((True, "short"),
-                                             (False, "long"))}
-        self._m_service_ns = histogram(env, "lcp.send.service_ns", lcp=lcp)
-        self._m_proxy_faults = counter(env, "lcp.proxy_faults", lcp=lcp)
-        self._m_chunks = counter(env, "lcp.chunks", lcp=lcp)
-        self._m_tlb_misses = counter(env, "lcp.tlb_miss_interrupts", lcp=lcp)
-        self._m_tight_loop_breaks = counter(env, "lcp.tight_loop_breaks",
-                                            lcp=lcp)
-        self._m_crc_drops = counter(env, "lcp.crc_drops", lcp=lcp)
-        self._m_protection_violations = counter(
-            env, "lcp.protection_violations", lcp=lcp)
-        self._m_packets_delivered = counter(env, "lcp.packets_delivered",
-                                            lcp=lcp)
-        self._m_notifications = counter(env, "lcp.notifications", lcp=lcp)
+        #: Pickup-to-done time of each send, while a registry is installed.
+        self.send_service_ns: list[int] = []
+        env.collectors.append(self._collect)
+
+    def _collect(self):
+        lcp = {"lcp": self.name}
+        yield ("counter", "lcp.sends", {"lcp": self.name, "kind": "short"},
+               self.sends_processed - self.long_sends)
+        yield ("counter", "lcp.sends", {"lcp": self.name, "kind": "long"},
+               self.long_sends)
+        yield "histogram", "lcp.send.service_ns", lcp, self.send_service_ns
+        yield "counter", "lcp.proxy_faults", lcp, self.proxy_faults
+        yield "counter", "lcp.chunks", lcp, self.chunks_sent
+        yield ("counter", "lcp.tlb_miss_interrupts", lcp,
+               self.tlb_miss_interrupts)
+        yield "counter", "lcp.tight_loop_breaks", lcp, self.tight_loop_breaks
+        yield "counter", "lcp.crc_drops", lcp, self.crc_drops
+        yield ("counter", "lcp.protection_violations", lcp,
+               self.protection_violations)
+        yield "counter", "lcp.packets_delivered", lcp, self.packets_delivered
+        yield "counter", "lcp.notifications", lcp, self.notifications_raised
 
     # ------------------------------------------------------------------ setup
     def install_routes(self, routes: dict[int, list[int]]) -> None:
@@ -315,14 +318,12 @@ class VmmcLCP:
             emit(env, f"{self.name}.send.pickup", pid=ctx.pid,
                  slot=request.slot, length=request.length,
                  short=request.is_short)
-        if env.metrics is not None:
-            self._m_sends[request.is_short].inc()
         if request.is_short:
             yield from self._send_short(ctx, request)
         else:
             yield from self._send_long(ctx, request)
         if env.metrics is not None:
-            self._m_service_ns.observe(env._now - t0)
+            self.send_service_ns.append(env._now - t0)
 
     def _make_packet(self, node: int, extents: tuple[tuple[int, int], ...],
                      payload: np.ndarray, notify: bool, last: bool,
@@ -340,8 +341,6 @@ class VmmcLCP:
         if resolved is None:
             yield Timeout(env, cpu.charge(costs.proxy_lookup))
             self.proxy_faults += 1
-            if env.metrics is not None:
-                self._m_proxy_faults.inc()
             yield from self._write_completion(ctx, request,
                                               COMPLETION_ERROR)
             return
@@ -358,8 +357,6 @@ class VmmcLCP:
                                    msg_len=request.length)
         self.short_sends += 1
         self.chunks_sent += 1
-        if env.metrics is not None:
-            self._m_chunks.inc()
         # The net-send engine streams autonomously; the LCP moves on.
         self.nic.net_send.send(packet)
         # Slot is consumed (data copied out) — report completion, the
@@ -392,8 +389,6 @@ class VmmcLCP:
         env = self.env
         cpu = self.nic.processor
         self.tlb_miss_interrupts += 1
-        if env.metrics is not None:
-            self._m_tlb_misses.inc()
         yield Timeout(env, cpu.charge(self.costs.raise_interrupt))
         ok = yield self.nic.raise_interrupt(
             "tlb_miss",
@@ -434,8 +429,6 @@ class VmmcLCP:
             yield Timeout(env, cpu.charge(costs.proxy_lookup))
             if resolved is None:
                 self.proxy_faults += 1
-                if env.metrics is not None:
-                    self._m_proxy_faults.inc()
                 error = True
                 break
             node, extents = resolved
@@ -475,16 +468,12 @@ class VmmcLCP:
                 # fetching the next chunk.
                 yield net_busy[buf]
             self.chunks_sent += 1
-            if env.metrics is not None:
-                self._m_chunks.inc()
             proxy_cursor += clen
             # Responsiveness: if traffic arrived, abandon the tight loop,
             # service it through the main loop, and come back (this is the
             # bidirectional-bandwidth cost of section 5.3).
             if inbox:
                 self.tight_loop_breaks += 1
-                if env.metrics is not None:
-                    self._m_tight_loop_breaks.inc()
                 yield Timeout(env, cpu.charge(costs.main_loop_full))
                 yield from self._handle_receive(inbox.popleft())
         # Completion: the last chunk is safely in LANai memory as soon as
@@ -519,8 +508,6 @@ class VmmcLCP:
             yield Timeout(env, cpu.charge(costs.recv_parse))
             # Detected, counted, dropped — never recovered (section 4.2).
             self.crc_drops += 1
-            if env.metrics is not None:
-                self._m_crc_drops.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.recv.crc_drop")
             return
@@ -534,16 +521,12 @@ class VmmcLCP:
         frame, notify = self.incoming.admit(extents)
         if frame is not None:
             self.protection_violations += 1
-            if env.metrics is not None:
-                self._m_protection_violations.inc()
             if env.tracer is not None:
                 emit(env, f"{self.name}.recv.protection_violation",
                      frame=frame)
             return
         yield Timeout(env, cpu.charge(costs.start_dma))
         self.packets_delivered += 1
-        if env.metrics is not None:
-            self._m_packets_delivered.inc()
         delivery = self.nic.host_dma.write_host_scatter(packet.payload,
                                                         extents)
         if (notify or header.notify) and header.last:
@@ -555,8 +538,6 @@ class VmmcLCP:
                 "length": header.msg_length,
             }
             self.notifications_raised += 1
-            if env.metrics is not None:
-                self._m_notifications.inc()
 
             def deliver_then_notify():
                 yield delivery

@@ -103,7 +103,7 @@ import numpy as np
 from repro.sim import Environment, Event, Timeout
 from repro.sim.server import at_now, then
 from repro.sim.trace import emit
-from repro.obs.metrics import counter, gauge, histogram
+from repro.obs.metrics import UNSET, Gauge
 from repro.mem.buffers import UserBuffer
 from repro.vmmc.api import ImportedBuffer, VMMCEndpoint
 from repro.vmmc.errors import (CompletionError, ImportDenied, ImportStale,
@@ -251,7 +251,6 @@ class _Deposit:
         self.attempts = attempts = self.attempts + 1
         if stale:
             end.stats.stale_transmits += 1
-            end._m_stale_transmits.inc()
         else:
             end.stats.completion_errors += 1
         if end.env.tracer is not None:
@@ -284,7 +283,6 @@ class _Deposit:
         end, exc = self.end, None
         if event._ok:
             end.stats.reimports += 1
-            end._m_reimports.inc()
             if end.env.tracer is not None:
                 emit(end.env, "rel.reimport", channel=end.name,
                      name=self.imported.name, attempts=self.reimports)
@@ -448,8 +446,6 @@ class _Message:
             tx._armed.remove(self)
         self.timer = None
         tx.stats.timeouts += 1
-        if env.metrics is not None:
-            tx._m_timeouts.inc()
         if self.retries >= tx.max_retries:
             tx.stats.send_failures += 1
             if env.tracer is not None:
@@ -461,8 +457,6 @@ class _Message:
                 retries=self.retries))
         self.retries += 1
         tx.stats.retransmits += 1
-        if env.metrics is not None:
-            tx._m_retransmits.inc()
         if env.tracer is not None:
             emit(env, "rel.retransmit", channel=tx.name, seq=seq,
                  attempt=self.retries)
@@ -497,7 +491,7 @@ class _Message:
         tx.stats.messages_delivered += 1
         rtt = env._now - self.t0
         if env.metrics is not None:
-            tx._m_rtt_ns.observe(rtt)
+            tx.rtt_samples_ns.append(rtt)
         if self.retries:
             # Karn's rule: a retransmitted slot's round trip is ambiguous
             # (which copy was ACKed?) — never sample it.
@@ -549,17 +543,13 @@ class ReliableSender:
         self.max_retries = max_retries
         self.stats = ReliableStats()
         env = self.env
-        self._m_rto_ns = gauge(env, "rel.rto_ns", channel=name)
-        self._m_cwnd = gauge(env, "rel.cwnd", channel=name)
-        self._m_inflight = gauge(env, "rel.inflight", channel=name)
-        self._m_srtt_ns = gauge(env, "rel.srtt_ns", channel=name)
-        self._m_rttvar_ns = gauge(env, "rel.rttvar_ns", channel=name)
-        self._m_rtt_ns = histogram(env, "rel.rtt_ns", channel=name)
-        self._m_timeouts = counter(env, "rel.timeouts", channel=name)
-        self._m_retransmits = counter(env, "rel.retransmits", channel=name)
-        self._m_stale_transmits = counter(env, "rel.stale_transmits",
-                                          channel=name)
-        self._m_reimports = counter(env, "rel.reimports", channel=name)
+        #: The congestion state's gauges, set while a registry is installed.
+        self.gauges = {name: Gauge(UNSET) for name in (
+            "rel.rto_ns", "rel.cwnd", "rel.inflight", "rel.srtt_ns",
+            "rel.rttvar_ns")}
+        #: Round trip of each delivered message.
+        self.rtt_samples_ns: list[int] = []
+        env.collectors.append(self._collect)
         #: Local, exported; the receiver remote-writes the cumulative ACK.
         self.ack_buf: UserBuffer = ep.alloc_buffer(4096)
         self.ack_buf.write_u32(0)
@@ -607,9 +597,21 @@ class ReliableSender:
         #: In-progress transparent recovery of the stale ring import
         #: (serialises concurrent in-flight slots onto one reimport).
         self._recovering = None
-        self._m_rto_ns.set(self.rto_ns)
-        self._m_cwnd.set(self.cwnd)
-        self._m_inflight.set(0)
+        if env.metrics is not None:
+            self.gauges["rel.rto_ns"].set(self.rto_ns)
+            self.gauges["rel.cwnd"].set(self.cwnd)
+            self.gauges["rel.inflight"].set(0)
+
+    def _collect(self):
+        channel = {"channel": self.name}
+        stats = self.stats
+        for name, gauge in self.gauges.items():
+            yield "gauge", name, channel, gauge
+        yield "histogram", "rel.rtt_ns", channel, self.rtt_samples_ns
+        yield "counter", "rel.timeouts", channel, stats.timeouts
+        yield "counter", "rel.retransmits", channel, stats.retransmits
+        yield "counter", "rel.stale_transmits", channel, stats.stale_transmits
+        yield "counter", "rel.reimports", channel, stats.reimports
 
     # -- wiring ---------------------------------------------------------------
     def export_ack(self):
@@ -636,7 +638,7 @@ class ReliableSender:
         self.rto_ns = max(self.timeout_ns,
                           min(int(value), self.max_timeout_ns))
         if self.env.metrics is not None:
-            self._m_rto_ns.set(self.rto_ns)
+            self.gauges["rel.rto_ns"].set(self.rto_ns)
 
     def _set_cwnd(self, value: int, reason: str) -> None:
         """Sole mutator of :attr:`cwnd`; clamped to ``[1, nslots]`` (the
@@ -648,7 +650,7 @@ class ReliableSender:
         if value > self.stats.cwnd_max:
             self.stats.cwnd_max = value
         if self.env.metrics is not None:
-            self._m_cwnd.set(value)
+            self.gauges["rel.cwnd"].set(value)
         if self.env.tracer is not None:
             emit(self.env, "rel.cwnd", channel=self.name, cwnd=value,
                  reason=reason)
@@ -658,7 +660,7 @@ class ReliableSender:
     def _set_inflight(self, value: int) -> None:
         self.inflight = value
         if self.env.metrics is not None:
-            self._m_inflight.set(value)
+            self.gauges["rel.inflight"].set(value)
 
     def _on_timeout(self, seq: int) -> None:
         """Loss signal: raise pacing pressure, back the RTO off (Karn:
@@ -685,8 +687,8 @@ class ReliableSender:
             self.rttvar_ns += (abs(err) - self.rttvar_ns) >> RTT_BETA_SHIFT
             self.srtt_ns += err >> RTT_ALPHA_SHIFT
         if self.env.metrics is not None:
-            self._m_srtt_ns.set(self.srtt_ns)
-            self._m_rttvar_ns.set(self.rttvar_ns)
+            self.gauges["rel.srtt_ns"].set(self.srtt_ns)
+            self.gauges["rel.rttvar_ns"].set(self.rttvar_ns)
         self._set_rto(self.srtt_ns
                       + max(RTO_GRANULARITY_NS, RTO_K * self.rttvar_ns))
         if self.env.tracer is not None:
@@ -801,11 +803,7 @@ class ReliableReceiver:
         self.max_timeout_ns = max_timeout_ns
         self.max_retries = max_retries
         self.stats = ReliableStats()
-        self._m_stale_transmits = counter(self.env, "rel.stale_transmits",
-                                          channel=name)
-        self._m_reimports = counter(self.env, "rel.reimports", channel=name)
-        self._m_duplicates = counter(self.env, "rel.duplicates",
-                                     channel=name)
+        self.env.collectors.append(self._collect)
         #: Local, exported; the sender deposits slot images here.
         self.ring: UserBuffer = ep.alloc_buffer(nslots * slot_bytes)
         self.ring.fill(0)
@@ -851,6 +849,14 @@ class ReliableReceiver:
         self._ack_at_sender: Optional[ImportedBuffer] = None
         self._recovering: Optional[Event] = None
         self._next_seq = 1
+
+    def _collect(self):
+        channel = {"channel": self.name}
+        stats = self.stats
+        yield "counter", "rel.stale_transmits", channel, stats.stale_transmits
+        yield "counter", "rel.reimports", channel, stats.reimports
+        yield "counter", "rel.duplicates", channel, \
+            stats.duplicates_suppressed
 
     # -- wiring ---------------------------------------------------------------
     def export_ring(self):
@@ -988,8 +994,6 @@ class ReliableReceiver:
         self._looked = True
         if duplicate:
             self.stats.duplicates_suppressed += 1
-            if self.env.metrics is not None:
-                self._m_duplicates.inc()
             self._send_ack(self.delivered, lambda: then(wake, self._look),
                            resend=True)
         elif wake.callbacks is None:

@@ -48,19 +48,21 @@ class ResourceBus(PCIBus):
         with self._arbiter.request() as req:
             yield req
             emit(self.env, f"{self.name}.pio.{kind}", words=words)
-            self._pio_words[kind].inc(words)
+            tally = self.pio_words[kind]
+            tally[0] += words
+            tally[1] += 1
             yield self.env.timeout(cost_ns * words)
 
     def dma(self, nbytes):
         duration = self.params.dma_time_ns(nbytes)
-        self._dma_queue_depth.set(self._arbiter.queue_length)
+        self.dma_queue_depth.set(self._arbiter.queue_length)
         with self._arbiter.request() as req:
             yield req
             emit(self.env, f"{self.name}.dma", nbytes=nbytes,
                  duration=duration)
-            self._dma_transactions.inc()
-            self._dma_bytes.inc(nbytes)
-            self._dma_duration.observe(duration)
+            self.dma_transactions += 1
+            self.dma_bytes += nbytes
+            self.dma_durations.append(duration)
             yield self.env.timeout(duration)
 
 
@@ -73,28 +75,28 @@ class ResourceHostDMA(HostDMAEngine):
         self._resource = Resource(env)
 
     def to_sram(self, paddr, sram_addr, nbytes):
-        self._queue_depth.set(self._resource.queue_length)
+        self.queue_depth.set(self._resource.queue_length)
         with self._resource.request() as req:
             yield req
             yield from self.bus.dma(nbytes)
             self.sram.view(sram_addr, nbytes)[:] = \
                 self.host_memory.view(paddr, nbytes)
             self.bytes_to_sram += nbytes
-            self._bytes_to_sram.inc(nbytes)
+            self.transfers_to_sram += 1
             emit(self.env, f"{self.name}.hostdma.to_sram",
                  paddr=paddr, nbytes=nbytes)
 
     def write_host(self, data, paddr):
         payload = np.asarray(data, dtype=np.uint8)
         nbytes = int(payload.size)
-        self._queue_depth.set(self._resource.queue_length)
+        self.queue_depth.set(self._resource.queue_length)
         with self._resource.request() as req:
             yield req
             yield from self.bus.dma(nbytes)
             self.host_memory.view(paddr, nbytes)[:] = payload
             self.host_memory.notify_write(paddr, nbytes)
             self.bytes_to_host += nbytes
-            self._bytes_to_host.inc(nbytes)
+            self.transfers_to_host += 1
             emit(self.env, f"{self.name}.hostdma.write_host",
                  paddr=paddr, nbytes=nbytes)
 
@@ -122,7 +124,6 @@ class ResourceNetSend(NetSendEngine):
             packet.seal()
             yield self.network.inject(self.host_name, packet)
             self.packets_sent += 1
-            self._packets_sent.inc()
             emit(self.env, "lanai.netsend", nic=self.host_name,
                  nbytes=packet.payload_bytes)
 

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
 from repro.mem import (
@@ -484,3 +485,105 @@ def test_user_buffer_fill_and_len():
     buf.fill(0xAB)
     assert len(buf) == 128
     assert set(buf.tobytes()) == {0xAB}
+
+
+# ------------------------------------ bytes stores against the numpy path
+# A ``bytes``/``bytearray`` payload is stored through a memoryview of the
+# memory; these are the numpy conversions and slice assignments it
+# replaced, kept as the reference.
+def _as_array(payload):
+    if isinstance(payload, (bytes, bytearray)):
+        return np.frombuffer(bytes(payload), dtype=np.uint8)
+    return np.asarray(payload, dtype=np.uint8)
+
+
+def numpy_space_write(space, vaddr, payload):
+    buf = _as_array(payload)
+    if 0 < len(buf) <= PAGE_SIZE - vaddr % PAGE_SIZE:
+        paddr = space.translate(vaddr)
+        space.memory.data[paddr:paddr + len(buf)] = buf
+        return
+    done = 0
+    for paddr, length in space.physical_extents(vaddr, len(buf)):
+        space.memory.view(paddr, length)[:] = buf[done:done + length]
+        done += length
+
+
+def numpy_physical_write(memory, paddr, payload):
+    buf = _as_array(payload)
+    memory._check_range(paddr, len(buf))
+    memory.data[paddr:paddr + len(buf)] = buf
+
+
+def numpy_sram_write(sram, addr, payload):
+    buf = _as_array(payload)
+    sram._check(addr, len(buf))
+    sram.data[addr:addr + len(buf)] = buf
+
+
+def _outcome(write):
+    try:
+        write()
+    except (PageFault, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_payloads = st.tuples(
+    st.sampled_from((bytes, bytearray, np.array)),
+    st.binary(max_size=3 * PAGE_SIZE // 2))
+
+
+def _payload(kind, data):
+    return np.frombuffer(data, dtype=np.uint8).copy() if kind is np.array \
+        else kind(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(writes=st.lists(st.tuples(st.integers(-PAGE_SIZE, 4 * PAGE_SIZE),
+                                 _payloads), min_size=1, max_size=6))
+def test_bytes_stores_match_the_numpy_path(writes):
+    """Each of three mapped pages, the unmapped ones either side of
+    them, writes inside a page and across pages: the memoryview store
+    leaves the same bytes and raises the same errors."""
+    spaces = []
+    for _ in range(2):
+        memory = make_memory(1)
+        space = AddressSpace(memory, "p")
+        space.mmap(PAGE_SIZE)                   # the page below: unmapped
+        base = space.mmap(3 * PAGE_SIZE)
+        space.munmap(base - PAGE_SIZE, PAGE_SIZE)
+        spaces.append((space, base))
+    (new, base), (old, _) = spaces
+    for offset, (kind, data) in writes:
+        payload = _payload(kind, data)
+        assert _outcome(lambda: new.write(base + offset, payload)) == \
+            _outcome(lambda: numpy_space_write(old, base + offset, payload))
+        assert np.array_equal(new.memory.data, old.memory.data)
+        buf, ref = UserBuffer(new, base, 3 * PAGE_SIZE), \
+            UserBuffer(old, base, 3 * PAGE_SIZE)
+        word = offset % (3 * PAGE_SIZE + 8) - 4
+        assert _outcome(lambda: buf.read_u32(word)) == _outcome(
+            lambda: int.from_bytes(ref.read(word, 4).tobytes(), "little"))
+        if 0 <= word <= 3 * PAGE_SIZE - 4:
+            assert buf.read_u32(word) == int.from_bytes(
+                ref.read(word, 4).tobytes(), "little")
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=st.lists(st.tuples(st.integers(-8, 2 * PAGE_SIZE + 8),
+                                 _payloads), min_size=1, max_size=6))
+def test_physical_and_sram_bytes_stores_match_the_numpy_path(writes):
+    from repro.hw.lanai.sram import SRAM
+
+    memories = [PhysicalMemory(2 * PAGE_SIZE) for _ in range(2)]
+    srams = [SRAM(2 * PAGE_SIZE) for _ in range(2)]
+    for addr, (kind, data) in writes:
+        payload = _payload(kind, data)
+        assert _outcome(lambda: memories[0].write(addr, payload)) == \
+            _outcome(lambda: numpy_physical_write(memories[1], addr,
+                                                  payload))
+        assert np.array_equal(memories[0].data, memories[1].data)
+        assert _outcome(lambda: srams[0].write(addr, payload)) == \
+            _outcome(lambda: numpy_sram_write(srams[1], addr, payload))
+        assert np.array_equal(srams[0].data, srams[1].data)

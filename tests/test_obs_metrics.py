@@ -1,6 +1,7 @@
 """Unit tests for repro.obs.metrics: the metrics registry."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,17 +11,12 @@ from repro.bench.microbench import VmmcPair
 from repro.cluster import Cluster, TestbedConfig
 from repro.obs.metrics import (
     SNAPSHOT_QUANTILES,
+    UNSET,
     Counter,
-    CounterHandle,
     Gauge,
-    GaugeHandle,
     Histogram,
-    HistogramHandle,
     MetricsRegistry,
     count,
-    counter,
-    gauge,
-    histogram,
     observe,
     quantile_key,
     registry_of,
@@ -242,31 +238,67 @@ def test_snapshot_identical_across_two_seeded_runs():
     assert snaps[0] == snaps[1]
 
 
-# ------------------------------------------------------------ bound handles
-#: kind -> (handle factory, helper, handle method); a name's first
-#: letter fixes its kind, so a generated sequence never conflicts.
-_KINDS = {
-    "c": (counter, count, "inc"),
-    "g": (gauge, set_gauge, "set"),
-    "h": (histogram, observe, "observe"),
-}
-_NAMES = ("c.a", "c.b", "g.a", "h.a", "h.b")
+# ---------------------------------------------------- object-owned statistics
+class _Owner:
+    """An object owning one series per distinct ``(name, labels)`` of
+    the ops it records, each in the idiom of the simulator's objects: a
+    ``c.*`` counter as ``[total, records]`` (its increments may be 0), an
+    ``n.*`` counter as a plain total (its increments are 1), a gauge as
+    a :class:`Gauge` set in place, a histogram as a sample list.
+    Counters count with or without a registry; gauges and histograms
+    only while one is installed.  Its collector yields every series it
+    has ever made, recorded into or not."""
+
+    def __init__(self, env):
+        self.env = env
+        self.series = {}
+        env.collectors.append(self._collect)
+
+    def record(self, op):
+        name, items, value = op
+        # a series is its rendered labels: 0 and False are two
+        key = (name, tuple(sorted((k, str(v)) for k, v in items)))
+        state = self.series.get(key)
+        if state is None:
+            state = self.series[key] = {
+                "c": lambda: [0, 0], "n": lambda: [0],
+                "g": lambda: Gauge(UNSET), "h": list}[name[0]]()
+        if name[0] == "c":
+            state[0] += value
+            state[1] += 1
+        elif name[0] == "n":
+            state[0] += 1
+        elif self.env.metrics is not None:
+            if name[0] == "g":
+                state.value = value
+                if value > state.max_value:
+                    state.max_value = value
+            else:
+                state.append(value)
+
+    def _collect(self):
+        for (name, items), state in self.series.items():
+            labels = dict(items)
+            if name[0] == "c":
+                yield "counter", name, labels, tuple(state)
+            elif name[0] == "n":
+                yield "counter", name, labels, state[0]
+            else:
+                yield ("gauge" if name[0] == "g" else "histogram", name,
+                       labels, state)
 
 
-def _handle_for(env, op):
-    name, items, _value = op
-    return _KINDS[name[0]][0](env, name, **dict(items))
-
-
-def _record(handle, op):
-    name, _items, value = op
-    getattr(handle, _KINDS[name[0]][2])(value)
+#: name prefix -> the per-call helper that records it.
+_HELPERS_BY_KIND = {"c": count, "n": count, "g": set_gauge, "h": observe}
+_NAMES = ("c.a", "c.b", "n.a", "g.a", "h.a", "h.b")
 
 
 def _help(env, op):
     name, items, value = op
+    if name[0] == "n":
+        value = 1
     # the helper gets the labels in the opposite keyword order
-    _KINDS[name[0]][1](env, name, value, **dict(reversed(items)))
+    _HELPERS_BY_KIND[name[0]](env, name, value, **dict(reversed(items)))
 
 
 _label_items = st.lists(
@@ -281,61 +313,138 @@ _ops = st.lists(st.tuples(st.sampled_from(_NAMES), _label_items,
 
 @settings(max_examples=60, deadline=None)
 @given(_ops, st.data())
-def test_handles_record_exactly_what_the_helpers_record(ops, data):
-    """Handles made before any registry exists, recording into two
-    registries in turn, give the snapshots the helpers give."""
-    first, second = sorted(data.draw(
-        st.lists(st.integers(0, len(ops)), min_size=2, max_size=2)))
-    env_h, env_p = Environment(), Environment()
-    handles = [_handle_for(env_h, op) for op in ops]
+def test_owned_statistics_record_exactly_what_the_helpers_record(ops, data):
+    """An object built before any registry exists, recording through two
+    registries in turn, gives the snapshots the helpers give; the first
+    registry keeps its view once replaced."""
+    first, second, peek = sorted(data.draw(
+        st.lists(st.integers(0, len(ops)), min_size=3, max_size=3)))
+    env_o, env_p = Environment(), Environment()
+    owner = _Owner(env_o)
 
-    for handle, op in zip(handles[:first], ops[:first]):
-        _record(handle, op)          # no registry: creates, raises nothing
+    for op in ops[:first]:
+        owner.record(op)             # no registry: kept, not reported
         _help(env_p, op)
-    assert env_h.metrics is None and env_p.metrics is None
+    assert env_o.metrics is None and env_p.metrics is None
 
-    reg_h1, reg_p1 = MetricsRegistry().install(env_h), \
+    reg_o1, reg_p1 = MetricsRegistry().install(env_o), \
         MetricsRegistry().install(env_p)
-    for handle, op in zip(handles[first:second], ops[first:second]):
-        _record(handle, op)
+    for i, op in enumerate(ops[first:second], first):
+        if i == peek:                # a snapshot mid-way changes nothing
+            assert reg_o1.snapshot() == reg_p1.snapshot()
+        owner.record(op)
         _help(env_p, op)
-    assert reg_h1.snapshot() == reg_p1.snapshot()
-    assert len(reg_h1) == len({(op[0], tuple(sorted(
+    assert reg_o1.snapshot() == reg_p1.snapshot()
+    assert len(reg_o1) == len({(op[0], tuple(sorted(
         (k, str(v)) for k, v in op[1]))) for op in ops[first:second]})
-    frozen = reg_h1.snapshot()
+    frozen = reg_o1.snapshot()
 
-    reg_h2, reg_p2 = MetricsRegistry().install(env_h), \
+    reg_o2, reg_p2 = MetricsRegistry().install(env_o), \
         MetricsRegistry().install(env_p)
-    for handle, op in zip(handles[second:], ops[second:]):
-        _record(handle, op)
+    for op in ops[second:]:
+        owner.record(op)
         _help(env_p, op)
-    assert reg_h2.snapshot() == reg_p2.snapshot()
-    assert reg_h1.snapshot() == frozen   # later records land only in it
-
-    # A handle of another kind binds quietly and raises at its first
-    # record into a registry that already knows the name.
-    name, items, value = ops[-1]
-    if ops[second:]:
-        other = next(k for k in _KINDS if k != name[0])
-        handle = _KINDS[other][0](env_h, name, **dict(items))
-        with pytest.raises(TypeError):
-            getattr(handle, _KINDS[other][2])(value)
+    assert reg_o2.snapshot() == reg_p2.snapshot()
+    assert reg_o1.snapshot() == frozen   # later records land only in it
 
 
-def test_handle_kind_conflict_raises_at_first_record_not_at_bind():
+def test_a_kind_conflict_with_an_owned_series_raises():
+    # The owned counter is read at the snapshot, after the gauge...
     env = Environment()
     registry = MetricsRegistry().install(env)
-    registry.gauge("x").set(1)
-    handle = counter(env, "x", node=0)       # binding checks nothing
+    _Owner(env).record(("n.a", [("node", 0)], 1))
+    registry.gauge("n.a").set(1)
     with pytest.raises(TypeError):
-        handle.inc()
-    assert registry.snapshot() == {"x": {"value": 1, "max": 1}}
+        registry.snapshot()
+    # ... or read first, and then the helper meets it.
+    env = Environment()
+    registry = MetricsRegistry().install(env)
+    _Owner(env).record(("n.a", [("node", 0)], 1))
+    assert registry.snapshot() == {"n.a{node=0}": 1}
+    with pytest.raises(TypeError):
+        set_gauge(env, "n.a", 2, node=0)
 
 
-#: Modules on the per-packet and per-request path: they record through
-#: handles made at construction, never through the per-call helpers,
-#: which sort and render their labels on every record.
-HANDLE_MODULES = (
+def test_a_registry_installed_after_build_holds_no_boot_record():
+    """Booting a fat tree (mapping probes through every switch) with no
+    registry leaves nothing for a registry installed afterwards; the
+    next send is all it holds."""
+    cluster = Cluster.build(TestbedConfig(memory_mb=8),
+                            topology="fattree:4,h=2")
+    env = cluster.env
+    assert cluster.mapping.probes_sent == 16 * 15
+    registry = MetricsRegistry().install(env)
+    assert registry.snapshot() == {}
+    _, ep_a = cluster.nodes[0].attach_process("a")
+    _, ep_b = cluster.nodes[1].attach_process("b")
+    src = ep_a.alloc_buffer(4096)
+    dst = ep_b.alloc_buffer(4096)
+    env.run(until=ep_b.export(dst, "dst"))
+    imported = env.run(until=ep_a.import_buffer("node1", "dst"))
+    env.run(until=ep_a.send(src, imported, 4096))
+    env.run()
+    snap = registry.snapshot()
+    assert snap["lcp.packets_delivered{lcp=node1.lcp}"] == 1
+    # one hop through the leaf switch the two hosts share
+    assert sum(v for k, v in snap.items()
+               if k.startswith("switch.forwarded")) == 1
+    # Uninstalled, it keeps that view and lets go of the environment.
+    registry.uninstall()
+    assert env.metrics is None
+    env.run(until=ep_a.send(src, imported, 4096))
+    env.run()
+    assert registry.snapshot() == snap
+
+
+def test_no_registry_or_collector_call_without_a_registry():
+    """With no registry installed, a hot module neither records through
+    :mod:`repro.obs.metrics` nor has its collector read: counted over
+    one 64 KB one-way message and one ``fattree:4,h=2`` boot.  (Building
+    an owned :class:`Gauge` is the one call there, at construction.)"""
+    metrics_file = Path(__file__).resolve().parents[1] / "src" / "repro" \
+        / "obs" / "metrics.py"
+    calls = []
+    collectors = set()
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and (
+                code in collectors or (code.co_filename == str(metrics_file)
+                                       and code.co_name != "__init__")):
+            calls.append(code.co_qualname)
+
+    def run(work, env_of):
+        sys.setprofile(profile)
+        try:
+            result = work()
+        finally:
+            sys.setprofile(None)
+        collectors.update(c.__code__ for c in env_of(result).collectors)
+        return result
+
+    pair = run(lambda: VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                                buffer_bytes=64 * 1024), lambda p: p.env)
+    env = pair.env
+    assert env.metrics is None and len(env.collectors) > 10
+    calls.clear()
+    run(lambda: env.run(until=pair.ep_a.send(pair.src_a, pair.to_b,
+                                             64 * 1024)), lambda _: env)
+    run(env.run, lambda _: env)
+    assert pair.cluster.nodes[1].lcp.packets_delivered >= 16
+    assert calls == []
+
+    cluster = run(lambda: Cluster.build(TestbedConfig(memory_mb=8),
+                                        topology="fattree:4,h=2"),
+                  lambda c: c.env)
+    assert cluster.env.metrics is None
+    assert cluster.mapping.probes_sent == 16 * 15
+    assert calls == []
+
+
+#: Modules on the per-packet and per-request path: their objects own
+#: their statistics, and they never call the per-call helpers, which
+#: sort and render their labels on every record.
+HOT_MODULES = (
     "hw/bus/pci.py", "hw/bus/eisa.py", "hw/lanai/dma.py",
     "hw/myrinet/link.py", "hw/myrinet/switch.py",
     "vmmc/lcp.py", "vmmc/api.py", "vmmc/reliable.py", "dsm/node.py",
@@ -343,8 +452,10 @@ HANDLE_MODULES = (
 _HELPERS = {"count", "observe", "set_gauge"}
 
 
-@pytest.mark.parametrize("module", HANDLE_MODULES)
+@pytest.mark.parametrize("module", HOT_MODULES)
 def test_hot_path_modules_record_through_handles(module):
+    """(The name is historical: the "handles" are now the objects' own
+    statistics.)"""
     source = Path(__file__).resolve().parents[1] / "src" / "repro" / module
     tree = ast.parse(source.read_text())
     for node in ast.walk(tree):
@@ -359,38 +470,9 @@ def test_hot_path_modules_record_through_handles(module):
                 f"{module}:{node.lineno} calls {node.func.id}()"
 
 
-
-def test_no_handle_is_called_without_a_registry(monkeypatch):
-    """With no registry installed a hot module does not call its
-    handles at all: each site tests ``env.metrics`` first.  Counted over
-    one 64 KB one-way message and one ``fattree:4,h=2`` boot."""
-    calls = []
-    for cls, method in ((CounterHandle, "inc"), (GaugeHandle, "set"),
-                        (HistogramHandle, "observe")):
-        def record(self, *args, _name=f"{cls.__name__}.{method}"):
-            calls.append((_name, self._name))
-        monkeypatch.setattr(cls, method, record)
-
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
-                    buffer_bytes=64 * 1024)
-    env = pair.env
-    assert env.metrics is None
-    calls.clear()
-    env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 64 * 1024))
-    env.run()
-    assert pair.cluster.nodes[1].lcp.packets_delivered >= 16
-    assert calls == []
-
-    cluster = Cluster.build(TestbedConfig(memory_mb=8),
-                            topology="fattree:4,h=2")
-    assert cluster.env.metrics is None
-    assert cluster.mapping.probes_sent == 16 * 15
-    assert calls == []
-
-
 #: Modules whose trace points fire per packet or per request: the
-#: handle modules plus the NIC and the fabric's host ports.
-TRACED_MODULES = HANDLE_MODULES + ("hw/lanai/nic.py",
+#: hot modules plus the NIC and the fabric's host ports.
+TRACED_MODULES = HOT_MODULES + ("hw/lanai/nic.py",
                                    "hw/myrinet/network.py")
 
 

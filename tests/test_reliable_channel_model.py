@@ -69,7 +69,6 @@ def process_send(ep, src, dest, nbytes=None, src_offset=0, dest_offset=0,
                                                     length)
         except ImportStale:
             ep.stale_sends_blocked += 1
-            ep._m_sends_stale_blocked.inc()
             emit(ep.env, "vmmc.send.stale_blocked",
                  node=ep.node_name, pid=ep.process.pid)
             raise
@@ -101,7 +100,7 @@ def process_send(ep, src, dest, nbytes=None, src_offset=0, dest_offset=0,
         ep.ctx.queue.post(request)
         ep.lcp.doorbell()
         ep.sends_posted += 1
-        ep._m_sends_posted[is_short].inc()
+        ep.short_sends_posted += is_short
         emit(ep.env, "vmmc.send.posted", node=ep.node_name,
              pid=ep.process.pid, slot=slot, length=length, short=is_short)
         handle = SendHandle(slot=slot, length=length, is_short=is_short,
@@ -114,8 +113,8 @@ def process_send(ep, src, dest, nbytes=None, src_offset=0, dest_offset=0,
                 raise CompletionError(
                     f"send failed with completion status {status}",
                     status=status)
-        if synchronous:
-            ep._m_send_sync_ns.observe(ep.env.now - t0)
+        if synchronous and ep.env.metrics is not None:
+            ep.send_sync_ns.append(ep.env.now - t0)
         return handle
 
     return ep.env.process(run(), name="vmmc.send")
@@ -137,7 +136,6 @@ def reimport_with_backoff(end, imported):
                     retries=attempts)
             backoff = min(backoff * 2, end.max_timeout_ns)
     end.stats.reimports += 1
-    end._m_reimports.inc()
     emit(end.env, "rel.reimport", channel=end.name, name=imported.name,
          attempts=attempts)
 
@@ -193,7 +191,6 @@ class ProcessSender(ReliableSender):
             except ImportStale:
                 attempts += 1
                 self.stats.stale_transmits += 1
-                self._m_stale_transmits.inc()
                 emit(self.env, "rel.transmit.stale", channel=self.name,
                      seq=seq, attempt=attempts)
                 if attempts > self.max_retries:
@@ -267,7 +264,6 @@ class ProcessSender(ReliableSender):
                 remaining = deadline - self.env.now
                 if remaining <= 0:
                     self.stats.timeouts += 1
-                    self._m_timeouts.inc()
                     if retries >= self.max_retries:
                         self.stats.send_failures += 1
                         emit(self.env, "rel.send.failed",
@@ -279,7 +275,6 @@ class ProcessSender(ReliableSender):
                     retries += 1
                     retransmitted = True
                     self.stats.retransmits += 1
-                    self._m_retransmits.inc()
                     emit(self.env, "rel.retransmit", channel=self.name,
                          seq=seq, attempt=retries)
                     self._on_timeout(seq)
@@ -291,7 +286,8 @@ class ProcessSender(ReliableSender):
                 yield AnyOf(self.env, [watch, self.env.timeout(remaining)])
             self.stats.messages_delivered += 1
             rtt = self.env.now - t0
-            self._m_rtt_ns.observe(rtt)
+            if self.env.metrics is not None:
+                self.rtt_samples_ns.append(rtt)
             if retransmitted:
                 self.stats.retransmitted_deliveries += 1
             else:
@@ -360,7 +356,6 @@ class ProcessReceiver(ReliableReceiver):
             except ImportStale:
                 attempts += 1
                 self.stats.stale_transmits += 1
-                self._m_stale_transmits.inc()
                 emit(self.env, "rel.transmit.stale", channel=self.name,
                      seq=seq, attempt=attempts, ack=True)
                 if attempts > self.max_retries:
@@ -397,7 +392,6 @@ class ProcessReceiver(ReliableReceiver):
                     not first and not changed and self.delivered >= 1)
                 if duplicate:
                     self.stats.duplicates_suppressed += 1
-                    self._m_duplicates.inc()
                     yield from self._send_ack_gen(self.delivered,
                                                   resend=True)
                 first = False
