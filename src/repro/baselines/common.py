@@ -44,6 +44,9 @@ class ProtocolPair:
     def __init__(self, memory_mb: int = 16,
                  env: Environment | None = None):
         self.env = env or Environment()
+        # Unmapped, and needs no deadlock proof: on one switch a route
+        # is a host's uplink then a host's downlink, which requests
+        # nothing further, so the dependency graph has no cycle.
         self.fabric = topology.build(topology.SingleSwitchSpec(nhosts_=2),
                                      self.env)
         self.nodes: list[ProtocolNode] = []

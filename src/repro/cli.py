@@ -396,7 +396,7 @@ def cmd_topology(args) -> int:
         if args.verbose:
             print(f"{text}: {spec.describe()}")
     print(format_table(
-        "Generated fabrics (routes proven deadlock-free at build)",
+        "Generated fabrics (routes proven deadlock-free)",
         ["topology", "hosts", "switches", "cables", "diameter",
          "mean hops", "bisection", "deadlock check"], rows))
     return 0

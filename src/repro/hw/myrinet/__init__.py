@@ -14,7 +14,8 @@ Models the properties the paper relies on (section 3):
 Fabrics beyond the paper's testbed come from the declarative topology
 layer (:mod:`repro.hw.myrinet.topology`): fat-tree/Clos and 2-D
 mesh/torus generators with per-topology deadlock-free source routing,
-proven cycle-free by a channel-dependency-graph check at build time.
+proven cycle-free by a channel-dependency-graph check when the mapping
+phase boots the fabric.
 """
 
 from repro.hw.myrinet.crc import crc8

@@ -87,7 +87,9 @@ class Link:
         self.name = name
         self.sink: Optional[Callable[[MyrinetPacket], None]] = None
         self._tail_at = 0           # when the last tail leaves this end
-        self._rng = rng or np.random.default_rng(_seed_from_name(name))
+        #: The error stream; made from the name's seed by the first
+        #: packet sent while an error rate is in force.
+        self._rng = rng
         #: Stack of ``(token, rate)`` error-rate overrides (last-wins).
         self._error_stack: list[tuple[int, float]] = []
         self._error_tokens = 0
@@ -204,9 +206,14 @@ class Link:
                  wire_time=wire_time)
         errors = self._error_stack
         error_rate = errors[-1][1] if errors else params.error_rate
-        if error_rate > 0 and self._rng.random() < error_rate:
-            packet.corrupt(bit=int(self._rng.integers(0, 1 << 16)))
-            self.errors_injected += 1
+        if error_rate > 0:
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = np.random.default_rng(
+                    _seed_from_name(self.name))
+            if rng.random() < error_rate:
+                packet.corrupt(bit=int(rng.integers(0, 1 << 16)))
+                self.errors_injected += 1
         self.packets_carried += 1
         self.bytes_carried += wire_bytes
         self.busy_ns += wire_time

@@ -9,9 +9,9 @@ calls :meth:`compute_route` directly; it goes through the mapping LCP
 
 Fabrics are built declaratively: :func:`repro.hw.myrinet.topology.build`
 materializes a :class:`~repro.hw.myrinet.topology.TopologySpec`
-(single/dual switch, fat-tree, mesh/torus), proves the topology's route
-table deadlock-free and installs it via
-:meth:`MyrinetNetwork.install_topology`; :meth:`compute_route` serves that
+(single/dual switch, fat-tree, mesh/torus) and installs the topology's
+route table via :meth:`MyrinetNetwork.install_topology` (the mapping phase
+proves it deadlock-free at boot); :meth:`compute_route` serves that
 table (up*/down* on fat-trees, dimension-order on meshes) and nothing else.
 """
 
@@ -164,8 +164,7 @@ class MyrinetNetwork:
         :meth:`compute_route` then serves it verbatim, so the fabric
         follows the topology's routing discipline (up*/down*,
         dimension-order, …).  Called by
-        :func:`repro.hw.myrinet.topology.build` after the deadlock check
-        passes.
+        :func:`repro.hw.myrinet.topology.build`.
         """
         hosts = self.host_names
         missing = [(s, d) for s in hosts for d in hosts

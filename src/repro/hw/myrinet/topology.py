@@ -24,8 +24,9 @@ module scales the fabric out declaratively:
   function — e.g. minimal dimension-order routing on a torus without
   virtual channels (:func:`minimal_torus_routes`) — raises the typed
   :class:`RoutingDeadlockError` carrying the offending channel cycle.
-  :func:`build` runs the checker on every generated fabric, so a spec
-  that materializes is *proven* deadlock-free by construction.
+  The mapping phase that boots a fabric runs the checker once on its
+  installed table (:mod:`repro.vmmc.mapping_lcp`), so no booted
+  cluster carries an unproven routing function.
 
 Deadlock-freedom arguments (details in DESIGN.md §8):
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional, Union
+from typing import ClassVar, Optional, Union
 
 from repro.sim import Environment
 from repro.hw.myrinet.link import LinkParams
@@ -605,20 +606,19 @@ def resolve(spec: Union[TopologySpec, str],
 # -- generation ------------------------------------------------------------
 def build(spec: Union[TopologySpec, str], env: Environment,
           link_params: Optional[LinkParams] = None) -> MyrinetNetwork:
-    """Materialize a spec into a cabled network with verified routing.
+    """Materialize a spec into a cabled network with its route table.
 
     Generates the devices and cables, computes the spec's source-route
-    table, **proves it deadlock-free** (every route is also walked
-    through the cabling to its claimed destination), and installs it so
-    :meth:`MyrinetNetwork.compute_route` — and therefore the mapping
-    LCP — serves the topology's routing discipline.
+    table and installs it (which checks that it covers every ordered
+    host pair) so :meth:`MyrinetNetwork.compute_route` — and therefore
+    the mapping LCP — serves the topology's routing discipline.  The
+    table is proven deadlock-free once, by the mapping phase that boots
+    the fabric (:func:`check_deadlock_free`), not here.
     """
     spec = resolve(spec)
     net = MyrinetNetwork(env, link_params)
     spec.materialize(net)
-    table = spec.routes(net)
-    check_deadlock_free(net, table)
-    net.install_topology(spec, table)
+    net.install_topology(spec, spec.routes(net))
     return net
 
 
@@ -669,53 +669,73 @@ class DeadlockReport:
     dependencies: int
 
 
-def _walked_routes(net: MyrinetNetwork,
-                   routes: RouteTable) -> Iterator[list[str]]:
-    """The channels each route holds, in route-table order.  Every route
-    is walked through the real cabling and must terminate at its claimed
-    destination host."""
-    for (src, dst), route in sorted(routes.items()):
-        if src == dst:
-            continue
-        terminal, channels = walk_route(net, src, route)
-        if terminal != dst:
-            raise TopologyError(
-                f"route {src}->{dst} {route} terminates at {terminal!r}")
-        yield channels
-
-
 def check_deadlock_free(net: MyrinetNetwork,
                         routes: Optional[RouteTable] = None
                         ) -> DeadlockReport:
     """Prove a routing function cycle-free over a network's channels.
 
-    Uses the installed route table when ``routes`` is omitted.  Returns
-    a :class:`DeadlockReport` on success; raises
-    :class:`RoutingDeadlockError` (carrying the channel cycle) when the
-    channel dependency graph is cyclic — such a routing function can
-    wedge the wormhole fabric permanently under contention.
+    Uses the installed route table when ``routes`` is omitted.  Every
+    route is walked through the real cabling and must terminate at its
+    claimed destination host (a route that does not raises what
+    :func:`walk_route` raises on it).  Returns a :class:`DeadlockReport`
+    on success; raises :class:`RoutingDeadlockError` (carrying the
+    channel cycle) when the channel dependency graph is cyclic — such a
+    routing function can wedge the wormhole fabric permanently under
+    contention.
+
+    The mapping phase runs the one proof of each boot
+    (:meth:`repro.vmmc.mapping_lcp.MappingPhase.run`); a fabric no
+    mapping phase maps is proven by whoever builds it, or needs none.
     """
     if routes is None:
         routes = net.route_table
         if routes is None:
             raise TopologyError(
                 "no route table installed and none given to check")
+    # Channels are interned integers: a device's cabled port -> (the
+    # channel leaving through it, the device it reaches); the ``"a->b"``
+    # names are built only to report a cycle.
+    ids: dict[tuple[str, str], int] = {}
+    hops: dict[str, dict[int, tuple[int, str]]] = {}
+    for device, ports in net._port_map.items():
+        hops[device] = {port: (ids.setdefault((device, there), len(ids)),
+                               there)
+                        for port, there in ports.items()}
+    uplinks = {host: next(iter(hops[host].values()))
+               for host in net.hosts if hops.get(host)}
+    forwarding = {name: hops[name] for name in net.switches if name in hops}
     # The channel dependency graph: channel -> the channels a worm
     # holding it requests next, both in walk order (dicts, not sets, so
     # a cycle is named the same way on every run).
-    successors: dict[str, dict[str, None]] = {}
-    for held in _walked_routes(net, routes):
-        for c1, c2 in zip(held, held[1:]):
-            successors.setdefault(c1, {})[c2] = None
-        successors.setdefault(held[-1], {})
-    dependencies = sum(map(len, successors.values()))
+    successors: list[dict[int, None]] = [{} for _ in ids]
+    seen: dict[int, None] = {}
+    for (src, dst), route in sorted(routes.items()):
+        if src == dst:
+            continue
+        hop = uplinks.get(src)
+        if hop is None:
+            walk_route(net, src, route)         # raises, naming the fault
+        channel, here = hop
+        seen[channel] = None
+        for byte in route:
+            ports = forwarding.get(here)
+            hop = None if ports is None else ports.get(byte)
+            if hop is None:
+                walk_route(net, src, route)     # raises, naming the fault
+            successors[channel][hop[0]] = None
+            channel, here = hop
+            seen[channel] = None
+        if here != dst:
+            raise TopologyError(
+                f"route {src}->{dst} {route} terminates at {here!r}")
+    dependencies = sum(len(successors[channel]) for channel in seen)
     # Kahn's algorithm: peel off the channels no worm requests while it
     # holds one not yet peeled; the relation is acyclic iff they all go.
-    holders = dict.fromkeys(successors, 0)
-    for nexts in successors.values():
-        for channel in nexts:
-            holders[channel] += 1
-    ready = [channel for channel, n in holders.items() if n == 0]
+    holders = [0] * len(ids)
+    for channel in seen:
+        for nxt in successors[channel]:
+            holders[nxt] += 1
+    ready = [channel for channel in seen if holders[channel] == 0]
     peeled = 0
     while ready:
         peeled += 1
@@ -723,20 +743,22 @@ def check_deadlock_free(net: MyrinetNetwork,
             holders[channel] -= 1
             if holders[channel] == 0:
                 ready.append(channel)
-    if peeled == len(successors):
-        return DeadlockReport(routes=len(routes), channels=len(successors),
+    if peeled == len(seen):
+        return DeadlockReport(routes=len(routes), channels=len(seen),
                               dependencies=dependencies)
-    chain = _first_cycle(successors)
+    names = {channel: f"{a}->{b}" for (a, b), channel in ids.items()}
+    chain = [names[channel] for channel in _first_cycle(
+        {channel: successors[channel] for channel in seen})]
     raise RoutingDeadlockError(
         f"routing function has a channel dependency cycle of length "
         f"{len(chain) - 1}: {' -> '.join(chain)}", cycle=chain)
 
 
-def _first_cycle(successors: dict[str, dict[str, None]]) -> list[str]:
+def _first_cycle(successors: dict[int, dict[int, None]]) -> list[int]:
     """The first cycle a depth-first search meets, roots and successors
     taken in insertion order, as a closed chain ``[c, ..., c]``.  Only
     called once Kahn's algorithm has proven a cycle exists."""
-    finished: set[str] = set()
+    finished: set[int] = set()
     for root in successors:
         if root in finished:
             continue

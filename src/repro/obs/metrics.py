@@ -264,11 +264,16 @@ class MetricsRegistry:
     def uninstall(self) -> None:
         """Read the collectors one last time and detach from the
         environment (``env.metrics`` back to None), keeping that view;
-        an installed registry keeps its whole simulation alive."""
-        if self._env is not None:
-            self._read(keep=True)
-            self._env.metrics = None
-            self._env = None
+        an installed registry keeps its whole simulation alive.  It
+        detaches even when that read raises (a kind conflict), so the
+        error is raised once and the next :meth:`install` succeeds."""
+        env = self._env
+        if env is not None:
+            try:
+                self._read(keep=True)
+            finally:
+                env.metrics = None
+                self._env = None
 
     def _read(self, keep: bool) -> None:
         """Read the collectors of the environment it is installed on

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim import Environment
+from repro.sim import Environment, Event, Timeout
+from repro.sim.server import then
 from repro.sim.trace import emit
 from repro.hw.lanai.nic import LanaiNIC
 from repro.hw.myrinet.network import MyrinetNetwork, natural_key
@@ -78,6 +79,8 @@ class MappingPhase:
             # Before trusting the fabric's routing function, prove it
             # cannot wedge the wormhole network: the channel dependency
             # graph of the installed route table must be cycle-free.
+            # (``topology.build`` does not prove it: this is the boot's
+            # one proof.)
             report = check_deadlock_free(self.network)
             routes: dict[str, dict[int, list[int]]] = {n: {} for n in names}
             probes = 0
@@ -93,10 +96,10 @@ class MappingPhase:
                     dst = names[(i + r) % n]
                     candidate = self.network.compute_route(src, dst)
                     routes[src][indices[dst]] = candidate
-                    round_probes.append(self.env.process(
-                        self._verify_route(src, dst, candidate, indices)))
-                for proc in round_probes:
-                    yield proc
+                    round_probes.append(
+                        _Probe(self, src, dst, candidate, indices).done)
+                for probe in round_probes:
+                    yield probe
                 probes += n
             duration = self.env.now - start
             if self.env.tracer is not None:
@@ -112,14 +115,38 @@ class MappingPhase:
 
         return self.env.process(mapping(), name="mapping_phase")
 
-    def _verify_route(self, src: str, dst: str, route: list[int],
-                      indices: dict[str, int]):
-        """Send a probe along ``route`` and confirm it lands on ``dst``."""
-        header = ProbeHeader("map_probe", indices[src], indices[dst])
-        probe = MyrinetPacket(route, header, b"")
-        yield self.nics[src].net_send.send(probe)
-        # Wait for the probe to surface in the claimed destination's inbox.
-        arrived = yield self.nics[dst].net_recv.get()
-        if arrived.header != header or not arrived.route_exhausted:
-            raise MappingError(
-                f"probe {src}->{dst} misrouted: got {arrived.header}")
+
+class _Probe:
+    """One mapping probe, verifying that ``route`` leads from ``src`` to
+    ``dst``: a callback chain started from one event at ``now`` that
+    sends the probe along the route, takes the next packet of ``dst``'s
+    inbox, and ends ``done`` if that is this probe (or fails it with
+    :class:`MappingError`).  Making one starts it."""
+
+    __slots__ = ("phase", "src", "dst", "route", "header", "done")
+
+    def __init__(self, phase: MappingPhase, src: str, dst: str,
+                 route: list[int], indices: dict[str, int]):
+        self.phase = phase
+        self.src = src
+        self.dst = dst
+        self.route = route
+        self.header = ProbeHeader("map_probe", indices[src], indices[dst])
+        self.done = Event(phase.env)
+        Timeout(phase.env, 0).callbacks.append(self.send)
+
+    def send(self, _start: Timeout) -> None:
+        probe = MyrinetPacket(self.route, self.header, b"")
+        then(self.phase.nics[self.src].net_send.send(probe), self.receive)
+
+    def receive(self, _sent: Event) -> None:
+        then(self.phase.nics[self.dst].net_recv.get(), self.check)
+
+    def check(self, got: Event) -> None:
+        arrived = got._value
+        if arrived.header != self.header or not arrived.route_exhausted:
+            self.done.fail(MappingError(
+                f"probe {self.src}->{self.dst} misrouted: "
+                f"got {arrived.header}"))
+        else:
+            self.done._end()

@@ -231,6 +231,10 @@ class ShrimpCluster:
                  env: Environment | None = None):
         self.env = env or Environment()
         self.params = params or ShrimpParams()
+        # No mapping phase maps this fabric, and one switch needs no
+        # deadlock proof: every route holds a host's uplink, then a
+        # host's downlink, so no channel is requested while one of the
+        # latter is held and the dependency graph has no cycle.
         self.fabric = topology.build(
             topology.SingleSwitchSpec(nhosts_=nnodes),
             self.env, self.params.link)

@@ -51,7 +51,7 @@ from repro.mem import PhysicalMemory
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
 from repro.obs.metrics import MetricsRegistry
 from repro.rpc.reliable import connect_reliable_rpc
-from repro.vmmc import reliable
+from repro.vmmc import mapping_lcp, reliable
 from repro.vmmc.reliable import open_channel
 from repro.sim import Environment, Process, Timeout
 from repro.sim.resources import Request
@@ -175,6 +175,41 @@ def test_one_switch_hop_of_a_probe_on_fattree_4(monkeypatch):
     assert same_pod[1] == 3 + 3 * 3
     assert cross_pod[1] == 3 + 5 * 3
     assert constructed == {Process: 3}      # the three injections only
+
+
+def test_a_fattree_boot_costs_its_events_one_proof_and_no_probe_process(
+        monkeypatch):
+    proofs, processes = [], []
+    real_check, real_init = topology.check_deadlock_free, Process.__init__
+
+    def counted_check(*args, **kwargs):
+        proofs.append(args)
+        return real_check(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        processes.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "check_deadlock_free", counted_check)
+    monkeypatch.setattr(mapping_lcp, "check_deadlock_free", counted_check)
+    monkeypatch.setattr(Process, "__init__", counted_init)
+    built = []
+    calls = repro_calls(lambda: built.append(
+        Cluster.build(topology="fattree:4,h=2")))
+    cluster, = built
+    assert cluster.mapping.probes_sent == 240
+    # Events and boot time are what they were while the fabric was proven
+    # twice and every probe was a process.
+    assert (cluster.env.events_processed, cluster.env.now) == (4196, 57240)
+    # The mapping phase's proof is the one of the boot (``topology.build``
+    # made a second).
+    assert len(proofs) == 1
+    # 273 while each of the 240 mapping probes was a process: what is
+    # left is the mapping phase itself and each node's LCP and daemon.
+    assert len(processes) == 33
+    # 18 990 on CPython 3.11; 22 298 with the second proof, the probe
+    # processes and a random generator built per link.
+    assert calls <= 19_800
 
 
 def warm_kv_client(registry: bool = False):

@@ -2,6 +2,9 @@
 the injector's end-to-end drive, and the CRC-drop path of the base
 protocol (section 4.2: detected, counted, dropped — never recovered)."""
 
+import zlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +20,10 @@ from repro.faults import (
     LINK_ERROR_BURST,
     SWITCH_PORT_DOWN,
 )
-from repro.hw.myrinet import MyrinetPacket, crc8
+from repro.hw.myrinet import Link, MyrinetPacket, crc8
 from repro.hw.myrinet.link import LinkParams, _seed_from_name
+from repro.hw.myrinet.packet import BaselineHeader
+from repro.sim import Environment
 
 
 def small_cluster(**overrides):
@@ -89,6 +94,109 @@ def test_link_rng_fallback_seeds_differ_per_name():
     links = cluster.fabric.links
     seeds = {_seed_from_name(l.name) for l in links}
     assert len(seeds) == len(links)
+
+
+@pytest.fixture
+def corruptions(monkeypatch):
+    """Every corruption a link makes, in order: ``(when the packet was
+    injected, its header, the bit drawn)``."""
+    made = []
+    real = MyrinetPacket.corrupt
+
+    def recorded(packet, bit=0):
+        made.append((packet.injected_at, packet.header, bit))
+        real(packet, bit)
+
+    monkeypatch.setattr(MyrinetPacket, "corrupt", recorded)
+    return made
+
+
+def eager_stream(name: str) -> np.random.Generator:
+    """The error stream every link used to make at construction."""
+    return np.random.default_rng(zlib.crc32(name.encode("utf-8")))
+
+
+def test_a_lossy_link_corrupts_what_an_eager_stream_did(corruptions):
+    # A link makes its stream on its first lossy packet, from the seed
+    # its name always gave: the same packets corrupted at the same bits.
+    def corrupted(rng):
+        corruptions.clear()
+        env = Environment()
+        link = Link(env, LinkParams(error_rate=0.3), name="sw0->node1",
+                    rng=rng)
+        link.connect(lambda _packet: None)
+
+        def sender():
+            for seq in range(200):
+                yield link.transmit(MyrinetPacket(
+                    [], BaselineHeader("api_msg", seq), b"x" * 64))
+
+        env.run(until=env.process(sender()))
+        assert link.errors_injected == len(corruptions)
+        return list(corruptions)
+
+    lazy = corrupted(None)
+    assert 30 < len(lazy) < 90
+    assert lazy == corrupted(eager_stream("sw0->node1"))
+
+
+def burst_fattree_traffic(eager: bool) -> dict[str, int]:
+    """An error burst on every link of a booted ``fattree:4,h=2`` while
+    each host sends three 16 KB messages across the tree; the errors
+    each link injected.  With ``eager``, every link is given the stream
+    it would have made at construction before the burst starts."""
+    cluster = Cluster.build(TestbedConfig(memory_mb=8),
+                            topology="fattree:4,h=2")
+    env, links = cluster.env, cluster.fabric.links
+    assert all(link._rng is None for link in links)
+    if eager:
+        for link in links:
+            link._rng = eager_stream(link.name)
+    FaultInjector(cluster).run(FaultCampaign.of("burst", [
+        FaultEvent(at_ns=0, kind=LINK_ERROR_BURST, target=link.name,
+                   params={"rate": 0.2}) for link in links]))
+
+    def stream(s: int, d: int):
+        _, rx = cluster.nodes[d].attach_process(f"rx{s}")
+        _, tx = cluster.nodes[s].attach_process(f"tx{s}")
+        inbox = rx.alloc_buffer(16384)
+        yield rx.export(inbox, f"in{s}")
+        imported = yield tx.import_buffer(f"node{d}", f"in{s}")
+        src = tx.alloc_buffer(16384)
+        for _ in range(3):
+            yield tx.send(src, imported, 16384)
+
+    env.run(until=env.all_of([env.process(stream(s, (s + 5) % 16))
+                              for s in range(16)]))
+    env.run()
+    return {link.name: link.errors_injected for link in links}
+
+
+def test_an_error_burst_on_a_fattree_corrupts_what_eager_streams_did(
+        corruptions):
+    lazy = burst_fattree_traffic(eager=False)
+    lazy_corruptions = list(corruptions)
+    corruptions.clear()
+    assert burst_fattree_traffic(eager=True) == lazy
+    assert corruptions == lazy_corruptions
+    assert sum(lazy.values()) == len(lazy_corruptions) > 50
+    assert len([n for n in lazy.values() if n]) > 20
+
+
+def test_a_clean_fattree_boot_makes_no_error_stream(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    cluster = Cluster.build(TestbedConfig(memory_mb=8),
+                            topology="fattree:8,h=2")
+    assert made == []
+    assert not [link for link in cluster.fabric.links
+                if link._rng is not None]
 
 
 def test_link_down_loses_packets_silently():

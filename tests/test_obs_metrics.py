@@ -365,6 +365,35 @@ def test_a_kind_conflict_with_an_owned_series_raises():
         set_gauge(env, "n.a", 2, node=0)
 
 
+def test_a_registry_stuck_on_a_kind_conflict_still_comes_off():
+    # Its last read raises inside the install that replaces it: the
+    # error surfaces once, the registry is off the environment anyway,
+    # and the next install (or an uninstall) succeeds.
+    env = Environment()
+    stuck = MetricsRegistry().install(env)
+    owner = _Owner(env)
+    owner.record(("n.a", [("node", 0)], 1))
+    stuck.gauge("n.a").set(1)
+    with pytest.raises(TypeError):
+        MetricsRegistry().install(env)
+    assert env.metrics is None
+    stuck.uninstall()
+    fresh = MetricsRegistry().install(env)
+    assert env.metrics is fresh
+    owner.record(("n.a", [("node", 0)], 1))
+    assert fresh.snapshot() == {"n.a{node=0}": 1}
+    fresh.uninstall()
+    assert env.metrics is None
+
+    stuck = MetricsRegistry().install(env)
+    owner.record(("n.a", [("node", 0)], 1))
+    stuck.gauge("n.a").set(1)
+    with pytest.raises(TypeError):
+        stuck.uninstall()
+    assert env.metrics is None
+    assert MetricsRegistry().install(env) is env.metrics
+
+
 def test_a_registry_installed_after_build_holds_no_boot_record():
     """Booting a fat tree (mapping probes through every switch) with no
     registry leaves nothing for a registry installed afterwards; the

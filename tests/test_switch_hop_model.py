@@ -11,9 +11,11 @@ delivery order and times, the CRC verdict of each delivery, the
 ``{switch}.forward`` / ``{link}.tx`` / drop records, and every counter.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.myrinet import Link, LinkParams, MyrinetPacket, Switch
+from repro.hw.myrinet.link import _seed_from_name
 from repro.hw.myrinet.packet import BaselineHeader
 from repro.hw.myrinet.switch import SWITCH_LATENCY_NS
 from repro.sim import Environment, Resource, Timeout, Tracer
@@ -25,7 +27,9 @@ class WormLink(Link):
     and a generator sink (a switch) run as a new process."""
 
     def __init__(self, env, params=None, name="link"):
-        super().__init__(env, params, name=name)
+        # Its error stream made at construction, as every link's was.
+        super().__init__(env, params, name=name,
+                         rng=np.random.default_rng(_seed_from_name(name)))
         self._wire = Resource(env)
 
     def transmit(self, packet):

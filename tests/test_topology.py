@@ -36,7 +36,13 @@ import pytest
 
 import repro
 from repro.sim import Environment
-from repro.hw.myrinet import MyrinetNetwork, PortRef, natural_key, topology
+from repro.hw.myrinet import (
+    MyrinetNetwork,
+    PortRangeError,
+    PortRef,
+    natural_key,
+    topology,
+)
 from repro.hw.myrinet.topology import (
     DeadlockReport,
     DualSwitchSpec,
@@ -338,6 +344,31 @@ def test_route_walk_rejects_lies():
         # host to forward.
         walk_route(net, "node1", [MeshSpec.WEST, MeshSpec.HOST_BASE, 0])
 
+
+
+@pytest.mark.parametrize("pair, route, error, message", [
+    (("node1", "node0"), [MeshSpec.EAST, MeshSpec.HOST_BASE],
+     TopologyError, "not cabled"),
+    (("node1", "node0"), [MeshSpec.WEST, MeshSpec.HOST_BASE, 0],
+     TopologyError, "forward through"),
+    (("node1", "node0"), [99], PortRangeError, "port 99"),
+    (("node9", "node0"), [0], TopologyError, "not a host"),
+    (("node1", "node3"), [MeshSpec.WEST, MeshSpec.HOST_BASE],
+     TopologyError, r"route node1->node3 \[1, 4\] terminates at 'node0'"),
+])
+def test_the_proof_rejects_a_route_that_lies(pair, route, error, message):
+    # The proof walks every route over interned channel ids; a lie raises
+    # what walking that route raises, and of two lies the first in
+    # route-table order.
+    _, net = built("mesh:2x2")
+    table = dict(net.route_table)
+    table[pair] = route
+    with pytest.raises(error, match=message):
+        check_deadlock_free(net, table)
+    # node0's switch is on the west edge.
+    table[("node0", "node1")] = [MeshSpec.WEST, MeshSpec.HOST_BASE]
+    with pytest.raises(TopologyError, match="node0: switch .* port 1 is not"):
+        check_deadlock_free(net, table)
 
 
 def test_route_walk_from_an_unknown_or_uncabled_host_is_a_topology_error():

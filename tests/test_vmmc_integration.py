@@ -6,9 +6,11 @@ import pytest
 from repro import Cluster, TestbedConfig
 from repro.bench.microbench import VmmcPair
 from repro.hw.bus import PCIParams
-from repro.hw.myrinet import LinkParams
-from repro.sim import Tracer
+from repro.hw.myrinet import LinkParams, MyrinetPacket
+from repro.hw.myrinet.packet import ProbeHeader
+from repro.sim import Environment, Tracer
 from repro.vmmc.errors import ImportDenied, InvalidSendError, SendError
+from repro.vmmc.mapping_lcp import MappingError, MappingPhase
 
 
 def small_cluster(nnodes=2, **overrides):
@@ -28,6 +30,20 @@ def test_cluster_boot_runs_mapping_phase():
     for node in cluster.nodes:
         # Every node has a route to every other node.
         assert len(node.lcp.routes) == 3
+
+
+def test_a_stray_packet_in_a_probed_inbox_fails_the_mapping_phase():
+    # The stray is the first packet node1's inbox hands over, so the
+    # probe node0 -> node1 sees a header that is not its own: the probe's
+    # event fails, and the mapping phase waiting on it fails with it.
+    cluster = Cluster(Environment(), TestbedConfig(nnodes=4, memory_mb=8))
+    env = cluster.env
+    nics = {node.name: node.nic for node in cluster.nodes}
+    nics["node1"].net_recv.inbox.append(
+        MyrinetPacket([], ProbeHeader("map_probe", 3, 1), b""))
+    phase = MappingPhase(env, cluster.fabric, nics)
+    with pytest.raises(MappingError, match="probe node0->node1 misrouted"):
+        env.run(until=phase.run())
 
 
 def test_sram_usage_reported_per_node():
