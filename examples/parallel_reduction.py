@@ -56,20 +56,15 @@ class Rank:
         base = src_rank * SLOT
         stamp_off = base + VECTOR_WORDS * 4
 
-        def run():
-            while True:
-                watch = self.ep.watch(self.mailbox, stamp_off, 4)
-                yield self.ep.membus.cacheline_fill()
-                stamp = int(np.frombuffer(
-                    self.mailbox.read(stamp_off, 4).tobytes(),
-                    dtype=np.uint32)[0])
-                if stamp == seq:
-                    break
-                yield watch
-            raw = self.mailbox.read(base, VECTOR_WORDS * 4)
-            return np.frombuffer(raw.tobytes(), dtype=np.uint32).copy()
+        def arrived():
+            return int(np.frombuffer(self.mailbox.read(stamp_off, 4).tobytes(),
+                                     dtype=np.uint32)[0]) == seq
 
-        return self.ep.env.process(run())
+        def take(done):
+            raw = self.mailbox.read(base, VECTOR_WORDS * 4)
+            done.succeed(np.frombuffer(raw.tobytes(), dtype=np.uint32).copy())
+
+        return self.ep.spin(self.mailbox, stamp_off, 4, arrived, take)
 
 
 def allreduce(rank: Rank, seq_base: int):

@@ -50,29 +50,13 @@ def _stamp(buffer: UserBuffer, size: int, seq: int) -> None:
         buffer.write(word[:size], offset=0)
 
 
-def _read_stamp(buffer: UserBuffer, size: int) -> int:
-    return int.from_bytes(buffer.read(max(0, size - 4), min(4, size)),
-                          "little")
-
-
 def spin_until_stamp(ep: VMMCEndpoint, buffer: UserBuffer, size: int,
                      expected: int):
-    """Process: spin until the message's sequence stamp equals ``expected``.
-
-    Race-free: the watch is armed *before* the value check, so a write
-    landing between check and wait still wakes the spinner.
-    """
-    def run():
-        while True:
-            offset = max(0, size - 4)
-            span = min(4, size)
-            watch = ep.watch(buffer, offset, span)
-            yield ep.membus.cacheline_fill()
-            if _read_stamp(buffer, size) == expected:
-                return
-            yield watch
-
-    return ep.env.process(run(), name="bench.spin")
+    """Event: spin (:meth:`VMMCEndpoint.spin`) until the message's
+    sequence stamp equals ``expected``."""
+    offset, span = max(0, size - 4), min(4, size)
+    return ep.spin(buffer, offset, span, lambda: int.from_bytes(
+        buffer.read(offset, span), "little") == expected)
 
 
 class VmmcPair:

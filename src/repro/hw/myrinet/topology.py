@@ -692,6 +692,18 @@ def check_deadlock_free(net: MyrinetNetwork,
         if routes is None:
             raise TopologyError(
                 "no route table installed and none given to check")
+    # A passing proof does not depend on the walk's order; a failing one
+    # (a cycle, or a lie: a TopologyError or PortRangeError) walks again
+    # sorted, to name a fault whatever order the table has.
+    try:
+        return _prove(net, routes.items(), len(routes))
+    except ValueError:
+        _prove(net, sorted(routes.items()), len(routes))
+        raise
+
+
+def _prove(net: MyrinetNetwork, routes, nroutes: int) -> DeadlockReport:
+    """:func:`check_deadlock_free` over ``routes``' pairs, in order."""
     # Channels are interned integers: a device's cabled port -> (the
     # channel leaving through it, the device it reaches); the ``"a->b"``
     # names are built only to report a cycle.
@@ -709,7 +721,7 @@ def check_deadlock_free(net: MyrinetNetwork,
     # a cycle is named the same way on every run).
     successors: list[dict[int, None]] = [{} for _ in ids]
     seen: dict[int, None] = {}
-    for (src, dst), route in sorted(routes.items()):
+    for (src, dst), route in routes:
         if src == dst:
             continue
         hop = uplinks.get(src)
@@ -744,7 +756,7 @@ def check_deadlock_free(net: MyrinetNetwork,
             if holders[channel] == 0:
                 ready.append(channel)
     if peeled == len(seen):
-        return DeadlockReport(routes=len(routes), channels=len(seen),
+        return DeadlockReport(routes=nroutes, channels=len(seen),
                               dependencies=dependencies)
     names = {channel: f"{a}->{b}" for (a, b), channel in ids.items()}
     chain = [names[channel] for channel in _first_cycle(

@@ -26,6 +26,9 @@ class UserBuffer:
         self.space = space
         self.vaddr = vaddr
         self.nbytes = nbytes
+        #: Pending arms, ``(physical extents, event)`` in arm order;
+        #: None until the first :meth:`arm`.
+        self._arms: list | None = None
 
     @classmethod
     def alloc(cls, space: AddressSpace, nbytes: int) -> "UserBuffer":
@@ -71,6 +74,35 @@ class UserBuffer:
 
     def tobytes(self) -> bytes:
         return self.read().tobytes()
+
+    # -- write watching --------------------------------------------------------
+    def arm(self, event, offset: int = 0, nbytes: int | None = None) -> None:
+        """Succeed ``event`` with the ``(paddr, nbytes)`` of the next
+        device write into ``nbytes`` at ``offset`` (default: the rest of
+        the buffer): one look of a CPU spinning there.  The buffer's one
+        standing watcher, registered at its first arm, fires the arms a
+        write touches, in arm order (a :meth:`slice` has its own)."""
+        span = self.nbytes - offset if nbytes is None else nbytes
+        if offset < 0 or offset + span > self.nbytes:
+            raise ValueError("watch outside buffer")
+        space = self.space
+        if self._arms is None:
+            self._arms = []
+            space.memory.watch_writes(
+                space.physical_extents(self.vaddr, self.nbytes), self._written)
+        self._arms.append(
+            (space.physical_extents(self.vaddr + offset, span), event))
+
+    def _written(self, paddr: int, nbytes: int) -> None:
+        end, pending = paddr + nbytes, []
+        for arm in self._arms:
+            for start, length in arm[0]:
+                if start < end and paddr < start + length:
+                    arm[1].succeed((paddr, nbytes))
+                    break
+            else:
+                pending.append(arm)
+        self._arms = pending
 
     # -- geometry --------------------------------------------------------------
     @property

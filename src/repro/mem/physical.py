@@ -75,7 +75,8 @@ def _gcd(a: int, b: int) -> int:
 
 
 class PhysicalMemory:
-    """Physical memory: data array + frame allocation + pinning.
+    """Physical memory: data array + frame allocation + pinning + the
+    write watchers through which spinning CPUs see device writes.
 
     The free list is never materialized.  It is, in order: the part of
     the scatter walk the cursor has not reached (pick *i* is
@@ -113,8 +114,8 @@ class PhysicalMemory:
         self._allocated: set[int] = set()
         #: Frames ever allocated or pinned; the rest have no object.
         self._frames: dict[int, Frame] = {}
-        #: frame number -> [(registration seq, paddr, nbytes, one-shot
-        #: event or None, standing callback or None)]
+        #: frame number -> [(registration seq, paddr, nbytes, callback)],
+        #: in registration order (:meth:`watch_writes`)
         self._watches: dict[int, list[tuple]] = {}
         self._watch_seq = 0
 
@@ -246,88 +247,47 @@ class PhysicalMemory:
                 f"physical access [{paddr}, {paddr + nbytes}) outside "
                 f"memory of {self.size} bytes")
 
-    # -- write watches (device-write visibility for spinning CPUs) --------------
-    def _frames_spanned(self, paddr: int, nbytes: int) -> range:
-        return range(paddr // self.page_size,
-                     (paddr + max(nbytes, 1) - 1) // self.page_size + 1)
-
-    def add_watch(self, paddr: int, nbytes: int, event) -> None:
-        """Register a one-shot event fired when a device write touches
-        [paddr, paddr+nbytes).  Models a CPU spinning on a cache location:
-        the DMA that deposits data invalidates the line and the spinner
-        observes it.  Only *device* writers call :meth:`notify_write`.
-
-        A watcher of a scattered buffer registers the same event once per
-        extent; the first extent written fires it.  Its records on other
-        frames are swept the next time anything visits their bucket — this
-        method included, so re-arming a buffer of which only one page is
-        ever written does not pile records up on the others.  A receiver
-        that waits on one buffer again and again has a standing watcher
-        instead (:meth:`watch_writes`)."""
-        self._register([(paddr, nbytes)], event, None)
-
+    # -- write watchers (device-write visibility for spinning CPUs) -----------
     def watch_writes(self, extents: Iterable[tuple[int, int]],
                      callback: Callable[[int, int], None]) -> None:
         """Register a standing watcher: ``callback(paddr, nbytes)`` runs
         with the whole written range on every device write that touches
         any of ``extents``, once per write however many of them it spans.
-        It is never swept, and runs in registration order among the
-        one-shot watches on the same frames."""
-        self._register(extents, None, callback)
-
-    def _register(self, extents, event, callback) -> None:
+        It models a CPU spinning there, whose cache line the deposit
+        invalidates; it is never removed."""
         seq = self._watch_seq
         self._watch_seq += 1
+        page_size = self.page_size
         for paddr, nbytes in extents:
-            record = (seq, paddr, nbytes, event, callback)
-            for frame in self._frames_spanned(paddr, nbytes):
-                bucket = [r for r in self._watches.get(frame, ())
-                          if r[3] is None or not r[3].triggered]
-                bucket.append(record)
-                self._watches[frame] = bucket
+            record = (seq, paddr, nbytes, callback)
+            for frame in range(paddr // page_size,
+                               (paddr + max(nbytes, 1) - 1) // page_size + 1):
+                self._watches.setdefault(frame, []).append(record)
 
     def notify_write(self, paddr: int, nbytes: int) -> None:
-        """Called by DMA engines after mutating [paddr, paddr+nbytes).
-
-        Visits only the buckets of the frames written; watches fire in
-        registration order."""
+        """Called by DMA engines after mutating [paddr, paddr+nbytes):
+        runs each watcher the write touches once, in registration order
+        (all found first: one a callback registers waits for the next)."""
         watches = self._watches
         if not watches:
             return
         end = paddr + nbytes
         hits = []
         page_size = self.page_size
-        # _frames_spanned, inline: this runs for every device write.
         for frame in range(paddr // page_size,
                            (paddr + max(nbytes, 1) - 1) // page_size + 1):
             bucket = watches.get(frame)
-            if bucket is None:
-                continue
-            armed = []
-            for record in bucket:
-                _seq, start, length, event, _callback = record
-                if event is not None and event.triggered:
-                    continue
-                if start < end and paddr < start + length:
-                    hits.append(record)
-                    if event is not None:
-                        continue
-                armed.append(record)
-            if armed:
-                watches[frame] = armed
-            else:
-                del watches[frame]
-        # Each bucket is in registration order; a write over several
-        # frames has to merge them.
+            if bucket is not None:
+                for record in bucket:
+                    if record[1] < end and paddr < record[1] + record[2]:
+                        hits.append(record)
+        # Buckets are in registration order; merge, one call per watcher.
         hits.sort(key=itemgetter(0))
         last = -1
-        for seq, _start, _length, event, callback in hits:
-            if event is None:
-                if seq != last:         # one call per write
-                    last = seq
-                    callback(paddr, nbytes)
-            elif not event.triggered:   # one record per frame it spans
-                event.succeed((paddr, nbytes))
+        for seq, _start, _length, callback in hits:
+            if seq != last:
+                last = seq
+                callback(paddr, nbytes)
 
     # -- introspection ----------------------------------------------------------
     def frames_are_contiguous(self, frames: Iterable[Frame]) -> bool:

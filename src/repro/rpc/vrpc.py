@@ -36,6 +36,7 @@ import itertools
 import numpy as np
 
 from repro.mem.buffers import UserBuffer
+from repro.sim.server import then
 from repro.vmmc.api import VMMCEndpoint
 from repro.rpc.sunrpc import RPCProgram, check_reply, encode_call, serve_call
 
@@ -95,23 +96,20 @@ class _Channel:
         return ep.env.process(run(), name="vrpc.deposit")
 
     def await_record(self, expected_seq: int):
-        """Process: spin until the next record lands; value is its bytes
+        """Event: spin until the next record lands; value is its bytes
         after the mandatory compatibility copy."""
-        ep = self.ep
+        ep, local, header = self.ep, self.local, []
 
-        def run():
-            while True:
-                watch = ep.watch(self.local, 0, _HEADER_BYTES)
-                yield ep.membus.cacheline_fill()
-                seq, length = _parse_header(self.local.read(0, _HEADER_BYTES))
-                if seq == expected_seq:
-                    break
-                yield watch
+        def ready() -> bool:
+            header[:] = _parse_header(local.read(0, _HEADER_BYTES))
+            return header[0] == expected_seq
+
+        def copy_out(done) -> None:
             # The one copy per receive that SunRPC compatibility forces.
-            yield ep.membus.bcopy(length)
-            return self.local.read(_DATA_OFFSET, length).tobytes()
+            then(ep.membus.bcopy(header[1]), lambda _copy: done._end(
+                local.read(_DATA_OFFSET, header[1]).tobytes()))
 
-        return ep.env.process(run(), name="vrpc.await")
+        return ep.spin(local, 0, _HEADER_BYTES, ready, copy_out)
 
 
 def _connect(client_ep: VMMCEndpoint, server_ep: VMMCEndpoint,

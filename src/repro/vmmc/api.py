@@ -659,13 +659,48 @@ class VMMCEndpoint:
 
         VMMC has no receive *operation*; a receiver that passes control
         simply spins on the memory it exported.  The returned event models
-        the moment the spinner's cache line is invalidated by the DMA.
+        the moment the spinner's cache line is invalidated by the DMA;
+        its value is the write's ``(paddr, nbytes)`` (:meth:`UserBuffer.arm`).
         """
-        span = buffer.nbytes - offset if nbytes is None else nbytes
         event = Event(self.env)
-        memory = self.process.space.memory
-        # The watched virtual range may span physically scattered frames.
-        for paddr, length in buffer.space.physical_extents(
-                buffer.vaddr + offset, span):
-            memory.add_watch(paddr, length, event)
+        buffer.arm(event, offset, nbytes)
         return event
+
+    def spin(self, buffer: UserBuffer, offset: int, nbytes: int,
+             ready: Callable[[], bool],
+             finish: Callable[[Event], None] | None = None) -> Event:
+        """Event: spin on ``nbytes`` at ``offset`` of an exported buffer
+        until ``ready()`` holds (section 3).  From one event at ``now``,
+        where a spinning process's start event ran, each look arms a
+        :meth:`watch` — before the test, so no write is missed — fills
+        the cache line and tests ``ready()``, then waits on the arm or
+        ends: with None, or ``finish(done)`` runs and ends it."""
+        return _Spin(self, buffer, offset, nbytes, ready, finish).done
+
+
+class _Spin:
+    """One :meth:`VMMCEndpoint.spin`: its bound methods are the chain's
+    callbacks, so a spin keeps one object alive, not a closure each."""
+
+    __slots__ = ("ep", "buffer", "offset", "nbytes", "ready", "finish",
+                 "done", "armed")
+
+    def __init__(self, ep: VMMCEndpoint, buffer: UserBuffer, offset: int,
+                 nbytes: int, ready: Callable[[], bool],
+                 finish: Callable[[Event], None] | None):
+        self.ep, self.buffer = ep, buffer
+        self.offset, self.nbytes = offset, nbytes
+        self.ready, self.finish, self.done = ready, finish, Event(ep.env)
+        at_now(ep.env, self.look)
+
+    def look(self, _armed=None) -> None:
+        self.armed = self.ep.watch(self.buffer, self.offset, self.nbytes)
+        self.ep.membus.cacheline_fill().callbacks.append(self.filled)
+
+    def filled(self, _fill) -> None:
+        if not self.ready():
+            then(self.armed, self.look)
+        elif self.finish is None:
+            self.done._end(None)
+        else:
+            self.finish(self.done)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro.mem.buffers import UserBuffer
 from repro.mem.physical import PhysicalMemory
 from repro.mem.virtual import AddressSpace, PAGE_SIZE
@@ -29,6 +29,7 @@ from repro.hw.bus.membus import MemoryBus
 from repro.hw.myrinet import topology
 from repro.hw.shrimp import ShrimpNIC, ShrimpParams
 from repro.hostos.kernel import Kernel
+from repro.vmmc.api import VMMCEndpoint
 from repro.vmmc.errors import ImportDenied, SendError
 from repro.vmmc.proxy import ProxyRegion, ProxySpace
 
@@ -213,14 +214,8 @@ class ShrimpEndpoint:
 
         return self.env.process(run(), name="shrimp.au_write")
 
-    def watch(self, buffer: UserBuffer, offset: int = 0,
-              nbytes: int | None = None) -> Event:
-        span = buffer.nbytes - offset if nbytes is None else nbytes
-        event = self.env.event()
-        for paddr, length in self.space.physical_extents(
-                buffer.vaddr + offset, span):
-            self.node.memory.add_watch(paddr, length, event)
-        return event
+    #: The spin-wait primitive is the Myrinet library's, unchanged.
+    watch = VMMCEndpoint.watch
 
 
 class ShrimpCluster:

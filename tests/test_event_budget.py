@@ -15,10 +15,10 @@ budgeted against the packets that reached a NIC.
 
 The host pays per Python call as well as per event, so the calls a
 4 KB packet makes in ``src/repro`` have budgets too, and so do those of
-a KV GET, of a request in an overloaded KV trial and of a DSM read and
-write fault.  They are upper
-bounds, not equalities, because the count depends a little on the
-CPython version.
+a KV GET, of a request in an overloaded KV trial, of a DSM read and
+write fault, of a spun-on 4 KB message and of a null vRPC call.  They
+are upper bounds, not equalities, because the count depends a little on
+the CPython version.
 
 What no longer costs an event: a grant of a free resource, a store
 hand-off that completes at once, and the completion of a process nobody
@@ -27,6 +27,7 @@ or a DMA-engine transfer costs its hold's end and nothing else: it is a
 plain call on a callback-driven server, not a process.
 """
 
+import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,8 @@ import pytest
 import repro
 from repro.bench.microbench import (
     VmmcPair,
+    _stamp,
+    spin_until_stamp,
     vmmc_oneway_bandwidth,
     vmmc_pingpong_latency,
 )
@@ -50,6 +53,7 @@ from repro.kv.bench import run_kv_trial
 from repro.mem import PhysicalMemory
 from repro.kv.store import PROC_GET, PROC_PUT, encode_get_args, encode_put_args
 from repro.obs.metrics import MetricsRegistry
+from repro.rpc import RPCProgram, VRPCClient, VRPCServer
 from repro.rpc.reliable import connect_reliable_rpc
 from repro.vmmc import mapping_lcp, reliable
 from repro.vmmc.reliable import open_channel
@@ -263,7 +267,7 @@ def test_a_clean_kv_get_makes_no_message_process_and_arms_no_watch(
         cli_ep, srv_ep, "kv", KVStore("shard0").program()))
     env.run(until=client.call(PROC_PUT, encode_put_args(7, b"v" * 64)))
     constructed, watches = [], []
-    real_init, real_watch = Process.__init__, PhysicalMemory.add_watch
+    real_init, real_watch = Process.__init__, PhysicalMemory.watch_writes
 
     def counted_init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -274,18 +278,20 @@ def test_a_clean_kv_get_makes_no_message_process_and_arms_no_watch(
         return real_watch(self, *args)
 
     monkeypatch.setattr(Process, "__init__", counted_init)
-    monkeypatch.setattr(PhysicalMemory, "add_watch", counted_watch)
+    monkeypatch.setattr(PhysicalMemory, "watch_writes", counted_watch)
     dec = env.run(until=client.call(PROC_GET, encode_get_args(7)))
     env.run()
     assert dec is not None
     # Once the connection is open, the call, both channel sends, both
     # receives and the four VMMC sends under them are calls returning
-    # events, and each ring and ACK word has its one standing watcher.
+    # events, and each ring and ACK word has its one standing watcher,
+    # registered when the connection opened: a request registers none.
     # Only the two serve/demux loops, parked in their next ``recv``, are
     # processes — and they were made when the connection opened.  (A
     # GET spawned ten processes — ``rrpc.call``, ``rrpc.reply``, two
     # ``rel.send``, two ``rel.recv`` and four ``vmmc.send`` — and made 40
-    # ``add_watch`` calls, re-arming every ring page at every look.)
+    # one-shot watch registrations, re-arming every ring page at every
+    # look.)
     assert constructed == []
     assert watches == []
 
@@ -455,6 +461,98 @@ def test_a_4kb_message_costs_few_python_calls():
     # 216.8 per message on CPython 3.11 (336.2 before, as above, and
     # with the sequence stamp built and read through numpy).
     assert calls_per_packet(4096, 32) <= 240
+
+
+def spinning_receiver():
+    """A warm two-node pair and ``messages(n)``, which sends ``n`` 4 KB
+    messages from one process, each spun on by the receiver until its
+    stamp lands before the next is sent (``fig3-stream``'s size mix)."""
+    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                    buffer_bytes=16 * 1024)
+    env, stamps = pair.env, itertools.count(1)
+
+    def stream(count):
+        for seq in itertools.islice(stamps, count):
+            _stamp(pair.src_a, 4096, seq)
+            yield pair.ep_a.send(pair.src_a, pair.to_b, 4096)
+            yield spin_until_stamp(pair.ep_b, pair.inbox_b, 4096, seq)
+
+    def messages(count):
+        env.run(until=env.process(stream(count), name="stream"))
+        env.run()
+
+    messages(2)
+    return env, messages
+
+
+def warm_vrpc_client():
+    """A vRPC connection on two nodes after one null call; returns
+    ``(env, client)``."""
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    _, client_ep = cluster.nodes[0].attach_process("client")
+    _, server_ep = cluster.nodes[1].attach_process("server")
+    program = RPCProgram(0x20000001, 1)
+    program.register(0, lambda dec: b"")
+    server = VRPCServer(server_ep, "node1", program)
+    channel = env.run(until=server.accept(client_ep, "node0", "cli"))
+    client = VRPCClient(channel, 0x20000001, 1)
+    env.run(until=client.call(0))
+    env.run()
+    return env, client
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Names of the ``Process``es constructed while the test runs."""
+    names = []
+    real_init = Process.__init__
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        names.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", counted_init)
+    return names
+
+
+def test_a_spun_on_4kb_message_costs_its_events_and_no_process(made):
+    env, messages = spinning_receiver()
+    made.clear()
+    one = events_of(env, lambda: messages(1))
+    two = events_of(env, lambda: messages(2))
+    # The spin is a callback chain from one event at ``now``, where the
+    # ``bench.spin`` process's start event ran, so the events are the
+    # process's.  One of the 30 is the last look's arm, which fires at
+    # the next message's write with nobody waiting on it.
+    assert two - one == 30
+    # The stream processes the test made; the spins made none (one
+    # ``bench.spin`` per message while the spin was a process).
+    assert made == ["stream", "stream"]
+
+
+def test_a_spun_on_4kb_message_costs_few_python_calls():
+    env, messages = spinning_receiver()
+    calls = repro_calls(lambda: messages(16)) / 16
+    # 219.6 on CPython 3.11.  230.6 while the spin was a ``bench.spin``
+    # process and each look armed a one-shot watch that rebuilt its
+    # frame's bucket (two looks per message).
+    assert calls <= 225
+
+
+def test_a_vrpc_null_call_costs_its_events_and_no_spin_process(made):
+    env, client = warm_vrpc_client()
+    made.clear()
+    cost = events_of(env, lambda: env.run(until=client.call(0)))
+    processes = sorted(made)
+    calls = repro_calls(lambda: (env.run(until=client.call(0)), env.run()))
+    assert cost == 101
+    # The call and the two deposits (request and reply) are processes;
+    # each side's wait for the other's record is a spin chain.  (Two
+    # ``vrpc.await`` processes more while those were processes.)
+    assert processes == ["vrpc.call", "vrpc.deposit", "vrpc.deposit"]
+    # 746 on CPython 3.11; 764 with the two ``vrpc.await`` processes.
+    assert calls <= 760
 
 
 def kv_request_costs(requests: int, base_gap_ns: int,

@@ -160,130 +160,153 @@ def test_pin_outside_memory_rejected():
     assert mem.pinned_frames == 0
 
 
-# ------------------------------------------------------------ write watches
-def watch(env, mem, paddr, nbytes, fired, name):
-    event = env.event()
-    event.callbacks.append(lambda _e: fired.append(name))
-    mem.add_watch(paddr, nbytes, event)
-    return event
+# ---------------------------------------------------------- write watchers
+def watcher(mem, extents, fired, name):
+    mem.watch_writes(extents, lambda paddr, nbytes: fired.append(
+        (name, paddr, nbytes)))
 
 
 def test_watches_fire_in_registration_order_across_frames():
-    env = Environment()
     mem = make_memory(1)
     fired = []
-    # Registered high frame first: bucket order alone would fire b, a.
-    a = watch(env, mem, 2 * PAGE_SIZE, 8, fired, "a")
-    b = watch(env, mem, 2 * PAGE_SIZE - 8, 8, fired, "b")
-    c = watch(env, mem, 2 * PAGE_SIZE + 4, 8, fired, "c")
-    elsewhere = watch(env, mem, 5 * PAGE_SIZE, 8, fired, "elsewhere")
+    # Registered high frame first: bucket order alone would run b, a.
+    watcher(mem, [(2 * PAGE_SIZE, 8)], fired, "a")
+    watcher(mem, [(2 * PAGE_SIZE - 8, 8)], fired, "b")
+    watcher(mem, [(2 * PAGE_SIZE + 4, 8)], fired, "c")
+    watcher(mem, [(5 * PAGE_SIZE, 8)], fired, "elsewhere")
     mem.notify_write(2 * PAGE_SIZE - 4, 12)      # frames 1 and 2
-    env.run()
-    assert fired == ["a", "b", "c"]
-    assert a.value == b.value == c.value == (2 * PAGE_SIZE - 4, 12)
-    assert not elsewhere.triggered
+    assert fired == [(name, 2 * PAGE_SIZE - 4, 12) for name in "abc"]
 
 
 def test_watch_spanning_frames_fires_once():
-    env = Environment()
     mem = make_memory(1)
     fired = []
-    # One record over two frames, and one event on two extents: a write
-    # that reaches both halves of either must trigger it exactly once.
-    watch(env, mem, PAGE_SIZE - 16, 32, fired, "straddler")
-    twice = watch(env, mem, PAGE_SIZE - 64, 8, fired, "two-extents")
-    mem.add_watch(PAGE_SIZE + 64, 8, twice)
+    # One record over two frames, one watcher on two extents in
+    # different frames, and one with two extents in the same frame: a
+    # write that reaches both halves of any of them runs it once.
+    watcher(mem, [(PAGE_SIZE - 16, 32)], fired, "straddler")
+    watcher(mem, [(PAGE_SIZE - 64, 8), (PAGE_SIZE + 64, 8)], fired,
+            "two-frames")
+    watcher(mem, [(PAGE_SIZE + 8, 4), (PAGE_SIZE + 32, 4)], fired,
+            "one-frame")
     mem.notify_write(PAGE_SIZE - 128, 256)
-    env.run()
-    assert fired == ["straddler", "two-extents"]
-    assert not mem._watches
+    assert fired == [("straddler", PAGE_SIZE - 128, 256),
+                     ("two-frames", PAGE_SIZE - 128, 256),
+                     ("one-frame", PAGE_SIZE - 128, 256)]
+    fired.clear()
+    mem.notify_write(PAGE_SIZE + 63, 2)           # only "two-frames"
+    mem.notify_write(PAGE_SIZE - 4096, 4096 * 4)  # all three, once each
+    assert [name for name, _, _ in fired] == [
+        "two-frames", "straddler", "two-frames", "one-frame"]
 
 
 def test_watch_near_miss_stays_armed():
-    env = Environment()
     mem = make_memory(1)
     fired = []
-    event = watch(env, mem, 1000, 16, fired, "w")
+    watcher(mem, [(1000, 16)], fired, "w")
     mem.notify_write(996, 4)            # ends where the watch begins
     mem.notify_write(1016, 4)           # begins where it ends
     mem.notify_write(1000 + PAGE_SIZE, 16)
-    assert not event.triggered
+    assert fired == []
     mem.notify_write(1015, 1)
-    assert event.value == (1015, 1)
-    mem.notify_write(1000, 16)          # one-shot: already fired
-    env.run()
-    assert fired == ["w"]
+    mem.notify_write(1000, 16)          # standing: called again
+    assert fired == [("w", 1015, 1), ("w", 1000, 16)]
 
 
-def test_rearmed_watch_leaves_no_records_on_unwritten_pages():
-    # A receiver re-arms a watch over its whole buffer for every message,
-    # but the sender only ever writes page 0: the records on the other
-    # pages must not pile up.
-    env = Environment()
+def test_a_watcher_registered_by_a_callback_waits_for_the_next_write():
     mem = make_memory(1)
-    space = AddressSpace(mem)
-    vaddr = space.mmap(4 * PAGE_SIZE)
-    extents = space.physical_extents(vaddr, 4 * PAGE_SIZE)
-    assert len(extents) == 4
-    for _ in range(10_000):
-        event = env.event()
-        for paddr, length in extents:
-            mem.add_watch(paddr, length, event)
-        mem.notify_write(extents[0][0], 64)
-        assert event.triggered
-    assert sum(len(bucket) for bucket in mem._watches.values()) <= 3
+    fired = []
+
+    def first(paddr, nbytes):
+        fired.append(("first", paddr, nbytes))
+        if len(fired) == 1:
+            watcher(mem, [(0, 64)], fired, "later")
+
+    mem.watch_writes([(0, 64)], first)
+    mem.notify_write(0, 8)
+    assert fired == [("first", 0, 8)]
+    mem.notify_write(8, 8)
+    assert fired[1:] == [("first", 8, 8), ("later", 8, 8)]
 
 
 def test_standing_watcher_runs_on_every_write_in_registration_order():
     env = Environment()
     mem = make_memory(1)
+    space = AddressSpace(mem)
+    buffer = UserBuffer.alloc(space, PAGE_SIZE)
     fired = []
-    first = watch(env, mem, PAGE_SIZE - 8, 16, fired, "one-shot before")
     # One standing watcher on two extents in different frames: every
     # write that touches either runs it once, with the whole range.
     mem.watch_writes([(PAGE_SIZE - 64, 64), (3 * PAGE_SIZE, 64)],
                      lambda paddr, nbytes: fired.append(
                          ("standing", paddr, nbytes)))
-    later = watch(env, mem, PAGE_SIZE, 8, fired, "one-shot after")
+    watcher(mem, [(PAGE_SIZE - 8, 16)], fired, "later")
     mem.notify_write(PAGE_SIZE - 16, 32)          # frames 0 and 1
-    env.run()
-    # The standing watcher ran in the write's dispatch; the one-shot
-    # events, fired in registration order around it, ran when processed.
-    assert fired == [("standing", PAGE_SIZE - 16, 32), "one-shot before",
-                     "one-shot after"]
-    assert first.value == later.value == (PAGE_SIZE - 16, 32)
-    fired.clear()
     mem.notify_write(PAGE_SIZE - 4096, 4096 * 4)  # spans both extents
     mem.notify_write(3 * PAGE_SIZE + 63, 1)
     mem.notify_write(3 * PAGE_SIZE + 64, 1)       # just past the extent
     mem.notify_write(PAGE_SIZE - 65, 1)           # just before it
-    env.run()
-    assert fired == [("standing", 0, 4096 * 4),
+    assert fired == [("standing", PAGE_SIZE - 16, 32),
+                     ("later", PAGE_SIZE - 16, 32),
+                     ("standing", 0, 4096 * 4),
+                     ("later", 0, 4096 * 4),
                      ("standing", 3 * PAGE_SIZE + 63, 1)]
+    # A buffer's watcher is one of them, registered at its first arm.
+    [(paddr, _)] = space.physical_extents(buffer.vaddr, 4)
+    watcher(mem, [(paddr, 4)], fired, "before the arm")
+    event = env.event()
+    event.callbacks.append(lambda e: fired.append(("arm",) + e.value))
+    buffer.arm(event, 0, 4)
+    watcher(mem, [(paddr, 4)], fired, "after the arm")
+    fired.clear()
+    mem.notify_write(paddr, 4)
+    env.run()
+    assert fired == [("before the arm", paddr, 4),
+                     ("after the arm", paddr, 4), ("arm", paddr, 4)]
 
 
-def test_standing_watcher_is_never_swept_and_the_one_shot_sweep_works():
+def test_rearmed_watch_leaves_no_records_on_unwritten_pages():
+    # A receiver arms a watch over its whole buffer for every message,
+    # but the sender only ever writes page 0: the buffer has one
+    # standing watcher, and the arms a write fired are gone.
     env = Environment()
     mem = make_memory(1)
-    calls = []
-    mem.watch_writes([(0, 64)], lambda paddr, nbytes: calls.append(paddr))
-    for i in range(1000):
+    space = AddressSpace(mem)
+    buffer = UserBuffer.alloc(space, 4 * PAGE_SIZE)
+    extents = space.physical_extents(buffer.vaddr, 4 * PAGE_SIZE)
+    assert len(extents) == 4
+    for _ in range(10_000):
         event = env.event()
-        mem.add_watch(0, 64, event)
-        mem.add_watch(PAGE_SIZE, 64, event)       # never written
-        mem.notify_write(i % 64, 1)
-        assert event.triggered
-    assert calls == [i % 64 for i in range(1000)]
-    # The fired one-shots' records are gone from the written frame; the
-    # standing record stays, and the unwritten frame keeps at most the
-    # last one-shot record until something visits it.
-    assert [len(mem._watches[0]), len(mem._watches[1])] == [1, 1]
-    event = env.event()
-    mem.add_watch(PAGE_SIZE, 64, event)
-    assert len(mem._watches[1]) == 1
-    mem.notify_write(PAGE_SIZE, 8)
-    assert event.triggered and 1 not in mem._watches
-    assert len(mem._watches[0]) == 1
+        buffer.arm(event)
+        mem.notify_write(extents[0][0], 64)
+        assert event.value == (extents[0][0], 64)
+    assert sorted(len(bucket) for bucket in mem._watches.values()) == [1] * 4
+    assert buffer._arms == []
+
+
+def test_arms_fire_in_arm_order_and_only_where_written():
+    env = Environment()
+    mem = make_memory(1)
+    space = AddressSpace(mem)
+    buffer = UserBuffer.alloc(space, 2 * PAGE_SIZE)
+    fired = []
+    arms = [(0, 4), (PAGE_SIZE - 2, 4), (0, 4), (PAGE_SIZE + 8, 4)]
+    for i, (offset, nbytes) in enumerate(arms):
+        event = env.event()
+        event.callbacks.append(lambda e, i=i: fired.append((i, e.value)))
+        buffer.arm(event, offset, nbytes)
+    [(first, _)] = space.physical_extents(buffer.vaddr, 4)
+    mem.notify_write(first, 2)
+    env.run()
+    # The range straddles two scattered frames: a write on either
+    # half fires the arm.
+    [_, (second, _)] = space.physical_extents(
+        buffer.vaddr + PAGE_SIZE - 2, 4)
+    mem.notify_write(second, 1)
+    env.run()
+    assert fired == [(0, (first, 2)), (2, (first, 2)), (1, (second, 1))]
+    with pytest.raises(ValueError):
+        buffer.arm(env.event(), 2 * PAGE_SIZE - 2, 4)
 
 
 # ------------------------------------------------------------- address space

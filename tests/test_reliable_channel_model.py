@@ -7,8 +7,9 @@ is a ``Timeout``, the post a bus hold, and the completion, ACK and ring
 waits are callbacks.  The receiver keeps one standing watcher on its
 ring and reads only the slots written since its last look; the sender
 keeps one on its ACK word.  They used to be a ``Process`` per call that
-re-armed one-shot watches on every wake and re-read the whole ring —
-kept below, as they were, as the reference.
+re-armed a watch on every wake and re-read the whole ring — kept below
+as the reference, each watch now an arm of ``VMMCEndpoint.watch``,
+which fires what the one-shot watches fired (tests/test_watch_model.py).
 
 Both run the same random scenario: messages of random sizes, several
 sends in flight at once, receives posted before or after their data
@@ -141,8 +142,8 @@ def reimport_with_backoff(end, imported):
 
 
 class ProcessSender(ReliableSender):
-    """The sender as it was: a process per ``send`` that arms a one-shot
-    watch on the ACK word at every look, and waits for a window place
+    """The sender as it was: a process per ``send`` that arms a watch on
+    the ACK word at every look, and waits for a window place
     on one kick event that wakes every queued send."""
 
     _kick_ev = None
@@ -302,18 +303,12 @@ class ProcessSender(ReliableSender):
 
 class ProcessReceiver(ReliableReceiver):
     """The receiver as it was: a process per ``recv`` that re-arms a
-    one-shot watch on every ring extent and re-reads the whole ring at
-    every look."""
+    watch on the whole ring and re-reads the whole ring at every look."""
 
     _image = None
 
     def _watch_ring(self):
-        event = self.env.event()
-        memory = self.ring.space.memory
-        for paddr, length in self.ring.space.physical_extents(
-                self.ring.vaddr, self.ring.nbytes):
-            memory.add_watch(paddr, length, event)
-        return event
+        return self.ep.watch(self.ring)
 
     def _scan_ring(self):
         image = self.ring.read().tobytes()

@@ -26,6 +26,7 @@ dependency graph, and ``fabric_stats``'s bisection what
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -368,6 +369,36 @@ def test_the_proof_rejects_a_route_that_lies(pair, route, error, message):
     # node0's switch is on the west edge.
     table[("node0", "node1")] = [MeshSpec.WEST, MeshSpec.HOST_BASE]
     with pytest.raises(TopologyError, match="node0: switch .* port 1 is not"):
+        check_deadlock_free(net, table)
+
+
+def _shuffled(table, seed):
+    """``table`` with its routes inserted in a seeded random order."""
+    items = sorted(table.items())
+    random.Random(seed).shuffle(items)
+    return dict(items)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_proof_names_the_same_fault_in_any_table_order(seed):
+    # The proof walks a table in its own order and walks it again sorted
+    # only to name a fault: the cycle or the lie it names, and what a
+    # passing proof reports, do not depend on the insertion order.
+    _, mesh = built("mesh:2x2")
+    lies = dict(mesh.route_table)
+    lies[("node1", "node3")] = [MeshSpec.WEST, MeshSpec.HOST_BASE]
+    lies[("node0", "node1")] = [MeshSpec.WEST, MeshSpec.HOST_BASE]
+    cases = [_table_of(case) for case in ("minimal-torus", "ring-full")]
+    for net, table in cases + [(mesh, lies)]:
+        outcomes = []
+        for order in (dict(sorted(table.items())), _shuffled(table, seed)):
+            with pytest.raises(TopologyError) as err:
+                check_deadlock_free(net, order)
+            outcomes.append((type(err.value), str(err.value),
+                             getattr(err.value, "cycle", None)))
+        assert outcomes[0] == outcomes[1]
+    net, table = _table_of("fattree:4,h=2")
+    assert check_deadlock_free(net, _shuffled(table, seed)) == \
         check_deadlock_free(net, table)
 
 
