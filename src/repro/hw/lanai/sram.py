@@ -1,12 +1,12 @@
 """LANai on-board SRAM: 256 KB of byte-accurate storage with named regions.
 
 SRAM is the scarce resource the section-6 tradeoff discussion is about:
-the VMMC LCP must fit its code and data, one send queue **per process**,
-one outgoing page table **per process**, a software TLB **per process**
-(up to 8 MB of reach each!), the incoming page table, routing tables and
-packet staging buffers into 256 KB.  The allocator therefore tracks every
-region by name so the resource accounting the paper argues from can be
-reported (see :meth:`SRAM.usage_report`).
+the VMMC LCP must fit its code and data, one send queue, one outgoing
+page table and one software TLB (up to 8 MB of reach) **per process**,
+the incoming page table, routing tables and packet staging buffers into
+256 KB.  The allocator names every region for that accounting
+(:meth:`SRAM.usage_report`).  Like host memory, the bytes are a
+:func:`~repro.mem.physical.zeroed_bytes` store, committed per touched page.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.mem.physical import zeroed_bytes
 
 #: M2F-PCI32 carries 256 KB of SRAM (paper section 3).
 SRAM_SIZE = 256 * 1024
@@ -41,7 +43,7 @@ class SRAM:
 
     def __init__(self, size: int = SRAM_SIZE):
         self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        self.data = zeroed_bytes(size)
         #: The same bytes as a memoryview, for ``bytes`` payloads.
         self.raw = memoryview(self.data)
         self.regions: dict[str, SRAMRegion] = {}

@@ -74,6 +74,21 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def zeroed_bytes(size: int) -> np.ndarray:
+    """``size`` zero bytes, committed a page at a time on first touch.
+
+    A private anonymous mapping, not np.zeros: that madvises
+    MADV_HUGEPAGE on a big array (2 MB per scattered touch, or not, by
+    the luck of the alignment), and below glibc's adaptive mmap
+    threshold (a 256 KB SRAM, once a big block was freed) it callocs
+    from the heap and commits every byte (EXPERIMENTS.md "E-hostperf").
+    """
+    if size <= 0:
+        raise ValueError(f"a byte store needs a positive size, not {size}")
+    return np.frombuffer(mmap.mmap(-1, size, access=mmap.ACCESS_COPY),
+                         dtype=np.uint8)
+
+
 class PhysicalMemory:
     """Physical memory: data array + frame allocation + pinning + the
     write watchers through which spinning CPUs see device writes.
@@ -92,14 +107,7 @@ class PhysicalMemory:
         self.size = size_bytes
         self.page_size = page_size
         self.nframes = size_bytes // page_size
-        # A private anonymous mapping: zero pages committed on first
-        # touch.  Not np.zeros, which madvises MADV_HUGEPAGE on a big
-        # array — a node that touches a few scattered frames then pays
-        # 2 MB per touch or not by the luck of the mapping's alignment
-        # (EXPERIMENTS.md "E-hostperf", PR 23).
-        self.data = np.frombuffer(
-            mmap.mmap(-1, size_bytes, access=mmap.ACCESS_COPY),
-            dtype=np.uint8)
+        self.data = zeroed_bytes(size_bytes)
         #: The same bytes as a memoryview, for ``bytes`` payloads.
         self.raw = memoryview(self.data)
         # reserved_frames models kernel-owned low memory never given to users.

@@ -1,10 +1,13 @@
 """Tests for the LANai NIC hardware: SRAM, processor, DMA engines, NIC."""
 
+import mmap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
-from repro.mem import PhysicalMemory
+from repro.mem import PAGE_SIZE, PhysicalMemory
 from repro.hw.bus import PCIBus, PCIParams
 from repro.hw.lanai import (
     LANaiProcessor,
@@ -60,6 +63,77 @@ def test_sram_view_mutates():
     sram = SRAM()
     sram.view(0, 4)[:] = [9, 8, 7, 6]
     assert sram.read(0, 4).tolist() == [9, 8, 7, 6]
+
+
+def _mapping_of(array: np.ndarray):
+    """The object whose buffer ``array``'s bytes live in."""
+    base = array.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def test_sram_and_physical_memory_are_anonymous_mappings():
+    # Both byte stores are committed a page at a time as they are
+    # touched, never zeroed up front on the heap.
+    assert isinstance(_mapping_of(SRAM().data), mmap.mmap)
+    assert isinstance(_mapping_of(PhysicalMemory(2 * PAGE_SIZE).data),
+                      mmap.mmap)
+
+
+@pytest.mark.parametrize("size", [0, -PAGE_SIZE])
+def test_empty_byte_stores_are_rejected(size):
+    with pytest.raises(ValueError, match="positive size"):
+        SRAM(size)
+    with pytest.raises(ValueError, match="positive size"):
+        PhysicalMemory(size)
+
+
+def test_sram_unwritten_bytes_read_zero():
+    sram = SRAM()
+    sram.write(PAGE_SIZE + 3, b"\xff" * 5)
+    assert not sram.read(0, PAGE_SIZE + 3).any()
+    assert not sram.read(PAGE_SIZE + 8, SRAM_SIZE - PAGE_SIZE - 8).any()
+    assert sram.read(PAGE_SIZE + 3, 5).tolist() == [255] * 5
+
+
+def test_sram_data_and_raw_alias():
+    sram = SRAM(2 * PAGE_SIZE)
+    assert np.shares_memory(np.asarray(sram.raw), sram.data)
+    sram.raw[10:13] = b"xyz"
+    assert sram.data[10:13].tobytes() == b"xyz"
+    sram.data[PAGE_SIZE] = 7
+    assert sram.raw[PAGE_SIZE] == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2 * PAGE_SIZE, SRAM_SIZE]), st.data())
+def test_sram_matches_a_bytearray(size, data):
+    """Writes of bytes and arrays, reads and views, in any order, see
+    exactly what a zeroed ``bytearray`` sees."""
+    sram, model = SRAM(size), bytearray(size)
+    # Spans start near page edges and the ends of the store; writes
+    # are short, reads and views may run to the end.
+    hot = [0, PAGE_SIZE - 8, PAGE_SIZE, size - 64]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        op = data.draw(st.sampled_from(["bytes", "array", "read", "view"]))
+        addr = data.draw(st.sampled_from(hot)) + data.draw(
+            st.integers(min_value=0, max_value=63))
+        longest = size - addr if op in ("read", "view") else 96
+        nbytes = data.draw(st.integers(min_value=0,
+                                       max_value=min(longest, size - addr)))
+        if op in ("bytes", "array"):
+            payload = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
+            sram.write(addr, payload if op == "bytes"
+                       else np.frombuffer(payload, dtype=np.uint8))
+            model[addr:addr + nbytes] = payload
+        elif op == "read":
+            assert sram.read(addr, nbytes).tobytes() == model[
+                addr:addr + nbytes]
+        else:
+            view = sram.view(addr, nbytes)
+            assert view.tobytes() == model[addr:addr + nbytes]
+            view[:] = 0x5A
+            model[addr:addr + nbytes] = b"\x5a" * nbytes
+    assert sram.data.tobytes() == model
 
 
 # ------------------------------------------------------------------ processor
