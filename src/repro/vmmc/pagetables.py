@@ -112,10 +112,6 @@ class IncomingPageTable:
                     notify = True
         return None, notify
 
-    @property
-    def entries_set(self) -> int:
-        return len(self._entries)
-
     def _check(self, frame: int) -> None:
         if not 0 <= frame < self.nframes:
             raise ValueError(f"frame {frame} out of range 0..{self.nframes-1}")
@@ -198,10 +194,6 @@ class OutgoingPageTable:
             return None
         return node, extents + (((second & _PAGE_MASK) * PAGE_SIZE,
                                  nbytes - len1),)
-
-    @property
-    def entries_set(self) -> int:
-        return len(self._entries)
 
     @property
     def import_capacity_bytes(self) -> int:

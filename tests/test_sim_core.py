@@ -2,18 +2,25 @@
 
 import pytest
 
+from repro.bench.microbench import VmmcPair
+from repro.cluster import TestbedConfig
+from repro.kv.bench import run_kv_trial
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import (
     US,
     AllOf,
     Environment,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     SimulationStalled,
     Timeout,
+    core,
     ns_to_us,
     us,
 )
+from repro.sim.census import census
 
 
 def test_time_helpers_roundtrip():
@@ -689,3 +696,75 @@ def test_interrupting_a_process_finished_in_place_raises():
     assert p.processed and p.value == "done"
     with pytest.raises(SimulationError, match="finished"):
         p.interrupt("late")
+
+
+# ------------------------------------------------------------------ census
+def test_a_census_changes_nothing(monkeypatch):
+    envs, install = [], MetricsRegistry.install
+
+    def recorded(registry, env):
+        envs.append(env)
+        return install(registry, env)
+
+    monkeypatch.setattr(MetricsRegistry, "install", recorded)
+
+    def trial():
+        report = run_kv_trial(0, requests=40, scenario="clean")
+        env, = envs
+        envs.clear()
+        return report, env.events_processed, env.now
+
+    bare = trial()
+    with census() as counts:
+        inside = trial()
+    assert inside == bare and bare[1] > 0
+    assert counts.pushes.total() >= bare[1] and len(counts.processes) > 40
+
+
+def test_a_census_charges_each_push_to_its_site():
+    env = Environment()
+    gate = env.event()
+
+    def opener():
+        yield env.timeout(10)
+        env.timeout(5).callbacks.append(lambda _event: gate.succeed())
+        yield env.timeout(0)
+
+    def waiter(other):
+        yield other
+        yield gate
+
+    with census() as counts:
+        env.process(waiter(env.process(opener(), name="opener")),
+                    name="waiter")
+        env.run()
+    here = f"{__name__}:test_a_census_charges_each_push_to_its_site"
+    # Each process's start is charged to the frame that built it; the
+    # opener's end, which the waiter waits on, to the core's ``_resume``
+    # that ``run`` dispatched; the gate's ``succeed`` to the lambda.
+    assert counts.pushes == {here: 2, f"{__name__}:opener": 3,
+                             "repro.sim.core:_resume": 1,
+                             f"{__name__}:<lambda>": 1}
+    assert counts.at_now == {here: 2, f"{__name__}:opener": 1,
+                             "repro.sim.core:_resume": 1,
+                             f"{__name__}:<lambda>": 1}
+    assert (counts.timeouts, counts.processes) == (3, ["opener", "waiter"])
+    assert env.events_processed == 7
+
+
+def test_a_census_counts_one_push_per_event_of_a_drained_run():
+    with census() as counts:
+        pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
+                        buffer_bytes=16 * 1024)
+        pair.env.run(until=pair.ep_a.send(pair.src_a, pair.to_b, 8192))
+        pair.env.run()
+    assert counts.pushes.total() == pair.env.events_processed > 0
+
+
+def test_a_census_is_undone_when_the_work_inside_raises():
+    heap, init = core.heapq, Process.__init__
+    with pytest.raises(RuntimeError, match="inside"):
+        with census():
+            assert core.heapq is not heap and Process.__init__ is not init
+            raise RuntimeError("inside")
+    assert core.heapq is heap and Process.__init__ is init
