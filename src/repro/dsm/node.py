@@ -272,11 +272,12 @@ class DsmNode:
             plan, needs_data = self.directory.begin_write(page, src)
             xfer = self._next_xfer() if needs_data else 0
             self.invalidations_sent += len(plan)
-            children = []
-            for member, action in plan:
-                children.append(self.env.process(
+            children = [
+                self.env.process(
                     self._member(member, action, page, src, xfer),
-                    name=f"dsm.{action}.{member}"))
+                    name=f"dsm.{action}.{member}")
+                for member, action in plan
+            ]
             for child in children:
                 yield child
             self.directory.commit_write(page, src)

@@ -12,6 +12,7 @@ from repro.sim import core
 
 _SIM = os.path.dirname(__file__) + os.sep
 _REPRO = os.path.dirname(os.path.dirname(__file__))
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 
 
 @contextmanager
@@ -26,11 +27,12 @@ def census():
 
     def heappush(queue, item):
         heap.heappush(queue, item)
-        # The site: the first frame outside ``repro/sim/``, or a core
-        # callback that ``Environment.run`` called.
+        # The site: the first frame outside ``repro/sim/`` and not a
+        # comprehension (3.12 inlines them), or a core callback of ``run``.
         frame = sys._getframe(1)
         while (frame.f_code.co_filename.startswith(_SIM)
-               and frame.f_back.f_code is not run):
+               and frame.f_back.f_code is not run
+               or frame.f_code.co_name in _COMPREHENSIONS):
             frame = frame.f_back
         site = f"{frame.f_globals['__name__']}:{frame.f_code.co_name}"
         counts.pushes[site] += 1

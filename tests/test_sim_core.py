@@ -768,3 +768,19 @@ def test_a_census_is_undone_when_the_work_inside_raises():
             assert core.heapq is not heap and Process.__init__ is not init
             raise RuntimeError("inside")
     assert core.heapq is heap and Process.__init__ is init
+
+
+def test_a_census_charges_a_comprehension_to_its_function():
+    env = Environment()
+
+    def idle():
+        yield env.timeout(1)
+
+    def start():
+        return [env.process(idle()) for _ in range(2)]
+
+    with census() as counts:
+        start()
+    # CPython 3.11 runs the comprehension in a frame of its own; 3.12
+    # inlines it.  Either way the site is the function.
+    assert counts.pushes == {f"{__name__}:start": 2}
