@@ -29,14 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dsm import wire
+
 SHARED = "shared"
 EXCLUSIVE = "exclusive"
 
-#: Plan actions (what the home asks each involved rank to do).
-INVALIDATE = "invalidate"   #: drop your copy
-FLUSH = "flush"             #: push the page to the faulter, then drop it
-DOWNGRADE = "downgrade"     #: push the page, WRITE → READ, keep it
-PUSH = "push"               #: push the page, state unchanged
+#: Plan actions (what the home asks each involved rank to do): each is
+#: the wire op that carries it.
+INVALIDATE = wire.OP_INVALIDATE  #: drop your copy
+FLUSH = wire.OP_FLUSH            #: push the page to the faulter, drop it
+DOWNGRADE = wire.OP_DOWNGRADE    #: push the page, WRITE → READ, keep it
+PUSH = wire.OP_PUSH              #: push the page, state unchanged
 
 
 class DirectoryError(RuntimeError):
@@ -80,7 +83,7 @@ class PageDirectory:
                 f"page {page} not homed at rank {self.rank}") from None
 
     # -- read fault ---------------------------------------------------------
-    def begin_read(self, page: int, requester: int) -> tuple[int, str]:
+    def begin_read(self, page: int, requester: int) -> tuple[int, int]:
         """Plan a read fault: returns ``(supplier, action)`` — the rank
         that must push the page to the requester and what it does to its
         own copy (``DOWNGRADE`` when it was writing, ``PUSH`` when it is
@@ -102,7 +105,7 @@ class PageDirectory:
 
     # -- write fault --------------------------------------------------------
     def begin_write(self, page: int, requester: int
-                    ) -> tuple[list[tuple[int, str]], bool]:
+                    ) -> tuple[list[tuple[int, int]], bool]:
         """Plan a write fault: returns ``(plan, needs_data)``.  ``plan``
         is ``[(rank, action), ...]`` in deterministic (sorted-rank)
         order; the owner gets ``FLUSH`` when the requester needs the page

@@ -55,14 +55,6 @@ LOCAL_ACCESS_NS = 40
 #: XDR framing slack on top of the page payload in a channel slot.
 FRAME_OVERHEAD = 64
 
-_ACTION_OPS = {
-    INVALIDATE: wire.OP_INVALIDATE,
-    FLUSH: wire.OP_FLUSH,
-    DOWNGRADE: wire.OP_DOWNGRADE,
-    PUSH: wire.OP_PUSH,
-}
-_OP_ACTIONS = {op: action for action, op in _ACTION_OPS.items()}
-
 
 class DsmError(RuntimeError):
     """DSM misuse or protocol failure surfaced to the application."""
@@ -195,40 +187,40 @@ class DsmNode:
             waiter.succeed()
 
     def _dispatch(self, op: int, req_id: int, src: int, ints):
-        if op == wire.OP_READ_FAULT:
-            result = yield from self._serve_read_fault(src, ints[0])
-        elif op == wire.OP_WRITE_FAULT:
-            result = yield from self._serve_write_fault(src, ints[0])
-        elif op == wire.OP_ALLOC:
-            result = self._serve_alloc(src, ints[0])
-        elif op == wire.OP_BARRIER:
-            result = yield from self._serve_barrier()
-        elif op == wire.OP_LOCK:
-            result = yield from self._serve_lock(src, ints[0])
-        elif op == wire.OP_UNLOCK:
-            result = self._serve_unlock(src, ints[0])
-        elif op in (wire.OP_INVALIDATE, wire.OP_FLUSH,
-                    wire.OP_DOWNGRADE, wire.OP_PUSH):
-            action = _OP_ACTIONS[op]
-            to_rank = ints[1] if len(ints) > 1 else 0
-            xfer = ints[2] if len(ints) > 2 else 0
-            result = yield from self._member_local(
-                action, ints[0], to_rank, xfer)
-        else:
-            result = [wire.STATUS_ERANGE]
+        result = yield from self._serve(op, src, ints)
         yield self._tx[src].send(
             wire.encode(wire.OP_REPLY, req_id, self.rank, result))
 
-    def _call(self, dst: int, op: int, ints, blob: bytes = b""):
-        """Generator: request/reply to a peer; returns the reply ints."""
+    def _serve(self, op: int, src: int, ints):
+        """Generator: serve one request of rank ``src`` (this rank's own
+        included); returns the reply ints."""
+        if op == wire.OP_READ_FAULT:
+            return (yield from self._serve_read_fault(src, ints[0]))
+        if op == wire.OP_WRITE_FAULT:
+            return (yield from self._serve_write_fault(src, ints[0]))
+        if op == wire.OP_ALLOC:
+            return self._serve_alloc(src, ints[0])
+        if op == wire.OP_BARRIER:
+            return (yield from self._serve_barrier())
+        if op == wire.OP_LOCK:
+            return (yield from self._serve_lock(src, ints[0]))
+        if op == wire.OP_UNLOCK:
+            return self._serve_unlock(src, ints[0])
+        if op in (INVALIDATE, FLUSH, DOWNGRADE, PUSH):
+            return (yield from self._serve_member(op, *ints))
+        return [wire.STATUS_ERANGE]
+
+    def _request(self, dst: int, op: int, ints):
+        """Generator: ask rank ``dst`` to serve ``op``; returns the reply
+        ints.  A request to this rank is served in place: no frame, no
+        process, no event."""
+        if dst == self.rank:
+            return (yield from self._serve(op, self.rank, ints))
         self._req_counter += 1
         req_id = self._req_counter
-        waiter = self.env.event()
-        self._pending[req_id] = waiter
-        yield self._tx[dst].send(
-            wire.encode(op, req_id, self.rank, ints, blob))
-        result = yield waiter
-        return result
+        waiter = self._pending[req_id] = self.env.event()
+        yield self._tx[dst].send(wire.encode(op, req_id, self.rank, ints))
+        return (yield waiter)
 
     def _push_page(self, page: int, to_rank: int, xfer: int):
         blob = self.store.read(
@@ -251,11 +243,7 @@ class DsmNode:
         try:
             supplier, action = self.directory.begin_read(page, src)
             xfer = self._next_xfer()
-            if supplier == self.rank:
-                yield from self._member_local(action, page, src, xfer)
-            else:
-                yield from self._call(
-                    supplier, _ACTION_OPS[action], [page, src, xfer])
+            yield from self._request(supplier, action, [page, src, xfer])
             self.directory.commit_read(page, src)
         finally:
             lock.release(grant)
@@ -274,8 +262,10 @@ class DsmNode:
             self.invalidations_sent += len(plan)
             children = [
                 self.env.process(
-                    self._member(member, action, page, src, xfer),
-                    name=f"dsm.{action}.{member}")
+                    self._request(member, action,
+                                  [page] if action == INVALIDATE
+                                  else [page, src, xfer]),
+                    name=f"dsm.{wire.op_name(action)}.{member}")
                 for member, action in plan
             ]
             for child in children:
@@ -322,17 +312,8 @@ class DsmNode:
         self._sync_locks[lock_id].release(grant)
         return [wire.STATUS_OK]
 
-    def _member(self, member: int, action: str, page: int, to_rank: int,
-                xfer: int):
-        if member == self.rank:
-            yield from self._member_local(action, page, to_rank, xfer)
-        else:
-            ints = ([page] if action == INVALIDATE
-                    else [page, to_rank, xfer])
-            yield from self._call(member, _ACTION_OPS[action], ints)
-
-    def _member_local(self, action: str, page: int, to_rank: int,
-                      xfer: int):
+    def _serve_member(self, action: int, page: int, to_rank: int = 0,
+                      xfer: int = 0):
         """Generator: perform one member action on the local copy.
         Parks while a just-granted fault on the page is still installing
         its data — the one window where local state lags the directory."""
@@ -379,19 +360,10 @@ class DsmNode:
             if self.env.tracer is not None:
                 emit(self.env, "dsm.fault", node=self.rank, kind=kind,
                      page=page)
-            fault_op = (wire.OP_READ_FAULT if kind == "r"
-                        else wire.OP_WRITE_FAULT)
-            home = page % self.nranks
-            if home == self.rank:
-                if kind == "r":
-                    result = yield from self._serve_read_fault(
-                        self.rank, page)
-                else:
-                    result = yield from self._serve_write_fault(
-                        self.rank, page)
-            else:
-                result = yield from self._call(home, fault_op, [page])
-            status, xfer = result[0], result[1]
+            status, xfer = yield from self._request(
+                page % self.nranks,
+                wire.OP_READ_FAULT if kind == "r" else wire.OP_WRITE_FAULT,
+                [page])
             if status != wire.STATUS_OK:
                 raise DsmError(
                     f"rank {self.rank}: fault on page {page} denied "
@@ -427,113 +399,92 @@ class DsmNode:
         return waiter
 
     # -- application operations --------------------------------------------
-    def read_u32(self, page: int, offset: int):
-        """Generator: sequentially-consistent 4-byte load."""
-        self._check_page(page, offset, 4)
-        env = self.env
-        started = env._now
+    def _take_right(self, kind: str, page: int, offset: int, nbytes: int):
+        """Generator: one local access (``LOCAL_ACCESS_NS``), faulting
+        until this rank may read (``kind == "r"``) or write the page;
+        returns whether it faulted.  The caller's load or store follows
+        with no yield in between."""
+        self._check_page(page, offset, nbytes)
+        want = READ if kind == "r" else WRITE
         faulted = False
         while True:
-            yield Timeout(env, LOCAL_ACCESS_NS)
-            if self.access[page] != INV:
-                value = self.store.read_u32(page * self.page_bytes + offset)
-                committed = env._now
-                break
+            yield Timeout(self.env, LOCAL_ACCESS_NS)
+            if self.access[page] == want or self.access[page] == WRITE:
+                return faulted
             faulted = True
-            yield from self._fault("r", page)
+            yield from self._fault(kind, page)
+
+    def _record(self, kind: str, page: int, offset: int, value: int,
+                started: int, faulted: bool) -> None:
         if not faulted:
             self.local_hits += 1
+        now = self.env._now
         self.history.append(DsmOp(
-            node=self.rank, index=len(self.history), kind="r", page=page,
-            offset=offset, value=value, start_ns=started,
-            commit_ns=committed, end_ns=env._now))
+            node=self.rank, index=len(self.history), kind=kind, page=page,
+            offset=offset, value=value, start_ns=started, commit_ns=now,
+            end_ns=now))
+
+    def read_u32(self, page: int, offset: int):
+        """Generator: sequentially-consistent 4-byte load."""
+        started = self.env._now
+        faulted = yield from self._take_right("r", page, offset, 4)
+        value = self.store.read_u32(page * self.page_bytes + offset)
+        self._record("r", page, offset, value, started, faulted)
         return value
 
     def write_u32(self, page: int, offset: int, value: int):
         """Generator: sequentially-consistent 4-byte store."""
-        self._check_page(page, offset, 4)
-        env = self.env
-        started = env._now
-        faulted = False
-        while True:
-            yield Timeout(env, LOCAL_ACCESS_NS)
-            if self.access[page] == WRITE:
-                self.store.write_u32(value, page * self.page_bytes + offset)
-                committed = env._now
-                break
-            faulted = True
-            yield from self._fault("w", page)
-        if not faulted:
-            self.local_hits += 1
-        self.history.append(DsmOp(
-            node=self.rank, index=len(self.history), kind="w", page=page,
-            offset=offset, value=value, start_ns=started,
-            commit_ns=committed, end_ns=env._now))
+        started = self.env._now
+        faulted = yield from self._take_right("w", page, offset, 4)
+        self.store.write_u32(value, page * self.page_bytes + offset)
+        self._record("w", page, offset, value, started, faulted)
 
     def read_bytes(self, page: int, offset: int, nbytes: int):
         """Generator: byte-range load within one page (not recorded in
         the SC history — the checker tracks the u32 ops)."""
-        self._check_page(page, offset, nbytes)
-        while True:
-            yield Timeout(self.env, LOCAL_ACCESS_NS)
-            if self.access[page] != INV:
-                return self.store.read(
-                    page * self.page_bytes + offset, nbytes).tobytes()
-            yield from self._fault("r", page)
+        yield from self._take_right("r", page, offset, nbytes)
+        return self.store.read(
+            page * self.page_bytes + offset, nbytes).tobytes()
 
     def write_bytes(self, page: int, offset: int, data: bytes):
         """Generator: byte-range store within one page."""
         data = bytes(data)
-        self._check_page(page, offset, len(data))
-        while True:
-            yield Timeout(self.env, LOCAL_ACCESS_NS)
-            if self.access[page] == WRITE:
-                self.store.write(data,
-                                 offset=page * self.page_bytes + offset)
-                return
-            yield from self._fault("w", page)
+        yield from self._take_right("w", page, offset, len(data))
+        self.store.write(data, offset=page * self.page_bytes + offset)
 
     def alloc(self, npages: int):
-        """Generator: reserve ``npages`` contiguous pages from the
-        segment-wide bump allocator (homed at rank 0); returns the first
-        page number."""
-        if self.rank == 0:
-            result = self._serve_alloc(self.rank, npages)
-        else:
-            result = yield from self._call(0, wire.OP_ALLOC, [npages])
-        if result[0] != wire.STATUS_OK:
+        """Generator: reserve ``npages`` contiguous pages (at least one,
+        at most the segment's) from the segment-wide bump allocator
+        (homed at rank 0); returns the first page number."""
+        if not 1 <= npages <= self.npages:
+            raise DsmError(
+                f"rank {self.rank}: alloc of {npages} pages outside "
+                f"[1, {self.npages}]")
+        status, first = yield from self._request(0, wire.OP_ALLOC, [npages])
+        if status != wire.STATUS_OK:
             raise DsmError(
                 f"rank {self.rank}: alloc of {npages} pages denied")
-        return result[1]
+        return first
 
     # -- synchronisation (served at rank 0) ---------------------------------
     def barrier(self):
         """Generator: block until every rank has arrived."""
-        if self.rank == 0:
-            yield from self._serve_barrier()
-        else:
-            yield from self._call(0, wire.OP_BARRIER, [])
+        yield from self._request(0, wire.OP_BARRIER, [])
         self.barriers += 1
         if self.env.tracer is not None:
             emit(self.env, "dsm.barrier", node=self.rank)
 
     def lock(self, lock_id: int):
         """Generator: block until this rank holds ``lock_id``."""
-        if self.rank == 0:
-            yield from self._serve_lock(self.rank, lock_id)
-        else:
-            yield from self._call(0, wire.OP_LOCK, [lock_id])
+        yield from self._request(0, wire.OP_LOCK, [lock_id])
         self.lock_acquires += 1
         if self.env.tracer is not None:
             emit(self.env, "dsm.lock.acquire", node=self.rank, lock=lock_id)
 
     def unlock(self, lock_id: int):
         """Generator: release ``lock_id`` (must be held by this rank)."""
-        if self.rank == 0:
-            result = self._serve_unlock(self.rank, lock_id)
-        else:
-            result = yield from self._call(0, wire.OP_UNLOCK, [lock_id])
-        if result[0] != wire.STATUS_OK:
+        status, = yield from self._request(0, wire.OP_UNLOCK, [lock_id])
+        if status != wire.STATUS_OK:
             raise DsmError(
                 f"rank {self.rank} released lock {lock_id} without "
                 f"holding it")

@@ -108,13 +108,6 @@ class XdrDecoder:
             f"XDR underrun: need {n} bytes at {self._pos}, have "
             f"{len(self._data)}")
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise self._underrun(n)
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
     # -- integers ------------------------------------------------------------
     def unpack_uint(self) -> int:
         pos = self._pos
@@ -163,11 +156,6 @@ class XdrDecoder:
         return struct.unpack_from(f">{count}I", data, pos)
 
     # -- byte strings -----------------------------------------------------------
-    def unpack_fixed_opaque(self, n: int) -> bytes:
-        pad = (4 - n % 4) % 4
-        data = self._take(n + pad)
-        return data[:n]
-
     def unpack_opaque(self) -> bytes:
         n = self.unpack_uint()
         pos = self._pos

@@ -20,6 +20,7 @@ from repro.dsm import (
 from repro.dsm import wire
 from repro.dsm.directory import DOWNGRADE, FLUSH, INVALIDATE, PUSH
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.census import census
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,48 @@ def test_dsm_unlock_without_holding_raises_at_the_caller():
         return "ok"
 
     assert env.run(until=env.process(offender())) == "ok"
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_dsm_alloc_of_no_pages_raises_at_the_caller(rank):
+    """Regression: rank 0 served ``alloc(-3)`` in place and moved the
+    bump allocator back, so the next ``alloc`` handed out pages a second
+    time; any other rank failed in the frame codec instead, as it did
+    for a count past 32 bits.  Now every rank refuses a count outside
+    ``[1, npages]`` before sending anything."""
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    node = build_dsm_world(cluster, npages=8, page_bytes=128)[rank].node
+    senders, _ = node.channel_stats()
+
+    def app():
+        first = yield from node.alloc(4)
+        sent = [tx.messages_sent for tx in senders]
+        for bad in (0, -3, 9, 2**32):
+            with pytest.raises(DsmError, match=f"alloc of {bad} pages"):
+                yield from node.alloc(bad)
+        assert [tx.messages_sent for tx in senders] == sent
+        return first, (yield from node.alloc(2))
+
+    assert env.run(until=env.process(app())) == (0, 4)
+
+
+def test_dsm_requests_to_the_own_rank_are_served_in_place():
+    """Rank 0 serves its own alloc, lock, unlock and the write fault on a
+    page homed and owned only there: no frame leaves it and no process
+    starts beyond the four ops."""
+    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
+    env = cluster.env
+    node = build_dsm_world(cluster, npages=8, page_bytes=128)[0].node
+    senders, _ = node.channel_stats()
+    sent = [tx.messages_sent for tx in senders]
+    with census() as counts:
+        for op in (node.alloc(2), node.lock(3), node.unlock(3),
+                   node.write_u32(0, 0, 9)):
+            env.run(until=env.process(op))
+    assert [tx.messages_sent for tx in senders] == sent
+    assert counts.processes == ["alloc", "lock", "unlock", "write_u32"]
+    assert (node.write_faults, node.access[0]) == (1, "write")
 
 
 # ---------------------------------------------------------------------------

@@ -565,10 +565,11 @@ def dsm_faults(measure, registry: bool = False):
 
 def test_a_dsm_read_fault_and_write_fault_cost_few_python_calls():
     read, write = dsm_faults(repro_calls)
-    # 1 176 and 782 on CPython 3.11 (1 486 and 986 with the frames
+    # 1 190 and 794 on CPython 3.11 (1 486 and 986 with the frames
     # decoded one ``_take`` per field and the library and channel paths
     # as above; 1 174 and 779 before a bytes store became a call of
-    # ``PhysicalMemory.write``).
+    # ``PhysicalMemory.write``; 1 176 and 782 before a request to the
+    # node's own rank and a peer's request shared one ``_serve`` path).
     assert read <= 1_200
     assert write <= 800
 
@@ -615,7 +616,7 @@ def test_a_registry_costs_a_dsm_fault_and_a_kv_get_few_python_calls():
     """What an installed registry adds to an operation: the records
     only the registry wants (gauges, samples, counts the objects do not
     keep anyway), where only a gauge's ``set`` is a call.  42, 26 and 28
-    on CPython 3.11 (1 218 against 1 176, 808 against 782, 764 against
+    on CPython 3.11 (1 232 against 1 190, 820 against 794, 764 against
     736); a registry added 394, 258 and 252 while every record was a
     call on a bound handle (1 568 against 1 174, 1 037 against 779, 986
     against 734)."""
